@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from teamsim.config import expand_team_shorthand
 from teamsim.model import AgentProfile, Role, Scenario, TaskSpec, validate_scenario
+from teamsim.planner import DecompositionPlan
+from teamsim.taskgraph import SubtaskSpec
 
 SKILL_POOL = ["backend", "api", "authentication", "oauth", "testing", "documentation"]
 
@@ -70,6 +74,57 @@ def make_team(workers: int = 2, worker_skills: list[frozenset[str]] | None = Non
                   else frozenset({"backend", "testing"}))
         team.append(AgentProfile(f"W{i + 1}", f"Worker {i + 1}", Role.WORKER, skills))
     return team
+
+
+def chain_scenario() -> Scenario:
+    """Three workers; W1's subtask blocks W2 and W3 under ChainPlanner."""
+    team = make_team(3, worker_skills=[frozenset({"backend"}),
+                                       frozenset({"api"}),
+                                       frozenset({"testing"})])
+    return validate_scenario(Scenario(
+        name="deps", team=team,
+        tasks=[TaskSpec("gateway", 3.0,
+                        frozenset({"backend", "api", "testing"}))],
+        seed=1, skill_pool=("backend", "api", "testing"),
+    ))
+
+
+class ChainPlanner:
+    """One base subtask that the two other subtasks depend on."""
+
+    name = "chain"
+
+    def decompose(self, node, scenario):
+        return DecompositionPlan(subtasks=(
+            SubtaskSpec("base", 1.0, frozenset({"backend"}), "W1", ()),
+            SubtaskSpec("api layer", 1.0, frozenset({"api"}), "W2", (0,)),
+            SubtaskSpec("tests", 1.0, frozenset({"testing"}), "W3", (0,)),
+        ))
+
+
+class RandomDagPlanner:
+    """Random sibling DAGs: dependencies only point at earlier siblings."""
+
+    name = "random_dag"
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+
+    def decompose(self, node, scenario):
+        rng = random.Random(f"{self.seed}:{node.task_id}")
+        count = rng.randint(2, 6)
+        skills = sorted(node.required_skills) or ["backend"]
+        subtasks = []
+        for i in range(count):
+            deps = tuple(j for j in range(i) if rng.random() < 0.3)
+            subtasks.append(SubtaskSpec(
+                description=f"part {i}",
+                estimated_hours=node.estimated_hours / count,
+                required_skills=frozenset({rng.choice(skills)}),
+                suggested_assignee=None,
+                dependencies=deps,
+            ))
+        return DecompositionPlan(subtasks=tuple(subtasks))
 
 
 @pytest.fixture

@@ -16,12 +16,12 @@ from teamsim.engine import Simulation, run_scenario
 from teamsim.metrics import compute_metrics
 from teamsim.model import (AgentProfile, Role, Scenario, TaskSpec,
                            validate_scenario)
-from teamsim.planner import DecompositionPlan
 from teamsim.policy import Intention, IntentionKind, Policy
 from teamsim.taskgraph import SubtaskSpec
 from teamsim.trace import TraceLog
 
-from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, make_scenario
+from conftest import (COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, RandomDagPlanner,
+                      make_scenario)
 
 TIME_TOLERANCE_H = 0.25
 EFFICIENCY_TOLERANCE = 0.02
@@ -112,31 +112,6 @@ class RandomIntentionPolicy(Policy):
         rng = random.Random(f"{self.seed}:{context.agent.agent_id}:{context.step}")
         kind = rng.choice(list(IntentionKind))
         return Intention(kind, reasoning="scripted")
-
-
-class RandomDagPlanner:
-    """Random sibling DAGs: dependencies only point at earlier siblings."""
-
-    name = "random_dag"
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-
-    def decompose(self, node, scenario):
-        rng = random.Random(f"{self.seed}:{node.task_id}")
-        count = rng.randint(2, 6)
-        skills = sorted(node.required_skills) or ["backend"]
-        subtasks = []
-        for i in range(count):
-            deps = tuple(j for j in range(i) if rng.random() < 0.3)
-            subtasks.append(SubtaskSpec(
-                description=f"part {i}",
-                estimated_hours=node.estimated_hours / count,
-                required_skills=frozenset({rng.choice(skills)}),
-                suggested_assignee=None,
-                dependencies=deps,
-            ))
-        return DecompositionPlan(subtasks=tuple(subtasks))
 
 
 def random_small_scenario(rng: random.Random) -> Scenario:

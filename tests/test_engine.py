@@ -14,7 +14,8 @@ from teamsim.metrics import compute_metrics
 from teamsim.model import Scenario, TaskSpec, validate_scenario
 from teamsim.policy import HeuristicPolicy
 
-from conftest import MEDIUM_TASK, make_scenario, make_team
+from conftest import (MEDIUM_TASK, ChainPlanner, chain_scenario, make_scenario,
+                      make_team)
 
 
 def closed_form_no_comm_hours(total_hours: float, workers: int,
@@ -196,34 +197,10 @@ class TestHeuristicRun:
 
 
 class TestMeetings:
-    def scenario_with_dependencies(self):
-        """Three workers; W1's subtask blocks W2 and W3."""
-        team = make_team(3, worker_skills=[frozenset({"backend"}),
-                                           frozenset({"api"}),
-                                           frozenset({"testing"})])
-        return validate_scenario(Scenario(
-            name="deps", team=team,
-            tasks=[TaskSpec("gateway", 3.0,
-                            frozenset({"backend", "api", "testing"}))],
-            seed=1, skill_pool=("backend", "api", "testing"),
-        ))
-
-    class ChainPlanner:
-        name = "chain"
-
-        def decompose(self, node, scenario):
-            from teamsim.planner import DecompositionPlan
-            from teamsim.taskgraph import SubtaskSpec
-            return DecompositionPlan(subtasks=(
-                SubtaskSpec("base", 1.0, frozenset({"backend"}), "W1", ()),
-                SubtaskSpec("api layer", 1.0, frozenset({"api"}), "W2", (0,)),
-                SubtaskSpec("tests", 1.0, frozenset({"testing"}), "W3", (0,)),
-            ))
-
     def run_with_chain(self, **kwargs):
-        scenario = self.scenario_with_dependencies()
+        scenario = chain_scenario()
         scenario = dataclasses.replace(scenario, policy_name="c2c_heuristic")
-        sim = Simulation(scenario, planner=self.ChainPlanner(), **kwargs)
+        sim = Simulation(scenario, planner=ChainPlanner(), **kwargs)
         return sim.run()
 
     def test_meeting_lifecycle_and_alignment_gain(self):
@@ -264,7 +241,7 @@ class TestMeetings:
 
     def test_meeting_cancelled_without_quorum(self):
         # Workers that never process the invite leave the organizer alone.
-        scenario = self.scenario_with_dependencies()
+        scenario = chain_scenario()
         scenario = dataclasses.replace(scenario, policy_name="c2c_heuristic")
 
         class InviteBlindPolicy(HeuristicPolicy):
@@ -278,7 +255,7 @@ class TestMeetings:
                 return intention
 
         sim = Simulation(scenario, policy=InviteBlindPolicy(),
-                         planner=self.ChainPlanner())
+                         planner=ChainPlanner())
         result = sim.run()
         cancelled = [e for e in result.trace.of_kind("warning")
                      if "cancelled" in e.payload["detail"]]

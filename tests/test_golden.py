@@ -1,0 +1,110 @@
+"""Golden traces: the sha256 of `trace.jsonl` for fixed deterministic runs.
+
+A refactor that changes one byte of any of these traces changes behaviour.
+The shipped-scenario digests are the same ones the benchmark pins in
+`perfbench/cases.py`; the dependency, meeting and random-DAG cases cover the
+engine paths that no benchmark workload reaches.
+"""
+
+import dataclasses
+import runpy
+from pathlib import Path
+
+import pytest
+
+from teamsim.config import expand_team_shorthand, parse_scenario
+from teamsim.engine import Simulation
+from teamsim.model import Scenario, validate_scenario
+
+from conftest import (COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL,
+                      ChainPlanner, RandomDagPlanner, chain_scenario,
+                      make_scenario)
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SHIPPED = {
+    ("complex", "c2c_heuristic"):
+        "0c709cad2523c5b7228a8c8e5e7ed8452a9b321724e049794b4ce43df2aad3df",
+    ("complex", "fixed_steps"):
+        "0f755f41ae54e308c36bad7885a06a7c358eed9d743a22e6d4050e6bd06fb7c0",
+    ("complex", "no_comm"):
+        "6c4a343e68194dab9965ef6a3b3f061b2e536944150a190dcd55436575154296",
+    ("medium", "c2c_heuristic"):
+        "108ef17c508c25ce27ba66def9c47db7e7ad80aaaea0f780a332011427e654fb",
+    ("medium", "fixed_steps"):
+        "272304dce1d76106cba20ed6ca14985ff6c4c76c788dc83ee59916ed46f91cda",
+    ("medium", "no_comm"):
+        "7486de951c591f1997170da36d5fe6214a4f292f2108f286c293c55ddb3374f0",
+    ("multi_task", "c2c_heuristic"):
+        "c3e1fec2b6a6a4c9b21199ceb0c964c4474399c4b45256efdf0a7ee373211e5a",
+    ("multi_task", "fixed_steps"):
+        "70c2201e0fd0ce2a5fbc83784a16a6e50afaa7a8ae747cbc0ace1856d47a5c48",
+    ("multi_task", "no_comm"):
+        "ff09242502022f43ba0039356c9784696fab3a0dd7f95d4af5549c43fc102bc5",
+    ("simple", "c2c_heuristic"):
+        "72d01e66f1be05a880084384954615a9a80a1411ae48dff517f93b5a60c8fc0f",
+    ("simple", "fixed_steps"):
+        "c5d1b9dbdfb1b1a49f31eccd05c6ff70cf6e5f2523c919dbe929b6ef6e839908",
+    ("simple", "no_comm"):
+        "85c35ba521743eb56001ee8dc6c8175a147c9f080f6d3745df5fa55dd7faf764",
+}
+
+
+def _digest(scenario: Scenario, planner=None) -> str:
+    return Simulation(scenario, planner=planner).run().trace.sha256()
+
+
+def _eight_roots() -> Scenario:
+    team = expand_team_shorthand("1M+16W", SKILL_POOL)
+    return validate_scenario(Scenario(
+        name="eight_roots", team=team,
+        tasks=[MEDIUM_TASK, SIMPLE_TASK, COMPLEX_TASK, MEDIUM_TASK] * 2,
+        policy_name="c2c_heuristic", skill_pool=tuple(SKILL_POOL),
+        team_label="1M+16W",
+    ))
+
+
+def _random_dag(seed: int) -> tuple[Scenario, RandomDagPlanner]:
+    scenario = make_scenario(MEDIUM_TASK, "1M+5W", "c2c_heuristic")
+    scenario = dataclasses.replace(scenario, tasks=[MEDIUM_TASK, SIMPLE_TASK])
+    return scenario, RandomDagPlanner(seed)
+
+
+@pytest.mark.parametrize("name,policy", sorted(SHIPPED))
+def test_shipped_scenarios(name, policy):
+    scenario = parse_scenario(ROOT / "scenarios" / f"{name}.yaml")
+    scenario = dataclasses.replace(scenario, policy_name=policy)
+    assert _digest(scenario) == SHIPPED[name, policy]
+
+
+def test_shipped_digests_match_benchmark_pins():
+    cases = runpy.run_path(str(ROOT / "perfbench" / "cases.py"))
+    pinned = {tuple(key.split(":")[0].split("/")[:2]): digest
+              for key, digest in cases["PINNED"]["paper_grid"].items()}
+    assert pinned == SHIPPED
+
+
+def test_wide_medium_team():
+    scenario = make_scenario(MEDIUM_TASK, "1M+64W", "c2c_heuristic")
+    assert _digest(scenario) == (
+        "9e7359df1c90375fe0b3591c5880ac3ed673fed7626500746edee1dfa6899546")
+
+
+def test_eight_roots():
+    assert _digest(_eight_roots()) == (
+        "b4e140d540d19fb2cea3e06f5b74998c290a984adcb78b86a6143bd986109b00")
+
+
+def test_chain_planner_meeting():
+    scenario = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic")
+    assert _digest(scenario, ChainPlanner()) == (
+        "5e7c22a7ab5d5dbb83dc679efcdb6cbb4bd5bea1a4b7f08da8d2d98754170eb5")
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "9e662514d718755dcd7323b0791d0f7ff5bb48bc19ff048905e0efd49a52adb8"),
+    (19, "65ca01a7e37cb4062a976f97669670f1288fd55245ccdee719cc5e21ffa1371a"),
+])
+def test_random_dag_plans(seed, digest):
+    scenario, planner = _random_dag(seed)
+    assert _digest(scenario, planner) == digest
