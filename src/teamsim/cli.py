@@ -2,6 +2,9 @@
 
 Exit codes for `run`: 0 when every task completed, 2 otherwise, 3 when an
 LLM-backed mode is requested without a reachable adapter configuration.
+Every command returns 4, after a one-line error, when a trace has no step to
+measure: a run with `--max-steps 0`, or a `report` on a trace without action
+events.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from pathlib import Path
 from .adapter import ChatCompletionAdapter
 from .config import RunConfig, emit_scenario, parse_scenario
 from .engine import Simulation
-from .metrics import compute_metrics, render_report, write_csv
+from .metrics import MetricsError, compute_metrics, render_report, write_csv
 from .model import POLICY_NAMES, Scenario, ScenarioError
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 2
 EXIT_ADAPTER = 3
+EXIT_NO_METRICS = 4
 
 
 def _apply_overrides(scenario: Scenario, config: RunConfig) -> Scenario:
@@ -219,18 +223,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(_config_from_args(args))
-    if args.command == "compare":
-        policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-        if len(policies) < 2:
-            parser.error("compare needs at least two policies")
-        for policy in policies:
-            if policy not in POLICY_NAMES:
-                parser.error(f"unknown policy: {policy}")
-        return cmd_compare(_config_from_args(args), policies)
-    if args.command == "report":
-        return cmd_report(args.run)
+    try:
+        if args.command == "run":
+            return cmd_run(_config_from_args(args))
+        if args.command == "compare":
+            policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+            if len(policies) < 2:
+                parser.error("compare needs at least two policies")
+            for policy in policies:
+                if policy not in POLICY_NAMES:
+                    parser.error(f"unknown policy: {policy}")
+            return cmd_compare(_config_from_args(args), policies)
+        if args.command == "report":
+            return cmd_report(args.run)
+    except MetricsError as exc:
+        print(f"metrics error: {exc}", file=sys.stderr)
+        return EXIT_NO_METRICS
     parser.error(f"unknown command: {args.command}")
     return 2
 

@@ -12,6 +12,7 @@ progress, meeting attendance, or an explicit idle transition.
 
 from __future__ import annotations
 
+from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,8 +29,8 @@ from .planner import EvenPlanner, LlmPlanner, assign
 from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext,
                      REPORT_MILESTONES, build_context, build_policy,
                      compose_message, compose_reply, reply_channel,
-                     select_channel, select_recipients)
-from .taskgraph import TaskGraph
+                     select_channel, select_recipients, team_views)
+from .taskgraph import TaskGraph, TaskStatus
 from .trace import TraceLog
 from . import prompts
 
@@ -142,6 +143,7 @@ class World:
         ordered = sorted(scenario.team, key=lambda a: order_key(a.agent_id))
         self.agents: dict[str, AgentProfile] = {a.agent_id: a for a in ordered}
         self.agent_order: list[str] = [a.agent_id for a in ordered]
+        self.agent_index: dict[str, int] = {a: i for i, a in enumerate(self.agent_order)}
         self.manager_id = scenario.manager.agent_id
 
         self.graph = TaskGraph()
@@ -156,6 +158,9 @@ class World:
         self.thread_replied: dict[str, set[str]] = {}
         self.thread_root: dict[str, Message] = {}
         self.meetings: dict[str, Meeting] = {}
+        # Meetings still waiting to convene, in id order.
+        self.pending_meetings: dict[str, Meeting] = {}
+        # Each agent's subtasks in id order, sorted once when the plan lands.
         self.assignments: dict[str, list[str]] = {a: [] for a in self.agent_order}
         self.active: dict[str, ActiveAction] = {}
         self.stats: dict[tuple[str, str], AgentTaskStats] = {}
@@ -167,6 +172,20 @@ class World:
         self.completion_steps: dict[str, int] = {}
         self.planned = False
         self._organized: dict[str, set[str]] = {a: set() for a in self.agent_order}
+        # Inbox indexes, filled on delivery. Entries are (delivery step,
+        # message id, thread or meeting id) kept in that sort order, because
+        # delivery order within a step is not message-id order. An entry whose
+        # thread closed or was answered, or whose invite was answered, never
+        # becomes actionable again and is dropped when next read.
+        self._inbound_requests: dict[str, list[tuple[int, str, str]]] = {
+            a: [] for a in self.agent_order}
+        self._invites: dict[str, list[tuple[int, str, str]]] = {
+            a: [] for a in self.agent_order}
+        self._meeting_started: set[str] = set()
+        # Request threads opened, by root sender and by task; closed ones are
+        # dropped when next read.
+        self._open_by_sender: dict[str, list[Thread]] = {a: [] for a in self.agent_order}
+        self._open_by_task: dict[str, list[Thread]] = {}
         self._message_counter = 0
         self._thread_counter = 0
         self._meeting_counter = 0
@@ -185,13 +204,48 @@ class World:
         self._meeting_counter += 1
         return f"mt{self._meeting_counter:03d}"
 
+    # -- state changes that keep the indexes current --------------------------
+
+    def deliver(self, message: Message, recipient: str, t: int) -> None:
+        """Put a message in one inbox, index it, and trace the delivery."""
+        self.inboxes[recipient].append(message)
+        kind = message.message_type
+        if kind in REQUEST_TYPES and message.from_agent != recipient:
+            insort(self._inbound_requests[recipient],
+                   (message.delivery_step, message.message_id, message.thread_id))
+        elif kind is MessageType.MEETING_INVITE:
+            insort(self._invites[recipient],
+                   (message.delivery_step, message.message_id, message.meeting_id))
+        elif kind is MessageType.MEETING_START:
+            self._meeting_started.add(recipient)
+        self.trace.append(t, "message_delivered", {
+            "message_id": message.message_id,
+            "to": recipient,
+            "from": message.from_agent,
+            "type": message.message_type.value,
+            "thread_id": message.thread_id,
+        })
+
+    def open_thread(self, thread: Thread, root: Message) -> None:
+        self.threads[thread.thread_id] = thread
+        self.thread_replied[thread.thread_id] = set()
+        self.thread_root[thread.thread_id] = root
+        if thread.open:
+            self._open_by_sender[thread.root_sender].append(thread)
+            if thread.about_task:
+                self._open_by_task.setdefault(thread.about_task, []).append(thread)
+
+    def close_threads_about(self, task_id: str) -> None:
+        for thread in self._open_by_task.pop(task_id, []):
+            thread.close()
+
     # -- views used by policy context ---------------------------------------
 
     def team_in_order(self) -> list[AgentProfile]:
         return [self.agents[a] for a in self.agent_order]
 
     def assigned_tasks(self, agent_id: str) -> list[str]:
-        return sorted(self.assignments.get(agent_id, []), key=order_key)
+        return self.assignments[agent_id]
 
     def task_stats(self, agent_id: str, task_id: str) -> AgentTaskStats:
         key = (agent_id, task_id)
@@ -204,63 +258,42 @@ class World:
 
     def unanswered_inbound(self, agent_id: str) -> list[str]:
         """Open request threads whose root reached this agent, oldest first."""
-        found = []
-        for msg in self.inboxes[agent_id]:
-            if msg.message_type not in REQUEST_TYPES:
-                continue
-            thread = self.threads.get(msg.thread_id)
-            if thread is None or not thread.open:
-                continue
-            if msg.from_agent == agent_id:
-                continue
-            if agent_id in self.thread_replied.get(msg.thread_id, set()):
-                continue
-            found.append((msg.delivery_step, msg.message_id, msg.thread_id))
-        found.sort()
-        return [tid for _, _, tid in found]
+        entries = self._inbound_requests[agent_id]
+        entries[:] = [e for e in entries if self.threads[e[2]].open
+                      and agent_id not in self.thread_replied[e[2]]]
+        return [thread_id for _, _, thread_id in entries]
 
     def open_outbound_tasks(self, agent_id: str) -> set[str]:
-        return {
-            t.about_task
-            for t in self.threads.values()
-            if t.open and t.root_sender == agent_id and t.about_task
-        }
+        threads = self._open_by_sender[agent_id]
+        threads[:] = [t for t in threads if t.open]
+        return {t.about_task for t in threads if t.about_task}
 
     def pending_invites(self, agent_id: str) -> list[tuple[int, str, str]]:
         """Delivered, unanswered meeting invites: (delivery, message_id, meeting)."""
-        out = []
-        for msg in self.inboxes[agent_id]:
-            if msg.message_type is not MessageType.MEETING_INVITE:
-                continue
-            meeting = self.meetings.get(msg.meeting_id or "")
-            if meeting is None or meeting.status is not MeetingStatus.PENDING:
-                continue
-            if agent_id in meeting.responded:
-                continue
-            out.append((msg.delivery_step, msg.message_id, meeting.meeting_id))
-        out.sort()
-        return out
+        entries = self._invites[agent_id]
+        entries[:] = [e for e in entries
+                      if self.meetings[e[2]].status is MeetingStatus.PENDING
+                      and agent_id not in self.meetings[e[2]].responded]
+        return list(entries)
 
     def has_unprocessed_invite(self, agent_id: str) -> bool:
         return bool(self.pending_invites(agent_id))
+
+    def has_meeting_start(self, agent_id: str) -> bool:
+        return agent_id in self._meeting_started
 
     def blocked_collaborators(self, agent_id: str) -> dict[str, tuple[str, ...]]:
         """Per own task: assignees of pending sibling tasks that depend on it."""
         result: dict[str, tuple[str, ...]] = {}
         for task_id in self.assigned_tasks(agent_id):
-            node = self.graph.node(task_id)
-            if node.done or node.parent_id is None:
+            dependents = self.graph.dependents(task_id)
+            if not dependents or self.graph.node(task_id).done:
                 continue
-            blocked = set()
-            for sibling in self.graph.children(node.parent_id):
-                if (
-                    task_id in sibling.dependencies
-                    and not sibling.done
-                    and sibling.status.value == "pending"
-                    and sibling.assignee
-                    and sibling.assignee != agent_id
-                ):
-                    blocked.add(sibling.assignee)
+            blocked = {
+                dependent.assignee for dependent in dependents
+                if dependent.status is TaskStatus.PENDING
+                and dependent.assignee and dependent.assignee != agent_id
+            }
             if blocked:
                 result[task_id] = tuple(sorted(blocked, key=order_key))
         return result
@@ -307,13 +340,19 @@ class Simulation:
             self.planner = EvenPlanner()
         self.evaluator = evaluator or build_evaluator(scenario.evaluator_name, adapter)
         self.parallel_decide = parallel_decide
+        self._pool: ThreadPoolExecutor | None = None
 
     # -- public API ----------------------------------------------------------
 
     def run(self) -> SimResult:
         world = self.world
-        while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
-            self.step()
+        try:
+            while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
+                self.step()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
+                self._pool = None
         for message in world.buffer.pending:
             world.trace.append(world.clock.step, "warning", {
                 "source": "delivery",
@@ -340,7 +379,10 @@ class Simulation:
         self._convene_meetings(t)
 
         idle = [a for a in world.agent_order if a not in world.active]
-        contexts = {a: build_context(world, a) for a in idle}
+        # No action starts or ends while contexts are built, so one team view
+        # serves every idle agent this step.
+        team = team_views(world)
+        contexts = {a: build_context(world, a, team) for a in idle}
         needs_policy = {
             a: ctx for a, ctx in contexts.items()
             if not (a == world.manager_id and not world.planned)
@@ -367,14 +409,7 @@ class Simulation:
         world = self.world
         for message in world.buffer.pop_due(t):
             for recipient in message.to_agents:
-                world.inboxes[recipient].append(message)
-                world.trace.append(t, "message_delivered", {
-                    "message_id": message.message_id,
-                    "to": recipient,
-                    "from": message.from_agent,
-                    "type": message.message_type.value,
-                    "thread_id": message.thread_id,
-                })
+                world.deliver(message, recipient, t)
             if message.message_type is MessageType.RESPONSE:
                 self._on_reply_delivered(message)
 
@@ -408,10 +443,7 @@ class Simulation:
 
     def _convene_meetings(self, t: int) -> None:
         world = self.world
-        for meeting_id in sorted(world.meetings, key=order_key):
-            meeting = world.meetings[meeting_id]
-            if meeting.status is not MeetingStatus.PENDING:
-                continue
+        for meeting in list(world.pending_meetings.values()):
             if t < meeting.invite_step + 2:
                 continue
             expected = {meeting.organizer} | set(meeting.attending)
@@ -419,9 +451,12 @@ class Simulation:
             grace_over = t >= meeting.invite_step + RSVP_GRACE_STEPS
             if any(world.is_busy(a) for a in expected):
                 continue
-            if len(expected) >= 2 and (everyone_answered or grace_over):
+            if not (everyone_answered or grace_over):
+                continue
+            del world.pending_meetings[meeting.meeting_id]
+            if len(expected) >= 2:
                 self._start_meeting(meeting, t)
-            elif everyone_answered or grace_over:
+            else:
                 meeting.status = MeetingStatus.CANCELLED
                 world.trace.append(t, "warning", {
                     "source": "meeting",
@@ -456,14 +491,7 @@ class Simulation:
         world.comm_cost_total += cost
         self._trace_sent(start, t)
         for recipient in attendees:
-            world.inboxes[recipient].append(start)
-            world.trace.append(t, "message_delivered", {
-                "message_id": start.message_id,
-                "to": recipient,
-                "from": start.from_agent,
-                "type": start.message_type.value,
-                "thread_id": start.thread_id,
-            })
+            world.deliver(start, recipient, t)
         for agent_id in attendees:
             world.active[agent_id] = ActiveAction(
                 kind=ActionKind.MEETING,
@@ -477,10 +505,12 @@ class Simulation:
         if not contexts:
             return {}
         if self.parallel_decide and len(contexts) > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=min(8, len(self.world.agent_order)))
             order = list(contexts)
-            with ThreadPoolExecutor(max_workers=min(8, len(order))) as pool:
-                results = list(pool.map(self.policy.decide,
-                                        [contexts[a] for a in order]))
+            results = list(self._pool.map(self.policy.decide,
+                                          [contexts[a] for a in order]))
             return dict(zip(order, results))
         return {a: self.policy.decide(ctx) for a, ctx in contexts.items()}
 
@@ -549,7 +579,7 @@ class Simulation:
         root = world.thread_root[target]
         content = compose_reply(thread.about_task, thread.root_type,
                                 world.agents[agent_id])
-        channel = reply_channel(content, root.channel)
+        channel = reply_channel(content)
         recipients = tuple(sorted(
             ({root.from_agent} | set(root.to_agents)) - {agent_id}, key=order_key,
         ))
@@ -693,6 +723,8 @@ class Simulation:
                         "new": world.alignment.get(worker_id, task_id),
                         "cause": "init",
                     })
+        for task_ids in world.assignments.values():
+            task_ids.sort(key=order_key)
         world.planned = True
         world.last_actions[agent_id] = LastAction("work", None, t)
 
@@ -728,9 +760,7 @@ class Simulation:
         world.trace.append(t, "task_done", {
             "task": task_id, "root": False, "boundary": t + 1,
         })
-        for thread in world.threads.values():
-            if thread.open and thread.about_task == task_id:
-                thread.close()
+        world.close_threads_about(task_id)
         for root_id in world.graph.roots:
             if world.graph.node(root_id).done and root_id not in world.completion_steps:
                 world.completion_steps[root_id] = t + 1
@@ -768,11 +798,9 @@ class Simulation:
             participants=tuple(sorted({agent_id, *payload["recipients"]}, key=order_key)),
             open=message_type in REQUEST_TYPES,
         )
-        world.threads[thread_id] = thread
-        world.thread_replied[thread_id] = set()
-        world.thread_root[thread_id] = message
+        world.open_thread(thread, message)
         if meeting_id is not None:
-            world.meetings[meeting_id] = Meeting(
+            world.meetings[meeting_id] = world.pending_meetings[meeting_id] = Meeting(
                 meeting_id=meeting_id,
                 organizer=agent_id,
                 invitees=tuple(payload["recipients"]),

@@ -83,7 +83,10 @@ def compute_metrics(trace: TraceLog | list[TraceEvent], scenario: Scenario,
     if not events:
         raise MetricsError("empty trace")
 
-    final_step = max(e.step for e in events if e.kind == "action") + 1
+    action_steps = [e.step for e in events if e.kind == "action"]
+    if not action_steps:
+        raise MetricsError("trace has no action events")
+    final_step = max(action_steps) + 1
 
     root_ids = [f"T{i + 1}" for i in range(len(scenario.tasks))]
     root_hours = {rid: spec.estimated_hours

@@ -64,17 +64,17 @@ class EvenPlanner:
         hours_each = node.estimated_hours / count
         skills = sorted(node.required_skills)
         specs = []
+        best: dict[frozenset[str], AgentProfile] = {}
         for i in range(count):
             # Round-robin the task's skills; with more workers than skills the
             # slice goes empty, so cycle singletons instead.
             bundle = frozenset(skills[i::count]) if skills else frozenset()
             if skills and not bundle:
                 bundle = frozenset({skills[i % len(skills)]})
-            best = max(skill_match_score(a, bundle) for a in workers)
-            assignee = min(
-                (a for a in workers if skill_match_score(a, bundle) == best),
-                key=lambda a: order_key(a.agent_id),
-            )
+            if bundle not in best:
+                # max() keeps the first of equal scores: the lowest worker id.
+                best[bundle] = max(workers, key=lambda a: skill_match_score(a, bundle))
+            assignee = best[bundle]
             label = ", ".join(sorted(bundle)) or "general"
             specs.append(SubtaskSpec(
                 description=f"{node.description} (workstream {i + 1}: {label})",
@@ -148,42 +148,25 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
     if not workers:
         raise PlannerError("empty team")
     cap = math.ceil(len(subtask_ids) / len(workers))
+    rank = {a.agent_id: i for i, a in enumerate(workers)}
     load: dict[str, int] = {a.agent_id: 0 for a in workers}
     out: dict[str, list[str]] = {a.agent_id: [] for a in workers}
+    scores: dict[frozenset[str], dict[str, float]] = {}
 
     for task_id in sorted(subtask_ids, key=order_key):
         node = graph.node(task_id)
-        chosen: str | None = None
+        required = node.required_skills
+        if required not in scores:
+            scores[required] = {a.agent_id: skill_match_score(a, required)
+                                for a in workers}
+        score = scores[required]
         suggested = node.assignee
-        if (
-            suggested in load
-            and load[suggested] < cap
-            and skill_match_score(_by_id(workers, suggested), node.required_skills) > 0
-        ):
+        if suggested in load and load[suggested] < cap and score[suggested] > 0:
             chosen = suggested
-        if chosen is None:
-            open_workers = [a for a in workers if load[a.agent_id] < cap]
-            scored = sorted(
-                open_workers,
-                key=lambda a: (-skill_match_score(a, node.required_skills),
-                               load[a.agent_id], order_key(a.agent_id)),
-            )
-            chosen = scored[0].agent_id
+        else:
+            chosen = min((a for a in load if load[a] < cap),
+                         key=lambda a: (-score[a], load[a], rank[a]))
         node.assignee = chosen
         load[chosen] += 1
         out[chosen].append(task_id)
     return out
-
-
-def _by_id(workers: list[AgentProfile], agent_id: str) -> AgentProfile:
-    return next(a for a in workers if a.agent_id == agent_id)
-
-
-def build_planner(name: str, adapter: ChatCompletionAdapter | None = None):
-    if name == "even":
-        return EvenPlanner()
-    if name == "llm":
-        if adapter is None:
-            raise ValueError("llm planner requires an adapter")
-        return LlmPlanner(adapter)
-    raise ValueError(f"unknown planner: {name}")

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 from .adapter import AdapterError, ChatCompletionAdapter
 from .comms import Channel, Message, MessageType, word_count
 from .model import AgentProfile, Role, order_key, skill_match_score
+from .taskgraph import TaskStatus
 from . import prompts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,8 +103,22 @@ class PolicyContext:
         return None
 
 
-def build_context(world: "World", agent_id: str) -> PolicyContext:
-    """Snapshot exactly what the agent may know at the current step."""
+def team_views(world: "World") -> tuple[TeammateView, ...]:
+    """Every agent as a teammate sees it this step, in agent order."""
+    return tuple(
+        TeammateView(agent_id=a.agent_id, role=a.role, skills=a.skills,
+                     busy=a.agent_id in world.active)
+        for a in world.team_in_order()
+    )
+
+
+def build_context(world: "World", agent_id: str,
+                  team: tuple[TeammateView, ...]) -> PolicyContext:
+    """Snapshot exactly what the agent may know at the current step.
+
+    `team` is `team_views(world)` for this step; the agent's own entry is left
+    out of its context.
+    """
     agent = world.agents[agent_id]
     assigned = []
     for task_id in world.assigned_tasks(agent_id):
@@ -119,36 +134,24 @@ def build_context(world: "World", agent_id: str) -> PolicyContext:
             stuck_worked_steps=stats.stuck_worked_steps,
             progress=node.progress,
             pending_milestone=stats.pending_milestone,
-            ready=node.status.value in ("ready", "in_progress"),
+            ready=node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
             done=node.done,
         ))
 
-    inbox = tuple(world.inboxes[agent_id])
-    team_view = tuple(
-        TeammateView(
-            agent_id=other.agent_id,
-            role=other.role,
-            skills=other.skills,
-            busy=world.is_busy(other.agent_id),
-        )
-        for other in world.team_in_order()
-        if other.agent_id != agent_id
-    )
+    index = world.agent_index[agent_id]
 
     return PolicyContext(
         agent=agent,
         step=world.clock.step,
         assigned=tuple(assigned),
-        inbox=inbox,
-        team_view=team_view,
+        inbox=tuple(world.inboxes[agent_id]),
+        team_view=team[:index] + team[index + 1:],
         manager_id=world.manager_id,
         last_action=world.last_actions.get(agent_id),
         unanswered_inbound=tuple(world.unanswered_inbound(agent_id)),
         open_outbound_tasks=frozenset(world.open_outbound_tasks(agent_id)),
         has_unprocessed_invite=world.has_unprocessed_invite(agent_id),
-        has_meeting_start=any(
-            m.message_type is MessageType.MEETING_START for m in inbox
-        ),
+        has_meeting_start=world.has_meeting_start(agent_id),
         blocked_collaborators=world.blocked_collaborators(agent_id),
         meeting_organized_tasks=frozenset(world.organized_meeting_tasks(agent_id)),
     )
@@ -494,7 +497,7 @@ def compose_reply(task_id: str | None, root_type: MessageType,
     return f"Re {task_label}: acknowledged."
 
 
-def reply_channel(content: str, root_channel: Channel) -> Channel:
+def reply_channel(content: str) -> Channel:
     """Long-form answers travel by email, short ones by chat.
 
     Mirrors the length rule used for initiations: a reply is a detailed
@@ -503,6 +506,4 @@ def reply_channel(content: str, root_channel: Channel) -> Channel:
     """
     if word_count(content) >= LONG_CONTENT_WORDS:
         return Channel.EMAIL
-    if root_channel is Channel.MEETING:
-        return Channel.CHAT
     return Channel.CHAT

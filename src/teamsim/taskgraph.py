@@ -81,6 +81,8 @@ class TaskGraph:
         self.nodes: dict[str, TaskNode] = {}
         self.roots: list[str] = []
         self._children: dict[str, list[str]] = {}
+        # Reverse dependency edges: task -> siblings that depend on it.
+        self._dependents: dict[str, list[str]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -138,6 +140,9 @@ class TaskGraph:
             self._children[task_id] = []
             self._children[parent_id].append(task_id)
 
+        for task_id in ids:
+            for dep in self.nodes[task_id].dependencies:
+                self._dependents.setdefault(dep, []).append(task_id)
         self._assert_acyclic(ids)
         parent.status = TaskStatus.IN_PROGRESS
         for task_id in ids:
@@ -146,17 +151,16 @@ class TaskGraph:
 
     def _assert_acyclic(self, sibling_ids: list[str]) -> None:
         """Kahn's algorithm over the sibling group; raises on any cycle."""
-        incoming = {i: set(self.nodes[i].dependencies) for i in sibling_ids}
-        queue = sorted((i for i in sibling_ids if not incoming[i]), key=order_key)
+        incoming = {i: len(self.nodes[i].dependencies) for i in sibling_ids}
+        queue = [i for i in sibling_ids if not incoming[i]]
         seen = 0
         while queue:
-            current = queue.pop(0)
+            current = queue.pop()
             seen += 1
-            for other in sibling_ids:
-                if current in incoming[other]:
-                    incoming[other].discard(current)
-                    if not incoming[other]:
-                        queue.append(other)
+            for other in self._dependents.get(current, []):
+                incoming[other] -= 1
+                if not incoming[other]:
+                    queue.append(other)
         if seen != len(sibling_ids):
             raise CycleError("cycle detected")
 
@@ -170,6 +174,10 @@ class TaskGraph:
 
     def children(self, task_id: str) -> list[TaskNode]:
         return [self.nodes[c] for c in self._children.get(task_id, [])]
+
+    def dependents(self, task_id: str) -> list[TaskNode]:
+        """Siblings whose dependencies include `task_id`, in id order."""
+        return [self.nodes[d] for d in self._dependents.get(task_id, [])]
 
     def is_leaf(self, task_id: str) -> bool:
         return not self._children.get(task_id)
@@ -223,8 +231,8 @@ class TaskGraph:
 
     def _mark_done(self, node: TaskNode) -> None:
         node.status = TaskStatus.DONE
-        for sibling_id in self._children.get(node.parent_id or "", []):
-            self._refresh_readiness(sibling_id)
+        for dependent_id in self._dependents.get(node.task_id, []):
+            self._refresh_readiness(dependent_id)
         if node.parent_id is not None:
             parent = self.nodes[node.parent_id]
             if not parent.done and all(k.done for k in self.children(parent.task_id)):

@@ -141,6 +141,15 @@ class TestCliRun:
                      "--policy", "c2c_llm", "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_zero_steps_is_a_one_line_error(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(scenario_file),
+                     "--out", str(out), "--max-steps", "0"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("metrics error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_trace_is_valid_jsonl(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--out", str(out)])
@@ -176,6 +185,14 @@ class TestCliCompare:
                   "--policies", "no_comm", "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
 
+    def test_zero_steps_is_a_one_line_error(self, scenario_file, tmp_path, capsys):
+        code = main(["compare", "--scenario", str(scenario_file),
+                     "--policies", "no_comm,c2c_heuristic",
+                     "--out", str(tmp_path / "cmp"), "--max-steps", "0"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("metrics error: ") and err.count("\n") == 1
+
     def test_compare_deterministic_across_invocations(self, scenario_file,
                                                       tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -202,3 +219,17 @@ class TestCliReport:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 2
+
+    @pytest.mark.parametrize("trace_text", [
+        "",
+        '{"step":0,"seq":0,"kind":"warning","source":"delivery","detail":"x"}\n',
+    ], ids=["empty", "no-actions"])
+    def test_trace_without_steps_is_a_one_line_error(self, scenario_file, tmp_path,
+                                                      capsys, trace_text):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        (out / "trace.jsonl").write_text(trace_text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("metrics error: ") and err.count("\n") == 1

@@ -231,11 +231,11 @@ class TestComposition:
                                frozenset({"planning"}))
         brief = compose_reply("T1.1", MessageType.NEED_CLARIFICATION, manager)
         assert word_count(brief) >= 301
-        assert reply_channel(brief, Channel.CHAT) is Channel.EMAIL
+        assert reply_channel(brief) is Channel.EMAIL
 
     def test_help_reply_is_short_chat(self):
         worker = AgentProfile("W2", "Worker 2", Role.WORKER,
                               frozenset({"oauth"}))
         note = compose_reply("T1.1", MessageType.HELP_REQUEST, worker)
         assert word_count(note) < 120
-        assert reply_channel(note, Channel.EMAIL) is Channel.CHAT
+        assert reply_channel(note) is Channel.CHAT

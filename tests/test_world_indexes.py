@@ -1,0 +1,193 @@
+"""The World's incremental indexes answer exactly what a full scan answers.
+
+Each oracle below is the scan a query used before the index replaced it. The
+property drives `Simulation.step` by hand over generated scenarios and, after
+every step, compares each indexed query with its oracle for every agent.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from teamsim.comms import MessageType, MeetingStatus, REQUEST_TYPES
+from teamsim.config import expand_team_shorthand
+from teamsim.engine import Simulation, World
+from teamsim.model import Scenario, TaskSpec, order_key, validate_scenario
+from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
+                            IntentionKind, TeammateView, build_context,
+                            team_views)
+from teamsim.taskgraph import TaskStatus
+
+from conftest import SKILL_POOL, ChainPlanner, RandomDagPlanner
+
+
+class NoisyHeuristicPolicy(HeuristicPolicy):
+    """The heuristic, but some decisions are replaced by a random intention.
+
+    The noise reaches what the plain heuristic rarely does: ignored invites
+    and cancelled meetings, replies dropped on closed threads, requests about
+    arbitrary own tasks.
+    """
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self.seed = seed
+
+    def decide(self, context):
+        rng = random.Random(f"{self.seed}:{context.agent.agent_id}:{context.step}")
+        if rng.random() < 0.6:
+            return super().decide(context)
+        hint = rng.choice(context.assigned).task_id if context.assigned else None
+        return Intention(rng.choice(list(IntentionKind)), task_hint=hint)
+
+
+# -- oracles: the pre-index scans -------------------------------------------
+
+
+def oracle_assigned_tasks(world: World, agent_id: str) -> list[str]:
+    return sorted((n.task_id for n in world.graph.nodes.values()
+                   if n.parent_id is not None and n.assignee == agent_id),
+                  key=order_key)
+
+
+def oracle_unanswered_inbound(world: World, agent_id: str) -> list[str]:
+    found = []
+    for msg in world.inboxes[agent_id]:
+        if msg.message_type not in REQUEST_TYPES:
+            continue
+        thread = world.threads.get(msg.thread_id)
+        if thread is None or not thread.open:
+            continue
+        if msg.from_agent == agent_id:
+            continue
+        if agent_id in world.thread_replied.get(msg.thread_id, set()):
+            continue
+        found.append((msg.delivery_step, msg.message_id, msg.thread_id))
+    found.sort()
+    return [tid for _, _, tid in found]
+
+
+def oracle_open_outbound_tasks(world: World, agent_id: str) -> set[str]:
+    return {t.about_task for t in world.threads.values()
+            if t.open and t.root_sender == agent_id and t.about_task}
+
+
+def oracle_pending_invites(world: World, agent_id: str) -> list[tuple[int, str, str]]:
+    out = []
+    for msg in world.inboxes[agent_id]:
+        if msg.message_type is not MessageType.MEETING_INVITE:
+            continue
+        meeting = world.meetings.get(msg.meeting_id or "")
+        if meeting is None or meeting.status is not MeetingStatus.PENDING:
+            continue
+        if agent_id in meeting.responded:
+            continue
+        out.append((msg.delivery_step, msg.message_id, meeting.meeting_id))
+    out.sort()
+    return out
+
+
+def oracle_has_meeting_start(world: World, agent_id: str) -> bool:
+    return any(m.message_type is MessageType.MEETING_START
+               for m in world.inboxes[agent_id])
+
+
+def oracle_blocked_collaborators(world: World, agent_id: str) -> dict:
+    result = {}
+    for task_id in oracle_assigned_tasks(world, agent_id):
+        node = world.graph.node(task_id)
+        if node.done or node.parent_id is None:
+            continue
+        blocked = set()
+        for sibling in world.graph.children(node.parent_id):
+            if (
+                task_id in sibling.dependencies
+                and not sibling.done
+                and sibling.status.value == "pending"
+                and sibling.assignee
+                and sibling.assignee != agent_id
+            ):
+                blocked.add(sibling.assignee)
+        if blocked:
+            result[task_id] = tuple(sorted(blocked, key=order_key))
+    return result
+
+
+def oracle_team_view(world: World, agent_id: str) -> tuple[TeammateView, ...]:
+    return tuple(
+        TeammateView(agent_id=other.agent_id, role=other.role,
+                     skills=other.skills, busy=world.is_busy(other.agent_id))
+        for other in world.team_in_order()
+        if other.agent_id != agent_id
+    )
+
+
+def oracle_pending_meetings(world: World) -> list[str]:
+    return [m for m in sorted(world.meetings, key=order_key)
+            if world.meetings[m].status is MeetingStatus.PENDING]
+
+
+def check_indexes(world: World, done_at: dict[str, int]) -> None:
+    team = team_views(world)
+    for agent_id in world.agent_order:
+        assert world.assigned_tasks(agent_id) == oracle_assigned_tasks(world, agent_id)
+        assert world.unanswered_inbound(agent_id) == \
+            oracle_unanswered_inbound(world, agent_id)
+        assert world.open_outbound_tasks(agent_id) == \
+            oracle_open_outbound_tasks(world, agent_id)
+        assert world.pending_invites(agent_id) == oracle_pending_invites(world, agent_id)
+        assert world.has_unprocessed_invite(agent_id) == \
+            bool(oracle_pending_invites(world, agent_id))
+        assert world.has_meeting_start(agent_id) == \
+            oracle_has_meeting_start(world, agent_id)
+        assert world.blocked_collaborators(agent_id) == \
+            oracle_blocked_collaborators(world, agent_id)
+        context = build_context(world, agent_id, team)
+        assert context.team_view == oracle_team_view(world, agent_id)
+    assert list(world.pending_meetings) == oracle_pending_meetings(world)
+    # A task that finishes closes every request thread about it sent before
+    # that step; a request sent later about the finished task may stay open.
+    for thread in world.threads.values():
+        if thread.open and thread.about_task in done_at:
+            root = world.thread_root[thread.thread_id]
+            assert root.sent_step >= done_at[thread.about_task]
+    for node in world.graph.nodes.values():
+        # Readiness is refreshed whenever a dependency finishes.
+        if node.status in (TaskStatus.PENDING, TaskStatus.READY):
+            deps_done = all(world.graph.node(d).done for d in node.dependencies)
+            assert (node.status is TaskStatus.READY) == deps_done
+
+
+@st.composite
+def simulations(draw) -> Simulation:
+    workers = draw(st.integers(1, 16))
+    roots = draw(st.integers(1, 8))
+    tasks = []
+    for i in range(roots):
+        skills = draw(st.sets(st.sampled_from(SKILL_POOL), min_size=1, max_size=4))
+        hours = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        tasks.append(TaskSpec(f"generated root {i + 1}", hours, frozenset(skills)))
+    scenario = validate_scenario(Scenario(
+        name="generated", team=expand_team_shorthand(f"1M+{workers}W", SKILL_POOL),
+        tasks=tasks, policy_name="c2c_heuristic", skill_pool=tuple(SKILL_POOL),
+    ))
+    seed = draw(st.integers(0, 10 ** 6))
+    planner = draw(st.sampled_from([ChainPlanner(), RandomDagPlanner(seed)]))
+    policy = draw(st.sampled_from(
+        [HeuristicPolicy(), FixedStepsPolicy(interval=4), NoisyHeuristicPolicy(seed)]))
+    return Simulation(scenario, policy=policy, planner=planner, max_steps=60)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(simulations())
+def test_indexes_equal_full_scans(sim):
+    world = sim.world
+    done_at: dict[str, int] = {}
+    check_indexes(world, done_at)
+    while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
+        t = world.clock.step
+        sim.step()
+        for node in world.graph.nodes.values():
+            if node.done:
+                done_at.setdefault(node.task_id, t)
+        check_indexes(world, done_at)
