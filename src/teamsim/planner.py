@@ -170,3 +170,13 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
         load[chosen] += 1
         out[chosen].append(task_id)
     return out
+
+
+def build_planner(name: str, adapter: ChatCompletionAdapter | None = None):
+    if name == "even":
+        return EvenPlanner()
+    if name == "llm":
+        if adapter is None:
+            raise ValueError("llm planner requires an adapter")
+        return LlmPlanner(adapter)
+    raise ValueError(f"unknown planner: {name}")
