@@ -49,6 +49,9 @@ def extract_json_object(text: str) -> dict:
 class ChatCompletionAdapter:
     """Minimal chat-completion client with bounded retries.
 
+    A client error (HTTP 4xx other than 408 and 429) fails on the first
+    response; transport failures, timeouts and server errors are retried.
+
     `transport` may be injected for tests: a callable taking (url, body_bytes,
     headers) and returning the raw response bytes.
     """
@@ -98,6 +101,12 @@ class ChatCompletionAdapter:
                 return self._parse_completion(raw)
             except AdapterError:
                 raise
+            except urllib.error.HTTPError as exc:
+                # A client error repeats on every retry; a timeout (408) or
+                # throttle (429) may not.
+                if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                    raise AdapterError(f"HTTP {exc.code}: {exc.reason}") from exc
+                last_error = exc
             except (urllib.error.URLError, OSError, TimeoutError) as exc:
                 last_error = exc
         raise AdapterError(f"transport failed after retries: {last_error}")

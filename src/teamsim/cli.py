@@ -4,7 +4,10 @@ Exit codes for `run`: 0 when every task completed, 2 otherwise, 3 when an
 LLM-backed mode is requested without a reachable adapter configuration.
 Every command returns 4, after a one-line error, when a trace has no step to
 measure: a run with `--max-steps 0`, or a `report` on a trace without action
-events.
+events. Every command returns 5, after a one-line error, on bad input: a
+scenario file that is missing, unreadable or malformed, a `report` run
+directory without `trace.jsonl` or `scenario.yaml`, or a trace line that is
+not one event.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from .config import RunConfig, emit_scenario, parse_scenario
 from .engine import Simulation
 from .metrics import MetricsError, compute_metrics, render_report, write_csv
 from .model import POLICY_NAMES, Scenario, ScenarioError
+from .trace import TraceError, TraceLog
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 2
 EXIT_ADAPTER = 3
 EXIT_NO_METRICS = 4
+EXIT_BAD_INPUT = 5
 
 
 def _apply_overrides(scenario: Scenario, config: RunConfig) -> Scenario:
@@ -48,11 +53,7 @@ def _build_adapter(config: RunConfig) -> ChatCompletionAdapter:
 
 
 def cmd_run(config: RunConfig) -> int:
-    try:
-        scenario = _apply_overrides(parse_scenario(config.scenario_path), config)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    scenario = _apply_overrides(parse_scenario(config.scenario_path), config)
 
     adapter = None
     if config.needs_adapter(scenario):
@@ -81,13 +82,9 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_compare(config: RunConfig, policies: list[str]) -> int:
-    try:
-        scenario = parse_scenario(config.scenario_path)
-        if config.seed is not None:
-            scenario = dataclasses.replace(scenario, seed=config.seed)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+    scenario = parse_scenario(config.scenario_path)
+    if config.seed is not None:
+        scenario = dataclasses.replace(scenario, seed=config.seed)
 
     adapter = None
     if "c2c_llm" in policies or (config.evaluator or scenario.evaluator_name) == "llm":
@@ -146,15 +143,13 @@ def _comparison_grid(reports: dict, policies: list[str]) -> str:
 
 
 def cmd_report(run_dir: str) -> int:
-    from .trace import TraceLog
-
     directory = Path(run_dir)
     trace_path = directory / "trace.jsonl"
     scenario_path = directory / "scenario.yaml"
     if not trace_path.exists() or not scenario_path.exists():
         print(f"run directory missing trace.jsonl or scenario.yaml: {directory}",
               file=sys.stderr)
-        return EXIT_INCOMPLETE
+        return EXIT_BAD_INPUT
     scenario = parse_scenario(scenario_path)
     trace = TraceLog.read(trace_path)
     report = compute_metrics(trace, scenario)
@@ -239,6 +234,11 @@ def main(argv: list[str] | None = None) -> int:
     except MetricsError as exc:
         print(f"metrics error: {exc}", file=sys.stderr)
         return EXIT_NO_METRICS
+    except (ScenarioError, TraceError) as exc:
+        label = "scenario" if isinstance(exc, ScenarioError) else "trace"
+        # YAML syntax errors span several lines; the report is one.
+        print(f"{label} error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     parser.error(f"unknown command: {args.command}")
     return 2
 

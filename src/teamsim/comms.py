@@ -160,9 +160,6 @@ class Meeting:
     attending: set[str] = field(default_factory=set)
     responded: set[str] = field(default_factory=set)
     status: MeetingStatus = MeetingStatus.PENDING
-    start_step: int | None = None
-    duration_steps: int = 0
-    cost_hours: float = 0.0
     attendees: tuple[str, ...] = ()
 
 

@@ -81,6 +81,16 @@ def expand_team_shorthand(shorthand: str, skill_pool: list[str]) -> list[AgentPr
 
 def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     try:
+        return _parse_scenario_text(text, name_hint)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # A field of the wrong type, such as `hours: abc` or `tasks: 5`.
+        raise ScenarioError(f"malformed scenario field: {exc}") from exc
+
+
+def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
+    try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"malformed scenario syntax: {exc}") from exc
@@ -161,7 +171,11 @@ def parse_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    return parse_scenario_text(path.read_text(encoding="utf-8"), name_hint=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"unreadable scenario file: {exc}") from exc
+    return parse_scenario_text(text, name_hint=path.stem)
 
 
 def _derive_label(team: list[AgentProfile]) -> str:

@@ -27,9 +27,10 @@ from .model import (AgentProfile, Scenario, SimClock, hours_to_steps, order_key,
                     validate_scenario)
 from .planner import EvenPlanner, LlmPlanner, assign
 from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext,
-                     REPORT_MILESTONES, build_context, build_policy,
-                     compose_message, compose_reply, reply_channel,
-                     select_channel, select_recipients, team_views)
+                     REPORT_MILESTONES, TaskAssignmentView, build_context,
+                     build_policy, compose_message, compose_reply,
+                     reply_channel, select_channel, select_recipients,
+                     team_views)
 from .taskgraph import TaskGraph, TaskStatus
 from .trace import TraceLog
 from . import prompts
@@ -186,6 +187,19 @@ class World:
         # dropped when next read.
         self._open_by_sender: dict[str, list[Thread]] = {a: [] for a in self.agent_order}
         self._open_by_task: dict[str, list[Thread]] = {}
+        # Each agent's task views in assignment order, built when the plan
+        # lands. A state change marks the holder's view of that task stale and
+        # the next read rebuilds it. `_view_pos` is a task's place in its
+        # holder's tuple.
+        self._views: dict[str, tuple[TaskAssignmentView, ...]] = {
+            a: () for a in self.agent_order}
+        self._view_pos: dict[str, int] = {}
+        self._stale_views: dict[str, set[str]] = {a: set() for a in self.agent_order}
+        # Each agent's blocked-collaborator map, recomputed on the next read
+        # once the agent is in `_stale_blocked`.
+        self._blocked: dict[str, dict[str, tuple[str, ...]]] = {
+            a: {} for a in self.agent_order}
+        self._stale_blocked: set[str] = set()
         self._message_counter = 0
         self._thread_counter = 0
         self._meeting_counter = 0
@@ -239,6 +253,72 @@ class World:
         for thread in self._open_by_task.pop(task_id, []):
             thread.close()
 
+    def finish_plan(self) -> None:
+        """Sort each agent's assignments once and build every task view."""
+        for agent_id, task_ids in self.assignments.items():
+            task_ids.sort(key=order_key)
+            self._view_pos.update((task_id, i) for i, task_id in enumerate(task_ids))
+            self._views[agent_id] = tuple(self._task_view(agent_id, task_id)
+                                          for task_id in task_ids)
+        self._stale_blocked.update(self.agent_order)
+        self.planned = True
+
+    def record_work(self, agent_id: str, task_id: str,
+                    hours: float) -> tuple[float, float, bool]:
+        """Credit the agent's hours on a task at its current alignment.
+
+        Returns the alignment, the effective hours credited, and whether the
+        task finished. A finished task readies dependents, which changes what
+        the holders of their dependencies see as blocked.
+        """
+        node = self.graph.node(task_id)
+        af = self.alignment.get(agent_id, task_id)
+        effective = effective_progress(hours, af)
+        before = node.progress
+        became_done = self.graph.record_work(task_id, effective)
+        stats = self.task_stats(agent_id, task_id)
+        stats.hours_worked += hours
+        stats.stuck_worked_steps += 1
+        after = node.progress
+        for milestone in REPORT_MILESTONES:
+            if before < milestone <= after and milestone not in stats.reported_milestones:
+                stats.pending_milestone = milestone
+        self._drop_view(task_id)
+        if became_done:
+            for dependent in self.graph.dependents(task_id):
+                if dependent.status is TaskStatus.READY:
+                    self._drop_view(dependent.task_id)
+                self._stale_blocked.update(self.graph.node(d).assignee
+                                           for d in dependent.dependencies)
+        return af, effective, became_done
+
+    def record_report(self, agent_id: str, task_id: str) -> None:
+        """A sent progress update covers every milestone the task has reached."""
+        stats = self.task_stats(agent_id, task_id)
+        progress = self.graph.node(task_id).progress
+        for milestone in REPORT_MILESTONES:
+            if milestone <= progress:
+                stats.reported_milestones.add(milestone)
+        stats.pending_milestone = None
+        self._drop_view(task_id)
+
+    def apply_af(self, agent_id: str, task_id: str, delta: float, t: int,
+                 cause: str) -> tuple[float, float]:
+        """Move an alignment by `delta`; a gain resets the stuck count.
+
+        Returns the old and the new alignment.
+        """
+        old = self.alignment.get(agent_id, task_id)
+        new = self.alignment.apply_delta(agent_id, task_id, delta, step=t, cause=cause)
+        if delta > 0:
+            self.task_stats(agent_id, task_id).stuck_worked_steps = 0
+        self._drop_view(task_id)
+        return old, new
+
+    def _drop_view(self, task_id: str) -> None:
+        """Mark the task's view stale for the agent who holds it."""
+        self._stale_views[self.graph.node(task_id).assignee].add(task_id)
+
     # -- views used by policy context ---------------------------------------
 
     def team_in_order(self) -> list[AgentProfile]:
@@ -246,6 +326,34 @@ class World:
 
     def assigned_tasks(self, agent_id: str) -> list[str]:
         return self.assignments[agent_id]
+
+    def assigned_views(self, agent_id: str) -> tuple[TaskAssignmentView, ...]:
+        """The agent's task views in assignment order, done ones included."""
+        stale = self._stale_views[agent_id]
+        if stale:
+            views = list(self._views[agent_id])
+            for task_id in stale:
+                views[self._view_pos[task_id]] = self._task_view(agent_id, task_id)
+            stale.clear()
+            self._views[agent_id] = tuple(views)
+        return self._views[agent_id]
+
+    def _task_view(self, agent_id: str, task_id: str) -> TaskAssignmentView:
+        node = self.graph.node(task_id)
+        stats = self.task_stats(agent_id, task_id)
+        return TaskAssignmentView(
+            task_id=task_id,
+            description=node.description,
+            estimated_hours=node.estimated_hours,
+            required_skills=node.required_skills,
+            af=self.alignment.get(agent_id, task_id),
+            hours_worked=stats.hours_worked,
+            stuck_worked_steps=stats.stuck_worked_steps,
+            progress=node.progress,
+            pending_milestone=stats.pending_milestone,
+            ready=node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
+            done=node.done,
+        )
 
     def task_stats(self, agent_id: str, task_id: str) -> AgentTaskStats:
         key = (agent_id, task_id)
@@ -284,6 +392,12 @@ class World:
 
     def blocked_collaborators(self, agent_id: str) -> dict[str, tuple[str, ...]]:
         """Per own task: assignees of pending sibling tasks that depend on it."""
+        if agent_id in self._stale_blocked:
+            self._stale_blocked.discard(agent_id)
+            self._blocked[agent_id] = self._scan_blocked(agent_id)
+        return self._blocked[agent_id]
+
+    def _scan_blocked(self, agent_id: str) -> dict[str, tuple[str, ...]]:
         result: dict[str, tuple[str, ...]] = {}
         for task_id in self.assigned_tasks(agent_id):
             dependents = self.graph.dependents(task_id)
@@ -394,9 +508,6 @@ class Simulation:
             for note in intention.warnings:
                 world.trace.append(t, "warning", {"source": "policy", "detail": note})
             self._resolve_intention(agent_id, contexts[agent_id], intention, t)
-            action = world.active.get(agent_id)
-            if action is not None:
-                world.agents[agent_id].busy_until_step = t + action.remaining
 
         self._execute_actions(t)
         self._apply_pending_af(t)
@@ -469,10 +580,7 @@ class Simulation:
         cost = communication_cost(Channel.MEETING, 0, len(attendees))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
         meeting.status = MeetingStatus.RUNNING
-        meeting.start_step = t
         meeting.attendees = attendees
-        meeting.duration_steps = duration
-        meeting.cost_hours = cost
 
         start = Message(
             message_id=world.next_message_id(),
@@ -499,7 +607,6 @@ class Simulation:
                 remaining=duration,
                 total=duration,
             )
-            world.agents[agent_id].busy_until_step = t + duration
 
     def _decide(self, contexts: dict[str, PolicyContext]) -> dict[str, Intention]:
         if not contexts:
@@ -723,9 +830,7 @@ class Simulation:
                         "new": world.alignment.get(worker_id, task_id),
                         "cause": "init",
                     })
-        for task_ids in world.assignments.values():
-            task_ids.sort(key=order_key)
-        world.planned = True
+        world.finish_plan()
         world.last_actions[agent_id] = LastAction("work", None, t)
 
     def _execute_work(self, agent_id: str, task_id: str, t: int) -> None:
@@ -733,24 +838,15 @@ class Simulation:
         node = world.graph.node(task_id)
         if node.done:
             return
-        af = world.alignment.get(agent_id, task_id)
-        effective = effective_progress(world.clock.hours_per_step, af)
-        before = node.progress
-        became_done = world.graph.record_work(task_id, effective)
-        stats = world.task_stats(agent_id, task_id)
-        stats.hours_worked += world.clock.hours_per_step
-        stats.stuck_worked_steps += 1
-        after = node.progress
-        for milestone in REPORT_MILESTONES:
-            if before < milestone <= after and milestone not in stats.reported_milestones:
-                stats.pending_milestone = milestone
+        hours = world.clock.hours_per_step
+        af, effective, became_done = world.record_work(agent_id, task_id, hours)
         world.trace.append(t, "progress", {
             "agent": agent_id,
             "task": task_id,
-            "hours": world.clock.hours_per_step,
+            "hours": hours,
             "effective": effective,
             "af": af,
-            "progress": after,
+            "progress": node.progress,
         })
         if became_done:
             self._on_task_done(task_id, t)
@@ -816,12 +912,7 @@ class Simulation:
         if message_type is MessageType.PROGRESS_UPDATE:
             task_id = payload.get("about_task")
             if task_id:
-                stats = world.task_stats(agent_id, task_id)
-                progress = world.graph.node(task_id).progress
-                for milestone in REPORT_MILESTONES:
-                    if milestone <= progress:
-                        stats.reported_milestones.add(milestone)
-                stats.pending_milestone = None
+                world.record_report(agent_id, task_id)
 
     def _complete_reply(self, agent_id: str, action: ActiveAction, t: int) -> None:
         world = self.world
@@ -915,12 +1006,8 @@ class Simulation:
                 world.trace.append(t, "warning", {
                     "source": "evaluator", "detail": warning,
                 })
-            old = world.alignment.get(item.agent_id, item.task_id)
-            new = world.alignment.apply_delta(item.agent_id, item.task_id,
-                                              evaluation.delta, step=t,
-                                              cause=item.cause_id)
-            if evaluation.delta > 0:
-                world.task_stats(item.agent_id, item.task_id).stuck_worked_steps = 0
+            old, new = world.apply_af(item.agent_id, item.task_id,
+                                      evaluation.delta, t, item.cause_id)
             world.trace.append(t, "af_update", {
                 "agent": item.agent_id,
                 "task": item.task_id,

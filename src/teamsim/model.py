@@ -85,7 +85,6 @@ class AgentProfile:
     name: str
     role: Role
     skills: frozenset[str]
-    busy_until_step: int = 0
 
     @property
     def is_manager(self) -> bool:

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 from .adapter import AdapterError, ChatCompletionAdapter
 from .comms import Channel, Message, MessageType, word_count
 from .model import AgentProfile, Role, order_key, skill_match_score
-from .taskgraph import TaskStatus
 from . import prompts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -119,31 +118,11 @@ def build_context(world: "World", agent_id: str,
     `team` is `team_views(world)` for this step; the agent's own entry is left
     out of its context.
     """
-    agent = world.agents[agent_id]
-    assigned = []
-    for task_id in world.assigned_tasks(agent_id):
-        node = world.graph.node(task_id)
-        stats = world.task_stats(agent_id, task_id)
-        assigned.append(TaskAssignmentView(
-            task_id=task_id,
-            description=node.description,
-            estimated_hours=node.estimated_hours,
-            required_skills=node.required_skills,
-            af=world.alignment.get(agent_id, task_id),
-            hours_worked=stats.hours_worked,
-            stuck_worked_steps=stats.stuck_worked_steps,
-            progress=node.progress,
-            pending_milestone=stats.pending_milestone,
-            ready=node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
-            done=node.done,
-        ))
-
     index = world.agent_index[agent_id]
-
     return PolicyContext(
-        agent=agent,
+        agent=world.agents[agent_id],
         step=world.clock.step,
-        assigned=tuple(assigned),
+        assigned=world.assigned_views(agent_id),
         inbox=tuple(world.inboxes[agent_id]),
         team_view=team[:index] + team[index + 1:],
         manager_id=world.manager_id,

@@ -22,6 +22,10 @@ EVENT_KINDS = (
 )
 
 
+class TraceError(ValueError):
+    """A trace file line that is not one well-formed event."""
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     step: int
@@ -54,7 +58,8 @@ class TraceLog:
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
-        path.write_text(self.to_jsonl(), encoding="utf-8")
+        with path.open("w", encoding="utf-8", newline="\n") as out:
+            out.writelines(e.to_json() + "\n" for e in self.events)
         return path
 
     def sha256(self) -> str:
@@ -62,13 +67,22 @@ class TraceLog:
 
     @classmethod
     def read(cls, path: str | Path) -> "TraceLog":
+        """Parse a trace file one newline-terminated event at a time.
+
+        Only a newline ends an event: strings may hold U+2028 and other
+        characters that `str.splitlines` breaks on.
+        """
         log = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            step = record.pop("step")
-            record.pop("seq")
-            kind = record.pop("kind")
-            log.append(step, kind, record)
+        with Path(path).open("rb") as lines:
+            for number, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                    step = record.pop("step")
+                    record.pop("seq")
+                    kind = record.pop("kind")
+                    log.append(step, kind, record)
+                except (ValueError, KeyError, AttributeError, TypeError) as exc:
+                    raise TraceError(f"{path}: line {number}: {exc}") from None
         return log

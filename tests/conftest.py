@@ -65,6 +65,17 @@ def make_scenario(task: TaskSpec, team_label: str = "1M+4W",
     ))
 
 
+def eight_roots_scenario() -> Scenario:
+    """Eight shipped-size roots on a 1M+16W team under the heuristic policy."""
+    team = expand_team_shorthand("1M+16W", SKILL_POOL)
+    return validate_scenario(Scenario(
+        name="eight_roots", team=team,
+        tasks=[MEDIUM_TASK, SIMPLE_TASK, COMPLEX_TASK, MEDIUM_TASK] * 2,
+        policy_name="c2c_heuristic", skill_pool=tuple(SKILL_POOL),
+        team_label="1M+16W",
+    ))
+
+
 def make_team(workers: int = 2, worker_skills: list[frozenset[str]] | None = None
               ) -> list[AgentProfile]:
     team = [AgentProfile("M1", "Manager 1", Role.MANAGER,

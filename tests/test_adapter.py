@@ -3,6 +3,7 @@ round trip over real HTTP on the loopback interface."""
 
 import json
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -106,6 +107,34 @@ class TestRetries:
         adapter = ChatCompletionAdapter(endpoint="http://x", model="m",
                                         max_retries=2, transport=transport)
         assert adapter.complete([]) == "ok"
+
+    @staticmethod
+    def _http_error(code: int):
+        calls = {"n": 0}
+
+        def transport(url, body, headers):
+            calls["n"] += 1
+            raise urllib.error.HTTPError(url, code, "status", {}, None)
+
+        return calls, transport
+
+    @pytest.mark.parametrize("code", [400, 401, 403, 404])
+    def test_client_error_is_not_retried(self, code):
+        calls, transport = self._http_error(code)
+        adapter = ChatCompletionAdapter(endpoint="http://x", model="m",
+                                        max_retries=2, transport=transport)
+        with pytest.raises(AdapterError, match=f"HTTP {code}"):
+            adapter.complete([])
+        assert calls["n"] == 1
+
+    @pytest.mark.parametrize("code", [408, 429, 500, 503])
+    def test_timeout_throttle_and_server_errors_are_retried(self, code):
+        calls, transport = self._http_error(code)
+        adapter = ChatCompletionAdapter(endpoint="http://x", model="m",
+                                        max_retries=2, transport=transport)
+        with pytest.raises(AdapterError, match="transport failed"):
+            adapter.complete([])
+        assert calls["n"] == 3
 
     def test_malformed_completion_body(self):
         adapter = ChatCompletionAdapter(

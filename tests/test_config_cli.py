@@ -94,6 +94,15 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="malformed scenario syntax"):
             parse_scenario_text("team: [unclosed\n")
 
+    @pytest.mark.parametrize("tasks", [
+        "tasks: 5\n",
+        "tasks:\n  - {description: x, hours: abc, skills: [a]}\n",
+        "tasks:\n  - {description: x, hours: 1.0, skills: 7}\n",
+    ], ids=["tasks-not-a-list", "hours-not-a-number", "skills-not-a-list"])
+    def test_wrongly_typed_field(self, tasks):
+        with pytest.raises(ScenarioError, match="malformed scenario field"):
+            parse_scenario_text("team: 1M+2W\n" + tasks)
+
     def test_malformed_shorthand(self):
         with pytest.raises(ScenarioError, match="malformed team shorthand"):
             parse_scenario_text(
@@ -150,6 +159,17 @@ class TestCliRun:
         assert err.startswith("metrics error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", [b"team: [unclosed\n", b"name: \xff\n", None],
+                             ids=["malformed", "not-utf8", "missing"])
+    def test_bad_scenario_is_a_one_line_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.yaml"
+        if content is not None:
+            path.write_bytes(content)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
+
     def test_trace_is_valid_jsonl(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--out", str(out)])
@@ -193,6 +213,16 @@ class TestCliCompare:
         err = capsys.readouterr().err
         assert err.startswith("metrics error: ") and err.count("\n") == 1
 
+    def test_malformed_scenario_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("team: [unclosed\n", encoding="utf-8")
+        code = main(["compare", "--scenario", str(path),
+                     "--policies", "no_comm,c2c_heuristic",
+                     "--out", str(tmp_path / "cmp")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
+
     def test_compare_deterministic_across_invocations(self, scenario_file,
                                                       tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -217,8 +247,33 @@ class TestCliReport:
         assert code == 0
         assert (out / "report.txt").read_text() == run_report
 
-    def test_report_missing_dir(self, tmp_path):
-        assert main(["report", "--run", str(tmp_path / "ghost")]) == 2
+    def test_report_missing_dir(self, tmp_path, capsys):
+        assert main(["report", "--run", str(tmp_path / "ghost")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("run directory missing ") and err.count("\n") == 1
+
+    def test_truncated_trace_is_a_one_line_error(self, scenario_file, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        lines = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines(True)
+        (out / "trace.jsonl").write_text("".join(lines[:2]) + lines[2][:15],
+                                         encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("trace error: ") and err.count("\n") == 1
+        assert "line 3" in err
+
+    def test_malformed_scenario_snapshot_is_a_one_line_error(self, scenario_file,
+                                                             tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        (out / "scenario.yaml").write_text("team: [unclosed\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("trace_text", [
         "",

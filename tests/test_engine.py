@@ -150,16 +150,6 @@ class TestStepDiscipline:
         assert manager_replies == sorted(manager_replies,
                                          key=lambda a: int(a[1:]))
 
-    def test_busy_until_tracks_active_actions(self, medium_scenario):
-        scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
-        sim = Simulation(scenario)
-        world = sim.world
-        for _ in range(6):
-            sim.step()
-            t = world.clock.step
-            for agent_id, action in world.active.items():
-                assert world.agents[agent_id].busy_until_step >= t
-
 
 class TestHeuristicRun:
     def test_strictly_faster_than_no_comm_on_medium(self, medium_scenario):

@@ -12,13 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from teamsim.config import expand_team_shorthand, parse_scenario
+from teamsim.config import parse_scenario
 from teamsim.engine import Simulation
-from teamsim.model import Scenario, validate_scenario
+from teamsim.model import Scenario
 
-from conftest import (COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL,
-                      ChainPlanner, RandomDagPlanner, chain_scenario,
-                      make_scenario)
+from conftest import (MEDIUM_TASK, SIMPLE_TASK, ChainPlanner, RandomDagPlanner,
+                      chain_scenario, eight_roots_scenario, make_scenario)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,16 +53,6 @@ def _digest(scenario: Scenario, planner=None) -> str:
     return Simulation(scenario, planner=planner).run().trace.sha256()
 
 
-def _eight_roots() -> Scenario:
-    team = expand_team_shorthand("1M+16W", SKILL_POOL)
-    return validate_scenario(Scenario(
-        name="eight_roots", team=team,
-        tasks=[MEDIUM_TASK, SIMPLE_TASK, COMPLEX_TASK, MEDIUM_TASK] * 2,
-        policy_name="c2c_heuristic", skill_pool=tuple(SKILL_POOL),
-        team_label="1M+16W",
-    ))
-
-
 def _random_dag(seed: int) -> tuple[Scenario, RandomDagPlanner]:
     scenario = make_scenario(MEDIUM_TASK, "1M+5W", "c2c_heuristic")
     scenario = dataclasses.replace(scenario, tasks=[MEDIUM_TASK, SIMPLE_TASK])
@@ -91,7 +80,7 @@ def test_wide_medium_team():
 
 
 def test_eight_roots():
-    assert _digest(_eight_roots()) == (
+    assert _digest(eight_roots_scenario()) == (
         "b4e140d540d19fb2cea3e06f5b74998c290a984adcb78b86a6143bd986109b00")
 
 

@@ -14,11 +14,12 @@ from teamsim.config import expand_team_shorthand
 from teamsim.engine import Simulation, World
 from teamsim.model import Scenario, TaskSpec, order_key, validate_scenario
 from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
-                            IntentionKind, TeammateView, build_context,
-                            team_views)
+                            IntentionKind, TaskAssignmentView, TeammateView,
+                            build_context, team_views)
 from teamsim.taskgraph import TaskStatus
 
-from conftest import SKILL_POOL, ChainPlanner, RandomDagPlanner
+from conftest import (SKILL_POOL, ChainPlanner, RandomDagPlanner,
+                      eight_roots_scenario)
 
 
 class NoisyHeuristicPolicy(HeuristicPolicy):
@@ -113,6 +114,27 @@ def oracle_blocked_collaborators(world: World, agent_id: str) -> dict:
     return result
 
 
+def oracle_assigned(world: World, agent_id: str) -> tuple[TaskAssignmentView, ...]:
+    views = []
+    for task_id in oracle_assigned_tasks(world, agent_id):
+        node = world.graph.node(task_id)
+        stats = world.task_stats(agent_id, task_id)
+        views.append(TaskAssignmentView(
+            task_id=task_id,
+            description=node.description,
+            estimated_hours=node.estimated_hours,
+            required_skills=node.required_skills,
+            af=world.alignment.get(agent_id, task_id),
+            hours_worked=stats.hours_worked,
+            stuck_worked_steps=stats.stuck_worked_steps,
+            progress=node.progress,
+            pending_milestone=stats.pending_milestone,
+            ready=node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
+            done=node.done,
+        ))
+    return tuple(views)
+
+
 def oracle_team_view(world: World, agent_id: str) -> tuple[TeammateView, ...]:
     return tuple(
         TeammateView(agent_id=other.agent_id, role=other.role,
@@ -144,6 +166,7 @@ def check_indexes(world: World, done_at: dict[str, int]) -> None:
             oracle_blocked_collaborators(world, agent_id)
         context = build_context(world, agent_id, team)
         assert context.team_view == oracle_team_view(world, agent_id)
+        assert context.assigned == oracle_assigned(world, agent_id)
     assert list(world.pending_meetings) == oracle_pending_meetings(world)
     # A task that finishes closes every request thread about it sent before
     # that step; a request sent later about the finished task may stay open.
@@ -191,3 +214,28 @@ def test_indexes_equal_full_scans(sim):
             if node.done:
                 done_at.setdefault(node.task_id, t)
         check_indexes(world, done_at)
+
+
+def test_task_views_are_built_only_when_their_inputs_change(monkeypatch):
+    """Each view is built once when the plan lands, and again only after a
+    state change to its task: work on it, an alignment update, a progress
+    report, or its dependencies finishing."""
+    built = []
+    task_view = World._task_view
+
+    def counting(self, agent_id, task_id):
+        built.append((agent_id, task_id))
+        return task_view(self, agent_id, task_id)
+
+    monkeypatch.setattr(World, "_task_view", counting)
+    trace = Simulation(eight_roots_scenario()).run().trace
+    af_updates = trace.of_kind("af_update")
+    assignments = sum(1 for e in af_updates if e.payload["cause"] == "init")
+    changes = (
+        len(trace.of_kind("progress"))
+        + len(af_updates) - assignments
+        + sum(1 for e in trace.of_kind("message_sent")
+              if e.payload["type"] == MessageType.PROGRESS_UPDATE.value)
+    )
+    assert assignments > 0
+    assert len(built) <= changes + 2 * assignments
