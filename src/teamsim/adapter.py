@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 import urllib.error
 import urllib.request
 from typing import Callable
@@ -17,6 +18,8 @@ from typing import Callable
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_TIMEOUT_S = 60.0
 DEFAULT_MAX_RETRIES = 2
+# Delay before the first retry; each further retry waits twice as long.
+RETRY_BACKOFF_S = 1.0
 TOKEN_ENV_VAR = "TEAMSIM_API_TOKEN"
 
 
@@ -50,10 +53,13 @@ class ChatCompletionAdapter:
     """Minimal chat-completion client with bounded retries.
 
     A client error (HTTP 4xx other than 408 and 429) fails on the first
-    response; transport failures, timeouts and server errors are retried.
+    response; transport failures, timeouts and server errors are retried,
+    after RETRY_BACKOFF_S seconds and then twice as long before each further
+    retry.
 
     `transport` may be injected for tests: a callable taking (url, body_bytes,
-    headers) and returning the raw response bytes.
+    headers) and returning the raw response bytes. `sleep` (default
+    `time.sleep`) takes the delay before a retry, so tests need not wait.
     """
 
     def __init__(self, endpoint: str, model: str,
@@ -61,7 +67,8 @@ class ChatCompletionAdapter:
                  timeout: float = DEFAULT_TIMEOUT_S,
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  token_env: str = TOKEN_ENV_VAR,
-                 transport: Callable[[str, bytes, dict], bytes] | None = None) -> None:
+                 transport: Callable[[str, bytes, dict], bytes] | None = None,
+                 sleep: Callable[[float], None] = time.sleep) -> None:
         if not endpoint:
             raise AdapterError("adapter endpoint required")
         self.endpoint = endpoint.rstrip("/")
@@ -71,6 +78,7 @@ class ChatCompletionAdapter:
         self.max_retries = max_retries
         self.token_env = token_env
         self._transport = transport or self._http_transport
+        self._sleep = sleep
 
     @property
     def url(self) -> str:
@@ -95,7 +103,9 @@ class ChatCompletionAdapter:
             headers["Authorization"] = f"Bearer {token}"
 
         last_error: Exception | None = None
-        for _ in range(self.max_retries + 1):
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                self._sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
             try:
                 raw = self._transport(self.url, body, headers)
                 return self._parse_completion(raw)

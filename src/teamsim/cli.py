@@ -6,8 +6,9 @@ Every command returns 4, after a one-line error, when a trace has no step to
 measure: a run with `--max-steps 0`, or a `report` on a trace without action
 events. Every command returns 5, after a one-line error, on bad input: a
 scenario file that is missing, unreadable or malformed, a `report` run
-directory without `trace.jsonl` or `scenario.yaml`, or a trace line that is
-not one event.
+directory without `trace.jsonl` or `scenario.yaml`, a trace line that is not
+one event, or an output directory (`--out`, or the `report` run directory)
+that cannot be made or written into.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ def _apply_overrides(scenario: Scenario, config: RunConfig) -> Scenario:
     return dataclasses.replace(scenario, **updates) if updates else scenario
 
 
+def _output_error(exc: OSError) -> int:
+    print(f"output error: {' '.join(str(exc).split())}", file=sys.stderr)
+    return EXIT_BAD_INPUT
+
+
 def _build_adapter(config: RunConfig) -> ChatCompletionAdapter:
     if not config.endpoint or not config.model:
         raise SystemExit(EXIT_ADAPTER)
@@ -69,13 +75,18 @@ def cmd_run(config: RunConfig) -> int:
                              baseline_hours=config.baseline_hours)
 
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result.trace.write(out_dir / "trace.jsonl")
-    (out_dir / "scenario.yaml").write_text(emit_scenario(scenario), encoding="utf-8")
     config_label = scenario.team_label or "custom"
-    write_csv([report.csv_row(config_label, scenario.name)], out_dir / "metrics.csv")
     text = render_report(report, config_label, scenario.name)
-    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        result.trace.write(out_dir / "trace.jsonl")
+        (out_dir / "scenario.yaml").write_text(emit_scenario(scenario),
+                                               encoding="utf-8")
+        write_csv([report.csv_row(config_label, scenario.name)],
+                  out_dir / "metrics.csv")
+        (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return _output_error(exc)
     print(text, end="")
 
     return EXIT_OK if report.completion_rate >= 100.0 else EXIT_INCOMPLETE
@@ -111,11 +122,14 @@ def cmd_compare(config: RunConfig, policies: list[str]) -> int:
 
     grid = _comparison_grid(reports, policies)
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "compare.txt").write_text(grid, encoding="utf-8")
     config_label = scenario.team_label or "custom"
     rows = [reports[p].csv_row(config_label, f"{scenario.name}/{p}") for p in policies]
-    write_csv(rows, out_dir / "compare.csv")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "compare.txt").write_text(grid, encoding="utf-8")
+        write_csv(rows, out_dir / "compare.csv")
+    except OSError as exc:
+        return _output_error(exc)
     print(grid, end="")
     return EXIT_OK
 
@@ -155,9 +169,12 @@ def cmd_report(run_dir: str) -> int:
     report = compute_metrics(trace, scenario)
     config_label = scenario.team_label or "custom"
     text = render_report(report, config_label, scenario.name)
-    (directory / "report.txt").write_text(text, encoding="utf-8")
-    write_csv([report.csv_row(config_label, scenario.name)],
-              directory / "metrics.csv")
+    try:
+        (directory / "report.txt").write_text(text, encoding="utf-8")
+        write_csv([report.csv_row(config_label, scenario.name)],
+                  directory / "metrics.csv")
+    except OSError as exc:
+        return _output_error(exc)
     print(text, end="")
     return EXIT_OK
 

@@ -22,6 +22,12 @@ WORKER_SKILL_STRIDE = 2
 
 _SHORTHAND = re.compile(r"^(\d+)M\+(\d+)W$", re.IGNORECASE)
 
+# libyaml's safe loader and dumper where PyYAML was built with libyaml, the
+# pure-Python ones elsewhere. The C emitter escapes non-BMP characters and
+# U+0085, which both loaders read back unchanged.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 @dataclass
 class RunConfig:
@@ -91,8 +97,10 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
 
 def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        data = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # libyaml encodes the text to UTF-8 first, and a lone surrogate fails
+        # there; the pure-Python reader rejects it as a YAMLError.
         raise ScenarioError(f"malformed scenario syntax: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("malformed scenario: expected a mapping at top level")
@@ -211,4 +219,4 @@ def emit_scenario(scenario: Scenario) -> str:
             for task in scenario.tasks
         ],
     }
-    return yaml.safe_dump(data, sort_keys=False, allow_unicode=True)
+    return yaml.dump(data, Dumper=_DUMPER, sort_keys=False, allow_unicode=True)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 EVENT_KINDS = (
     "action",
@@ -22,21 +22,26 @@ EVENT_KINDS = (
 )
 
 
+# One codec for every event. Payloads are flat dicts of scalars and short
+# lists built by the engine, so there is no cycle for the encoder to check.
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
+                           check_circular=False).encode
+_decode = json.JSONDecoder().decode
+
+
 class TraceError(ValueError):
     """A trace file line that is not one well-formed event."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     step: int
     seq: int
     kind: str
     payload: dict
 
     def to_json(self) -> str:
-        record = {"step": self.step, "seq": self.seq, "kind": self.kind}
-        record.update(self.payload)
-        return json.dumps(record, separators=(",", ":"), ensure_ascii=False)
+        return _encode({"step": self.step, "seq": self.seq, "kind": self.kind,
+                        **self.payload})
 
 
 class TraceLog:
@@ -46,7 +51,7 @@ class TraceLog:
     def append(self, step: int, kind: str, payload: dict) -> TraceEvent:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind: {kind}")
-        event = TraceEvent(step=step, seq=len(self.events), kind=kind, payload=payload)
+        event = TraceEvent(step, len(self.events), kind, payload)
         self.events.append(event)
         return event
 
@@ -73,16 +78,19 @@ class TraceLog:
         characters that `str.splitlines` breaks on.
         """
         log = cls()
+        events = log.events
         with Path(path).open("rb") as lines:
             for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line.decode("utf-8"))
+                    record = _decode(line.decode("utf-8"))
                     step = record.pop("step")
                     record.pop("seq")
                     kind = record.pop("kind")
-                    log.append(step, kind, record)
+                    if kind not in EVENT_KINDS:
+                        raise ValueError(f"unknown event kind: {kind}")
                 except (ValueError, KeyError, AttributeError, TypeError) as exc:
                     raise TraceError(f"{path}: line {number}: {exc}") from None
+                events.append(TraceEvent(step, len(events), kind, record))
         return log

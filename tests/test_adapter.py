@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from teamsim.adapter import (AdapterError, ChatCompletionAdapter,
+from teamsim.adapter import (RETRY_BACKOFF_S, AdapterError, ChatCompletionAdapter,
                              extract_json_object)
 
 
@@ -80,6 +80,57 @@ class TestRequestShape:
         assert adapter.complete_json([{"role": "user", "content": "x"}]) == {"ok": True}
 
 
+def _no_wait(delay: float) -> None:
+    pass
+
+
+def _fail_then(codes: list[int]):
+    """A transport that raises HTTP `codes` in turn, then answers "ok"."""
+    calls = {"n": 0}
+
+    def transport(url, body, headers):
+        calls["n"] += 1
+        if calls["n"] <= len(codes):
+            raise urllib.error.HTTPError(url, codes[calls["n"] - 1], "status",
+                                         {}, None)
+        return json.dumps(
+            {"choices": [{"message": {"content": "ok"}}]}).encode("utf-8")
+
+    return calls, transport
+
+
+class TestBackoff:
+    def _adapter(self, transport, delays, max_retries=2):
+        return ChatCompletionAdapter(endpoint="http://x", model="m",
+                                     max_retries=max_retries,
+                                     transport=transport, sleep=delays.append)
+
+    @pytest.mark.parametrize("max_retries", [2, 3])
+    def test_delay_doubles_between_retries(self, max_retries):
+        delays: list[float] = []
+        calls, transport = _fail_then([429] * (max_retries + 1))
+        with pytest.raises(AdapterError, match="transport failed"):
+            self._adapter(transport, delays, max_retries).complete([])
+        assert calls["n"] == max_retries + 1
+        assert delays == [RETRY_BACKOFF_S * 2 ** i for i in range(max_retries)]
+        assert RETRY_BACKOFF_S > 0
+
+    def test_client_error_does_not_wait(self):
+        delays: list[float] = []
+        calls, transport = _fail_then([401])
+        with pytest.raises(AdapterError, match="HTTP 401"):
+            self._adapter(transport, delays).complete([])
+        assert calls["n"] == 1
+        assert delays == []
+
+    def test_success_on_second_attempt_waits_once(self):
+        delays: list[float] = []
+        calls, transport = _fail_then([503])
+        assert self._adapter(transport, delays).complete([]) == "ok"
+        assert calls["n"] == 2
+        assert delays == [RETRY_BACKOFF_S]
+
+
 class TestRetries:
     def test_retries_then_raises(self):
         calls = {"n": 0}
@@ -89,7 +140,8 @@ class TestRetries:
             raise OSError("down")
 
         adapter = ChatCompletionAdapter(endpoint="http://x", model="m",
-                                        max_retries=2, transport=transport)
+                                        max_retries=2, transport=transport,
+                                        sleep=_no_wait)
         with pytest.raises(AdapterError, match="transport failed"):
             adapter.complete([])
         assert calls["n"] == 3
@@ -105,7 +157,8 @@ class TestRetries:
                 {"choices": [{"message": {"content": "ok"}}]}).encode("utf-8")
 
         adapter = ChatCompletionAdapter(endpoint="http://x", model="m",
-                                        max_retries=2, transport=transport)
+                                        max_retries=2, transport=transport,
+                                        sleep=_no_wait)
         assert adapter.complete([]) == "ok"
 
     @staticmethod
@@ -122,7 +175,8 @@ class TestRetries:
     def test_client_error_is_not_retried(self, code):
         calls, transport = self._http_error(code)
         adapter = ChatCompletionAdapter(endpoint="http://x", model="m",
-                                        max_retries=2, transport=transport)
+                                        max_retries=2, transport=transport,
+                                        sleep=_no_wait)
         with pytest.raises(AdapterError, match=f"HTTP {code}"):
             adapter.complete([])
         assert calls["n"] == 1
@@ -131,7 +185,8 @@ class TestRetries:
     def test_timeout_throttle_and_server_errors_are_retried(self, code):
         calls, transport = self._http_error(code)
         adapter = ChatCompletionAdapter(endpoint="http://x", model="m",
-                                        max_retries=2, transport=transport)
+                                        max_retries=2, transport=transport,
+                                        sleep=_no_wait)
         with pytest.raises(AdapterError, match="transport failed"):
             adapter.complete([])
         assert calls["n"] == 3

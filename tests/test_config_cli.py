@@ -5,11 +5,17 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+from teamsim import config
 from teamsim.cli import main
 from teamsim.config import (emit_scenario, expand_team_shorthand,
                             parse_scenario, parse_scenario_text)
-from teamsim.model import Role, ScenarioError
+from teamsim.model import (EVALUATOR_NAMES, POLICY_NAMES, AgentProfile, Role,
+                           Scenario, ScenarioError, TaskSpec)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 APPENDIX_STYLE = """\
 name: simple
@@ -119,6 +125,119 @@ class TestParsing:
         assert parse_scenario_text(emit_scenario(explicit)) == explicit
 
 
+WIDE_TEAM = """\
+name: wide
+team: 1M+64W
+skill_pool: [backend, api, authentication, oauth, testing, documentation]
+tasks:
+  - description: "Integrate an external API with authentication."
+    hours: 24.0
+    skills: [backend, api, authentication, oauth, testing, documentation]
+  - description: "Harden the token refresh path"
+    hours: 7.5
+    skills: [oauth, testing]
+"""
+
+
+class TestLibyaml:
+    def test_libyaml_is_used_when_available(self):
+        if yaml.__with_libyaml__:
+            assert config._LOADER is yaml.CSafeLoader
+            assert config._DUMPER is yaml.CSafeDumper
+        else:
+            assert config._LOADER is yaml.SafeLoader
+            assert config._DUMPER is yaml.SafeDumper
+
+    @pytest.mark.parametrize("text", [
+        *(pytest.param((SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8"),
+                       id=name)
+          for name in ("simple", "medium", "complex", "multi_task")),
+        pytest.param(WIDE_TEAM, id="1M+64W"),
+    ])
+    def test_same_scenario_and_text_as_pure_python(self, monkeypatch, text):
+        scenario = parse_scenario_text(text)
+        emitted = emit_scenario(scenario)
+        reparsed = parse_scenario_text(emitted)
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(config, "_DUMPER", yaml.SafeDumper)
+        assert parse_scenario_text(text) == scenario
+        assert emit_scenario(scenario) == emitted
+        assert parse_scenario_text(emitted) == reparsed == scenario
+
+    @pytest.mark.parametrize("content", [
+        "team: [unclosed\n",
+        "team: 1M+2W\n  tasks: x\n- y\n",
+        "name: \"open\nteam: 1M+2W\n",
+        "name: a\x01b\n",
+    ], ids=["unclosed-flow", "bad-indent", "unclosed-quote", "control-char"])
+    def test_malformed_yaml_is_one_line_exit_5(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.yaml"
+        path.write_text(content, encoding="utf-8")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: malformed scenario syntax")
+        assert err.count("\n") == 1
+
+    def test_lone_surrogate_is_a_syntax_error(self):
+        with pytest.raises(ScenarioError, match="malformed scenario syntax"):
+            parse_scenario_text("name: \ud800\nteam: 1M+1W\n")
+
+    def test_non_ascii_is_written_raw(self):
+        scenario = parse_scenario_text(
+            APPENDIX_STYLE.replace("name: simple", "name: \"Café – naïve\""))
+        assert "name: Café – naïve\n" in emit_scenario(scenario)
+
+
+# Astral characters and U+0085 are escaped by libyaml's emitter and must
+# still come back unchanged.
+_chars = st.one_of(
+    st.sampled_from(["\x85", "\U0001F600", "\U00010348", "\u2028", "\t", "#",
+                     ":", "'", '"', "-", " "]),
+    st.characters(codec="utf-8"),
+)
+_texts = st.text(_chars, max_size=12)
+_skills = st.text(_chars, min_size=1, max_size=8).map(str.lower)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    tasks = draw(st.lists(st.builds(
+        TaskSpec,
+        description=_texts,
+        estimated_hours=st.floats(0.01, 1e6),
+        required_skills=st.frozensets(_skills, max_size=3),
+    ), min_size=1, max_size=3))
+    ids = draw(st.lists(_texts, min_size=2, max_size=4, unique=True))
+    team = [
+        AgentProfile(agent_id=agent_id, name=draw(_texts),
+                     role=Role.MANAGER if i == 0 else Role.WORKER,
+                     skills=draw(st.frozensets(_skills, min_size=1, max_size=3)))
+        for i, agent_id in enumerate(ids)
+    ]
+    pool = {s for t in tasks for s in t.required_skills}
+    pool |= draw(st.frozensets(_skills, max_size=2))
+    return Scenario(
+        name=draw(_texts),
+        team=team,
+        tasks=tasks,
+        policy_name=draw(st.sampled_from(POLICY_NAMES)),
+        evaluator_name=draw(st.sampled_from(EVALUATOR_NAMES)),
+        seed=draw(st.integers(0, 2 ** 31)),
+        skill_pool=tuple(sorted(pool)) or ("x",),
+        team_label=draw(_texts.filter(bool)),
+    )
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML's pure-Python emitter writes U+0085 raw, "
+                           "and it reads back as a line break")
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(scenarios())
+def test_emitted_scenario_parses_back(scenario):
+    assert parse_scenario_text(emit_scenario(scenario)) == scenario
+
+
 @pytest.fixture
 def scenario_file(tmp_path) -> Path:
     path = tmp_path / "simple.yaml"
@@ -169,6 +288,18 @@ class TestCliRun:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", ["file/sub", "file", "taken"],
+                             ids=["under-a-file", "is-a-file", "trace-is-a-dir"])
+    def test_unwritable_out_is_a_one_line_error(self, scenario_file, tmp_path,
+                                                capsys, out):
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        (tmp_path / "taken" / "trace.jsonl").mkdir(parents=True)
+        code = main(["run", "--scenario", str(scenario_file),
+                     "--out", str(tmp_path / out)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
 
     def test_trace_is_valid_jsonl(self, scenario_file, tmp_path):
         out = tmp_path / "out"
@@ -223,6 +354,16 @@ class TestCliCompare:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and err.count("\n") == 1
 
+    def test_unwritable_out_is_a_one_line_error(self, scenario_file, tmp_path,
+                                                capsys):
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        code = main(["compare", "--scenario", str(scenario_file),
+                     "--policies", "no_comm,c2c_heuristic",
+                     "--out", str(tmp_path / "file" / "sub")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+
     def test_compare_deterministic_across_invocations(self, scenario_file,
                                                       tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -274,6 +415,17 @@ class TestCliReport:
         assert main(["report", "--run", str(out)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+    def test_unwritable_run_dir_is_a_one_line_error(self, scenario_file, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        (out / "report.txt").unlink()
+        (out / "report.txt").mkdir()
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("trace_text", [
         "",

@@ -1,8 +1,11 @@
 """The JSONL trace file: byte-stable writes, line-exact reads, typed errors."""
 
-import pytest
+import json
 
-from teamsim.trace import TraceError, TraceLog
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from teamsim.trace import EVENT_KINDS, TraceError, TraceLog
 
 
 def _log(detail: str) -> TraceLog:
@@ -51,3 +54,51 @@ def test_malformed_event_names_its_line(tmp_path, line):
     path.write_bytes(b"\n" + line + b"\n")
     with pytest.raises(TraceError, match="line 2"):
         TraceLog.read(path)
+
+
+def _oracle_line(event) -> str:
+    """The encoding every golden trace was written with."""
+    record = {"step": event.step, "seq": event.seq, "kind": event.kind}
+    record.update(event.payload)
+    return json.dumps(record, separators=(",", ":"), ensure_ascii=False)
+
+
+# Line and paragraph separators, NEL, astral characters and control
+# characters, plus whatever else the UTF-8 codec can carry.
+_chars = st.one_of(
+    st.sampled_from(["\u2028", "\u2029", "\x85", "\U0001F600", "\U0010FFFF",
+                     "\x00", "\x1f", "\x7f", "\n", "\r", "\t", '"', "\\"]),
+    st.characters(codec="utf-8"),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-05, 0.1 + 0.2, 1e16, -0.0, 5e-324]),
+    st.text(_chars, max_size=12),
+)
+_payloads = st.dictionaries(
+    st.text(_chars, max_size=8).filter(lambda k: k not in ("step", "seq", "kind")),
+    st.one_of(_scalars, st.lists(_scalars, max_size=4)),
+    max_size=5,
+)
+_events = st.lists(
+    st.tuples(st.integers(0, 10 ** 6), st.sampled_from(EVENT_KINDS), _payloads),
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_events)
+def test_write_matches_the_reference_encoder(tmp_path_factory, events):
+    log = TraceLog()
+    for step, kind, payload in events:
+        log.append(step, kind, payload)
+    path = log.write(tmp_path_factory.mktemp("trace") / "trace.jsonl")
+    lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert lines == [_oracle_line(e).encode("utf-8") for e in log.events]
+    reread = TraceLog.read(path)
+    assert [(e.step, e.seq, e.kind, e.payload) for e in reread.events] == \
+        [(e.step, e.seq, e.kind, e.payload) for e in log.events]
