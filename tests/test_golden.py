@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from teamsim.config import parse_scenario
+from teamsim.config import parse_scenario, parse_scenario_text
 from teamsim.engine import Simulation
 from teamsim.model import Scenario
 
@@ -77,6 +77,40 @@ def test_wide_medium_team():
     scenario = make_scenario(MEDIUM_TASK, "1M+64W", "c2c_heuristic")
     assert _digest(scenario) == (
         "9e7359df1c90375fe0b3591c5880ac3ed673fed7626500746edee1dfa6899546")
+
+
+# The benchmark's `wide_team` input at its default seed: one generated root on
+# a 1M+256W team, so the load cap is 1 and most subtasks miss their suggested
+# worker and take the `assign` fallback.
+WIDE_ROOT_YAML = """\
+name: wide_team
+team: 1M+256W
+skill_pool: [backend, api, authentication, oauth, testing, documentation]
+tasks:
+  - description: "Generated root task 1 over 5 skills."
+    hours: 24.5
+    skills: [backend, api, authentication, oauth, documentation]
+"""
+
+WIDE_ROOT = {
+    "no_comm": "a34594c8fda2604dfb9ae1c3e26bb6e4c35b10f7ab4b6d7f0108649ca1e03e80",
+    "c2c_heuristic": "485a9b1170753ff81b39e056cbc8f07b7d0cb379aa158b5dcf25f091a90516cd",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(WIDE_ROOT))
+def test_wide_root_256_workers(policy):
+    scenario = parse_scenario_text(WIDE_ROOT_YAML)
+    scenario = dataclasses.replace(scenario, policy_name=policy)
+    assert _digest(scenario) == WIDE_ROOT[policy]
+
+
+def test_wide_root_digests_match_benchmark_pins():
+    cases = runpy.run_path(str(ROOT / "perfbench" / "cases.py"))
+    pinned = {key.split("/")[1]: digest
+              for key, digest in cases["PINNED"]["wide_team"].items()
+              if key.endswith(":trace.jsonl")}
+    assert pinned == WIDE_ROOT
 
 
 def test_eight_roots():
