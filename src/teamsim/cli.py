@@ -156,7 +156,7 @@ def _comparison_grid(reports: dict, policies: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(run_dir: str) -> int:
+def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
     directory = Path(run_dir)
     trace_path = directory / "trace.jsonl"
     scenario_path = directory / "scenario.yaml"
@@ -166,7 +166,7 @@ def cmd_report(run_dir: str) -> int:
         return EXIT_BAD_INPUT
     scenario = parse_scenario(scenario_path)
     trace = TraceLog.read(trace_path)
-    report = compute_metrics(trace, scenario)
+    report = compute_metrics(trace, scenario, baseline_hours=baseline_hours)
     config_label = scenario.team_label or "custom"
     text = render_report(report, config_label, scenario.name)
     try:
@@ -188,9 +188,13 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoint", help="chat-completion base URL")
     parser.add_argument("--model", help="model name for the adapter")
     parser.add_argument("--temperature", type=float, default=0.7)
-    parser.add_argument("--baseline-hours", type=float, dest="baseline_hours")
     parser.add_argument("--parallel-decide", action="store_true",
                         dest="parallel_decide")
+
+
+def _add_baseline_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--baseline-hours", type=float, dest="baseline_hours",
+                        help="baseline completion time that speedup is measured against")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run one scenario")
     _add_shared_flags(run_parser)
     run_parser.add_argument("--policy", choices=POLICY_NAMES)
+    _add_baseline_flag(run_parser)
 
     compare_parser = sub.add_parser("compare", help="run several policies")
     _add_shared_flags(compare_parser)
@@ -213,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_parser = sub.add_parser("report", help="recompute metrics from a run dir")
     report_parser.add_argument("--run", required=True, help="run output directory")
+    _add_baseline_flag(report_parser)
     return parser
 
 
@@ -227,7 +233,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         endpoint=args.endpoint,
         model=args.model,
         temperature=args.temperature,
-        baseline_hours=args.baseline_hours,
+        baseline_hours=getattr(args, "baseline_hours", None),
         parallel_decide=args.parallel_decide,
     )
 
@@ -247,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
                     parser.error(f"unknown policy: {policy}")
             return cmd_compare(_config_from_args(args), policies)
         if args.command == "report":
-            return cmd_report(args.run)
+            return cmd_report(args.run, args.baseline_hours)
     except MetricsError as exc:
         print(f"metrics error: {exc}", file=sys.stderr)
         return EXIT_NO_METRICS

@@ -7,6 +7,7 @@ delivery order is reproducible run to run.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -163,8 +164,16 @@ class Meeting:
     attendees: tuple[str, ...] = ()
 
 
+def _canonical(message: Message) -> tuple[int, str, str]:
+    # Sender ids compare as plain strings here, so W10 sorts before W2.
+    return (message.sent_step, message.from_agent, message.message_id)
+
+
 class CommBuffer:
-    """Stages sent messages until their delivery step."""
+    """Stages sent messages until their delivery step.
+
+    `pending` is kept in canonical order: each message is inserted in place.
+    """
 
     def __init__(self) -> None:
         self.pending: list[Message] = []
@@ -175,8 +184,7 @@ class CommBuffer:
                 f"message sent_step {message.sent_step} != current step {current_step}"
             )
         message.delivery_step = current_step + 1
-        self.pending.append(message)
-        self.pending.sort(key=lambda m: (m.sent_step, m.from_agent, m.message_id))
+        bisect.insort(self.pending, message, key=_canonical)
 
     def pop_due(self, current_step: int) -> list[Message]:
         """Remove and return every message due at `current_step`, in order."""

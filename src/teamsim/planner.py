@@ -8,6 +8,7 @@ plan fails validation twice.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -148,10 +149,13 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
     if not workers:
         raise PlannerError("empty team")
     cap = math.ceil(len(subtask_ids) / len(workers))
-    rank = {a.agent_id: i for i, a in enumerate(workers)}
     load: dict[str, int] = {a.agent_id: 0 for a in workers}
     out: dict[str, list[str]] = {a.agent_id: [] for a in workers}
     scores: dict[frozenset[str], dict[str, float]] = {}
+    # Per skill set, a heap of (-score, load, rank, id): the best open worker
+    # is on top once stale entries are dropped or re-keyed. Loads only grow,
+    # so a recorded load is never above the current one.
+    heaps: dict[frozenset[str], list[tuple[float, int, int, str]]] = {}
 
     for task_id in sorted(subtask_ids, key=order_key):
         node = graph.node(task_id)
@@ -164,8 +168,20 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
         if suggested in load and load[suggested] < cap and score[suggested] > 0:
             chosen = suggested
         else:
-            chosen = min((a for a in load if load[a] < cap),
-                         key=lambda a: (-score[a], load[a], rank[a]))
+            heap = heaps.get(required)
+            if heap is None:
+                heap = [(-score[a.agent_id], load[a.agent_id], i, a.agent_id)
+                        for i, a in enumerate(workers) if load[a.agent_id] < cap]
+                heapq.heapify(heap)
+                heaps[required] = heap
+            while True:
+                neg_score, recorded, rank, chosen = heap[0]
+                if load[chosen] >= cap:
+                    heapq.heappop(heap)
+                elif recorded != load[chosen]:
+                    heapq.heapreplace(heap, (neg_score, load[chosen], rank, chosen))
+                else:
+                    break
         node.assignee = chosen
         load[chosen] += 1
         out[chosen].append(task_id)

@@ -83,6 +83,8 @@ class TaskGraph:
         self._children: dict[str, list[str]] = {}
         # Reverse dependency edges: task -> siblings that depend on it.
         self._dependents: dict[str, list[str]] = {}
+        # Parent -> number of its subtasks not yet done.
+        self._open_children: dict[str, int] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -144,6 +146,7 @@ class TaskGraph:
             for dep in self.nodes[task_id].dependencies:
                 self._dependents.setdefault(dep, []).append(task_id)
         self._assert_acyclic(ids)
+        self._open_children[parent_id] = len(ids)
         parent.status = TaskStatus.IN_PROGRESS
         for task_id in ids:
             self._refresh_readiness(task_id)
@@ -234,9 +237,9 @@ class TaskGraph:
         for dependent_id in self._dependents.get(node.task_id, []):
             self._refresh_readiness(dependent_id)
         if node.parent_id is not None:
-            parent = self.nodes[node.parent_id]
-            if not parent.done and all(k.done for k in self.children(parent.task_id)):
-                self._mark_done(parent)
+            self._open_children[node.parent_id] -= 1
+            if not self._open_children[node.parent_id]:
+                self._mark_done(self.nodes[node.parent_id])
 
     def _refresh_readiness(self, task_id: str) -> None:
         node = self.nodes[task_id]

@@ -100,6 +100,31 @@ class TestBuffer:
             if step < 59:
                 assert delivered[mid] == 1
 
+    def test_pending_stays_canonical_after_shuffled_enqueues(self):
+        rng = random.Random(5)
+        buffer = CommBuffer()
+        senders = [f"W{i}" for i in range(1, 13)] + ["M1"]
+        count = 0
+        for step in range(20):
+            buffer.pop_due(step)
+            batch = []
+            for _ in range(rng.randint(0, 12)):
+                count += 1
+                batch.append(message(f"m{count}", sender=rng.choice(senders), step=step))
+            rng.shuffle(batch)
+            for m in batch:
+                buffer.enqueue(m, step)
+                # Senders compare as plain strings: W10 sorts before W2.
+                assert buffer.pending == sorted(
+                    buffer.pending,
+                    key=lambda q: (q.sent_step, q.from_agent, q.message_id))
+
+    def test_sender_ids_order_as_strings(self):
+        buffer = CommBuffer()
+        for mid, sender in [("m1", "W2"), ("m2", "W10"), ("m3", "W1")]:
+            buffer.enqueue(message(mid, sender=sender, step=0), 0)
+        assert [m.from_agent for m in buffer.pop_due(1)] == ["W1", "W10", "W2"]
+
 
 class TestThread:
     def thread(self):

@@ -330,6 +330,14 @@ class TestCliCompare:
         rows = list(csv.reader((out / "compare.csv").open()))
         assert len(rows) == 4  # header + one per policy
 
+    def test_baseline_hours_is_not_a_compare_flag(self, scenario_file, tmp_path):
+        # compare measures speedup against its first policy, not a baseline.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--scenario", str(scenario_file),
+                  "--policies", "no_comm,c2c_heuristic", "--out", str(tmp_path / "x"),
+                  "--baseline-hours", "20"])
+        assert excinfo.value.code == 2
+
     def test_single_policy_is_usage_error(self, scenario_file, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["compare", "--scenario", str(scenario_file),
@@ -387,6 +395,19 @@ class TestCliReport:
         code = main(["report", "--run", str(out)])
         assert code == 0
         assert (out / "report.txt").read_text() == run_report
+
+    def test_report_keeps_the_runs_baseline_speedup(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        medium = Path(__file__).resolve().parent.parent / "scenarios" / "medium.yaml"
+        main(["run", "--scenario", str(medium), "--policy", "c2c_heuristic",
+              "--out", str(out), "--baseline-hours", "20.25"])
+        run_csv = (out / "metrics.csv").read_text(encoding="utf-8")
+        rows = list(csv.DictReader(run_csv.splitlines()))
+        assert rows[0]["speedup"] == "1.5000"
+        capsys.readouterr()
+        assert main(["report", "--run", str(out), "--baseline-hours", "20.25"]) == 0
+        assert (out / "metrics.csv").read_text(encoding="utf-8") == run_csv
+        assert "speedup: 1.50" in capsys.readouterr().out
 
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 5

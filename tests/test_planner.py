@@ -4,9 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teamsim.adapter import ChatCompletionAdapter
-from teamsim.model import AgentProfile, Role, Scenario, TaskSpec, validate_scenario
+from teamsim.model import (AgentProfile, Role, Scenario, TaskSpec, order_key,
+                           skill_match_score, validate_scenario)
 from teamsim.planner import (DecompositionPlan, EvenPlanner, LlmPlanner,
                              PlannerError, assign, validate_plan)
 from teamsim.taskgraph import SubtaskSpec, TaskGraph
@@ -247,3 +249,66 @@ class TestAssign:
         result = assign(graph, ids, scenario.team)
         flat = [t for tasks in result.values() for t in tasks]
         assert sorted(flat) == sorted(ids)
+
+
+def oracle_assign(graph, subtask_ids, team):
+    """The linear-scan `assign`: a min() over every open worker per fallback."""
+    workers = sorted((a for a in team if not a.is_manager),
+                     key=lambda a: order_key(a.agent_id))
+    cap = math.ceil(len(subtask_ids) / len(workers))
+    rank = {a.agent_id: i for i, a in enumerate(workers)}
+    load = {a.agent_id: 0 for a in workers}
+    out = {a.agent_id: [] for a in workers}
+    for task_id in sorted(subtask_ids, key=order_key):
+        node = graph.node(task_id)
+        score = {a.agent_id: skill_match_score(a, node.required_skills)
+                 for a in workers}
+        suggested = node.assignee
+        if suggested in load and load[suggested] < cap and score[suggested] > 0:
+            chosen = suggested
+        else:
+            chosen = min((a for a in load if load[a] < cap),
+                         key=lambda a: (-score[a], load[a], rank[a]))
+        node.assignee = chosen
+        load[chosen] += 1
+        out[chosen].append(task_id)
+    return out
+
+
+ASSIGN_POOL = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def assign_inputs(draw):
+    """A shuffled 1M+1W..1M+40W team and a subtask list, up to 3x its width."""
+    skill_set = st.frozensets(st.sampled_from(ASSIGN_POOL), max_size=3)
+    workers = draw(st.integers(1, 40))
+    team = draw(st.permutations(
+        make_team(workers, worker_skills=[draw(skill_set) for _ in range(workers)])))
+    # A few distinct required-skill sets, the empty one and unheld ones included.
+    required = draw(st.lists(skill_set, min_size=1, max_size=4))
+    suggestion = st.one_of(
+        st.none(), st.just("W99"), st.just("M1"),
+        st.integers(1, workers).map(lambda i: f"W{i}"))
+    specs = [SubtaskSpec(f"p{i}", 1.0, draw(st.sampled_from(required)), draw(suggestion))
+             for i in range(draw(st.integers(1, 3 * workers)))]
+    return team, specs
+
+
+def _graph(specs):
+    graph = TaskGraph()
+    graph.add_root("T1", "t", float(len(specs)), frozenset(ASSIGN_POOL))
+    return graph, [n.task_id for n in graph.add_subtasks("T1", specs)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(assign_inputs())
+def test_assign_matches_linear_scan_oracle(inputs):
+    team, specs = inputs
+    graph, ids = _graph(specs)
+    oracle_graph, _ = _graph(specs)
+    result = assign(graph, ids, team)
+    expected = oracle_assign(oracle_graph, ids, team)
+    assert list(result.items()) == list(expected.items())
+    assert ([graph.node(i).assignee for i in ids]
+            == [oracle_graph.node(i).assignee for i in ids])

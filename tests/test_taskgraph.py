@@ -180,6 +180,37 @@ class TestRecordWork:
         assert node.progress == 1.0
         assert graph.parent_progress("T1") == pytest.approx(0.5)
 
+    def test_parents_done_exactly_when_last_child_finishes(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            graph = TaskGraph()
+
+            def decompose(parent_id):
+                n = rng.randint(1, 8)
+                graph.add_subtasks(parent_id, [
+                    spec(hours=rng.uniform(0.5, 3.0),
+                         deps=tuple(j for j in range(i) if rng.random() < 0.3))
+                    for i in range(n)])
+
+            for r in range(rng.randint(1, 3)):
+                graph.add_root(f"T{r + 1}", "root", 1.0, frozenset({"backend"}))
+                decompose(f"T{r + 1}")
+            # Split some subtasks again so roll-ups chain through two levels.
+            for task_id in [t for t in graph.nodes if t.count(".") == 1]:
+                if rng.random() < 0.3:
+                    decompose(task_id)
+
+            while not graph.all_roots_done():
+                task = rng.choice(graph.ready_tasks())
+                node = graph.node(task)
+                graph.record_work(task, rng.choice(
+                    [node.estimated_hours, node.estimated_hours / 2]))
+                # oracle: a parent is done iff every one of its children is
+                for task_id in graph.nodes:
+                    kids = graph.children(task_id)
+                    if kids:
+                        assert graph.node(task_id).done == all(k.done for k in kids)
+
     def test_dependency_unlocks_when_dep_completes(self):
         graph = build_graph([spec(), spec(deps=(0,))])
         assert graph.node("T1.2").status is TaskStatus.PENDING
