@@ -4,11 +4,12 @@ Exit codes for `run`: 0 when every task completed, 2 otherwise, 3 when an
 LLM-backed mode is requested without a reachable adapter configuration.
 Every command returns 4, after a one-line error, when a trace has no step to
 measure: a run with `--max-steps 0`, or a `report` on a trace without action
-events. Every command returns 5, after a one-line error, on bad input: a
-scenario file that is missing, unreadable or malformed, a `report` run
-directory without `trace.jsonl` or `scenario.yaml`, a trace line that is not
-one event, or an output directory (`--out`, or the `report` run directory)
-that cannot be made or written into.
+events or with an `af_update` step lower than an earlier one. Every command
+returns 5, after a one-line error, on bad input: a scenario file that is
+missing, unreadable or malformed, a `report` run directory without
+`trace.jsonl` or `scenario.yaml`, a trace line that is not one event, or an
+output directory (`--out`, or the `report` run directory) that cannot be made
+or written into.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     scenario = parse_scenario(scenario_path)
-    trace = TraceLog.read(trace_path)
-    report = compute_metrics(trace, scenario, baseline_hours=baseline_hours)
+    # Folded line by line: the trace is never held in memory.
+    report = compute_metrics(TraceLog.stream(trace_path), scenario,
+                             baseline_hours=baseline_hours)
     config_label = scenario.team_label or "custom"
     text = render_report(report, config_label, scenario.name)
     try:

@@ -22,11 +22,27 @@ WORKER_SKILL_STRIDE = 2
 
 _SHORTHAND = re.compile(r"^(\d+)M\+(\d+)W$", re.IGNORECASE)
 
+
+def _represent_str(dumper: yaml.SafeDumper, data: str) -> yaml.ScalarNode:
+    # The pure-Python emitter writes U+0085 raw in plain and single-quoted
+    # scalars, where every reader takes it for a line break; in double quotes
+    # both emitters escape it as "\N".
+    style = '"' if "\x85" in data else None
+    return dumper.represent_scalar("tag:yaml.org,2002:str", data, style=style)
+
+
+def _dumper(base: type) -> type:
+    """A subclass of the PyYAML dumper `base` that double-quotes U+0085."""
+    dumper = type(base.__name__, (base,), {})
+    dumper.add_representer(str, _represent_str)
+    return dumper
+
+
 # libyaml's safe loader and dumper where PyYAML was built with libyaml, the
-# pure-Python ones elsewhere. The C emitter escapes non-BMP characters and
-# U+0085, which both loaders read back unchanged.
+# pure-Python ones elsewhere. The C emitter also escapes non-BMP characters,
+# which both loaders read back unchanged.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_DUMPER = _dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper))
 
 
 @dataclass

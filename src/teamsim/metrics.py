@@ -4,6 +4,16 @@ Completion rate, average completion time, total communication cost, the
 time-sampled mean alignment, efficiency (estimated hours of completed work
 over wall-clock completion time), optional speedup against a baseline time,
 plus the sender/recipient heatmap and message type/channel distributions.
+
+`compute_metrics` is a fold, `MetricsFold`, that takes each event once in
+trace order, so `teamsim report` reads a trace line by line and never holds
+it. Sums are exact: samples are kept as value -> count and summed as one
+integer over a common power-of-two denominator, then rounded once, which is
+what `math.fsum` gives over the samples listed one by one. The alignment
+score, the mean of every (agent, task) value at the end of every step, is
+thus Σ value × steps held / samples, in O(af_update events) instead of one
+sample per pair per step. Its `af_update` steps must not go back in the
+trace, as the engine writes them; `MetricsError` names one that does.
 """
 
 from __future__ import annotations
@@ -11,6 +21,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from sys import intern
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .comms import MessageType
@@ -63,156 +76,268 @@ CSV_COLUMNS = ["config", "complexity", "completion_rate", "avg_time_h",
                "comm_cost_h", "alignment", "efficiency", "speedup"]
 
 
-def _events(trace: TraceLog | list[TraceEvent]) -> list[TraceEvent]:
-    return trace.events if isinstance(trace, TraceLog) else list(trace)
+def _events(trace: TraceLog | Iterable[TraceEvent]) -> Iterable[TraceEvent]:
+    return trace.events if isinstance(trace, TraceLog) else trace
 
 
-def _mean(values: list[float]) -> float:
-    # Short-circuit keeps the mean of identical samples bit-exact.
-    if not values:
-        return 0.0
-    if min(values) == max(values):
-        return values[0]
-    return math.fsum(values) / len(values)
+class _Samples:
+    """A multiset of floats, kept as value -> count, with an exact sum.
+
+    `fsum` and `mean` give what `math.fsum` and the mean of the same values
+    listed one by one give: the exact sum rounded once, divided by the count,
+    and the value itself when all samples are equal.
+    """
+
+    def __init__(self) -> None:
+        self.counts: dict[float, int] = {}
+
+    def add(self, value: float, times: int = 1) -> None:
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + times
+
+    def fsum(self) -> float:
+        # Each finite value is num / den with den a power of two, so over the
+        # largest den the sum is one integer, and int / int rounds once.
+        ratios = [(value.as_integer_ratio(), times)
+                  for value, times in self.counts.items() if math.isfinite(value)]
+        scale = max((den for (_, den), _ in ratios), default=1)
+        total = sum(num * (scale // den) * times for (num, den), times in ratios) / scale
+        # NaN and infinities decide the sum as they decide math.fsum's.
+        return math.fsum([total, *(v for v in self.counts if not math.isfinite(v))])
+
+    def mean(self) -> float:
+        counts = self.counts
+        if not counts:
+            return 0.0
+        if min(counts) == max(counts):
+            return next(iter(counts))
+        return self.fsum() / sum(counts.values())
 
 
-def compute_metrics(trace: TraceLog | list[TraceEvent], scenario: Scenario,
-                    baseline_hours: float | None = None,
-                    hours_per_step: float = 0.25) -> MetricsReport:
-    events = _events(trace)
-    if not events:
-        raise MetricsError("empty trace")
-
-    action_steps = [e.step for e in events if e.kind == "action"]
-    if not action_steps:
-        raise MetricsError("trace has no action events")
-    final_step = max(action_steps) + 1
-
-    root_ids = [f"T{i + 1}" for i in range(len(scenario.tasks))]
-    root_hours = {rid: spec.estimated_hours
-                  for rid, spec in zip(root_ids, scenario.tasks)}
-    completion_hours: dict[str, float | None] = {rid: None for rid in root_ids}
-    for event in events:
-        if event.kind == "task_done" and event.payload.get("root"):
-            completion_hours[event.payload["task"]] = (
-                event.payload["boundary"] * hours_per_step
-            )
-
-    completed = [rid for rid, h in completion_hours.items() if h is not None]
-    completion_rate = 100.0 * len(completed) / len(root_ids)
-    avg_time = (
-        _mean([completion_hours[rid] for rid in completed]) if completed else None
-    )
-
-    comm_cost = math.fsum(
-        e.payload.get("cost_h", 0.0) for e in events if e.kind == "message_sent"
-    )
-
-    alignment_score = _alignment_score(events, final_step)
-
-    efficiency = None
-    if completed and avg_time:
-        efficiency = math.fsum(root_hours[rid] for rid in completed) / avg_time
-
-    speedup = None
-    if baseline_hours is not None and avg_time:
-        speedup = baseline_hours / avg_time
-
-    return MetricsReport(
-        completion_rate=completion_rate,
-        avg_completion_time=avg_time,
-        communication_cost=comm_cost,
-        alignment_score=alignment_score,
-        efficiency=efficiency,
-        speedup=speedup,
-        heatmap=heatmap(events, [a.agent_id for a in scenario.team]),
-        distributions=distributions(events),
-        completion_hours=completion_hours,
-        final_step=final_step,
-    )
+def _mean(values: Iterable[float]) -> float:
+    samples = _Samples()
+    for value in values:
+        samples.add(value)
+    return samples.mean()
 
 
-def _alignment_score(events: list[TraceEvent], final_step: int) -> float:
-    """Mean alignment sampled at the end of every executed step."""
-    changes: dict[int, list[tuple[tuple[str, str], float]]] = {}
-    for event in events:
-        if event.kind != "af_update":
-            continue
-        key = (event.payload["agent"], event.payload["task"])
-        changes.setdefault(event.step, []).append((key, event.payload["new"]))
+class _Alignment:
+    """Mean alignment sampled at the end of every executed step, folded over
+    `af_update` events in step order.
 
-    values: dict[tuple[str, str], float] = {}
-    samples: list[float] = []
-    for step in range(final_step):
-        for key, new_value in changes.get(step, []):
-            values[key] = new_value
-        samples.extend(values.values())
-    return _mean(samples)
+    A value counts once per step from the step it is set in up to its next
+    change or the final step. An update at or past the final step known so far
+    waits, since the run may end before it.
+    """
+
+    def __init__(self) -> None:
+        self.held: dict[tuple[str, str], tuple[float, int]] = {}
+        self.samples = _Samples()
+        self.waiting: deque[tuple[int, tuple[str, str], float]] = deque()
+        self.final_step = 0
+        self.last_step = 0
+
+    def advance(self, final_step: int) -> None:
+        self.final_step = final_step
+        waiting = self.waiting
+        while waiting and waiting[0][0] < final_step:
+            self._set(*waiting.popleft())
+
+    def update(self, step: int, payload: dict) -> None:
+        if step < 0:
+            return
+        if step < self.last_step:
+            raise MetricsError(
+                f"af_update at step {step} follows one at step {self.last_step}")
+        self.last_step = step
+        change = (step, (payload["agent"], payload["task"]), payload["new"])
+        if step < self.final_step:
+            self._set(*change)
+        else:
+            self.waiting.append(change)
+
+    def _set(self, step: int, key: tuple[str, str], value: float) -> None:
+        held = self.held.get(key)
+        if held is not None and step > held[1]:
+            self.samples.add(held[0], step - held[1])
+        self.held[key] = (value, step)
+
+    def score(self) -> float:
+        """Close every held value at the final step; call once, at the end.
+
+        What still waits lies at or past the final step and is never sampled.
+        """
+        for value, since in self.held.values():
+            self.samples.add(value, self.final_step - since)
+        self.held = {}
+        return self.samples.mean()
 
 
-def heatmap(trace: TraceLog | list[TraceEvent],
-            agent_ids: list[str]) -> dict[str, dict[str, int]]:
+class _Heatmap:
     """Cell (i, j) counts messages from i delivered to j."""
-    ordered = sorted(agent_ids, key=order_key)
-    grid = {a: {b: 0 for b in ordered} for a in ordered}
-    for event in _events(trace):
-        if event.kind != "message_delivered":
-            continue
-        sender = event.payload["from"]
-        recipient = event.payload["to"]
-        if sender in grid and recipient in grid[sender]:
-            grid[sender][recipient] += 1
-    return grid
+
+    def __init__(self, agent_ids: list[str]) -> None:
+        ordered = sorted(agent_ids, key=order_key)
+        self.grid = {a: {b: 0 for b in ordered} for a in ordered}
+
+    def add(self, payload: dict) -> None:
+        row = self.grid.get(payload["from"])
+        recipient = payload["to"]
+        if row is not None and recipient in row:
+            row[recipient] += 1
 
 
-def distributions(trace: TraceLog | list[TraceEvent]) -> Distributions:
+_RESPONSE = MessageType.RESPONSE.value
+_MEETING_START = MessageType.MEETING_START.value
+
+
+class _Distributions:
     """Shares over agent-initiated messages plus mean reply latencies.
 
     MEETING_START is engine-emitted rather than an agent's communication
-    decision, so it is excluded from the shares.
+    decision, so it is excluded from the shares. A reply is timed from the
+    last message that started its thread, wherever that lies in the trace.
     """
-    events = _events(trace)
-    sent = [e for e in events if e.kind == "message_sent"]
-    initiated = [
-        e for e in sent
-        if e.payload["type"] not in (MessageType.RESPONSE.value,
-                                     MessageType.MEETING_START.value)
-    ]
 
-    type_counts: dict[str, int] = {}
-    channel_counts: dict[str, int] = {}
-    for event in initiated:
-        type_counts[event.payload["type"]] = type_counts.get(event.payload["type"], 0) + 1
-        channel_counts[event.payload["channel"]] = (
-            channel_counts.get(event.payload["channel"], 0) + 1
+    def __init__(self) -> None:
+        self.type_counts: dict[str, int] = {}
+        self.channel_counts: dict[str, int] = {}
+        # thread id -> (type, channel, sent_step) of the message that started it
+        self.threads: dict[str, tuple[str, str, int]] = {}
+        self.replies: list[tuple[str, int]] = []
+
+    def add(self, payload: dict) -> None:
+        kind = payload["type"]
+        if kind == _RESPONSE:
+            self.replies.append((payload["thread_id"], payload["sent_step"]))
+        elif kind != _MEETING_START:
+            # Interned: the threads share a few names, not one copy each.
+            kind, channel = intern(kind), intern(payload["channel"])
+            self.type_counts[kind] = self.type_counts.get(kind, 0) + 1
+            self.channel_counts[channel] = self.channel_counts.get(channel, 0) + 1
+            self.threads[payload["thread_id"]] = (kind, channel, payload["sent_step"])
+
+    def result(self) -> Distributions:
+        total = sum(self.type_counts.values())
+        by_type: dict[str, _Samples] = {}
+        by_channel: dict[str, _Samples] = {}
+        for thread_id, sent_step in self.replies:
+            root = self.threads.get(thread_id)
+            if root is None:
+                continue
+            kind, channel, root_step = root
+            latency = float((sent_step + 1) - root_step)
+            by_type.setdefault(kind, _Samples()).add(latency)
+            by_channel.setdefault(channel, _Samples()).add(latency)
+        return Distributions(
+            type_shares={k: v / total for k, v in sorted(self.type_counts.items())},
+            channel_shares={k: v / total
+                            for k, v in sorted(self.channel_counts.items())},
+            response_latency_by_type={k: v.mean() for k, v in sorted(by_type.items())},
+            response_latency_by_channel={
+                k: v.mean() for k, v in sorted(by_channel.items())
+            },
         )
-    total = len(initiated)
-    type_shares = {k: v / total for k, v in sorted(type_counts.items())} if total else {}
-    channel_shares = (
-        {k: v / total for k, v in sorted(channel_counts.items())} if total else {}
-    )
 
-    roots = {e.payload["thread_id"]: e for e in initiated}
-    latency_by_type: dict[str, list[float]] = {}
-    latency_by_channel: dict[str, list[float]] = {}
-    for event in sent:
-        if event.payload["type"] != MessageType.RESPONSE.value:
-            continue
-        root = roots.get(event.payload["thread_id"])
-        if root is None:
-            continue
-        latency = (event.payload["sent_step"] + 1) - root.payload["sent_step"]
-        latency_by_type.setdefault(root.payload["type"], []).append(float(latency))
-        latency_by_channel.setdefault(root.payload["channel"], []).append(float(latency))
 
-    return Distributions(
-        type_shares=type_shares,
-        channel_shares=channel_shares,
-        response_latency_by_type={k: _mean(v) for k, v in sorted(latency_by_type.items())},
-        response_latency_by_channel={
-            k: _mean(v) for k, v in sorted(latency_by_channel.items())
-        },
-    )
+class MetricsFold:
+    """`compute_metrics` one event at a time: `add` each event in trace
+    order, then take `result()` once, which hands the fold's state to the
+    report. The state grows with the roots, the team, the (agent, task) pairs
+    and the message threads, not with the events."""
+
+    def __init__(self, scenario: Scenario, baseline_hours: float | None = None,
+                 hours_per_step: float = 0.25) -> None:
+        self.baseline_hours = baseline_hours
+        self.hours_per_step = hours_per_step
+        root_ids = [f"T{i + 1}" for i in range(len(scenario.tasks))]
+        self.root_hours = {rid: spec.estimated_hours
+                           for rid, spec in zip(root_ids, scenario.tasks)}
+        self.completion_hours: dict[str, float | None] = dict.fromkeys(root_ids)
+        self.event_count = 0
+        self.final_step: int | None = None  # one past the latest action step
+        self.comm_cost = _Samples()
+        self.alignment = _Alignment()
+        self.heatmap = _Heatmap([a.agent_id for a in scenario.team])
+        self.distributions = _Distributions()
+
+    def add(self, step: int, kind: str, payload: dict) -> None:
+        self.event_count += 1
+        if kind == "action":
+            if self.final_step is None or step >= self.final_step:
+                self.final_step = step + 1
+                self.alignment.advance(step + 1)
+        elif kind == "message_sent":
+            self.comm_cost.add(payload.get("cost_h", 0.0))
+            self.distributions.add(payload)
+        elif kind == "message_delivered":
+            self.heatmap.add(payload)
+        elif kind == "af_update":
+            self.alignment.update(step, payload)
+        elif kind == "task_done" and payload.get("root"):
+            self.completion_hours[payload["task"]] = (
+                payload["boundary"] * self.hours_per_step
+            )
+
+    def result(self) -> MetricsReport:
+        if not self.event_count:
+            raise MetricsError("empty trace")
+        if self.final_step is None:
+            raise MetricsError("trace has no action events")
+        completion_hours = self.completion_hours
+        completed = [rid for rid, h in completion_hours.items() if h is not None]
+        completion_rate = 100.0 * len(completed) / len(self.root_hours)
+        avg_time = _mean(completion_hours[rid] for rid in completed) if completed else None
+
+        efficiency = None
+        if completed and avg_time:
+            efficiency = math.fsum(self.root_hours[rid] for rid in completed) / avg_time
+
+        speedup = None
+        if self.baseline_hours is not None and avg_time:
+            speedup = self.baseline_hours / avg_time
+
+        return MetricsReport(
+            completion_rate=completion_rate,
+            avg_completion_time=avg_time,
+            communication_cost=self.comm_cost.fsum(),
+            alignment_score=self.alignment.score(),
+            efficiency=efficiency,
+            speedup=speedup,
+            heatmap=self.heatmap.grid,
+            distributions=self.distributions.result(),
+            completion_hours=completion_hours,
+            final_step=self.final_step,
+        )
+
+
+def compute_metrics(trace: TraceLog | Iterable[TraceEvent], scenario: Scenario,
+                    baseline_hours: float | None = None,
+                    hours_per_step: float = 0.25) -> MetricsReport:
+    fold = MetricsFold(scenario, baseline_hours, hours_per_step)
+    add = fold.add
+    for step, _, kind, payload in _events(trace):
+        add(step, kind, payload)
+    return fold.result()
+
+
+def heatmap(trace: TraceLog | Iterable[TraceEvent],
+            agent_ids: list[str]) -> dict[str, dict[str, int]]:
+    """Cell (i, j) counts messages from i delivered to j."""
+    fold = _Heatmap(agent_ids)
+    for event in _events(trace):
+        if event.kind == "message_delivered":
+            fold.add(event.payload)
+    return fold.grid
+
+
+def distributions(trace: TraceLog | Iterable[TraceEvent]) -> Distributions:
+    """Shares over agent-initiated messages plus mean reply latencies."""
+    fold = _Distributions()
+    for event in _events(trace):
+        if event.kind == "message_sent":
+            fold.add(event.payload)
+    return fold.result()
 
 
 def render_report(report: MetricsReport, config: str, complexity: str) -> str:

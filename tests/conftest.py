@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from teamsim import trace
 from teamsim.config import expand_team_shorthand
 from teamsim.model import AgentProfile, Role, Scenario, TaskSpec, validate_scenario
 from teamsim.planner import DecompositionPlan
@@ -136,6 +137,24 @@ class RandomDagPlanner:
                 dependencies=deps,
             ))
         return DecompositionPlan(subtasks=tuple(subtasks))
+
+
+def trace_codecs() -> list[tuple[str, trace.Codec]]:
+    """Every trace codec this host can run: orjson where it is installed,
+    and the standard-library fallback that stands in for it elsewhere."""
+    fast = trace.orjson_codec()
+    return ([("orjson", fast)] if fast else []) + [("stdlib", trace.STDLIB_CODEC)]
+
+
+@pytest.fixture
+def each_codec(monkeypatch):
+    """Iterate `each_codec()` to run a loop body once under each trace codec,
+    masking orjson by swapping the codec `teamsim.trace` resolved."""
+    def codecs():
+        for name, codec in trace_codecs():
+            monkeypatch.setattr(trace, "_codec", codec)
+            yield name
+    return codecs
 
 
 @pytest.fixture

@@ -143,10 +143,10 @@ class TestLibyaml:
     def test_libyaml_is_used_when_available(self):
         if yaml.__with_libyaml__:
             assert config._LOADER is yaml.CSafeLoader
-            assert config._DUMPER is yaml.CSafeDumper
+            assert config._DUMPER.__bases__ == (yaml.CSafeDumper,)
         else:
             assert config._LOADER is yaml.SafeLoader
-            assert config._DUMPER is yaml.SafeDumper
+            assert config._DUMPER.__bases__ == (yaml.SafeDumper,)
 
     @pytest.mark.parametrize("text", [
         *(pytest.param((SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8"),
@@ -159,7 +159,7 @@ class TestLibyaml:
         emitted = emit_scenario(scenario)
         reparsed = parse_scenario_text(emitted)
         monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
-        monkeypatch.setattr(config, "_DUMPER", yaml.SafeDumper)
+        monkeypatch.setattr(config, "_DUMPER", config._dumper(yaml.SafeDumper))
         assert parse_scenario_text(text) == scenario
         assert emit_scenario(scenario) == emitted
         assert parse_scenario_text(emitted) == reparsed == scenario
@@ -189,8 +189,8 @@ class TestLibyaml:
         assert "name: Café – naïve\n" in emit_scenario(scenario)
 
 
-# Astral characters and U+0085 are escaped by libyaml's emitter and must
-# still come back unchanged.
+# Astral characters and U+0085 are escaped by the emitter and must still come
+# back unchanged.
 _chars = st.one_of(
     st.sampled_from(["\x85", "\U0001F600", "\U00010348", "\u2028", "\t", "#",
                      ":", "'", '"', "-", " "]),
@@ -229,13 +229,18 @@ def scenarios(draw) -> Scenario:
     )
 
 
-@pytest.mark.skipif(not yaml.__with_libyaml__,
-                    reason="PyYAML's pure-Python emitter writes U+0085 raw, "
-                           "and it reads back as a line break")
+# libyaml's emitter where PyYAML has it, and the pure-Python one everywhere.
+_DUMPERS = [config._dumper(yaml.SafeDumper)] + (
+    [config._dumper(yaml.CSafeDumper)] if yaml.__with_libyaml__ else [])
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(scenarios())
 def test_emitted_scenario_parses_back(scenario):
-    assert parse_scenario_text(emit_scenario(scenario)) == scenario
+    for dumper in _DUMPERS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config, "_DUMPER", dumper)
+            assert parse_scenario_text(emit_scenario(scenario)) == scenario
 
 
 @pytest.fixture
@@ -461,3 +466,19 @@ class TestCliReport:
         assert main(["report", "--run", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("metrics error: ") and err.count("\n") == 1
+
+    def test_af_update_steps_going_back_are_a_one_line_error(self, scenario_file,
+                                                             tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        lines = [
+            '{"step":0,"seq":0,"kind":"action","agent":"W1"}',
+            '{"step":1,"seq":1,"kind":"action","agent":"W1"}',
+            '{"step":1,"seq":2,"kind":"af_update","agent":"W1","task":"T1.1","new":0.5}',
+            '{"step":0,"seq":3,"kind":"af_update","agent":"W1","task":"T1.1","new":0.4}',
+        ]
+        (out / "trace.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "metrics error: af_update at step 0 follows one at step 1\n"

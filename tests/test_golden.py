@@ -1,6 +1,8 @@
 """Golden traces: the sha256 of `trace.jsonl` for fixed deterministic runs.
 
 A refactor that changes one byte of any of these traces changes behaviour.
+Each digest is taken under every trace codec: orjson and the standard-library
+fallback write the same bytes.
 The shipped-scenario digests are the same ones the benchmark pins in
 `perfbench/cases.py`; the dependency, meeting and random-DAG cases cover the
 engine paths that no benchmark workload reaches.
@@ -49,8 +51,10 @@ SHIPPED = {
 }
 
 
-def _digest(scenario: Scenario, planner=None) -> str:
-    return Simulation(scenario, planner=planner).run().trace.sha256()
+def _digests(each_codec, scenario: Scenario, planner=None) -> set[str]:
+    """The trace's sha256 under every codec: one digest when they agree."""
+    trace = Simulation(scenario, planner=planner).run().trace
+    return {trace.sha256() for _ in each_codec()}
 
 
 def _random_dag(seed: int) -> tuple[Scenario, RandomDagPlanner]:
@@ -60,10 +64,10 @@ def _random_dag(seed: int) -> tuple[Scenario, RandomDagPlanner]:
 
 
 @pytest.mark.parametrize("name,policy", sorted(SHIPPED))
-def test_shipped_scenarios(name, policy):
+def test_shipped_scenarios(each_codec, name, policy):
     scenario = parse_scenario(ROOT / "scenarios" / f"{name}.yaml")
     scenario = dataclasses.replace(scenario, policy_name=policy)
-    assert _digest(scenario) == SHIPPED[name, policy]
+    assert _digests(each_codec, scenario) == {SHIPPED[name, policy]}
 
 
 def test_shipped_digests_match_benchmark_pins():
@@ -73,10 +77,10 @@ def test_shipped_digests_match_benchmark_pins():
     assert pinned == SHIPPED
 
 
-def test_wide_medium_team():
+def test_wide_medium_team(each_codec):
     scenario = make_scenario(MEDIUM_TASK, "1M+64W", "c2c_heuristic")
-    assert _digest(scenario) == (
-        "9e7359df1c90375fe0b3591c5880ac3ed673fed7626500746edee1dfa6899546")
+    assert _digests(each_codec, scenario) == {
+        "9e7359df1c90375fe0b3591c5880ac3ed673fed7626500746edee1dfa6899546"}
 
 
 # The benchmark's `wide_team` input at its default seed: one generated root on
@@ -99,10 +103,10 @@ WIDE_ROOT = {
 
 
 @pytest.mark.parametrize("policy", sorted(WIDE_ROOT))
-def test_wide_root_256_workers(policy):
+def test_wide_root_256_workers(each_codec, policy):
     scenario = parse_scenario_text(WIDE_ROOT_YAML)
     scenario = dataclasses.replace(scenario, policy_name=policy)
-    assert _digest(scenario) == WIDE_ROOT[policy]
+    assert _digests(each_codec, scenario) == {WIDE_ROOT[policy]}
 
 
 def test_wide_root_digests_match_benchmark_pins():
@@ -113,21 +117,21 @@ def test_wide_root_digests_match_benchmark_pins():
     assert pinned == WIDE_ROOT
 
 
-def test_eight_roots():
-    assert _digest(eight_roots_scenario()) == (
-        "b4e140d540d19fb2cea3e06f5b74998c290a984adcb78b86a6143bd986109b00")
+def test_eight_roots(each_codec):
+    assert _digests(each_codec, eight_roots_scenario()) == {
+        "b4e140d540d19fb2cea3e06f5b74998c290a984adcb78b86a6143bd986109b00"}
 
 
-def test_chain_planner_meeting():
+def test_chain_planner_meeting(each_codec):
     scenario = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic")
-    assert _digest(scenario, ChainPlanner()) == (
-        "5e7c22a7ab5d5dbb83dc679efcdb6cbb4bd5bea1a4b7f08da8d2d98754170eb5")
+    assert _digests(each_codec, scenario, ChainPlanner()) == {
+        "5e7c22a7ab5d5dbb83dc679efcdb6cbb4bd5bea1a4b7f08da8d2d98754170eb5"}
 
 
 @pytest.mark.parametrize("seed,digest", [
     (0, "9e662514d718755dcd7323b0791d0f7ff5bb48bc19ff048905e0efd49a52adb8"),
     (19, "65ca01a7e37cb4062a976f97669670f1288fd55245ccdee719cc5e21ffa1371a"),
 ])
-def test_random_dag_plans(seed, digest):
+def test_random_dag_plans(each_codec, seed, digest):
     scenario, planner = _random_dag(seed)
-    assert _digest(scenario, planner) == digest
+    assert _digests(each_codec, scenario, planner) == {digest}

@@ -1,0 +1,215 @@
+"""`MetricsFold` against the list-based oracle it replaced: equal reports,
+byte-equal `metrics.csv` rows, and a `report` that never holds the trace."""
+
+import contextlib
+import dataclasses
+import io
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from teamsim.cli import main
+from teamsim.comms import MessageType
+from teamsim.config import emit_scenario, expand_team_shorthand, parse_scenario
+from teamsim.engine import Simulation
+from teamsim.metrics import MetricsError, compute_metrics, render_report, write_csv
+from teamsim.model import Scenario, validate_scenario
+from teamsim.trace import TraceLog
+
+from conftest import (MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, ChainPlanner,
+                      RandomDagPlanner, chain_scenario, make_scenario)
+from metrics_oracle import oracle_metrics
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+POLICIES = ("no_comm", "fixed_steps", "c2c_heuristic")
+
+
+def _roots_scenario(roots: int, team: str) -> Scenario:
+    """`roots` medium roots on a shorthand team under the heuristic policy."""
+    return validate_scenario(Scenario(
+        name=f"{roots}_roots", team=expand_team_shorthand(team, SKILL_POOL),
+        tasks=[MEDIUM_TASK] * roots, policy_name="c2c_heuristic",
+        skill_pool=tuple(SKILL_POOL), team_label=team,
+    ))
+
+
+def _setup(run: str):
+    """The scenario and planner of one named run."""
+    if "/" in run:
+        name, policy = run.split("/")
+        scenario = parse_scenario(SCENARIOS / f"{name}.yaml")
+        return dataclasses.replace(scenario, policy_name=policy), None
+    if run == "chain-planner":
+        return dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic"), \
+            ChainPlanner()
+    if run.startswith("random-dag-"):
+        scenario = make_scenario(MEDIUM_TASK, "1M+5W", "c2c_heuristic")
+        return (dataclasses.replace(scenario, tasks=[MEDIUM_TASK, SIMPLE_TASK]),
+                RandomDagPlanner(int(run.rpartition("-")[2])))
+    return _roots_scenario(8, "1M+32W"), None
+
+
+RUNS = [f"{name}/{policy}" for name in ("simple", "medium", "complex", "multi_task")
+        for policy in POLICIES] + ["chain-planner", "random-dag-0", "random-dag-19",
+                                   "8-roots-1M+32W"]
+
+
+def _csv_bytes(report, tmp_path: Path, name: str) -> bytes:
+    path = tmp_path / name
+    write_csv([report.csv_row("label", "scenario")], path)
+    return path.read_bytes()
+
+
+def _assert_same(report, oracle, tmp_path: Path) -> None:
+    assert report == oracle
+    assert _csv_bytes(report, tmp_path, "fold.csv") == \
+        _csv_bytes(oracle, tmp_path, "oracle.csv")
+    assert render_report(report, "label", "scenario") == \
+        render_report(oracle, "label", "scenario")
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_fold_equals_the_oracle(run, tmp_path, each_codec):
+    scenario, planner = _setup(run)
+    trace = Simulation(scenario, planner=planner).run().trace
+    oracle = oracle_metrics(trace, scenario, baseline_hours=20.25)
+    _assert_same(compute_metrics(trace, scenario, baseline_hours=20.25), oracle,
+                 tmp_path)
+    path = trace.write(tmp_path / "trace.jsonl")
+    for _ in each_codec():
+        streamed = compute_metrics(TraceLog.stream(path), scenario, baseline_hours=20.25)
+        _assert_same(streamed, oracle, tmp_path)
+
+
+# Synthetic traces in any order the fold accepts: af_update steps never go
+# back, everything else lands anywhere, including replies before the message
+# that starts their thread, a thread started twice, updates before their
+# step's actions or past the final step, and steps before 0.
+_AGENTS = ["M1", "W1", "W2"]
+_steps = st.integers(-1, 12)
+_others = st.one_of(
+    st.tuples(_steps, st.just("action"), st.fixed_dictionaries({})),
+    st.tuples(_steps, st.just("progress"), st.fixed_dictionaries({})),
+    st.tuples(_steps, st.just("message_sent"), st.fixed_dictionaries({
+        "thread_id": st.sampled_from(["th1", "th2", "th3", "th4"]),
+        "type": st.sampled_from([t.value for t in MessageType] + ["RESPONSE"] * 3),
+        "channel": st.sampled_from(["chat", "email", "meeting"]),
+        "cost_h": st.one_of(st.sampled_from([0.05, 0.1 + 0.2, 1e-17, 3.0]),
+                            st.floats(0.0, 10.0)),
+        "sent_step": st.integers(0, 12),
+    })),
+    st.tuples(_steps, st.just("message_delivered"), st.fixed_dictionaries({
+        "from": st.sampled_from(_AGENTS + ["X9"]),
+        "to": st.sampled_from(_AGENTS + ["X9"]),
+    })),
+    st.tuples(_steps, st.just("task_done"), st.fixed_dictionaries({
+        "task": st.sampled_from(["T1", "T2"]),
+        "root": st.booleans(),
+        "boundary": st.integers(1, 13),
+    })),
+)
+_updates = st.lists(st.tuples(
+    _steps,
+    st.fixed_dictionaries({
+        "agent": st.sampled_from(_AGENTS[1:]),
+        "task": st.sampled_from(["T1.1", "T1.2"]),
+        "new": st.one_of(st.sampled_from([0.3, 0.45, 1.0, 0.1 + 0.2]),
+                         st.floats(0.01, 1.0)),
+    }),
+), max_size=12)
+
+
+@st.composite
+def _traces(draw) -> TraceLog:
+    others = draw(st.lists(_others, max_size=40))
+    updates = sorted(draw(_updates), key=lambda update: update[0])
+    slots = sorted(draw(st.lists(st.integers(0, len(others)),
+                                 min_size=len(updates), max_size=len(updates))))
+    events = list(others)
+    for offset, (slot, (step, payload)) in enumerate(zip(slots, updates)):
+        events.insert(slot + offset, (step, "af_update", payload))
+    log = TraceLog()
+    for step, kind, payload in events:
+        log.append(step, kind, payload)
+    return log
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except MetricsError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_traces())
+def test_fold_equals_the_oracle_on_synthetic_traces(trace):
+    scenario = make_scenario(MEDIUM_TASK, "1M+2W")
+    scenario = dataclasses.replace(scenario, tasks=[MEDIUM_TASK, SIMPLE_TASK])
+    report = _outcome(lambda: compute_metrics(trace, scenario, baseline_hours=9.0))
+    oracle = _outcome(lambda: oracle_metrics(trace, scenario, baseline_hours=9.0))
+    assert report == oracle
+    if not isinstance(oracle, str):
+        assert render_report(report, "c", "s") == render_report(oracle, "c", "s")
+
+
+@pytest.mark.parametrize("events", [
+    [(0, "action"), (0, 0.5), (0, 0.1), (1, "action"), (2, "action")],
+    [(0, "action"), (0, 0.1), (1, "action"), (3, 0.5), (2, "action")],
+], ids=["overwritten-in-its-step", "at-the-final-step"])
+def test_unsampled_updates_leave_identical_samples_exact(events):
+    # 0.1 held for 3 steps is the mean itself; summed and divided it would
+    # read 0.10000000000000002.
+    trace = TraceLog()
+    for step, value in events:
+        if value == "action":
+            trace.append(step, "action", {})
+        else:
+            trace.append(step, "af_update", {"agent": "W1", "task": "T1.1", "new": value})
+    scenario = make_scenario(MEDIUM_TASK)
+    assert compute_metrics(trace, scenario).alignment_score == 0.1
+    assert oracle_metrics(trace, scenario).alignment_score == 0.1
+
+
+def test_af_update_steps_going_back_are_rejected():
+    trace = TraceLog()
+    for step in range(4):
+        trace.append(step, "action", {})
+    for step in (2, 1):
+        trace.append(step, "af_update", {"agent": "W1", "task": "T1.1", "new": 0.5})
+    with pytest.raises(MetricsError, match="af_update at step 1 follows one at step 2"):
+        compute_metrics(trace, make_scenario(MEDIUM_TASK))
+
+
+def _report_peak(tmp_path: Path, roots: int) -> tuple[int, int]:
+    """Peak bytes allocated by `teamsim report`, and bytes a read trace holds."""
+    run_dir = tmp_path / f"{roots}-roots"
+    scenario_path = tmp_path / f"{roots}-roots.yaml"
+    scenario_path.write_text(emit_scenario(_roots_scenario(roots, "1M+16W")),
+                             encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--scenario", str(scenario_path), "--out", str(run_dir),
+                     "--max-steps", "3000"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["report", "--run", str(run_dir)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        log = TraceLog.read(run_dir / "trace.jsonl")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.events
+    return peak, held
+
+
+def test_report_streams_the_trace(tmp_path):
+    peak_16, held_16 = _report_peak(tmp_path, 16)
+    peak_32, _ = _report_peak(tmp_path, 32)
+    assert peak_16 < held_16 / 4
+    assert peak_32 < 2 * peak_16
