@@ -1,5 +1,14 @@
 """Command-line entry point: run one scenario, compare policies, re-report.
 
+`run` writes `trace.jsonl` and folds the metrics as it simulates, one event
+at a time, and holds no list of events; `compare` only folds. `run` makes the
+output directory and the trace file at the first event, so a run without
+events (`--max-steps 0`) creates nothing, and an output directory or trace
+file that cannot be made or written into fails there, not after the run. The
+other outputs (`scenario.yaml`, `metrics.csv`, `report.txt`) are written once
+the run ends: a run that raises mid-way leaves a partial `trace.jsonl` and no
+`scenario.yaml`, so `report` refuses that directory.
+
 Exit codes for `run`: 0 when every task completed, 2 otherwise, 3 when an
 LLM-backed mode is requested without a reachable adapter configuration.
 Every command returns 4, after a one-line error, when a trace has no step to
@@ -7,9 +16,10 @@ measure: a run with `--max-steps 0`, or a `report` on a trace without action
 events or with an `af_update` step lower than an earlier one. Every command
 returns 5, after a one-line error, on bad input: a scenario file that is
 missing, unreadable or malformed, a `report` run directory without
-`trace.jsonl` or `scenario.yaml`, a trace line that is not one event, or an
-output directory (`--out`, or the `report` run directory) that cannot be made
-or written into.
+`trace.jsonl` or `scenario.yaml`, a trace line that is not one event or an
+event that lacks a field the metrics read, or an output directory (`--out`,
+or the `report` run directory) or trace file that cannot be made or written
+into.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ from pathlib import Path
 from .adapter import ChatCompletionAdapter
 from .config import RunConfig, emit_scenario, parse_scenario
 from .engine import Simulation
-from .metrics import MetricsError, compute_metrics, render_report, write_csv
+from .metrics import MetricsError, MetricsFold, render_report, write_csv
 from .model import POLICY_NAMES, Scenario, ScenarioError
-from .trace import TraceError, TraceLog
+from .trace import TraceError, TraceLog, TraceWriter
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 2
@@ -69,18 +79,22 @@ def cmd_run(config: RunConfig) -> int:
             return EXIT_ADAPTER
         adapter = _build_adapter(config)
 
-    simulation = Simulation(scenario, adapter=adapter, max_steps=config.max_steps,
-                            parallel_decide=config.parallel_decide)
-    result = simulation.run()
-    report = compute_metrics(result.trace, scenario,
-                             baseline_hours=config.baseline_hours)
-
+    # Each event is written and folded as the engine emits it. The trace file
+    # and the output directory are made at the first event, so a run without
+    # events creates nothing; its empty fold then raises MetricsError.
     out_dir = Path(config.out_dir)
+    fold = MetricsFold(scenario, baseline_hours=config.baseline_hours)
+    try:
+        with TraceWriter(out_dir / "trace.jsonl", fold) as trace:
+            Simulation(scenario, adapter=adapter, max_steps=config.max_steps,
+                       parallel_decide=config.parallel_decide, trace=trace).run()
+    except OSError as exc:
+        return _output_error(exc)
+    report = fold.result()
+
     config_label = scenario.team_label or "custom"
     text = render_report(report, config_label, scenario.name)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        result.trace.write(out_dir / "trace.jsonl")
         (out_dir / "scenario.yaml").write_text(emit_scenario(scenario),
                                                encoding="utf-8")
         write_csv([report.csv_row(config_label, scenario.name)],
@@ -111,10 +125,10 @@ def cmd_compare(config: RunConfig, policies: list[str]) -> int:
         if config.evaluator:
             run_scenario = dataclasses.replace(run_scenario,
                                                evaluator_name=config.evaluator)
-        result = Simulation(run_scenario, adapter=adapter,
-                            max_steps=config.max_steps,
-                            parallel_decide=config.parallel_decide).run()
-        reports[policy] = compute_metrics(result.trace, run_scenario)
+        fold = MetricsFold(run_scenario)
+        Simulation(run_scenario, adapter=adapter, max_steps=config.max_steps,
+                   parallel_decide=config.parallel_decide, trace=fold).run()
+        reports[policy] = fold.result()
 
     first = reports[policies[0]]
     for policy, report in reports.items():
@@ -167,8 +181,14 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
         return EXIT_BAD_INPUT
     scenario = parse_scenario(scenario_path)
     # Folded line by line: the trace is never held in memory.
-    report = compute_metrics(TraceLog.stream(trace_path), scenario,
-                             baseline_hours=baseline_hours)
+    fold = MetricsFold(scenario, baseline_hours=baseline_hours)
+    for step, seq, kind, payload in TraceLog.stream(trace_path):
+        try:
+            fold.append(step, kind, payload)
+        except KeyError as exc:
+            raise TraceError(f"{trace_path}: event {seq} ({kind} at step {step}) "
+                             f"lacks field {exc}") from None
+    report = fold.result()
     config_label = scenario.team_label or "custom"
     text = render_report(report, config_label, scenario.name)
     try:

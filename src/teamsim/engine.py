@@ -32,7 +32,7 @@ from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext
                      reply_channel, select_channel, select_recipients,
                      team_views)
 from .taskgraph import TaskGraph, TaskStatus
-from .trace import TraceLog
+from .trace import TraceLog, TraceSink
 from . import prompts
 
 # An invited agent that has not accepted within this many steps of the invite
@@ -138,7 +138,7 @@ def build_evaluator(name: str, adapter: ChatCompletionAdapter | None = None):
 class World:
     """All mutable run state; mutated only by the step driver."""
 
-    def __init__(self, scenario: Scenario) -> None:
+    def __init__(self, scenario: Scenario, trace: TraceSink | None = None) -> None:
         self.scenario = scenario
         self.clock = SimClock()
         ordered = sorted(scenario.team, key=lambda a: order_key(a.agent_id))
@@ -168,11 +168,14 @@ class World:
         self.last_actions: dict[str, LastAction] = {}
         self.staged: list[Message] = []
         self.pending_af: list[PendingAfEvaluation] = []
-        self.trace = TraceLog()
+        self.trace: TraceSink = TraceLog() if trace is None else trace
         self.comm_cost_total = 0.0
         self.completion_steps: dict[str, int] = {}
         self.planned = False
-        self._organized: dict[str, set[str]] = {a: set() for a in self.agent_order}
+        # The tasks each agent has called a meeting about; replaced, not
+        # mutated, so a context can share it.
+        self._organized: dict[str, frozenset[str | None]] = dict.fromkeys(
+            self.agent_order, frozenset())
         # Inbox indexes, filled on delivery. Entries are (delivery step,
         # message id, thread or meeting id) kept in that sort order, because
         # delivery order within a step is not message-id order. An entry whose
@@ -248,6 +251,12 @@ class World:
             self._open_by_sender[thread.root_sender].append(thread)
             if thread.about_task:
                 self._open_by_task.setdefault(thread.about_task, []).append(thread)
+
+    def open_meeting(self, meeting: Meeting) -> None:
+        self.meetings[meeting.meeting_id] = meeting
+        self.pending_meetings[meeting.meeting_id] = meeting
+        organizer = meeting.organizer
+        self._organized[organizer] = self._organized[organizer] | {meeting.about_task}
 
     def close_threads_about(self, task_id: str) -> None:
         for thread in self._open_by_task.pop(task_id, []):
@@ -412,15 +421,15 @@ class World:
                 result[task_id] = tuple(sorted(blocked, key=order_key))
         return result
 
-    def organized_meeting_tasks(self, agent_id: str) -> set[str]:
-        return set(self._organized.get(agent_id, set()))
+    def organized_meeting_tasks(self, agent_id: str) -> frozenset[str | None]:
+        return self._organized[agent_id]
 
 
 @dataclass
 class SimResult:
     scenario: Scenario
     world: World
-    trace: TraceLog
+    trace: TraceSink
     completion_steps: dict[str, int | None]
     final_step: int
     completed: bool
@@ -440,9 +449,12 @@ class Simulation:
                  planner=None, evaluator=None,
                  adapter: ChatCompletionAdapter | None = None,
                  max_steps: int | None = None,
-                 parallel_decide: bool = False) -> None:
+                 parallel_decide: bool = False,
+                 trace: TraceSink | None = None) -> None:
+        """`trace` receives each event as it happens; by default a `TraceLog`
+        keeps them all for `SimResult.trace`."""
         scenario = validate_scenario(scenario)
-        self.world = World(scenario)
+        self.world = World(scenario, trace)
         if max_steps is not None:
             self.world.clock.max_steps = max_steps
         self.policy = policy or build_policy(scenario.policy_name, adapter)
@@ -896,14 +908,13 @@ class Simulation:
         )
         world.open_thread(thread, message)
         if meeting_id is not None:
-            world.meetings[meeting_id] = world.pending_meetings[meeting_id] = Meeting(
+            world.open_meeting(Meeting(
                 meeting_id=meeting_id,
                 organizer=agent_id,
                 invitees=tuple(payload["recipients"]),
                 about_task=payload.get("about_task"),
                 invite_step=t,
-            )
-            world._organized[agent_id].add(payload.get("about_task"))
+            ))
         world.comm_cost_total += message.cost_hours
         self._trace_sent(message, t)
         world.staged.append(message)

@@ -6,14 +6,16 @@ over wall-clock completion time), optional speedup against a baseline time,
 plus the sender/recipient heatmap and message type/channel distributions.
 
 `compute_metrics` is a fold, `MetricsFold`, that takes each event once in
-trace order, so `teamsim report` reads a trace line by line and never holds
-it. Sums are exact: samples are kept as value -> count and summed as one
-integer over a common power-of-two denominator, then rounded once, which is
-what `math.fsum` gives over the samples listed one by one. The alignment
-score, the mean of every (agent, task) value at the end of every step, is
-thus Σ value × steps held / samples, in O(af_update events) instead of one
-sample per pair per step. Its `af_update` steps must not go back in the
-trace, as the engine writes them; `MetricsError` names one that does.
+trace order. The fold is itself a trace sink, so `teamsim run` folds each
+event as the engine emits it and `teamsim report` reads a trace line by line,
+and neither holds the trace. Sums are exact: samples are kept as value ->
+count and summed as one integer over a common power-of-two denominator, then
+rounded once, which is what `math.fsum` gives over the samples listed one by
+one. The alignment score, the mean of every (agent, task) value at the end of
+every step, is thus Σ value × steps held / samples, in O(af_update events)
+instead of one sample per pair per step. Its `af_update` steps must not go
+back in the trace, as the engine writes them; `MetricsError` names one that
+does.
 """
 
 from __future__ import annotations
@@ -241,10 +243,11 @@ class _Distributions:
 
 
 class MetricsFold:
-    """`compute_metrics` one event at a time: `add` each event in trace
-    order, then take `result()` once, which hands the fold's state to the
-    report. The state grows with the roots, the team, the (agent, task) pairs
-    and the message threads, not with the events."""
+    """`compute_metrics` one event at a time: `append` each event in trace
+    order, as a `Simulation` trace sink does, then take `result()` once, which
+    hands the fold's state to the report. The state grows with the roots, the
+    team, the (agent, task) pairs and the message threads, not with the
+    events."""
 
     def __init__(self, scenario: Scenario, baseline_hours: float | None = None,
                  hours_per_step: float = 0.25) -> None:
@@ -261,7 +264,7 @@ class MetricsFold:
         self.heatmap = _Heatmap([a.agent_id for a in scenario.team])
         self.distributions = _Distributions()
 
-    def add(self, step: int, kind: str, payload: dict) -> None:
+    def append(self, step: int, kind: str, payload: dict) -> None:
         self.event_count += 1
         if kind == "action":
             if self.final_step is None or step >= self.final_step:
@@ -315,9 +318,9 @@ def compute_metrics(trace: TraceLog | Iterable[TraceEvent], scenario: Scenario,
                     baseline_hours: float | None = None,
                     hours_per_step: float = 0.25) -> MetricsReport:
     fold = MetricsFold(scenario, baseline_hours, hours_per_step)
-    add = fold.add
+    append = fold.append
     for step, _, kind, payload in _events(trace):
-        add(step, kind, payload)
+        append(step, kind, payload)
     return fold.result()
 
 

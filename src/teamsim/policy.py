@@ -132,7 +132,7 @@ def build_context(world: "World", agent_id: str,
         has_unprocessed_invite=world.has_unprocessed_invite(agent_id),
         has_meeting_start=world.has_meeting_start(agent_id),
         blocked_collaborators=world.blocked_collaborators(agent_id),
-        meeting_organized_tasks=frozenset(world.organized_meeting_tasks(agent_id)),
+        meeting_organized_tasks=world.organized_meeting_tasks(agent_id),
     )
 
 

@@ -1,7 +1,9 @@
 """Append-only run trace with a stable JSONL serialization.
 
 One event per line, fields in fixed order, no wall-clock timestamps: two runs
-that behave identically produce byte-identical files.
+that behave identically produce byte-identical files. The engine hands each
+event to a sink as it happens: `TraceLog` keeps them all, `TraceWriter`
+writes each line to the file and passes the event on.
 
 Lines are encoded and decoded with orjson when it is installed (the `fast`
 extra) and with the standard `json` module otherwise; the bytes written and
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Protocol
 
 EVENT_KINDS = (
     "action",
@@ -140,6 +142,17 @@ def _active_codec() -> Codec:
     return _codec
 
 
+def _line_encoder() -> Callable[[int, int, str, dict], bytes]:
+    """The one way an event becomes its trace line: (step, seq, kind, payload)
+    -> bytes, "\n" included, through the codec active when this is called."""
+    encode = _active_codec().encode
+
+    def line(step: int, seq: int, kind: str, payload: dict) -> bytes:
+        return encode({"step": step, "seq": seq, "kind": kind, **payload})
+
+    return line
+
+
 class TraceEvent(NamedTuple):
     step: int
     seq: int
@@ -147,7 +160,15 @@ class TraceEvent(NamedTuple):
     payload: dict
 
 
+class TraceSink(Protocol):
+    """Where the engine puts each event as it happens, in trace order."""
+
+    def append(self, step: int, kind: str, payload: dict) -> object: ...
+
+
 class TraceLog:
+    """The sink that keeps every event in memory."""
+
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
 
@@ -162,9 +183,8 @@ class TraceLog:
         return [e for e in self.events if e.kind == kind]
 
     def _lines(self) -> Iterator[bytes]:
-        encode = _active_codec().encode
-        return (encode({"step": step, "seq": seq, "kind": kind, **payload})
-                for step, seq, kind, payload in self.events)
+        line = _line_encoder()
+        return (line(*event) for event in self.events)
 
     def to_jsonl(self) -> str:
         return b"".join(self._lines()).decode("utf-8")
@@ -216,3 +236,45 @@ class TraceLog:
         log.events = list(cls.stream(path))
         return log
 
+
+class TraceWriter:
+    """The sink that writes each event's line to a trace file as it comes and
+    passes the event on to `then`, holding no event.
+
+    The file, and any missing directory above it, is made at the first event,
+    so a run without events creates nothing, and a path that cannot be written
+    raises `OSError` there. Use it as a context manager: leaving the block
+    closes the file, also when the run raises, which leaves the lines written
+    so far.
+    """
+
+    def __init__(self, path: str | Path, then: TraceSink) -> None:
+        self.path = Path(path)
+        self.then = then
+        self._out: BinaryIO | None = None
+        self._line: Callable[[int, int, str, dict], bytes] | None = None
+        self._seq = 0
+
+    def append(self, step: int, kind: str, payload: dict) -> None:
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind: {kind}")
+        if self._out is None:
+            self._open()
+        self._out.write(self._line(step, self._seq, kind, payload))
+        self._seq += 1
+        self.then.append(step, kind, payload)
+
+    def _open(self) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._out = self.path.open("wb")
+        self._line = _line_encoder()
+
+    def close(self) -> None:
+        if self._out is not None:
+            self._out.close()
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

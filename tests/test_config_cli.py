@@ -12,6 +12,7 @@ from teamsim import config
 from teamsim.cli import main
 from teamsim.config import (emit_scenario, expand_team_shorthand,
                             parse_scenario, parse_scenario_text)
+from teamsim.engine import Simulation
 from teamsim.model import (EVALUATOR_NAMES, POLICY_NAMES, AgentProfile, Role,
                            Scenario, ScenarioError, TaskSpec)
 
@@ -306,6 +307,46 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
 
+    def test_unwritable_out_fails_at_the_first_event(self, scenario_file, tmp_path,
+                                                     capsys, monkeypatch):
+        # The error comes before a second step is simulated, not after the run.
+        steps = []
+        step = Simulation.step
+
+        def counting(sim):
+            steps.append(sim.world.clock.step)
+            step(sim)
+
+        monkeypatch.setattr(Simulation, "step", counting)
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        code = main(["run", "--scenario", str(scenario_file),
+                     "--out", str(tmp_path / "file" / "sub")])
+        assert code == 5
+        assert capsys.readouterr().err.startswith("output error: ")
+        assert steps == [0]
+
+    def test_run_that_raises_midway_leaves_a_partial_trace(self, scenario_file,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+        step = Simulation.step
+
+        def failing(sim):
+            if sim.world.clock.step == 5:
+                raise RuntimeError("step 5 failed")
+            step(sim)
+
+        monkeypatch.setattr(Simulation, "step", failing)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="step 5 failed"):
+            main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        monkeypatch.undo()
+        lines = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines and json.loads(lines[-1])["step"] == 4
+        assert sorted(p.name for p in out.iterdir()) == ["trace.jsonl"]
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("run directory missing ") and err.count("\n") == 1
+
     def test_trace_is_valid_jsonl(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--out", str(out)])
@@ -452,6 +493,26 @@ class TestCliReport:
         assert main(["report", "--run", str(out)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["type", "thread_id", "sent_step"])
+    def test_event_without_a_field_is_a_one_line_error(self, tmp_path, capsys,
+                                                       field):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(SCENARIOS / "simple.yaml"),
+              "--policy", "c2c_heuristic", "--out", str(out)])
+        path = out / "trace.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        number = next(i for i, line in enumerate(lines)
+                      if json.loads(line)["kind"] == "message_sent")
+        record = json.loads(lines[number])
+        del record[field]
+        lines[number] = json.dumps(record, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == (f"trace error: {path}: event {number} (message_sent at step "
+                       f"{record['step']}) lacks field '{field}'\n")
 
     @pytest.mark.parametrize("trace_text", [
         "",

@@ -1,8 +1,12 @@
 """`MetricsFold` against the list-based oracle it replaced: equal reports,
-byte-equal `metrics.csv` rows, and a `report` that never holds the trace."""
+byte-equal `metrics.csv` rows, a `run` that writes what a `TraceLog` writes,
+an unchanged `compare`, and a `run` and a `report` that never hold the
+trace."""
 
 import contextlib
 import dataclasses
+import functools
+import hashlib
 import io
 import tracemalloc
 from pathlib import Path
@@ -10,11 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from teamsim import cli
 from teamsim.cli import main
 from teamsim.comms import MessageType
 from teamsim.config import emit_scenario, expand_team_shorthand, parse_scenario
 from teamsim.engine import Simulation
-from teamsim.metrics import MetricsError, compute_metrics, render_report, write_csv
+from teamsim.metrics import (MetricsError, MetricsFold, compute_metrics,
+                             render_report, write_csv)
 from teamsim.model import Scenario, validate_scenario
 from teamsim.trace import TraceLog
 
@@ -81,6 +87,75 @@ def test_fold_equals_the_oracle(run, tmp_path, each_codec):
     for _ in each_codec():
         streamed = compute_metrics(TraceLog.stream(path), scenario, baseline_hours=20.25)
         _assert_same(streamed, oracle, tmp_path)
+
+
+def _cli_run(run: str, scenario: Scenario, planner, monkeypatch, out: Path) -> int:
+    """`teamsim run` of a named run into `out`, with the baseline the oracle
+    tests use. A scenario that is not a shipped file is handed to `cmd_run`
+    as its parsed scenario, and a test planner through the `Simulation` it
+    builds."""
+    if "/" in run:
+        name, policy = run.split("/")
+        args = ["--scenario", str(SCENARIOS / f"{name}.yaml"), "--policy", policy]
+    else:
+        monkeypatch.setattr(cli, "parse_scenario", lambda path: scenario)
+        args = ["--scenario", "unused.yaml"]
+    if planner is not None:
+        monkeypatch.setattr(cli, "Simulation",
+                            functools.partial(Simulation, planner=planner))
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["run", *args, "--out", str(out), "--baseline-hours", "20.25"])
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_run_writes_what_the_trace_log_writes(run, tmp_path, monkeypatch, each_codec):
+    scenario, planner = _setup(run)
+    log = Simulation(scenario, planner=planner).run().trace
+    expected = compute_metrics(log, scenario, baseline_hours=20.25)
+    _assert_same(expected, oracle_metrics(log, scenario, baseline_hours=20.25),
+                 tmp_path)
+    # The fold as a sink, which is how `compare` takes its metrics.
+    fold = MetricsFold(scenario, baseline_hours=20.25)
+    Simulation(scenario, planner=planner, trace=fold).run()
+    _assert_same(fold.result(), expected, tmp_path)
+
+    label = scenario.team_label or "custom"
+    write_csv([expected.csv_row(label, scenario.name)], tmp_path / "metrics.csv")
+    for codec in each_codec():
+        out = tmp_path / codec
+        code = _cli_run(run, scenario, planner, monkeypatch, out)
+        assert code == (0 if expected.completion_rate >= 100.0 else 2)
+        assert (out / "trace.jsonl").read_bytes() == \
+            log.write(tmp_path / f"{codec}.jsonl").read_bytes()
+        assert (out / "metrics.csv").read_bytes() == \
+            (tmp_path / "metrics.csv").read_bytes()
+        assert (out / "report.txt").read_text(encoding="utf-8") == \
+            render_report(expected, label, scenario.name)
+
+
+# sha256 of compare.csv and compare.txt over the three deterministic policies,
+# as written when `compare` still computed each report from a held TraceLog.
+COMPARE_DIGESTS = {
+    "simple": ("0f2a32d60ada51a3ebf11d0cab8923f916af13782a41202150bd0aeb37a53413",
+               "523125dc6bb246c5efb62ec5d904e3317dda79ec9664b0b90ff8ba25be3d5e88"),
+    "medium": ("cdb26cb4baa6b534d5b2dadc5cfe01f6b423c0706c2c8738d4a548b1750fd51e",
+               "d6ee120dc92b34ffd4fd648710e5cf55ef0131e4c4e0d7ff62a74371e64cd0b4"),
+    "complex": ("4cbc8fc5ff271c18f4858839efc0685f406a0c63d937210050c639840beb30e7",
+                "5e26281d0811b8dda860b5f5c3353edfc0b90c158f69b11e586e0ddc8e616343"),
+    "multi_task": ("10bf11e727aa2098ef0aaef7b45fc6def1078cdeba0439b2858e4a897735e8f4",
+                   "36f61d003b0a40ebbd34355d9ec6b62bf6ab9f9779d5dc722672128e3e7f05ea"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
+def test_compare_outputs_are_unchanged(name, tmp_path, each_codec):
+    for codec in each_codec():
+        out = tmp_path / codec
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["compare", "--scenario", str(SCENARIOS / f"{name}.yaml"),
+                         "--policies", ",".join(POLICIES), "--out", str(out)]) == 0
+        assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                     for f in ("compare.csv", "compare.txt")) == COMPARE_DIGESTS[name]
 
 
 # Synthetic traces in any order the fold accepts: af_update steps never go
@@ -213,3 +288,37 @@ def test_report_streams_the_trace(tmp_path):
     peak_32, _ = _report_peak(tmp_path, 32)
     assert peak_16 < held_16 / 4
     assert peak_32 < 2 * peak_16
+
+
+def _run_peaks(tmp_path: Path, roots: int) -> tuple[int, int]:
+    """Peak bytes allocated by `teamsim run` on `roots` roots x 16W, and by the
+    same run in a `Simulation` that keeps its `TraceLog`."""
+    scenario = _roots_scenario(roots, "1M+16W")
+    scenario_path = tmp_path / f"{roots}-roots.yaml"
+    scenario_path.write_text(emit_scenario(scenario), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--scenario", str(scenario_path), "--max-steps", "3000",
+                         "--out", str(tmp_path / f"{roots}-roots")]) == 0
+        _, streamed = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        log = Simulation(scenario, max_steps=3000).run().trace
+        _, held = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.events
+    return streamed, held
+
+
+def test_run_streams_the_trace(tmp_path):
+    peak_16, held_16 = _run_peaks(tmp_path, 16)
+    peak_32, held_32 = _run_peaks(tmp_path, 32)
+    assert peak_16 < held_16 / 2
+    # What is left grows with the run's own state (threads, inboxes, the
+    # fold's threads), which doubles with the roots; the events no longer
+    # add to it.
+    assert peak_32 - peak_16 < (held_32 - held_16) / 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamsim import trace
-from teamsim.trace import EVENT_KINDS, TraceError, TraceLog
+from teamsim.trace import EVENT_KINDS, TraceError, TraceLog, TraceWriter
 
 from conftest import trace_codecs
 
@@ -28,6 +28,34 @@ def test_write_matches_to_jsonl(tmp_path):
     log = _log("plain")
     path = log.write(tmp_path / "trace.jsonl")
     assert path.read_bytes() == log.to_jsonl().encode("utf-8")
+
+
+def test_writer_writes_what_the_log_writes_and_passes_each_event_on(tmp_path,
+                                                                     each_codec):
+    log = _log("first\u2028second")
+    for codec in each_codec():
+        seen = TraceLog()
+        path = tmp_path / codec / "trace.jsonl"
+        with TraceWriter(path, seen) as writer:
+            for step, _, kind, payload in log.events:
+                writer.append(step, kind, payload)
+        assert path.read_bytes() == log.write(tmp_path / f"{codec}.jsonl").read_bytes()
+        assert seen.events == log.events
+
+
+def test_writer_without_events_creates_nothing(tmp_path):
+    with TraceWriter(tmp_path / "out" / "trace.jsonl", TraceLog()):
+        pass
+    assert not (tmp_path / "out").exists()
+
+
+def test_writer_rejects_an_unknown_kind_before_writing(tmp_path):
+    seen = TraceLog()
+    with TraceWriter(tmp_path / "trace.jsonl", seen) as writer:
+        with pytest.raises(ValueError, match="unknown event kind: bogus"):
+            writer.append(0, "bogus", {})
+    assert not (tmp_path / "trace.jsonl").exists()
+    assert not seen.events
 
 
 def test_round_trip_keeps_line_separators_in_strings(tmp_path):

@@ -149,6 +149,10 @@ def oracle_pending_meetings(world: World) -> list[str]:
             if world.meetings[m].status is MeetingStatus.PENDING]
 
 
+def oracle_organized_meeting_tasks(world: World, agent_id: str) -> set:
+    return {m.about_task for m in world.meetings.values() if m.organizer == agent_id}
+
+
 def check_indexes(world: World, done_at: dict[str, int]) -> None:
     team = team_views(world)
     for agent_id in world.agent_order:
@@ -167,6 +171,10 @@ def check_indexes(world: World, done_at: dict[str, int]) -> None:
         context = build_context(world, agent_id, team)
         assert context.team_view == oracle_team_view(world, agent_id)
         assert context.assigned == oracle_assigned(world, agent_id)
+        organized = world.organized_meeting_tasks(agent_id)
+        assert organized == oracle_organized_meeting_tasks(world, agent_id)
+        # Shared with the context, not copied into it.
+        assert context.meeting_organized_tasks is organized
     assert list(world.pending_meetings) == oracle_pending_meetings(world)
     # A task that finishes closes every request thread about it sent before
     # that step; a request sent later about the finished task may stay open.
