@@ -16,10 +16,10 @@ measure: a run with `--max-steps 0`, or a `report` on a trace without action
 events or with an `af_update` step lower than an earlier one. Every command
 returns 5, after a one-line error, on bad input: a scenario file that is
 missing, unreadable or malformed, a `report` run directory without
-`trace.jsonl` or `scenario.yaml`, a trace line that is not one event or an
-event that lacks a field the metrics read, or an output directory (`--out`,
-or the `report` run directory) or trace file that cannot be made or written
-into.
+`trace.jsonl` or `scenario.yaml`, a trace line that is not one event, an
+event that lacks a field the metrics read or holds one of the wrong type, or
+an output directory (`--out`, or the `report` run directory) or trace file
+that cannot be made or written into.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from pathlib import Path
 from .adapter import ChatCompletionAdapter
 from .config import RunConfig, emit_scenario, parse_scenario
 from .engine import Simulation
-from .metrics import MetricsError, MetricsFold, render_report, write_csv
+from .metrics import (FieldTypeError, MetricsError, MetricsFold, render_report,
+                      write_csv)
 from .model import POLICY_NAMES, Scenario, ScenarioError
 from .trace import TraceError, TraceLog, TraceWriter
 
@@ -188,6 +189,9 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
         except KeyError as exc:
             raise TraceError(f"{trace_path}: event {seq} ({kind} at step {step}) "
                              f"lacks field {exc}") from None
+        except FieldTypeError as exc:
+            raise TraceError(f"{trace_path}: event {seq} ({kind} at step {step}) "
+                             f"{exc}") from None
     report = fold.result()
     config_label = scenario.team_label or "custom"
     text = render_report(report, config_label, scenario.name)

@@ -104,10 +104,6 @@ class Message:
             if self.meeting_id is None:
                 raise CommError(f"{self.message_type.value} needs a meeting_id")
 
-    @property
-    def word_count(self) -> int:
-        return word_count(self.content)
-
 
 @dataclass
 class Thread:
@@ -121,9 +117,11 @@ class Thread:
     open: bool = True
     resolved: bool = False
     resolver_id: str | None = None
+    # Who has replied, in reply order; at most MAX_REPLY_ROUNDS entries.
+    repliers: tuple[str, ...] = ()
 
     def register_reply(self, from_agent: str) -> None:
-        """Account for one reply round.
+        """Account for one reply round and record who sent it.
 
         A reply from anyone but the asker resolves a request thread, but the
         thread stays open until that reply lands and its alignment effect is
@@ -135,6 +133,7 @@ class Thread:
         if self.reply_rounds >= MAX_REPLY_ROUNDS:
             raise ThreadDepthError("thread depth exceeded")
         self.reply_rounds += 1
+        self.repliers += (from_agent,)
         if from_agent != self.root_sender and self.root_type in REQUEST_TYPES:
             self.resolved = True
         if self.reply_rounds >= MAX_REPLY_ROUNDS:

@@ -39,6 +39,9 @@ from . import prompts
 # being sent no longer delays the meeting; it convenes or cancels without them.
 RSVP_GRACE_STEPS = 6
 
+# What the manager intends before the plan step; it never reaches a policy.
+DECOMPOSITION_PENDING = Intention(IntentionKind.CONTINUE_TASK, "decomposition pending")
+
 
 class ActionKind(str, Enum):
     WORK = "work"
@@ -48,16 +51,16 @@ class ActionKind(str, Enum):
     IDLE = "idle"
 
 
-@dataclass
+@dataclass(slots=True)
 class ActiveAction:
     kind: ActionKind
     target: str | None
     remaining: int
     total: int
-    payload: dict = field(default_factory=dict)
+    payload: dict | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentTaskStats:
     hours_worked: float = 0.0
     stuck_worked_steps: int = 0
@@ -156,7 +159,6 @@ class World:
         self.buffer = CommBuffer()
         self.inboxes: dict[str, list[Message]] = {a: [] for a in self.agent_order}
         self.threads: dict[str, Thread] = {}
-        self.thread_replied: dict[str, set[str]] = {}
         self.thread_root: dict[str, Message] = {}
         self.meetings: dict[str, Meeting] = {}
         # Meetings still waiting to convene, in id order.
@@ -245,7 +247,6 @@ class World:
 
     def open_thread(self, thread: Thread, root: Message) -> None:
         self.threads[thread.thread_id] = thread
-        self.thread_replied[thread.thread_id] = set()
         self.thread_root[thread.thread_id] = root
         if thread.open:
             self._open_by_sender[thread.root_sender].append(thread)
@@ -292,7 +293,7 @@ class World:
         for milestone in REPORT_MILESTONES:
             if before < milestone <= after and milestone not in stats.reported_milestones:
                 stats.pending_milestone = milestone
-        self._drop_view(task_id)
+        self._stale_views[node.assignee].add(task_id)
         if became_done:
             for dependent in self.graph.dependents(task_id):
                 if dependent.status is TaskStatus.READY:
@@ -350,25 +351,26 @@ class World:
     def _task_view(self, agent_id: str, task_id: str) -> TaskAssignmentView:
         node = self.graph.node(task_id)
         stats = self.task_stats(agent_id, task_id)
+        # Fields by position, in TaskAssignmentView order.
         return TaskAssignmentView(
-            task_id=task_id,
-            description=node.description,
-            estimated_hours=node.estimated_hours,
-            required_skills=node.required_skills,
-            af=self.alignment.get(agent_id, task_id),
-            hours_worked=stats.hours_worked,
-            stuck_worked_steps=stats.stuck_worked_steps,
-            progress=node.progress,
-            pending_milestone=stats.pending_milestone,
-            ready=node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
-            done=node.done,
+            task_id,
+            node.description,
+            node.estimated_hours,
+            node.required_skills,
+            self.alignment.get(agent_id, task_id),
+            stats.hours_worked,
+            stats.stuck_worked_steps,
+            node.progress,
+            stats.pending_milestone,
+            node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
+            node.done,
         )
 
     def task_stats(self, agent_id: str, task_id: str) -> AgentTaskStats:
-        key = (agent_id, task_id)
-        if key not in self.stats:
-            self.stats[key] = AgentTaskStats()
-        return self.stats[key]
+        stats = self.stats.get((agent_id, task_id))
+        if stats is None:
+            stats = self.stats[agent_id, task_id] = AgentTaskStats()
+        return stats
 
     def is_busy(self, agent_id: str) -> bool:
         return agent_id in self.active
@@ -376,18 +378,25 @@ class World:
     def unanswered_inbound(self, agent_id: str) -> list[str]:
         """Open request threads whose root reached this agent, oldest first."""
         entries = self._inbound_requests[agent_id]
-        entries[:] = [e for e in entries if self.threads[e[2]].open
-                      and agent_id not in self.thread_replied[e[2]]]
+        if not entries:
+            return []
+        threads = self.threads
+        entries[:] = [e for e in entries if threads[e[2]].open
+                      and agent_id not in threads[e[2]].repliers]
         return [thread_id for _, _, thread_id in entries]
 
-    def open_outbound_tasks(self, agent_id: str) -> set[str]:
+    def open_outbound_tasks(self, agent_id: str) -> frozenset[str]:
         threads = self._open_by_sender[agent_id]
+        if not threads:
+            return frozenset()
         threads[:] = [t for t in threads if t.open]
-        return {t.about_task for t in threads if t.about_task}
+        return frozenset({t.about_task for t in threads if t.about_task})
 
     def pending_invites(self, agent_id: str) -> list[tuple[int, str, str]]:
         """Delivered, unanswered meeting invites: (delivery, message_id, meeting)."""
         entries = self._invites[agent_id]
+        if not entries:
+            return []
         entries[:] = [e for e in entries
                       if self.meetings[e[2]].status is MeetingStatus.PENDING
                       and agent_id not in self.meetings[e[2]].responded]
@@ -509,14 +518,14 @@ class Simulation:
         # serves every idle agent this step.
         team = team_views(world)
         contexts = {a: build_context(world, a, team) for a in idle}
-        needs_policy = {
-            a: ctx for a, ctx in contexts.items()
-            if not (a == world.manager_id and not world.planned)
+        # Before the plan lands the manager's slot is the plan step, not a
+        # policy decision.
+        needs_policy = contexts if world.planned else {
+            a: ctx for a, ctx in contexts.items() if a != world.manager_id
         }
         intentions = self._decide(needs_policy)
         for agent_id in idle:
-            intention = intentions.get(agent_id) or Intention(
-                IntentionKind.CONTINUE_TASK, reasoning="decomposition pending")
+            intention = intentions.get(agent_id) or DECOMPOSITION_PENDING
             for note in intention.warnings:
                 world.trace.append(t, "warning", {"source": "policy", "detail": note})
             self._resolve_intention(agent_id, contexts[agent_id], intention, t)
@@ -609,7 +618,7 @@ class Simulation:
             cost_hours=cost,
         )
         world.comm_cost_total += cost
-        self._trace_sent(start, t)
+        self._trace_sent(start, word_count(start.content), t)
         for recipient in attendees:
             world.deliver(start, recipient, t)
         for agent_id in attendees:
@@ -698,17 +707,19 @@ class Simulation:
         root = world.thread_root[target]
         content = compose_reply(thread.about_task, thread.root_type,
                                 world.agents[agent_id])
-        channel = reply_channel(content)
+        words = word_count(content)
+        channel = reply_channel(content, words)
         recipients = tuple(sorted(
             ({root.from_agent} | set(root.to_agents)) - {agent_id}, key=order_key,
         ))
-        cost = communication_cost(channel, word_count(content), max(1, len(recipients)))
+        cost = communication_cost(channel, words, max(1, len(recipients)))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
         world.active[agent_id] = ActiveAction(
             kind=ActionKind.REPLY, target=target, remaining=duration, total=duration,
             payload={
                 "thread_id": target,
                 "content": content,
+                "words": words,
                 "recipients": recipients,
                 "channel": channel,
                 "cost": cost,
@@ -733,8 +744,9 @@ class Simulation:
         recipients = select_recipients(context, kind, view.task_id)
         if not recipients:
             return False
-        channel = select_channel(kind, content)
-        cost = communication_cost(channel, word_count(content), max(1, len(recipients)))
+        words = word_count(content)
+        channel = select_channel(kind, content, words)
+        cost = communication_cost(channel, words, max(1, len(recipients)))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
         message_type = {
             IntentionKind.REQUEST_HELP: MessageType.HELP_REQUEST,
@@ -747,6 +759,7 @@ class Simulation:
             payload={
                 "message_type": message_type,
                 "content": content,
+                "words": words,
                 "recipients": tuple(recipients),
                 "channel": channel,
                 "about_task": view.task_id,
@@ -776,6 +789,7 @@ class Simulation:
             payload={
                 "message_type": MessageType.MEETING_INVITE,
                 "content": content,
+                "words": word_count(content),
                 "recipients": tuple(recipients),
                 "channel": Channel.MEETING,
                 "about_task": view.task_id,
@@ -800,10 +814,11 @@ class Simulation:
                 "target": action.target,
                 "remaining": action.remaining,
             })
-            if action.kind is ActionKind.WORK and action.payload.get("plan"):
-                self._execute_plan(agent_id, t)
-            elif action.kind is ActionKind.WORK:
-                self._execute_work(agent_id, action.target, t)
+            if action.kind is ActionKind.WORK:
+                if action.payload is not None and action.payload.get("plan"):
+                    self._execute_plan(agent_id, t)
+                else:
+                    self._execute_work(agent_id, action.target, t)
             elif action.remaining == 0 and action.kind is ActionKind.COMMUNICATE:
                 self._complete_send(agent_id, action, t)
             elif action.remaining == 0 and action.kind is ActionKind.REPLY:
@@ -916,7 +931,7 @@ class Simulation:
                 invite_step=t,
             ))
         world.comm_cost_total += message.cost_hours
-        self._trace_sent(message, t)
+        self._trace_sent(message, payload["words"], t)
         world.staged.append(message)
         world.last_actions[agent_id] = LastAction("message_sent",
                                                   message_type.value, t)
@@ -956,11 +971,10 @@ class Simulation:
             cost_hours=payload["cost"],
         )
         thread.register_reply(agent_id)
-        world.thread_replied[thread.thread_id].add(agent_id)
         if thread.resolved and thread.resolver_id is None:
             thread.resolver_id = message.message_id
         world.comm_cost_total += message.cost_hours
-        self._trace_sent(message, t)
+        self._trace_sent(message, payload["words"], t)
         world.staged.append(message)
         world.last_actions[agent_id] = LastAction("message_sent",
                                                   MessageType.RESPONSE.value, t)
@@ -1034,7 +1048,8 @@ class Simulation:
             world.buffer.enqueue(message, t)
         world.staged = []
 
-    def _trace_sent(self, message: Message, t: int) -> None:
+    def _trace_sent(self, message: Message, words: int, t: int) -> None:
+        """`words` is the word count of the message's content."""
         self.world.trace.append(t, "message_sent", {
             "message_id": message.message_id,
             "thread_id": message.thread_id,
@@ -1043,7 +1058,7 @@ class Simulation:
             "channel": message.channel.value,
             "type": message.message_type.value,
             "about_task": message.about_task,
-            "words": message.word_count,
+            "words": words,
             "cost_h": message.cost_hours,
             "sent_step": message.sent_step,
         })

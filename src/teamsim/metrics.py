@@ -37,6 +37,37 @@ class MetricsError(ValueError):
     pass
 
 
+class FieldTypeError(TypeError):
+    """An event field the fold reads holds a value of the wrong type."""
+
+    def __init__(self, name: str, value: object, expected: str) -> None:
+        super().__init__(
+            f"has field {name!r} of type {type(value).__name__}, not {expected}")
+
+
+# Each field is checked as the fold reads it, so a wrong type fails at its
+# event and not later, in `result()`. A bool is not taken for a number.
+def _text(payload: dict, name: str) -> str:
+    value = payload[name]
+    if type(value) is not str:
+        raise FieldTypeError(name, value, "str")
+    return value
+
+
+def _int(payload: dict, name: str) -> int:
+    value = payload[name]
+    if type(value) is not int:
+        raise FieldTypeError(name, value, "int")
+    return value
+
+
+def _number(payload: dict, name: str) -> float:
+    value = payload[name]
+    if type(value) is not float and type(value) is not int:
+        raise FieldTypeError(name, value, "a number")
+    return value
+
+
 @dataclass
 class Distributions:
     type_shares: dict[str, float] = field(default_factory=dict)
@@ -152,7 +183,8 @@ class _Alignment:
             raise MetricsError(
                 f"af_update at step {step} follows one at step {self.last_step}")
         self.last_step = step
-        change = (step, (payload["agent"], payload["task"]), payload["new"])
+        change = (step, (_text(payload, "agent"), _text(payload, "task")),
+                  _number(payload, "new"))
         if step < self.final_step:
             self._set(*change)
         else:
@@ -183,8 +215,8 @@ class _Heatmap:
         self.grid = {a: {b: 0 for b in ordered} for a in ordered}
 
     def add(self, payload: dict) -> None:
-        row = self.grid.get(payload["from"])
-        recipient = payload["to"]
+        row = self.grid.get(_text(payload, "from"))
+        recipient = _text(payload, "to")
         if row is not None and recipient in row:
             row[recipient] += 1
 
@@ -209,15 +241,17 @@ class _Distributions:
         self.replies: list[tuple[str, int]] = []
 
     def add(self, payload: dict) -> None:
-        kind = payload["type"]
+        kind = _text(payload, "type")
         if kind == _RESPONSE:
-            self.replies.append((payload["thread_id"], payload["sent_step"]))
+            self.replies.append((_text(payload, "thread_id"),
+                                 _int(payload, "sent_step")))
         elif kind != _MEETING_START:
             # Interned: the threads share a few names, not one copy each.
-            kind, channel = intern(kind), intern(payload["channel"])
+            kind, channel = intern(kind), intern(_text(payload, "channel"))
             self.type_counts[kind] = self.type_counts.get(kind, 0) + 1
             self.channel_counts[channel] = self.channel_counts.get(channel, 0) + 1
-            self.threads[payload["thread_id"]] = (kind, channel, payload["sent_step"])
+            self.threads[_text(payload, "thread_id")] = (
+                kind, channel, _int(payload, "sent_step"))
 
     def result(self) -> Distributions:
         total = sum(self.type_counts.values())
@@ -271,15 +305,16 @@ class MetricsFold:
                 self.final_step = step + 1
                 self.alignment.advance(step + 1)
         elif kind == "message_sent":
-            self.comm_cost.add(payload.get("cost_h", 0.0))
+            self.comm_cost.add(_number(payload, "cost_h") if "cost_h" in payload
+                               else 0.0)
             self.distributions.add(payload)
         elif kind == "message_delivered":
             self.heatmap.add(payload)
         elif kind == "af_update":
             self.alignment.update(step, payload)
         elif kind == "task_done" and payload.get("root"):
-            self.completion_hours[payload["task"]] = (
-                payload["boundary"] * self.hours_per_step
+            self.completion_hours[_text(payload, "task")] = (
+                _int(payload, "boundary") * self.hours_per_step
             )
 
     def result(self) -> MetricsReport:

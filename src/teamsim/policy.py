@@ -1,17 +1,19 @@
 """Per-step decision making: context snapshots, intentions, and the policies.
 
 Every policy is a pure function of its context: identical contexts yield
-identical intentions, which is what makes non-LLM runs reproducible. The
-deterministic heuristic policy approximates adaptive behavior with fixed,
-configurable thresholds; the LLM policy delegates the same decision to an
-external model and falls back to the heuristic on any failure.
+identical intentions, which is what makes non-LLM runs reproducible. Contexts,
+task and teammate views, last actions and intentions are immutable named
+tuples that compare by field; an intention whose fields never vary is one
+module-level value. The deterministic heuristic policy approximates adaptive
+behavior with fixed, configurable thresholds; the LLM policy delegates the
+same decision to an external model and falls back to the heuristic on any
+failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .adapter import AdapterError, ChatCompletionAdapter
 from .comms import Channel, Message, MessageType, word_count
@@ -39,16 +41,14 @@ class IntentionKind(str, Enum):
     SCHEDULE_MEETING = "SCHEDULE_MEETING"
 
 
-@dataclass(frozen=True)
-class Intention:
+class Intention(NamedTuple):
     kind: IntentionKind
     reasoning: str = ""
     task_hint: str | None = None
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TaskAssignmentView:
+class TaskAssignmentView(NamedTuple):
     task_id: str
     description: str
     estimated_hours: float
@@ -62,23 +62,20 @@ class TaskAssignmentView:
     done: bool
 
 
-@dataclass(frozen=True)
-class TeammateView:
+class TeammateView(NamedTuple):
     agent_id: str
     role: Role
     skills: frozenset[str]
     busy: bool
 
 
-@dataclass(frozen=True)
-class LastAction:
+class LastAction(NamedTuple):
     kind: str
     message_type: str | None
     step: int
 
 
-@dataclass(frozen=True)
-class PolicyContext:
+class PolicyContext(NamedTuple):
     agent: AgentProfile
     step: int
     assigned: tuple[TaskAssignmentView, ...]
@@ -90,8 +87,8 @@ class PolicyContext:
     open_outbound_tasks: frozenset[str]       # my unresolved requests, by task
     has_unprocessed_invite: bool
     has_meeting_start: bool
-    blocked_collaborators: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    meeting_organized_tasks: frozenset[str] = frozenset()
+    blocked_collaborators: dict[str, tuple[str, ...]]   # shared, never mutated
+    meeting_organized_tasks: frozenset[str]
 
     @property
     def active_task(self) -> TaskAssignmentView | None:
@@ -104,11 +101,9 @@ class PolicyContext:
 
 def team_views(world: "World") -> tuple[TeammateView, ...]:
     """Every agent as a teammate sees it this step, in agent order."""
-    return tuple(
-        TeammateView(agent_id=a.agent_id, role=a.role, skills=a.skills,
-                     busy=a.agent_id in world.active)
-        for a in world.team_in_order()
-    )
+    active = world.active
+    return tuple(TeammateView(a.agent_id, a.role, a.skills, a.agent_id in active)
+                 for a in world.team_in_order())
 
 
 def build_context(world: "World", agent_id: str,
@@ -119,24 +114,35 @@ def build_context(world: "World", agent_id: str,
     out of its context.
     """
     index = world.agent_index[agent_id]
+    # Fields by position, in PolicyContext order.
     return PolicyContext(
-        agent=world.agents[agent_id],
-        step=world.clock.step,
-        assigned=world.assigned_views(agent_id),
-        inbox=tuple(world.inboxes[agent_id]),
-        team_view=team[:index] + team[index + 1:],
-        manager_id=world.manager_id,
-        last_action=world.last_actions.get(agent_id),
-        unanswered_inbound=tuple(world.unanswered_inbound(agent_id)),
-        open_outbound_tasks=frozenset(world.open_outbound_tasks(agent_id)),
-        has_unprocessed_invite=world.has_unprocessed_invite(agent_id),
-        has_meeting_start=world.has_meeting_start(agent_id),
-        blocked_collaborators=world.blocked_collaborators(agent_id),
-        meeting_organized_tasks=world.organized_meeting_tasks(agent_id),
+        world.agents[agent_id],
+        world.clock.step,
+        world.assigned_views(agent_id),
+        tuple(world.inboxes[agent_id]),
+        team[:index] + team[index + 1:],
+        world.manager_id,
+        world.last_actions.get(agent_id),
+        tuple(world.unanswered_inbound(agent_id)),
+        world.open_outbound_tasks(agent_id),
+        world.has_unprocessed_invite(agent_id),
+        world.has_meeting_start(agent_id),
+        world.blocked_collaborators(agent_id),
+        world.organized_meeting_tasks(agent_id),
     )
 
 
 # -- policies ---------------------------------------------------------------
+
+# The intentions whose every field is fixed, built once: a policy returns the
+# same immutable value each time.
+NO_COMM = Intention(IntentionKind.CONTINUE_TASK, "no-communication policy")
+NO_TRIGGER = Intention(IntentionKind.CONTINUE_TASK, "no trigger fired")
+MEETING_TRAFFIC = Intention(IntentionKind.CHECK_MESSAGES, "meeting traffic in inbox")
+UNANSWERED_REQUEST = Intention(IntentionKind.CHECK_MESSAGES,
+                               "unanswered request in inbox")
+INBOX_HAS_REQUESTS = Intention(IntentionKind.CHECK_MESSAGES, "inbox has requests")
+BETWEEN_CHECK_INS = Intention(IntentionKind.CONTINUE_TASK, "between scheduled check-ins")
 
 
 class Policy:
@@ -152,7 +158,7 @@ class NoCommPolicy(Policy):
     name = "no_comm"
 
     def decide(self, context: PolicyContext) -> Intention:
-        return Intention(IntentionKind.CONTINUE_TASK, reasoning="no-communication policy")
+        return NO_COMM
 
 
 class FixedStepsPolicy(Policy):
@@ -189,8 +195,8 @@ class FixedStepsPolicy(Policy):
                     task_hint=open_tasks[0].task_id,
                 )
         if context.unanswered_inbound or context.has_unprocessed_invite:
-            return Intention(IntentionKind.CHECK_MESSAGES, reasoning="inbox has requests")
-        return Intention(IntentionKind.CONTINUE_TASK, reasoning="between scheduled check-ins")
+            return INBOX_HAS_REQUESTS
+        return BETWEEN_CHECK_INS
 
 
 class HeuristicPolicy(Policy):
@@ -205,9 +211,9 @@ class HeuristicPolicy(Policy):
 
     def decide(self, context: PolicyContext) -> Intention:
         if context.has_unprocessed_invite or context.has_meeting_start:
-            return Intention(IntentionKind.CHECK_MESSAGES, reasoning="meeting traffic in inbox")
+            return MEETING_TRAFFIC
         if context.unanswered_inbound:
-            return Intention(IntentionKind.CHECK_MESSAGES, reasoning="unanswered request in inbox")
+            return UNANSWERED_REQUEST
 
         active = context.active_task
         if active is not None and active.task_id not in context.open_outbound_tasks:
@@ -248,7 +254,7 @@ class HeuristicPolicy(Policy):
                     task_hint=view.task_id,
                 )
 
-        return Intention(IntentionKind.CONTINUE_TASK, reasoning="no trigger fired")
+        return NO_TRIGGER
 
 
 class LlmPolicy(Policy):
@@ -269,12 +275,7 @@ class LlmPolicy(Policy):
         except (AdapterError, ValueError) as exc:
             fallback = self.fallback.decide(context)
             warning = f"intention adapter fallback: {exc}"
-            return Intention(
-                fallback.kind,
-                reasoning=fallback.reasoning,
-                task_hint=fallback.task_hint,
-                warnings=fallback.warnings + (warning,),
-            )
+            return fallback._replace(warnings=fallback.warnings + (warning,))
 
     @staticmethod
     def _messages(context: PolicyContext) -> list[dict]:
@@ -364,13 +365,18 @@ def select_recipients(context: PolicyContext, kind: IntentionKind,
     raise ValueError(f"{kind.value} is not a communicating intention")
 
 
-def select_channel(kind: IntentionKind, content: str) -> Channel:
+def select_channel(kind: IntentionKind, content: str,
+                   words: int | None = None) -> Channel:
+    """`words` is `word_count(content)` when the caller has counted it."""
     if kind is IntentionKind.SCHEDULE_MEETING:
         return Channel.MEETING
     if kind is IntentionKind.REPORT_PROGRESS:
         return Channel.EMAIL
-    if kind is IntentionKind.REQUEST_HELP and word_count(content) >= LONG_CONTENT_WORDS:
-        return Channel.EMAIL
+    if kind is IntentionKind.REQUEST_HELP:
+        if words is None:
+            words = word_count(content)
+        if words >= LONG_CONTENT_WORDS:
+            return Channel.EMAIL
     return Channel.CHAT
 
 
@@ -476,13 +482,16 @@ def compose_reply(task_id: str | None, root_type: MessageType,
     return f"Re {task_label}: acknowledged."
 
 
-def reply_channel(content: str) -> Channel:
+def reply_channel(content: str, words: int | None = None) -> Channel:
     """Long-form answers travel by email, short ones by chat.
 
     Mirrors the length rule used for initiations: a reply is a detailed
     explanation once it reaches LONG_CONTENT_WORDS, whatever channel the
-    request used. Meeting threads never take replies.
+    request used. Meeting threads never take replies. `words` is
+    `word_count(content)` when the caller has counted it.
     """
-    if word_count(content) >= LONG_CONTENT_WORDS:
+    if words is None:
+        words = word_count(content)
+    if words >= LONG_CONTENT_WORDS:
         return Channel.EMAIL
     return Channel.CHAT

@@ -514,6 +514,34 @@ class TestCliReport:
         assert err == (f"trace error: {path}: event {number} (message_sent at step "
                        f"{record['step']}) lacks field '{field}'\n")
 
+    @pytest.mark.parametrize("kind,field,expected", [
+        ("task_done", "boundary", "int"),
+        ("af_update", "new", "a number"),
+    ])
+    def test_event_with_a_wrongly_typed_field_is_a_one_line_error(
+            self, tmp_path, capsys, kind, field, expected):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(SCENARIOS / "simple.yaml"),
+              "--policy", "c2c_heuristic", "--out", str(out)])
+        path = out / "trace.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        # The root's completion, or the last alignment change: one the fold
+        # reads only when it closes the samples, after the last event.
+        numbers = [i for i, line in enumerate(lines)
+                   if json.loads(line)["kind"] == kind
+                   and json.loads(line).get("root", True)]
+        number = numbers[-1]
+        record = json.loads(lines[number])
+        record[field] = "x"
+        lines[number] = json.dumps(record, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == (f"trace error: {path}: event {number} ({kind} at step "
+                       f"{record['step']}) has field '{field}' of type str, "
+                       f"not {expected}\n")
+
     @pytest.mark.parametrize("trace_text", [
         "",
         '{"step":0,"seq":0,"kind":"warning","source":"delivery","detail":"x"}\n',

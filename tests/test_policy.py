@@ -4,11 +4,12 @@ import pytest
 
 from teamsim.comms import Channel, MessageType, word_count
 from teamsim.model import AgentProfile, Role
-from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, IntentionKind,
-                            LastAction, NoCommPolicy, PolicyContext,
-                            TaskAssignmentView, TeammateView, compose_message,
-                            compose_reply, reply_channel, select_channel,
-                            select_recipients)
+from teamsim import policy as policy_module
+from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
+                            IntentionKind, LastAction, NoCommPolicy,
+                            PolicyContext, TaskAssignmentView, TeammateView,
+                            compose_message, compose_reply, reply_channel,
+                            select_channel, select_recipients)
 
 
 def view(task_id="T1.1", af=0.30, hours=0.0, stuck=0, progress=0.0,
@@ -239,3 +240,72 @@ class TestComposition:
         note = compose_reply("T1.1", MessageType.HELP_REQUEST, worker)
         assert word_count(note) < 120
         assert reply_channel(note) is Channel.CHAT
+
+
+class TestValueTypes:
+    """A policy is a pure function of an immutable snapshot: no field of a
+    context, a view or an intention can be reassigned."""
+
+    def values(self):
+        return [
+            context(assigned=[view()], teammates=[mate("W2", {"api"})],
+                    last_action=LastAction("work", None, 4)),
+            view(),
+            mate("W2", {"api"}),
+            LastAction("work", None, 4),
+            Intention(IntentionKind.REQUEST_HELP, "why", "T1.1", ("note",)),
+        ]
+
+    def test_every_field_is_read_only(self):
+        values = self.values()
+        assert {type(v) for v in values} == {PolicyContext, TaskAssignmentView,
+                                             TeammateView, LastAction, Intention}
+        for value in values:
+            for name in type(value)._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_values_compare_by_field(self):
+        assert view() == view()
+        assert view(af=0.31) != view()
+        assert context(assigned=[view()]) == context(assigned=[view()])
+
+    def test_policy_context_has_no_default(self):
+        # A named-tuple default is one object shared by every instance.
+        assert PolicyContext._field_defaults == {}
+        for value_type in (TaskAssignmentView, TeammateView, LastAction, Intention):
+            for default in value_type._field_defaults.values():
+                assert isinstance(default, (str, tuple, type(None)))
+
+    @pytest.mark.parametrize("name,kind,reasoning", [
+        ("NO_COMM", IntentionKind.CONTINUE_TASK, "no-communication policy"),
+        ("NO_TRIGGER", IntentionKind.CONTINUE_TASK, "no trigger fired"),
+        ("MEETING_TRAFFIC", IntentionKind.CHECK_MESSAGES, "meeting traffic in inbox"),
+        ("UNANSWERED_REQUEST", IntentionKind.CHECK_MESSAGES,
+         "unanswered request in inbox"),
+        ("INBOX_HAS_REQUESTS", IntentionKind.CHECK_MESSAGES, "inbox has requests"),
+        ("BETWEEN_CHECK_INS", IntentionKind.CONTINUE_TASK,
+         "between scheduled check-ins"),
+    ])
+    def test_constant_intentions_keep_kind_and_reasoning(self, name, kind, reasoning):
+        assert getattr(policy_module, name) == Intention(kind, reasoning)
+
+    def test_policies_return_the_constants(self):
+        assert NoCommPolicy().decide(context()) is policy_module.NO_COMM
+        aligned = context(assigned=[view(af=0.55, hours=1.0)])
+        assert HeuristicPolicy().decide(aligned) is policy_module.NO_TRIGGER
+        assert HeuristicPolicy().decide(context(invite=True)) is \
+            policy_module.MEETING_TRAFFIC
+        assert FixedStepsPolicy().decide(context(step=9)) is \
+            policy_module.BETWEEN_CHECK_INS
+
+    def test_a_counted_length_picks_the_same_channel(self):
+        short = "quick question"
+        long_text = " ".join(["word"] * 130)
+        for text in (short, long_text):
+            words = word_count(text)
+            assert reply_channel(text, words) is reply_channel(text)
+            for kind in (IntentionKind.REQUEST_HELP, IntentionKind.NEED_CLARIFICATION):
+                assert select_channel(kind, text, words) is select_channel(kind, text)

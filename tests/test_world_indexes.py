@@ -61,7 +61,7 @@ def oracle_unanswered_inbound(world: World, agent_id: str) -> list[str]:
             continue
         if msg.from_agent == agent_id:
             continue
-        if agent_id in world.thread_replied.get(msg.thread_id, set()):
+        if agent_id in thread.repliers:
             continue
         found.append((msg.delivery_step, msg.message_id, msg.thread_id))
     found.sort()
