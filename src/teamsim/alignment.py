@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .comms import MessageType
+from .comms import MessageType, TYPE_NAMES
 
 AF_MIN = 0.01
 AF_MAX = 1.00
@@ -123,7 +123,7 @@ class AlignmentState:
 def rule_based_delta(message_type: MessageType) -> DeltaEvaluation:
     """Fixed per-type alignment impact of a resolved interaction."""
     gain = _RULE_TABLE.get(message_type, PROGRESS_GAIN)
-    return DeltaEvaluation(delta=gain, reasoning=f"rule table: {message_type.value}")
+    return DeltaEvaluation(delta=gain, reasoning=f"rule table: {TYPE_NAMES[message_type]}")
 
 
 def normalize_reported_alignment(old_af: float, reported_new_af: float,

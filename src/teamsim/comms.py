@@ -50,6 +50,11 @@ class MessageType(str, Enum):
     RESPONSE = "RESPONSE"
 
 
+# Each member's string, read once: `.value` goes through a Python-level
+# descriptor, and the trace reads these for every message.
+TYPE_NAMES = {member: member.value for member in MessageType}
+CHANNEL_NAMES = {member: member.value for member in Channel}
+
 # Message types that expect a reply; progress updates are fire-and-forget.
 REQUEST_TYPES = frozenset({MessageType.HELP_REQUEST, MessageType.NEED_CLARIFICATION})
 

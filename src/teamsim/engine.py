@@ -20,17 +20,17 @@ from enum import Enum
 from .adapter import AdapterError, ChatCompletionAdapter
 from .alignment import (AlignmentState, DeltaEvaluation, effective_progress,
                         normalize_reported_alignment, rule_based_delta)
-from .comms import (Channel, CommBuffer, Meeting, MeetingStatus, Message,
-                    MessageType, REQUEST_TYPES, Thread, communication_cost,
-                    word_count)
+from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
+                    Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
+                    communication_cost, word_count)
 from .model import (AgentProfile, Scenario, SimClock, hours_to_steps, order_key,
                     validate_scenario)
 from .planner import EvenPlanner, LlmPlanner, assign
 from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext,
-                     REPORT_MILESTONES, TaskAssignmentView, build_context,
-                     build_policy, compose_message, compose_reply,
-                     reply_channel, select_channel, select_recipients,
-                     team_views)
+                     REPORT_MILESTONES, TaskAssignmentView, TeammateView,
+                     build_context, build_policy, compose_message,
+                     compose_reply, reply_channel, select_channel,
+                     select_recipients, team_views)
 from .taskgraph import TaskGraph, TaskStatus
 from .trace import TraceLog, TraceSink
 from . import prompts
@@ -51,6 +51,10 @@ class ActionKind(str, Enum):
     IDLE = "idle"
 
 
+# Each kind's string for the `action` event, read once instead of `.value`.
+ACTION_NAMES = {member: member.value for member in ActionKind}
+
+
 @dataclass(slots=True)
 class ActiveAction:
     kind: ActionKind
@@ -66,6 +70,40 @@ class AgentTaskStats:
     stuck_worked_steps: int = 0
     pending_milestone: float | None = None
     reported_milestones: set[float] = field(default_factory=set)
+
+
+@dataclass(slots=True)
+class HeldTasks:
+    """One agent's task views in assignment order, and the two it acts on.
+
+    `active` is the first ready view, the one CONTINUE_TASK works on;
+    `report_due` is the first view with a milestone to report. Both are
+    re-picked whenever a view is rebuilt.
+    """
+
+    views: tuple[TaskAssignmentView, ...] = ()
+    active: TaskAssignmentView | None = None
+    report_due: TaskAssignmentView | None = None
+    # Every view before this position is done; done is permanent, so the
+    # search for the active view starts here and the position only grows.
+    done_prefix: int = 0
+    # Positions of the views with a pending milestone, ascending.
+    due: list[int] = field(default_factory=list)
+    # Tasks whose view is out of date, rebuilt on the next read.
+    stale: set[str] = field(default_factory=set)
+
+    def set_views(self, views: tuple[TaskAssignmentView, ...]) -> None:
+        self.views = views
+        start = self.done_prefix
+        while start < len(views) and views[start].done:
+            start += 1
+        self.done_prefix = start
+        self.active = None
+        for i in range(start, len(views)):
+            if views[i].ready:
+                self.active = views[i]
+                break
+        self.report_due = views[self.due[0]] if self.due else None
 
 
 @dataclass
@@ -149,6 +187,12 @@ class World:
         self.agent_order: list[str] = [a.agent_id for a in ordered]
         self.agent_index: dict[str, int] = {a: i for i, a in enumerate(self.agent_order)}
         self.manager_id = scenario.manager.agent_id
+        # Each agent as a teammate sees it, (idle, busy), in agent order; a
+        # step picks one of the two by `agent_id in active`.
+        self.teammate_views: dict[str, tuple[TeammateView, TeammateView]] = {
+            a.agent_id: (TeammateView(a.agent_id, a.role, a.skills, False),
+                         TeammateView(a.agent_id, a.role, a.skills, True))
+            for a in ordered}
 
         self.graph = TaskGraph()
         for i, task in enumerate(scenario.tasks):
@@ -196,10 +240,8 @@ class World:
         # lands. A state change marks the holder's view of that task stale and
         # the next read rebuilds it. `_view_pos` is a task's place in its
         # holder's tuple.
-        self._views: dict[str, tuple[TaskAssignmentView, ...]] = {
-            a: () for a in self.agent_order}
+        self._held: dict[str, HeldTasks] = {a: HeldTasks() for a in self.agent_order}
         self._view_pos: dict[str, int] = {}
-        self._stale_views: dict[str, set[str]] = {a: set() for a in self.agent_order}
         # Each agent's blocked-collaborator map, recomputed on the next read
         # once the agent is in `_stale_blocked`.
         self._blocked: dict[str, dict[str, tuple[str, ...]]] = {
@@ -241,7 +283,7 @@ class World:
             "message_id": message.message_id,
             "to": recipient,
             "from": message.from_agent,
-            "type": message.message_type.value,
+            "type": TYPE_NAMES[kind],
             "thread_id": message.thread_id,
         })
 
@@ -268,8 +310,8 @@ class World:
         for agent_id, task_ids in self.assignments.items():
             task_ids.sort(key=order_key)
             self._view_pos.update((task_id, i) for i, task_id in enumerate(task_ids))
-            self._views[agent_id] = tuple(self._task_view(agent_id, task_id)
-                                          for task_id in task_ids)
+            self._held[agent_id].set_views(tuple(self._task_view(agent_id, task_id)
+                                                 for task_id in task_ids))
         self._stale_blocked.update(self.agent_order)
         self.planned = True
 
@@ -290,10 +332,14 @@ class World:
         stats.hours_worked += hours
         stats.stuck_worked_steps += 1
         after = node.progress
+        held = self._held[node.assignee]
         for milestone in REPORT_MILESTONES:
             if before < milestone <= after and milestone not in stats.reported_milestones:
                 stats.pending_milestone = milestone
-        self._stale_views[node.assignee].add(task_id)
+                position = self._view_pos[task_id]
+                if position not in held.due:
+                    insort(held.due, position)
+        held.stale.add(task_id)
         if became_done:
             for dependent in self.graph.dependents(task_id):
                 if dependent.status is TaskStatus.READY:
@@ -305,12 +351,16 @@ class World:
     def record_report(self, agent_id: str, task_id: str) -> None:
         """A sent progress update covers every milestone the task has reached."""
         stats = self.task_stats(agent_id, task_id)
-        progress = self.graph.node(task_id).progress
+        node = self.graph.node(task_id)
         for milestone in REPORT_MILESTONES:
-            if milestone <= progress:
+            if milestone <= node.progress:
                 stats.reported_milestones.add(milestone)
         stats.pending_milestone = None
-        self._drop_view(task_id)
+        held = self._held[node.assignee]
+        position = self._view_pos[task_id]
+        if position in held.due:
+            held.due.remove(position)
+        held.stale.add(task_id)
 
     def apply_af(self, agent_id: str, task_id: str, delta: float, t: int,
                  cause: str) -> tuple[float, float]:
@@ -327,26 +377,25 @@ class World:
 
     def _drop_view(self, task_id: str) -> None:
         """Mark the task's view stale for the agent who holds it."""
-        self._stale_views[self.graph.node(task_id).assignee].add(task_id)
+        self._held[self.graph.node(task_id).assignee].stale.add(task_id)
 
     # -- views used by policy context ---------------------------------------
-
-    def team_in_order(self) -> list[AgentProfile]:
-        return [self.agents[a] for a in self.agent_order]
 
     def assigned_tasks(self, agent_id: str) -> list[str]:
         return self.assignments[agent_id]
 
-    def assigned_views(self, agent_id: str) -> tuple[TaskAssignmentView, ...]:
-        """The agent's task views in assignment order, done ones included."""
-        stale = self._stale_views[agent_id]
+    def held_tasks(self, agent_id: str) -> HeldTasks:
+        """The agent's current task views, done ones included, with its active
+        and report-due view; stale views are rebuilt first."""
+        held = self._held[agent_id]
+        stale = held.stale
         if stale:
-            views = list(self._views[agent_id])
+            views = list(held.views)
             for task_id in stale:
                 views[self._view_pos[task_id]] = self._task_view(agent_id, task_id)
             stale.clear()
-            self._views[agent_id] = tuple(views)
-        return self._views[agent_id]
+            held.set_views(tuple(views))
+        return held
 
     def _task_view(self, agent_id: str, task_id: str) -> TaskAssignmentView:
         node = self.graph.node(task_id)
@@ -810,7 +859,7 @@ class Simulation:
             action.remaining -= 1
             world.trace.append(t, "action", {
                 "agent": agent_id,
-                "action": action.kind.value,
+                "action": ACTION_NAMES[action.kind],
                 "target": action.target,
                 "remaining": action.remaining,
             })
@@ -884,12 +933,15 @@ class Simulation:
             "task": task_id, "root": False, "boundary": t + 1,
         })
         world.close_threads_about(task_id)
-        for root_id in world.graph.roots:
-            if world.graph.node(root_id).done and root_id not in world.completion_steps:
-                world.completion_steps[root_id] = t + 1
-                world.trace.append(t, "task_done", {
-                    "task": root_id, "root": True, "boundary": t + 1,
-                })
+        # Only the finished task's own root can have finished with it.
+        root = world.graph.node(task_id)
+        while root.parent_id is not None:
+            root = world.graph.node(root.parent_id)
+        if root.done and root.task_id not in world.completion_steps:
+            world.completion_steps[root.task_id] = t + 1
+            world.trace.append(t, "task_done", {
+                "task": root.task_id, "root": True, "boundary": t + 1,
+            })
 
     def _complete_send(self, agent_id: str, action: ActiveAction, t: int) -> None:
         world = self.world
@@ -934,7 +986,7 @@ class Simulation:
         self._trace_sent(message, payload["words"], t)
         world.staged.append(message)
         world.last_actions[agent_id] = LastAction("message_sent",
-                                                  message_type.value, t)
+                                                  TYPE_NAMES[message_type], t)
         if message_type is MessageType.PROGRESS_UPDATE:
             task_id = payload.get("about_task")
             if task_id:
@@ -976,8 +1028,8 @@ class Simulation:
         world.comm_cost_total += message.cost_hours
         self._trace_sent(message, payload["words"], t)
         world.staged.append(message)
-        world.last_actions[agent_id] = LastAction("message_sent",
-                                                  MessageType.RESPONSE.value, t)
+        world.last_actions[agent_id] = LastAction(
+            "message_sent", TYPE_NAMES[MessageType.RESPONSE], t)
 
     def _complete_meeting_attendance(self, agent_id: str, action: ActiveAction,
                                      t: int) -> None:
@@ -1055,8 +1107,8 @@ class Simulation:
             "thread_id": message.thread_id,
             "from": message.from_agent,
             "to": list(message.to_agents),
-            "channel": message.channel.value,
-            "type": message.message_type.value,
+            "channel": CHANNEL_NAMES[message.channel],
+            "type": TYPE_NAMES[message.message_type],
             "about_task": message.about_task,
             "words": words,
             "cost_h": message.cost_hours,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -39,8 +40,13 @@ class NonPositiveEffortError(ScenarioError):
     pass
 
 
+@functools.cache
 def order_key(identifier: str) -> tuple:
-    """Natural-order sort key so W2 < W10 and T1.2 < T1.10."""
+    """Natural-order sort key so W2 < W10 and T1.2 < T1.10.
+
+    Memoized: a run sorts the same bounded set of agent, task and meeting ids
+    over and over.
+    """
     return tuple(
         int(part) if part.isdigit() else part
         for part in re.split(r"(\d+)", identifier)

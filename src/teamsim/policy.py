@@ -16,8 +16,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .adapter import AdapterError, ChatCompletionAdapter
-from .comms import Channel, Message, MessageType, word_count
-from .model import AgentProfile, Role, order_key, skill_match_score
+from .comms import Channel, Message, MessageType, TYPE_NAMES, word_count
+from .model import AgentProfile, Role, order_key
 from . import prompts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,32 +78,27 @@ class LastAction(NamedTuple):
 class PolicyContext(NamedTuple):
     agent: AgentProfile
     step: int
-    assigned: tuple[TaskAssignmentView, ...]
+    assigned: tuple[TaskAssignmentView, ...]  # held tasks in id order, done ones included
+    active_task: TaskAssignmentView | None    # first ready view: what CONTINUE_TASK works on
+    report_due: TaskAssignmentView | None     # first view with a pending milestone
     inbox: tuple[Message, ...]
-    team_view: tuple[TeammateView, ...]
+    team_view: tuple[TeammateView, ...]       # every other agent, in natural id order
     manager_id: str
     last_action: LastAction | None
     unanswered_inbound: tuple[str, ...]       # open request threads awaiting my reply
     open_outbound_tasks: frozenset[str]       # my unresolved requests, by task
     has_unprocessed_invite: bool
     has_meeting_start: bool
-    blocked_collaborators: dict[str, tuple[str, ...]]   # shared, never mutated
+    # Undone own tasks with blocked dependents, in id order; shared, never mutated.
+    blocked_collaborators: dict[str, tuple[str, ...]]
     meeting_organized_tasks: frozenset[str]
-
-    @property
-    def active_task(self) -> TaskAssignmentView | None:
-        """The task CONTINUE_TASK would work on: lowest-id ready assignment."""
-        for view in self.assigned:
-            if view.ready and not view.done:
-                return view
-        return None
 
 
 def team_views(world: "World") -> tuple[TeammateView, ...]:
     """Every agent as a teammate sees it this step, in agent order."""
     active = world.active
-    return tuple(TeammateView(a.agent_id, a.role, a.skills, a.agent_id in active)
-                 for a in world.team_in_order())
+    return tuple(pair[agent_id in active]
+                 for agent_id, pair in world.teammate_views.items())
 
 
 def build_context(world: "World", agent_id: str,
@@ -114,11 +109,14 @@ def build_context(world: "World", agent_id: str,
     out of its context.
     """
     index = world.agent_index[agent_id]
+    held = world.held_tasks(agent_id)
     # Fields by position, in PolicyContext order.
     return PolicyContext(
         world.agents[agent_id],
         world.clock.step,
-        world.assigned_views(agent_id),
+        held.views,
+        held.active,
+        held.report_due,
         tuple(world.inboxes[agent_id]),
         team[:index] + team[index + 1:],
         world.manager_id,
@@ -171,16 +169,19 @@ class FixedStepsPolicy(Policy):
 
     def decide(self, context: PolicyContext) -> Intention:
         if context.agent.role is Role.WORKER:
-            open_tasks = [v for v in context.assigned if not v.done]
             last = context.last_action
-            if (
+            follow_up = (
                 last is not None
                 and last.kind == "message_sent"
-                and last.message_type == MessageType.PROGRESS_UPDATE.value
+                and last.message_type == TYPE_NAMES[MessageType.PROGRESS_UPDATE]
                 and last.step > 0
                 and last.step % self.interval == 0
-                and open_tasks
-            ):
+            )
+            report = context.step > 0 and context.step % self.interval == 0
+            # The open tasks matter only on a follow-up or a report step.
+            open_tasks = ([v for v in context.assigned if not v.done]
+                          if follow_up or report else None)
+            if follow_up and open_tasks:
                 weakest = min(open_tasks, key=lambda v: (v.af, order_key(v.task_id)))
                 if weakest.task_id not in context.open_outbound_tasks:
                     return Intention(
@@ -188,7 +189,7 @@ class FixedStepsPolicy(Policy):
                         reasoning="scheduled follow-up on lowest-alignment task",
                         task_hint=weakest.task_id,
                     )
-            if context.step > 0 and context.step % self.interval == 0 and open_tasks:
+            if report and open_tasks:
                 return Intention(
                     IntentionKind.REPORT_PROGRESS,
                     reasoning="scheduled progress report",
@@ -237,22 +238,21 @@ class HeuristicPolicy(Policy):
                     task_hint=active.task_id,
                 )
 
-        for view in context.assigned:
-            blocked = context.blocked_collaborators.get(view.task_id, ())
-            if len(blocked) >= 2 and view.task_id not in context.meeting_organized_tasks:
+        for task_id, blocked in context.blocked_collaborators.items():
+            if len(blocked) >= 2 and task_id not in context.meeting_organized_tasks:
                 return Intention(
                     IntentionKind.SCHEDULE_MEETING,
-                    reasoning=f"{len(blocked)} collaborators blocked on {view.task_id}",
-                    task_hint=view.task_id,
+                    reasoning=f"{len(blocked)} collaborators blocked on {task_id}",
+                    task_hint=task_id,
                 )
 
-        for view in context.assigned:
-            if view.pending_milestone is not None:
-                return Intention(
-                    IntentionKind.REPORT_PROGRESS,
-                    reasoning=f"crossed {view.pending_milestone:.0%} on {view.task_id}",
-                    task_hint=view.task_id,
-                )
+        due = context.report_due
+        if due is not None:
+            return Intention(
+                IntentionKind.REPORT_PROGRESS,
+                reasoning=f"crossed {due.pending_milestone:.0%} on {due.task_id}",
+                task_hint=due.task_id,
+            )
 
         return NO_TRIGGER
 
@@ -337,21 +337,18 @@ def select_recipients(context: PolicyContext, kind: IntentionKind,
             if view.task_id == about_task:
                 required = view.required_skills
                 break
-        candidates = [
-            mate for mate in context.team_view
-            if mate.role is Role.WORKER and not mate.busy
-        ]
-        scored = [
-            (skill_match_score(AgentProfile(mate.agent_id, mate.agent_id, mate.role,
-                                            mate.skills), required), mate.agent_id)
-            for mate in candidates
-        ]
-        positive = [(s, a) for s, a in scored if s > 0]
-        if positive:
-            best = max(s for s, _ in positive)
-            winner = min((a for s, a in positive if s == best), key=order_key)
-            return [winner]
-        return [context.manager_id]
+        # One pass, scored as `skill_match_score` scores; the best positive
+        # score wins and a tie goes to the lower id.
+        best, tied = 0.0, []
+        for mate in context.team_view:
+            if mate.role is not Role.WORKER or mate.busy:
+                continue
+            score = len(mate.skills & required) / len(required) if required else 1.0
+            if score > best:
+                best, tied = score, [mate.agent_id]
+            elif score == best and score > 0:
+                tied.append(mate.agent_id)
+        return [min(tied, key=order_key)] if tied else [context.manager_id]
     if kind is IntentionKind.SCHEDULE_MEETING:
         blocked = context.blocked_collaborators.get(about_task or "", ())
         recipients = [context.manager_id] + [a for a in blocked]

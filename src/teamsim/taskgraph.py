@@ -1,8 +1,9 @@
 """Task DAG with dependency readiness, progress accounting, and weighted roll-up.
 
-Progress is stored as accumulated effective hours; the completion fraction is
-derived from it. A parent is done only when every subtask is done, regardless
-of how its weighted progress rounds.
+Progress is stored as accumulated effective hours. A node's completion
+fraction and done flag are stored beside them and set where hours accumulate
+and where the node finishes, so a read costs nothing. A parent is done only
+when every subtask is done, regardless of how its weighted progress rounds.
 """
 
 from __future__ import annotations
@@ -66,14 +67,10 @@ class TaskNode:
     assignee: str | None = None
     accumulated_effective_hours: float = 0.0
     status: TaskStatus = TaskStatus.READY
-
-    @property
-    def progress(self) -> float:
-        return min(1.0, self.accumulated_effective_hours / self.estimated_hours)
-
-    @property
-    def done(self) -> bool:
-        return self.status is TaskStatus.DONE
+    # Completion fraction of a leaf, capped at 1; set by `TaskGraph.record_work`.
+    progress: float = 0.0
+    # Whether `status` is DONE; set with it by `TaskGraph._mark_done`.
+    done: bool = False
 
 
 class TaskGraph:
@@ -225,6 +222,7 @@ class TaskGraph:
         if not self.is_leaf(task_id):
             raise GraphError(f"{task_id} is not a leaf")
         node.accumulated_effective_hours += effective_hours
+        node.progress = min(1.0, node.accumulated_effective_hours / node.estimated_hours)
         if node.status is TaskStatus.READY:
             node.status = TaskStatus.IN_PROGRESS
         if node.accumulated_effective_hours >= node.estimated_hours - DONE_EPS:
@@ -234,6 +232,7 @@ class TaskGraph:
 
     def _mark_done(self, node: TaskNode) -> None:
         node.status = TaskStatus.DONE
+        node.done = True
         for dependent_id in self._dependents.get(node.task_id, []):
             self._refresh_readiness(dependent_id)
         if node.parent_id is not None:

@@ -32,8 +32,13 @@ def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(),
     if agent_role is Role.MANAGER:
         agent = AgentProfile("M1", "Manager 1", agent_role,
                              frozenset({"planning", "coordination"}))
+    assigned = tuple(assigned)
+    # What `World` keeps for these two fields, derived by their scan rules.
+    active_task = next((v for v in assigned if v.ready and not v.done), None)
+    report_due = next((v for v in assigned if v.pending_milestone is not None), None)
     return PolicyContext(
-        agent=agent, step=step, assigned=tuple(assigned), inbox=(),
+        agent=agent, step=step, assigned=assigned, active_task=active_task,
+        report_due=report_due, inbox=(),
         team_view=tuple(teammates), manager_id="M1", last_action=last_action,
         unanswered_inbound=tuple(unanswered),
         open_outbound_tasks=frozenset(open_outbound),

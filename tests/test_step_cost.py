@@ -1,18 +1,28 @@
-"""A guard on the interpreter work one agent-step costs.
+"""Guards on the interpreter work one agent-step costs.
 
 The simulator asks every idle agent for an intention at every step, so its
-cost is agent-steps x the cost of one agent-step. This test counts the
-bytecode instructions `Simulation.run()` executes on the shipped `medium`
-scenario under `c2c_heuristic` and divides by the agent-steps (one `action`
-event each). Unlike a wall-clock figure, the count is exact: it does not
-depend on the host's load or on `PYTHONHASHSEED` (the same count was read
-with seeds 0, 1, 2 and 12345).
+cost is agent-steps x the cost of one agent-step. These tests count the
+bytecode instructions `Simulation.run()` executes and divide by the
+agent-steps (one `action` event each). Unlike a wall-clock figure, the count
+is exact: it does not depend on the host's load or on `PYTHONHASHSEED` (the
+same count was read with seeds 0, 1, 2 and 12345).
 
-Calibrated on CPython 3.11.7: 1,460.7 instructions per agent-step (394,389
-over 270 agent-steps) before the policy value types became named tuples and
-each message's words were counted once; 1,125.0 (303,753) after. The bound
-sits between the two. Other interpreters execute other instruction
-sequences, so the guard runs only on the calibrating minor version.
+Calibrated on CPython 3.11.7. Shipped `medium` under `c2c_heuristic`:
+1,460.7 instructions per agent-step (394,389 over 270 agent-steps) before the
+policy value types became named tuples and each message's words were counted
+once; 1,125.0 (303,753) after; 1,035.9 (279,704) once `World` kept each
+agent's active and report-due task and policies stopped rescanning their task
+views. The bound is the 1,125 figure.
+
+1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
+`World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
+(11,189,500 over 6,392), a ratio of 1.24, because every decision rescanned
+every held task view; after, 1,198.1 (1,873,880) and 1,195.0 (7,638,484), a
+ratio of 1.00. The ratio bound, 1.10, lets an agent-step grow a little with
+the tasks an agent holds, not in proportion to them.
+
+Other interpreters execute other instruction sequences, so the guards run
+only on the calibrating minor version.
 """
 
 import dataclasses
@@ -21,17 +31,27 @@ from pathlib import Path
 
 import pytest
 
-from teamsim.config import parse_scenario
+from teamsim.config import expand_team_shorthand, parse_scenario
 from teamsim.engine import Simulation
+from teamsim.model import Scenario, order_key, validate_scenario
+
+from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-OPCODES_PER_AGENT_STEP_BOUND = 1300
+OPCODES_PER_AGENT_STEP_BOUND = 1125
+# Opcodes per agent-step at 16 roots over the same at 4 roots.
+ROOTS_RATIO_BOUND = 1.10
+
+calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                                reason="bounds calibrated on CPython 3.11")
 
 
 def count_opcodes(call):
     """`call()`'s result and the bytecode instructions it executed, in every
-    frame it ran."""
+    frame it ran. `order_key` starts with an empty memo, so the count does not
+    depend on which tests ran before."""
+    order_key.cache_clear()
     count = 0
 
     def local(frame, event, arg):
@@ -52,13 +72,40 @@ def count_opcodes(call):
     return result, count
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                    reason="bound calibrated on CPython 3.11")
+def opcodes_per_agent_step(simulation: Simulation) -> float:
+    result, opcodes = count_opcodes(simulation.run)
+    assert result.completed
+    return opcodes / len(result.trace.of_kind("action"))
+
+
+def roots_scenario(roots: int) -> Scenario:
+    """`roots` shipped-size roots on a 1M+16W team under the heuristic
+    policy, built as conftest's `eight_roots_scenario` is."""
+    return validate_scenario(Scenario(
+        name=f"roots_{roots}", team=expand_team_shorthand("1M+16W", SKILL_POOL),
+        tasks=[MEDIUM_TASK, SIMPLE_TASK, COMPLEX_TASK, MEDIUM_TASK] * (roots // 4),
+        policy_name="c2c_heuristic", skill_pool=tuple(SKILL_POOL),
+        team_label="1M+16W",
+    ))
+
+
+@calibrated
 def test_opcodes_per_agent_step_stay_under_the_bound():
     scenario = dataclasses.replace(parse_scenario(SCENARIOS / "medium.yaml"),
                                    policy_name="c2c_heuristic")
     result, opcodes = count_opcodes(Simulation(scenario).run)
     agent_steps = len(result.trace.of_kind("action"))
     assert agent_steps == 270
-    assert opcodes / agent_steps < OPCODES_PER_AGENT_STEP_BOUND, \
+    assert opcodes / agent_steps <= OPCODES_PER_AGENT_STEP_BOUND, \
         f"{opcodes} opcodes over {agent_steps} agent-steps"
+
+
+@calibrated
+def test_agent_step_cost_is_flat_in_tasks_held():
+    """Four times the roots puts four times the tasks in each worker's hands;
+    an agent-step must not cost much more for it."""
+    few, many = (opcodes_per_agent_step(Simulation(roots_scenario(roots),
+                                                   max_steps=2000))
+                 for roots in (4, 16))
+    assert many / few <= ROOTS_RATIO_BOUND, \
+        f"{many:.1f} opcodes per agent-step at 16 roots, {few:.1f} at 4"

@@ -5,6 +5,7 @@ property drives `Simulation.step` by hand over generated scenarios and, after
 every step, compares each indexed query with its oracle for every agent.
 """
 
+import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
 from teamsim.taskgraph import TaskStatus
 
 from conftest import (SKILL_POOL, ChainPlanner, RandomDagPlanner,
-                      eight_roots_scenario)
+                      chain_scenario, eight_roots_scenario)
 
 
 class NoisyHeuristicPolicy(HeuristicPolicy):
@@ -127,19 +128,33 @@ def oracle_assigned(world: World, agent_id: str) -> tuple[TaskAssignmentView, ..
             af=world.alignment.get(agent_id, task_id),
             hours_worked=stats.hours_worked,
             stuck_worked_steps=stats.stuck_worked_steps,
-            progress=node.progress,
+            progress=min(1.0, node.accumulated_effective_hours / node.estimated_hours),
             pending_milestone=stats.pending_milestone,
             ready=node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
-            done=node.done,
+            done=node.status is TaskStatus.DONE,
         ))
     return tuple(views)
+
+
+def oracle_active_task(views: tuple[TaskAssignmentView, ...]):
+    for view in views:
+        if view.ready and not view.done:
+            return view
+    return None
+
+
+def oracle_report_due(views: tuple[TaskAssignmentView, ...]):
+    for view in views:
+        if view.pending_milestone is not None:
+            return view
+    return None
 
 
 def oracle_team_view(world: World, agent_id: str) -> tuple[TeammateView, ...]:
     return tuple(
         TeammateView(agent_id=other.agent_id, role=other.role,
                      skills=other.skills, busy=world.is_busy(other.agent_id))
-        for other in world.team_in_order()
+        for other in (world.agents[a] for a in world.agent_order)
         if other.agent_id != agent_id
     )
 
@@ -170,7 +185,10 @@ def check_indexes(world: World, done_at: dict[str, int]) -> None:
             oracle_blocked_collaborators(world, agent_id)
         context = build_context(world, agent_id, team)
         assert context.team_view == oracle_team_view(world, agent_id)
-        assert context.assigned == oracle_assigned(world, agent_id)
+        assigned = oracle_assigned(world, agent_id)
+        assert context.assigned == assigned
+        assert context.active_task == oracle_active_task(assigned)
+        assert context.report_due == oracle_report_due(assigned)
         organized = world.organized_meeting_tasks(agent_id)
         assert organized == oracle_organized_meeting_tasks(world, agent_id)
         # Shared with the context, not copied into it.
@@ -209,9 +227,8 @@ def simulations(draw) -> Simulation:
     return Simulation(scenario, policy=policy, planner=planner, max_steps=60)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(simulations())
-def test_indexes_equal_full_scans(sim):
+def run_checking_indexes(sim: Simulation) -> None:
+    """Step the simulation to its end, checking every index after each step."""
     world = sim.world
     done_at: dict[str, int] = {}
     check_indexes(world, done_at)
@@ -222,6 +239,23 @@ def test_indexes_equal_full_scans(sim):
             if node.done:
                 done_at.setdefault(node.task_id, t)
         check_indexes(world, done_at)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(simulations())
+def test_indexes_equal_full_scans(sim):
+    run_checking_indexes(sim)
+
+
+def test_indexes_hold_through_the_meeting_run():
+    """W1's base task blocks W2 and W3: a meeting is called and held, and
+    milestones come due on held tasks."""
+    scenario = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic")
+    sim = Simulation(scenario, planner=ChainPlanner())
+    run_checking_indexes(sim)
+    assert any(m.status is MeetingStatus.HELD for m in sim.world.meetings.values())
+    assert any(stats.pending_milestone is not None
+               for stats in sim.world.stats.values())
 
 
 def test_task_views_are_built_only_when_their_inputs_change(monkeypatch):
