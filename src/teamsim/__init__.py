@@ -2,7 +2,8 @@
 
 Agents work a decomposed task graph; their productivity is scaled by a
 per-(agent, task) alignment value that communication moves, at a measured
-time cost. Non-LLM runs are bit-reproducible from (scenario, seed).
+time cost. Non-LLM runs are bit-reproducible from the scenario; its `seed`
+is accepted and has no effect.
 """
 
 from .alignment import AlignmentState, DeltaEvaluation, effective_progress, rule_based_delta

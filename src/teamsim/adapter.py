@@ -3,6 +3,10 @@
 One POST per decision: the body carries the model name, temperature, and the
 role-tagged messages; the response body's first choice text is returned. The
 auth token is read from the environment, never from config files.
+
+`urllib` (and with it `http.client`, `email`, `ssl` and `socket`) is imported
+on the first request, not with this module: policy, planner and engine import
+`AdapterError` from here, and a deterministic run never sends a request.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from typing import Callable
 
 DEFAULT_TEMPERATURE = 0.7
@@ -85,6 +87,8 @@ class ChatCompletionAdapter:
         return self.endpoint + "/chat/completions"
 
     def _http_transport(self, url: str, body: bytes, headers: dict) -> bytes:
+        import urllib.request
+
         request = urllib.request.Request(url, data=body, headers=headers, method="POST")
         with urllib.request.urlopen(request, timeout=self.timeout) as response:
             return response.read()
@@ -102,6 +106,8 @@ class ChatCompletionAdapter:
         if token:
             headers["Authorization"] = f"Bearer {token}"
 
+        import urllib.error
+
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -112,6 +118,8 @@ class ChatCompletionAdapter:
             except AdapterError:
                 raise
             except urllib.error.HTTPError as exc:
+                # The error is also the response: close its connection.
+                exc.close()
                 # A client error repeats on every retry; a timeout (408) or
                 # throttle (429) may not.
                 if 400 <= exc.code < 500 and exc.code not in (408, 429):

@@ -13,9 +13,9 @@ progress, meeting attendance, or an explicit idle transition.
 from __future__ import annotations
 
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .adapter import AdapterError, ChatCompletionAdapter
 from .alignment import (AlignmentState, DeltaEvaluation, effective_progress,
@@ -34,6 +34,9 @@ from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext
 from .taskgraph import TaskGraph, TaskStatus
 from .trace import TraceLog, TraceSink
 from . import prompts
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # An invited agent that has not accepted within this many steps of the invite
 # being sent no longer delays the meeting; it convenes or cancels without them.
@@ -455,7 +458,12 @@ class World:
         return bool(self.pending_invites(agent_id))
 
     def has_meeting_start(self, agent_id: str) -> bool:
+        """A `MEETING_START` arrived since the agent last checked its inbox
+        and found nothing to act on."""
         return agent_id in self._meeting_started
+
+    def clear_meeting_start(self, agent_id: str) -> None:
+        self._meeting_started.discard(agent_id)
 
     def blocked_collaborators(self, agent_id: str) -> dict[str, tuple[str, ...]]:
         """Per own task: assignees of pending sibling tasks that depend on it."""
@@ -683,6 +691,10 @@ class Simulation:
             return {}
         if self.parallel_decide and len(contexts) > 1:
             if self._pool is None:
+                # Imported here: only a parallel decide needs the thread pool,
+                # so a deterministic run does not pay for loading it.
+                from concurrent.futures import ThreadPoolExecutor
+
                 self._pool = ThreadPoolExecutor(
                     max_workers=min(8, len(self.world.agent_order)))
             order = list(contexts)
@@ -743,6 +755,9 @@ class Simulation:
             root = world.thread_root[thread_id]
             items.append((root.delivery_step, root.message_id, "reply", thread_id))
         if not items:
+            # The meeting start has been read: it no longer sends the agent
+            # back to its inbox.
+            world.clear_meeting_start(agent_id)
             return False
         items.sort()
         _, _, action_type, target = items[0]

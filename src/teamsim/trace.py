@@ -16,7 +16,6 @@ standard-library path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Protocol
@@ -196,13 +195,6 @@ class TraceLog:
         with path.open("wb") as out:
             out.writelines(self._lines())
         return path
-
-    def sha256(self) -> str:
-        """The digest of the bytes `write` puts in the file."""
-        digest = hashlib.sha256()
-        for line in self._lines():
-            digest.update(line)
-        return digest.hexdigest()
 
     @staticmethod
     def stream(path: str | Path) -> Iterator[TraceEvent]:

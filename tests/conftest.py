@@ -1,8 +1,9 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and helpers for the test suite."""
 
 from __future__ import annotations
 
 import random
+import socket
 
 import pytest
 
@@ -137,6 +138,13 @@ class RandomDagPlanner:
                 dependencies=deps,
             ))
         return DecompositionPlan(subtasks=tuple(subtasks))
+
+
+def refused_port() -> int:
+    """A loopback port that nothing listens on, so a connection is refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def trace_codecs() -> list[tuple[str, trace.Codec]]:

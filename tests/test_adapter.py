@@ -1,6 +1,7 @@
-"""Wire format and robustness of the chat-completion adapter, including one
-round trip over real HTTP on the loopback interface."""
+"""Wire format and robustness of the chat-completion adapter, including its
+real HTTP transport against loopback endpoints."""
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -10,6 +11,8 @@ import pytest
 
 from teamsim.adapter import (RETRY_BACKOFF_S, AdapterError, ChatCompletionAdapter,
                              extract_json_object)
+
+from conftest import refused_port
 
 
 class TestExtractJson:
@@ -199,19 +202,35 @@ class TestRetries:
             adapter.complete([])
 
 
+def _completion(content: str) -> bytes:
+    return json.dumps(
+        {"choices": [{"message": {"content": content}}]}).encode("utf-8")
+
+
+@contextlib.contextmanager
+def _loopback_server(handler: type[BaseHTTPRequestHandler]):
+    """Serve `handler` on an ephemeral loopback port; yield the base URL."""
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         request = json.loads(self.rfile.read(length).decode("utf-8"))
-        reply = {
-            "choices": [{
-                "message": {
-                    "content": json.dumps({"echoed_model": request["model"]}),
-                }
-            }]
-        }
-        body = json.dumps(reply).encode("utf-8")
-        self.send_response(200)
+        self._answer(200, _completion(
+            json.dumps({"echoed_model": request["model"]})))
+
+    def _answer(self, status: int, body: bytes) -> None:
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -221,16 +240,61 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+def _scripted(statuses: list[int], served: list[int]) -> type[_Handler]:
+    """A handler answering each request with the next of `statuses`, a
+    completion for 200 and an empty object otherwise; `served` records them."""
+
+    class Scripted(_Handler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            status = statuses[len(served)]
+            served.append(status)
+            self._answer(status, _completion("ok") if status == 200 else b"{}")
+
+    return Scripted
+
+
 def test_http_round_trip_on_loopback():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        port = server.server_address[1]
-        adapter = ChatCompletionAdapter(endpoint=f"http://127.0.0.1:{port}",
-                                        model="loop-model", max_retries=0)
+    with _loopback_server(_Handler) as url:
+        adapter = ChatCompletionAdapter(endpoint=url, model="loop-model",
+                                        max_retries=0)
         parsed = adapter.complete_json([{"role": "user", "content": "ping"}])
         assert parsed == {"echoed_model": "loop-model"}
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
+
+
+class TestHttpTransport:
+    """The real `urllib` transport against loopback endpoints; `sleep` records
+    each retry's delay instead of waiting."""
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_refused_connection_is_retried_then_raises(self, max_retries):
+        delays: list[float] = []
+        adapter = ChatCompletionAdapter(
+            endpoint=f"http://127.0.0.1:{refused_port()}", model="m",
+            max_retries=max_retries, sleep=delays.append)
+        with pytest.raises(AdapterError,
+                           match="transport failed after retries: .*refused"):
+            adapter.complete([])
+        # One delay before each retry: max_retries + 1 attempts.
+        assert len(delays) == max_retries
+
+    def test_client_error_fails_on_the_first_response(self):
+        delays: list[float] = []
+        served: list[int] = []
+        with _loopback_server(_scripted([400, 200], served)) as url:
+            adapter = ChatCompletionAdapter(endpoint=url, model="m",
+                                            sleep=delays.append)
+            with pytest.raises(AdapterError, match="HTTP 400"):
+                adapter.complete([])
+        assert served == [400]
+        assert delays == []
+
+    def test_server_error_then_completion_retries_once(self):
+        delays: list[float] = []
+        served: list[int] = []
+        with _loopback_server(_scripted([503, 200], served)) as url:
+            adapter = ChatCompletionAdapter(endpoint=url, model="m",
+                                            sleep=delays.append)
+            assert adapter.complete([]) == "ok"
+        assert served == [503, 200]
+        assert delays == [RETRY_BACKOFF_S]

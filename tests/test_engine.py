@@ -12,7 +12,7 @@ from teamsim.comms import MessageType
 from teamsim.engine import Simulation, run_scenario
 from teamsim.metrics import compute_metrics
 from teamsim.model import Scenario, TaskSpec, validate_scenario
-from teamsim.policy import HeuristicPolicy
+from teamsim.policy import HeuristicPolicy, IntentionKind
 
 from conftest import (MEDIUM_TASK, ChainPlanner, chain_scenario, make_scenario,
                       make_team)
@@ -228,6 +228,35 @@ class TestMeetings:
                 if e.payload["agent"] == agent and e.payload["action"] == "meeting"
             ]
             assert len(meeting_steps) == duration
+
+    def test_attendees_stop_checking_messages_after_the_meeting(self):
+        """A held meeting's start message sends each attendee to its inbox
+        once; with nothing there to act on, the next decision moves on."""
+        decisions = []
+
+        class SpyPolicy(HeuristicPolicy):
+            def decide(self, context):
+                intention = super().decide(context)
+                actionable = bool(context.unanswered_inbound
+                                  or context.has_unprocessed_invite)
+                decisions.append((context.step, context.agent.agent_id,
+                                  intention.kind, actionable))
+                return intention
+
+        result = self.run_with_chain(policy=SpyPolicy())
+        start = next(e for e in result.trace.of_kind("message_sent")
+                     if e.payload["type"] == MessageType.MEETING_START.value)
+        idle_checks = {}
+        for agent in start.payload["to"]:
+            meeting_end = max(
+                e.step for e in result.trace.of_kind("action")
+                if e.payload["agent"] == agent and e.payload["action"] == "meeting")
+            idle_checks[agent] = sum(
+                1 for step, who, kind, actionable in decisions
+                if who == agent and step > meeting_end and not actionable
+                and kind is IntentionKind.CHECK_MESSAGES)
+        assert len(idle_checks) >= 2
+        assert all(count <= 1 for count in idle_checks.values()), idle_checks
 
     def test_meeting_cancelled_without_quorum(self):
         # Workers that never process the invite leave the organizer alone.

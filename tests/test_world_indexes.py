@@ -89,8 +89,13 @@ def oracle_pending_invites(world: World, agent_id: str) -> list[tuple[int, str, 
     return out
 
 
-def oracle_has_meeting_start(world: World, agent_id: str) -> bool:
+def oracle_has_meeting_start(world: World, agent_id: str,
+                             inbox_read: dict[str, int]) -> bool:
+    """A `MEETING_START` delivered after the step of the agent's last
+    CHECK_MESSAGES that found nothing actionable."""
+    read_at = inbox_read.get(agent_id, -1)
     return any(m.message_type is MessageType.MEETING_START
+               and m.delivery_step > read_at
                for m in world.inboxes[agent_id])
 
 
@@ -168,7 +173,8 @@ def oracle_organized_meeting_tasks(world: World, agent_id: str) -> set:
     return {m.about_task for m in world.meetings.values() if m.organizer == agent_id}
 
 
-def check_indexes(world: World, done_at: dict[str, int]) -> None:
+def check_indexes(world: World, done_at: dict[str, int],
+                  inbox_read: dict[str, int]) -> None:
     team = team_views(world)
     for agent_id in world.agent_order:
         assert world.assigned_tasks(agent_id) == oracle_assigned_tasks(world, agent_id)
@@ -180,7 +186,7 @@ def check_indexes(world: World, done_at: dict[str, int]) -> None:
         assert world.has_unprocessed_invite(agent_id) == \
             bool(oracle_pending_invites(world, agent_id))
         assert world.has_meeting_start(agent_id) == \
-            oracle_has_meeting_start(world, agent_id)
+            oracle_has_meeting_start(world, agent_id, inbox_read)
         assert world.blocked_collaborators(agent_id) == \
             oracle_blocked_collaborators(world, agent_id)
         context = build_context(world, agent_id, team)
@@ -231,14 +237,25 @@ def run_checking_indexes(sim: Simulation) -> None:
     """Step the simulation to its end, checking every index after each step."""
     world = sim.world
     done_at: dict[str, int] = {}
-    check_indexes(world, done_at)
+    # The step of each agent's last CHECK_MESSAGES that found nothing to act on.
+    inbox_read: dict[str, int] = {}
+    start_check_messages = sim._start_check_messages
+
+    def recording(agent_id, context, t):
+        found = start_check_messages(agent_id, context, t)
+        if not found:
+            inbox_read[agent_id] = t
+        return found
+
+    sim._start_check_messages = recording
+    check_indexes(world, done_at, inbox_read)
     while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
         t = world.clock.step
         sim.step()
         for node in world.graph.nodes.values():
             if node.done:
                 done_at.setdefault(node.task_id, t)
-        check_indexes(world, done_at)
+        check_indexes(world, done_at, inbox_read)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
