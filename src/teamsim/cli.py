@@ -183,15 +183,13 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
     scenario = parse_scenario(scenario_path)
     # Folded line by line: the trace is never held in memory.
     fold = MetricsFold(scenario, baseline_hours=baseline_hours)
-    for step, seq, kind, payload in TraceLog.stream(trace_path):
+    for record in TraceLog.stream(trace_path):
         try:
-            fold.append(step, kind, payload)
-        except KeyError as exc:
-            raise TraceError(f"{trace_path}: event {seq} ({kind} at step {step}) "
-                             f"lacks field {exc}") from None
-        except FieldTypeError as exc:
-            raise TraceError(f"{trace_path}: event {seq} ({kind} at step {step}) "
-                             f"{exc}") from None
+            fold.append(record)
+        except (KeyError, FieldTypeError) as exc:
+            detail = f"lacks field {exc}" if isinstance(exc, KeyError) else exc
+            raise TraceError(f"{trace_path}: event {record['seq']} ({record['kind']} "
+                             f"at step {record['step']}) {detail}") from None
     report = fold.result()
     config_label = scenario.team_label or "custom"
     text = render_report(report, config_label, scenario.name)

@@ -218,6 +218,7 @@ class World:
         self.staged: list[Message] = []
         self.pending_af: list[PendingAfEvaluation] = []
         self.trace: TraceSink = TraceLog() if trace is None else trace
+        self._seq = 0
         self.comm_cost_total = 0.0
         self.completion_steps: dict[str, int] = {}
         self.planned = False
@@ -268,6 +269,17 @@ class World:
         self._meeting_counter += 1
         return f"mt{self._meeting_counter:03d}"
 
+    def emit(self, record: dict) -> None:
+        """Stamp an event record with its `seq` and hand it to the trace.
+
+        `record` is the event's one representation, its trace line's object:
+        `step`, `seq` (None until stamped here) and `kind`, then the fields
+        `trace.SCHEMAS` lists for the kind, in that order.
+        """
+        record["seq"] = self._seq
+        self._seq += 1
+        self.trace.append(record)
+
     # -- state changes that keep the indexes current --------------------------
 
     def deliver(self, message: Message, recipient: str, t: int) -> None:
@@ -282,7 +294,8 @@ class World:
                    (message.delivery_step, message.message_id, message.meeting_id))
         elif kind is MessageType.MEETING_START:
             self._meeting_started.add(recipient)
-        self.trace.append(t, "message_delivered", {
+        self.emit({
+            "step": t, "seq": None, "kind": "message_delivered",
             "message_id": message.message_id,
             "to": recipient,
             "from": message.from_agent,
@@ -546,7 +559,8 @@ class Simulation:
                 self._pool.shutdown()
                 self._pool = None
         for message in world.buffer.pending:
-            world.trace.append(world.clock.step, "warning", {
+            world.emit({
+                "step": world.clock.step, "seq": None, "kind": "warning",
                 "source": "delivery",
                 "detail": f"undelivered at run end: {message.message_id}",
             })
@@ -584,7 +598,8 @@ class Simulation:
         for agent_id in idle:
             intention = intentions.get(agent_id) or DECOMPOSITION_PENDING
             for note in intention.warnings:
-                world.trace.append(t, "warning", {"source": "policy", "detail": note})
+                world.emit({"step": t, "seq": None, "kind": "warning",
+                            "source": "policy", "detail": note})
             self._resolve_intention(agent_id, contexts[agent_id], intention, t)
 
         self._execute_actions(t)
@@ -647,7 +662,8 @@ class Simulation:
                 self._start_meeting(meeting, t)
             else:
                 meeting.status = MeetingStatus.CANCELLED
-                world.trace.append(t, "warning", {
+                world.emit({
+                    "step": t, "seq": None, "kind": "warning",
                     "source": "meeting",
                     "detail": f"{meeting.meeting_id} cancelled: fewer than 2 attendees",
                 })
@@ -872,7 +888,8 @@ class Simulation:
             if action is None:
                 continue
             action.remaining -= 1
-            world.trace.append(t, "action", {
+            world.emit({
+                "step": t, "seq": None, "kind": "action",
                 "agent": agent_id,
                 "action": ACTION_NAMES[action.kind],
                 "target": action.target,
@@ -905,7 +922,8 @@ class Simulation:
             node = world.graph.node(root_id)
             plan = self.planner.decompose(node, world.scenario)
             for note in plan.warnings:
-                world.trace.append(t, "warning", {"source": "planner", "detail": note})
+                world.emit({"step": t, "seq": None, "kind": "warning",
+                            "source": "planner", "detail": note})
             created = world.graph.add_subtasks(root_id, list(plan.subtasks))
             assignment = assign(world.graph, [n.task_id for n in created],
                                 world.scenario.team)
@@ -913,7 +931,8 @@ class Simulation:
                 for task_id in task_ids:
                     world.assignments[worker_id].append(task_id)
                     world.alignment.init(worker_id, task_id, step=t)
-                    world.trace.append(t, "af_update", {
+                    world.emit({
+                        "step": t, "seq": None, "kind": "af_update",
                         "agent": worker_id,
                         "task": task_id,
                         "old": None,
@@ -931,7 +950,8 @@ class Simulation:
             return
         hours = world.clock.hours_per_step
         af, effective, became_done = world.record_work(agent_id, task_id, hours)
-        world.trace.append(t, "progress", {
+        world.emit({
+            "step": t, "seq": None, "kind": "progress",
             "agent": agent_id,
             "task": task_id,
             "hours": hours,
@@ -944,7 +964,8 @@ class Simulation:
 
     def _on_task_done(self, task_id: str, t: int) -> None:
         world = self.world
-        world.trace.append(t, "task_done", {
+        world.emit({
+            "step": t, "seq": None, "kind": "task_done",
             "task": task_id, "root": False, "boundary": t + 1,
         })
         world.close_threads_about(task_id)
@@ -954,7 +975,8 @@ class Simulation:
             root = world.graph.node(root.parent_id)
         if root.done and root.task_id not in world.completion_steps:
             world.completion_steps[root.task_id] = t + 1
-            world.trace.append(t, "task_done", {
+            world.emit({
+                "step": t, "seq": None, "kind": "task_done",
                 "task": root.task_id, "root": True, "boundary": t + 1,
             })
 
@@ -1020,7 +1042,8 @@ class Simulation:
         if not thread.open:
             # Request became moot (task finished or thread closed) mid-compose.
             world.last_actions[agent_id] = LastAction("reply_dropped", None, t)
-            world.trace.append(t, "warning", {
+            world.emit({
+                "step": t, "seq": None, "kind": "warning",
                 "source": "reply",
                 "detail": f"reply dropped, thread closed: {thread.thread_id}",
             })
@@ -1095,12 +1118,14 @@ class Simulation:
                 continue
             evaluation, warning = self.evaluator.evaluate(world, item)
             if warning:
-                world.trace.append(t, "warning", {
+                world.emit({
+                    "step": t, "seq": None, "kind": "warning",
                     "source": "evaluator", "detail": warning,
                 })
             old, new = world.apply_af(item.agent_id, item.task_id,
                                       evaluation.delta, t, item.cause_id)
-            world.trace.append(t, "af_update", {
+            world.emit({
+                "step": t, "seq": None, "kind": "af_update",
                 "agent": item.agent_id,
                 "task": item.task_id,
                 "old": old,
@@ -1117,7 +1142,8 @@ class Simulation:
 
     def _trace_sent(self, message: Message, words: int, t: int) -> None:
         """`words` is the word count of the message's content."""
-        self.world.trace.append(t, "message_sent", {
+        self.world.emit({
+            "step": t, "seq": None, "kind": "message_sent",
             "message_id": message.message_id,
             "thread_id": message.thread_id,
             "from": message.from_agent,

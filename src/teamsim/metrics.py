@@ -5,8 +5,8 @@ time-sampled mean alignment, efficiency (estimated hours of completed work
 over wall-clock completion time), optional speedup against a baseline time,
 plus the sender/recipient heatmap and message type/channel distributions.
 
-`compute_metrics` is a fold, `MetricsFold`, that takes each event once in
-trace order. The fold is itself a trace sink, so `teamsim run` folds each
+`compute_metrics` is a fold, `MetricsFold`, that takes each event record once
+in trace order. The fold is itself a trace sink, so `teamsim run` folds each
 event as the engine emits it and `teamsim report` reads a trace line by line,
 and neither holds the trace. Sums are exact: samples are kept as value ->
 count and summed as one integer over a common power-of-two denominator, then
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .comms import MessageType
 from .model import Scenario, order_key
-from .trace import TraceEvent, TraceLog
+from .trace import TraceLog
 
 
 class MetricsError(ValueError):
@@ -47,22 +47,29 @@ class FieldTypeError(TypeError):
 
 # Each field is checked as the fold reads it, so a wrong type fails at its
 # event and not later, in `result()`. A bool is not taken for a number.
-def _text(payload: dict, name: str) -> str:
-    value = payload[name]
+def _text(record: dict, name: str) -> str:
+    value = record[name]
     if type(value) is not str:
         raise FieldTypeError(name, value, "str")
     return value
 
 
-def _int(payload: dict, name: str) -> int:
-    value = payload[name]
+def _int(record: dict, name: str) -> int:
+    value = record[name]
     if type(value) is not int:
         raise FieldTypeError(name, value, "int")
     return value
 
 
-def _number(payload: dict, name: str) -> float:
-    value = payload[name]
+def _bool(record: dict, name: str) -> bool:
+    value = record[name]
+    if type(value) is not bool:
+        raise FieldTypeError(name, value, "bool")
+    return value
+
+
+def _number(record: dict, name: str) -> float:
+    value = record[name]
     if type(value) is not float and type(value) is not int:
         raise FieldTypeError(name, value, "a number")
     return value
@@ -109,7 +116,7 @@ CSV_COLUMNS = ["config", "complexity", "completion_rate", "avg_time_h",
                "comm_cost_h", "alignment", "efficiency", "speedup"]
 
 
-def _events(trace: TraceLog | Iterable[TraceEvent]) -> Iterable[TraceEvent]:
+def _events(trace: TraceLog | Iterable[dict]) -> Iterable[dict]:
     return trace.events if isinstance(trace, TraceLog) else trace
 
 
@@ -176,15 +183,16 @@ class _Alignment:
         while waiting and waiting[0][0] < final_step:
             self._set(*waiting.popleft())
 
-    def update(self, step: int, payload: dict) -> None:
+    def update(self, record: dict) -> None:
+        step = record["step"]
         if step < 0:
             return
         if step < self.last_step:
             raise MetricsError(
                 f"af_update at step {step} follows one at step {self.last_step}")
         self.last_step = step
-        change = (step, (_text(payload, "agent"), _text(payload, "task")),
-                  _number(payload, "new"))
+        change = (step, (_text(record, "agent"), _text(record, "task")),
+                  _number(record, "new"))
         if step < self.final_step:
             self._set(*change)
         else:
@@ -214,9 +222,9 @@ class _Heatmap:
         ordered = sorted(agent_ids, key=order_key)
         self.grid = {a: {b: 0 for b in ordered} for a in ordered}
 
-    def add(self, payload: dict) -> None:
-        row = self.grid.get(_text(payload, "from"))
-        recipient = _text(payload, "to")
+    def add(self, record: dict) -> None:
+        row = self.grid.get(_text(record, "from"))
+        recipient = _text(record, "to")
         if row is not None and recipient in row:
             row[recipient] += 1
 
@@ -240,18 +248,18 @@ class _Distributions:
         self.threads: dict[str, tuple[str, str, int]] = {}
         self.replies: list[tuple[str, int]] = []
 
-    def add(self, payload: dict) -> None:
-        kind = _text(payload, "type")
+    def add(self, record: dict) -> None:
+        kind = _text(record, "type")
         if kind == _RESPONSE:
-            self.replies.append((_text(payload, "thread_id"),
-                                 _int(payload, "sent_step")))
+            self.replies.append((_text(record, "thread_id"),
+                                 _int(record, "sent_step")))
         elif kind != _MEETING_START:
             # Interned: the threads share a few names, not one copy each.
-            kind, channel = intern(kind), intern(_text(payload, "channel"))
+            kind, channel = intern(kind), intern(_text(record, "channel"))
             self.type_counts[kind] = self.type_counts.get(kind, 0) + 1
             self.channel_counts[channel] = self.channel_counts.get(channel, 0) + 1
-            self.threads[_text(payload, "thread_id")] = (
-                kind, channel, _int(payload, "sent_step"))
+            self.threads[_text(record, "thread_id")] = (
+                kind, channel, _int(record, "sent_step"))
 
     def result(self) -> Distributions:
         total = sum(self.type_counts.values())
@@ -277,8 +285,8 @@ class _Distributions:
 
 
 class MetricsFold:
-    """`compute_metrics` one event at a time: `append` each event in trace
-    order, as a `Simulation` trace sink does, then take `result()` once, which
+    """`compute_metrics` one event at a time: `append` each event record in
+    trace order, as a `Simulation` trace sink does, then take `result()` once, which
     hands the fold's state to the report. The state grows with the roots, the
     team, the (agent, task) pairs and the message threads, not with the
     events."""
@@ -298,23 +306,25 @@ class MetricsFold:
         self.heatmap = _Heatmap([a.agent_id for a in scenario.team])
         self.distributions = _Distributions()
 
-    def append(self, step: int, kind: str, payload: dict) -> None:
+    def append(self, record: dict) -> None:
         self.event_count += 1
+        kind = record["kind"]
         if kind == "action":
+            step = record["step"]
             if self.final_step is None or step >= self.final_step:
                 self.final_step = step + 1
                 self.alignment.advance(step + 1)
         elif kind == "message_sent":
-            self.comm_cost.add(_number(payload, "cost_h") if "cost_h" in payload
+            self.comm_cost.add(_number(record, "cost_h") if "cost_h" in record
                                else 0.0)
-            self.distributions.add(payload)
+            self.distributions.add(record)
         elif kind == "message_delivered":
-            self.heatmap.add(payload)
+            self.heatmap.add(record)
         elif kind == "af_update":
-            self.alignment.update(step, payload)
-        elif kind == "task_done" and payload.get("root"):
-            self.completion_hours[_text(payload, "task")] = (
-                _int(payload, "boundary") * self.hours_per_step
+            self.alignment.update(record)
+        elif kind == "task_done" and _bool(record, "root"):
+            self.completion_hours[_text(record, "task")] = (
+                _int(record, "boundary") * self.hours_per_step
             )
 
     def result(self) -> MetricsReport:
@@ -349,32 +359,32 @@ class MetricsFold:
         )
 
 
-def compute_metrics(trace: TraceLog | Iterable[TraceEvent], scenario: Scenario,
+def compute_metrics(trace: TraceLog | Iterable[dict], scenario: Scenario,
                     baseline_hours: float | None = None,
                     hours_per_step: float = 0.25) -> MetricsReport:
     fold = MetricsFold(scenario, baseline_hours, hours_per_step)
     append = fold.append
-    for step, _, kind, payload in _events(trace):
-        append(step, kind, payload)
+    for record in _events(trace):
+        append(record)
     return fold.result()
 
 
-def heatmap(trace: TraceLog | Iterable[TraceEvent],
+def heatmap(trace: TraceLog | Iterable[dict],
             agent_ids: list[str]) -> dict[str, dict[str, int]]:
     """Cell (i, j) counts messages from i delivered to j."""
     fold = _Heatmap(agent_ids)
-    for event in _events(trace):
-        if event.kind == "message_delivered":
-            fold.add(event.payload)
+    for record in _events(trace):
+        if record["kind"] == "message_delivered":
+            fold.add(record)
     return fold.grid
 
 
-def distributions(trace: TraceLog | Iterable[TraceEvent]) -> Distributions:
+def distributions(trace: TraceLog | Iterable[dict]) -> Distributions:
     """Shares over agent-initiated messages plus mean reply latencies."""
     fold = _Distributions()
-    for event in _events(trace):
-        if event.kind == "message_sent":
-            fold.add(event.payload)
+    for record in _events(trace):
+        if record["kind"] == "message_sent":
+            fold.add(record)
     return fold.result()
 
 

@@ -1,17 +1,21 @@
 """Append-only run trace with a stable JSONL serialization.
 
-One event per line, fields in fixed order, no wall-clock timestamps: two runs
-that behave identically produce byte-identical files. The engine hands each
-event to a sink as it happens: `TraceLog` keeps them all, `TraceWriter`
-writes each line to the file and passes the event on.
+One event per line, no wall-clock timestamps: two runs that behave
+identically produce byte-identical files. An event is one record, the dict
+that is its line's JSON object: `step`, `seq` and `kind`, then the fields
+`SCHEMAS` lists for the kind, in that order. The engine builds each record
+once and hands it to a sink as it happens: `TraceLog` keeps the records,
+`TraceWriter` writes each one's line to the file and passes the record on.
+Reading a file yields the decoded records.
 
 Lines are encoded and decoded with orjson when it is installed (the `fast`
 extra) and with the standard `json` module otherwise; the bytes written and
 the values read back are the same under either. orjson writes some floats
 differently (`1e16` for `1e+16`, `0.00001` for `1e-05`, `null` for `NaN`),
 cannot write integers wider than 64 bits and reads integers outside
-[-2**63, 2**64) as floats, so an event that holds such a value takes the
-standard-library path.
+[-2**63, 2**64) as floats, so a line that holds such a value takes the
+standard-library path. Only the fields `SCHEMAS` marks as float fields are
+looked at before writing; every value read back is looked at.
 """
 
 from __future__ import annotations
@@ -20,18 +24,42 @@ import json
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Protocol
 
-EVENT_KINDS = (
-    "action",
-    "message_sent",
-    "message_delivered",
-    "af_update",
-    "progress",
-    "task_done",
-    "warning",
-)
+
+class Schema(NamedTuple):
+    """The fields of one event kind after `step`, `seq` and `kind`."""
+
+    fields: tuple[str, ...]
+    # The fields that may hold a float; no other field holds one.
+    floats: tuple[str, ...] = ()
 
 
-# Payloads are flat dicts of scalars and short lists built by the engine, so
+SCHEMAS = {
+    "action": Schema(("agent", "action", "target", "remaining")),
+    "message_sent": Schema(("message_id", "thread_id", "from", "to", "channel",
+                            "type", "about_task", "words", "cost_h", "sent_step"),
+                           ("cost_h",)),
+    "message_delivered": Schema(("message_id", "to", "from", "type", "thread_id")),
+    "af_update": Schema(("agent", "task", "old", "delta", "new", "cause"),
+                        ("old", "delta", "new")),
+    "progress": Schema(("agent", "task", "hours", "effective", "af", "progress"),
+                       ("hours", "effective", "af", "progress")),
+    "task_done": Schema(("task", "root", "boundary")),
+    "warning": Schema(("source", "detail")),
+}
+EVENT_KINDS = tuple(SCHEMAS)
+
+
+class _FloatFields(dict):
+    """Each kind's float fields; looking up an unknown kind raises."""
+
+    def __missing__(self, kind: str) -> tuple[str, ...]:
+        raise ValueError(f"unknown event kind: {kind}")
+
+
+_FLOATS = _FloatFields((kind, schema.floats) for kind, schema in SCHEMAS.items())
+
+
+# Records are flat dicts of scalars and short lists built by the engine, so
 # there is no cycle for the encoder to check.
 _std_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
                                check_circular=False).encode
@@ -53,13 +81,13 @@ class TraceError(ValueError):
 class Codec(NamedTuple):
     """How one event record becomes one line of bytes, and back."""
 
-    # record dict -> its line, "\n" included
-    encode: Callable[[dict], bytes]
+    # (record, its kind's float fields) -> its line, "\n" included
+    encode: Callable[[dict, tuple[str, ...]], bytes]
     # one line of bytes -> the decoded JSON value; ValueError when malformed
     decode: Callable[[bytes], object]
 
 
-def _std_line(record: dict) -> bytes:
+def _std_line(record: dict, floats: tuple[str, ...] = ()) -> bytes:
     return (_std_encode(record) + "\n").encode("utf-8")
 
 
@@ -68,20 +96,6 @@ def _std_value(line: bytes) -> object:
 
 
 STDLIB_CODEC = Codec(_std_line, _std_value)
-
-
-def _writes_alike(container) -> bool:
-    """True when orjson writes every float in a dict, list or tuple as `json` does."""
-    for value in (container.values() if type(container) is dict else container):
-        kind = type(value)
-        if kind is float:
-            if not (_FLOAT_LOW <= value < _FLOAT_HIGH or value == 0.0
-                    or -_FLOAT_HIGH < value <= -_FLOAT_LOW):
-                return False
-        elif kind is list or kind is dict or kind is tuple:
-            if not _writes_alike(value):
-                return False
-    return True
 
 
 def _reads_alike(container) -> bool:
@@ -107,13 +121,17 @@ def orjson_codec() -> Codec | None:
     newline = orjson.OPT_APPEND_NEWLINE
     encode_error, decode_error = orjson.JSONEncodeError, orjson.JSONDecodeError
 
-    def encode(record: dict) -> bytes:
-        if _writes_alike(record):
-            try:
-                return dumps(record, option=newline)
-            except encode_error:  # an integer beyond 64 bits, a non-str key
-                pass
-        return _std_line(record)
+    def encode(record: dict, floats: tuple[str, ...]) -> bytes:
+        for name in floats:
+            value = record.get(name)
+            if type(value) is float and not (
+                    _FLOAT_LOW <= value < _FLOAT_HIGH or value == 0.0
+                    or -_FLOAT_HIGH < value <= -_FLOAT_LOW):
+                return _std_line(record)
+        try:
+            return dumps(record, option=newline)
+        except encode_error:  # an integer beyond 64 bits
+            return _std_line(record)
 
     def decode(line: bytes) -> object:
         # Anything orjson rejects or may read differently is decoded again by
@@ -141,49 +159,24 @@ def _active_codec() -> Codec:
     return _codec
 
 
-def _line_encoder() -> Callable[[int, int, str, dict], bytes]:
-    """The one way an event becomes its trace line: (step, seq, kind, payload)
-    -> bytes, "\n" included, through the codec active when this is called."""
-    encode = _active_codec().encode
-
-    def line(step: int, seq: int, kind: str, payload: dict) -> bytes:
-        return encode({"step": step, "seq": seq, "kind": kind, **payload})
-
-    return line
-
-
-class TraceEvent(NamedTuple):
-    step: int
-    seq: int
-    kind: str
-    payload: dict
-
-
 class TraceSink(Protocol):
-    """Where the engine puts each event as it happens, in trace order."""
+    """Where the engine puts each event record as it happens, in trace order."""
 
-    def append(self, step: int, kind: str, payload: dict) -> object: ...
+    def append(self, record: dict) -> object: ...
 
 
 class TraceLog:
-    """The sink that keeps every event in memory."""
+    """The sink that keeps every event record in memory."""
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self.events: list[dict] = []
 
-    def append(self, step: int, kind: str, payload: dict) -> TraceEvent:
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind: {kind}")
-        event = TraceEvent(step, len(self.events), kind, payload)
-        self.events.append(event)
-        return event
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
+    def append(self, record: dict) -> None:
+        self.events.append(record)
 
     def _lines(self) -> Iterator[bytes]:
-        line = _line_encoder()
-        return (line(*event) for event in self.events)
+        encode = _active_codec().encode
+        return (encode(record, _FLOATS[record["kind"]]) for record in self.events)
 
     def to_jsonl(self) -> str:
         return b"".join(self._lines()).decode("utf-8")
@@ -197,12 +190,16 @@ class TraceLog:
         return path
 
     @staticmethod
-    def stream(path: str | Path) -> Iterator[TraceEvent]:
-        """Yield the events of a trace file one newline-terminated line at a time.
+    def stream(path: str | Path) -> Iterator[dict]:
+        """Yield the event records of a trace file one newline-terminated line
+        at a time.
 
         Only a newline ends an event: strings may hold U+2028 and other
-        characters that `str.splitlines` breaks on. `seq` counts the events
-        yielded. A line that is not one event raises `TraceError` naming it.
+        characters that `str.splitlines` breaks on. Each record's `seq` is set
+        to the count of events yielded before it. A line that is not a JSON
+        object with an integer `step`, a `seq` and a known `kind` raises
+        `TraceError` naming it; the other fields are checked where they are
+        read.
         """
         decode = _active_codec().decode
         seq = 0
@@ -212,14 +209,23 @@ class TraceLog:
                     continue
                 try:
                     record = decode(line)
-                    step = record.pop("step")
-                    record.pop("seq")
-                    kind = record.pop("kind")
+                    if type(record) is not dict:
+                        # Always raises: any other JSON value lacks `pop` or
+                        # refuses the key, and that error is the message.
+                        record.pop("step")
+                    step = record["step"]
+                    if type(step) is not int:
+                        raise ValueError(f"field 'step' of type "
+                                         f"{type(step).__name__}, not int")
+                    if "seq" not in record:
+                        raise KeyError("seq")
+                    kind = record["kind"]
                     if kind not in EVENT_KINDS:
                         raise ValueError(f"unknown event kind: {kind}")
                 except (ValueError, KeyError, AttributeError, TypeError) as exc:
                     raise TraceError(f"{path}: line {number}: {exc}") from None
-                yield TraceEvent(step, seq, kind, record)
+                record["seq"] = seq
+                yield record
                 seq += 1
 
     @classmethod
@@ -230,8 +236,8 @@ class TraceLog:
 
 
 class TraceWriter:
-    """The sink that writes each event's line to a trace file as it comes and
-    passes the event on to `then`, holding no event.
+    """The sink that writes each event record's line to a trace file as it
+    comes and passes the record on to `then`, holding no record.
 
     The file, and any missing directory above it, is made at the first event,
     so a run without events creates nothing, and a path that cannot be written
@@ -244,22 +250,19 @@ class TraceWriter:
         self.path = Path(path)
         self.then = then
         self._out: BinaryIO | None = None
-        self._line: Callable[[int, int, str, dict], bytes] | None = None
-        self._seq = 0
+        self._encode: Callable[[dict, tuple[str, ...]], bytes] | None = None
 
-    def append(self, step: int, kind: str, payload: dict) -> None:
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind: {kind}")
+    def append(self, record: dict) -> None:
+        floats = _FLOATS[record["kind"]]
         if self._out is None:
             self._open()
-        self._out.write(self._line(step, self._seq, kind, payload))
-        self._seq += 1
-        self.then.append(step, kind, payload)
+        self._out.write(self._encode(record, floats))
+        self.then.append(record)
 
     def _open(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._out = self.path.open("wb")
-        self._line = _line_encoder()
+        self._encode = _active_codec().encode
 
     def close(self) -> None:
         if self._out is not None:

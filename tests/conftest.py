@@ -147,6 +147,17 @@ def refused_port() -> int:
         return probe.getsockname()[1]
 
 
+def of_kind(log: trace.TraceLog, kind: str) -> list[dict]:
+    """The records of one event kind in a `TraceLog`, in trace order."""
+    return [record for record in log.events if record["kind"] == kind]
+
+
+def add_event(log: trace.TraceLog, step: int, kind: str, fields: dict) -> None:
+    """Append the record of one event to `log`, numbered as the engine numbers
+    it: `seq` counts the events before it."""
+    log.append({"step": step, "seq": len(log.events), "kind": kind, **fields})
+
+
 def trace_codecs() -> list[tuple[str, trace.Codec]]:
     """Every trace codec this host can run: orjson where it is installed,
     and the standard-library fallback that stands in for it elsewhere."""

@@ -9,10 +9,10 @@ import math
 from teamsim.comms import MessageType
 from teamsim.metrics import Distributions, MetricsError, MetricsReport
 from teamsim.model import Scenario, order_key
-from teamsim.trace import TraceEvent, TraceLog
+from teamsim.trace import TraceLog
 
 
-def _events(trace: TraceLog | list[TraceEvent]) -> list[TraceEvent]:
+def _events(trace: TraceLog | list[dict]) -> list[dict]:
     return trace.events if isinstance(trace, TraceLog) else list(trace)
 
 
@@ -25,14 +25,14 @@ def _mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def oracle_metrics(trace: TraceLog | list[TraceEvent], scenario: Scenario,
+def oracle_metrics(trace: TraceLog | list[dict], scenario: Scenario,
                    baseline_hours: float | None = None,
                    hours_per_step: float = 0.25) -> MetricsReport:
     events = _events(trace)
     if not events:
         raise MetricsError("empty trace")
 
-    action_steps = [e.step for e in events if e.kind == "action"]
+    action_steps = [e["step"] for e in events if e["kind"] == "action"]
     if not action_steps:
         raise MetricsError("trace has no action events")
     final_step = max(action_steps) + 1
@@ -42,9 +42,9 @@ def oracle_metrics(trace: TraceLog | list[TraceEvent], scenario: Scenario,
                   for rid, spec in zip(root_ids, scenario.tasks)}
     completion_hours: dict[str, float | None] = {rid: None for rid in root_ids}
     for event in events:
-        if event.kind == "task_done" and event.payload.get("root"):
-            completion_hours[event.payload["task"]] = (
-                event.payload["boundary"] * hours_per_step
+        if event["kind"] == "task_done" and event.get("root"):
+            completion_hours[event["task"]] = (
+                event["boundary"] * hours_per_step
             )
 
     completed = [rid for rid, h in completion_hours.items() if h is not None]
@@ -54,7 +54,7 @@ def oracle_metrics(trace: TraceLog | list[TraceEvent], scenario: Scenario,
     )
 
     comm_cost = math.fsum(
-        e.payload.get("cost_h", 0.0) for e in events if e.kind == "message_sent"
+        e.get("cost_h", 0.0) for e in events if e["kind"] == "message_sent"
     )
 
     alignment_score = _alignment_score(events, final_step)
@@ -81,14 +81,14 @@ def oracle_metrics(trace: TraceLog | list[TraceEvent], scenario: Scenario,
     )
 
 
-def _alignment_score(events: list[TraceEvent], final_step: int) -> float:
+def _alignment_score(events: list[dict], final_step: int) -> float:
     """Mean alignment sampled at the end of every executed step."""
     changes: dict[int, list[tuple[tuple[str, str], float]]] = {}
     for event in events:
-        if event.kind != "af_update":
+        if event["kind"] != "af_update":
             continue
-        key = (event.payload["agent"], event.payload["task"])
-        changes.setdefault(event.step, []).append((key, event.payload["new"]))
+        key = (event["agent"], event["task"])
+        changes.setdefault(event["step"], []).append((key, event["new"]))
 
     values: dict[tuple[str, str], float] = {}
     samples: list[float] = []
@@ -99,41 +99,41 @@ def _alignment_score(events: list[TraceEvent], final_step: int) -> float:
     return _mean(samples)
 
 
-def heatmap(trace: TraceLog | list[TraceEvent],
+def heatmap(trace: TraceLog | list[dict],
             agent_ids: list[str]) -> dict[str, dict[str, int]]:
     """Cell (i, j) counts messages from i delivered to j."""
     ordered = sorted(agent_ids, key=order_key)
     grid = {a: {b: 0 for b in ordered} for a in ordered}
     for event in _events(trace):
-        if event.kind != "message_delivered":
+        if event["kind"] != "message_delivered":
             continue
-        sender = event.payload["from"]
-        recipient = event.payload["to"]
+        sender = event["from"]
+        recipient = event["to"]
         if sender in grid and recipient in grid[sender]:
             grid[sender][recipient] += 1
     return grid
 
 
-def distributions(trace: TraceLog | list[TraceEvent]) -> Distributions:
+def distributions(trace: TraceLog | list[dict]) -> Distributions:
     """Shares over agent-initiated messages plus mean reply latencies.
 
     MEETING_START is engine-emitted rather than an agent's communication
     decision, so it is excluded from the shares.
     """
     events = _events(trace)
-    sent = [e for e in events if e.kind == "message_sent"]
+    sent = [e for e in events if e["kind"] == "message_sent"]
     initiated = [
         e for e in sent
-        if e.payload["type"] not in (MessageType.RESPONSE.value,
+        if e["type"] not in (MessageType.RESPONSE.value,
                                      MessageType.MEETING_START.value)
     ]
 
     type_counts: dict[str, int] = {}
     channel_counts: dict[str, int] = {}
     for event in initiated:
-        type_counts[event.payload["type"]] = type_counts.get(event.payload["type"], 0) + 1
-        channel_counts[event.payload["channel"]] = (
-            channel_counts.get(event.payload["channel"], 0) + 1
+        type_counts[event["type"]] = type_counts.get(event["type"], 0) + 1
+        channel_counts[event["channel"]] = (
+            channel_counts.get(event["channel"], 0) + 1
         )
     total = len(initiated)
     type_shares = {k: v / total for k, v in sorted(type_counts.items())} if total else {}
@@ -141,18 +141,18 @@ def distributions(trace: TraceLog | list[TraceEvent]) -> Distributions:
         {k: v / total for k, v in sorted(channel_counts.items())} if total else {}
     )
 
-    roots = {e.payload["thread_id"]: e for e in initiated}
+    roots = {e["thread_id"]: e for e in initiated}
     latency_by_type: dict[str, list[float]] = {}
     latency_by_channel: dict[str, list[float]] = {}
     for event in sent:
-        if event.payload["type"] != MessageType.RESPONSE.value:
+        if event["type"] != MessageType.RESPONSE.value:
             continue
-        root = roots.get(event.payload["thread_id"])
+        root = roots.get(event["thread_id"])
         if root is None:
             continue
-        latency = (event.payload["sent_step"] + 1) - root.payload["sent_step"]
-        latency_by_type.setdefault(root.payload["type"], []).append(float(latency))
-        latency_by_channel.setdefault(root.payload["channel"], []).append(float(latency))
+        latency = (event["sent_step"] + 1) - root["sent_step"]
+        latency_by_type.setdefault(root["type"], []).append(float(latency))
+        latency_by_channel.setdefault(root["channel"], []).append(float(latency))
 
     return Distributions(
         type_shares=type_shares,

@@ -21,7 +21,7 @@ from teamsim.taskgraph import SubtaskSpec
 from teamsim.trace import TraceLog
 
 from conftest import (COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, RandomDagPlanner,
-                      make_scenario)
+                      add_event, make_scenario, of_kind)
 
 TIME_TOLERANCE_H = 0.25
 EFFICIENCY_TOLERANCE = 0.02
@@ -90,9 +90,9 @@ class TestCriterion3SpeedupFormula:
         scenario = make_scenario(MEDIUM_TASK)
         trace = TraceLog()
         for step in range(52):
-            trace.append(step, "action", {"agent": "M1", "action": "idle",
-                                          "target": None, "remaining": 0})
-        trace.append(51, "task_done", {"task": "T1", "root": True, "boundary": 52})
+            add_event(trace, step, "action", {"agent": "M1", "action": "idle",
+                                              "target": None, "remaining": 0})
+        add_event(trace, 51, "task_done", {"task": "T1", "root": True, "boundary": 52})
         report = compute_metrics(trace, scenario, baseline_hours=20.0)
         assert report.avg_completion_time == pytest.approx(13.0)
         assert abs(report.speedup - 1.54) <= SPEEDUP_TOLERANCE
@@ -148,23 +148,23 @@ class TestCriterion4SafProperties:
             trace = result.trace
 
             sent_step = {}
-            for event in trace.of_kind("message_sent"):
-                sent_step[event.payload["message_id"]] = event.payload["sent_step"]
+            for event in of_kind(trace, "message_sent"):
+                sent_step[event["message_id"]] = event["sent_step"]
 
             delivery_counts = {}
-            for event in trace.of_kind("message_delivered"):
-                mid = event.payload["message_id"]
-                if event.step <= sent_step[mid]:
+            for event in of_kind(trace, "message_delivered"):
+                mid = event["message_id"]
+                if event["step"] <= sent_step[mid]:
                     violations.append((run_index, "read-before-send", mid))
-                key = (mid, event.payload["to"])
+                key = (mid, event["to"])
                 delivery_counts[key] = delivery_counts.get(key, 0) + 1
             for key, count in delivery_counts.items():
                 if count != 1:
                     violations.append((run_index, "duplicate-delivery", key))
 
             per_step = {}
-            for event in trace.of_kind("action"):
-                key = (event.step, event.payload["agent"])
+            for event in of_kind(trace, "action"):
+                key = (event["step"], event["agent"])
                 per_step[key] = per_step.get(key, 0) + 1
             agents = [a.agent_id for a in scenario.team]
             for step in range(result.final_step):
@@ -173,9 +173,9 @@ class TestCriterion4SafProperties:
                         violations.append((run_index, "action-count", (step, agent)))
 
             replies_per_thread = {}
-            for event in trace.of_kind("message_sent"):
-                if event.payload["type"] == "RESPONSE":
-                    tid = event.payload["thread_id"]
+            for event in of_kind(trace, "message_sent"):
+                if event["type"] == "RESPONSE":
+                    tid = event["thread_id"]
                     replies_per_thread[tid] = replies_per_thread.get(tid, 0) + 1
             for tid, rounds in replies_per_thread.items():
                 if rounds > 3:
@@ -323,23 +323,21 @@ class TestCriterion10FixedStepsSchedule:
         workers = {a.agent_id for a in scenario.workers}
         roots = {}
         initiations = []
-        for event in result.trace.of_kind("message_sent"):
-            payload = event.payload
-            if payload["type"] in ("RESPONSE", "MEETING_START"):
+        for record in of_kind(result.trace, "message_sent"):
+            if record["type"] in ("RESPONSE", "MEETING_START"):
                 continue
-            roots[payload["thread_id"]] = payload["sent_step"]
-            if payload["from"] in workers:
-                initiations.append((payload["from"], payload["sent_step"],
-                                    payload["type"]))
+            roots[record["thread_id"]] = record["sent_step"]
+            if record["from"] in workers:
+                initiations.append((record["from"], record["sent_step"],
+                                    record["type"]))
         assert initiations, "fixed_steps produced no worker communications"
         for sender, step, mtype in initiations:
             assert step % 16 in (0, 1), (sender, step, mtype)
-        for event in result.trace.of_kind("message_sent"):
-            payload = event.payload
-            if payload["type"] != "RESPONSE":
+        for record in of_kind(result.trace, "message_sent"):
+            if record["type"] != "RESPONSE":
                 continue
-            root_step = roots[payload["thread_id"]]
-            assert payload["sent_step"] - root_step <= REPLY_WINDOW_STEPS, payload
+            root_step = roots[record["thread_id"]]
+            assert record["sent_step"] - root_step <= REPLY_WINDOW_STEPS, record
         steps_used = sorted({step for _, step, _ in initiations})
         print(f"\nACCEPTANCE 10: PASS - fixed_steps worker initiations only at "
               f"steps mod 16 in (0, 1) (raw steps {steps_used}); replies within "

@@ -517,6 +517,7 @@ class TestCliReport:
     @pytest.mark.parametrize("kind,field,expected", [
         ("task_done", "boundary", "int"),
         ("af_update", "new", "a number"),
+        ("task_done", "root", "bool"),
     ])
     def test_event_with_a_wrongly_typed_field_is_a_one_line_error(
             self, tmp_path, capsys, kind, field, expected):
@@ -541,6 +542,27 @@ class TestCliReport:
         assert err == (f"trace error: {path}: event {number} ({kind} at step "
                        f"{record['step']}) has field '{field}' of type str, "
                        f"not {expected}\n")
+
+    @pytest.mark.parametrize("step", ["3", 1.5, True, None],
+                             ids=["str", "float", "bool", "null"])
+    def test_event_with_a_step_that_is_not_an_integer_is_a_one_line_error(
+            self, tmp_path, capsys, step):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(SCENARIOS / "simple.yaml"),
+              "--policy", "c2c_heuristic", "--out", str(out)])
+        path = out / "trace.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        number = next(i for i, line in enumerate(lines)
+                      if json.loads(line)["kind"] == "action" and i > 0)
+        record = json.loads(lines[number])
+        record["step"] = step
+        lines[number] = json.dumps(record, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == (f"trace error: {path}: line {number + 1}: field 'step' of "
+                       f"type {type(step).__name__}, not int\n")
 
     @pytest.mark.parametrize("trace_text", [
         "",

@@ -15,7 +15,7 @@ from teamsim.model import Scenario, TaskSpec, validate_scenario
 from teamsim.policy import HeuristicPolicy, IntentionKind
 
 from conftest import (MEDIUM_TASK, ChainPlanner, chain_scenario, make_scenario,
-                      make_team)
+                      make_team, of_kind)
 
 
 def closed_form_no_comm_hours(total_hours: float, workers: int,
@@ -46,7 +46,7 @@ class TestNoCommBaselines:
 
     def test_no_messages_and_alignment_frozen(self, simple_scenario):
         result = run_scenario(simple_scenario)
-        assert result.trace.of_kind("message_sent") == []
+        assert of_kind(result.trace, "message_sent") == []
         assert result.comm_cost_hours == 0.0
         assert all(v == 0.30 for v in result.world.alignment.values.values())
 
@@ -61,17 +61,17 @@ class TestNoCommBaselines:
 class TestStepDiscipline:
     def test_work_step_applies_alignment_scaled_progress(self, simple_scenario):
         result = run_scenario(simple_scenario)
-        progress = result.trace.of_kind("progress")
+        progress = of_kind(result.trace, "progress")
         assert progress
         for event in progress[:40]:
-            assert event.payload["effective"] == pytest.approx(0.25 * 0.30)
+            assert event["effective"] == pytest.approx(0.25 * 0.30)
 
     def test_one_action_event_per_agent_per_step(self, medium_scenario):
         scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
         result = run_scenario(scenario)
         actions: dict[tuple[int, str], int] = {}
-        for event in result.trace.of_kind("action"):
-            key = (event.step, event.payload["agent"])
+        for event in of_kind(result.trace, "action"):
+            key = (event["step"], event["agent"])
             actions[key] = actions.get(key, 0) + 1
         agents = [a.agent_id for a in scenario.team]
         for step in range(result.final_step):
@@ -81,12 +81,12 @@ class TestStepDiscipline:
     def test_messages_never_readable_in_send_step(self, medium_scenario):
         scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
         result = run_scenario(scenario)
-        sent_step = {e.payload["message_id"]: e.payload["sent_step"]
-                     for e in result.trace.of_kind("message_sent")}
-        delivered = result.trace.of_kind("message_delivered")
+        sent_step = {e["message_id"]: e["sent_step"]
+                     for e in of_kind(result.trace, "message_sent")}
+        delivered = of_kind(result.trace, "message_delivered")
         assert delivered
         for event in delivered:
-            assert event.step > sent_step[event.payload["message_id"]]
+            assert event["step"] > sent_step[event["message_id"]]
 
     def test_multi_step_action_blocks_new_intentions(self, medium_scenario):
         # The manager's scope-brief replies take two steps; while composing,
@@ -94,9 +94,9 @@ class TestStepDiscipline:
         scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
         result = run_scenario(scenario)
         reply_steps = [
-            (e.step, e.payload["remaining"])
-            for e in result.trace.of_kind("action")
-            if e.payload["agent"] == "M1" and e.payload["action"] == "reply"
+            (e["step"], e["remaining"])
+            for e in of_kind(result.trace, "action")
+            if e["agent"] == "M1" and e["action"] == "reply"
         ]
         assert any(remaining == 1 for _, remaining in reply_steps)
         assert any(remaining == 0 for _, remaining in reply_steps)
@@ -105,9 +105,9 @@ class TestStepDiscipline:
         scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
         result = run_scenario(scenario)
         by_task: dict[str, float] = {}
-        for event in result.trace.of_kind("progress"):
-            by_task[event.payload["task"]] = (
-                by_task.get(event.payload["task"], 0.0) + event.payload["effective"]
+        for event in of_kind(result.trace, "progress"):
+            by_task[event["task"]] = (
+                by_task.get(event["task"], 0.0) + event["effective"]
             )
         for task_id, total in by_task.items():
             assert total == pytest.approx(
@@ -123,17 +123,17 @@ class TestStepDiscipline:
                    TaskSpec("b", 0.5, frozenset({"backend"}))],
             seed=0))
         result = run_scenario(scenario)
-        first_work = next(e for e in result.trace.of_kind("action")
-                          if e.payload["action"] == "work"
-                          and e.payload["agent"] == "W1")
-        assert first_work.payload["target"] == "T1.1"
+        first_work = next(e for e in of_kind(result.trace, "action")
+                          if e["action"] == "work"
+                          and e["agent"] == "W1")
+        assert first_work["target"] == "T1.1"
 
     def test_undelivered_at_run_end_warned(self):
         # A 2-step cap ends the run right after the workers' clarifications.
         scenario = make_scenario(MEDIUM_TASK, policy="c2c_heuristic")
         result = run_scenario(scenario, max_steps=2)
-        warnings = [e for e in result.trace.of_kind("warning")
-                    if "undelivered" in e.payload["detail"]]
+        warnings = [e for e in of_kind(result.trace, "warning")
+                    if "undelivered" in e["detail"]]
         assert warnings
 
     def test_manager_answers_oldest_thread_first(self, medium_scenario):
@@ -142,10 +142,10 @@ class TestStepDiscipline:
         scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
         result = run_scenario(scenario)
         manager_replies = [
-            e.payload["to"][0]
-            for e in result.trace.of_kind("message_sent")
-            if e.payload["from"] == "M1"
-            and e.payload["type"] == MessageType.RESPONSE.value
+            e["to"][0]
+            for e in of_kind(result.trace, "message_sent")
+            if e["from"] == "M1"
+            and e["type"] == MessageType.RESPONSE.value
         ]
         assert manager_replies == sorted(manager_replies,
                                          key=lambda a: int(a[1:]))
@@ -168,15 +168,15 @@ class TestHeuristicRun:
     def test_clarification_then_help_chain(self, medium_scenario):
         scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
         result = run_scenario(scenario)
-        sent = result.trace.of_kind("message_sent")
+        sent = of_kind(result.trace, "message_sent")
         clars = [e for e in sent
-                 if e.payload["type"] == MessageType.NEED_CLARIFICATION.value]
+                 if e["type"] == MessageType.NEED_CLARIFICATION.value]
         helps = [e for e in sent
-                 if e.payload["type"] == MessageType.HELP_REQUEST.value]
+                 if e["type"] == MessageType.HELP_REQUEST.value]
         assert len(clars) == 4
         assert helps, "stuck low-alignment workers should escalate to help"
-        assert min(e.payload["sent_step"] for e in helps) > \
-            max(e.payload["sent_step"] for e in clars)
+        assert min(e["sent_step"] for e in helps) > \
+            max(e["sent_step"] for e in clars)
 
     def test_comm_cost_totals_agree(self, medium_scenario):
         scenario = dataclasses.replace(medium_scenario, policy_name="c2c_heuristic")
@@ -195,37 +195,37 @@ class TestMeetings:
 
     def test_meeting_lifecycle_and_alignment_gain(self):
         result = self.run_with_chain()
-        sent = result.trace.of_kind("message_sent")
+        sent = of_kind(result.trace, "message_sent")
         invites = [e for e in sent
-                   if e.payload["type"] == MessageType.MEETING_INVITE.value]
+                   if e["type"] == MessageType.MEETING_INVITE.value]
         starts = [e for e in sent
-                  if e.payload["type"] == MessageType.MEETING_START.value]
+                  if e["type"] == MessageType.MEETING_START.value]
         assert len(invites) == 1
         assert len(starts) == 1
         invite, start = invites[0], starts[0]
         # start happens at least two steps after the invite goes out
-        assert start.step >= invite.payload["sent_step"] + 2
+        assert start["step"] >= invite["sent_step"] + 2
         # held meeting carries the meeting cost on its start event
-        assert start.payload["cost_h"] > 0
+        assert start["cost_h"] > 0
         meeting_gains = [
-            e for e in result.trace.of_kind("af_update")
-            if str(e.payload["cause"]).startswith("mt")
+            e for e in of_kind(result.trace, "af_update")
+            if str(e["cause"]).startswith("mt")
         ]
         assert meeting_gains
         for event in meeting_gains:
-            assert event.payload["delta"] == pytest.approx(0.27)
+            assert event["delta"] == pytest.approx(0.27)
 
     def test_meeting_occupies_attendees_for_duration(self):
         result = self.run_with_chain()
-        start = next(e for e in result.trace.of_kind("message_sent")
-                     if e.payload["type"] == MessageType.MEETING_START.value)
-        attendees = start.payload["to"]
-        cost = start.payload["cost_h"]
+        start = next(e for e in of_kind(result.trace, "message_sent")
+                     if e["type"] == MessageType.MEETING_START.value)
+        attendees = start["to"]
+        cost = start["cost_h"]
         duration = math.ceil(cost / 0.25)
         for agent in attendees:
             meeting_steps = [
-                e.step for e in result.trace.of_kind("action")
-                if e.payload["agent"] == agent and e.payload["action"] == "meeting"
+                e["step"] for e in of_kind(result.trace, "action")
+                if e["agent"] == agent and e["action"] == "meeting"
             ]
             assert len(meeting_steps) == duration
 
@@ -244,13 +244,13 @@ class TestMeetings:
                 return intention
 
         result = self.run_with_chain(policy=SpyPolicy())
-        start = next(e for e in result.trace.of_kind("message_sent")
-                     if e.payload["type"] == MessageType.MEETING_START.value)
+        start = next(e for e in of_kind(result.trace, "message_sent")
+                     if e["type"] == MessageType.MEETING_START.value)
         idle_checks = {}
-        for agent in start.payload["to"]:
+        for agent in start["to"]:
             meeting_end = max(
-                e.step for e in result.trace.of_kind("action")
-                if e.payload["agent"] == agent and e.payload["action"] == "meeting")
+                e["step"] for e in of_kind(result.trace, "action")
+                if e["agent"] == agent and e["action"] == "meeting")
             idle_checks[agent] = sum(
                 1 for step, who, kind, actionable in decisions
                 if who == agent and step > meeting_end and not actionable
@@ -276,10 +276,10 @@ class TestMeetings:
         sim = Simulation(scenario, policy=InviteBlindPolicy(),
                          planner=ChainPlanner())
         result = sim.run()
-        cancelled = [e for e in result.trace.of_kind("warning")
-                     if "cancelled" in e.payload["detail"]]
-        starts = [e for e in result.trace.of_kind("message_sent")
-                  if e.payload["type"] == MessageType.MEETING_START.value]
+        cancelled = [e for e in of_kind(result.trace, "warning")
+                     if "cancelled" in e["detail"]]
+        starts = [e for e in of_kind(result.trace, "message_sent")
+                  if e["type"] == MessageType.MEETING_START.value]
         assert cancelled
         assert not starts
 
@@ -321,15 +321,15 @@ class TestLlmModes:
         result = run_scenario(scenario, adapter=llm_stub_adapter())
         assert result.completed
         # intention CONTINUE_TASK everywhere means no communication
-        assert result.trace.of_kind("message_sent") == []
+        assert of_kind(result.trace, "message_sent") == []
 
     def test_llm_policy_falls_back_on_unknown_intention(self, simple_scenario):
         scenario = dataclasses.replace(simple_scenario, policy_name="c2c_llm")
         adapter = llm_stub_adapter(intention="DO_A_BACKFLIP")
         result = run_scenario(scenario, adapter=adapter)
         assert result.completed
-        warnings = [e for e in result.trace.of_kind("warning")
-                    if "intention adapter fallback" in e.payload["detail"]]
+        warnings = [e for e in of_kind(result.trace, "warning")
+                    if "intention adapter fallback" in e["detail"]]
         assert warnings
 
     def test_llm_evaluator_normalizes_reported_alignment(self, medium_scenario):
@@ -338,13 +338,13 @@ class TestLlmModes:
                                        evaluator_name="llm")
         result = run_scenario(scenario, adapter=llm_stub_adapter(new_af=0.52))
         reply_updates = [
-            e for e in result.trace.of_kind("af_update")
-            if e.payload["cause"] not in ("init",)
-            and not str(e.payload["cause"]).startswith("mt")
+            e for e in of_kind(result.trace, "af_update")
+            if e["cause"] not in ("init",)
+            and not str(e["cause"]).startswith("mt")
         ]
         assert reply_updates
         first = reply_updates[0]
-        assert first.payload["new"] == pytest.approx(0.52)
+        assert first["new"] == pytest.approx(0.52)
 
     def test_llm_evaluator_transport_failure_uses_rule_table(self, medium_scenario):
         scenario = dataclasses.replace(medium_scenario,
@@ -352,10 +352,10 @@ class TestLlmModes:
                                        evaluator_name="llm")
         result = run_scenario(scenario, adapter=llm_stub_adapter(fail=True))
         assert result.completed
-        fallbacks = [e for e in result.trace.of_kind("warning")
-                     if "evaluator fallback" in e.payload["detail"]]
+        fallbacks = [e for e in of_kind(result.trace, "warning")
+                     if "evaluator fallback" in e["detail"]]
         assert fallbacks
-        clar_updates = [e for e in result.trace.of_kind("af_update")
-                        if e.payload["delta"] is not None
-                        and e.payload["old"] == pytest.approx(0.30)]
-        assert clar_updates[0].payload["delta"] == pytest.approx(0.10)
+        clar_updates = [e for e in of_kind(result.trace, "af_update")
+                        if e["delta"] is not None
+                        and e["old"] == pytest.approx(0.30)]
+        assert clar_updates[0]["delta"] == pytest.approx(0.10)

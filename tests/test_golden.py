@@ -2,22 +2,29 @@
 
 A refactor that changes one byte of any of these traces changes behaviour.
 Each digest is taken under every trace codec: orjson and the standard-library
-fallback write the same bytes.
+fallback write the same bytes, both through `TraceLog` and through the
+`TraceWriter` that `teamsim run` writes with. Every record of these runs is
+also checked against its kind's schema: the keys in order, and floats only in
+the fields the writer guards.
 The shipped-scenario digests are the same ones the benchmark pins in
 `perfbench/cases.py`; the dependency, meeting and random-DAG cases cover the
 engine paths that no benchmark workload reaches.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import runpy
 from pathlib import Path
 
 import pytest
 
+from teamsim.cli import main
 from teamsim.config import parse_scenario, parse_scenario_text
 from teamsim.engine import Simulation
 from teamsim.model import Scenario
+from teamsim.trace import SCHEMAS
 
 from conftest import (MEDIUM_TASK, SIMPLE_TASK, ChainPlanner, RandomDagPlanner,
                       chain_scenario, eight_roots_scenario, make_scenario)
@@ -52,9 +59,27 @@ SHIPPED = {
 }
 
 
+def _holds_float(value) -> bool:
+    if type(value) is list:
+        return any(_holds_float(v) for v in value)
+    return type(value) is float
+
+
+def _check_schema(records: list[dict]) -> None:
+    """Each record has `step`, `seq`, `kind` and its kind's fields in order,
+    and a float only in a field its schema marks as a float field."""
+    for seq, record in enumerate(records):
+        schema = SCHEMAS[record["kind"]]
+        assert list(record) == ["step", "seq", "kind", *schema.fields], record
+        assert record["seq"] == seq
+        assert not [name for name in schema.fields
+                    if name not in schema.floats and _holds_float(record[name])], record
+
+
 def _digests(each_codec, scenario: Scenario, planner=None) -> set[str]:
     """The trace's sha256 under every codec: one digest when they agree."""
     trace = Simulation(scenario, planner=planner).run().trace
+    _check_schema(trace.events)
     return {hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
             for _ in each_codec()}
 
@@ -70,6 +95,18 @@ def test_shipped_scenarios(each_codec, name, policy):
     scenario = parse_scenario(ROOT / "scenarios" / f"{name}.yaml")
     scenario = dataclasses.replace(scenario, policy_name=policy)
     assert _digests(each_codec, scenario) == {SHIPPED[name, policy]}
+
+
+@pytest.mark.parametrize("name,policy", sorted(SHIPPED))
+def test_cli_run_writes_the_shipped_digests(each_codec, tmp_path, name, policy):
+    """`teamsim run` writes each line through `TraceWriter`, not `TraceLog`."""
+    for codec in each_codec():
+        out = tmp_path / codec
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["run", "--scenario", str(ROOT / "scenarios" / f"{name}.yaml"),
+                  "--policy", policy, "--out", str(out)])
+        digest = hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest()
+        assert digest == SHIPPED[name, policy]
 
 
 def test_shipped_digests_match_benchmark_pins():

@@ -10,7 +10,7 @@ from teamsim.metrics import (MetricsError, compute_metrics, distributions,
                              heatmap, render_report)
 from teamsim.trace import TraceLog
 
-from conftest import MEDIUM_TASK, make_scenario
+from conftest import MEDIUM_TASK, add_event, make_scenario, of_kind
 
 
 def synthetic_trace(completion_boundary=80, agents=("M1", "W1"),
@@ -18,10 +18,10 @@ def synthetic_trace(completion_boundary=80, agents=("M1", "W1"),
     trace = TraceLog()
     for step in range(final_step):
         for agent in agents:
-            trace.append(step, "action", {"agent": agent, "action": "work",
-                                          "target": "T1.1", "remaining": 0})
-    trace.append(completion_boundary - 1, "task_done",
-                 {"task": "T1", "root": True, "boundary": completion_boundary})
+            add_event(trace, step, "action", {"agent": agent, "action": "work",
+                                              "target": "T1.1", "remaining": 0})
+    add_event(trace, completion_boundary - 1, "task_done",
+                     {"task": "T1", "root": True, "boundary": completion_boundary})
     return trace
 
 
@@ -80,10 +80,10 @@ class TestHeatmap:
 
     def test_counts_deliveries(self):
         trace = TraceLog()
-        trace.append(0, "action", {"agent": "W1", "action": "idle",
-                                   "target": None, "remaining": 0})
+        add_event(trace, 0, "action", {"agent": "W1", "action": "idle",
+                                       "target": None, "remaining": 0})
         for i in range(3):
-            trace.append(i + 1, "message_delivered", {
+            add_event(trace, i + 1, "message_delivered", {
                 "message_id": f"m{i}", "to": "M1", "from": "W1",
                 "type": "HELP_REQUEST", "thread_id": f"th{i}",
             })
@@ -98,9 +98,9 @@ class TestHeatmap:
         grid = heatmap(result.trace, agents)
         sent_count = {a: 0 for a in agents}
         received_count = {a: 0 for a in agents}
-        for event in result.trace.of_kind("message_delivered"):
-            sent_count[event.payload["from"]] += 1
-            received_count[event.payload["to"]] += 1
+        for event in of_kind(result.trace, "message_delivered"):
+            sent_count[event["from"]] += 1
+            received_count[event["to"]] += 1
         for agent in agents:
             assert sum(grid[agent].values()) == sent_count[agent]
             assert sum(grid[b][agent] for b in agents) == received_count[agent]
@@ -109,22 +109,22 @@ class TestHeatmap:
 class TestDistributions:
     def trace_with_messages(self):
         trace = TraceLog()
-        trace.append(0, "action", {"agent": "W1", "action": "idle",
-                                   "target": None, "remaining": 0})
+        add_event(trace, 0, "action", {"agent": "W1", "action": "idle",
+                                       "target": None, "remaining": 0})
         entries = [
             ("m1", "th1", "HELP_REQUEST", "chat", 4),
             ("m2", "th2", "HELP_REQUEST", "email", 5),
             ("m3", "th3", "NEED_CLARIFICATION", "chat", 6),
         ]
         for mid, tid, mtype, channel, step in entries:
-            trace.append(step, "message_sent", {
+            add_event(trace, step, "message_sent", {
                 "message_id": mid, "thread_id": tid, "from": "W1",
                 "to": ["M1"], "channel": channel, "type": mtype,
                 "about_task": "T1.1", "words": 10, "cost_h": 0.05,
                 "sent_step": step,
             })
         # one reply resolves the first help at step 6 (delivered 7)
-        trace.append(6, "message_sent", {
+        add_event(trace, 6, "message_sent", {
             "message_id": "m4", "thread_id": "th1", "from": "M1",
             "to": ["W1"], "channel": "chat", "type": "RESPONSE",
             "about_task": "T1.1", "words": 5, "cost_h": 0.05, "sent_step": 6,

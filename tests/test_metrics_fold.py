@@ -25,7 +25,7 @@ from teamsim.model import Scenario, validate_scenario
 from teamsim.trace import TraceLog
 
 from conftest import (MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, ChainPlanner,
-                      RandomDagPlanner, chain_scenario, make_scenario)
+                      RandomDagPlanner, add_event, chain_scenario, make_scenario)
 from metrics_oracle import oracle_metrics
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -207,7 +207,7 @@ def _traces(draw) -> TraceLog:
         events.insert(slot + offset, (step, "af_update", payload))
     log = TraceLog()
     for step, kind, payload in events:
-        log.append(step, kind, payload)
+        add_event(log, step, kind, payload)
     return log
 
 
@@ -240,9 +240,9 @@ def test_unsampled_updates_leave_identical_samples_exact(events):
     trace = TraceLog()
     for step, value in events:
         if value == "action":
-            trace.append(step, "action", {})
+            add_event(trace, step, "action", {})
         else:
-            trace.append(step, "af_update", {"agent": "W1", "task": "T1.1", "new": value})
+            add_event(trace, step, "af_update", {"agent": "W1", "task": "T1.1", "new": value})
     scenario = make_scenario(MEDIUM_TASK)
     assert compute_metrics(trace, scenario).alignment_score == 0.1
     assert oracle_metrics(trace, scenario).alignment_score == 0.1
@@ -251,9 +251,9 @@ def test_unsampled_updates_leave_identical_samples_exact(events):
 def test_af_update_steps_going_back_are_rejected():
     trace = TraceLog()
     for step in range(4):
-        trace.append(step, "action", {})
+        add_event(trace, step, "action", {})
     for step in (2, 1):
-        trace.append(step, "af_update", {"agent": "W1", "task": "T1.1", "new": 0.5})
+        add_event(trace, step, "af_update", {"agent": "W1", "task": "T1.1", "new": 0.5})
     with pytest.raises(MetricsError, match="af_update at step 1 follows one at step 2"):
         compute_metrics(trace, make_scenario(MEDIUM_TASK))
 

@@ -12,13 +12,16 @@ Calibrated on CPython 3.11.7. Shipped `medium` under `c2c_heuristic`:
 policy value types became named tuples and each message's words were counted
 once; 1,125.0 (303,753) after; 1,035.9 (279,704) once `World` kept each
 agent's active and report-due task and policies stopped rescanning their task
-views. The bound is the 1,125 figure.
+views; 1,026.2 (277,079) once each event became one record, which the default
+`TraceLog` sink keeps as it is given instead of wrapping it in a `TraceEvent`.
+The bound is that last figure.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
 (11,189,500 over 6,392), a ratio of 1.24, because every decision rescanned
 every held task view; after, 1,198.1 (1,873,880) and 1,195.0 (7,638,484), a
-ratio of 1.00. The ratio bound, 1.10, lets an agent-step grow a little with
+ratio of 1.00; with one record per event, 1,187.1 (1,856,550) and 1,184.1
+(7,568,489), a ratio of 1.00. The ratio bound, 1.10, lets an agent-step grow a little with
 the tasks an agent holds, not in proportion to them.
 
 Other interpreters execute other instruction sequences, so the guards run
@@ -35,11 +38,11 @@ from teamsim.config import expand_team_shorthand, parse_scenario
 from teamsim.engine import Simulation
 from teamsim.model import Scenario, order_key, validate_scenario
 
-from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL
+from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, of_kind
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-OPCODES_PER_AGENT_STEP_BOUND = 1125
+OPCODES_PER_AGENT_STEP_BOUND = 1027
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 
@@ -75,7 +78,7 @@ def count_opcodes(call):
 def opcodes_per_agent_step(simulation: Simulation) -> float:
     result, opcodes = count_opcodes(simulation.run)
     assert result.completed
-    return opcodes / len(result.trace.of_kind("action"))
+    return opcodes / len(of_kind(result.trace, "action"))
 
 
 def roots_scenario(roots: int) -> Scenario:
@@ -94,7 +97,7 @@ def test_opcodes_per_agent_step_stay_under_the_bound():
     scenario = dataclasses.replace(parse_scenario(SCENARIOS / "medium.yaml"),
                                    policy_name="c2c_heuristic")
     result, opcodes = count_opcodes(Simulation(scenario).run)
-    agent_steps = len(result.trace.of_kind("action"))
+    agent_steps = len(of_kind(result.trace, "action"))
     assert agent_steps == 270
     assert opcodes / agent_steps <= OPCODES_PER_AGENT_STEP_BOUND, \
         f"{opcodes} opcodes over {agent_steps} agent-steps"

@@ -10,18 +10,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamsim import trace
-from teamsim.trace import EVENT_KINDS, TraceError, TraceLog, TraceWriter
+from teamsim.trace import SCHEMAS, TraceError, TraceLog, TraceWriter
 
-from conftest import trace_codecs
+from conftest import add_event, trace_codecs
 
 
 def _log(detail: str) -> TraceLog:
     log = TraceLog()
-    log.append(0, "action", {"agent": "W1", "action": "idle",
-                             "target": None, "remaining": 0})
-    log.append(0, "warning", {"source": "policy", "detail": detail})
-    log.append(1, "task_done", {"task": "T1", "root": True, "boundary": 2})
+    add_event(log, 0, "action", {"agent": "W1", "action": "idle",
+                                 "target": None, "remaining": 0})
+    add_event(log, 0, "warning", {"source": "policy", "detail": detail})
+    add_event(log, 1, "task_done", {"task": "T1", "root": True, "boundary": 2})
     return log
+
+
+def _same_records(read: list[dict], written: list[dict]) -> bool:
+    """Equal records with their keys in the same order; `repr` compares a
+    NaN with a NaN, where == is always false."""
+    return ([list(r) for r in read] == [list(r) for r in written]
+            and repr(read) == repr(written))
 
 
 def test_write_matches_to_jsonl(tmp_path):
@@ -37,10 +44,12 @@ def test_writer_writes_what_the_log_writes_and_passes_each_event_on(tmp_path,
         seen = TraceLog()
         path = tmp_path / codec / "trace.jsonl"
         with TraceWriter(path, seen) as writer:
-            for step, _, kind, payload in log.events:
-                writer.append(step, kind, payload)
+            for record in log.events:
+                writer.append(record)
         assert path.read_bytes() == log.write(tmp_path / f"{codec}.jsonl").read_bytes()
-        assert seen.events == log.events
+        # The same record objects, not copies.
+        assert len(seen.events) == len(log.events)
+        assert all(a is b for a, b in zip(seen.events, log.events))
 
 
 def test_writer_without_events_creates_nothing(tmp_path):
@@ -53,7 +62,7 @@ def test_writer_rejects_an_unknown_kind_before_writing(tmp_path):
     seen = TraceLog()
     with TraceWriter(tmp_path / "trace.jsonl", seen) as writer:
         with pytest.raises(ValueError, match="unknown event kind: bogus"):
-            writer.append(0, "bogus", {})
+            writer.append({"step": 0, "seq": 0, "kind": "bogus"})
     assert not (tmp_path / "trace.jsonl").exists()
     assert not seen.events
 
@@ -64,8 +73,7 @@ def test_round_trip_keeps_line_separators_in_strings(tmp_path):
     log = _log("first\u2028second\u2029third\x85fourth")
     path = log.write(tmp_path / "trace.jsonl")
     reread = TraceLog.read(path)
-    assert [(e.step, e.seq, e.kind, e.payload) for e in reread.events] == \
-        [(e.step, e.seq, e.kind, e.payload) for e in log.events]
+    assert _same_records(reread.events, log.events)
     assert reread.to_jsonl() == log.to_jsonl()
 
 
@@ -85,7 +93,9 @@ def test_truncated_line_names_its_number(tmp_path, each_codec):
     b'{"step":0,"seq":0,"kind":"no_such_kind"}',
     b'{"step":0,"seq":0,"kind":"warning","detail":"\xff"}',
     b'100000000000000000000000000001',
-], ids=["list", "string", "missing-step", "unknown-kind", "not-utf8", "big-int"])
+    b'{"step":"3","seq":0,"kind":"action"}',
+], ids=["list", "string", "missing-step", "unknown-kind", "not-utf8", "big-int",
+        "text-step"])
 def test_malformed_event_names_its_line(tmp_path, each_codec, line):
     path = tmp_path / "trace.jsonl"
     path.write_bytes(b"\n" + line + b"\n")
@@ -97,10 +107,8 @@ def test_malformed_event_names_its_line(tmp_path, each_codec, line):
     assert len(messages) == 1  # worded by the standard library under both
 
 
-def _oracle_line(event) -> str:
+def _oracle_line(record: dict) -> str:
     """The encoding every golden trace was written with."""
-    record = {"step": event.step, "seq": event.seq, "kind": event.kind}
-    record.update(event.payload)
     return json.dumps(record, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -111,23 +119,41 @@ _chars = st.one_of(
                      "\x00", "\x1f", "\x7f", "\n", "\r", "\t", '"', "\\"]),
     st.characters(codec="utf-8"),
 )
-_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
+_text = st.text(_chars, max_size=12)
+# Floats orjson writes otherwise than `json` (non-finite, exponent forms),
+# and one that is not its shortest decimal neighbour.
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e16, -1e16, 1e-05, 5e-324,
+                     -0.0, 0.1 + 0.2]),
+)
+# Integers orjson cannot write, or reads back as floats.
+_ints = st.one_of(
     st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([1e-05, 0.1 + 0.2, 1e16, -0.0, 5e-324]),
-    # Integers orjson cannot write, or reads back as floats.
     st.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 63 - 1, 10 ** 30 + 1]),
-    st.text(_chars, max_size=12),
 )
-_payloads = st.dictionaries(
-    st.text(_chars, max_size=8).filter(lambda k: k not in ("step", "seq", "kind")),
-    st.one_of(_scalars, st.lists(_scalars, max_size=4)),
-    max_size=5,
-)
+# Each schema field's values, by name; a float field may also be unset.
+_FIELD_VALUES = {
+    "remaining": _ints, "words": _ints, "sent_step": _ints, "boundary": _ints,
+    "root": st.booleans(),
+    "target": st.one_of(st.none(), _text),
+    "about_task": st.one_of(st.none(), _text),
+}
+
+
+def _field_values(kind: str, name: str):
+    if name in SCHEMAS[kind].floats:
+        return st.one_of(st.none(), _floats)
+    if kind == "message_sent" and name == "to":
+        return st.lists(_text, max_size=4)
+    return _FIELD_VALUES.get(name, _text)
+
+
 _events = st.lists(
-    st.tuples(st.integers(0, 10 ** 6), st.sampled_from(EVENT_KINDS), _payloads),
+    st.sampled_from(sorted(SCHEMAS)).flatmap(lambda kind: st.tuples(
+        st.integers(0, 10 ** 6), st.just(kind),
+        st.fixed_dictionaries({name: _field_values(kind, name)
+                               for name in SCHEMAS[kind].fields}))),
     max_size=8,
 )
 
@@ -145,38 +171,66 @@ def _typed(value):
 @given(_events)
 def test_write_matches_the_reference_encoder(tmp_path_factory, events):
     log = TraceLog()
-    for step, kind, payload in events:
-        log.append(step, kind, payload)
+    for step, kind, fields in events:
+        add_event(log, step, kind, fields)
     for _, codec in trace_codecs():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trace, "_codec", codec)
             path = log.write(tmp_path_factory.mktemp("trace") / "trace.jsonl")
             lines = path.read_bytes().split(b"\n")
             assert lines.pop() == b""
-            assert lines == [_oracle_line(e).encode("utf-8") for e in log.events]
+            assert lines == [_oracle_line(r).encode("utf-8") for r in log.events]
             reread = TraceLog.read(path)
-        assert [(e.step, e.seq, e.kind, e.payload) for e in reread.events] == \
-            [(e.step, e.seq, e.kind, e.payload) for e in log.events]
-        assert [_typed(e.payload) for e in reread.events] == \
-            [_typed(e.payload) for e in log.events]
+        assert _same_records(reread.events, log.events)
+        assert repr([_typed(r) for r in reread.events]) == \
+            repr([_typed(r) for r in log.events])
 
 
 def test_non_finite_and_exponent_floats_are_written_as_json_writes_them(
         tmp_path, each_codec):
     # orjson would write null, 1e16 and 0.00001; json writes NaN, Infinity,
-    # 1e+16 and 1e-05, at the top level and nested in lists alike.
+    # 1e+16 and 1e-05, in every float field.
     log = TraceLog()
     for value in (math.nan, math.inf, -math.inf, 1e16, 1e-05):
-        log.append(0, "progress", {"x": value})
-        log.append(0, "progress", {"x": [1.5, [value]]})
-    expected = "".join(_oracle_line(e) + "\n" for e in log.events).encode()
+        for name in SCHEMAS["progress"].floats:
+            add_event(log, 0, "progress", {"agent": "W1", "task": "T1.1",
+                                           "hours": 0.25, "effective": 0.1,
+                                           "af": 0.3, "progress": 0.5,
+                                           name: value})
+        add_event(log, 0, "af_update", {"agent": "W1", "task": "T1.1", "old": 0.3,
+                                        "delta": value, "new": 0.4, "cause": "m1"})
+        add_event(log, 0, "message_sent", {
+            "message_id": "m1", "thread_id": "th1", "from": "W1", "to": ["M1"],
+            "channel": "chat", "type": "HELP_REQUEST", "about_task": None,
+            "words": 3, "cost_h": value, "sent_step": 0})
+    expected = "".join(_oracle_line(r) + "\n" for r in log.events).encode()
     assert b"NaN" in expected and b"-Infinity" in expected
     for _ in each_codec():
         path = log.write(tmp_path / "trace.jsonl")
         assert path.read_bytes() == expected
-        # repr compares nan with nan, where == is always false
-        assert [repr(e.payload) for e in TraceLog.read(path).events] == \
-            [repr(e.payload) for e in log.events]
+        assert _same_records(TraceLog.read(path).events, log.events)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, 1e16, 1e-05, 2 ** 64, -2 ** 63 - 1, 10 ** 30 + 1,
+], ids=["nan", "inf", "-inf", "1e16", "1e-05", "2**64", "-2**63-1", "10**30+1"])
+def test_every_value_read_is_read_as_json_reads_it(tmp_path, each_codec, value):
+    # The reader walks every value, at the top level and nested in lists, not
+    # only the float fields the writer guards.
+    records = [
+        {"step": 0, "seq": 0, "kind": "warning", "source": "x", "detail": value},
+        {"step": 0, "seq": 1, "kind": "warning", "source": "x",
+         "detail": [1.5, [value]]},
+        {"step": 0, "seq": 2, "kind": "progress", "agent": "W1", "task": "T1.1",
+         "hours": 0.25, "effective": value, "af": 0.3, "progress": 0.5},
+    ]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                    encoding="utf-8")
+    for _ in each_codec():
+        reread = TraceLog.read(path).events
+        assert _same_records(reread, records)
+        assert repr([_typed(r) for r in reread]) == repr([_typed(r) for r in records])
 
 
 def test_each_codec_runs_orjson_where_installed(each_codec):

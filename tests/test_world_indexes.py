@@ -20,7 +20,7 @@ from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
 from teamsim.taskgraph import TaskStatus
 
 from conftest import (SKILL_POOL, ChainPlanner, RandomDagPlanner,
-                      chain_scenario, eight_roots_scenario)
+                      chain_scenario, eight_roots_scenario, of_kind)
 
 
 class NoisyHeuristicPolicy(HeuristicPolicy):
@@ -288,13 +288,13 @@ def test_task_views_are_built_only_when_their_inputs_change(monkeypatch):
 
     monkeypatch.setattr(World, "_task_view", counting)
     trace = Simulation(eight_roots_scenario()).run().trace
-    af_updates = trace.of_kind("af_update")
-    assignments = sum(1 for e in af_updates if e.payload["cause"] == "init")
+    af_updates = of_kind(trace, "af_update")
+    assignments = sum(1 for e in af_updates if e["cause"] == "init")
     changes = (
-        len(trace.of_kind("progress"))
+        len(of_kind(trace, "progress"))
         + len(af_updates) - assignments
-        + sum(1 for e in trace.of_kind("message_sent")
-              if e.payload["type"] == MessageType.PROGRESS_UPDATE.value)
+        + sum(1 for e in of_kind(trace, "message_sent")
+              if e["type"] == MessageType.PROGRESS_UPDATE.value)
     )
     assert assignments > 0
     assert len(built) <= changes + 2 * assignments
