@@ -17,9 +17,10 @@ events or with an `af_update` step lower than an earlier one. Every command
 returns 5, after a one-line error, on bad input: a scenario file that is
 missing, unreadable or malformed, a `report` run directory without
 `trace.jsonl` or `scenario.yaml`, a trace line that is not one event, an
-event that lacks a field the metrics read or holds one of the wrong type, or
-an output directory (`--out`, or the `report` run directory) or trace file
-that cannot be made or written into.
+event that lacks a field the metrics read, holds one of the wrong type or
+names a root task the scenario does not have, or an output directory
+(`--out`, or the `report` run directory) or trace file that cannot be made or
+written into.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from pathlib import Path
 from .adapter import ChatCompletionAdapter
 from .config import RunConfig, emit_scenario, parse_scenario
 from .engine import Simulation
-from .metrics import (FieldTypeError, MetricsError, MetricsFold, render_report,
-                      write_csv)
+from .metrics import EventError, MetricsError, MetricsFold, render_report, write_csv
 from .model import POLICY_NAMES, Scenario, ScenarioError
 from .trace import TraceError, TraceLog, TraceWriter
 
@@ -186,7 +186,7 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
     for record in TraceLog.stream(trace_path):
         try:
             fold.append(record)
-        except (KeyError, FieldTypeError) as exc:
+        except (KeyError, EventError) as exc:
             detail = f"lacks field {exc}" if isinstance(exc, KeyError) else exc
             raise TraceError(f"{trace_path}: event {record['seq']} ({record['kind']} "
                              f"at step {record['step']}) {detail}") from None

@@ -188,7 +188,6 @@ class World:
         ordered = sorted(scenario.team, key=lambda a: order_key(a.agent_id))
         self.agents: dict[str, AgentProfile] = {a.agent_id: a for a in ordered}
         self.agent_order: list[str] = [a.agent_id for a in ordered]
-        self.agent_index: dict[str, int] = {a: i for i, a in enumerate(self.agent_order)}
         self.manager_id = scenario.manager.agent_id
         # Each agent as a teammate sees it, (idle, busy), in agent order; a
         # step picks one of the two by `agent_id in active`.

@@ -37,7 +37,11 @@ class MetricsError(ValueError):
     pass
 
 
-class FieldTypeError(TypeError):
+class EventError(ValueError):
+    """An event the fold reads holds a value it cannot take."""
+
+
+class FieldTypeError(EventError, TypeError):
     """An event field the fold reads holds a value of the wrong type."""
 
     def __init__(self, name: str, value: object, expected: str) -> None:
@@ -91,7 +95,10 @@ class MetricsReport:
     alignment_score: float
     efficiency: float | None
     speedup: float | None
-    heatmap: dict[str, dict[str, int]]
+    # (sender, recipient) -> messages delivered, for the pairs with any; the
+    # agents in natural id order give the rows and columns.
+    heatmap: dict[tuple[str, str], int]
+    agents: tuple[str, ...]
     distributions: Distributions
     completion_hours: dict[str, float | None]
     final_step: int
@@ -216,17 +223,19 @@ class _Alignment:
 
 
 class _Heatmap:
-    """Cell (i, j) counts messages from i delivered to j."""
+    """Cell (sender, recipient) counts the messages delivered from one scenario
+    agent to another; a pair with no delivery has no cell."""
 
-    def __init__(self, agent_ids: list[str]) -> None:
-        ordered = sorted(agent_ids, key=order_key)
-        self.grid = {a: {b: 0 for b in ordered} for a in ordered}
+    def __init__(self, agent_ids: Iterable[str]) -> None:
+        self.agents = tuple(sorted(agent_ids, key=order_key))
+        self._known = frozenset(self.agents)
+        self.cells: dict[tuple[str, str], int] = {}
 
     def add(self, record: dict) -> None:
-        row = self.grid.get(_text(record, "from"))
-        recipient = _text(record, "to")
-        if row is not None and recipient in row:
-            row[recipient] += 1
+        sender, recipient = _text(record, "from"), _text(record, "to")
+        if sender in self._known and recipient in self._known:
+            pair = (sender, recipient)
+            self.cells[pair] = self.cells.get(pair, 0) + 1
 
 
 _RESPONSE = MessageType.RESPONSE.value
@@ -288,8 +297,8 @@ class MetricsFold:
     """`compute_metrics` one event at a time: `append` each event record in
     trace order, as a `Simulation` trace sink does, then take `result()` once, which
     hands the fold's state to the report. The state grows with the roots, the
-    team, the (agent, task) pairs and the message threads, not with the
-    events."""
+    team, the (agent, task) pairs, the (sender, recipient) pairs that messages
+    reach and the message threads, not with the events."""
 
     def __init__(self, scenario: Scenario, baseline_hours: float | None = None,
                  hours_per_step: float = 0.25) -> None:
@@ -315,17 +324,19 @@ class MetricsFold:
                 self.final_step = step + 1
                 self.alignment.advance(step + 1)
         elif kind == "message_sent":
-            self.comm_cost.add(_number(record, "cost_h") if "cost_h" in record
-                               else 0.0)
+            self.comm_cost.add(_number(record, "cost_h"))
             self.distributions.add(record)
         elif kind == "message_delivered":
             self.heatmap.add(record)
         elif kind == "af_update":
             self.alignment.update(record)
         elif kind == "task_done" and _bool(record, "root"):
-            self.completion_hours[_text(record, "task")] = (
-                _int(record, "boundary") * self.hours_per_step
-            )
+            hours = _int(record, "boundary") * self.hours_per_step
+            task = _text(record, "task")
+            if task not in self.completion_hours:
+                raise EventError(f"names root task {task!r}, which the scenario "
+                                 "does not have")
+            self.completion_hours[task] = hours
 
     def result(self) -> MetricsReport:
         if not self.event_count:
@@ -352,7 +363,8 @@ class MetricsFold:
             alignment_score=self.alignment.score(),
             efficiency=efficiency,
             speedup=speedup,
-            heatmap=self.heatmap.grid,
+            heatmap=self.heatmap.cells,
+            agents=self.heatmap.agents,
             distributions=self.distributions.result(),
             completion_hours=completion_hours,
             final_step=self.final_step,
@@ -370,13 +382,14 @@ def compute_metrics(trace: TraceLog | Iterable[dict], scenario: Scenario,
 
 
 def heatmap(trace: TraceLog | Iterable[dict],
-            agent_ids: list[str]) -> dict[str, dict[str, int]]:
-    """Cell (i, j) counts messages from i delivered to j."""
+            agent_ids: list[str]) -> dict[tuple[str, str], int]:
+    """Cell (i, j) counts messages from i delivered to j; a pair with none
+    has no cell."""
     fold = _Heatmap(agent_ids)
     for record in _events(trace):
         if record["kind"] == "message_delivered":
             fold.add(record)
-    return fold.grid
+    return fold.cells
 
 
 def distributions(trace: TraceLog | Iterable[dict]) -> Distributions:
@@ -408,10 +421,10 @@ def render_report(report: MetricsReport, config: str, complexity: str) -> str:
 
     lines.append("")
     lines.append("message heatmap (rows send, columns receive):")
-    agents = list(report.heatmap)
+    agents, cells = report.agents, report.heatmap
     lines.append("        " + " ".join(f"{a:>5}" for a in agents))
     for sender in agents:
-        row = " ".join(f"{report.heatmap[sender][b]:>5}" for b in agents)
+        row = " ".join(f"{cells.get((sender, b), 0):>5}" for b in agents)
         lines.append(f"  {sender:>5} {row}")
 
     dist = report.distributions

@@ -82,7 +82,9 @@ class PolicyContext(NamedTuple):
     active_task: TaskAssignmentView | None    # first ready view: what CONTINUE_TASK works on
     report_due: TaskAssignmentView | None     # first view with a pending milestone
     inbox: tuple[Message, ...]
-    team_view: tuple[TeammateView, ...]       # every other agent, in natural id order
+    # Every agent in natural id order, this one included: the step's one
+    # `team_views` tuple, shared by every context of the step.
+    team_view: tuple[TeammateView, ...]
     manager_id: str
     last_action: LastAction | None
     unanswered_inbound: tuple[str, ...]       # open request threads awaiting my reply
@@ -105,10 +107,9 @@ def build_context(world: "World", agent_id: str,
                   team: tuple[TeammateView, ...]) -> PolicyContext:
     """Snapshot exactly what the agent may know at the current step.
 
-    `team` is `team_views(world)` for this step; the agent's own entry is left
-    out of its context.
+    `team` is `team_views(world)` for this step, shared as it is: the agent's
+    own entry stays in it.
     """
-    index = world.agent_index[agent_id]
     held = world.held_tasks(agent_id)
     # Fields by position, in PolicyContext order.
     return PolicyContext(
@@ -118,7 +119,7 @@ def build_context(world: "World", agent_id: str,
         held.active,
         held.report_due,
         tuple(world.inboxes[agent_id]),
-        team[:index] + team[index + 1:],
+        team,
         world.manager_id,
         world.last_actions.get(agent_id),
         tuple(world.unanswered_inbound(agent_id)),
@@ -337,11 +338,12 @@ def select_recipients(context: PolicyContext, kind: IntentionKind,
             if view.task_id == about_task:
                 required = view.required_skills
                 break
-        # One pass, scored as `skill_match_score` scores; the best positive
-        # score wins and a tie goes to the lower id.
+        # One pass over the others, scored as `skill_match_score` scores; the
+        # best positive score wins and a tie goes to the lower id.
+        me = context.agent.agent_id
         best, tied = 0.0, []
         for mate in context.team_view:
-            if mate.role is not Role.WORKER or mate.busy:
+            if mate.role is not Role.WORKER or mate.busy or mate.agent_id == me:
                 continue
             score = len(mate.skills & required) / len(required) if required else 1.0
             if score > best:

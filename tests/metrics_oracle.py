@@ -5,6 +5,7 @@ step by step."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from teamsim.comms import MessageType
 from teamsim.metrics import Distributions, MetricsError, MetricsReport
@@ -53,8 +54,9 @@ def oracle_metrics(trace: TraceLog | list[dict], scenario: Scenario,
         _mean([completion_hours[rid] for rid in completed]) if completed else None
     )
 
+    # Every message_sent carries its cost; one without it raises KeyError.
     comm_cost = math.fsum(
-        e.get("cost_h", 0.0) for e in events if e["kind"] == "message_sent"
+        e["cost_h"] for e in events if e["kind"] == "message_sent"
     )
 
     alignment_score = _alignment_score(events, final_step)
@@ -75,6 +77,7 @@ def oracle_metrics(trace: TraceLog | list[dict], scenario: Scenario,
         efficiency=efficiency,
         speedup=speedup,
         heatmap=heatmap(events, [a.agent_id for a in scenario.team]),
+        agents=tuple(sorted((a.agent_id for a in scenario.team), key=order_key)),
         distributions=distributions(events),
         completion_hours=completion_hours,
         final_step=final_step,
@@ -100,18 +103,15 @@ def _alignment_score(events: list[dict], final_step: int) -> float:
 
 
 def heatmap(trace: TraceLog | list[dict],
-            agent_ids: list[str]) -> dict[str, dict[str, int]]:
-    """Cell (i, j) counts messages from i delivered to j."""
-    ordered = sorted(agent_ids, key=order_key)
-    grid = {a: {b: 0 for b in ordered} for a in ordered}
-    for event in _events(trace):
-        if event["kind"] != "message_delivered":
-            continue
-        sender = event["from"]
-        recipient = event["to"]
-        if sender in grid and recipient in grid[sender]:
-            grid[sender][recipient] += 1
-    return grid
+            agent_ids: list[str]) -> dict[tuple[str, str], int]:
+    """Cell (i, j) counts messages from i delivered to j, both scenario
+    agents; a pair with no delivery has no cell."""
+    known = set(agent_ids)
+    return dict(Counter(
+        (event["from"], event["to"]) for event in _events(trace)
+        if event["kind"] == "message_delivered"
+        and event["from"] in known and event["to"] in known
+    ))
 
 
 def distributions(trace: TraceLog | list[dict]) -> Distributions:

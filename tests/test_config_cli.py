@@ -494,7 +494,7 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("field", ["type", "thread_id", "sent_step"])
+    @pytest.mark.parametrize("field", ["type", "thread_id", "sent_step", "cost_h"])
     def test_event_without_a_field_is_a_one_line_error(self, tmp_path, capsys,
                                                        field):
         out = tmp_path / "out"
@@ -542,6 +542,27 @@ class TestCliReport:
         assert err == (f"trace error: {path}: event {number} ({kind} at step "
                        f"{record['step']}) has field '{field}' of type str, "
                        f"not {expected}\n")
+
+    def test_root_done_naming_an_unknown_task_is_a_one_line_error(self, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(SCENARIOS / "simple.yaml"),
+              "--policy", "c2c_heuristic", "--out", str(out)])
+        path = out / "trace.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        number = next(i for i, line in enumerate(lines)
+                      if json.loads(line)["kind"] == "task_done"
+                      and json.loads(line)["root"])
+        record = json.loads(lines[number])
+        record["task"] = "T99"
+        lines[number] = json.dumps(record, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == (f"trace error: {path}: event {number} (task_done at step "
+                       f"{record['step']}) names root task 'T99', which the "
+                       "scenario does not have\n")
 
     @pytest.mark.parametrize("step", ["3", 1.5, True, None],
                              ids=["str", "float", "bool", "null"])

@@ -158,6 +158,46 @@ def test_compare_outputs_are_unchanged(name, tmp_path, each_codec):
                      for f in ("compare.csv", "compare.txt")) == COMPARE_DIGESTS[name]
 
 
+# sha256 of report.txt of `teamsim run` for each shipped run, as written when
+# the heatmap was a dense sender x recipient grid.
+REPORT_DIGESTS = {
+    "complex/c2c_heuristic":
+        "6c035bcca6da20f7395464e980422f1b37bc144efc2553e3c92de210fe046c2b",
+    "complex/fixed_steps":
+        "f1ef2983c11844da228166cd08b77f8565fdc12e5c0b11b592faf559c2208305",
+    "complex/no_comm":
+        "d78f929919979c89894118e522812650d562bfc7681454ada57a6243b09dcff6",
+    "medium/c2c_heuristic":
+        "6820cf3d54db6e33e3647cb8f9ef9b49fe41420c55164b63000da45435e5fb50",
+    "medium/fixed_steps":
+        "9869ed624b2eb1964b53f412b47c03668050e73538a3a68f5c95a8cbf3cc7a71",
+    "medium/no_comm":
+        "a6b8682aa0d41c0d31ec0f0afb6f9103fd665956714f6ddc3c0e3a913e1a7ef4",
+    "multi_task/c2c_heuristic":
+        "e25efed45b3ba1ecdd0c5a5fcb043629258916f28ce2f6a2747c54de57ecdd16",
+    "multi_task/fixed_steps":
+        "86a43f131d14e6a5a0bf27e13205b12a687135c47f630fcb90ab2d38e6711654",
+    "multi_task/no_comm":
+        "3fccd9ab5dffd315af3b2884493b3d0cb997d8864bbea25d32de373eb646966f",
+    "simple/c2c_heuristic":
+        "7961943dcbf682d4761eb88e0194bf60583e5bb5fa8fad8013102e1c13a69d9e",
+    "simple/fixed_steps":
+        "3ddd1748eecbf2a8520269a31e4efe6bc10961fb24b8f7834169c2c09b4313a3",
+    "simple/no_comm":
+        "e4bf85c16cf6c98404e45b5290d982add44af8b89c608dfa2cb2544970777bd2",
+}
+
+
+@pytest.mark.parametrize("run", sorted(REPORT_DIGESTS))
+def test_run_reports_are_unchanged(run, tmp_path):
+    name, policy = run.split("/")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["run", "--scenario", str(SCENARIOS / f"{name}.yaml"),
+              "--policy", policy, "--out", str(tmp_path)])
+    assert hashlib.sha256((tmp_path / "report.txt").read_bytes()).hexdigest() == \
+        REPORT_DIGESTS[run]
+
+
 # Synthetic traces in any order the fold accepts: af_update steps never go
 # back, everything else lands anywhere, including replies before the message
 # that starts their thread, a thread started twice, updates before their

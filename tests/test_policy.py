@@ -174,6 +174,24 @@ class TestSelectRecipients:
         )
         assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["M1"]
 
+    def test_help_never_goes_to_the_asker(self):
+        """The team view holds the deciding worker too, idle and the best
+        match of all; the request goes to the best other worker."""
+        required = frozenset({"backend", "api"})
+        me = mate("W1", {"backend", "api"})
+        ctx = context(
+            assigned=[view(skills=required)],
+            teammates=[mate("M1", {"planning"}, role=Role.MANAGER), me,
+                       mate("W2", {"frontend"}), mate("W3", {"api"})],
+        )
+        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["W3"]
+        ctx = context(
+            assigned=[view(skills=required)],
+            teammates=[mate("M1", {"planning"}, role=Role.MANAGER), me,
+                       mate("W2", {"frontend"}), mate("W3", {"api"}, busy=True)],
+        )
+        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["M1"]
+
     def test_clarification_and_report_go_to_manager(self):
         ctx = context(assigned=[view()])
         assert select_recipients(ctx, IntentionKind.NEED_CLARIFICATION, "T1.1") == ["M1"]

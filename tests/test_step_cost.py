@@ -13,16 +13,19 @@ policy value types became named tuples and each message's words were counted
 once; 1,125.0 (303,753) after; 1,035.9 (279,704) once `World` kept each
 agent's active and report-due task and policies stopped rescanning their task
 views; 1,026.2 (277,079) once each event became one record, which the default
-`TraceLog` sink keeps as it is given instead of wrapping it in a `TraceEvent`.
-The bound is that last figure.
+`TraceLog` sink keeps as it is given instead of wrapping it in a `TraceEvent`;
+1,010.0 (272,701) once every context shared the step's team tuple instead of
+slicing out its own entry. The bound is that last figure.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
 (11,189,500 over 6,392), a ratio of 1.24, because every decision rescanned
 every held task view; after, 1,198.1 (1,873,880) and 1,195.0 (7,638,484), a
 ratio of 1.00; with one record per event, 1,187.1 (1,856,550) and 1,184.1
-(7,568,489), a ratio of 1.00. The ratio bound, 1.10, lets an agent-step grow a little with
-the tasks an agent holds, not in proportion to them.
+(7,568,489), a ratio of 1.00; with one shared team tuple, 1,172.3 (1,833,415)
+and 1,169.2 (7,473,524), a ratio of 1.00. The ratio bound, 1.10, lets an
+agent-step grow a little with the tasks an agent holds, not in proportion to
+them.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -42,7 +45,7 @@ from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, of_kind
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-OPCODES_PER_AGENT_STEP_BOUND = 1027
+OPCODES_PER_AGENT_STEP_BOUND = 1011
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 

@@ -190,7 +190,10 @@ def check_indexes(world: World, done_at: dict[str, int],
         assert world.blocked_collaborators(agent_id) == \
             oracle_blocked_collaborators(world, agent_id)
         context = build_context(world, agent_id, team)
-        assert context.team_view == oracle_team_view(world, agent_id)
+        # The step's one tuple, not a copy; the others are what the scan sees.
+        assert context.team_view is team
+        assert tuple(mate for mate in context.team_view
+                     if mate.agent_id != agent_id) == oracle_team_view(world, agent_id)
         assigned = oracle_assigned(world, agent_id)
         assert context.assigned == assigned
         assert context.active_task == oracle_active_task(assigned)
