@@ -2,11 +2,10 @@
 
 Agents work a decomposed task graph; their productivity is scaled by a
 per-(agent, task) alignment value that communication moves, at a measured
-time cost. Non-LLM runs are bit-reproducible from the scenario; its `seed`
-is accepted and has no effect.
+time cost. Non-LLM runs are bit-reproducible from the scenario alone.
 """
 
-from .alignment import AlignmentState, DeltaEvaluation, effective_progress, rule_based_delta
+from .alignment import AlignmentState, effective_progress, rule_based_delta
 from .comms import Channel, CommBuffer, Message, MessageType, Thread, communication_cost
 from .config import emit_scenario, expand_team_shorthand, parse_scenario, parse_scenario_text
 from .engine import SimResult, Simulation, run_scenario
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentProfile", "AlignmentState", "Channel", "CommBuffer",
-    "DecompositionPlan", "DeltaEvaluation", "EvenPlanner", "FixedStepsPolicy",
+    "DecompositionPlan", "EvenPlanner", "FixedStepsPolicy",
     "HeuristicPolicy", "Intention", "IntentionKind", "LlmPlanner", "LlmPolicy",
     "Message", "MessageType", "MetricsReport", "NoCommPolicy", "PolicyContext",
     "Role", "Scenario", "SimClock", "SimResult", "Simulation", "SubtaskSpec",

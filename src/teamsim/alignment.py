@@ -8,9 +8,7 @@ an evaluator: a fixed rule table by default, or an external model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .comms import MessageType, TYPE_NAMES
+from .comms import MessageType
 
 AF_MIN = 0.01
 AF_MAX = 1.00
@@ -57,40 +55,21 @@ def effective_progress(hours: float, af: float) -> float:
     return hours * af
 
 
-@dataclass(frozen=True)
-class DeltaEvaluation:
-    delta: float
-    reasoning: str = ""
-
-
-@dataclass(frozen=True)
-class AfChange:
-    step: int
-    agent_id: str
-    task_id: str
-    old_af: float | None
-    delta: float | None
-    new_af: float
-    cause: str
-
-
 class AlignmentState:
-    """Mutable map of (agent, task) -> alignment, with full change history."""
+    """Mutable map of (agent, task) -> alignment. The trace's `af_update`
+    events record every change."""
 
     def __init__(self) -> None:
         self.values: dict[tuple[str, str], float] = {}
-        self.history: list[AfChange] = []
 
     def initialized(self, agent_id: str, task_id: str) -> bool:
         return (agent_id, task_id) in self.values
 
-    def init(self, agent_id: str, task_id: str, step: int = 0,
-             cause: str = "init") -> float:
+    def init(self, agent_id: str, task_id: str) -> float:
         key = (agent_id, task_id)
         if key in self.values:
             raise AlignmentError(f"already initialized: {key}")
         self.values[key] = AF_INIT
-        self.history.append(AfChange(step, agent_id, task_id, None, None, AF_INIT, cause))
         return AF_INIT
 
     def get(self, agent_id: str, task_id: str) -> float:
@@ -99,39 +78,21 @@ class AlignmentState:
         except KeyError:
             raise AlignmentError(f"unknown assignment: ({agent_id}, {task_id})") from None
 
-    def apply_delta(self, agent_id: str, task_id: str, delta: float,
-                    step: int = 0, cause: str = "") -> float:
-        old = self.get(agent_id, task_id)
-        new = clamp_af(old + delta)
+    def apply_delta(self, agent_id: str, task_id: str, delta: float) -> float:
+        new = clamp_af(self.get(agent_id, task_id) + delta)
         self.values[(agent_id, task_id)] = new
-        self.history.append(AfChange(step, agent_id, task_id, old, delta, new, cause))
         return new
 
-    @classmethod
-    def replay(cls, history: list[AfChange]) -> "AlignmentState":
-        """Rebuild a state purely from its recorded history."""
-        state = cls()
-        for change in history:
-            if change.old_af is None:
-                state.init(change.agent_id, change.task_id, change.step, change.cause)
-            else:
-                state.apply_delta(change.agent_id, change.task_id, change.delta,
-                                  change.step, change.cause)
-        return state
 
-
-def rule_based_delta(message_type: MessageType) -> DeltaEvaluation:
+def rule_based_delta(message_type: MessageType) -> float:
     """Fixed per-type alignment impact of a resolved interaction."""
-    gain = _RULE_TABLE.get(message_type, PROGRESS_GAIN)
-    return DeltaEvaluation(delta=gain, reasoning=f"rule table: {TYPE_NAMES[message_type]}")
+    return _RULE_TABLE.get(message_type, PROGRESS_GAIN)
 
 
-def normalize_reported_alignment(old_af: float, reported_new_af: float,
-                                 reasoning: str = "") -> DeltaEvaluation:
+def normalize_reported_alignment(old_af: float, reported_new_af: float) -> float:
     """Turn an evaluator's reported new alignment into a bounded delta.
 
     The reported new value is authoritative; any separately reported change
     amount is ignored. The derived delta is clamped into the allowed band.
     """
-    delta = clamp_delta(clamp_af(reported_new_af) - old_af)
-    return DeltaEvaluation(delta=delta, reasoning=reasoning)
+    return clamp_delta(clamp_af(reported_new_af) - old_af)

@@ -50,8 +50,6 @@ def _apply_overrides(scenario: Scenario, config: RunConfig) -> Scenario:
         updates["policy_name"] = config.policy
     if config.evaluator:
         updates["evaluator_name"] = config.evaluator
-    if config.seed is not None:
-        updates["seed"] = config.seed
     return dataclasses.replace(scenario, **updates) if updates else scenario
 
 
@@ -110,8 +108,6 @@ def cmd_run(config: RunConfig) -> int:
 
 def cmd_compare(config: RunConfig, policies: list[str]) -> int:
     scenario = parse_scenario(config.scenario_path)
-    if config.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=config.seed)
 
     adapter = None
     if "c2c_llm" in policies or (config.evaluator or scenario.evaluator_name) == "llm":
@@ -206,7 +202,6 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario YAML file")
     parser.add_argument("--evaluator", choices=("rule_based", "llm"))
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--max-steps", type=int, dest="max_steps")
     parser.add_argument("--endpoint", help="chat-completion base URL")
@@ -251,7 +246,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         scenario_path=args.scenario,
         policy=getattr(args, "policy", None),
         evaluator=args.evaluator,
-        seed=args.seed,
         out_dir=args.out,
         max_steps=args.max_steps,
         endpoint=args.endpoint,

@@ -113,11 +113,9 @@ class Message:
 @dataclass
 class Thread:
     thread_id: str
-    root_message_id: str
     root_sender: str
     root_type: MessageType
     about_task: str | None
-    participants: tuple[str, ...]
     reply_rounds: int = 0
     open: bool = True
     resolved: bool = False

@@ -50,7 +50,6 @@ class RunConfig:
     scenario_path: str
     policy: str | None = None
     evaluator: str | None = None
-    seed: int | None = None
     out_dir: str = "out"
     max_steps: int | None = None
     endpoint: str | None = None
@@ -184,7 +183,6 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
         tasks=tasks,
         policy_name=str(data.get("policy", "no_comm")),
         evaluator_name=str(data.get("evaluator", "rule_based")),
-        seed=int(data.get("seed", 0)),
         skill_pool=tuple(pool),
         team_label=team_label,
     )
@@ -212,7 +210,6 @@ def emit_scenario(scenario: Scenario) -> str:
     """Serialize a scenario with an explicit team so the file is self-contained."""
     data = {
         "name": scenario.name,
-        "seed": scenario.seed,
         "policy": scenario.policy_name,
         "evaluator": scenario.evaluator_name,
         "skill_pool": list(scenario.skill_pool),

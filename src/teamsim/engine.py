@@ -15,10 +15,10 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .adapter import AdapterError, ChatCompletionAdapter
-from .alignment import (AlignmentState, DeltaEvaluation, effective_progress,
+from .alignment import (AlignmentState, effective_progress,
                         normalize_reported_alignment, rule_based_delta)
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
                     Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
@@ -48,14 +48,30 @@ DECOMPOSITION_PENDING = Intention(IntentionKind.CONTINUE_TASK, "decomposition pe
 
 class ActionKind(str, Enum):
     WORK = "work"
+    PLAN = "plan"
     COMMUNICATE = "communicate"
     REPLY = "reply"
+    RSVP = "rsvp"
     MEETING = "meeting"
     IDLE = "idle"
 
 
-# Each kind's string for the `action` event, read once instead of `.value`.
-ACTION_NAMES = {member: member.value for member in ActionKind}
+# Each kind's string for the `action` event, read once instead of `.value`:
+# the plan step is work and an RSVP is a reply.
+ACTION_NAMES = {member: member.value for member in ActionKind} | {
+    ActionKind.PLAN: "work", ActionKind.RSVP: "reply"}
+
+
+class Outgoing(NamedTuple):
+    """A message being composed, as its send or reply will stage it."""
+
+    message_type: MessageType
+    content: str
+    words: int  # word_count(content)
+    recipients: tuple[str, ...]
+    channel: Channel
+    about_task: str | None
+    cost: float
 
 
 @dataclass(slots=True)
@@ -63,8 +79,8 @@ class ActiveAction:
     kind: ActionKind
     target: str | None
     remaining: int
-    total: int
-    payload: dict | None = None
+    # What a COMMUNICATE or REPLY action sends when it completes.
+    outgoing: Outgoing | None = None
 
 
 @dataclass(slots=True)
@@ -115,17 +131,16 @@ class PendingAfEvaluation:
     task_id: str
     cause_id: str
     root_type: MessageType
-    original_content: str | None = None
-    reply_content: str = ""
-    from_agent: str = ""
-    thread_id: str | None = None
+    # The delivered reply that resolved a request thread; None for a meeting.
+    reply: Message | None = None
 
 
 class RuleBasedEvaluator:
     name = "rule_based"
 
     def evaluate(self, world: "World", pending: PendingAfEvaluation
-                 ) -> tuple[DeltaEvaluation, str | None]:
+                 ) -> tuple[float, str | None]:
+        """The alignment delta, and a warning if there is one."""
         return rule_based_delta(pending.root_type), None
 
 
@@ -138,13 +153,14 @@ class LlmEvaluator:
         self.adapter = adapter
 
     def evaluate(self, world: "World", pending: PendingAfEvaluation
-                 ) -> tuple[DeltaEvaluation, str | None]:
+                 ) -> tuple[float, str | None]:
         if pending.root_type not in REQUEST_TYPES:
             # Meetings and updates keep their fixed table impact.
             return rule_based_delta(pending.root_type), None
         node = world.graph.node(pending.task_id)
         old_af = world.alignment.get(pending.agent_id, pending.task_id)
         stats = world.task_stats(pending.agent_id, pending.task_id)
+        reply = pending.reply
         messages = prompts.evaluation_messages(
             task_id=pending.task_id,
             task_description=node.description,
@@ -153,18 +169,14 @@ class LlmEvaluator:
             estimated_hours=node.estimated_hours,
             current_alignment=old_af,
             message_type=MessageType.RESPONSE.value,
-            from_agent=pending.from_agent,
-            original_request=pending.original_content,
-            reply_content=pending.reply_content,
+            from_agent=reply.from_agent,
+            original_request=world.thread_root[reply.thread_id].content,
+            reply_content=reply.content,
         )
         try:
             parsed = self.adapter.complete_json(messages)
             reported = float(parsed["new_alignment_factor"])
-            return (
-                normalize_reported_alignment(old_af, reported,
-                                             str(parsed.get("reasoning", ""))),
-                None,
-            )
+            return normalize_reported_alignment(old_af, reported), None
         except (AdapterError, KeyError, TypeError, ValueError) as exc:
             return rule_based_delta(pending.root_type), f"evaluator fallback: {exc}"
 
@@ -203,7 +215,10 @@ class World:
 
         self.alignment = AlignmentState()
         self.buffer = CommBuffer()
-        self.inboxes: dict[str, list[Message]] = {a: [] for a in self.agent_order}
+        # Messages delivered to each agent so far, by type name; replaced, not
+        # mutated, so a context can share it.
+        self.delivered_by_type: dict[str, dict[str, int]] = dict.fromkeys(
+            self.agent_order, {})
         self.threads: dict[str, Thread] = {}
         self.thread_root: dict[str, Message] = {}
         self.meetings: dict[str, Meeting] = {}
@@ -282,9 +297,11 @@ class World:
     # -- state changes that keep the indexes current --------------------------
 
     def deliver(self, message: Message, recipient: str, t: int) -> None:
-        """Put a message in one inbox, index it, and trace the delivery."""
-        self.inboxes[recipient].append(message)
+        """Count a message delivered to one agent, index it, and trace it."""
         kind = message.message_type
+        name = TYPE_NAMES[kind]
+        counts = self.delivered_by_type[recipient]
+        self.delivered_by_type[recipient] = {**counts, name: counts.get(name, 0) + 1}
         if kind in REQUEST_TYPES and message.from_agent != recipient:
             insort(self._inbound_requests[recipient],
                    (message.delivery_step, message.message_id, message.thread_id))
@@ -298,7 +315,7 @@ class World:
             "message_id": message.message_id,
             "to": recipient,
             "from": message.from_agent,
-            "type": TYPE_NAMES[kind],
+            "type": name,
             "thread_id": message.thread_id,
         })
 
@@ -377,14 +394,14 @@ class World:
             held.due.remove(position)
         held.stale.add(task_id)
 
-    def apply_af(self, agent_id: str, task_id: str, delta: float, t: int,
-                 cause: str) -> tuple[float, float]:
+    def apply_af(self, agent_id: str, task_id: str,
+                 delta: float) -> tuple[float, float]:
         """Move an alignment by `delta`; a gain resets the stuck count.
 
         Returns the old and the new alignment.
         """
         old = self.alignment.get(agent_id, task_id)
-        new = self.alignment.apply_delta(agent_id, task_id, delta, step=t, cause=cause)
+        new = self.alignment.apply_delta(agent_id, task_id, delta)
         if delta > 0:
             self.task_stats(agent_id, task_id).stuck_worked_steps = 0
         self._drop_view(task_id)
@@ -632,16 +649,12 @@ class Simulation:
         if not world.alignment.initialized(asker, task_id) or world.graph.node(task_id).done:
             thread.close()
             return
-        root = world.thread_root.get(message.thread_id)
         world.pending_af.append(PendingAfEvaluation(
             agent_id=asker,
             task_id=task_id,
             cause_id=message.message_id,
             root_type=thread.root_type,
-            original_content=root.content if root else None,
-            reply_content=message.content,
-            from_agent=message.from_agent,
-            thread_id=message.thread_id,
+            reply=message,
         ))
 
     def _convene_meetings(self, t: int) -> None:
@@ -694,12 +707,8 @@ class Simulation:
         for recipient in attendees:
             world.deliver(start, recipient, t)
         for agent_id in attendees:
-            world.active[agent_id] = ActiveAction(
-                kind=ActionKind.MEETING,
-                target=meeting.meeting_id,
-                remaining=duration,
-                total=duration,
-            )
+            world.active[agent_id] = ActiveAction(ActionKind.MEETING,
+                                                  meeting.meeting_id, duration)
 
     def _decide(self, contexts: dict[str, PolicyContext]) -> dict[str, Intention]:
         if not contexts:
@@ -726,10 +735,7 @@ class Simulation:
         kind = intention.kind
 
         if agent_id == world.manager_id and not world.planned:
-            world.active[agent_id] = ActiveAction(
-                kind=ActionKind.WORK, target="plan", remaining=1, total=1,
-                payload={"plan": True},
-            )
+            world.active[agent_id] = ActiveAction(ActionKind.PLAN, "plan", 1)
             return
 
         if kind is IntentionKind.CHECK_MESSAGES:
@@ -751,36 +757,30 @@ class Simulation:
         # CONTINUE_TASK and every degraded intention end up here.
         active = context.active_task
         if active is not None:
-            world.active[agent_id] = ActiveAction(
-                kind=ActionKind.WORK, target=active.task_id, remaining=1, total=1,
-            )
+            world.active[agent_id] = ActiveAction(ActionKind.WORK, active.task_id, 1)
         else:
-            world.active[agent_id] = ActiveAction(
-                kind=ActionKind.IDLE, target=None, remaining=1, total=1,
-            )
+            world.active[agent_id] = ActiveAction(ActionKind.IDLE, None, 1)
 
     def _start_check_messages(self, agent_id: str, context: PolicyContext,
                               t: int) -> bool:
         """Oldest actionable inbox item: an invite to accept or a thread to answer."""
         world = self.world
-        items: list[tuple[int, str, str, str]] = []
+        items: list[tuple[int, str, ActionKind, str]] = []
         for delivery, message_id, meeting_id in world.pending_invites(agent_id):
-            items.append((delivery, message_id, "rsvp", meeting_id))
+            items.append((delivery, message_id, ActionKind.RSVP, meeting_id))
         for thread_id in world.unanswered_inbound(agent_id):
             root = world.thread_root[thread_id]
-            items.append((root.delivery_step, root.message_id, "reply", thread_id))
+            items.append((root.delivery_step, root.message_id, ActionKind.REPLY,
+                          thread_id))
         if not items:
             # The meeting start has been read: it no longer sends the agent
             # back to its inbox.
             world.clear_meeting_start(agent_id)
             return False
         items.sort()
-        _, _, action_type, target = items[0]
-        if action_type == "rsvp":
-            world.active[agent_id] = ActiveAction(
-                kind=ActionKind.REPLY, target=target, remaining=1, total=1,
-                payload={"rsvp": target},
-            )
+        _, _, kind, target = items[0]
+        if kind is ActionKind.RSVP:
+            world.active[agent_id] = ActiveAction(kind, target, 1)
             return True
         thread = world.threads[target]
         root = world.thread_root[target]
@@ -793,30 +793,25 @@ class Simulation:
         ))
         cost = communication_cost(channel, words, max(1, len(recipients)))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
-        world.active[agent_id] = ActiveAction(
-            kind=ActionKind.REPLY, target=target, remaining=duration, total=duration,
-            payload={
-                "thread_id": target,
-                "content": content,
-                "words": words,
-                "recipients": recipients,
-                "channel": channel,
-                "cost": cost,
-            },
-        )
+        world.active[agent_id] = ActiveAction(kind, target, duration, Outgoing(
+            MessageType.RESPONSE, content, words, recipients, channel,
+            thread.about_task, cost))
         return True
+
+    @staticmethod
+    def _hinted_view(context: PolicyContext,
+                     intention: Intention) -> TaskAssignmentView | None:
+        """The agent's view of the task the intention names, if it holds it."""
+        for view in context.assigned:
+            if view.task_id == intention.task_hint:
+                return view
+        return None
 
     def _start_communication(self, agent_id: str, context: PolicyContext,
                              intention: Intention, kind: IntentionKind,
                              t: int) -> bool:
         world = self.world
-        view = None
-        for candidate in context.assigned:
-            if candidate.task_id == intention.task_hint:
-                view = candidate
-                break
-        if view is None:
-            view = context.active_task
+        view = self._hinted_view(context, intention) or context.active_task
         if view is None:
             return False
         content = compose_message(context, kind, view)
@@ -833,29 +828,15 @@ class Simulation:
             IntentionKind.REPORT_PROGRESS: MessageType.PROGRESS_UPDATE,
         }[kind]
         world.active[agent_id] = ActiveAction(
-            kind=ActionKind.COMMUNICATE, target=view.task_id,
-            remaining=duration, total=duration,
-            payload={
-                "message_type": message_type,
-                "content": content,
-                "words": words,
-                "recipients": tuple(recipients),
-                "channel": channel,
-                "about_task": view.task_id,
-                "cost": cost,
-            },
-        )
+            ActionKind.COMMUNICATE, view.task_id, duration, Outgoing(
+                message_type, content, words, tuple(recipients), channel,
+                view.task_id, cost))
         return True
 
     def _start_meeting_scheduling(self, agent_id: str, context: PolicyContext,
                                   intention: Intention, t: int) -> bool:
         world = self.world
-        task_id = intention.task_hint
-        view = None
-        for candidate in context.assigned:
-            if candidate.task_id == task_id:
-                view = candidate
-                break
+        view = self._hinted_view(context, intention)
         if view is None:
             return False
         recipients = select_recipients(context, IntentionKind.SCHEDULE_MEETING,
@@ -864,17 +845,9 @@ class Simulation:
             return False
         content = compose_message(context, IntentionKind.SCHEDULE_MEETING, view)
         world.active[agent_id] = ActiveAction(
-            kind=ActionKind.COMMUNICATE, target=view.task_id, remaining=1, total=1,
-            payload={
-                "message_type": MessageType.MEETING_INVITE,
-                "content": content,
-                "words": word_count(content),
-                "recipients": tuple(recipients),
-                "channel": Channel.MEETING,
-                "about_task": view.task_id,
-                "cost": 0.0,
-            },
-        )
+            ActionKind.COMMUNICATE, view.task_id, 1, Outgoing(
+                MessageType.MEETING_INVITE, content, word_count(content),
+                tuple(recipients), Channel.MEETING, view.task_id, 0.0))
         return True
 
     # -- execution ---------------------------------------------------------------
@@ -894,27 +867,32 @@ class Simulation:
                 "target": action.target,
                 "remaining": action.remaining,
             })
-            if action.kind is ActionKind.WORK:
-                if action.payload is not None and action.payload.get("plan"):
-                    self._execute_plan(agent_id, t)
-                else:
-                    self._execute_work(agent_id, action.target, t)
-            elif action.remaining == 0 and action.kind is ActionKind.COMMUNICATE:
-                self._complete_send(agent_id, action, t)
-            elif action.remaining == 0 and action.kind is ActionKind.REPLY:
-                self._complete_reply(agent_id, action, t)
-            elif action.remaining == 0 and action.kind is ActionKind.MEETING:
-                self._complete_meeting_attendance(agent_id, action, t)
-            if action.remaining <= 0:
-                finished.append(agent_id)
-                if action.kind is ActionKind.IDLE:
-                    world.last_actions[agent_id] = LastAction("idle", None, t)
-                elif action.kind is ActionKind.WORK:
-                    world.last_actions[agent_id] = LastAction("work", None, t)
+            # Work, plan and idle actions last one step; the others act on
+            # their last.
+            kind = action.kind
+            if kind is ActionKind.WORK:
+                self._execute_work(agent_id, action.target, t)
+                world.last_actions[agent_id] = LastAction("work", None, t)
+            elif kind is ActionKind.PLAN:
+                self._execute_plan(t)
+                world.last_actions[agent_id] = LastAction("work", None, t)
+            elif kind is ActionKind.IDLE:
+                world.last_actions[agent_id] = LastAction("idle", None, t)
+            elif action.remaining > 0:
+                continue
+            elif kind is ActionKind.COMMUNICATE:
+                self._complete_send(agent_id, action.outgoing, t)
+            elif kind is ActionKind.REPLY:
+                self._complete_reply(agent_id, action.target, action.outgoing, t)
+            elif kind is ActionKind.RSVP:
+                self._complete_rsvp(agent_id, action.target, t)
+            else:
+                self._complete_meeting_attendance(agent_id, action.target, t)
+            finished.append(agent_id)
         for agent_id in finished:
             del world.active[agent_id]
 
-    def _execute_plan(self, agent_id: str, t: int) -> None:
+    def _execute_plan(self, t: int) -> None:
         """The manager's step-0 slot: decompose every root and hand out work."""
         world = self.world
         for root_id in list(world.graph.roots):
@@ -929,18 +907,17 @@ class Simulation:
             for worker_id, task_ids in assignment.items():
                 for task_id in task_ids:
                     world.assignments[worker_id].append(task_id)
-                    world.alignment.init(worker_id, task_id, step=t)
+                    af = world.alignment.init(worker_id, task_id)
                     world.emit({
                         "step": t, "seq": None, "kind": "af_update",
                         "agent": worker_id,
                         "task": task_id,
                         "old": None,
                         "delta": None,
-                        "new": world.alignment.get(worker_id, task_id),
+                        "new": af,
                         "cause": "init",
                     })
         world.finish_plan()
-        world.last_actions[agent_id] = LastAction("work", None, t)
 
     def _execute_work(self, agent_id: str, task_id: str, t: int) -> None:
         world = self.world
@@ -979,99 +956,84 @@ class Simulation:
                 "task": root.task_id, "root": True, "boundary": t + 1,
             })
 
-    def _complete_send(self, agent_id: str, action: ActiveAction, t: int) -> None:
+    def _post(self, agent_id: str, outgoing: Outgoing, thread_id: str,
+              meeting_id: str | None, t: int) -> Message:
+        """Stage a composed message for next-step delivery and trace it."""
         world = self.world
-        payload = action.payload
-        message_type: MessageType = payload["message_type"]
-        thread_id = world.next_thread_id()
-        meeting_id = None
-        if message_type is MessageType.MEETING_INVITE:
-            meeting_id = world.next_meeting_id()
         message = Message(
             message_id=world.next_message_id(),
             thread_id=thread_id,
             from_agent=agent_id,
-            to_agents=tuple(payload["recipients"]),
-            channel=payload["channel"],
-            message_type=message_type,
-            content=payload["content"],
+            to_agents=outgoing.recipients,
+            channel=outgoing.channel,
+            message_type=outgoing.message_type,
+            content=outgoing.content,
             sent_step=t,
-            about_task=payload.get("about_task"),
+            about_task=outgoing.about_task,
             meeting_id=meeting_id,
-            cost_hours=payload["cost"],
+            cost_hours=outgoing.cost,
         )
-        thread = Thread(
-            thread_id=thread_id,
-            root_message_id=message.message_id,
+        world.comm_cost_total += outgoing.cost
+        self._trace_sent(message, outgoing.words, t)
+        world.staged.append(message)
+        world.last_actions[agent_id] = LastAction(
+            "message_sent", TYPE_NAMES[outgoing.message_type], t)
+        return message
+
+    def _complete_send(self, agent_id: str, outgoing: Outgoing, t: int) -> None:
+        """Open a thread, and for an invite a meeting, with this message."""
+        world = self.world
+        message_type = outgoing.message_type
+        meeting_id = None
+        if message_type is MessageType.MEETING_INVITE:
+            meeting_id = world.next_meeting_id()
+        message = self._post(agent_id, outgoing, world.next_thread_id(), meeting_id, t)
+        world.open_thread(Thread(
+            thread_id=message.thread_id,
             root_sender=agent_id,
             root_type=message_type,
-            about_task=payload.get("about_task"),
-            participants=tuple(sorted({agent_id, *payload["recipients"]}, key=order_key)),
+            about_task=outgoing.about_task,
             open=message_type in REQUEST_TYPES,
-        )
-        world.open_thread(thread, message)
+        ), message)
         if meeting_id is not None:
             world.open_meeting(Meeting(
                 meeting_id=meeting_id,
                 organizer=agent_id,
-                invitees=tuple(payload["recipients"]),
-                about_task=payload.get("about_task"),
+                invitees=outgoing.recipients,
+                about_task=outgoing.about_task,
                 invite_step=t,
             ))
-        world.comm_cost_total += message.cost_hours
-        self._trace_sent(message, payload["words"], t)
-        world.staged.append(message)
-        world.last_actions[agent_id] = LastAction("message_sent",
-                                                  TYPE_NAMES[message_type], t)
-        if message_type is MessageType.PROGRESS_UPDATE:
-            task_id = payload.get("about_task")
-            if task_id:
-                world.record_report(agent_id, task_id)
+        if message_type is MessageType.PROGRESS_UPDATE and outgoing.about_task:
+            world.record_report(agent_id, outgoing.about_task)
 
-    def _complete_reply(self, agent_id: str, action: ActiveAction, t: int) -> None:
+    def _complete_reply(self, agent_id: str, thread_id: str, outgoing: Outgoing,
+                        t: int) -> None:
         world = self.world
-        payload = action.payload
-        if "rsvp" in payload:
-            meeting = world.meetings[payload["rsvp"]]
-            meeting.responded.add(agent_id)
-            meeting.attending.add(agent_id)
-            world.last_actions[agent_id] = LastAction("rsvp", None, t)
-            return
-        thread = world.threads[payload["thread_id"]]
+        thread = world.threads[thread_id]
         if not thread.open:
             # Request became moot (task finished or thread closed) mid-compose.
             world.last_actions[agent_id] = LastAction("reply_dropped", None, t)
             world.emit({
                 "step": t, "seq": None, "kind": "warning",
                 "source": "reply",
-                "detail": f"reply dropped, thread closed: {thread.thread_id}",
+                "detail": f"reply dropped, thread closed: {thread_id}",
             })
             return
-        message = Message(
-            message_id=world.next_message_id(),
-            thread_id=thread.thread_id,
-            from_agent=agent_id,
-            to_agents=tuple(payload["recipients"]),
-            channel=payload["channel"],
-            message_type=MessageType.RESPONSE,
-            content=payload["content"],
-            sent_step=t,
-            about_task=thread.about_task,
-            cost_hours=payload["cost"],
-        )
         thread.register_reply(agent_id)
+        message = self._post(agent_id, outgoing, thread_id, None, t)
         if thread.resolved and thread.resolver_id is None:
             thread.resolver_id = message.message_id
-        world.comm_cost_total += message.cost_hours
-        self._trace_sent(message, payload["words"], t)
-        world.staged.append(message)
-        world.last_actions[agent_id] = LastAction(
-            "message_sent", TYPE_NAMES[MessageType.RESPONSE], t)
 
-    def _complete_meeting_attendance(self, agent_id: str, action: ActiveAction,
+    def _complete_rsvp(self, agent_id: str, meeting_id: str, t: int) -> None:
+        meeting = self.world.meetings[meeting_id]
+        meeting.responded.add(agent_id)
+        meeting.attending.add(agent_id)
+        self.world.last_actions[agent_id] = LastAction("rsvp", None, t)
+
+    def _complete_meeting_attendance(self, agent_id: str, meeting_id: str,
                                      t: int) -> None:
         world = self.world
-        meeting = world.meetings[action.target]
+        meeting = world.meetings[meeting_id]
         world.last_actions[agent_id] = LastAction("meeting", None, t)
         if meeting.status is not MeetingStatus.RUNNING:
             return
@@ -1109,26 +1071,23 @@ class Simulation:
                          key=lambda p: (order_key(p.agent_id), p.cause_id))
         world.pending_af = []
         for item in pending:
-            if item.thread_id is not None:
-                thread = world.threads.get(item.thread_id)
-                if thread is not None:
-                    thread.close()
+            if item.reply is not None:
+                world.threads[item.reply.thread_id].close()
             if world.graph.node(item.task_id).done:
                 continue
-            evaluation, warning = self.evaluator.evaluate(world, item)
+            delta, warning = self.evaluator.evaluate(world, item)
             if warning:
                 world.emit({
                     "step": t, "seq": None, "kind": "warning",
                     "source": "evaluator", "detail": warning,
                 })
-            old, new = world.apply_af(item.agent_id, item.task_id,
-                                      evaluation.delta, t, item.cause_id)
+            old, new = world.apply_af(item.agent_id, item.task_id, delta)
             world.emit({
                 "step": t, "seq": None, "kind": "af_update",
                 "agent": item.agent_id,
                 "task": item.task_id,
                 "old": old,
-                "delta": evaluation.delta,
+                "delta": delta,
                 "new": new,
                 "cause": item.cause_id,
             })

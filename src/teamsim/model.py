@@ -81,9 +81,6 @@ class SimClock:
             raise RuntimeError("clock past max_steps")
         self.step += 1
 
-    def hours(self, steps: int) -> float:
-        return steps * self.hours_per_step
-
 
 @dataclass
 class AgentProfile:
@@ -118,7 +115,6 @@ class Scenario:
     tasks: list[TaskSpec]
     policy_name: str = "no_comm"
     evaluator_name: str = "rule_based"
-    seed: int = 0
     skill_pool: tuple[str, ...] = ()
     team_label: str = ""
 

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .adapter import AdapterError, ChatCompletionAdapter
-from .comms import Channel, Message, MessageType, TYPE_NAMES, word_count
+from .comms import Channel, MessageType, TYPE_NAMES, word_count
 from .model import AgentProfile, Role, order_key
 from . import prompts
 
@@ -81,7 +81,8 @@ class PolicyContext(NamedTuple):
     assigned: tuple[TaskAssignmentView, ...]  # held tasks in id order, done ones included
     active_task: TaskAssignmentView | None    # first ready view: what CONTINUE_TASK works on
     report_due: TaskAssignmentView | None     # first view with a pending milestone
-    inbox: tuple[Message, ...]
+    # Messages delivered to this agent so far, by type name; shared, never mutated.
+    delivered_by_type: dict[str, int]
     # Every agent in natural id order, this one included: the step's one
     # `team_views` tuple, shared by every context of the step.
     team_view: tuple[TeammateView, ...]
@@ -118,7 +119,7 @@ def build_context(world: "World", agent_id: str,
         held.views,
         held.active,
         held.report_due,
-        tuple(world.inboxes[agent_id]),
+        world.delivered_by_type[agent_id],
         team,
         world.manager_id,
         world.last_actions.get(agent_id),
@@ -288,10 +289,8 @@ class LlmPolicy(Policy):
                 f"{view.hours_worked:.2f}/{view.estimated_hours:.2f} hours"
             )
         tasks_block = "\n".join(lines) if lines else "- (no assigned tasks)"
-        counts: dict[str, int] = {}
-        for message in context.inbox:
-            counts[message.message_type.value] = counts.get(message.message_type.value, 0) + 1
-        inbox_desc = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items())) or "empty"
+        inbox_desc = ", ".join(f"{k}: {v}" for k, v in
+                               sorted(context.delivered_by_type.items())) or "empty"
         message_info = (
             f"Inbox: {inbox_desc}. Unanswered requests awaiting you: "
             f"{len(context.unanswered_inbound)}."

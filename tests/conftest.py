@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import socket
+from pathlib import Path
 
 import pytest
 
 from teamsim import trace
-from teamsim.config import expand_team_shorthand
+from teamsim.comms import Message
+from teamsim.config import expand_team_shorthand, parse_scenario
 from teamsim.model import AgentProfile, Role, Scenario, TaskSpec, validate_scenario
 from teamsim.planner import DecompositionPlan
 from teamsim.taskgraph import SubtaskSpec
@@ -51,8 +54,7 @@ COMPLEX_TASK = TaskSpec(
 
 
 def make_scenario(task: TaskSpec, team_label: str = "1M+4W",
-                  policy: str = "no_comm", seed: int = 7,
-                  name: str = "scenario") -> Scenario:
+                  policy: str = "no_comm", name: str = "scenario") -> Scenario:
     pool = sorted(task.required_skills)
     team = expand_team_shorthand(team_label, pool)
     return validate_scenario(Scenario(
@@ -61,7 +63,6 @@ def make_scenario(task: TaskSpec, team_label: str = "1M+4W",
         tasks=[task],
         policy_name=policy,
         evaluator_name="rule_based",
-        seed=seed,
         skill_pool=tuple(pool),
         team_label=team_label,
     ))
@@ -98,7 +99,7 @@ def chain_scenario() -> Scenario:
         name="deps", team=team,
         tasks=[TaskSpec("gateway", 3.0,
                         frozenset({"backend", "api", "testing"}))],
-        seed=1, skill_pool=("backend", "api", "testing"),
+        skill_pool=("backend", "api", "testing"),
     ))
 
 
@@ -138,6 +139,60 @@ class RandomDagPlanner:
                 dependencies=deps,
             ))
         return DecompositionPlan(subtasks=tuple(subtasks))
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# The 12 shipped runs: every shipped scenario under every deterministic policy.
+SHIPPED_RUNS = [(name, policy) for name in ("simple", "medium", "complex", "multi_task")
+                for policy in ("no_comm", "fixed_steps", "c2c_heuristic")]
+
+
+def shipped_scenario(name: str, policy: str) -> Scenario:
+    return dataclasses.replace(parse_scenario(SCENARIOS / f"{name}.yaml"),
+                               policy_name=policy)
+
+
+def replay_runs() -> list[tuple[Scenario, object]]:
+    """(scenario, planner) of the 12 shipped runs and the meeting run, whose
+    `ChainPlanner` base task blocks two collaborators."""
+    runs: list[tuple[Scenario, object]] = [
+        (shipped_scenario(name, policy), None) for name, policy in SHIPPED_RUNS]
+    runs.append((dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic"),
+                 ChainPlanner()))
+    return runs
+
+
+def log_deliveries(world) -> dict[str, list[Message]]:
+    """Wrap `world.deliver` to record, per agent, every message delivered to
+    it, in delivery order."""
+    delivered: dict[str, list[Message]] = {a: [] for a in world.agent_order}
+    deliver = world.deliver
+
+    def logging(message, recipient, t):
+        delivered[recipient].append(message)
+        deliver(message, recipient, t)
+
+    world.deliver = logging
+    return delivered
+
+
+def replay_af_updates(records) -> dict[tuple[str, str], float]:
+    """Every pair's alignment rebuilt from a run's `af_update` events alone:
+    0.30 on `init`, then clamp(old + delta). Each event's `old` must be the
+    previous event's `new` for its pair, and its `new` the replayed value."""
+    values: dict[tuple[str, str], float] = {}
+    for record in records:
+        if record["kind"] != "af_update":
+            continue
+        key = (record["agent"], record["task"])
+        if record["cause"] == "init":
+            assert key not in values and record["old"] is None, record
+            values[key] = 0.30
+        else:
+            assert record["old"] == values[key], record
+            values[key] = min(1.00, max(0.01, record["old"] + record["delta"]))
+        assert record["new"] == values[key], record
+    return values
 
 
 def refused_port() -> int:

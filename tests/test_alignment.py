@@ -10,6 +10,9 @@ from teamsim.alignment import (AF_INIT, AF_MAX, AF_MIN, AlignmentError,
                                clamp_af, effective_progress,
                                normalize_reported_alignment, rule_based_delta)
 from teamsim.comms import MessageType
+from teamsim.engine import Simulation
+
+from conftest import replay_af_updates, replay_runs
 
 
 class TestInit:
@@ -88,16 +91,15 @@ class TestApplyDelta:
             assert result == min(1.00, max(0.01, af + delta))
 
     def test_history_replay_reproduces_state(self):
-        rng = random.Random(21)
-        state = AlignmentState()
-        pairs = [(f"W{i}", f"T1.{j}") for i in range(1, 4) for j in range(1, 3)]
-        for agent, task in pairs:
-            state.init(agent, task)
-        for step in range(400):
-            agent, task = rng.choice(pairs)
-            state.apply_delta(agent, task, rng.uniform(-0.3, 0.5), step=step)
-        replayed = AlignmentState.replay(state.history)
-        assert replayed.values == state.values
+        """The trace's `af_update` events are the alignment history: replayed
+        from 0.30, they give every pair's final value exactly."""
+        moved = 0
+        for scenario, planner in replay_runs():
+            result = Simulation(scenario, planner=planner).run()
+            replayed = replay_af_updates(result.trace.events)
+            assert replayed == result.world.alignment.values
+            moved += sum(value != AF_INIT for value in replayed.values())
+        assert moved > 0
 
 
 class TestEffectiveProgress:
@@ -131,35 +133,32 @@ class TestEffectiveProgress:
 
 class TestRuleTable:
     def test_help_request(self):
-        assert rule_based_delta(MessageType.HELP_REQUEST).delta == 0.15
+        assert rule_based_delta(MessageType.HELP_REQUEST) == 0.15
 
     def test_clarification(self):
-        assert rule_based_delta(MessageType.NEED_CLARIFICATION).delta == 0.10
+        assert rule_based_delta(MessageType.NEED_CLARIFICATION) == 0.10
 
     def test_meeting(self):
-        assert rule_based_delta(MessageType.MEETING_INVITE).delta == 0.27
+        assert rule_based_delta(MessageType.MEETING_INVITE) == 0.27
 
     def test_progress_update_neutral(self):
-        assert rule_based_delta(MessageType.PROGRESS_UPDATE).delta == 0.0
+        assert rule_based_delta(MessageType.PROGRESS_UPDATE) == 0.0
 
 
 class TestNormalization:
     def test_reported_new_value_gives_difference(self):
-        evaluation = normalize_reported_alignment(0.30, 0.45)
-        assert evaluation.delta == pytest.approx(0.15)
+        assert normalize_reported_alignment(0.30, 0.45) == pytest.approx(0.15)
 
     def test_out_of_range_report_clamped_then_capped(self):
-        evaluation = normalize_reported_alignment(0.30, 1.7)
-        assert evaluation.delta == DELTA_MAX
+        assert normalize_reported_alignment(0.30, 1.7) == DELTA_MAX
 
     def test_decrease_floor(self):
-        evaluation = normalize_reported_alignment(0.95, 0.01)
-        assert evaluation.delta == DELTA_MIN
+        assert normalize_reported_alignment(0.95, 0.01) == DELTA_MIN
 
     def test_band(self):
         rng = random.Random(31)
         for _ in range(1000):
             old = rng.uniform(AF_MIN, AF_MAX)
             reported = rng.uniform(-1, 3)
-            delta = normalize_reported_alignment(old, reported).delta
+            delta = normalize_reported_alignment(old, reported)
             assert DELTA_MIN <= delta <= DELTA_MAX

@@ -128,9 +128,8 @@ class TestBuffer:
 
 class TestThread:
     def thread(self):
-        return Thread(thread_id="th1", root_message_id="m1", root_sender="W1",
-                      root_type=MessageType.HELP_REQUEST, about_task="T1.1",
-                      participants=("W1", "W2"))
+        return Thread(thread_id="th1", root_sender="W1",
+                      root_type=MessageType.HELP_REQUEST, about_task="T1.1")
 
     def test_resolving_reply_marks_resolved_but_stays_open(self):
         thread = self.thread()

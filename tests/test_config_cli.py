@@ -49,7 +49,6 @@ class TestParsing:
         assert scenario.tasks[0].estimated_hours == 8.0
         assert len(scenario.tasks[0].required_skills) == 5
         assert len(scenario.team) == 5
-        assert scenario.seed == 3
 
     def test_shorthand_expansion_counts(self):
         team = expand_team_shorthand("1M+8W", ["a", "b", "c", "d"])
@@ -124,6 +123,19 @@ class TestParsing:
         assert parse_scenario_text(emit_scenario(scenario)) == scenario
         explicit = parse_scenario_text(EXPLICIT_TEAM)
         assert parse_scenario_text(emit_scenario(explicit)) == explicit
+
+    @pytest.mark.parametrize("name", ["simple", "medium", "complex", "multi_task"])
+    def test_old_seed_key_is_read_and_ignored(self, name):
+        """A shipped scenario still carries the `seed:` key that once set a
+        scenario seed: it parses as the same file without the key does, and
+        emits without it."""
+        text = (SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8")
+        assert "\nseed: 7\n" in text
+        scenario = parse_scenario_text(text)
+        assert scenario == parse_scenario_text(text.replace("\nseed: 7\n", "\n"))
+        emitted = emit_scenario(scenario)
+        assert "seed" not in yaml.safe_load(emitted)
+        assert parse_scenario_text(emitted) == scenario
 
 
 WIDE_TEAM = """\
@@ -218,13 +230,18 @@ def scenarios(draw) -> Scenario:
     ]
     pool = {s for t in tasks for s in t.required_skills}
     pool |= draw(st.frozensets(_skills, max_size=2))
+    name = draw(_texts)
+    policy_name = draw(st.sampled_from(POLICY_NAMES))
+    evaluator_name = draw(st.sampled_from(EVALUATOR_NAMES))
+    # The draw that once set the scenario's `seed`, kept so that the
+    # generated examples stay as they were.
+    draw(st.integers(0, 2 ** 31))
     return Scenario(
-        name=draw(_texts),
+        name=name,
         team=team,
         tasks=tasks,
-        policy_name=draw(st.sampled_from(POLICY_NAMES)),
-        evaluator_name=draw(st.sampled_from(EVALUATOR_NAMES)),
-        seed=draw(st.integers(0, 2 ** 31)),
+        policy_name=policy_name,
+        evaluator_name=evaluator_name,
         skill_pool=tuple(sorted(pool)) or ("x",),
         team_label=draw(_texts.filter(bool)),
     )

@@ -120,8 +120,7 @@ class TestStepDiscipline:
         scenario = validate_scenario(Scenario(
             name="two", team=team,
             tasks=[TaskSpec("a", 0.5, frozenset({"backend"})),
-                   TaskSpec("b", 0.5, frozenset({"backend"}))],
-            seed=0))
+                   TaskSpec("b", 0.5, frozenset({"backend"}))]))
         result = run_scenario(scenario)
         first_work = next(e for e in of_kind(result.trace, "action")
                           if e["action"] == "work"

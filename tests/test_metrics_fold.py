@@ -358,7 +358,7 @@ def test_run_streams_the_trace(tmp_path):
     peak_16, held_16 = _run_peaks(tmp_path, 16)
     peak_32, held_32 = _run_peaks(tmp_path, 32)
     assert peak_16 < held_16 / 2
-    # What is left grows with the run's own state (threads, inboxes, the
+    # What is left grows with the run's own state (threads, their roots, the
     # fold's threads), which doubles with the roots; the events no longer
     # add to it.
     assert peak_32 - peak_16 < (held_32 - held_16) / 2

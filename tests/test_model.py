@@ -73,7 +73,7 @@ class TestSkillMatch:
 class TestValidateScenario:
     def scenario(self, team, tasks=None):
         return Scenario(name="t", team=team,
-                        tasks=tasks or [SIMPLE_TASK], seed=1)
+                        tasks=tasks or [SIMPLE_TASK])
 
     def test_accepts_standard_team(self):
         scenario = validate_scenario(self.scenario(make_team(4)))

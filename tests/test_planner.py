@@ -72,7 +72,7 @@ class TestEvenPlanner:
 
     def test_empty_team_rejected(self):
         team = [AgentProfile("M1", "M", Role.MANAGER, frozenset({"planning"}))]
-        scenario = Scenario(name="x", team=team, tasks=[SIMPLE_TASK], seed=0)
+        scenario = Scenario(name="x", team=team, tasks=[SIMPLE_TASK])
         graph = TaskGraph()
         node = graph.add_root("T1", "d", 8.0, frozenset({"backend"}))
         with pytest.raises(PlannerError, match="empty team"):
@@ -190,7 +190,7 @@ class TestAssign:
         team = make_team(4, worker_skills=skills)
         scenario = validate_scenario(Scenario(
             name="x", team=team,
-            tasks=[TaskSpec("t", 8.0, frozenset("abcd"))], seed=0))
+            tasks=[TaskSpec("t", 8.0, frozenset("abcd"))]))
         graph = TaskGraph()
         graph.add_root("T1", "t", 8.0, frozenset("abcd"))
         specs = [SubtaskSpec(f"p{i}", 2.0, frozenset({tag}), None, ())

@@ -38,7 +38,7 @@ def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(),
     report_due = next((v for v in assigned if v.pending_milestone is not None), None)
     return PolicyContext(
         agent=agent, step=step, assigned=assigned, active_task=active_task,
-        report_due=report_due, inbox=(),
+        report_due=report_due, delivered_by_type={},
         team_view=tuple(teammates), manager_id="M1", last_action=last_action,
         unanswered_inbound=tuple(unanswered),
         open_outbound_tasks=frozenset(open_outbound),

@@ -15,7 +15,10 @@ agent's active and report-due task and policies stopped rescanning their task
 views; 1,026.2 (277,079) once each event became one record, which the default
 `TraceLog` sink keeps as it is given instead of wrapping it in a `TraceEvent`;
 1,010.0 (272,701) once every context shared the step's team tuple instead of
-slicing out its own entry. The bound is that last figure.
+slicing out its own entry; 978.0 (264,071) once contexts stopped copying the
+agent's inbox, `World` kept per-type delivery counts instead, and actions
+carried one typed `Outgoing` value instead of a payload dict. The bound is
+that last figure.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -23,9 +26,10 @@ slicing out its own entry. The bound is that last figure.
 every held task view; after, 1,198.1 (1,873,880) and 1,195.0 (7,638,484), a
 ratio of 1.00; with one record per event, 1,187.1 (1,856,550) and 1,184.1
 (7,568,489), a ratio of 1.00; with one shared team tuple, 1,172.3 (1,833,415)
-and 1,169.2 (7,473,524), a ratio of 1.00. The ratio bound, 1.10, lets an
-agent-step grow a little with the tasks an agent holds, not in proportion to
-them.
+and 1,169.2 (7,473,524), a ratio of 1.00; without inbox copies and with
+typed actions, 1,141.9 (1,785,896) and 1,139.1 (7,281,403), a ratio of 1.00.
+The ratio bound, 1.10, lets an agent-step grow a little with the tasks an
+agent holds, not in proportion to them.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -45,7 +49,7 @@ from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, of_kind
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-OPCODES_PER_AGENT_STEP_BOUND = 1011
+OPCODES_PER_AGENT_STEP_BOUND = 979
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 

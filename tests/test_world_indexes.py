@@ -2,7 +2,9 @@
 
 Each oracle below is the scan a query used before the index replaced it. The
 property drives `Simulation.step` by hand over generated scenarios and, after
-every step, compares each indexed query with its oracle for every agent.
+every step, compares each indexed query with its oracle for every agent. The
+inbox scans read a delivery log that the harness records by wrapping
+`World.deliver`, since `World` keeps no inbox.
 """
 
 import dataclasses
@@ -10,7 +12,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from teamsim.comms import MessageType, MeetingStatus, REQUEST_TYPES
+from teamsim.comms import Message, MessageType, MeetingStatus, REQUEST_TYPES
 from teamsim.config import expand_team_shorthand
 from teamsim.engine import Simulation, World
 from teamsim.model import Scenario, TaskSpec, order_key, validate_scenario
@@ -20,7 +22,7 @@ from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
 from teamsim.taskgraph import TaskStatus
 
 from conftest import (SKILL_POOL, ChainPlanner, RandomDagPlanner,
-                      chain_scenario, eight_roots_scenario, of_kind)
+                      chain_scenario, eight_roots_scenario, log_deliveries, of_kind)
 
 
 class NoisyHeuristicPolicy(HeuristicPolicy):
@@ -52,9 +54,10 @@ def oracle_assigned_tasks(world: World, agent_id: str) -> list[str]:
                   key=order_key)
 
 
-def oracle_unanswered_inbound(world: World, agent_id: str) -> list[str]:
+def oracle_unanswered_inbound(world: World, agent_id: str,
+                              inbox: list[Message]) -> list[str]:
     found = []
-    for msg in world.inboxes[agent_id]:
+    for msg in inbox:
         if msg.message_type not in REQUEST_TYPES:
             continue
         thread = world.threads.get(msg.thread_id)
@@ -74,9 +77,10 @@ def oracle_open_outbound_tasks(world: World, agent_id: str) -> set[str]:
             if t.open and t.root_sender == agent_id and t.about_task}
 
 
-def oracle_pending_invites(world: World, agent_id: str) -> list[tuple[int, str, str]]:
+def oracle_pending_invites(world: World, agent_id: str,
+                           inbox: list[Message]) -> list[tuple[int, str, str]]:
     out = []
-    for msg in world.inboxes[agent_id]:
+    for msg in inbox:
         if msg.message_type is not MessageType.MEETING_INVITE:
             continue
         meeting = world.meetings.get(msg.meeting_id or "")
@@ -89,14 +93,14 @@ def oracle_pending_invites(world: World, agent_id: str) -> list[tuple[int, str, 
     return out
 
 
-def oracle_has_meeting_start(world: World, agent_id: str,
+def oracle_has_meeting_start(agent_id: str, inbox: list[Message],
                              inbox_read: dict[str, int]) -> bool:
     """A `MEETING_START` delivered after the step of the agent's last
     CHECK_MESSAGES that found nothing actionable."""
     read_at = inbox_read.get(agent_id, -1)
     return any(m.message_type is MessageType.MEETING_START
                and m.delivery_step > read_at
-               for m in world.inboxes[agent_id])
+               for m in inbox)
 
 
 def oracle_blocked_collaborators(world: World, agent_id: str) -> dict:
@@ -174,19 +178,21 @@ def oracle_organized_meeting_tasks(world: World, agent_id: str) -> set:
 
 
 def check_indexes(world: World, done_at: dict[str, int],
-                  inbox_read: dict[str, int]) -> None:
+                  inbox_read: dict[str, int],
+                  delivered: dict[str, list[Message]]) -> None:
     team = team_views(world)
     for agent_id in world.agent_order:
+        inbox = delivered[agent_id]
         assert world.assigned_tasks(agent_id) == oracle_assigned_tasks(world, agent_id)
         assert world.unanswered_inbound(agent_id) == \
-            oracle_unanswered_inbound(world, agent_id)
+            oracle_unanswered_inbound(world, agent_id, inbox)
         assert world.open_outbound_tasks(agent_id) == \
             oracle_open_outbound_tasks(world, agent_id)
-        assert world.pending_invites(agent_id) == oracle_pending_invites(world, agent_id)
-        assert world.has_unprocessed_invite(agent_id) == \
-            bool(oracle_pending_invites(world, agent_id))
+        invites = oracle_pending_invites(world, agent_id, inbox)
+        assert world.pending_invites(agent_id) == invites
+        assert world.has_unprocessed_invite(agent_id) == bool(invites)
         assert world.has_meeting_start(agent_id) == \
-            oracle_has_meeting_start(world, agent_id, inbox_read)
+            oracle_has_meeting_start(agent_id, inbox, inbox_read)
         assert world.blocked_collaborators(agent_id) == \
             oracle_blocked_collaborators(world, agent_id)
         context = build_context(world, agent_id, team)
@@ -251,14 +257,15 @@ def run_checking_indexes(sim: Simulation) -> None:
         return found
 
     sim._start_check_messages = recording
-    check_indexes(world, done_at, inbox_read)
+    delivered = log_deliveries(world)
+    check_indexes(world, done_at, inbox_read, delivered)
     while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
         t = world.clock.step
         sim.step()
         for node in world.graph.nodes.values():
             if node.done:
                 done_at.setdefault(node.task_id, t)
-        check_indexes(world, done_at, inbox_read)
+        check_indexes(world, done_at, inbox_read, delivered)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
