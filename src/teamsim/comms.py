@@ -1,8 +1,13 @@
 """Messages, threads, channel cost models, and forward-only buffered delivery.
 
-A message sent at step t becomes readable at t+1, never sooner. The buffer
-keeps pending messages in a canonical (sent_step, sender, id) order so that
-delivery order is reproducible run to run.
+A message sent at step t becomes readable at t+1, never sooner; that delivery
+step is always `sent_step + 1` and is not stored. The buffer keeps pending
+messages in a canonical (sent_step, sender, id) order so that delivery order is
+reproducible run to run.
+
+A thread is its root message plus reply state, and a meeting is its invite
+plus RSVP state: the id, sender, type, recipients and task of either are read
+from that one message.
 """
 
 from __future__ import annotations
@@ -97,7 +102,6 @@ class Message:
     message_type: MessageType
     content: str
     sent_step: int
-    delivery_step: int = -1
     about_task: str | None = None
     meeting_id: str | None = None
     cost_hours: float = 0.0
@@ -112,18 +116,14 @@ class Message:
 
 @dataclass
 class Thread:
-    thread_id: str
-    root_sender: str
-    root_type: MessageType
-    about_task: str | None
-    reply_rounds: int = 0
+    root: Message
     open: bool = True
-    resolved: bool = False
+    # The first reply from anyone but the asker to a request; it resolves it.
     resolver_id: str | None = None
     # Who has replied, in reply order; at most MAX_REPLY_ROUNDS entries.
     repliers: tuple[str, ...] = ()
 
-    def register_reply(self, from_agent: str) -> None:
+    def register_reply(self, reply: Message) -> None:
         """Account for one reply round and record who sent it.
 
         A reply from anyone but the asker resolves a request thread, but the
@@ -133,13 +133,14 @@ class Thread:
         """
         if not self.open:
             raise ThreadClosedError("thread closed")
-        if self.reply_rounds >= MAX_REPLY_ROUNDS:
+        if len(self.repliers) >= MAX_REPLY_ROUNDS:
             raise ThreadDepthError("thread depth exceeded")
-        self.reply_rounds += 1
-        self.repliers += (from_agent,)
-        if from_agent != self.root_sender and self.root_type in REQUEST_TYPES:
-            self.resolved = True
-        if self.reply_rounds >= MAX_REPLY_ROUNDS:
+        self.repliers += (reply.from_agent,)
+        root = self.root
+        if (self.resolver_id is None and reply.from_agent != root.from_agent
+                and root.message_type in REQUEST_TYPES):
+            self.resolver_id = reply.message_id
+        if len(self.repliers) >= MAX_REPLY_ROUNDS:
             self.open = False
 
     def close(self) -> None:
@@ -155,13 +156,9 @@ class MeetingStatus(str, Enum):
 
 @dataclass
 class Meeting:
-    meeting_id: str
-    organizer: str
-    invitees: tuple[str, ...]
-    about_task: str | None
-    invite_step: int
+    invite: Message
+    # Who accepted; every RSVP accepts.
     attending: set[str] = field(default_factory=set)
-    responded: set[str] = field(default_factory=set)
     status: MeetingStatus = MeetingStatus.PENDING
     attendees: tuple[str, ...] = ()
 
@@ -185,11 +182,10 @@ class CommBuffer:
             raise CommError(
                 f"message sent_step {message.sent_step} != current step {current_step}"
             )
-        message.delivery_step = current_step + 1
         bisect.insort(self.pending, message, key=_canonical)
 
     def pop_due(self, current_step: int) -> list[Message]:
         """Remove and return every message due at `current_step`, in order."""
-        due = [m for m in self.pending if m.delivery_step <= current_step]
-        self.pending = [m for m in self.pending if m.delivery_step > current_step]
+        due = [m for m in self.pending if m.sent_step < current_step]
+        self.pending = [m for m in self.pending if m.sent_step >= current_step]
         return due

@@ -45,6 +45,13 @@ RSVP_GRACE_STEPS = 6
 # What the manager intends before the plan step; it never reaches a policy.
 DECOMPOSITION_PENDING = Intention(IntentionKind.CONTINUE_TASK, "decomposition pending")
 
+# The message each communicating intention sends.
+INTENTION_MESSAGE_TYPES = {
+    IntentionKind.REQUEST_HELP: MessageType.HELP_REQUEST,
+    IntentionKind.NEED_CLARIFICATION: MessageType.NEED_CLARIFICATION,
+    IntentionKind.REPORT_PROGRESS: MessageType.PROGRESS_UPDATE,
+}
+
 
 class ActionKind(str, Enum):
     WORK = "work"
@@ -170,7 +177,7 @@ class LlmEvaluator:
             current_alignment=old_af,
             message_type=MessageType.RESPONSE.value,
             from_agent=reply.from_agent,
-            original_request=world.thread_root[reply.thread_id].content,
+            original_request=world.threads[reply.thread_id].root.content,
             reply_content=reply.content,
         )
         try:
@@ -220,7 +227,6 @@ class World:
         self.delivered_by_type: dict[str, dict[str, int]] = dict.fromkeys(
             self.agent_order, {})
         self.threads: dict[str, Thread] = {}
-        self.thread_root: dict[str, Message] = {}
         self.meetings: dict[str, Meeting] = {}
         # Meetings still waiting to convene, in id order.
         self.pending_meetings: dict[str, Meeting] = {}
@@ -304,10 +310,9 @@ class World:
         self.delivered_by_type[recipient] = {**counts, name: counts.get(name, 0) + 1}
         if kind in REQUEST_TYPES and message.from_agent != recipient:
             insort(self._inbound_requests[recipient],
-                   (message.delivery_step, message.message_id, message.thread_id))
+                   (t, message.message_id, message.thread_id))
         elif kind is MessageType.MEETING_INVITE:
-            insort(self._invites[recipient],
-                   (message.delivery_step, message.message_id, message.meeting_id))
+            insort(self._invites[recipient], (t, message.message_id, message.meeting_id))
         elif kind is MessageType.MEETING_START:
             self._meeting_started.add(recipient)
         self.emit({
@@ -319,19 +324,20 @@ class World:
             "thread_id": message.thread_id,
         })
 
-    def open_thread(self, thread: Thread, root: Message) -> None:
-        self.threads[thread.thread_id] = thread
-        self.thread_root[thread.thread_id] = root
+    def open_thread(self, thread: Thread) -> None:
+        root = thread.root
+        self.threads[root.thread_id] = thread
         if thread.open:
-            self._open_by_sender[thread.root_sender].append(thread)
-            if thread.about_task:
-                self._open_by_task.setdefault(thread.about_task, []).append(thread)
+            self._open_by_sender[root.from_agent].append(thread)
+            if root.about_task:
+                self._open_by_task.setdefault(root.about_task, []).append(thread)
 
     def open_meeting(self, meeting: Meeting) -> None:
-        self.meetings[meeting.meeting_id] = meeting
-        self.pending_meetings[meeting.meeting_id] = meeting
-        organizer = meeting.organizer
-        self._organized[organizer] = self._organized[organizer] | {meeting.about_task}
+        invite = meeting.invite
+        self.meetings[invite.meeting_id] = meeting
+        self.pending_meetings[invite.meeting_id] = meeting
+        organizer = invite.from_agent
+        self._organized[organizer] = self._organized[organizer] | {invite.about_task}
 
     def close_threads_about(self, task_id: str) -> None:
         for thread in self._open_by_task.pop(task_id, []):
@@ -471,7 +477,7 @@ class World:
         if not threads:
             return frozenset()
         threads[:] = [t for t in threads if t.open]
-        return frozenset({t.about_task for t in threads if t.about_task})
+        return frozenset({t.root.about_task for t in threads if t.root.about_task})
 
     def pending_invites(self, agent_id: str) -> list[tuple[int, str, str]]:
         """Delivered, unanswered meeting invites: (delivery, message_id, meeting)."""
@@ -480,7 +486,7 @@ class World:
             return []
         entries[:] = [e for e in entries
                       if self.meetings[e[2]].status is MeetingStatus.PENDING
-                      and agent_id not in self.meetings[e[2]].responded]
+                      and agent_id not in self.meetings[e[2]].attending]
         return list(entries)
 
     def has_unprocessed_invite(self, agent_id: str) -> bool:
@@ -616,7 +622,7 @@ class Simulation:
             for note in intention.warnings:
                 world.emit({"step": t, "seq": None, "kind": "warning",
                             "source": "policy", "detail": note})
-            self._resolve_intention(agent_id, contexts[agent_id], intention, t)
+            self._resolve_intention(agent_id, contexts[agent_id], intention)
 
         self._execute_actions(t)
         self._apply_pending_af(t)
@@ -636,13 +642,12 @@ class Simulation:
     def _on_reply_delivered(self, message: Message) -> None:
         """A delivered resolving reply queues an alignment evaluation."""
         world = self.world
-        thread = world.threads.get(message.thread_id)
-        if thread is None or not thread.resolved:
-            return
+        thread = world.threads[message.thread_id]
         if message.message_id != thread.resolver_id:
             return
-        asker = thread.root_sender
-        task_id = thread.about_task
+        root = thread.root
+        asker = root.from_agent
+        task_id = root.about_task
         if task_id is None or asker not in message.to_agents:
             thread.close()
             return
@@ -653,23 +658,24 @@ class Simulation:
             agent_id=asker,
             task_id=task_id,
             cause_id=message.message_id,
-            root_type=thread.root_type,
+            root_type=root.message_type,
             reply=message,
         ))
 
     def _convene_meetings(self, t: int) -> None:
         world = self.world
         for meeting in list(world.pending_meetings.values()):
-            if t < meeting.invite_step + 2:
+            invite = meeting.invite
+            if t < invite.sent_step + 2:
                 continue
-            expected = {meeting.organizer} | set(meeting.attending)
-            everyone_answered = set(meeting.responded) >= set(meeting.invitees)
-            grace_over = t >= meeting.invite_step + RSVP_GRACE_STEPS
+            expected = {invite.from_agent} | meeting.attending
+            everyone_answered = meeting.attending >= set(invite.to_agents)
+            grace_over = t >= invite.sent_step + RSVP_GRACE_STEPS
             if any(world.is_busy(a) for a in expected):
                 continue
             if not (everyone_answered or grace_over):
                 continue
-            del world.pending_meetings[meeting.meeting_id]
+            del world.pending_meetings[invite.meeting_id]
             if len(expected) >= 2:
                 self._start_meeting(meeting, t)
             else:
@@ -677,12 +683,13 @@ class Simulation:
                 world.emit({
                     "step": t, "seq": None, "kind": "warning",
                     "source": "meeting",
-                    "detail": f"{meeting.meeting_id} cancelled: fewer than 2 attendees",
+                    "detail": f"{invite.meeting_id} cancelled: fewer than 2 attendees",
                 })
 
     def _start_meeting(self, meeting: Meeting, t: int) -> None:
         world = self.world
-        attendees = tuple(sorted({meeting.organizer} | meeting.attending, key=order_key))
+        invite = meeting.invite
+        attendees = tuple(sorted({invite.from_agent} | meeting.attending, key=order_key))
         cost = communication_cost(Channel.MEETING, 0, len(attendees))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
         meeting.status = MeetingStatus.RUNNING
@@ -691,15 +698,14 @@ class Simulation:
         start = Message(
             message_id=world.next_message_id(),
             thread_id=world.next_thread_id(),
-            from_agent=meeting.organizer,
+            from_agent=invite.from_agent,
             to_agents=attendees,
             channel=Channel.MEETING,
             message_type=MessageType.MEETING_START,
-            content=f"Meeting {meeting.meeting_id} starting now.",
+            content=f"Meeting {invite.meeting_id} starting now.",
             sent_step=t - 1,
-            delivery_step=t,
-            about_task=meeting.about_task,
-            meeting_id=meeting.meeting_id,
+            about_task=invite.about_task,
+            meeting_id=invite.meeting_id,
             cost_hours=cost,
         )
         world.comm_cost_total += cost
@@ -708,7 +714,7 @@ class Simulation:
             world.deliver(start, recipient, t)
         for agent_id in attendees:
             world.active[agent_id] = ActiveAction(ActionKind.MEETING,
-                                                  meeting.meeting_id, duration)
+                                                  invite.meeting_id, duration)
 
     def _decide(self, contexts: dict[str, PolicyContext]) -> dict[str, Intention]:
         if not contexts:
@@ -730,7 +736,7 @@ class Simulation:
     # -- intention resolution --------------------------------------------------
 
     def _resolve_intention(self, agent_id: str, context: PolicyContext,
-                           intention: Intention, t: int) -> None:
+                           intention: Intention) -> None:
         world = self.world
         kind = intention.kind
 
@@ -739,18 +745,18 @@ class Simulation:
             return
 
         if kind is IntentionKind.CHECK_MESSAGES:
-            if self._start_check_messages(agent_id, context, t):
+            if self._start_check_messages(agent_id):
                 return
             kind = IntentionKind.CONTINUE_TASK
 
         if kind in (IntentionKind.REQUEST_HELP, IntentionKind.NEED_CLARIFICATION,
                     IntentionKind.REPORT_PROGRESS):
-            if self._start_communication(agent_id, context, intention, kind, t):
+            if self._start_communication(agent_id, context, intention, kind):
                 return
             kind = IntentionKind.CONTINUE_TASK
 
         if kind is IntentionKind.SCHEDULE_MEETING:
-            if self._start_meeting_scheduling(agent_id, context, intention, t):
+            if self._start_meeting_scheduling(agent_id, context, intention):
                 return
             kind = IntentionKind.CONTINUE_TASK
 
@@ -761,17 +767,15 @@ class Simulation:
         else:
             world.active[agent_id] = ActiveAction(ActionKind.IDLE, None, 1)
 
-    def _start_check_messages(self, agent_id: str, context: PolicyContext,
-                              t: int) -> bool:
+    def _start_check_messages(self, agent_id: str) -> bool:
         """Oldest actionable inbox item: an invite to accept or a thread to answer."""
         world = self.world
         items: list[tuple[int, str, ActionKind, str]] = []
         for delivery, message_id, meeting_id in world.pending_invites(agent_id):
             items.append((delivery, message_id, ActionKind.RSVP, meeting_id))
         for thread_id in world.unanswered_inbound(agent_id):
-            root = world.thread_root[thread_id]
-            items.append((root.delivery_step, root.message_id, ActionKind.REPLY,
-                          thread_id))
+            root = world.threads[thread_id].root
+            items.append((root.sent_step + 1, root.message_id, ActionKind.REPLY, thread_id))
         if not items:
             # The meeting start has been read: it no longer sends the agent
             # back to its inbox.
@@ -782,12 +786,10 @@ class Simulation:
         if kind is ActionKind.RSVP:
             world.active[agent_id] = ActiveAction(kind, target, 1)
             return True
-        thread = world.threads[target]
-        root = world.thread_root[target]
-        content = compose_reply(thread.about_task, thread.root_type,
-                                world.agents[agent_id])
+        root = world.threads[target].root
+        content = compose_reply(root.about_task, root.message_type, world.agents[agent_id])
         words = word_count(content)
-        channel = reply_channel(content, words)
+        channel = reply_channel(words)
         recipients = tuple(sorted(
             ({root.from_agent} | set(root.to_agents)) - {agent_id}, key=order_key,
         ))
@@ -795,7 +797,7 @@ class Simulation:
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
         world.active[agent_id] = ActiveAction(kind, target, duration, Outgoing(
             MessageType.RESPONSE, content, words, recipients, channel,
-            thread.about_task, cost))
+            root.about_task, cost))
         return True
 
     @staticmethod
@@ -808,8 +810,7 @@ class Simulation:
         return None
 
     def _start_communication(self, agent_id: str, context: PolicyContext,
-                             intention: Intention, kind: IntentionKind,
-                             t: int) -> bool:
+                             intention: Intention, kind: IntentionKind) -> bool:
         world = self.world
         view = self._hinted_view(context, intention) or context.active_task
         if view is None:
@@ -819,22 +820,17 @@ class Simulation:
         if not recipients:
             return False
         words = word_count(content)
-        channel = select_channel(kind, content, words)
+        channel = select_channel(kind, words)
         cost = communication_cost(channel, words, max(1, len(recipients)))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
-        message_type = {
-            IntentionKind.REQUEST_HELP: MessageType.HELP_REQUEST,
-            IntentionKind.NEED_CLARIFICATION: MessageType.NEED_CLARIFICATION,
-            IntentionKind.REPORT_PROGRESS: MessageType.PROGRESS_UPDATE,
-        }[kind]
         world.active[agent_id] = ActiveAction(
             ActionKind.COMMUNICATE, view.task_id, duration, Outgoing(
-                message_type, content, words, tuple(recipients), channel,
+                INTENTION_MESSAGE_TYPES[kind], content, words, tuple(recipients), channel,
                 view.task_id, cost))
         return True
 
     def _start_meeting_scheduling(self, agent_id: str, context: PolicyContext,
-                                  intention: Intention, t: int) -> bool:
+                                  intention: Intention) -> bool:
         world = self.world
         view = self._hinted_view(context, intention)
         if view is None:
@@ -988,21 +984,9 @@ class Simulation:
         if message_type is MessageType.MEETING_INVITE:
             meeting_id = world.next_meeting_id()
         message = self._post(agent_id, outgoing, world.next_thread_id(), meeting_id, t)
-        world.open_thread(Thread(
-            thread_id=message.thread_id,
-            root_sender=agent_id,
-            root_type=message_type,
-            about_task=outgoing.about_task,
-            open=message_type in REQUEST_TYPES,
-        ), message)
+        world.open_thread(Thread(message, open=message_type in REQUEST_TYPES))
         if meeting_id is not None:
-            world.open_meeting(Meeting(
-                meeting_id=meeting_id,
-                organizer=agent_id,
-                invitees=outgoing.recipients,
-                about_task=outgoing.about_task,
-                invite_step=t,
-            ))
+            world.open_meeting(Meeting(message))
         if message_type is MessageType.PROGRESS_UPDATE and outgoing.about_task:
             world.record_report(agent_id, outgoing.about_task)
 
@@ -1019,15 +1003,10 @@ class Simulation:
                 "detail": f"reply dropped, thread closed: {thread_id}",
             })
             return
-        thread.register_reply(agent_id)
-        message = self._post(agent_id, outgoing, thread_id, None, t)
-        if thread.resolved and thread.resolver_id is None:
-            thread.resolver_id = message.message_id
+        thread.register_reply(self._post(agent_id, outgoing, thread_id, None, t))
 
     def _complete_rsvp(self, agent_id: str, meeting_id: str, t: int) -> None:
-        meeting = self.world.meetings[meeting_id]
-        meeting.responded.add(agent_id)
-        meeting.attending.add(agent_id)
+        self.world.meetings[meeting_id].attending.add(agent_id)
         self.world.last_actions[agent_id] = LastAction("rsvp", None, t)
 
     def _complete_meeting_attendance(self, agent_id: str, meeting_id: str,
@@ -1046,14 +1025,14 @@ class Simulation:
                 world.pending_af.append(PendingAfEvaluation(
                     agent_id=attendee,
                     task_id=target,
-                    cause_id=meeting.meeting_id,
+                    cause_id=meeting.invite.meeting_id,
                     root_type=MessageType.MEETING_INVITE,
                 ))
 
     def _meeting_gain_task(self, agent_id: str, meeting: Meeting) -> str | None:
         """The attendee's task the meeting topic bears on, if any."""
         world = self.world
-        about = meeting.about_task
+        about = meeting.invite.about_task
         if about is None:
             return None
         for task_id in world.assigned_tasks(agent_id):

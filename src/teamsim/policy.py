@@ -16,7 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
 from .adapter import AdapterError, ChatCompletionAdapter
-from .comms import Channel, MessageType, TYPE_NAMES, word_count
+from .comms import Channel, MessageType, TYPE_NAMES
 from .model import AgentProfile, Role, order_key
 from . import prompts
 
@@ -363,18 +363,14 @@ def select_recipients(context: PolicyContext, kind: IntentionKind,
     raise ValueError(f"{kind.value} is not a communicating intention")
 
 
-def select_channel(kind: IntentionKind, content: str,
-                   words: int | None = None) -> Channel:
-    """`words` is `word_count(content)` when the caller has counted it."""
+def select_channel(kind: IntentionKind, words: int) -> Channel:
+    """`words` is the word count of the message's content."""
     if kind is IntentionKind.SCHEDULE_MEETING:
         return Channel.MEETING
     if kind is IntentionKind.REPORT_PROGRESS:
         return Channel.EMAIL
-    if kind is IntentionKind.REQUEST_HELP:
-        if words is None:
-            words = word_count(content)
-        if words >= LONG_CONTENT_WORDS:
-            return Channel.EMAIL
+    if kind is IntentionKind.REQUEST_HELP and words >= LONG_CONTENT_WORDS:
+        return Channel.EMAIL
     return Channel.CHAT
 
 
@@ -480,16 +476,13 @@ def compose_reply(task_id: str | None, root_type: MessageType,
     return f"Re {task_label}: acknowledged."
 
 
-def reply_channel(content: str, words: int | None = None) -> Channel:
+def reply_channel(words: int) -> Channel:
     """Long-form answers travel by email, short ones by chat.
 
-    Mirrors the length rule used for initiations: a reply is a detailed
-    explanation once it reaches LONG_CONTENT_WORDS, whatever channel the
-    request used. Meeting threads never take replies. `words` is
-    `word_count(content)` when the caller has counted it.
+    Mirrors the length rule used for initiations: a reply of `words` words is
+    a detailed explanation once it reaches LONG_CONTENT_WORDS, whatever
+    channel the request used. Meeting threads never take replies.
     """
-    if words is None:
-        words = word_count(content)
     if words >= LONG_CONTENT_WORDS:
         return Channel.EMAIL
     return Channel.CHAT

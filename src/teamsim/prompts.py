@@ -87,11 +87,7 @@ def intention_messages(agent_name: str, agent_role: str, tasks_block: str,
 def evaluation_messages(task_id: str, task_description: str, required_skills: list[str],
                         actual_hours: float, estimated_hours: float,
                         current_alignment: float, message_type: str, from_agent: str,
-                        original_request: str | None, reply_content: str) -> list[dict]:
-    request_label = "Original Request (sent by me):" if original_request else "Context:"
-    request_body = original_request or (
-        "This is a proactive message or the original request is not available."
-    )
+                        original_request: str, reply_content: str) -> list[dict]:
     skills = ", ".join(required_skills) if required_skills else "Not specified"
     content = (
         "You are evaluating how much a received message helps an worker "
@@ -105,8 +101,8 @@ def evaluation_messages(task_id: str, task_description: str, required_skills: li
         f"({current_alignment * 100:.0f}%)\n\n"
         f"Message Type: {message_type}\n"
         f"From Agent: {from_agent}\n\n"
-        f"{request_label}\n"
-        f"{request_body}\n\n"
+        "Original Request (sent by me):\n"
+        f"{original_request}\n\n"
         "Reply Received:\n"
         f"{reply_content}\n\n"
         "Alignment Factor Guidelines:\n"

@@ -51,7 +51,6 @@ class TestBuffer:
     def test_delivery_is_next_step(self):
         buffer = CommBuffer()
         buffer.enqueue(message("m1", step=10), current_step=10)
-        assert buffer.pending[0].delivery_step == 11
         assert buffer.pop_due(10) == []
         due = buffer.pop_due(11)
         assert [m.message_id for m in due] == ["m1"]
@@ -90,7 +89,7 @@ class TestBuffer:
             for m in buffer.pop_due(step):
                 for _ in m.to_agents:
                     delivered[m.message_id] = delivered.get(m.message_id, 0) + 1
-                assert m.delivery_step == sent[m.message_id] + 1
+                assert step == sent[m.message_id] + 1
             for _ in range(rng.randint(0, 4)):
                 mid = f"m{len(sent)}"
                 buffer.enqueue(message(mid, step=step), step)
@@ -127,45 +126,61 @@ class TestBuffer:
 
 
 class TestThread:
-    def thread(self):
-        return Thread(thread_id="th1", root_sender="W1",
-                      root_type=MessageType.HELP_REQUEST, about_task="T1.1")
+    def thread(self, mtype=MessageType.HELP_REQUEST):
+        return Thread(message("m1", sender="W1", to=("W2",), mtype=mtype))
+
+    def reply(self, mid, sender):
+        return message(mid, sender=sender, mtype=MessageType.RESPONSE)
 
     def test_resolving_reply_marks_resolved_but_stays_open(self):
         thread = self.thread()
-        thread.register_reply("W2")
-        assert thread.resolved
+        thread.register_reply(self.reply("r1", "W1"))
+        assert thread.resolver_id is None
+        thread.register_reply(self.reply("r2", "W2"))
+        assert thread.resolver_id == "r2"
         assert thread.open
         thread.close()
         assert not thread.open
 
+    def test_first_resolving_reply_stays_the_resolver(self):
+        thread = self.thread()
+        thread.register_reply(self.reply("r1", "W2"))
+        thread.register_reply(self.reply("r2", "W3"))
+        assert thread.resolver_id == "r1"
+        assert thread.repliers == ("W2", "W3")
+
+    def test_a_reply_to_an_update_resolves_nothing(self):
+        thread = self.thread(MessageType.PROGRESS_UPDATE)
+        thread.register_reply(self.reply("r1", "W2"))
+        assert thread.resolver_id is None
+
     def test_depth_cap_closes(self):
         thread = self.thread()
-        thread.register_reply("W1")
-        thread.register_reply("W1")
+        thread.register_reply(self.reply("r1", "W1"))
+        thread.register_reply(self.reply("r2", "W1"))
         assert thread.open
-        thread.register_reply("W1")
-        assert thread.reply_rounds == MAX_REPLY_ROUNDS
+        thread.register_reply(self.reply("r3", "W1"))
+        assert len(thread.repliers) == MAX_REPLY_ROUNDS
         assert not thread.open
 
     def test_reply_past_depth_rejected(self):
         thread = self.thread()
-        for _ in range(3):
-            thread.register_reply("W1")
+        for i in range(3):
+            thread.register_reply(self.reply(f"r{i}", "W1"))
         with pytest.raises(ThreadClosedError, match="thread closed"):
-            thread.register_reply("W2")
+            thread.register_reply(self.reply("r9", "W2"))
 
     def test_reply_to_closed_thread_rejected(self):
         thread = self.thread()
         thread.close()
         with pytest.raises(ThreadClosedError, match="thread closed"):
-            thread.register_reply("W2")
+            thread.register_reply(self.reply("r1", "W2"))
 
     def test_depth_error_when_forced(self):
         thread = self.thread()
-        thread.reply_rounds = MAX_REPLY_ROUNDS
+        thread.repliers = ("W1",) * MAX_REPLY_ROUNDS
         with pytest.raises(ThreadDepthError, match="thread depth exceeded"):
-            thread.register_reply("W2")
+            thread.register_reply(self.reply("r1", "W2"))
 
 
 class TestMessageInvariants:

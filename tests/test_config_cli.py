@@ -275,7 +275,8 @@ class TestCliRun:
         assert code == 0
         for name in ("trace.jsonl", "metrics.csv", "report.txt", "scenario.yaml"):
             assert (out / name).exists()
-        rows = list(csv.reader((out / "metrics.csv").open()))
+        csv_text = (out / "metrics.csv").read_text(encoding="utf-8")
+        rows = list(csv.reader(csv_text.splitlines()))
         assert rows[0][:3] == ["config", "complexity", "completion_rate"]
         assert rows[1][0] == "1M+4W"
         assert rows[1][2] == "100.0"
@@ -390,7 +391,8 @@ class TestCliCompare:
         for column in ("no_comm", "fixed_steps", "c2c_heuristic"):
             assert column in text
         assert "speedup_vs_first" in text
-        rows = list(csv.reader((out / "compare.csv").open()))
+        csv_text = (out / "compare.csv").read_text(encoding="utf-8")
+        rows = list(csv.reader(csv_text.splitlines()))
         assert len(rows) == 4  # header + one per policy
 
     def test_baseline_hours_is_not_a_compare_flag(self, scenario_file, tmp_path):

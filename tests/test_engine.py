@@ -12,7 +12,7 @@ from teamsim.comms import MessageType
 from teamsim.engine import Simulation, run_scenario
 from teamsim.metrics import compute_metrics
 from teamsim.model import Scenario, TaskSpec, validate_scenario
-from teamsim.policy import HeuristicPolicy, IntentionKind
+from teamsim.policy import HeuristicPolicy, Intention, IntentionKind
 
 from conftest import (MEDIUM_TASK, ChainPlanner, chain_scenario, make_scenario,
                       make_team, of_kind)
@@ -148,6 +148,39 @@ class TestStepDiscipline:
         ]
         assert manager_replies == sorted(manager_replies,
                                          key=lambda a: int(a[1:]))
+
+    @pytest.mark.parametrize("invite_step,request_step,expected", [
+        (1, 2, ["mt001", "th0002"]),
+        (2, 1, ["th0001", "mt001"]),
+    ])
+    def test_check_messages_takes_the_older_item_across_kinds(
+            self, invite_step, request_step, expected):
+        """M1 holds a meeting invite from W1 and a clarification request from
+        W2, both unanswered; whichever was delivered first is handled first,
+        the RSVP (target: the meeting) or the reply (target: the thread)."""
+        script = {
+            (invite_step, "W1"): Intention(IntentionKind.SCHEDULE_MEETING,
+                                           task_hint="T1.1"),
+            (request_step, "W2"): Intention(IntentionKind.NEED_CLARIFICATION,
+                                            task_hint="T1.2"),
+            (3, "M1"): Intention(IntentionKind.CHECK_MESSAGES),
+            (5, "M1"): Intention(IntentionKind.CHECK_MESSAGES),
+        }
+
+        class ScriptedPolicy(HeuristicPolicy):
+            def decide(self, context):
+                return script.get((context.step, context.agent.agent_id),
+                                  Intention(IntentionKind.CONTINUE_TASK))
+
+        sim = Simulation(chain_scenario(), policy=ScriptedPolicy(),
+                         planner=ChainPlanner(), max_steps=8)
+        result = sim.run()
+        handled = []
+        for event in of_kind(result.trace, "action"):
+            if (event["agent"] == "M1" and event["action"] == "reply"
+                    and event["target"] not in handled):
+                handled.append(event["target"])
+        assert handled == expected
 
 
 class TestHeuristicRun:

@@ -83,7 +83,7 @@ def test_intention_prompts_count_the_delivered_messages(monkeypatch, name, polic
 
 def test_evaluator_requests_are_unchanged():
     """The evaluator's request bodies on `simple` under `c2c_heuristic`, with
-    the root's content read from `World.thread_root` and the reply's fields
+    the root's content read from the thread's root message and the reply's fields
     from the delivered reply; pinned from the copies they replaced."""
     bodies = []
 
@@ -120,6 +120,6 @@ def test_delivered_messages_are_freed_unless_thread_roots():
     live = {id(o) for o in gc.get_objects() if type(o) is Message} - seen
     world = result.world
     assert result.completed
-    assert live == {id(m) for m in world.thread_root.values()} | \
+    assert live == {id(t.root) for t in world.threads.values()} | \
         {id(m) for m in world.buffer.pending}
     assert len(live) < len(of_kind(result.trace, "message_sent"))

@@ -17,8 +17,10 @@ views; 1,026.2 (277,079) once each event became one record, which the default
 1,010.0 (272,701) once every context shared the step's team tuple instead of
 slicing out its own entry; 978.0 (264,071) once contexts stopped copying the
 agent's inbox, `World` kept per-type delivery counts instead, and actions
-carried one typed `Outgoing` value instead of a payload dict. The bound is
-that last figure.
+carried one typed `Outgoing` value instead of a payload dict; 974.2 (263,023)
+once a thread and a meeting held their root message instead of copies of its
+fields, and no message stored its delivery step. The bound is that last
+figure.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -27,7 +29,9 @@ every held task view; after, 1,198.1 (1,873,880) and 1,195.0 (7,638,484), a
 ratio of 1.00; with one record per event, 1,187.1 (1,856,550) and 1,184.1
 (7,568,489), a ratio of 1.00; with one shared team tuple, 1,172.3 (1,833,415)
 and 1,169.2 (7,473,524), a ratio of 1.00; without inbox copies and with
-typed actions, 1,141.9 (1,785,896) and 1,139.1 (7,281,403), a ratio of 1.00.
+typed actions, 1,141.9 (1,785,896) and 1,139.1 (7,281,403), a ratio of 1.00;
+with threads and meetings reading their root message, 1,135.8 (1,776,331) and
+1,133.2 (7,243,456), a ratio of 1.00.
 The ratio bound, 1.10, lets an agent-step grow a little with the tasks an
 agent holds, not in proportion to them.
 
@@ -49,7 +53,7 @@ from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, of_kind
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-OPCODES_PER_AGENT_STEP_BOUND = 979
+OPCODES_PER_AGENT_STEP_BOUND = 975
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 

@@ -67,14 +67,14 @@ def oracle_unanswered_inbound(world: World, agent_id: str,
             continue
         if agent_id in thread.repliers:
             continue
-        found.append((msg.delivery_step, msg.message_id, msg.thread_id))
+        found.append((msg.sent_step + 1, msg.message_id, msg.thread_id))
     found.sort()
     return [tid for _, _, tid in found]
 
 
 def oracle_open_outbound_tasks(world: World, agent_id: str) -> set[str]:
-    return {t.about_task for t in world.threads.values()
-            if t.open and t.root_sender == agent_id and t.about_task}
+    return {t.root.about_task for t in world.threads.values()
+            if t.open and t.root.from_agent == agent_id and t.root.about_task}
 
 
 def oracle_pending_invites(world: World, agent_id: str,
@@ -86,9 +86,9 @@ def oracle_pending_invites(world: World, agent_id: str,
         meeting = world.meetings.get(msg.meeting_id or "")
         if meeting is None or meeting.status is not MeetingStatus.PENDING:
             continue
-        if agent_id in meeting.responded:
+        if agent_id in meeting.attending:
             continue
-        out.append((msg.delivery_step, msg.message_id, meeting.meeting_id))
+        out.append((msg.sent_step + 1, msg.message_id, msg.meeting_id))
     out.sort()
     return out
 
@@ -99,7 +99,7 @@ def oracle_has_meeting_start(agent_id: str, inbox: list[Message],
     CHECK_MESSAGES that found nothing actionable."""
     read_at = inbox_read.get(agent_id, -1)
     return any(m.message_type is MessageType.MEETING_START
-               and m.delivery_step > read_at
+               and m.sent_step + 1 > read_at
                for m in inbox)
 
 
@@ -174,7 +174,8 @@ def oracle_pending_meetings(world: World) -> list[str]:
 
 
 def oracle_organized_meeting_tasks(world: World, agent_id: str) -> set:
-    return {m.about_task for m in world.meetings.values() if m.organizer == agent_id}
+    return {m.invite.about_task for m in world.meetings.values()
+            if m.invite.from_agent == agent_id}
 
 
 def check_indexes(world: World, done_at: dict[str, int],
@@ -212,9 +213,9 @@ def check_indexes(world: World, done_at: dict[str, int],
     # A task that finishes closes every request thread about it sent before
     # that step; a request sent later about the finished task may stay open.
     for thread in world.threads.values():
-        if thread.open and thread.about_task in done_at:
-            root = world.thread_root[thread.thread_id]
-            assert root.sent_step >= done_at[thread.about_task]
+        root = thread.root
+        if thread.open and root.about_task in done_at:
+            assert root.sent_step >= done_at[root.about_task]
     for node in world.graph.nodes.values():
         # Readiness is refreshed whenever a dependency finishes.
         if node.status in (TaskStatus.PENDING, TaskStatus.READY):
@@ -250,10 +251,10 @@ def run_checking_indexes(sim: Simulation) -> None:
     inbox_read: dict[str, int] = {}
     start_check_messages = sim._start_check_messages
 
-    def recording(agent_id, context, t):
-        found = start_check_messages(agent_id, context, t)
+    def recording(agent_id):
+        found = start_check_messages(agent_id)
         if not found:
-            inbox_read[agent_id] = t
+            inbox_read[agent_id] = world.clock.step
         return found
 
     sim._start_check_messages = recording
