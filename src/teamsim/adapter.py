@@ -68,7 +68,6 @@ class ChatCompletionAdapter:
                  temperature: float = DEFAULT_TEMPERATURE,
                  timeout: float = DEFAULT_TIMEOUT_S,
                  max_retries: int = DEFAULT_MAX_RETRIES,
-                 token_env: str = TOKEN_ENV_VAR,
                  transport: Callable[[str, bytes, dict], bytes] | None = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
         if not endpoint:
@@ -78,7 +77,6 @@ class ChatCompletionAdapter:
         self.temperature = temperature
         self.timeout = timeout
         self.max_retries = max_retries
-        self.token_env = token_env
         self._transport = transport or self._http_transport
         self._sleep = sleep
 
@@ -102,7 +100,7 @@ class ChatCompletionAdapter:
         }
         body = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env, "")
+        token = os.environ.get(TOKEN_ENV_VAR, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
 

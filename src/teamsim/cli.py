@@ -9,18 +9,18 @@ other outputs (`scenario.yaml`, `metrics.csv`, `report.txt`) are written once
 the run ends: a run that raises mid-way leaves a partial `trace.jsonl` and no
 `scenario.yaml`, so `report` refuses that directory.
 
-Exit codes for `run`: 0 when every task completed, 2 otherwise, 3 when an
-LLM-backed mode is requested without a reachable adapter configuration.
-Every command returns 4, after a one-line error, when a trace has no step to
-measure: a run with `--max-steps 0`, or a `report` on a trace without action
-events or with an `af_update` step lower than an earlier one. Every command
-returns 5, after a one-line error, on bad input: a scenario file that is
-missing, unreadable or malformed, a `report` run directory without
-`trace.jsonl` or `scenario.yaml`, a trace line that is not one event, an
-event that lacks a field the metrics read, holds one of the wrong type or
-names a root task the scenario does not have, or an output directory
-(`--out`, or the `report` run directory) or trace file that cannot be made or
-written into.
+Exit codes for `run`: 0 when every task completed, 2 otherwise. `run` and
+`compare` return 3 when an LLM-backed mode is requested without a reachable
+adapter configuration. Every command returns 4, after a one-line error, when
+a trace has no step to measure: a run with `--max-steps 0`, or a `report` on
+a trace without action events or with an `af_update` step lower than an
+earlier one. Every command returns 5, after a one-line error, on bad input: a
+scenario file that is missing, unreadable or malformed, a `report` run
+directory without `trace.jsonl` or `scenario.yaml`, a trace line that is not
+one event, an event that lacks a field of its kind or holds one of the wrong
+type, a root task completion that names a task the scenario does not have, or
+an output directory (`--out`, or the `report` run directory) or trace file
+that cannot be made or written into.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from pathlib import Path
 from .adapter import ChatCompletionAdapter
 from .config import RunConfig, emit_scenario, parse_scenario
 from .engine import Simulation
-from .metrics import EventError, MetricsError, MetricsFold, render_report, write_csv
+from .metrics import (EventError, MetricsError, MetricsFold, MetricsReport,
+                      render_report, write_csv)
 from .model import POLICY_NAMES, Scenario, ScenarioError
 from .trace import TraceError, TraceLog, TraceWriter
 
@@ -58,25 +59,32 @@ def _output_error(exc: OSError) -> int:
     return EXIT_BAD_INPUT
 
 
-def _build_adapter(config: RunConfig) -> ChatCompletionAdapter:
+class _NoAdapter(Exception):
+    """An LLM-backed mode is requested without --endpoint and --model."""
+
+
+def _adapter(config: RunConfig, scenarios: list[Scenario]) -> ChatCompletionAdapter | None:
+    """The adapter that runs of `scenarios` share, or None when none needs one."""
+    if not any(config.needs_adapter(scenario) for scenario in scenarios):
+        return None
     if not config.endpoint or not config.model:
-        raise SystemExit(EXIT_ADAPTER)
-    return ChatCompletionAdapter(
-        endpoint=config.endpoint,
-        model=config.model,
-        temperature=config.temperature,
-    )
+        raise _NoAdapter
+    return ChatCompletionAdapter(endpoint=config.endpoint, model=config.model,
+                                 temperature=config.temperature)
+
+
+def _write_report(directory: Path, scenario: Scenario, report: MetricsReport) -> None:
+    """Write `report.txt` and `metrics.csv` into `directory`, then print the report."""
+    label = scenario.team_label or "custom"
+    text = render_report(report, label, scenario.name)
+    (directory / "report.txt").write_text(text, encoding="utf-8")
+    write_csv([report.csv_row(label, scenario.name)], directory / "metrics.csv")
+    print(text, end="")
 
 
 def cmd_run(config: RunConfig) -> int:
     scenario = _apply_overrides(parse_scenario(config.scenario_path), config)
-
-    adapter = None
-    if config.needs_adapter(scenario):
-        if not config.endpoint or not config.model:
-            print("llm-backed mode requires --endpoint and --model", file=sys.stderr)
-            return EXIT_ADAPTER
-        adapter = _build_adapter(config)
+    adapter = _adapter(config, [scenario])
 
     # Each event is written and folded as the engine emits it. The trace file
     # and the output directory are made at the first event, so a run without
@@ -90,38 +98,24 @@ def cmd_run(config: RunConfig) -> int:
     except OSError as exc:
         return _output_error(exc)
     report = fold.result()
-
-    config_label = scenario.team_label or "custom"
-    text = render_report(report, config_label, scenario.name)
     try:
         (out_dir / "scenario.yaml").write_text(emit_scenario(scenario),
                                                encoding="utf-8")
-        write_csv([report.csv_row(config_label, scenario.name)],
-                  out_dir / "metrics.csv")
-        (out_dir / "report.txt").write_text(text, encoding="utf-8")
+        _write_report(out_dir, scenario, report)
     except OSError as exc:
         return _output_error(exc)
-    print(text, end="")
-
     return EXIT_OK if report.completion_rate >= 100.0 else EXIT_INCOMPLETE
 
 
 def cmd_compare(config: RunConfig, policies: list[str]) -> int:
     scenario = parse_scenario(config.scenario_path)
-
-    adapter = None
-    if "c2c_llm" in policies or (config.evaluator or scenario.evaluator_name) == "llm":
-        if not config.endpoint or not config.model:
-            print("llm-backed mode requires --endpoint and --model", file=sys.stderr)
-            return EXIT_ADAPTER
-        adapter = _build_adapter(config)
+    runs = {policy: _apply_overrides(dataclasses.replace(scenario, policy_name=policy),
+                                     config)
+            for policy in policies}
+    adapter = _adapter(config, list(runs.values()))
 
     reports = {}
-    for policy in policies:
-        run_scenario = dataclasses.replace(scenario, policy_name=policy)
-        if config.evaluator:
-            run_scenario = dataclasses.replace(run_scenario,
-                                               evaluator_name=config.evaluator)
+    for policy, run_scenario in runs.items():
         fold = MetricsFold(run_scenario)
         Simulation(run_scenario, adapter=adapter, max_steps=config.max_steps,
                    parallel_decide=config.parallel_decide, trace=fold).run()
@@ -182,20 +176,12 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
     for record in TraceLog.stream(trace_path):
         try:
             fold.append(record)
-        except (KeyError, EventError) as exc:
-            detail = f"lacks field {exc}" if isinstance(exc, KeyError) else exc
-            raise TraceError(f"{trace_path}: event {record['seq']} ({record['kind']} "
-                             f"at step {record['step']}) {detail}") from None
-    report = fold.result()
-    config_label = scenario.team_label or "custom"
-    text = render_report(report, config_label, scenario.name)
+        except EventError as exc:
+            raise TraceError.at(trace_path, record, exc) from None
     try:
-        (directory / "report.txt").write_text(text, encoding="utf-8")
-        write_csv([report.csv_row(config_label, scenario.name)],
-                  directory / "metrics.csv")
+        _write_report(directory, scenario, fold.result())
     except OSError as exc:
         return _output_error(exc)
-    print(text, end="")
     return EXIT_OK
 
 
@@ -272,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compare(_config_from_args(args), policies)
         if args.command == "report":
             return cmd_report(args.run, args.baseline_hours)
+    except _NoAdapter:
+        print("llm-backed mode requires --endpoint and --model", file=sys.stderr)
+        return EXIT_ADAPTER
     except MetricsError as exc:
         print(f"metrics error: {exc}", file=sys.stderr)
         return EXIT_NO_METRICS

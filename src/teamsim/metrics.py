@@ -15,7 +15,8 @@ one. The alignment score, the mean of every (agent, task) value at the end of
 every step, is thus Σ value × steps held / samples, in O(af_update events)
 instead of one sample per pair per step. Its `af_update` steps must not go
 back in the trace, as the engine writes them; `MetricsError` names one that
-does.
+does. The fold reads each field unchecked, as `trace.SCHEMAS` types it: the
+reader checks each line against it.
 """
 
 from __future__ import annotations
@@ -38,45 +39,7 @@ class MetricsError(ValueError):
 
 
 class EventError(ValueError):
-    """An event the fold reads holds a value it cannot take."""
-
-
-class FieldTypeError(EventError, TypeError):
-    """An event field the fold reads holds a value of the wrong type."""
-
-    def __init__(self, name: str, value: object, expected: str) -> None:
-        super().__init__(
-            f"has field {name!r} of type {type(value).__name__}, not {expected}")
-
-
-# Each field is checked as the fold reads it, so a wrong type fails at its
-# event and not later, in `result()`. A bool is not taken for a number.
-def _text(record: dict, name: str) -> str:
-    value = record[name]
-    if type(value) is not str:
-        raise FieldTypeError(name, value, "str")
-    return value
-
-
-def _int(record: dict, name: str) -> int:
-    value = record[name]
-    if type(value) is not int:
-        raise FieldTypeError(name, value, "int")
-    return value
-
-
-def _bool(record: dict, name: str) -> bool:
-    value = record[name]
-    if type(value) is not bool:
-        raise FieldTypeError(name, value, "bool")
-    return value
-
-
-def _number(record: dict, name: str) -> float:
-    value = record[name]
-    if type(value) is not float and type(value) is not int:
-        raise FieldTypeError(name, value, "a number")
-    return value
+    """An event names a root task the scenario does not have."""
 
 
 @dataclass
@@ -198,8 +161,7 @@ class _Alignment:
             raise MetricsError(
                 f"af_update at step {step} follows one at step {self.last_step}")
         self.last_step = step
-        change = (step, (_text(record, "agent"), _text(record, "task")),
-                  _number(record, "new"))
+        change = (step, (record["agent"], record["task"]), record["new"])
         if step < self.final_step:
             self._set(*change)
         else:
@@ -232,7 +194,7 @@ class _Heatmap:
         self.cells: dict[tuple[str, str], int] = {}
 
     def add(self, record: dict) -> None:
-        sender, recipient = _text(record, "from"), _text(record, "to")
+        sender, recipient = record["from"], record["to"]
         if sender in self._known and recipient in self._known:
             pair = (sender, recipient)
             self.cells[pair] = self.cells.get(pair, 0) + 1
@@ -258,17 +220,15 @@ class _Distributions:
         self.replies: list[tuple[str, int]] = []
 
     def add(self, record: dict) -> None:
-        kind = _text(record, "type")
+        kind = record["type"]
         if kind == _RESPONSE:
-            self.replies.append((_text(record, "thread_id"),
-                                 _int(record, "sent_step")))
+            self.replies.append((record["thread_id"], record["sent_step"]))
         elif kind != _MEETING_START:
             # Interned: the threads share a few names, not one copy each.
-            kind, channel = intern(kind), intern(_text(record, "channel"))
+            kind, channel = intern(kind), intern(record["channel"])
             self.type_counts[kind] = self.type_counts.get(kind, 0) + 1
             self.channel_counts[channel] = self.channel_counts.get(channel, 0) + 1
-            self.threads[_text(record, "thread_id")] = (
-                kind, channel, _int(record, "sent_step"))
+            self.threads[record["thread_id"]] = (kind, channel, record["sent_step"])
 
     def result(self) -> Distributions:
         total = sum(self.type_counts.values())
@@ -324,15 +284,15 @@ class MetricsFold:
                 self.final_step = step + 1
                 self.alignment.advance(step + 1)
         elif kind == "message_sent":
-            self.comm_cost.add(_number(record, "cost_h"))
+            self.comm_cost.add(record["cost_h"])
             self.distributions.add(record)
         elif kind == "message_delivered":
             self.heatmap.add(record)
         elif kind == "af_update":
             self.alignment.update(record)
-        elif kind == "task_done" and _bool(record, "root"):
-            hours = _int(record, "boundary") * self.hours_per_step
-            task = _text(record, "task")
+        elif kind == "task_done" and record["root"]:
+            hours = record["boundary"] * self.hours_per_step
+            task = record["task"]
             if task not in self.completion_hours:
                 raise EventError(f"names root task {task!r}, which the scenario "
                                  "does not have")

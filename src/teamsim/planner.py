@@ -27,7 +27,6 @@ class PlannerError(ValueError):
 @dataclass(frozen=True)
 class DecompositionPlan:
     subtasks: tuple[SubtaskSpec, ...]
-    rationale: str = ""
     warnings: tuple[str, ...] = ()
 
 
@@ -84,7 +83,7 @@ class EvenPlanner:
                 suggested_assignee=assignee.agent_id,
                 dependencies=(),
             ))
-        return DecompositionPlan(subtasks=tuple(specs), rationale="even split across workers")
+        return DecompositionPlan(subtasks=tuple(specs))
 
 
 class LlmPlanner:
@@ -92,10 +91,8 @@ class LlmPlanner:
 
     name = "llm"
 
-    def __init__(self, adapter: ChatCompletionAdapter,
-                 fallback: EvenPlanner | None = None) -> None:
+    def __init__(self, adapter: ChatCompletionAdapter) -> None:
         self.adapter = adapter
-        self.fallback = fallback or EvenPlanner()
 
     def decompose(self, node: TaskNode, scenario: Scenario) -> DecompositionPlan:
         warnings: list[str] = []
@@ -103,12 +100,12 @@ class LlmPlanner:
             try:
                 plan = self._request_plan(node, scenario)
                 validate_plan(plan, node.estimated_hours, scenario.team)
-                return DecompositionPlan(plan.subtasks, plan.rationale, tuple(warnings))
+                return DecompositionPlan(plan.subtasks, tuple(warnings))
             except (AdapterError, PlannerError, KeyError, TypeError, ValueError) as exc:
                 warnings.append(f"decomposition attempt {attempt + 1} failed: {exc}")
-        fallback = self.fallback.decompose(node, scenario)
+        fallback = EvenPlanner().decompose(node, scenario)
         warnings.append("falling back to even decomposition")
-        return DecompositionPlan(fallback.subtasks, fallback.rationale, tuple(warnings))
+        return DecompositionPlan(fallback.subtasks, tuple(warnings))
 
     def _request_plan(self, node: TaskNode, scenario: Scenario) -> DecompositionPlan:
         messages = prompts.decomposition_messages(
@@ -131,10 +128,7 @@ class LlmPlanner:
                 suggested_assignee=assignee,
                 dependencies=tuple(int(d) for d in raw.get("dependencies", [])),
             ))
-        return DecompositionPlan(
-            subtasks=tuple(specs),
-            rationale=str(parsed.get("decomposition_rationale", "")),
-        )
+        return DecompositionPlan(subtasks=tuple(specs))
 
 
 def assign(graph: TaskGraph, subtask_ids: list[str],

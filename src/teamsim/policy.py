@@ -5,7 +5,7 @@ identical intentions, which is what makes non-LLM runs reproducible. Contexts,
 task and teammate views, last actions and intentions are immutable named
 tuples that compare by field; an intention whose fields never vary is one
 module-level value. The deterministic heuristic policy approximates adaptive
-behavior with fixed, configurable thresholds; the LLM policy delegates the
+behavior with fixed thresholds; the LLM policy delegates the
 same decision to an external model and falls back to the heuristic on any
 failure.
 """
@@ -23,8 +23,7 @@ from . import prompts
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import World
 
-# Engine defaults for the deterministic policy; the thresholds are exposed so
-# runs can vary them without code changes.
+# Constants of the deterministic policies.
 AF_ATTENTION_THRESHOLD = 0.45
 STUCK_STEP_THRESHOLD = 4
 REPORT_MILESTONES = (0.5, 1.0)
@@ -207,11 +206,6 @@ class HeuristicPolicy(Policy):
 
     name = "c2c_heuristic"
 
-    def __init__(self, af_threshold: float = AF_ATTENTION_THRESHOLD,
-                 stuck_threshold: int = STUCK_STEP_THRESHOLD) -> None:
-        self.af_threshold = af_threshold
-        self.stuck_threshold = stuck_threshold
-
     def decide(self, context: PolicyContext) -> Intention:
         if context.has_unprocessed_invite or context.has_meeting_start:
             return MEETING_TRAFFIC
@@ -221,9 +215,9 @@ class HeuristicPolicy(Policy):
         active = context.active_task
         if active is not None and active.task_id not in context.open_outbound_tasks:
             if (
-                active.af < self.af_threshold
+                active.af < AF_ATTENTION_THRESHOLD
                 and active.hours_worked > 0
-                and active.stuck_worked_steps >= self.stuck_threshold
+                and active.stuck_worked_steps >= STUCK_STEP_THRESHOLD
             ):
                 return Intention(
                     IntentionKind.REQUEST_HELP,
@@ -233,7 +227,7 @@ class HeuristicPolicy(Policy):
                     ),
                     task_hint=active.task_id,
                 )
-            if active.af < self.af_threshold and active.hours_worked == 0:
+            if active.af < AF_ATTENTION_THRESHOLD and active.hours_worked == 0:
                 return Intention(
                     IntentionKind.NEED_CLARIFICATION,
                     reasoning=f"starting at alignment {active.af:.2f}",
@@ -264,10 +258,8 @@ class LlmPolicy(Policy):
 
     name = "c2c_llm"
 
-    def __init__(self, adapter: ChatCompletionAdapter,
-                 fallback: HeuristicPolicy | None = None) -> None:
+    def __init__(self, adapter: ChatCompletionAdapter) -> None:
         self.adapter = adapter
-        self.fallback = fallback or HeuristicPolicy()
 
     def decide(self, context: PolicyContext) -> Intention:
         try:
@@ -275,7 +267,7 @@ class LlmPolicy(Policy):
             kind = IntentionKind(str(parsed.get("intention", "")).strip().upper())
             return Intention(kind, reasoning=str(parsed.get("reasoning", "")))
         except (AdapterError, ValueError) as exc:
-            fallback = self.fallback.decide(context)
+            fallback = HeuristicPolicy().decide(context)
             warning = f"intention adapter fallback: {exc}"
             return fallback._replace(warnings=fallback.warnings + (warning,))
 

@@ -403,6 +403,20 @@ class TestCliCompare:
                   "--baseline-hours", "20"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--policies", "no_comm,c2c_llm"),
+        ("--policies", "no_comm,c2c_heuristic", "--evaluator", "llm"),
+    ], ids=["llm-policy", "llm-evaluator"])
+    def test_llm_mode_without_endpoint_exits_3(self, scenario_file, tmp_path,
+                                               capsys, flags):
+        out = tmp_path / "cmp"
+        code = main(["compare", "--scenario", str(scenario_file), *flags,
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "llm-backed mode requires --endpoint and --model\n"
+        assert not out.exists()
+
     def test_single_policy_is_usage_error(self, scenario_file, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["compare", "--scenario", str(scenario_file),
@@ -562,6 +576,32 @@ class TestCliReport:
                        f"{record['step']}) has field '{field}' of type str, "
                        f"not {expected}\n")
 
+    @pytest.mark.parametrize("kind,edit,detail", [
+        ("action", lambda r: r.update(remaining="x"),
+         "has field 'remaining' of type str, not int"),
+        ("progress", lambda r: r.pop("hours"), "lacks field 'hours'"),
+        ("message_sent", lambda r: r.update(to=5), "has field 'to' of type int, not list"),
+        ("message_sent", lambda r: r["to"].append(5), "has field 'to' holding int, not str"),
+    ], ids=["remaining-str", "no-hours", "to-int", "to-holding-int"])
+    def test_field_the_metrics_never_read_is_checked_too(self, tmp_path, capsys,
+                                                         kind, edit, detail):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(SCENARIOS / "simple.yaml"),
+              "--policy", "c2c_heuristic", "--out", str(out)])
+        path = out / "trace.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(True)
+        number = next(i for i, line in enumerate(lines)
+                      if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[number])
+        edit(record)
+        lines[number] = json.dumps(record, separators=(",", ":")) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err == (f"trace error: {path}: event {number} ({kind} at step "
+                       f"{record['step']}) {detail}\n")
+
     def test_root_done_naming_an_unknown_task_is_a_one_line_error(self, tmp_path,
                                                                   capsys):
         out = tmp_path / "out"
@@ -622,11 +662,14 @@ class TestCliReport:
                                                              tmp_path, capsys):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        action = '"kind":"action","agent":"W1","action":"work","target":"T1.1",'
         lines = [
-            '{"step":0,"seq":0,"kind":"action","agent":"W1"}',
-            '{"step":1,"seq":1,"kind":"action","agent":"W1"}',
-            '{"step":1,"seq":2,"kind":"af_update","agent":"W1","task":"T1.1","new":0.5}',
-            '{"step":0,"seq":3,"kind":"af_update","agent":"W1","task":"T1.1","new":0.4}',
+            '{"step":0,"seq":0,' + action + '"remaining":3}',
+            '{"step":1,"seq":1,' + action + '"remaining":2}',
+            '{"step":1,"seq":2,"kind":"af_update","agent":"W1","task":"T1.1",'
+            '"old":0.4,"delta":0.1,"new":0.5,"cause":"m1"}',
+            '{"step":0,"seq":3,"kind":"af_update","agent":"W1","task":"T1.1",'
+            '"old":null,"delta":null,"new":0.4,"cause":"m2"}',
         ]
         (out / "trace.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()

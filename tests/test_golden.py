@@ -4,8 +4,8 @@ A refactor that changes one byte of any of these traces changes behaviour.
 Each digest is taken under every trace codec: orjson and the standard-library
 fallback write the same bytes, both through `TraceLog` and through the
 `TraceWriter` that `teamsim run` writes with. Every record of these runs is
-also checked against its kind's schema: the keys in order, and floats only in
-the fields the writer guards.
+also checked against its kind's schema, keys in order, with the check the
+reader makes on each line it reads.
 The shipped-scenario digests are the same ones the benchmark pins in
 `perfbench/cases.py`; the dependency, meeting and random-DAG cases cover the
 engine paths that no benchmark workload reaches.
@@ -24,6 +24,7 @@ from teamsim.cli import main
 from teamsim.config import parse_scenario, parse_scenario_text
 from teamsim.engine import Simulation
 from teamsim.model import Scenario
+from teamsim import trace
 from teamsim.trace import SCHEMAS
 
 from conftest import (MEDIUM_TASK, SIMPLE_TASK, ChainPlanner, RandomDagPlanner,
@@ -59,21 +60,14 @@ SHIPPED = {
 }
 
 
-def _holds_float(value) -> bool:
-    if type(value) is list:
-        return any(_holds_float(v) for v in value)
-    return type(value) is float
-
-
 def _check_schema(records: list[dict]) -> None:
     """Each record has `step`, `seq`, `kind` and its kind's fields in order,
-    and a float only in a field its schema marks as a float field."""
+    each of a type its schema accepts: the check the reader makes."""
     for seq, record in enumerate(records):
         schema = SCHEMAS[record["kind"]]
         assert list(record) == ["step", "seq", "kind", *schema.fields], record
         assert record["seq"] == seq
-        assert not [name for name in schema.fields
-                    if name not in schema.floats and _holds_float(record[name])], record
+        assert trace._as_event(record) is record
 
 
 def _digests(each_codec, scenario: Scenario, planner=None) -> set[str]:

@@ -132,21 +132,13 @@ _ints = st.one_of(
     st.integers(),
     st.sampled_from([2 ** 64, 2 ** 64 + 1, -2 ** 63 - 1, 10 ** 30 + 1]),
 )
-# Each schema field's values, by name; a float field may also be unset.
-_FIELD_VALUES = {
-    "remaining": _ints, "words": _ints, "sent_step": _ints, "boundary": _ints,
-    "root": st.booleans(),
-    "target": st.one_of(st.none(), _text),
-    "about_task": st.one_of(st.none(), _text),
-}
+# The values of each type a schema field may hold.
+_VALUES = {str: _text, int: _ints, bool: st.booleans(), float: _floats,
+           type(None): st.none(), list: st.lists(_text, max_size=4)}
 
 
 def _field_values(kind: str, name: str):
-    if name in SCHEMAS[kind].floats:
-        return st.one_of(st.none(), _floats)
-    if kind == "message_sent" and name == "to":
-        return st.lists(_text, max_size=4)
-    return _FIELD_VALUES.get(name, _text)
+    return st.one_of(*(_VALUES[t] for t in SCHEMAS[kind].fields[name]))
 
 
 _events = st.lists(
@@ -215,15 +207,22 @@ def test_non_finite_and_exponent_floats_are_written_as_json_writes_them(
     math.nan, math.inf, -math.inf, 1e16, 1e-05, 2 ** 64, -2 ** 63 - 1, 10 ** 30 + 1,
 ], ids=["nan", "inf", "-inf", "1e16", "1e-05", "2**64", "-2**63-1", "10**30+1"])
 def test_every_value_read_is_read_as_json_reads_it(tmp_path, each_codec, value):
-    # The reader walks every value, at the top level and nested in lists, not
-    # only the float fields the writer guards.
+    # Each value in fields of its type: a float or an integer in a number
+    # field, nullable or not, and an integer also in an integer field and
+    # in `step`, not only in the float fields the writer guards.
     records = [
-        {"step": 0, "seq": 0, "kind": "warning", "source": "x", "detail": value},
-        {"step": 0, "seq": 1, "kind": "warning", "source": "x",
-         "detail": [1.5, [value]]},
-        {"step": 0, "seq": 2, "kind": "progress", "agent": "W1", "task": "T1.1",
+        {"step": 0, "seq": 0, "kind": "progress", "agent": "W1", "task": "T1.1",
          "hours": 0.25, "effective": value, "af": 0.3, "progress": 0.5},
+        {"step": 0, "seq": 1, "kind": "af_update", "agent": "W1", "task": "T1.1",
+         "old": None, "delta": value, "new": 0.4, "cause": "m1"},
     ]
+    if type(value) is int:
+        records += [
+            {"step": value, "seq": 2, "kind": "action", "agent": "W1",
+             "action": "work", "target": None, "remaining": value},
+            {"step": 0, "seq": 3, "kind": "task_done", "task": "T1", "root": True,
+             "boundary": value},
+        ]
     path = tmp_path / "trace.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records),
                     encoding="utf-8")
@@ -231,6 +230,60 @@ def test_every_value_read_is_read_as_json_reads_it(tmp_path, each_codec, value):
         reread = TraceLog.read(path).events
         assert _same_records(reread, records)
         assert repr([_typed(r) for r in reread]) == repr([_typed(r) for r in records])
+
+
+def test_a_field_its_kind_lacks_is_kept_as_json_reads_it(tmp_path, each_codec):
+    record = {"step": 0, "seq": 0, "kind": "warning", "source": "x", "detail": "y",
+              "extra": [2 ** 64, {"n": -2 ** 63 - 1}]}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    for _ in each_codec():
+        reread = TraceLog.read(path).events
+        assert repr([_typed(r) for r in reread]) == repr([_typed(record)])
+
+
+@pytest.mark.parametrize("fields,detail", [
+    ({"remaining": True}, "has field 'remaining' of type bool, not int"),
+    ({"remaining": 2.0}, "has field 'remaining' of type float, not int"),
+    ({"remaining": None}, "has field 'remaining' of type NoneType, not int"),
+    ({"target": 7}, "has field 'target' of type int, not str"),
+    ({"agent": 10 ** 30}, "has field 'agent' of type int, not str"),
+    ({"agent": ["W1"]}, "has field 'agent' of type list, not str"),
+    ({"action": None}, "has field 'action' of type NoneType, not str"),
+    ({"agent": None, "remaining": None}, "has field 'agent' of type NoneType, not str"),
+], ids=["bool-int", "float-int", "null-int", "int-str-or-null", "big-int-str",
+        "list-str", "null-str", "first-field"])
+def test_wrongly_typed_field_names_its_event(tmp_path, each_codec, fields, detail):
+    record = {"step": 3, "seq": 9, "kind": "action", "agent": "W1", "action": "idle",
+              "target": None, "remaining": 0, **fields}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(_log("x").events[1]) + "\n\n" + json.dumps(record)
+                    + "\n", encoding="utf-8")
+    for _ in each_codec():
+        with pytest.raises(TraceError) as error:
+            TraceLog.read(path)
+        assert str(error.value) == f"{path}: event 1 (action at step 3) {detail}"
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_each_missing_field_names_its_event(tmp_path, each_codec, kind):
+    sample = {str: "x", int: 1, bool: True, float: 0.5, list: ["W1"]}
+    fields = {name: sample[types[0]] for name, types in SCHEMAS[kind].fields.items()}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps({"step": 0, "seq": 0, "kind": kind, **fields}) + "\n",
+                    encoding="utf-8")
+    for _ in each_codec():
+        assert TraceLog.read(path).events == [{"step": 0, "seq": 0, "kind": kind,
+                                               **fields}]
+    for name in fields:
+        record = {"step": 0, "seq": 0, "kind": kind, **fields}
+        del record[name]
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        for _ in each_codec():
+            with pytest.raises(TraceError) as error:
+                TraceLog.read(path)
+            assert str(error.value) == \
+                f"{path}: event 0 ({kind} at step 0) lacks field '{name}'"
 
 
 def test_each_codec_runs_orjson_where_installed(each_codec):
