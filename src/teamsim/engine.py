@@ -23,8 +23,7 @@ from .alignment import (AlignmentState, effective_progress,
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
                     Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
                     communication_cost, word_count)
-from .model import (AgentProfile, Scenario, SimClock, hours_to_steps, order_key,
-                    validate_scenario)
+from .model import AgentProfile, Scenario, SimClock, hours_to_steps, order_key
 from .planner import EvenPlanner, LlmPlanner, assign
 from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext,
                      REPORT_MILESTONES, TaskAssignmentView, TeammateView,
@@ -44,6 +43,12 @@ RSVP_GRACE_STEPS = 6
 
 # What the manager intends before the plan step; it never reaches a policy.
 DECOMPOSITION_PENDING = Intention(IntentionKind.CONTINUE_TASK, "decomposition pending")
+
+# A task's status while its holder can work on it.
+WORKABLE = (TaskStatus.READY, TaskStatus.IN_PROGRESS)
+
+# Builds a named tuple at C level, without the Python `__new__` its class has.
+_new_tuple = tuple.__new__
 
 # The message each communicating intention sends.
 INTENTION_MESSAGE_TYPES = {
@@ -102,34 +107,21 @@ class AgentTaskStats:
 class HeldTasks:
     """One agent's task views in assignment order, and the two it acts on.
 
-    `active` is the first ready view, the one CONTINUE_TASK works on;
-    `report_due` is the first view with a milestone to report. Both are
-    re-picked whenever a view is rebuilt.
+    `active` is the view of the task `World.active_task_id` names, the one
+    CONTINUE_TASK works on; `report_due` is the first view with a milestone to
+    report. Both are set whenever the views are rebuilt.
     """
 
     views: tuple[TaskAssignmentView, ...] = ()
     active: TaskAssignmentView | None = None
     report_due: TaskAssignmentView | None = None
-    # Every view before this position is done; done is permanent, so the
-    # search for the active view starts here and the position only grows.
+    # Every task before this position is done; done is permanent, so the
+    # search for the active task starts here and the position only grows.
     done_prefix: int = 0
     # Positions of the views with a pending milestone, ascending.
     due: list[int] = field(default_factory=list)
     # Tasks whose view is out of date, rebuilt on the next read.
     stale: set[str] = field(default_factory=set)
-
-    def set_views(self, views: tuple[TaskAssignmentView, ...]) -> None:
-        self.views = views
-        start = self.done_prefix
-        while start < len(views) and views[start].done:
-            start += 1
-        self.done_prefix = start
-        self.active = None
-        for i in range(start, len(views)):
-            if views[i].ready:
-                self.active = views[i]
-                break
-        self.report_due = views[self.due[0]] if self.due else None
 
 
 @dataclass
@@ -260,17 +252,23 @@ class World:
         # dropped when next read.
         self._open_by_sender: dict[str, list[Thread]] = {a: [] for a in self.agent_order}
         self._open_by_task: dict[str, list[Thread]] = {}
-        # Each agent's task views in assignment order, built when the plan
-        # lands. A state change marks the holder's view of that task stale and
-        # the next read rebuilds it. `_view_pos` is a task's place in its
+        # Each agent's active task: the first ready one it holds, which
+        # CONTINUE_TASK works on. Re-picked only when readiness can change:
+        # when the plan lands, a held task finishes or a dependent of a
+        # finished task becomes ready.
+        self.active_task_id: dict[str, str | None] = dict.fromkeys(self.agent_order)
+        # Each agent's task views in assignment order. A state change marks
+        # the holder's view of that task stale, and the next read rebuilds it;
+        # every view is stale when the plan lands, so a view is built only
+        # when something reads it. `_view_pos` is a task's place in its
         # holder's tuple.
         self._held: dict[str, HeldTasks] = {a: HeldTasks() for a in self.agent_order}
         self._view_pos: dict[str, int] = {}
-        # Each agent's blocked-collaborator map, recomputed on the next read
-        # once the agent is in `_stale_blocked`.
-        self._blocked: dict[str, dict[str, tuple[str, ...]]] = {
-            a: {} for a in self.agent_order}
-        self._stale_blocked: set[str] = set()
+        # Each agent's blocked-collaborator map; None until the next read
+        # recomputes it. One entry per agent, so that a read inside the
+        # parallel decide touches only the deciding agent's entry.
+        self._blocked: dict[str, dict[str, tuple[str, ...]] | None] = dict.fromkeys(
+            self.agent_order, {})
         self._message_counter = 0
         self._thread_counter = 0
         self._meeting_counter = 0
@@ -344,14 +342,35 @@ class World:
             thread.close()
 
     def finish_plan(self) -> None:
-        """Sort each agent's assignments once and build every task view."""
+        """Sort each agent's assignments once, pick its active task, and leave
+        every task view to be built when first read."""
         for agent_id, task_ids in self.assignments.items():
             task_ids.sort(key=order_key)
             self._view_pos.update((task_id, i) for i, task_id in enumerate(task_ids))
-            self._held[agent_id].set_views(tuple(self._task_view(agent_id, task_id)
-                                                 for task_id in task_ids))
-        self._stale_blocked.update(self.agent_order)
+            # Made here, not on first read: a read may run in the parallel
+            # decide, which must not add to the shared table.
+            for task_id in task_ids:
+                self.task_stats(agent_id, task_id)
+            # One placeholder per task, each stale until its first read.
+            held = self._held[agent_id]
+            held.views = (None,) * len(task_ids)
+            held.stale.update(task_ids)
+            self._pick_active(agent_id)
+        self._blocked = dict.fromkeys(self.agent_order)
         self.planned = True
+
+    def _pick_active(self, agent_id: str) -> None:
+        """Re-pick the agent's active task, searching past its done prefix."""
+        held = self._held[agent_id]
+        task_ids = self.assignments[agent_id]
+        node = self.graph.node
+        start = held.done_prefix
+        while start < len(task_ids) and node(task_ids[start]).done:
+            start += 1
+        held.done_prefix = start
+        self.active_task_id[agent_id] = next(
+            (task_id for task_id in task_ids[start:] if node(task_id).status in WORKABLE),
+            None)
 
     def record_work(self, agent_id: str, task_id: str,
                     hours: float) -> tuple[float, float, bool]:
@@ -379,11 +398,13 @@ class World:
                     insort(held.due, position)
         held.stale.add(task_id)
         if became_done:
+            self._pick_active(node.assignee)
             for dependent in self.graph.dependents(task_id):
                 if dependent.status is TaskStatus.READY:
                     self._drop_view(dependent.task_id)
-                self._stale_blocked.update(self.graph.node(d).assignee
-                                           for d in dependent.dependencies)
+                    self._pick_active(dependent.assignee)
+                for d in dependent.dependencies:
+                    self._blocked[self.graph.node(d).assignee] = None
         return af, effective, became_done
 
     def record_report(self, agent_id: str, task_id: str) -> None:
@@ -428,18 +449,22 @@ class World:
         held = self._held[agent_id]
         stale = held.stale
         if stale:
+            position = self._view_pos
             views = list(held.views)
             for task_id in stale:
-                views[self._view_pos[task_id]] = self._task_view(agent_id, task_id)
+                views[position[task_id]] = self._task_view(agent_id, task_id)
             stale.clear()
-            held.set_views(tuple(views))
+            held.views = views = tuple(views)
+            active_id = self.active_task_id[agent_id]
+            held.active = None if active_id is None else views[position[active_id]]
+            held.report_due = views[held.due[0]] if held.due else None
         return held
 
     def _task_view(self, agent_id: str, task_id: str) -> TaskAssignmentView:
         node = self.graph.node(task_id)
-        stats = self.task_stats(agent_id, task_id)
+        stats = self.stats[agent_id, task_id]
         # Fields by position, in TaskAssignmentView order.
-        return TaskAssignmentView(
+        return _new_tuple(TaskAssignmentView, (
             task_id,
             node.description,
             node.estimated_hours,
@@ -449,9 +474,9 @@ class World:
             stats.stuck_worked_steps,
             node.progress,
             stats.pending_milestone,
-            node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
+            node.status in WORKABLE,
             node.done,
-        )
+        ))
 
     def task_stats(self, agent_id: str, task_id: str) -> AgentTaskStats:
         stats = self.stats.get((agent_id, task_id))
@@ -462,15 +487,15 @@ class World:
     def is_busy(self, agent_id: str) -> bool:
         return agent_id in self.active
 
-    def unanswered_inbound(self, agent_id: str) -> list[str]:
+    def unanswered_inbound(self, agent_id: str) -> tuple[str, ...]:
         """Open request threads whose root reached this agent, oldest first."""
         entries = self._inbound_requests[agent_id]
         if not entries:
-            return []
+            return ()
         threads = self.threads
         entries[:] = [e for e in entries if threads[e[2]].open
                       and agent_id not in threads[e[2]].repliers]
-        return [thread_id for _, _, thread_id in entries]
+        return tuple([thread_id for _, _, thread_id in entries])
 
     def open_outbound_tasks(self, agent_id: str) -> frozenset[str]:
         threads = self._open_by_sender[agent_id]
@@ -490,7 +515,8 @@ class World:
         return list(entries)
 
     def has_unprocessed_invite(self, agent_id: str) -> bool:
-        return bool(self.pending_invites(agent_id))
+        # An empty index, the common case, needs no call.
+        return bool(self._invites[agent_id] and self.pending_invites(agent_id))
 
     def has_meeting_start(self, agent_id: str) -> bool:
         """A `MEETING_START` arrived since the agent last checked its inbox
@@ -502,10 +528,10 @@ class World:
 
     def blocked_collaborators(self, agent_id: str) -> dict[str, tuple[str, ...]]:
         """Per own task: assignees of pending sibling tasks that depend on it."""
-        if agent_id in self._stale_blocked:
-            self._stale_blocked.discard(agent_id)
-            self._blocked[agent_id] = self._scan_blocked(agent_id)
-        return self._blocked[agent_id]
+        blocked = self._blocked[agent_id]
+        if blocked is None:
+            blocked = self._blocked[agent_id] = self._scan_blocked(agent_id)
+        return blocked
 
     def _scan_blocked(self, agent_id: str) -> dict[str, tuple[str, ...]]:
         result: dict[str, tuple[str, ...]] = {}
@@ -552,9 +578,10 @@ class Simulation:
                  max_steps: int | None = None,
                  parallel_decide: bool = False,
                  trace: TraceSink | None = None) -> None:
-        """`trace` receives each event as it happens; by default a `TraceLog`
-        keeps them all for `SimResult.trace`."""
-        scenario = validate_scenario(scenario)
+        """`scenario` must already be validated, as `parse_scenario` and
+        `validate_scenario` return it; it is not checked again here. `trace`
+        receives each event as it happens; by default a `TraceLog` keeps them
+        all for `SimResult.trace`."""
         self.world = World(scenario, trace)
         if max_steps is not None:
             self.world.clock.max_steps = max_steps
@@ -607,8 +634,11 @@ class Simulation:
         self._convene_meetings(t)
 
         idle = [a for a in world.agent_order if a not in world.active]
-        # No action starts or ends while contexts are built, so one team view
-        # serves every idle agent this step.
+        # One team view serves every idle agent this step. It is built before
+        # any intention is resolved, so its busy flags are the ones from
+        # before this step's actions start, whenever a context is read. The
+        # other fields read `World` state that resolving one agent's
+        # intention does not change for another.
         team = team_views(world)
         contexts = {a: build_context(world, a, team) for a in idle}
         # Before the plan lands the manager's slot is the plan step, not a
@@ -737,6 +767,8 @@ class Simulation:
 
     def _resolve_intention(self, agent_id: str, context: PolicyContext,
                            intention: Intention) -> None:
+        """Start the agent's action. A context field is read only where the
+        intention needs it, so a plain CONTINUE_TASK reads none."""
         world = self.world
         kind = intention.kind
 
@@ -761,9 +793,9 @@ class Simulation:
             kind = IntentionKind.CONTINUE_TASK
 
         # CONTINUE_TASK and every degraded intention end up here.
-        active = context.active_task
-        if active is not None:
-            world.active[agent_id] = ActiveAction(ActionKind.WORK, active.task_id, 1)
+        task_id = world.active_task_id[agent_id]
+        if task_id is not None:
+            world.active[agent_id] = ActiveAction(ActionKind.WORK, task_id, 1)
         else:
             world.active[agent_id] = ActiveAction(ActionKind.IDLE, None, 1)
 
@@ -868,12 +900,12 @@ class Simulation:
             kind = action.kind
             if kind is ActionKind.WORK:
                 self._execute_work(agent_id, action.target, t)
-                world.last_actions[agent_id] = LastAction("work", None, t)
+                world.last_actions[agent_id] = _new_tuple(LastAction, ("work", None, t))
             elif kind is ActionKind.PLAN:
                 self._execute_plan(t)
-                world.last_actions[agent_id] = LastAction("work", None, t)
+                world.last_actions[agent_id] = _new_tuple(LastAction, ("work", None, t))
             elif kind is ActionKind.IDLE:
-                world.last_actions[agent_id] = LastAction("idle", None, t)
+                world.last_actions[agent_id] = _new_tuple(LastAction, ("idle", None, t))
             elif action.remaining > 0:
                 continue
             elif kind is ActionKind.COMMUNICATE:
@@ -972,8 +1004,8 @@ class Simulation:
         world.comm_cost_total += outgoing.cost
         self._trace_sent(message, outgoing.words, t)
         world.staged.append(message)
-        world.last_actions[agent_id] = LastAction(
-            "message_sent", TYPE_NAMES[outgoing.message_type], t)
+        world.last_actions[agent_id] = _new_tuple(LastAction, (
+            "message_sent", TYPE_NAMES[outgoing.message_type], t))
         return message
 
     def _complete_send(self, agent_id: str, outgoing: Outgoing, t: int) -> None:
@@ -996,7 +1028,7 @@ class Simulation:
         thread = world.threads[thread_id]
         if not thread.open:
             # Request became moot (task finished or thread closed) mid-compose.
-            world.last_actions[agent_id] = LastAction("reply_dropped", None, t)
+            world.last_actions[agent_id] = _new_tuple(LastAction, ("reply_dropped", None, t))
             world.emit({
                 "step": t, "seq": None, "kind": "warning",
                 "source": "reply",
@@ -1007,13 +1039,13 @@ class Simulation:
 
     def _complete_rsvp(self, agent_id: str, meeting_id: str, t: int) -> None:
         self.world.meetings[meeting_id].attending.add(agent_id)
-        self.world.last_actions[agent_id] = LastAction("rsvp", None, t)
+        self.world.last_actions[agent_id] = _new_tuple(LastAction, ("rsvp", None, t))
 
     def _complete_meeting_attendance(self, agent_id: str, meeting_id: str,
                                      t: int) -> None:
         world = self.world
         meeting = world.meetings[meeting_id]
-        world.last_actions[agent_id] = LastAction("meeting", None, t)
+        world.last_actions[agent_id] = _new_tuple(LastAction, ("meeting", None, t))
         if meeting.status is not MeetingStatus.RUNNING:
             return
         # All attendees finish on the same step; the first one processed here
@@ -1097,6 +1129,8 @@ class Simulation:
 def run_scenario(scenario: Scenario, adapter: ChatCompletionAdapter | None = None,
                  max_steps: int | None = None,
                  parallel_decide: bool = False) -> SimResult:
-    """Convenience wrapper: build a simulation from the scenario and run it."""
+    """Convenience wrapper: build a simulation from the scenario and run it.
+
+    `scenario` must already be validated, as for `Simulation`."""
     return Simulation(scenario, adapter=adapter, max_steps=max_steps,
                       parallel_decide=parallel_decide).run()

@@ -1,18 +1,20 @@
-"""Per-step decision making: context snapshots, intentions, and the policies.
+"""Per-step decision making: contexts, intentions, and the policies.
 
 Every policy is a pure function of its context: identical contexts yield
-identical intentions, which is what makes non-LLM runs reproducible. Contexts,
-task and teammate views, last actions and intentions are immutable named
-tuples that compare by field; an intention whose fields never vary is one
-module-level value. The deterministic heuristic policy approximates adaptive
-behavior with fixed thresholds; the LLM policy delegates the
-same decision to an external model and falls back to the heuristic on any
-failure.
+identical intentions, which is what makes non-LLM runs reproducible. A context
+is read-only; it holds its O(1) fields, and every other field is read from
+`World` when a policy reads it, so an agent-step pays for what its policy
+reads. Task and teammate views, last actions and intentions are immutable
+named tuples that compare by field; an intention whose fields never vary is
+one module-level value. The deterministic heuristic policy approximates
+adaptive behavior with fixed thresholds; the LLM policy delegates the same
+decision to an external model and falls back to the heuristic on any failure.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .adapter import AdapterError, ChatCompletionAdapter
@@ -74,26 +76,77 @@ class LastAction(NamedTuple):
     step: int
 
 
-class PolicyContext(NamedTuple):
-    agent: AgentProfile
-    step: int
-    assigned: tuple[TaskAssignmentView, ...]  # held tasks in id order, done ones included
-    active_task: TaskAssignmentView | None    # first ready view: what CONTINUE_TASK works on
-    report_due: TaskAssignmentView | None     # first view with a pending milestone
-    # Messages delivered to this agent so far, by type name; shared, never mutated.
-    delivered_by_type: dict[str, int]
+class PolicyContext(tuple):
+    """What one agent may know at the current step, read when a policy reads it.
+
+    The tuple holds the O(1) fields. Every other field asks the `World` the
+    context was built on, each time it is read; `World.held_tasks` rebuilds
+    stale task views on the first read only. Nothing a field reads changes
+    while the step's contexts are read. No field can be set.
+    """
+
+    __slots__ = ()
+
+    # The tuple is (agent, step, team_view, manager_id, world, agent id).
+    agent = property(itemgetter(0))
+    step = property(itemgetter(1))
     # Every agent in natural id order, this one included: the step's one
     # `team_views` tuple, shared by every context of the step.
-    team_view: tuple[TeammateView, ...]
-    manager_id: str
-    last_action: LastAction | None
-    unanswered_inbound: tuple[str, ...]       # open request threads awaiting my reply
-    open_outbound_tasks: frozenset[str]       # my unresolved requests, by task
-    has_unprocessed_invite: bool
-    has_meeting_start: bool
-    # Undone own tasks with blocked dependents, in id order; shared, never mutated.
-    blocked_collaborators: dict[str, tuple[str, ...]]
-    meeting_organized_tasks: frozenset[str]
+    team_view = property(itemgetter(2))
+    manager_id = property(itemgetter(3))
+
+    @property
+    def assigned(self) -> tuple[TaskAssignmentView, ...]:
+        """Held task views in id order, done ones included."""
+        return self[4].held_tasks(self[5]).views
+
+    @property
+    def active_task(self) -> TaskAssignmentView | None:
+        """The first ready view: what CONTINUE_TASK works on."""
+        return self[4].held_tasks(self[5]).active
+
+    @property
+    def report_due(self) -> TaskAssignmentView | None:
+        """The first view with a pending milestone."""
+        return self[4].held_tasks(self[5]).report_due
+
+    @property
+    def delivered_by_type(self) -> dict[str, int]:
+        """Messages delivered to this agent so far, by type name; shared,
+        never mutated."""
+        return self[4].delivered_by_type[self[5]]
+
+    @property
+    def last_action(self) -> LastAction | None:
+        return self[4].last_actions.get(self[5])
+
+    @property
+    def unanswered_inbound(self) -> tuple[str, ...]:
+        """Open request threads awaiting this agent's reply, oldest first."""
+        return self[4].unanswered_inbound(self[5])
+
+    @property
+    def open_outbound_tasks(self) -> frozenset[str]:
+        """This agent's unresolved requests, by task."""
+        return self[4].open_outbound_tasks(self[5])
+
+    @property
+    def has_unprocessed_invite(self) -> bool:
+        return self[4].has_unprocessed_invite(self[5])
+
+    @property
+    def has_meeting_start(self) -> bool:
+        return self[4].has_meeting_start(self[5])
+
+    @property
+    def blocked_collaborators(self) -> dict[str, tuple[str, ...]]:
+        """Undone own tasks with blocked dependents, in id order; shared,
+        never mutated."""
+        return self[4].blocked_collaborators(self[5])
+
+    @property
+    def meeting_organized_tasks(self) -> frozenset[str | None]:
+        return self[4].organized_meeting_tasks(self[5])
 
 
 def team_views(world: "World") -> tuple[TeammateView, ...]:
@@ -105,30 +158,13 @@ def team_views(world: "World") -> tuple[TeammateView, ...]:
 
 def build_context(world: "World", agent_id: str,
                   team: tuple[TeammateView, ...]) -> PolicyContext:
-    """Snapshot exactly what the agent may know at the current step.
+    """The agent's context at the current step, on `world`.
 
     `team` is `team_views(world)` for this step, shared as it is: the agent's
-    own entry stays in it.
+    own entry stays in it. Only the O(1) fields are read here.
     """
-    held = world.held_tasks(agent_id)
-    # Fields by position, in PolicyContext order.
-    return PolicyContext(
-        world.agents[agent_id],
-        world.clock.step,
-        held.views,
-        held.active,
-        held.report_due,
-        world.delivered_by_type[agent_id],
-        team,
-        world.manager_id,
-        world.last_actions.get(agent_id),
-        tuple(world.unanswered_inbound(agent_id)),
-        world.open_outbound_tasks(agent_id),
-        world.has_unprocessed_invite(agent_id),
-        world.has_meeting_start(agent_id),
-        world.blocked_collaborators(agent_id),
-        world.organized_meeting_tasks(agent_id),
-    )
+    return PolicyContext((world.agents[agent_id], world.clock.step, team,
+                          world.manager_id, world, agent_id))
 
 
 # -- policies ---------------------------------------------------------------

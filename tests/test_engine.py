@@ -4,11 +4,14 @@ LLM-backed modes against a stubbed adapter."""
 import dataclasses
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from teamsim.adapter import ChatCompletionAdapter
 from teamsim.comms import MessageType
+from teamsim.config import parse_scenario
 from teamsim.engine import Simulation, run_scenario
 from teamsim.metrics import compute_metrics
 from teamsim.model import Scenario, TaskSpec, validate_scenario
@@ -16,6 +19,8 @@ from teamsim.policy import HeuristicPolicy, Intention, IntentionKind
 
 from conftest import (MEDIUM_TASK, ChainPlanner, chain_scenario, make_scenario,
                       make_team, of_kind)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def closed_form_no_comm_hours(total_hours: float, workers: int,
@@ -391,3 +396,21 @@ class TestLlmModes:
                         if e["delta"] is not None
                         and e["old"] == pytest.approx(0.30)]
         assert clar_updates[0]["delta"] == pytest.approx(0.10)
+
+
+def test_a_parsed_scenario_is_not_validated_again():
+    """`parse_scenario` validates; building a `Simulation` from what it
+    returns calls `validate_scenario` zero times."""
+    scenario = parse_scenario(SCENARIOS / "medium.yaml")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is validate_scenario.__code__:
+            calls.append(frame.f_lineno)
+
+    sys.setprofile(profile)
+    try:
+        Simulation(scenario)
+    finally:
+        sys.setprofile(None)
+    assert calls == []

@@ -8,7 +8,9 @@ also checked against its kind's schema, keys in order, with the check the
 reader makes on each line it reads.
 The shipped-scenario digests are the same ones the benchmark pins in
 `perfbench/cases.py`; the dependency, meeting and random-DAG cases cover the
-engine paths that no benchmark workload reaches.
+engine paths that no benchmark workload reaches. The shipped scenarios and the
+meeting case are also run with the parallel decide, whose thread pool reads
+the contexts' fields, and must write the same bytes.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import dataclasses
 import hashlib
 import io
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,9 +73,22 @@ def _check_schema(records: list[dict]) -> None:
         assert trace._as_event(record) is record
 
 
-def _digests(each_codec, scenario: Scenario, planner=None) -> set[str]:
-    """The trace's sha256 under every codec: one digest when they agree."""
-    trace = Simulation(scenario, planner=planner).run().trace
+def _digests(each_codec, scenario: Scenario, planner=None,
+             parallel_decide: bool = False) -> set[str]:
+    """The trace's sha256 under every codec: one digest when they agree.
+
+    A parallel decide runs with its threads switching about every
+    microsecond, so that a context read touching another agent's `World`
+    entry could lose an update and change the trace.
+    """
+    interval = sys.getswitchinterval()
+    if parallel_decide:
+        sys.setswitchinterval(1e-6)
+    try:
+        trace = Simulation(scenario, planner=planner,
+                           parallel_decide=parallel_decide).run().trace
+    finally:
+        sys.setswitchinterval(interval)
     _check_schema(trace.events)
     return {hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
             for _ in each_codec()}
@@ -84,11 +100,15 @@ def _random_dag(seed: int) -> tuple[Scenario, RandomDagPlanner]:
     return scenario, RandomDagPlanner(seed)
 
 
-@pytest.mark.parametrize("name,policy", sorted(SHIPPED))
-def test_shipped_scenarios(each_codec, name, policy):
+@pytest.mark.parametrize("name,policy,parallel_decide", [
+    pytest.param(name, policy, parallel_decide,
+                 id=f"{name}-{policy}" + ("-parallel" if parallel_decide else ""))
+    for name, policy in sorted(SHIPPED) for parallel_decide in (False, True)])
+def test_shipped_scenarios(each_codec, name, policy, parallel_decide):
     scenario = parse_scenario(ROOT / "scenarios" / f"{name}.yaml")
     scenario = dataclasses.replace(scenario, policy_name=policy)
-    assert _digests(each_codec, scenario) == {SHIPPED[name, policy]}
+    assert _digests(each_codec, scenario, parallel_decide=parallel_decide) == \
+        {SHIPPED[name, policy]}
 
 
 @pytest.mark.parametrize("name,policy", sorted(SHIPPED))
@@ -156,15 +176,22 @@ def test_eight_roots(each_codec):
 
 
 def test_chain_planner_meeting(each_codec):
+    """The one golden run that holds a meeting, serial and parallel."""
     scenario = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic")
-    assert _digests(each_codec, scenario, ChainPlanner()) == {
-        "9fddbe03258f51612e2f046a95be208a97ae790a8f6034f7706ee4937c9f9fcf"}
+    for parallel_decide in (False, True):
+        assert _digests(each_codec, scenario, ChainPlanner(), parallel_decide) == {
+            "9fddbe03258f51612e2f046a95be208a97ae790a8f6034f7706ee4937c9f9fcf"}
 
 
-@pytest.mark.parametrize("seed,digest", [
-    (0, "64e917acdc88e652eedfc6f706d02a136c3221e9ad7d9425a875c3af15185fdc"),
-    (19, "545fb567fda483914132d89d5bc991c713ca140b109c7fa9811e769ecdf284ef"),
-], ids=["0", "19"])
-def test_random_dag_plans(each_codec, seed, digest):
+@pytest.mark.parametrize("seed,digest,parallel_decide", [
+    pytest.param(seed, digest, parallel_decide,
+                 id=str(seed) + ("-parallel" if parallel_decide else ""))
+    for seed, digest in [
+        (0, "64e917acdc88e652eedfc6f706d02a136c3221e9ad7d9425a875c3af15185fdc"),
+        (19, "545fb567fda483914132d89d5bc991c713ca140b109c7fa9811e769ecdf284ef"),
+    ] for parallel_decide in (False, True)])
+def test_random_dag_plans(each_codec, seed, digest, parallel_decide):
+    """Plans whose dependencies block collaborators, the parallel decide's
+    contexts reading the blocked-collaborator maps too."""
     scenario, planner = _random_dag(seed)
-    assert _digests(each_codec, scenario, planner) == {digest}
+    assert _digests(each_codec, scenario, planner, parallel_decide) == {digest}

@@ -1,5 +1,8 @@
 """Policy decisions, recipient and channel selection, and message templates."""
 
+import dataclasses
+import types
+
 import pytest
 
 from teamsim.comms import Channel, MessageType, word_count
@@ -8,8 +11,8 @@ from teamsim import policy as policy_module
 from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
                             IntentionKind, LastAction, NoCommPolicy,
                             PolicyContext, TaskAssignmentView, TeammateView,
-                            compose_message, compose_reply, reply_channel,
-                            select_channel, select_recipients)
+                            build_context, compose_message, compose_reply,
+                            reply_channel, select_channel, select_recipients)
 
 
 def view(task_id="T1.1", af=0.30, hours=0.0, stuck=0, progress=0.0,
@@ -23,6 +26,67 @@ def view(task_id="T1.1", af=0.30, hours=0.0, stuck=0, progress=0.0,
     )
 
 
+@dataclasses.dataclass
+class StandInWorld:
+    """The `World` a context reads, answering explicit values for one agent:
+    what `build_context` and each context field ask of `World`."""
+
+    agent: AgentProfile
+    step: int
+    assigned: tuple[TaskAssignmentView, ...]
+    unanswered: tuple[str, ...]
+    open_outbound: frozenset[str]
+    invite: bool
+    meeting_start: bool
+    blocked: dict[str, tuple[str, ...]]
+    organized: frozenset[str]
+    last_action: LastAction | None
+    manager_id: str = "M1"
+
+    @property
+    def agents(self):
+        return {self.agent.agent_id: self.agent}
+
+    @property
+    def clock(self):
+        return types.SimpleNamespace(step=self.step)
+
+    @property
+    def delivered_by_type(self):
+        return {self.agent.agent_id: {}}
+
+    @property
+    def last_actions(self):
+        return {} if self.last_action is None else {self.agent.agent_id: self.last_action}
+
+    def held_tasks(self, agent_id):
+        # What `World` keeps for the active and report-due views, derived by
+        # their rules.
+        return types.SimpleNamespace(
+            views=self.assigned,
+            active=next((v for v in self.assigned if v.ready and not v.done), None),
+            report_due=next((v for v in self.assigned
+                             if v.pending_milestone is not None), None))
+
+    def unanswered_inbound(self, agent_id):
+        return self.unanswered
+
+    def open_outbound_tasks(self, agent_id):
+        return self.open_outbound
+
+    def has_unprocessed_invite(self, agent_id):
+        return self.invite
+
+    def has_meeting_start(self, agent_id):
+        return self.meeting_start
+
+    def blocked_collaborators(self, agent_id):
+        return self.blocked
+
+    def organized_meeting_tasks(self, agent_id):
+        return self.organized
+
+
 def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(),
             unanswered=(), open_outbound=frozenset(), invite=False,
             meeting_start=False, blocked=None, organized=frozenset(),
@@ -32,20 +96,10 @@ def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(),
     if agent_role is Role.MANAGER:
         agent = AgentProfile("M1", "Manager 1", agent_role,
                              frozenset({"planning", "coordination"}))
-    assigned = tuple(assigned)
-    # What `World` keeps for these two fields, derived by their scan rules.
-    active_task = next((v for v in assigned if v.ready and not v.done), None)
-    report_due = next((v for v in assigned if v.pending_milestone is not None), None)
-    return PolicyContext(
-        agent=agent, step=step, assigned=assigned, active_task=active_task,
-        report_due=report_due, delivered_by_type={},
-        team_view=tuple(teammates), manager_id="M1", last_action=last_action,
-        unanswered_inbound=tuple(unanswered),
-        open_outbound_tasks=frozenset(open_outbound),
-        has_unprocessed_invite=invite, has_meeting_start=meeting_start,
-        blocked_collaborators=blocked or {},
-        meeting_organized_tasks=frozenset(organized),
-    )
+    world = StandInWorld(agent, step, tuple(assigned), tuple(unanswered),
+                         frozenset(open_outbound), invite, meeting_start,
+                         blocked or {}, frozenset(organized), last_action)
+    return build_context(world, agent.agent_id, tuple(teammates))
 
 
 def mate(agent_id, skills, busy=False, role=Role.WORKER):
@@ -268,8 +322,17 @@ class TestComposition:
         assert reply_channel(word_count(note)) is Channel.CHAT
 
 
+# Every field a policy can read from a context.
+CONTEXT_FIELDS = {
+    "agent", "step", "assigned", "active_task", "report_due", "delivered_by_type",
+    "team_view", "manager_id", "last_action", "unanswered_inbound",
+    "open_outbound_tasks", "has_unprocessed_invite", "has_meeting_start",
+    "blocked_collaborators", "meeting_organized_tasks",
+}
+
+
 class TestValueTypes:
-    """A policy is a pure function of an immutable snapshot: no field of a
+    """A policy is a pure function of a read-only context: no field of a
     context, a view or an intention can be reassigned."""
 
     def values(self):
@@ -287,20 +350,76 @@ class TestValueTypes:
         assert {type(v) for v in values} == {PolicyContext, TaskAssignmentView,
                                              TeammateView, LastAction, Intention}
         for value in values:
-            for name in type(value)._fields:
+            fields = (CONTEXT_FIELDS if type(value) is PolicyContext
+                      else type(value)._fields)
+            for name in fields:
                 with pytest.raises(AttributeError):
                     setattr(value, name, getattr(value, name))
             with pytest.raises(AttributeError):
                 value.extra = 1
 
+    def test_context_fields_are_the_documented_ones(self):
+        assert {name for name, value in vars(PolicyContext).items()
+                if isinstance(value, property)} == CONTEXT_FIELDS
+
+    def test_context_fields_read_what_world_answers(self):
+        last = LastAction("work", None, 4)
+        tasks = [view(task_id="T1.1", done=True),
+                 view(task_id="T1.2", milestone=0.5), view(task_id="T1.3")]
+        teammates = (mate("W2", {"api"}),)
+        ctx = context(step=7, assigned=tasks, teammates=teammates,
+                      unanswered=("th1",), open_outbound={"T1.3"}, invite=True,
+                      meeting_start=True, blocked={"T1.2": ("W2",)},
+                      organized={"T1.2"}, last_action=last)
+        assert (ctx.agent.agent_id, ctx.step, ctx.manager_id) == ("W1", 7, "M1")
+        assert ctx.team_view == teammates
+        assert ctx.assigned == tuple(tasks)
+        assert ctx.active_task == tasks[1]
+        assert ctx.report_due == tasks[1]
+        assert ctx.delivered_by_type == {}
+        assert ctx.last_action == last
+        assert ctx.unanswered_inbound == ("th1",)
+        assert ctx.open_outbound_tasks == {"T1.3"}
+        assert ctx.has_unprocessed_invite and ctx.has_meeting_start
+        assert ctx.blocked_collaborators == {"T1.2": ("W2",)}
+        assert ctx.meeting_organized_tasks == {"T1.2"}
+
+    def test_a_context_asks_world_only_for_what_is_read(self):
+        """Building a context reads only its O(1) fields; `NoCommPolicy` reads
+        none, and a field is asked of `World` when it is read."""
+        asked = []
+
+        class CountingWorld(StandInWorld):
+            def __getattribute__(self, name):
+                if name in {"held_tasks", "unanswered_inbound", "open_outbound_tasks",
+                            "has_unprocessed_invite", "has_meeting_start",
+                            "blocked_collaborators", "organized_meeting_tasks",
+                            "delivered_by_type", "last_actions"}:
+                    asked.append(name)
+                return super().__getattribute__(name)
+
+        agent = AgentProfile("W1", "Worker 1", Role.WORKER, frozenset({"api"}))
+        world = CountingWorld(agent, 3, (view(),), (), frozenset(), False, False,
+                              {}, frozenset(), None)
+        ctx = build_context(world, "W1", ())
+        assert NoCommPolicy().decide(ctx) is policy_module.NO_COMM
+        assert asked == []
+        assert ctx.unanswered_inbound == ()
+        assert asked == ["unanswered_inbound"]
+
     def test_values_compare_by_field(self):
         assert view() == view()
         assert view(af=0.31) != view()
-        assert context(assigned=[view()]) == context(assigned=[view()])
 
     def test_policy_context_has_no_default(self):
+        # A context holds only what `build_context` gives it: no instance
+        # dict, and no field value on the class, which every context would
+        # share.
+        assert PolicyContext.__slots__ == ()
+        assert not any(isinstance(value, (dict, list, set, frozenset, tuple))
+                       for name, value in vars(PolicyContext).items()
+                       if not name.startswith("__"))
         # A named-tuple default is one object shared by every instance.
-        assert PolicyContext._field_defaults == {}
         for value_type in (TaskAssignmentView, TeammateView, LastAction, Intention):
             for default in value_type._field_defaults.values():
                 assert isinstance(default, (str, tuple, type(None)))

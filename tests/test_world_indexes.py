@@ -55,7 +55,7 @@ def oracle_assigned_tasks(world: World, agent_id: str) -> list[str]:
 
 
 def oracle_unanswered_inbound(world: World, agent_id: str,
-                              inbox: list[Message]) -> list[str]:
+                              inbox: list[Message]) -> tuple[str, ...]:
     found = []
     for msg in inbox:
         if msg.message_type not in REQUEST_TYPES:
@@ -69,7 +69,7 @@ def oracle_unanswered_inbound(world: World, agent_id: str,
             continue
         found.append((msg.sent_step + 1, msg.message_id, msg.thread_id))
     found.sort()
-    return [tid for _, _, tid in found]
+    return tuple(tid for _, _, tid in found)
 
 
 def oracle_open_outbound_tasks(world: World, agent_id: str) -> set[str]:
