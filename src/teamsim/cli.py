@@ -9,6 +9,16 @@ other outputs (`scenario.yaml`, `metrics.csv`, `report.txt`) are written once
 the run ends: a run that raises mid-way leaves a partial `trace.jsonl` and no
 `scenario.yaml`, so `report` refuses that directory.
 
+`main(argv)` parses `argv` and returns the exit code. It may be called any
+number of times in one process: one parser, built when this module is
+imported, parses every call into a fresh namespace.
+
+A usage error exits 2 through `SystemExit`, after argparse's usage line and a
+one-line error, before anything is read or written: an unknown, missing or
+malformed flag, a `--max-steps` below 0, a `--baseline-hours` that is not a
+finite number above 0, or a `--policies` list with fewer than two policies, an
+unknown policy or one given twice.
+
 Exit codes for `run`: 0 when every task completed, 2 otherwise. `run` and
 `compare` return 3 when an LLM-backed mode is requested without a reachable
 adapter configuration. Every command returns 4, after a one-line error, when
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -185,11 +196,34 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
     return EXIT_OK
 
 
+def _step_cap(text: str) -> int:
+    """A `--max-steps` value: an integer, 0 or more."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
+    return steps
+
+
+def _baseline_hours(text: str) -> float:
+    """A `--baseline-hours` value: a finite number above 0."""
+    try:
+        hours = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(hours) and hours > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text!r}")
+    return hours
+
+
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario YAML file")
     parser.add_argument("--evaluator", choices=("rule_based", "llm"))
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--max-steps", type=int, dest="max_steps")
+    parser.add_argument("--max-steps", type=_step_cap, dest="max_steps")
     parser.add_argument("--endpoint", help="chat-completion base URL")
     parser.add_argument("--model", help="model name for the adapter")
     parser.add_argument("--temperature", type=float, default=0.7)
@@ -198,7 +232,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_baseline_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--baseline-hours", type=float, dest="baseline_hours",
+    parser.add_argument("--baseline-hours", type=_baseline_hours,
+                        dest="baseline_hours",
                         help="baseline completion time that speedup is measured against")
 
 
@@ -242,22 +277,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+# Built once per process, at import: `parse_args` leaves a parser unchanged
+# and returns a fresh namespace, and usage and help text are formatted when
+# printed, so every `main` call can share it.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(_config_from_args(args))
         if args.command == "compare":
             policies = [p.strip() for p in args.policies.split(",") if p.strip()]
             if len(policies) < 2:
-                parser.error("compare needs at least two policies")
-            for policy in policies:
+                _PARSER.error("compare needs at least two policies")
+            for index, policy in enumerate(policies):
                 if policy not in POLICY_NAMES:
-                    parser.error(f"unknown policy: {policy}")
+                    _PARSER.error(f"unknown policy: {policy}")
+                if policy in policies[:index]:
+                    _PARSER.error(f"policy given twice: {policy}")
             return cmd_compare(_config_from_args(args), policies)
-        if args.command == "report":
-            return cmd_report(args.run, args.baseline_hours)
+        return cmd_report(args.run, args.baseline_hours)
     except _NoAdapter:
         print("llm-backed mode requires --endpoint and --model", file=sys.stderr)
         return EXIT_ADAPTER
@@ -269,8 +310,6 @@ def main(argv: list[str] | None = None) -> int:
         # YAML syntax errors span several lines; the report is one.
         print(f"{label} error: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    parser.error(f"unknown command: {args.command}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -141,6 +141,14 @@ class RandomDagPlanner:
         return DecompositionPlan(subtasks=tuple(subtasks))
 
 
+def random_dag_run(seed: int) -> tuple[Scenario, RandomDagPlanner]:
+    """A medium and a simple root on a 1M+5W team, planned as random DAGs
+    whose dependencies block collaborators."""
+    scenario = make_scenario(MEDIUM_TASK, "1M+5W", "c2c_heuristic")
+    scenario = dataclasses.replace(scenario, tasks=[MEDIUM_TASK, SIMPLE_TASK])
+    return scenario, RandomDagPlanner(seed)
+
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # The 12 shipped runs: every shipped scenario under every deterministic policy.
 SHIPPED_RUNS = [(name, policy) for name in ("simple", "medium", "complex", "multi_task")

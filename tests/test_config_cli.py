@@ -1,22 +1,29 @@
 """Scenario files, team shorthand, round-tripping, and the CLI surface."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from teamsim import config
+from teamsim import cli, config
 from teamsim.cli import main
-from teamsim.config import (emit_scenario, expand_team_shorthand,
+from teamsim.config import (RunConfig, emit_scenario, expand_team_shorthand,
                             parse_scenario, parse_scenario_text)
 from teamsim.engine import Simulation
 from teamsim.model import (EVALUATOR_NAMES, POLICY_NAMES, AgentProfile, Role,
                            Scenario, ScenarioError, TaskSpec)
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 APPENDIX_STYLE = """\
 name: simple
@@ -365,6 +372,30 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("run directory missing ") and err.count("\n") == 1
 
+    def test_negative_step_cap_is_a_usage_error(self, scenario_file, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                  "--max-steps", "-3"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --max-steps: must be 0 or more, got '-3'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hours", ["0", "-1", "nan", "inf"])
+    def test_baseline_hours_not_above_zero_is_a_usage_error(
+            self, scenario_file, tmp_path, capsys, hours):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                  "--baseline-hours", hours])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --baseline-hours: must be a finite number above 0, "
+            f"got '{hours}'\n")
+        assert not out.exists()
+
     def test_trace_is_valid_jsonl(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--out", str(out)])
@@ -422,6 +453,19 @@ class TestCliCompare:
             main(["compare", "--scenario", str(scenario_file),
                   "--policies", "no_comm", "--out", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("policies", ["no_comm,no_comm",
+                                          "no_comm,c2c_heuristic,no_comm"])
+    def test_repeated_policy_is_usage_error(self, scenario_file, tmp_path, capsys,
+                                            policies):
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--scenario", str(scenario_file),
+                  "--policies", policies, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: policy given twice: no_comm\n")
+        assert not out.exists()
 
     def test_zero_steps_is_a_one_line_error(self, scenario_file, tmp_path, capsys):
         code = main(["compare", "--scenario", str(scenario_file),
@@ -487,6 +531,18 @@ class TestCliReport:
         assert main(["report", "--run", str(out), "--baseline-hours", "20.25"]) == 0
         assert (out / "metrics.csv").read_text(encoding="utf-8") == run_csv
         assert "speedup: 1.50" in capsys.readouterr().out
+
+    def test_zero_baseline_hours_is_a_usage_error(self, scenario_file, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        report = (out / "report.txt").read_text(encoding="utf-8")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--run", str(out), "--baseline-hours", "0"])
+        assert excinfo.value.code == 2
+        assert "error: argument --baseline-hours: " in capsys.readouterr().err
+        assert (out / "report.txt").read_text(encoding="utf-8") == report
 
     def test_report_missing_dir(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path / "ghost")]) == 5
@@ -676,3 +732,87 @@ class TestCliReport:
         assert main(["report", "--run", str(out)]) == 4
         err = capsys.readouterr().err
         assert err == "metrics error: af_update at step 0 follows one at step 1\n"
+
+
+class TestSharedParser:
+    """One parser, built when `teamsim.cli` is imported, parses every call."""
+
+    def test_calls_build_no_parser(self, tmp_path):
+        script = textwrap.dedent("""
+            import argparse, contextlib, io, json, sys
+            from teamsim.cli import main
+
+            built = []
+            init = argparse.ArgumentParser.__init__
+
+            def counting(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                init(self, *args, **kwargs)
+
+            argparse.ArgumentParser.__init__ = counting
+            scenario, out = sys.argv[1:]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [
+                    main(["run", "--scenario", scenario, "--out", out]),
+                    main(["report", "--run", out]),
+                    main(["compare", "--scenario", scenario,
+                          "--policies", "no_comm,fixed_steps",
+                          "--out", out + "-cmp"]),
+                ]
+            print(json.dumps([codes, built]))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(SCENARIOS / "simple.yaml"),
+             str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+
+    def test_calls_are_independent(self, scenario_file, tmp_path, monkeypatch,
+                                   capsys):
+        configs = []
+        monkeypatch.setattr(cli, "cmd_run", lambda config: configs.append(config) or 0)
+        run = ["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]
+        assert main([*run, "--policy", "fixed_steps", "--parallel-decide",
+                     "--baseline-hours", "20", "--max-steps", "7"]) == 0
+        assert main(run) == 0
+        assert configs == [
+            RunConfig(str(scenario_file), policy="fixed_steps",
+                      out_dir=str(tmp_path / "o"), max_steps=7,
+                      baseline_hours=20.0, parallel_decide=True),
+            RunConfig(str(scenario_file), out_dir=str(tmp_path / "o")),
+        ]
+        monkeypatch.undo()
+        with pytest.raises(SystemExit) as excinfo:
+            main([*run, "--max-steps", "-1"])
+        assert excinfo.value.code == 2
+        assert main(run) == 0
+        assert (tmp_path / "o" / "trace.jsonl").exists()
+
+    def test_help_is_unchanged_by_calls(self, scenario_file, tmp_path):
+        def helps() -> list[str]:
+            texts = []
+            for command in ([], ["run"], ["compare"], ["report"]):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        pytest.raises(SystemExit) as excinfo:
+                    main([*command, "--help"])
+                assert excinfo.value.code == 0
+                texts.append(stdout.getvalue())
+            return texts
+
+        before = helps()
+        out = str(tmp_path / "o")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(["run", "--scenario", str(scenario_file), "--out", out,
+                  "--policy", "c2c_heuristic", "--baseline-hours", "5"])
+            main(["report", "--run", out, "--baseline-hours", "5"])
+            main(["compare", "--scenario", str(scenario_file),
+                  "--policies", "no_comm,c2c_heuristic", "--out", out + "-cmp"])
+            with pytest.raises(SystemExit):
+                main(["compare", "--scenario", str(scenario_file),
+                      "--policies", "no_comm,no_comm"])
+        assert helps() == before
+        assert all("usage: teamsim" in text for text in before)

@@ -30,8 +30,8 @@ from teamsim.model import Scenario
 from teamsim import trace
 from teamsim.trace import SCHEMAS
 
-from conftest import (MEDIUM_TASK, SIMPLE_TASK, ChainPlanner, RandomDagPlanner,
-                      chain_scenario, eight_roots_scenario, make_scenario)
+from conftest import (MEDIUM_TASK, ChainPlanner, chain_scenario,
+                      eight_roots_scenario, make_scenario, random_dag_run)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,12 +92,6 @@ def _digests(each_codec, scenario: Scenario, planner=None,
     _check_schema(trace.events)
     return {hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
             for _ in each_codec()}
-
-
-def _random_dag(seed: int) -> tuple[Scenario, RandomDagPlanner]:
-    scenario = make_scenario(MEDIUM_TASK, "1M+5W", "c2c_heuristic")
-    scenario = dataclasses.replace(scenario, tasks=[MEDIUM_TASK, SIMPLE_TASK])
-    return scenario, RandomDagPlanner(seed)
 
 
 @pytest.mark.parametrize("name,policy,parallel_decide", [
@@ -193,5 +187,5 @@ def test_chain_planner_meeting(each_codec):
 def test_random_dag_plans(each_codec, seed, digest, parallel_decide):
     """Plans whose dependencies block collaborators, the parallel decide's
     contexts reading the blocked-collaborator maps too."""
-    scenario, planner = _random_dag(seed)
+    scenario, planner = random_dag_run(seed)
     assert _digests(each_codec, scenario, planner, parallel_decide) == {digest}
