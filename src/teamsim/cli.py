@@ -16,8 +16,9 @@ imported, parses every call into a fresh namespace.
 A usage error exits 2 through `SystemExit`, after argparse's usage line and a
 one-line error, before anything is read or written: an unknown, missing or
 malformed flag, a `--max-steps` below 0, a `--baseline-hours` that is not a
-finite number above 0, or a `--policies` list with fewer than two policies, an
-unknown policy or one given twice.
+finite number above 0, a `--temperature` that is not a finite number of 0 or
+more, or a `--policies` list with fewer than two policies, an unknown policy
+or one given twice. The usage line and the error name the subcommand.
 
 Exit codes for `run`: 0 when every task completed, 2 otherwise. `run` and
 `compare` return 3 when an LLM-backed mode is requested without a reachable
@@ -196,27 +197,39 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
     return EXIT_OK
 
 
-def _step_cap(text: str) -> int:
-    """A `--max-steps` value: an integer, 0 or more."""
-    try:
-        steps = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if steps < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text!r}")
-    return steps
+def _checked(parse, rule: str, holds):
+    """A `type=` callable: `parse` the text, then require `holds(value)`,
+    which `rule` words for the error."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return check
 
 
-def _baseline_hours(text: str) -> float:
-    """A `--baseline-hours` value: a finite number above 0."""
-    try:
-        hours = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(hours) and hours > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number above 0, got {text!r}")
-    return hours
+_step_cap = _checked(int, "0 or more", lambda steps: steps >= 0)
+_baseline_hours = _checked(float, "a finite number above 0",
+                           lambda hours: math.isfinite(hours) and hours > 0)
+_temperature = _checked(float, "a finite number, 0 or more",
+                        lambda value: math.isfinite(value) and value >= 0)
+
+
+def _policy_list(text: str) -> list[str]:
+    """A `--policies` value: at least two known policies, each given once."""
+    policies = [p.strip() for p in text.split(",") if p.strip()]
+    if len(policies) < 2:
+        raise argparse.ArgumentTypeError("compare needs at least two policies")
+    for index, policy in enumerate(policies):
+        if policy not in POLICY_NAMES:
+            raise argparse.ArgumentTypeError(f"unknown policy: {policy}")
+        if policy in policies[:index]:
+            raise argparse.ArgumentTypeError(f"policy given twice: {policy}")
+    return policies
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -226,7 +239,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-steps", type=_step_cap, dest="max_steps")
     parser.add_argument("--endpoint", help="chat-completion base URL")
     parser.add_argument("--model", help="model name for the adapter")
-    parser.add_argument("--temperature", type=float, default=0.7)
+    parser.add_argument("--temperature", type=_temperature, default=0.7)
     parser.add_argument("--parallel-decide", action="store_true",
                         dest="parallel_decide")
 
@@ -252,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare_parser = sub.add_parser("compare", help="run several policies")
     _add_shared_flags(compare_parser)
     compare_parser.add_argument(
-        "--policies", required=True,
+        "--policies", type=_policy_list, required=True,
         help="comma-separated policy list, at least two",
     )
 
@@ -289,15 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(_config_from_args(args))
         if args.command == "compare":
-            policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-            if len(policies) < 2:
-                _PARSER.error("compare needs at least two policies")
-            for index, policy in enumerate(policies):
-                if policy not in POLICY_NAMES:
-                    _PARSER.error(f"unknown policy: {policy}")
-                if policy in policies[:index]:
-                    _PARSER.error(f"policy given twice: {policy}")
-            return cmd_compare(_config_from_args(args), policies)
+            return cmd_compare(_config_from_args(args), args.policies)
         return cmd_report(args.run, args.baseline_hours)
     except _NoAdapter:
         print("llm-backed mode requires --endpoint and --model", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 Each step runs a fixed phase order: deliver due messages, convene due
 meetings, collect one intention per idle agent, resolve intentions into
-actions, execute one step of every active action, apply queued alignment
-deltas, then flush newly sent messages for next-step delivery. Reordering any
-phase breaks the reproducibility guarantees, so all mutation happens here.
+actions, execute one step of every active action, then apply queued alignment
+deltas. A message sent while actions execute goes straight into the buffer,
+which delivers it next step. Reordering any phase breaks the reproducibility
+guarantees, so all mutation happens here.
 
 Every agent contributes exactly one action-step per step: work, communication
 progress, meeting attendance, or an explicit idle transition.
@@ -103,27 +104,6 @@ class AgentTaskStats:
     reported_milestones: set[float] = field(default_factory=set)
 
 
-@dataclass(slots=True)
-class HeldTasks:
-    """One agent's task views in assignment order, and the two it acts on.
-
-    `active` is the view of the task `World.active_task_id` names, the one
-    CONTINUE_TASK works on; `report_due` is the first view with a milestone to
-    report. Both are set whenever the views are rebuilt.
-    """
-
-    views: tuple[TaskAssignmentView, ...] = ()
-    active: TaskAssignmentView | None = None
-    report_due: TaskAssignmentView | None = None
-    # Every task before this position is done; done is permanent, so the
-    # search for the active task starts here and the position only grows.
-    done_prefix: int = 0
-    # Positions of the views with a pending milestone, ascending.
-    due: list[int] = field(default_factory=list)
-    # Tasks whose view is out of date, rebuilt on the next read.
-    stale: set[str] = field(default_factory=set)
-
-
 @dataclass
 class PendingAfEvaluation:
     agent_id: str
@@ -191,7 +171,13 @@ def build_evaluator(name: str, adapter: ChatCompletionAdapter | None = None):
 
 
 class World:
-    """All mutable run state; mutated only by the step driver."""
+    """All mutable run state; mutated only by the step driver.
+
+    It keeps indexes, updated by the methods that change the state, so that
+    no query rescans history. It keeps no task view: `task_view` builds one
+    from the task's node, alignment and work stats at each call, and a read
+    in the parallel decide writes only the reader's own index entries.
+    """
 
     def __init__(self, scenario: Scenario, trace: TraceSink | None = None) -> None:
         self.scenario = scenario
@@ -227,7 +213,6 @@ class World:
         self.active: dict[str, ActiveAction] = {}
         self.stats: dict[tuple[str, str], AgentTaskStats] = {}
         self.last_actions: dict[str, LastAction] = {}
-        self.staged: list[Message] = []
         self.pending_af: list[PendingAfEvaluation] = []
         self.trace: TraceSink = TraceLog() if trace is None else trace
         self._seq = 0
@@ -257,13 +242,9 @@ class World:
         # when the plan lands, a held task finishes or a dependent of a
         # finished task becomes ready.
         self.active_task_id: dict[str, str | None] = dict.fromkeys(self.agent_order)
-        # Each agent's task views in assignment order. A state change marks
-        # the holder's view of that task stale, and the next read rebuilds it;
-        # every view is stale when the plan lands, so a view is built only
-        # when something reads it. `_view_pos` is a task's place in its
-        # holder's tuple.
-        self._held: dict[str, HeldTasks] = {a: HeldTasks() for a in self.agent_order}
-        self._view_pos: dict[str, int] = {}
+        # Each agent's tasks with a milestone to report: those whose stats
+        # hold a `pending_milestone`.
+        self._due: dict[str, set[str]] = {a: set() for a in self.agent_order}
         # Each agent's blocked-collaborator map; None until the next read
         # recomputes it. One entry per agent, so that a read inside the
         # parallel decide touches only the deciding agent's entry.
@@ -342,35 +323,22 @@ class World:
             thread.close()
 
     def finish_plan(self) -> None:
-        """Sort each agent's assignments once, pick its active task, and leave
-        every task view to be built when first read."""
+        """Sort each agent's assignments once and pick its active task."""
         for agent_id, task_ids in self.assignments.items():
             task_ids.sort(key=order_key)
-            self._view_pos.update((task_id, i) for i, task_id in enumerate(task_ids))
             # Made here, not on first read: a read may run in the parallel
             # decide, which must not add to the shared table.
             for task_id in task_ids:
                 self.task_stats(agent_id, task_id)
-            # One placeholder per task, each stale until its first read.
-            held = self._held[agent_id]
-            held.views = (None,) * len(task_ids)
-            held.stale.update(task_ids)
             self._pick_active(agent_id)
         self._blocked = dict.fromkeys(self.agent_order)
         self.planned = True
 
     def _pick_active(self, agent_id: str) -> None:
-        """Re-pick the agent's active task, searching past its done prefix."""
-        held = self._held[agent_id]
-        task_ids = self.assignments[agent_id]
         node = self.graph.node
-        start = held.done_prefix
-        while start < len(task_ids) and node(task_ids[start]).done:
-            start += 1
-        held.done_prefix = start
         self.active_task_id[agent_id] = next(
-            (task_id for task_id in task_ids[start:] if node(task_id).status in WORKABLE),
-            None)
+            (task_id for task_id in self.assignments[agent_id]
+             if node(task_id).status in WORKABLE), None)
 
     def record_work(self, agent_id: str, task_id: str,
                     hours: float) -> tuple[float, float, bool]:
@@ -389,19 +357,14 @@ class World:
         stats.hours_worked += hours
         stats.stuck_worked_steps += 1
         after = node.progress
-        held = self._held[node.assignee]
         for milestone in REPORT_MILESTONES:
             if before < milestone <= after and milestone not in stats.reported_milestones:
                 stats.pending_milestone = milestone
-                position = self._view_pos[task_id]
-                if position not in held.due:
-                    insort(held.due, position)
-        held.stale.add(task_id)
+                self._due[agent_id].add(task_id)
         if became_done:
             self._pick_active(node.assignee)
             for dependent in self.graph.dependents(task_id):
                 if dependent.status is TaskStatus.READY:
-                    self._drop_view(dependent.task_id)
                     self._pick_active(dependent.assignee)
                 for d in dependent.dependencies:
                     self._blocked[self.graph.node(d).assignee] = None
@@ -415,11 +378,7 @@ class World:
             if milestone <= node.progress:
                 stats.reported_milestones.add(milestone)
         stats.pending_milestone = None
-        held = self._held[node.assignee]
-        position = self._view_pos[task_id]
-        if position in held.due:
-            held.due.remove(position)
-        held.stale.add(task_id)
+        self._due[agent_id].discard(task_id)
 
     def apply_af(self, agent_id: str, task_id: str,
                  delta: float) -> tuple[float, float]:
@@ -431,36 +390,16 @@ class World:
         new = self.alignment.apply_delta(agent_id, task_id, delta)
         if delta > 0:
             self.task_stats(agent_id, task_id).stuck_worked_steps = 0
-        self._drop_view(task_id)
         return old, new
-
-    def _drop_view(self, task_id: str) -> None:
-        """Mark the task's view stale for the agent who holds it."""
-        self._held[self.graph.node(task_id).assignee].stale.add(task_id)
 
     # -- views used by policy context ---------------------------------------
 
     def assigned_tasks(self, agent_id: str) -> list[str]:
         return self.assignments[agent_id]
 
-    def held_tasks(self, agent_id: str) -> HeldTasks:
-        """The agent's current task views, done ones included, with its active
-        and report-due view; stale views are rebuilt first."""
-        held = self._held[agent_id]
-        stale = held.stale
-        if stale:
-            position = self._view_pos
-            views = list(held.views)
-            for task_id in stale:
-                views[position[task_id]] = self._task_view(agent_id, task_id)
-            stale.clear()
-            held.views = views = tuple(views)
-            active_id = self.active_task_id[agent_id]
-            held.active = None if active_id is None else views[position[active_id]]
-            held.report_due = views[held.due[0]] if held.due else None
-        return held
-
-    def _task_view(self, agent_id: str, task_id: str) -> TaskAssignmentView:
+    def task_view(self, agent_id: str, task_id: str) -> TaskAssignmentView:
+        """The agent's view of a task it holds, built from the task's node,
+        the agent's alignment on it and its work on it."""
         node = self.graph.node(task_id)
         stats = self.stats[agent_id, task_id]
         # Fields by position, in TaskAssignmentView order.
@@ -477,6 +416,22 @@ class World:
             node.status in WORKABLE,
             node.done,
         ))
+
+    def task_views(self, agent_id: str) -> tuple[TaskAssignmentView, ...]:
+        """The agent's view of every task it holds, in id order."""
+        return tuple([self.task_view(agent_id, task_id)
+                      for task_id in self.assignments[agent_id]])
+
+    def active_view(self, agent_id: str) -> TaskAssignmentView | None:
+        """The view of the agent's active task."""
+        task_id = self.active_task_id[agent_id]
+        return None if task_id is None else self.task_view(agent_id, task_id)
+
+    def report_due_view(self, agent_id: str) -> TaskAssignmentView | None:
+        """The view of the agent's first task, in id order, with a milestone
+        to report."""
+        due = self._due[agent_id]
+        return self.task_view(agent_id, min(due, key=order_key)) if due else None
 
     def task_stats(self, agent_id: str, task_id: str) -> AgentTaskStats:
         stats = self.stats.get((agent_id, task_id))
@@ -656,7 +611,6 @@ class Simulation:
 
         self._execute_actions(t)
         self._apply_pending_af(t)
-        self._flush_staged(t)
         world.clock.advance()
 
     # -- phases ---------------------------------------------------------------
@@ -832,23 +786,22 @@ class Simulation:
             root.about_task, cost))
         return True
 
-    @staticmethod
-    def _hinted_view(context: PolicyContext,
+    def _hinted_view(self, agent_id: str,
                      intention: Intention) -> TaskAssignmentView | None:
         """The agent's view of the task the intention names, if it holds it."""
-        for view in context.assigned:
-            if view.task_id == intention.task_hint:
-                return view
-        return None
+        node = self.world.graph.nodes.get(intention.task_hint)
+        if node is None or node.assignee != agent_id:
+            return None
+        return self.world.task_view(agent_id, node.task_id)
 
     def _start_communication(self, agent_id: str, context: PolicyContext,
                              intention: Intention, kind: IntentionKind) -> bool:
         world = self.world
-        view = self._hinted_view(context, intention) or context.active_task
+        view = self._hinted_view(agent_id, intention) or context.active_task
         if view is None:
             return False
         content = compose_message(context, kind, view)
-        recipients = select_recipients(context, kind, view.task_id)
+        recipients = select_recipients(context, kind, view)
         if not recipients:
             return False
         words = word_count(content)
@@ -864,11 +817,10 @@ class Simulation:
     def _start_meeting_scheduling(self, agent_id: str, context: PolicyContext,
                                   intention: Intention) -> bool:
         world = self.world
-        view = self._hinted_view(context, intention)
+        view = self._hinted_view(agent_id, intention)
         if view is None:
             return False
-        recipients = select_recipients(context, IntentionKind.SCHEDULE_MEETING,
-                                       view.task_id)
+        recipients = select_recipients(context, IntentionKind.SCHEDULE_MEETING, view)
         if not recipients:
             return False
         content = compose_message(context, IntentionKind.SCHEDULE_MEETING, view)
@@ -986,7 +938,7 @@ class Simulation:
 
     def _post(self, agent_id: str, outgoing: Outgoing, thread_id: str,
               meeting_id: str | None, t: int) -> Message:
-        """Stage a composed message for next-step delivery and trace it."""
+        """Queue a composed message for next-step delivery and trace it."""
         world = self.world
         message = Message(
             message_id=world.next_message_id(),
@@ -1003,7 +955,7 @@ class Simulation:
         )
         world.comm_cost_total += outgoing.cost
         self._trace_sent(message, outgoing.words, t)
-        world.staged.append(message)
+        world.buffer.enqueue(message, t)
         world.last_actions[agent_id] = _new_tuple(LastAction, (
             "message_sent", TYPE_NAMES[outgoing.message_type], t))
         return message
@@ -1102,12 +1054,6 @@ class Simulation:
                 "new": new,
                 "cause": item.cause_id,
             })
-
-    def _flush_staged(self, t: int) -> None:
-        world = self.world
-        for message in world.staged:
-            world.buffer.enqueue(message, t)
-        world.staged = []
 
     def _trace_sent(self, message: Message, words: int, t: int) -> None:
         """`words` is the word count of the message's content."""

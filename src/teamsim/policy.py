@@ -80,9 +80,10 @@ class PolicyContext(tuple):
     """What one agent may know at the current step, read when a policy reads it.
 
     The tuple holds the O(1) fields. Every other field asks the `World` the
-    context was built on, each time it is read; `World.held_tasks` rebuilds
-    stale task views on the first read only. Nothing a field reads changes
-    while the step's contexts are read. No field can be set.
+    context was built on, each time it is read: a task view is built from
+    the task's node, alignment and work stats at every read, and only for
+    the tasks the field names. Nothing a field reads changes while the
+    step's contexts are read. No field can be set.
     """
 
     __slots__ = ()
@@ -98,17 +99,17 @@ class PolicyContext(tuple):
     @property
     def assigned(self) -> tuple[TaskAssignmentView, ...]:
         """Held task views in id order, done ones included."""
-        return self[4].held_tasks(self[5]).views
+        return self[4].task_views(self[5])
 
     @property
     def active_task(self) -> TaskAssignmentView | None:
         """The first ready view: what CONTINUE_TASK works on."""
-        return self[4].held_tasks(self[5]).active
+        return self[4].active_view(self[5])
 
     @property
     def report_due(self) -> TaskAssignmentView | None:
         """The first view with a pending milestone."""
-        return self[4].held_tasks(self[5]).report_due
+        return self[4].report_due_view(self[5])
 
     @property
     def delivered_by_type(self) -> dict[str, int]:
@@ -355,16 +356,13 @@ def build_policy(name: str, adapter: ChatCompletionAdapter | None = None) -> Pol
 
 
 def select_recipients(context: PolicyContext, kind: IntentionKind,
-                      about_task: str | None) -> list[str]:
-    """Who a communicating intention addresses, with deterministic tie-breaks."""
+                      view: TaskAssignmentView) -> list[str]:
+    """Who a communicating intention about the task `view` shows addresses,
+    with deterministic tie-breaks."""
     if kind in (IntentionKind.NEED_CLARIFICATION, IntentionKind.REPORT_PROGRESS):
         return [context.manager_id]
     if kind is IntentionKind.REQUEST_HELP:
-        required: frozenset[str] = frozenset()
-        for view in context.assigned:
-            if view.task_id == about_task:
-                required = view.required_skills
-                break
+        required = view.required_skills
         # One pass over the others, scored as `skill_match_score` scores; the
         # best positive score wins and a tie goes to the lower id.
         me = context.agent.agent_id
@@ -379,7 +377,7 @@ def select_recipients(context: PolicyContext, kind: IntentionKind,
                 tied.append(mate.agent_id)
         return [min(tied, key=order_key)] if tied else [context.manager_id]
     if kind is IntentionKind.SCHEDULE_MEETING:
-        blocked = context.blocked_collaborators.get(about_task or "", ())
+        blocked = context.blocked_collaborators.get(view.task_id, ())
         recipients = [context.manager_id] + [a for a in blocked]
         seen: set[str] = set()
         ordered = []

@@ -396,6 +396,23 @@ class TestCliRun:
             f"got '{hours}'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-5"])
+    def test_temperature_not_finite_and_nonnegative_is_a_usage_error(
+            self, scenario_file, tmp_path, capsys, temperature):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--scenario", str(scenario_file), "--out", str(out),
+                  "--temperature", temperature])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --temperature: must be a finite number, 0 or more, "
+            f"got '{temperature}'\n")
+        assert not out.exists()
+
+    def test_zero_temperature_is_accepted(self, scenario_file, tmp_path):
+        assert main(["run", "--scenario", str(scenario_file),
+                     "--out", str(tmp_path / "out"), "--temperature", "0"]) == 0
+
     def test_trace_is_valid_jsonl(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(scenario_file), "--out", str(out)])
@@ -464,8 +481,22 @@ class TestCliCompare:
                   "--policies", policies, "--out", str(out)])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.endswith(
-            "error: policy given twice: no_comm\n")
+            "\nteamsim compare: error: argument --policies: policy given twice: "
+            "no_comm\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("policies", ["no_comm", "no_comm,bogus",
+                                          "no_comm,no_comm"])
+    def test_policy_list_error_prints_the_compare_usage(
+            self, scenario_file, tmp_path, capsys, policies):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--scenario", str(scenario_file),
+                  "--policies", policies, "--out", str(tmp_path / "cmp")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: teamsim compare [-h] ")
+        assert err.splitlines()[-1].startswith(
+            "teamsim compare: error: argument --policies: ")
 
     def test_zero_steps_is_a_one_line_error(self, scenario_file, tmp_path, capsys):
         code = main(["compare", "--scenario", str(scenario_file),

@@ -59,14 +59,15 @@ class StandInWorld:
     def last_actions(self):
         return {} if self.last_action is None else {self.agent.agent_id: self.last_action}
 
-    def held_tasks(self, agent_id):
-        # What `World` keeps for the active and report-due views, derived by
-        # their rules.
-        return types.SimpleNamespace(
-            views=self.assigned,
-            active=next((v for v in self.assigned if v.ready and not v.done), None),
-            report_due=next((v for v in self.assigned
-                             if v.pending_milestone is not None), None))
+    def task_views(self, agent_id):
+        return self.assigned
+
+    # The active and report-due views, derived by their rules.
+    def active_view(self, agent_id):
+        return next((v for v in self.assigned if v.ready and not v.done), None)
+
+    def report_due_view(self, agent_id):
+        return next((v for v in self.assigned if v.pending_milestone is not None), None)
 
     def unanswered_inbound(self, agent_id):
         return self.unanswered
@@ -198,6 +199,11 @@ class TestHeuristic:
         assert first == second
 
 
+def recipients(ctx, kind):
+    """Whom `kind` addresses about the context's one held task."""
+    return select_recipients(ctx, kind, ctx.assigned[0])
+
+
 class TestSelectRecipients:
     def test_help_goes_to_best_skilled_free_worker(self):
         ctx = context(
@@ -205,28 +211,28 @@ class TestSelectRecipients:
             teammates=[mate("W2", {"backend"}), mate("W3", {"oauth"}),
                        mate("M1", {"planning"}, role=Role.MANAGER)],
         )
-        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["W3"]
+        assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W3"]
 
     def test_skill_tie_breaks_to_lower_id(self):
         ctx = context(
             assigned=[view(skills=frozenset({"oauth"}))],
             teammates=[mate("W5", {"oauth"}), mate("W2", {"oauth"})],
         )
-        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["W2"]
+        assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W2"]
 
     def test_busy_candidates_skipped(self):
         ctx = context(
             assigned=[view(skills=frozenset({"oauth"}))],
             teammates=[mate("W2", {"oauth"}, busy=True), mate("W3", {"oauth"})],
         )
-        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["W3"]
+        assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W3"]
 
     def test_no_match_degrades_to_manager(self):
         ctx = context(
             assigned=[view(skills=frozenset({"oauth"}))],
             teammates=[mate("W2", {"frontend"}, busy=True)],
         )
-        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["M1"]
+        assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["M1"]
 
     def test_help_never_goes_to_the_asker(self):
         """The team view holds the deciding worker too, idle and the best
@@ -238,23 +244,22 @@ class TestSelectRecipients:
             teammates=[mate("M1", {"planning"}, role=Role.MANAGER), me,
                        mate("W2", {"frontend"}), mate("W3", {"api"})],
         )
-        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["W3"]
+        assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W3"]
         ctx = context(
             assigned=[view(skills=required)],
             teammates=[mate("M1", {"planning"}, role=Role.MANAGER), me,
                        mate("W2", {"frontend"}), mate("W3", {"api"}, busy=True)],
         )
-        assert select_recipients(ctx, IntentionKind.REQUEST_HELP, "T1.1") == ["M1"]
+        assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["M1"]
 
     def test_clarification_and_report_go_to_manager(self):
         ctx = context(assigned=[view()])
-        assert select_recipients(ctx, IntentionKind.NEED_CLARIFICATION, "T1.1") == ["M1"]
-        assert select_recipients(ctx, IntentionKind.REPORT_PROGRESS, "T1.1") == ["M1"]
+        assert recipients(ctx, IntentionKind.NEED_CLARIFICATION) == ["M1"]
+        assert recipients(ctx, IntentionKind.REPORT_PROGRESS) == ["M1"]
 
     def test_meeting_invites_manager_plus_blocked(self):
         ctx = context(assigned=[view()], blocked={"T1.1": ("W3", "W2")})
-        assert select_recipients(ctx, IntentionKind.SCHEDULE_MEETING, "T1.1") == \
-            ["M1", "W3", "W2"]
+        assert recipients(ctx, IntentionKind.SCHEDULE_MEETING) == ["M1", "W3", "W2"]
 
     def test_non_communicating_intention_rejected(self):
         with pytest.raises(ValueError):
@@ -391,7 +396,8 @@ class TestValueTypes:
 
         class CountingWorld(StandInWorld):
             def __getattribute__(self, name):
-                if name in {"held_tasks", "unanswered_inbound", "open_outbound_tasks",
+                if name in {"task_views", "active_view", "report_due_view",
+                            "unanswered_inbound", "open_outbound_tasks",
                             "has_unprocessed_invite", "has_meeting_start",
                             "blocked_collaborators", "organized_meeting_tasks",
                             "delivered_by_type", "last_actions"}:

@@ -23,15 +23,20 @@ fields, and no message stored its delivery step; 910.9 (245,950) once a
 context read each field from `World` only when a policy read it, `World` kept
 each agent's active task as an id re-picked only when readiness changes, and
 task views and last actions were built as tuples without their Python-level
-`__new__`. The bound is that last figure, rounded up past 911.1: the count
-reads 38 instructions (0.14 per agent-step) higher after the hypothesis tests
-of `tests/test_world_indexes.py` have run in the same process, at the parent
-commit too.
+`__new__`; 851.2 (229,826) once `World` stopped caching task views and each
+context field built only the views it returns. The bound is that last
+figure, rounded up past 851.35: the count reads 38 instructions (0.14 per
+agent-step) higher once other tests have run in the same process, as the
+files before this one in the suite or the hypothesis tests of
+`tests/test_world_indexes.py` do.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
 991.6 (307,381 over 310) with every field read up front; 578.2 (234,160) and
-766.2 (237,527) with fields read on demand. Their bounds are 600 and 850.
+766.2 (237,527) with fields read on demand; 562.9 (227,959) and 748.3
+(231,960) without the view cache. Their bounds are those figures rounded up
+past the in-process readings, 562.96 and 748.50 (38 and 76 instructions
+higher).
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -43,7 +48,8 @@ and 1,169.2 (7,473,524), a ratio of 1.00; without inbox copies and with
 typed actions, 1,141.9 (1,785,896) and 1,139.1 (7,281,403), a ratio of 1.00;
 with threads and meetings reading their root message, 1,135.8 (1,776,331) and
 1,133.2 (7,243,456), a ratio of 1.00; with fields read on demand, 1,071.7 and
-1,069.2, a ratio of 1.00.
+1,069.2, a ratio of 1.00; without the view cache, 1,011.2 (1,581,533) and
+1,006.7 (6,434,842), a ratio of 1.00.
 The ratio bound, 1.10, lets an agent-step grow a little with the tasks an
 agent holds, not in proportion to them.
 
@@ -67,9 +73,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 600),
-    "fixed_steps": (310, 850),
-    "c2c_heuristic": (270, 912),
+    "no_comm": (405, 563),
+    "fixed_steps": (310, 749),
+    "c2c_heuristic": (270, 852),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10

@@ -10,6 +10,7 @@ inbox scans read a delivery log that the harness records by wrapping
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from teamsim.comms import Message, MessageType, MeetingStatus, REQUEST_TYPES
@@ -286,26 +287,33 @@ def test_indexes_hold_through_the_meeting_run():
                for stats in sim.world.stats.values())
 
 
-def test_task_views_are_built_only_when_their_inputs_change(monkeypatch):
-    """Each view is built once when the plan lands, and again only after a
-    state change to its task: work on it, an alignment update, a progress
-    report, or its dependencies finishing."""
+@pytest.mark.parametrize("policy", ["no_comm", "c2c_heuristic"])
+def test_task_views_are_built_only_when_read(monkeypatch, policy):
+    """A view is built when a context field or the engine reads it, never on
+    a state change. `no_comm` reads none; the heuristic reads at most the
+    active and the report-due view per decision, and the engine the hinted
+    view per message it composes."""
     built = []
-    task_view = World._task_view
+    task_view = World.task_view
 
     def counting(self, agent_id, task_id):
         built.append((agent_id, task_id))
         return task_view(self, agent_id, task_id)
 
-    monkeypatch.setattr(World, "_task_view", counting)
-    trace = Simulation(eight_roots_scenario()).run().trace
-    af_updates = of_kind(trace, "af_update")
-    assignments = sum(1 for e in af_updates if e["cause"] == "init")
-    changes = (
-        len(of_kind(trace, "progress"))
-        + len(af_updates) - assignments
-        + sum(1 for e in of_kind(trace, "message_sent")
-              if e["type"] == MessageType.PROGRESS_UPDATE.value)
-    )
-    assert assignments > 0
-    assert len(built) <= changes + 2 * assignments
+    monkeypatch.setattr(World, "task_view", counting)
+    sim = Simulation(dataclasses.replace(eight_roots_scenario(), policy_name=policy))
+    decides = []
+    decide = sim.policy.decide
+
+    def counting_decide(context):
+        decides.append(context.agent.agent_id)
+        return decide(context)
+
+    sim.policy.decide = counting_decide
+    trace = sim.run().trace
+    assert decides
+    if policy == "no_comm":
+        assert built == []
+    else:
+        assert built
+        assert len(built) <= 2 * len(decides) + len(of_kind(trace, "message_sent"))
