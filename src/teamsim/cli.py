@@ -3,11 +3,13 @@
 `run` writes `trace.jsonl` and folds the metrics as it simulates, one event
 at a time, and holds no list of events; `compare` only folds. `run` makes the
 output directory and the trace file at the first event, so a run without
-events (`--max-steps 0`) creates nothing, and an output directory or trace
-file that cannot be made or written into fails there, not after the run. The
-other outputs (`scenario.yaml`, `metrics.csv`, `report.txt`) are written once
-the run ends: a run that raises mid-way leaves a partial `trace.jsonl` and no
-`scenario.yaml`, so `report` refuses that directory.
+events (`--max-steps 0`) creates or changes nothing, and an output directory
+or trace file that cannot be made or written into fails there, not after the
+run. At that first event `run` also removes an earlier run's `scenario.yaml`,
+`report.txt` and `metrics.csv` from the directory; it writes its own once the
+run ends. A run that raises mid-way thus leaves a partial `trace.jsonl` and
+no `scenario.yaml`, also in a directory an earlier run wrote, so `report`
+refuses that directory.
 
 `main(argv)` parses `argv` and returns the exit code. It may be called any
 number of times in one process: one parser, built when this module is
@@ -27,11 +29,12 @@ a trace has no step to measure: a run with `--max-steps 0`, or a `report` on
 a trace without action events or with an `af_update` step lower than an
 earlier one. Every command returns 5, after a one-line error, on bad input: a
 scenario file that is missing, unreadable or malformed, a `report` run
-directory without `trace.jsonl` or `scenario.yaml`, a trace line that is not
-one event, an event that lacks a field of its kind or holds one of the wrong
-type, a root task completion that names a task the scenario does not have, or
-an output directory (`--out`, or the `report` run directory) or trace file
-that cannot be made or written into.
+directory without `trace.jsonl` or `scenario.yaml` (as a run that raised
+mid-way leaves it), a trace line that is not one event, an event that lacks
+a field of its kind or holds one of the wrong type, a root task completion
+that names a task the scenario does not have, or an output directory
+(`--out`, or the `report` run directory) or output file that cannot be made,
+written into or, left by an earlier run, removed.
 """
 
 from __future__ import annotations
@@ -85,6 +88,10 @@ def _adapter(config: RunConfig, scenarios: list[Scenario]) -> ChatCompletionAdap
                                  temperature=config.temperature)
 
 
+# What `run` writes once the run ends; the next run's first event removes them.
+_RUN_OUTPUTS = ("scenario.yaml", "report.txt", "metrics.csv")
+
+
 def _write_report(directory: Path, scenario: Scenario, report: MetricsReport) -> None:
     """Write `report.txt` and `metrics.csv` into `directory`, then print the report."""
     label = scenario.team_label or "custom"
@@ -99,12 +106,14 @@ def cmd_run(config: RunConfig) -> int:
     adapter = _adapter(config, [scenario])
 
     # Each event is written and folded as the engine emits it. The trace file
-    # and the output directory are made at the first event, so a run without
-    # events creates nothing; its empty fold then raises MetricsError.
+    # and the output directory are made, and an earlier run's other outputs
+    # removed, at the first event, so a run without events changes nothing;
+    # its empty fold then raises MetricsError.
     out_dir = Path(config.out_dir)
     fold = MetricsFold(scenario, baseline_hours=config.baseline_hours)
+    stale = [out_dir / name for name in _RUN_OUTPUTS]
     try:
-        with TraceWriter(out_dir / "trace.jsonl", fold) as trace:
+        with TraceWriter(out_dir / "trace.jsonl", fold, stale) as trace:
             Simulation(scenario, adapter=adapter, max_steps=config.max_steps,
                        parallel_decide=config.parallel_decide, trace=trace).run()
     except OSError as exc:

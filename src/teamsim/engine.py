@@ -722,29 +722,24 @@ class Simulation:
     def _resolve_intention(self, agent_id: str, context: PolicyContext,
                            intention: Intention) -> None:
         """Start the agent's action. A context field is read only where the
-        intention needs it, so a plain CONTINUE_TASK reads none."""
+        intention needs it, so a plain CONTINUE_TASK reads none and goes
+        straight to work."""
         world = self.world
         kind = intention.kind
 
-        if agent_id == world.manager_id and not world.planned:
+        if not world.planned and agent_id == world.manager_id:
             world.active[agent_id] = ActiveAction(ActionKind.PLAN, "plan", 1)
             return
 
-        if kind is IntentionKind.CHECK_MESSAGES:
-            if self._start_check_messages(agent_id):
+        if kind is not IntentionKind.CONTINUE_TASK:
+            if kind is IntentionKind.CHECK_MESSAGES:
+                started = self._start_check_messages(agent_id)
+            elif kind is IntentionKind.SCHEDULE_MEETING:
+                started = self._start_meeting_scheduling(agent_id, context, intention)
+            else:  # REQUEST_HELP, NEED_CLARIFICATION or REPORT_PROGRESS
+                started = self._start_communication(agent_id, context, intention, kind)
+            if started:
                 return
-            kind = IntentionKind.CONTINUE_TASK
-
-        if kind in (IntentionKind.REQUEST_HELP, IntentionKind.NEED_CLARIFICATION,
-                    IntentionKind.REPORT_PROGRESS):
-            if self._start_communication(agent_id, context, intention, kind):
-                return
-            kind = IntentionKind.CONTINUE_TASK
-
-        if kind is IntentionKind.SCHEDULE_MEETING:
-            if self._start_meeting_scheduling(agent_id, context, intention):
-                return
-            kind = IntentionKind.CONTINUE_TASK
 
         # CONTINUE_TASK and every degraded intention end up here.
         task_id = world.active_task_id[agent_id]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Protocol
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol
 
 
 class Schema(NamedTuple):
@@ -285,14 +285,17 @@ class TraceWriter:
 
     The file, and any missing directory above it, is made at the first event,
     so a run without events creates nothing, and a path that cannot be written
-    raises `OSError` there. Use it as a context manager: leaving the block
-    closes the file, also when the run raises, which leaves the lines written
-    so far.
+    raises `OSError` there. The `stale` files are removed before it is opened:
+    an earlier run's outputs, which must not sit beside the new trace. Use it
+    as a context manager: leaving the block closes the file, also when the run
+    raises, which leaves the lines written so far.
     """
 
-    def __init__(self, path: str | Path, then: TraceSink) -> None:
+    def __init__(self, path: str | Path, then: TraceSink,
+                 stale: Iterable[Path] = ()) -> None:
         self.path = Path(path)
         self.then = then
+        self.stale = tuple(stale)
         self._out: BinaryIO | None = None
         self._encode: Callable[[dict, tuple[str, ...]], bytes] | None = None
 
@@ -305,6 +308,8 @@ class TraceWriter:
 
     def _open(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        for path in self.stale:
+            path.unlink(missing_ok=True)
         self._out = self.path.open("wb")
         self._encode = _active_codec().encode
 

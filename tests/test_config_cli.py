@@ -372,6 +372,57 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("run directory missing ") and err.count("\n") == 1
 
+    def test_run_that_raises_midway_removes_an_earlier_runs_outputs(
+            self, tmp_path, capsys, monkeypatch):
+        # `report` must not fold the partial trace under the earlier run's
+        # scenario, nor find the earlier run's report beside it.
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(SCENARIOS / "medium.yaml"),
+                     "--out", str(out)]) == 0
+        step = Simulation.step
+
+        def failing(sim):
+            if sim.world.clock.step == 5:
+                raise RuntimeError("step 5 failed")
+            step(sim)
+
+        monkeypatch.setattr(Simulation, "step", failing)
+        with pytest.raises(RuntimeError, match="step 5 failed"):
+            main(["run", "--scenario", str(SCENARIOS / "simple.yaml"),
+                  "--out", str(out)])
+        monkeypatch.undo()
+        lines = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines and json.loads(lines[-1])["step"] == 4
+        assert sorted(p.name for p in out.iterdir()) == ["trace.jsonl"]
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("run directory missing ") and err.count("\n") == 1
+
+    def test_zero_steps_leaves_an_earlier_run_unchanged(self, scenario_file,
+                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()}
+        assert main(["run", "--scenario", str(SCENARIOS / "medium.yaml"),
+                     "--out", str(out), "--max-steps", "0"]) == 4
+        after = {p.name: (p.stat().st_ino, p.read_bytes()) for p in out.iterdir()}
+        assert after == before
+
+    def test_run_into_a_used_directory_writes_what_a_fresh_run_writes(
+            self, scenario_file, tmp_path, capsys):
+        names = ("trace.jsonl", "scenario.yaml", "report.txt", "metrics.csv")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        main(["run", "--scenario", str(scenario_file), "--policy", "c2c_heuristic",
+              "--out", str(out)])
+        old = {name: (out / name).read_bytes() for name in names}
+        main(["run", "--scenario", str(scenario_file), "--policy", "no_comm",
+              "--out", str(out)])
+        main(["run", "--scenario", str(scenario_file), "--policy", "no_comm",
+              "--out", str(fresh)])
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name]
+
     def test_negative_step_cap_is_a_usage_error(self, scenario_file, tmp_path,
                                                 capsys):
         out = tmp_path / "out"

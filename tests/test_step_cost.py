@@ -24,19 +24,23 @@ context read each field from `World` only when a policy read it, `World` kept
 each agent's active task as an id re-picked only when readiness changes, and
 task views and last actions were built as tuples without their Python-level
 `__new__`; 851.2 (229,826) once `World` stopped caching task views and each
-context field built only the views it returns. The bound is that last
-figure, rounded up past 851.35: the count reads 38 instructions (0.14 per
-agent-step) higher once other tests have run in the same process, as the
-files before this one in the suite or the hypothesis tests of
-`tests/test_world_indexes.py` do.
+context field built only the views it returns; 835.6 (225,616) once a
+CONTINUE_TASK went straight to the work fallback instead of passing every
+other intention kind's test. The bound is that last figure rounded up to a
+whole instruction, 836, past the in-suite reading of 835.755: the count reads
+38 instructions (0.14 per agent-step) higher once other tests have run in the
+same process, as the files before this one in the suite or the hypothesis
+tests of `tests/test_world_indexes.py` do.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
 991.6 (307,381 over 310) with every field read up front; 578.2 (234,160) and
 766.2 (237,527) with fields read on demand; 562.9 (227,959) and 748.3
-(231,960) without the view cache. Their bounds are those figures rounded up
-past the in-process readings, 562.96 and 748.50 (38 and 76 instructions
-higher).
+(231,960) without the view cache; 545.4 (220,871) and 733.0 (227,228) with
+CONTINUE_TASK routed straight to work. Their bounds are those figures rounded
+up to a whole instruction, 546 and 734, past the in-suite readings of 545.454
+and 733.116 to 733.239 (38, and 38 to 76, instructions higher, by which tests
+ran before).
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -49,9 +53,20 @@ typed actions, 1,141.9 (1,785,896) and 1,139.1 (7,281,403), a ratio of 1.00;
 with threads and meetings reading their root message, 1,135.8 (1,776,331) and
 1,133.2 (7,243,456), a ratio of 1.00; with fields read on demand, 1,071.7 and
 1,069.2, a ratio of 1.00; without the view cache, 1,011.2 (1,581,533) and
-1,006.7 (6,434,842), a ratio of 1.00.
+1,006.7 (6,434,842), a ratio of 1.00; with CONTINUE_TASK routed straight to
+work, 997.9 and 993.3, a ratio of 1.00.
 The ratio bound, 1.10, lets an agent-step grow a little with the tasks an
 agent holds, not in proportion to them.
+
+`teamsim report` reads a trace line by line through `TraceLog.stream`, which
+checks each line against its kind's schema. Over the trace of the shipped
+`medium` run under `c2c_heuristic` (525 lines) it executes, per line, 271.8
+instructions (142,690) under the orjson codec, which checks a record and then
+walks its float fields again, and 261.8 (137,454) under the standard-library
+codec. The bounds are those figures rounded up to a whole instruction, 272
+and 262, past the readings under pytest of 271.894 and 261.918 (53
+instructions higher than in a plain script, with or without other tests run
+before).
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -63,22 +78,28 @@ from pathlib import Path
 
 import pytest
 
+from teamsim import trace
 from teamsim.config import expand_team_shorthand, parse_scenario
 from teamsim.engine import Simulation
 from teamsim.model import Scenario, order_key, validate_scenario
+from teamsim.trace import TraceLog
 
-from conftest import COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, of_kind
+from conftest import (COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, of_kind,
+                      trace_codecs)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 563),
-    "fixed_steps": (310, 749),
-    "c2c_heuristic": (270, 852),
+    "no_comm": (405, 546),
+    "fixed_steps": (310, 734),
+    "c2c_heuristic": (270, 836),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
+# Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
+# `medium` trace under `c2c_heuristic`.
+STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 272, "stdlib": 262}
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                 reason="bounds calibrated on CPython 3.11")
@@ -148,3 +169,17 @@ def test_agent_step_cost_is_flat_in_tasks_held():
                  for roots in (4, 16))
     assert many / few <= ROOTS_RATIO_BOUND, \
         f"{many:.1f} opcodes per agent-step at 16 roots, {few:.1f} at 4"
+
+
+@calibrated
+@pytest.mark.parametrize("codec", [name for name, _ in trace_codecs()])
+def test_opcodes_per_trace_line_read_stay_under_the_bound(tmp_path, monkeypatch,
+                                                          codec):
+    monkeypatch.setattr(trace, "_codec", dict(trace_codecs())[codec])
+    scenario = dataclasses.replace(parse_scenario(SCENARIOS / "medium.yaml"),
+                                   policy_name="c2c_heuristic")
+    path = Simulation(scenario).run().trace.write(tmp_path / "trace.jsonl")
+    records, opcodes = count_opcodes(lambda: list(TraceLog.stream(path)))
+    assert len(records) == 525
+    assert opcodes / len(records) <= STREAM_OPCODES_PER_LINE_BOUND[codec], \
+        f"{opcodes} opcodes over {len(records)} lines"

@@ -178,6 +178,80 @@ def test_write_matches_the_reference_encoder(tmp_path_factory, events):
             repr([_typed(r) for r in log.events])
 
 
+# Any JSON value: a scalar of every type, or a list or object of them.
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, _floats, _text),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_text, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def _valid_records(kind: str):
+    return st.fixed_dictionaries({
+        "step": st.integers(0, 10 ** 6), "seq": st.integers(0, 10 ** 6),
+        "kind": st.just(kind),
+        **{name: _field_values(kind, name) for name in SCHEMAS[kind].fields}})
+
+
+@st.composite
+def _mutated_lines(draw) -> str:
+    """One line: a valid record of some kind with one mutation applied."""
+    mutation = draw(st.sampled_from(["swap", "remove", "rename", "extra", "to-item",
+                                     "big-int-float", "not-object"]))
+    if mutation == "not-object":
+        return json.dumps(draw(_json_values.filter(lambda v: type(v) is not dict)),
+                          ensure_ascii=False)
+    kinds = {"to-item": ["message_sent"],
+             "big-int-float": sorted(k for k in SCHEMAS if SCHEMAS[k].floats)}
+    kind = draw(st.sampled_from(kinds.get(mutation, sorted(SCHEMAS))))
+    record = draw(_valid_records(kind))
+    # `step`, `seq` and `kind` as often as all of the kind's fields together.
+    name = draw(st.one_of(st.sampled_from(["step", "seq", "kind"]),
+                          st.sampled_from(list(record))))
+    if mutation == "swap":
+        record[name] = draw(_json_values)
+    elif mutation == "remove":
+        del record[name]
+    elif mutation == "rename":
+        record[draw(_text.filter(lambda key: key not in record))] = record.pop(name)
+    elif mutation == "extra":
+        # Often an integer orjson reads as a float, which only the standard
+        # library keeps an integer.
+        record[draw(_text.filter(lambda key: key not in record))] = draw(st.one_of(
+            _json_values, st.sampled_from([2 ** 64, -2 ** 63 - 1, 10 ** 30 + 1])))
+    elif mutation == "to-item":
+        items = list(record["to"])
+        items.insert(draw(st.integers(0, len(items))),
+                     draw(_json_values.filter(lambda v: type(v) is not str)))
+        record["to"] = items
+    else:
+        record[draw(st.sampled_from(SCHEMAS[kind].floats))] = draw(st.one_of(
+            st.integers(min_value=2 ** 64), st.integers(max_value=-2 ** 63 - 1)))
+    return json.dumps(record, ensure_ascii=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_lines())
+def test_every_codec_reads_a_mutated_event_alike(tmp_path_factory, line):
+    # The same record, its keys in the same order and every value of the same
+    # type, or the same error, under the orjson codec and the stdlib path.
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    outcomes = []
+    for _, codec in trace_codecs():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace, "_codec", codec)
+            try:
+                records = TraceLog.read(path).events
+            except TraceError as error:
+                outcomes.append(str(error))
+            else:
+                outcomes.append(([list(r) for r in records],
+                                 repr([_typed(r) for r in records])))
+    assert outcomes[1:] == outcomes[:-1]
+
+
 def test_non_finite_and_exponent_floats_are_written_as_json_writes_them(
         tmp_path, each_codec):
     # orjson would write null, 1e16 and 0.00001; json writes NaN, Infinity,
