@@ -105,8 +105,9 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         return _parse_scenario_text(text, name_hint)
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
-        # A field of the wrong type, such as `hours: abc` or `tasks: 5`.
+    except (TypeError, ValueError, RecursionError) as exc:
+        # A field of the wrong type, such as `hours: abc` or `tasks: 5`, or
+        # one nested too deeply to turn into text.
         raise ScenarioError(f"malformed scenario field: {exc}") from exc
 
 

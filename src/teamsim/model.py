@@ -40,6 +40,10 @@ class NonPositiveEffortError(ScenarioError):
     pass
 
 
+class NonFiniteEffortError(ScenarioError):
+    pass
+
+
 @functools.cache
 def order_key(identifier: str) -> tuple:
     """Natural-order sort key so W2 < W10 and T1.2 < T1.10.
@@ -143,6 +147,9 @@ def validate_scenario(raw: Scenario) -> Scenario:
             raise NonPositiveEffortError(
                 f"non-positive effort: {spec.estimated_hours}"
             )
+        if not math.isfinite(spec.estimated_hours):
+            # NaN passes the test above, and neither NaN nor inf hours ever end.
+            raise NonFiniteEffortError(f"non-finite effort: {spec.estimated_hours}")
     if raw.policy_name not in POLICY_NAMES:
         raise ScenarioError(f"unknown policy: {raw.policy_name}")
     if raw.evaluator_name not in EVALUATOR_NAMES:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from teamsim import cli, config
+from teamsim import cli, config, trace
 from teamsim.cli import main
 from teamsim.config import (RunConfig, emit_scenario, expand_team_shorthand,
                             parse_scenario, parse_scenario_text)
@@ -319,6 +320,31 @@ class TestCliRun:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("hours", [".nan", ".inf"])
+    def test_non_finite_hours_are_a_one_line_error(self, tmp_path, capsys, hours):
+        # Before they were rejected, such hours ran to the step cap (exit 2).
+        path = tmp_path / "endless.yaml"
+        path.write_text(APPENDIX_STYLE.replace("hours: 8.0", f"hours: {hours}"),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: non-finite effort: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_deeply_nested_field_is_a_one_line_error(self, tmp_path, capsys):
+        depth = 20_000
+        path = tmp_path / "deep.yaml"
+        path.write_text(re.sub(r"description: .*", f"description: {'[' * depth}"
+                               f"{']' * depth}", APPENDIX_STYLE), encoding="utf-8")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: malformed scenario field: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("out", ["file/sub", "file", "taken"],
                              ids=["under-a-file", "is-a-file", "trace-is-a-dir"])
@@ -781,6 +807,40 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err == (f"trace error: {path}: line {number + 1}: field 'step' of "
                        f"type {type(step).__name__}, not int\n")
+
+    @pytest.mark.parametrize("bad", ["remaining-str", "deep"])
+    def test_bad_line_past_the_first_chunk_is_a_one_line_error(self, tmp_path,
+                                                               capsys, each_codec,
+                                                               bad):
+        # `report` checks the trace a chunk of lines at a time; an error in a
+        # later chunk still names its event or line, after the chunks before
+        # it were folded.
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(SCENARIOS / "complex.yaml"),
+              "--policy", "no_comm", "--out", str(out)])
+        path = out / "trace.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        start = 0
+        for number, line in enumerate(lines):
+            if start > trace._CHUNK_BYTES and json.loads(line)["kind"] == "action":
+                break
+            start += len(line)
+        else:
+            pytest.fail("the trace fits in one chunk")
+        record = json.loads(lines[number])
+        if bad == "deep":
+            lines[number] = b"[" * 5000 + b"]" * 5000 + b"\n"
+            detail = f"line {number + 1}: JSON nested too deeply"
+        else:
+            record["remaining"] = str(record["remaining"])
+            lines[number] = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+            detail = (f"event {number} (action at step {record['step']}) has field "
+                      "'remaining' of type str, not int")
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        for _ in each_codec():
+            assert main(["report", "--run", str(out)]) == 5
+            assert capsys.readouterr().err == f"trace error: {path}: {detail}\n"
 
     @pytest.mark.parametrize("trace_text", [
         "",

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from teamsim.model import (AgentProfile, EmptyTeamError, MultipleManagersError,
-                           NoManagerError, NonPositiveEffortError, Role,
+                           NoManagerError, NonFiniteEffortError,
+                           NonPositiveEffortError, Role,
                            Scenario, TaskSpec, hours_to_steps, order_key,
                            skill_match_score, validate_scenario)
 
@@ -98,6 +99,12 @@ class TestValidateScenario:
     def test_non_positive_effort(self):
         bad = TaskSpec("broken", -1.0, frozenset({"backend"}))
         with pytest.raises(NonPositiveEffortError, match="non-positive effort"):
+            validate_scenario(self.scenario(make_team(2), tasks=[bad]))
+
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
+    def test_non_finite_effort(self, hours):
+        bad = TaskSpec("endless", hours, frozenset({"backend"}))
+        with pytest.raises(NonFiniteEffortError, match="non-finite effort"):
             validate_scenario(self.scenario(make_team(2), tasks=[bad]))
 
     def test_normalizes_skill_case(self):

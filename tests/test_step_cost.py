@@ -58,15 +58,19 @@ work, 997.9 and 993.3, a ratio of 1.00.
 The ratio bound, 1.10, lets an agent-step grow a little with the tasks an
 agent holds, not in proportion to them.
 
-`teamsim report` reads a trace line by line through `TraceLog.stream`, which
-checks each line against its kind's schema. Over the trace of the shipped
-`medium` run under `c2c_heuristic` (525 lines) it executes, per line, 271.8
-instructions (142,690) under the orjson codec, which checks a record and then
-walks its float fields again, and 261.8 (137,454) under the standard-library
-codec. The bounds are those figures rounded up to a whole instruction, 272
-and 262, past the readings under pytest of 271.894 and 261.918 (53
-instructions higher than in a plain script, with or without other tests run
-before).
+`teamsim report` reads a trace through `TraceLog.stream`, which checks each
+event against its kind's schema. Over the trace of the shipped `medium` run
+under `c2c_heuristic` (525 lines, 62,355 bytes) it executed, per line, 271.8
+instructions (142,690) under the orjson codec, which checked a record and then
+walked its float fields again, and 261.8 (137,454) under the standard-library
+codec, while each line was checked by itself in Python; 8.8 (4,628) and 70.8
+(37,178) once the stream decodes a chunk of lines (32 KiB, two chunks here)
+and checks it column by column in C-level passes, leaving per line only the
+yield and, under the standard library, its Python-level JSON decoder. Under
+`python -X dev -m pytest` as CI runs it, they read 8.989 and 70.916 over the
+whole suite (8.916 and 70.916 for this file alone). The bounds are those
+readings rounded up to a whole instruction, and one more where that would
+leave fewer than 100 instructions over the trace to spare: 10 and 72.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -99,7 +103,7 @@ OPCODES_PER_AGENT_STEP_BOUND = {
 ROOTS_RATIO_BOUND = 1.10
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
-STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 272, "stdlib": 262}
+STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 10, "stdlib": 72}
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                 reason="bounds calibrated on CPython 3.11")

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +251,73 @@ def test_every_codec_reads_a_mutated_event_alike(tmp_path_factory, line):
                 outcomes.append(([list(r) for r in records],
                                  repr([_typed(r) for r in records])))
     assert outcomes[1:] == outcomes[:-1]
+
+
+# A line nested deeper than either codec decodes.
+_DEEP = "[" * 3000 + "]" * 3000
+
+
+@st.composite
+def _bad_lines(draw) -> str:
+    """One line the column check of a chunk cannot pass as it is: a mutated
+    event, a bool or a wide integer in an integer field, an unknown kind, a
+    NaN, a blank or a deeply nested line."""
+    mutation = draw(st.sampled_from(["mutated", "int", "kind", "nan", "blank",
+                                     "deep", "deep-field"]))
+    if mutation == "mutated":
+        return draw(_mutated_lines())
+    if mutation == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\r"]))
+    if mutation == "deep":
+        return _DEEP
+    if mutation == "deep-field":
+        return '{"step":0,"seq":0,"kind":"warning","source":%s,"detail":"x"}' % _DEEP
+    kind = {"int": "action", "kind": "warning", "nan": "progress"}[mutation]
+    record = draw(_valid_records(kind))
+    if mutation == "int":
+        record[draw(st.sampled_from(["step", "remaining"]))] = draw(st.one_of(
+            st.booleans(), st.sampled_from([2 ** 64, 2 ** 64 + 1, 10 ** 30 + 1])))
+    elif mutation == "kind":
+        record["kind"] = draw(_text.filter(lambda kind: kind not in SCHEMAS))
+    else:
+        record[draw(st.sampled_from(SCHEMAS[kind].floats))] = math.nan
+    return json.dumps(record, ensure_ascii=False)
+
+
+_good_lines = st.sampled_from(sorted(SCHEMAS)).flatmap(_valid_records).map(
+    lambda record: json.dumps(record, ensure_ascii=False))
+# Mostly good lines, so that whole chunks pass the column check too.
+_trace_lines = st.lists(st.one_of(_good_lines, _good_lines, _good_lines, _bad_lines()),
+                        max_size=12)
+
+
+def _read(records: Iterator[dict]) -> tuple[str, str | None]:
+    """The records read, their keys in order and every value typed, and the
+    text of the `TraceError` that ended the read, if one did."""
+    read = []
+    try:
+        for record in records:
+            read.append(record)
+    except TraceError as error:
+        return repr([_typed(r) for r in read]), str(error)
+    return repr([_typed(r) for r in read]), None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trace_lines, st.sampled_from([1, 64, 256, 1024]))
+def test_stream_reads_as_the_per_line_path_reads(tmp_path_factory, lines, chunk):
+    # With chunks a few lines long, a bad line falls in a later chunk than
+    # the first, after chunks that pass the column check as a whole.
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with path.open("rb") as file:
+        every_line = file.readlines()
+    for _, codec in trace_codecs():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace, "_codec", codec)
+            patch.setattr(trace, "_CHUNK_BYTES", chunk)
+            per_line = _read(trace._line_by_line(path, every_line, 0, 0, codec.decode))
+            assert _read(TraceLog.stream(path)) == per_line
 
 
 def test_non_finite_and_exponent_floats_are_written_as_json_writes_them(
