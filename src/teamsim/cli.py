@@ -28,13 +28,13 @@ adapter configuration. Every command returns 4, after a one-line error, when
 a trace has no step to measure: a run with `--max-steps 0`, or a `report` on
 a trace without action events or with an `af_update` step lower than an
 earlier one. Every command returns 5, after a one-line error, on bad input: a
-scenario file that is missing, unreadable or malformed, a `report` run
-directory without `trace.jsonl` or `scenario.yaml` (as a run that raised
-mid-way leaves it), a trace line that is not one event, an event that lacks
-a field of its kind or holds one of the wrong type, a root task completion
-that names a task the scenario does not have, or an output directory
-(`--out`, or the `report` run directory) or output file that cannot be made,
-written into or, left by an earlier run, removed.
+scenario file that is missing, unreadable or malformed or whose team has no
+worker, a `report` run directory without `trace.jsonl` or `scenario.yaml` (as
+a run that raised mid-way leaves it), a trace line that is not one event, an
+event that lacks a field of its kind or holds one of the wrong type, a root
+task completion that names a task the scenario does not have, or an output
+directory (`--out`, or the `report` run directory) or output file that cannot
+be made, written into or, left by an earlier run, removed.
 """
 
 from __future__ import annotations

@@ -28,6 +28,10 @@ class NoManagerError(ScenarioError):
     pass
 
 
+class NoWorkerError(ScenarioError):
+    pass
+
+
 class MultipleManagersError(ScenarioError):
     pass
 
@@ -140,6 +144,8 @@ def validate_scenario(raw: Scenario) -> Scenario:
         raise NoManagerError("no manager")
     if len(managers) > 1:
         raise MultipleManagersError(f"{len(managers)} managers, expected exactly one")
+    if len(managers) == len(raw.team):
+        raise NoWorkerError("no worker")
     if not raw.tasks:
         raise ScenarioError("no tasks")
     for spec in raw.tasks:

@@ -14,13 +14,13 @@ type is a `TraceError`.
 Lines are encoded and decoded with orjson when it is installed (the `fast`
 extra) and with the standard `json` module otherwise; the bytes written and
 the values read back are the same under either. orjson writes some floats
-differently (`1e16` for `1e+16`, `0.00001` for `1e-05`, `null` for `NaN`),
-cannot write integers wider than 64 bits and reads integers outside
-[-2**63, 2**64) as floats, so a line that holds such a value takes the
-standard-library path. Only the fields `SCHEMAS` marks as float fields are
-looked at before writing. The standard library decodes again, and words the
-error of, a line that fails the check under orjson, has a field its kind
-lacks, or holds in a float field a float that may have been an integer.
+differently (`1e16` for `1e+16`, `0.00001` for `1e-05`, `null` for `NaN`) and
+cannot write integers wider than 64 bits, so the standard library writes a
+line that holds one; only a kind's float fields are looked at before writing.
+orjson reads integers outside [-2**63, 2**64) as floats. The standard library
+alone reads again, line by line, a chunk the column check does not pass as
+the codec read it: one with a bad or blank line, a field its kind lacks, or a
+float that may have been an integer; `_fault` words the error.
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ SCHEMAS = _Schemas({
     "task_done": _schema({"task": _STR, "root": _BOOL, "boundary": _INT}),
     "warning": _schema({"source": _STR, "detail": _STR}),
 })
-# Each kind's (field, its types) pairs, as `_as_event` walks them.
-_FIELDS = {kind: tuple(schema.fields.items()) for kind, schema in SCHEMAS.items()}
 
 
 # Records are flat dicts of scalars and short lists built by the engine, so
@@ -106,39 +104,35 @@ class TraceError(ValueError):
                    f"{record['step']}) {detail}")
 
 
-class _FieldError(ValueError):
-    """Raised with (record, detail) for a field missing or of a wrong type."""
-
-
-def _as_event(value: object) -> dict:
-    """`value`, a decoded line, if it is one event whose fields' `type()`s its
-    kind accepts; raises `_FieldError` for a field, `ValueError` otherwise."""
+def _fault(value: object) -> tuple[str, bool] | None:
+    """Why `value`, a decoded line, is not one event whose fields' `type()`s
+    its kind accepts, and whether that names the event (a field missing or of
+    a wrong type) or only its line; None when it is one."""
     if type(value) is not dict:
-        raise ValueError("not a JSON object")
-    try:
-        step, kind, _ = value["step"], value["kind"], value["seq"]
-    except KeyError as missing:
-        raise ValueError(f"lacks field {missing}") from None
-    if type(step) is not int:
-        raise ValueError(f"field 'step' of type {type(step).__name__}, not int")
-    fields = _FIELDS.get(kind) if type(kind) is str else None
-    if fields is None:
-        raise ValueError(f"unknown event kind: {kind}")
-    try:
-        for name, types in fields:
-            field = value[name]
-            if type(field) not in types:
-                expected = "a number" if float in types else types[0].__name__
-                raise _FieldError(value, f"has field {name!r} of type "
-                                         f"{type(field).__name__}, not {expected}")
-            if type(field) is list:
-                for item in field:
-                    if type(item) is not str:
-                        raise _FieldError(value, f"has field {name!r} holding "
-                                                 f"{type(item).__name__}, not str")
-    except KeyError:
-        raise _FieldError(value, f"lacks field {name!r}") from None
-    return value
+        return "not a JSON object", False
+    for name in ("step", "kind", "seq"):
+        if name not in value:
+            return f"lacks field {name!r}", False
+    if type(value["step"]) is not int:
+        return f"field 'step' of type {type(value['step']).__name__}, not int", False
+    kind = value["kind"]
+    schema = SCHEMAS.get(kind) if type(kind) is str else None
+    if schema is None:
+        return f"unknown event kind: {kind}", False
+    for name, types in schema.fields.items():
+        if name not in value:
+            return f"lacks field {name!r}", True
+        field = value[name]
+        if type(field) not in types:
+            expected = "a number" if float in types else types[0].__name__
+            return (f"has field {name!r} of type {type(field).__name__}, "
+                    f"not {expected}"), True
+        if type(field) is list:
+            for item in field:
+                if type(item) is not str:
+                    return (f"has field {name!r} holding {type(item).__name__}, "
+                            "not str"), True
+    return None
 
 
 _KIND = itemgetter("kind")
@@ -156,13 +150,13 @@ _COLUMNS = {kind: (3 + len(schema.fields), itemgetter("step", "seq", *schema.fie
 
 def _conforms(records: list) -> bool:
     """Whether every value in `records`, a chunk of decoded lines, is an event
-    the per-line check passes as it was read.
+    `_fault` passes, read as the standard library reads it: the one test that
+    accepts a chunk as the codec read it.
 
     The records are grouped by kind in one C-level pass, and each column of
     a group is checked in a few more, so no Python code runs per record; the
-    tables it reads are built from `SCHEMAS`. False also for a chunk the
-    per-line check would pass but reads again: one with a field its kind
-    lacks, or with a number that may be an integer the codec misread.
+    tables it reads are built from `SCHEMAS`. False also for a field its kind
+    lacks, or a number the codec may have misread, which `_fault` passes.
     """
     try:
         # Looking up "kind" raises TypeError in a value that is not an object.
@@ -192,12 +186,10 @@ def _conforms(records: list) -> bool:
 
 
 class Codec(NamedTuple):
-    """How one event record becomes one line of bytes, and back."""
+    """How one event record becomes one line of bytes, and a line a JSON value."""
 
     # (record, its kind's float fields) -> its line, "\n" included
     encode: Callable[[dict, tuple[str, ...]], bytes]
-    # one line of bytes -> its event record; ValueError when it is not one
-    decode: Callable[[bytes], dict]
     # one line of bytes -> the JSON value it holds, unchecked; ValueError when
     # it holds none
     loads: Callable[[bytes], object]
@@ -214,15 +206,11 @@ def _std_loads(line: bytes) -> object:
         raise ValueError("JSON nested too deeply") from None
 
 
-def _std_event(line: bytes) -> dict:
-    return _as_event(_std_loads(line))
-
-
-STDLIB_CODEC = Codec(_std_line, _std_event, _std_loads)
+STDLIB_CODEC = Codec(_std_line, _std_loads)
 
 
 def orjson_codec() -> Codec | None:
-    """The orjson codec with its standard-library guards, or None without orjson."""
+    """The orjson codec, its encode guarded by the standard library, or None."""
     try:
         import orjson
     except ImportError:
@@ -243,24 +231,7 @@ def orjson_codec() -> Codec | None:
         except encode_error:  # an integer beyond 64 bits
             return _std_line(record)
 
-    def decode(line: bytes) -> dict:
-        # The standard library decodes again, and words the error of, a line
-        # orjson rejects or may read otherwise: an integer read as a float fails
-        # the check, lies beyond _BIG_FLOAT in a float field, or in an extra field.
-        try:
-            record = _as_event(loads(line))
-        except ValueError:  # orjson's decode error is one
-            return _std_event(line)
-        schema = SCHEMAS[record["kind"]]
-        if len(record) != 3 + len(schema.fields):
-            return _std_event(line)
-        for name in schema.floats:
-            value = record[name]
-            if type(value) is float and not -_BIG_FLOAT < value < _BIG_FLOAT:
-                return _std_event(line)
-        return record
-
-    return Codec(encode, decode, loads)
+    return Codec(encode, loads)
 
 
 # Resolved at the first encode or decode, so that importing the package does
@@ -282,22 +253,24 @@ def _active_codec() -> Codec:
 _CHUNK_BYTES = 1 << 15
 
 
-def _line_by_line(path: str | Path, lines: list[bytes], read: int, seq: int,
-                  decode: Callable[[bytes], dict]) -> Generator[dict, None, int]:
+def _line_by_line(path: str | Path, lines: list[bytes], read: int,
+                  seq: int) -> Generator[dict, None, int]:
     """Yield the records of `lines`, the lines after the first `read` of the
-    file at `path`, decoding and checking each by itself and numbering them
-    from `seq`; raise `TraceError` at the first bad one. Returns the next seq."""
+    file at `path`, decoding each with the standard library, checking it by
+    itself and numbering them from `seq`; raise `TraceError` at the first bad
+    one. Returns the next seq."""
     for number, line in enumerate(lines, start=read + 1):
         if not line.strip():
             continue
         try:
-            record = decode(line)
-        except _FieldError as exc:
-            record, detail = exc.args
-            record["seq"] = seq
-            raise TraceError.at(path, record, detail) from None
+            record = _std_loads(line)
         except ValueError as exc:
             raise TraceError(f"{path}: line {number}: {exc}") from None
+        if fault := _fault(record):
+            detail, names_the_event = fault
+            if names_the_event:
+                raise TraceError.at(path, {**record, "seq": seq}, detail)
+            raise TraceError(f"{path}: line {number}: {detail}")
         record["seq"] = seq
         yield record
         seq += 1
@@ -350,10 +323,11 @@ class TraceLog:
         A chunk holds about `_CHUNK_BYTES` of lines, so memory stays bounded
         by one chunk (or one longer line). Its lines are decoded and checked
         column by column (`_conforms`); a chunk that does not pass as a whole
-        is read again line by line, which yields the records before its first
-        bad line and then raises that line's error, or accepts what the
-        column check passed up (blank lines, fields a kind lacks, numbers the
-        codec may have misread).
+        is read again line by line by the standard library, whatever the
+        codec, which yields the records before its first bad line and then
+        raises that line's error (`_fault`), or accepts what the column check
+        passed up (blank lines, fields a kind lacks, numbers the codec may
+        have misread).
         """
         codec = _active_codec()
         seq = read = 0
@@ -369,8 +343,7 @@ class TraceLog:
                     seq += len(records)
                     yield from records
                 else:
-                    seq = yield from _line_by_line(path, lines, read, seq,
-                                                   codec.decode)
+                    seq = yield from _line_by_line(path, lines, read, seq)
                 read += len(lines)
 
     @classmethod

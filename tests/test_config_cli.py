@@ -335,6 +335,21 @@ class TestCliRun:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("team", [
+        APPENDIX_STYLE.replace("team: 1M+4W", "team: 1M+0W"),
+        re.sub(r"  - \{id: W.*\n", "", EXPLICIT_TEAM)], ids=["shorthand", "list"])
+    def test_team_without_a_worker_is_a_one_line_error(self, tmp_path, capsys,
+                                                        team):
+        # Before it was rejected, such a team passed validation and `run`
+        # ended in a planner traceback (exit 1), leaving a partial trace.
+        path = tmp_path / "alone.yaml"
+        path.write_text(team, encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == "scenario error: no worker\n"
+        assert not out.exists()
+
     def test_deeply_nested_field_is_a_one_line_error(self, tmp_path, capsys):
         depth = 20_000
         path = tmp_path / "deep.yaml"

@@ -65,12 +65,15 @@ SHIPPED = {
 
 def _check_schema(records: list[dict]) -> None:
     """Each record has `step`, `seq`, `kind` and its kind's fields in order,
-    each of a type its schema accepts: the check the reader makes."""
+    each of a type its schema accepts: the check the reader makes. The whole
+    run passes the column check too, so the reader never reads a real trace
+    again line by line."""
     for seq, record in enumerate(records):
         schema = SCHEMAS[record["kind"]]
         assert list(record) == ["step", "seq", "kind", *schema.fields], record
         assert record["seq"] == seq
-        assert trace._as_event(record) is record
+        assert trace._fault(record) is None, record
+    assert trace._conforms(records)
 
 
 def _digests(each_codec, scenario: Scenario, planner=None,

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from teamsim.config import expand_team_shorthand
 from teamsim.model import (AgentProfile, EmptyTeamError, MultipleManagersError,
-                           NoManagerError, NonFiniteEffortError,
+                           NoManagerError, NonFiniteEffortError, NoWorkerError,
                            NonPositiveEffortError, Role,
                            Scenario, TaskSpec, hours_to_steps, order_key,
                            skill_match_score, validate_scenario)
@@ -84,6 +85,15 @@ class TestValidateScenario:
     def test_no_manager(self):
         team = [a for a in make_team(2) if a.role is Role.WORKER]
         with pytest.raises(NoManagerError, match="no manager"):
+            validate_scenario(self.scenario(team))
+
+    def test_no_worker(self):
+        with pytest.raises(NoWorkerError, match="no worker"):
+            validate_scenario(self.scenario(make_team(0)))
+
+    def test_no_worker_from_shorthand(self):
+        team = expand_team_shorthand("1M+0W", ["backend"])
+        with pytest.raises(NoWorkerError, match="no worker"):
             validate_scenario(self.scenario(team))
 
     def test_multiple_managers(self):

@@ -8,12 +8,13 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teamsim import trace
 from teamsim.trace import SCHEMAS, TraceError, TraceLog, TraceWriter
 
 from conftest import add_event, trace_codecs
+from trace_oracle import DECODERS, line_by_line
 
 
 def _log(detail: str) -> TraceLog:
@@ -303,20 +304,44 @@ def _read(records: Iterator[dict]) -> tuple[str, str | None]:
     return repr([_typed(r) for r in read]), None
 
 
+_ACTION = {"step": 0, "seq": 0, "kind": "action", "agent": "W1", "action": "idle",
+           "target": None, "remaining": 0}
+_SENT = {"step": 0, "seq": 1, "kind": "message_sent", "message_id": "m1",
+         "thread_id": "th1", "from": "W1", "to": ["M1"], "channel": "chat",
+         "type": "HELP_REQUEST", "about_task": None, "words": 3, "cost_h": 0.5,
+         "sent_step": 0}
+# After a good line, one that a single check of the column test turns down,
+# for each check, so that each is exercised whatever examples are drawn: the
+# key count (an extra field orjson reads as a float), an integer `step`, a
+# field's types, a list's items and the float bound (under orjson).
+_ONE_CHECK_EACH = [{**_ACTION, "extra": 2 ** 64}, {**_ACTION, "step": True},
+                   {**_ACTION, "remaining": "0"}, {**_SENT, "to": ["M1", 1]},
+                   {**_SENT, "cost_h": 2 ** 64}]
+
+
+def _with_one_check_each(test):
+    for bad in _ONE_CHECK_EACH:
+        test = example([json.dumps(_SENT), json.dumps(bad)], 1024)(test)
+    return test
+
+
+@_with_one_check_each
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_trace_lines, st.sampled_from([1, 64, 256, 1024]))
 def test_stream_reads_as_the_per_line_path_reads(tmp_path_factory, lines, chunk):
     # With chunks a few lines long, a bad line falls in a later chunk than
-    # the first, after chunks that pass the column check as a whole.
+    # the first, after chunks that pass the column check as a whole. The
+    # oracle decodes each line with the codec and checks it by itself, with
+    # none of `trace.py`'s checks.
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with path.open("rb") as file:
         every_line = file.readlines()
-    for _, codec in trace_codecs():
+    for name, codec in trace_codecs():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trace, "_codec", codec)
             patch.setattr(trace, "_CHUNK_BYTES", chunk)
-            per_line = _read(trace._line_by_line(path, every_line, 0, 0, codec.decode))
+            per_line = _read(line_by_line(path, every_line, 0, 0, DECODERS[name]))
             assert _read(TraceLog.stream(path)) == per_line
 
 
