@@ -4,9 +4,10 @@ One POST per decision: the body carries the model name, temperature, and the
 role-tagged messages; the response body's first choice text is returned. The
 auth token is read from the environment, never from config files.
 
-`urllib` (and with it `http.client`, `email`, `ssl` and `socket`) is imported
-on the first request, not with this module: policy, planner and engine import
-`AdapterError` from here, and a deterministic run never sends a request.
+This module is imported only where an LLM-backed mode first uses it: by
+`LlmPolicy`, `LlmPlanner` and `LlmEvaluator` for `AdapterError`, and by the
+CLI when it builds an adapter. `urllib` (and with it `http.client`, `email`,
+`ssl` and `socket`) is imported later still, on the first request.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ a trace without action events or with an `af_update` step lower than an
 earlier one. Every command returns 5, after a one-line error, on bad input: a
 scenario file that is missing, unreadable or malformed or whose team has no
 worker, a `report` run directory without `trace.jsonl` or `scenario.yaml` (as
-a run that raised mid-way leaves it), a trace line that is not one event, an
+a run that raised mid-way leaves it), a `trace.jsonl` that cannot be opened
+or read (a directory in its place), a trace line that is not one event, an
 event that lacks a field of its kind or holds one of the wrong type, a root
 task completion that names a task the scenario does not have, or an output
 directory (`--out`, or the `report` run directory) or output file that cannot
@@ -44,14 +45,17 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .adapter import ChatCompletionAdapter
 from .config import RunConfig, emit_scenario, parse_scenario
 from .engine import Simulation
 from .metrics import (EventError, MetricsError, MetricsFold, MetricsReport,
                       render_report, write_csv)
 from .model import POLICY_NAMES, Scenario, ScenarioError
 from .trace import TraceError, TraceLog, TraceWriter
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .adapter import ChatCompletionAdapter
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 2
@@ -84,6 +88,8 @@ def _adapter(config: RunConfig, scenarios: list[Scenario]) -> ChatCompletionAdap
         return None
     if not config.endpoint or not config.model:
         raise _NoAdapter
+    from .adapter import ChatCompletionAdapter
+
     return ChatCompletionAdapter(endpoint=config.endpoint, model=config.model,
                                  temperature=config.temperature)
 
@@ -142,10 +148,10 @@ def cmd_compare(config: RunConfig, policies: list[str]) -> int:
                    parallel_decide=config.parallel_decide, trace=fold).run()
         reports[policy] = fold.result()
 
-    first = reports[policies[0]]
+    first = reports[policies[0]].avg_completion_time
     for policy, report in reports.items():
-        if first.avg_completion_time and report.avg_completion_time:
-            report.speedup = first.avg_completion_time / report.avg_completion_time
+        if first and report.avg_completion_time:
+            reports[policy] = report._replace(speedup=first / report.avg_completion_time)
 
     grid = _comparison_grid(reports, policies)
     out_dir = Path(config.out_dir)
@@ -194,11 +200,14 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
     scenario = parse_scenario(scenario_path)
     # Folded line by line: the trace is never held in memory.
     fold = MetricsFold(scenario, baseline_hours=baseline_hours)
-    for record in TraceLog.stream(trace_path):
-        try:
-            fold.append(record)
-        except EventError as exc:
-            raise TraceError.at(trace_path, record, exc) from None
+    try:
+        for record in TraceLog.stream(trace_path):
+            try:
+                fold.append(record)
+            except EventError as exc:
+                raise TraceError.at(trace_path, record, exc) from None
+    except OSError as exc:
+        raise TraceError(f"unreadable trace file: {exc}") from exc
     try:
         _write_report(directory, scenario, fold.result())
     except OSError as exc:

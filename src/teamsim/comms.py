@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 MAX_REPLY_ROUNDS = 3
@@ -92,36 +91,44 @@ def communication_cost(channel: Channel, content_word_count: int,
     return minutes / 60.0
 
 
-@dataclass
 class Message:
-    message_id: str
-    thread_id: str
-    from_agent: str
-    to_agents: tuple[str, ...]
-    channel: Channel
-    message_type: MessageType
-    content: str
-    sent_step: int
-    about_task: str | None = None
-    meeting_id: str | None = None
-    cost_hours: float = 0.0
+    __slots__ = ("message_id", "thread_id", "from_agent", "to_agents", "channel",
+                 "message_type", "content", "sent_step", "about_task",
+                 "meeting_id", "cost_hours")
 
-    def __post_init__(self) -> None:
-        if not self.to_agents:
+    def __init__(self, message_id: str, thread_id: str, from_agent: str,
+                 to_agents: tuple[str, ...], channel: Channel,
+                 message_type: MessageType, content: str, sent_step: int,
+                 about_task: str | None = None, meeting_id: str | None = None,
+                 cost_hours: float = 0.0) -> None:
+        if not to_agents:
             raise CommError("message needs recipients")
-        if self.message_type in (MessageType.MEETING_INVITE, MessageType.MEETING_START):
-            if self.meeting_id is None:
-                raise CommError(f"{self.message_type.value} needs a meeting_id")
+        if message_type in (MessageType.MEETING_INVITE, MessageType.MEETING_START):
+            if meeting_id is None:
+                raise CommError(f"{message_type.value} needs a meeting_id")
+        self.message_id = message_id
+        self.thread_id = thread_id
+        self.from_agent = from_agent
+        self.to_agents = to_agents
+        self.channel = channel
+        self.message_type = message_type
+        self.content = content
+        self.sent_step = sent_step
+        self.about_task = about_task
+        self.meeting_id = meeting_id
+        self.cost_hours = cost_hours
 
 
-@dataclass
 class Thread:
-    root: Message
-    open: bool = True
-    # The first reply from anyone but the asker to a request; it resolves it.
-    resolver_id: str | None = None
-    # Who has replied, in reply order; at most MAX_REPLY_ROUNDS entries.
-    repliers: tuple[str, ...] = ()
+    __slots__ = ("root", "open", "resolver_id", "repliers")
+
+    def __init__(self, root: Message, open: bool = True) -> None:
+        self.root = root
+        self.open = open
+        # The first reply from anyone but the asker to a request; it resolves it.
+        self.resolver_id: str | None = None
+        # Who has replied, in reply order; at most MAX_REPLY_ROUNDS entries.
+        self.repliers: tuple[str, ...] = ()
 
     def register_reply(self, reply: Message) -> None:
         """Account for one reply round and record who sent it.
@@ -154,13 +161,15 @@ class MeetingStatus(str, Enum):
     CANCELLED = "cancelled"
 
 
-@dataclass
 class Meeting:
-    invite: Message
-    # Who accepted; every RSVP accepts.
-    attending: set[str] = field(default_factory=set)
-    status: MeetingStatus = MeetingStatus.PENDING
-    attendees: tuple[str, ...] = ()
+    __slots__ = ("invite", "attending", "status", "attendees")
+
+    def __init__(self, invite: Message) -> None:
+        self.invite = invite
+        # Who accepted; every RSVP accepts.
+        self.attending: set[str] = set()
+        self.status = MeetingStatus.PENDING
+        self.attendees: tuple[str, ...] = ()
 
 
 def _canonical(message: Message) -> tuple[int, str, str]:

@@ -8,8 +8,8 @@ Round trip holds: parse(emit(scenario)) == scenario.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -45,8 +45,7 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DUMPER = _dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper))
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     scenario_path: str
     policy: str | None = None
     evaluator: str | None = None
@@ -111,6 +110,15 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError(f"malformed scenario field: {exc}") from exc
 
 
+def _skill_list(value: object, field: str) -> list:
+    """`value`, the YAML list that `field` must hold. A scalar or mapping is
+    refused, not iterated: `skills: planning` is not seven one-letter skills."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"malformed scenario field: {field} must be a list "
+                            f"of skills, not {type(value).__name__}")
+    return value
+
+
 def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
     try:
         data = yaml.load(text, Loader=_LOADER)
@@ -137,11 +145,13 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
             description=str(raw["description"]),
             estimated_hours=float(raw["hours"]),
             required_skills=frozenset(
-                str(s).lower() for s in raw.get("skills", [])
+                str(s).lower() for s in _skill_list(raw.get("skills", []),
+                                                    f"tasks[{i}].skills")
             ),
         ))
 
-    declared_pool = [str(s).lower() for s in data.get("skill_pool", [])]
+    declared_pool = [str(s).lower()
+                     for s in _skill_list(data.get("skill_pool", []), "skill_pool")]
     task_skills = sorted({s for t in tasks for s in t.required_skills})
     pool = declared_pool or task_skills
     if declared_pool:
@@ -172,7 +182,8 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
                 agent_id=str(raw["id"]),
                 name=str(raw.get("name", raw["id"])),
                 role=Role(role_text),
-                skills=frozenset(str(s).lower() for s in raw["skills"]),
+                skills=frozenset(str(s).lower()
+                                 for s in _skill_list(raw["skills"], f"team[{i}].skills")),
             ))
         team_label = str(data.get("team_label", "")) or _derive_label(team)
     else:

@@ -14,11 +14,9 @@ progress, meeting attendance, or an explicit idle transition.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .adapter import AdapterError, ChatCompletionAdapter
 from .alignment import (AlignmentState, effective_progress,
                         normalize_reported_alignment, rule_based_delta)
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
@@ -33,10 +31,11 @@ from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext
                      select_recipients, team_views)
 from .taskgraph import TaskGraph, TaskStatus
 from .trace import TraceLog, TraceSink
-from . import prompts
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
+
+    from .adapter import ChatCompletionAdapter
 
 # An invited agent that has not accepted within this many steps of the invite
 # being sent no longer delays the meeting; it convenes or cancels without them.
@@ -87,25 +86,30 @@ class Outgoing(NamedTuple):
     cost: float
 
 
-@dataclass(slots=True)
 class ActiveAction:
-    kind: ActionKind
-    target: str | None
-    remaining: int
-    # What a COMMUNICATE or REPLY action sends when it completes.
-    outgoing: Outgoing | None = None
+    __slots__ = ("kind", "target", "remaining", "outgoing")
+
+    def __init__(self, kind: ActionKind, target: str | None, remaining: int,
+                 outgoing: Outgoing | None = None) -> None:
+        self.kind = kind
+        self.target = target
+        self.remaining = remaining
+        # What a COMMUNICATE or REPLY action sends when it completes.
+        self.outgoing = outgoing
 
 
-@dataclass(slots=True)
 class AgentTaskStats:
-    hours_worked: float = 0.0
-    stuck_worked_steps: int = 0
-    pending_milestone: float | None = None
-    reported_milestones: set[float] = field(default_factory=set)
+    __slots__ = ("hours_worked", "stuck_worked_steps", "pending_milestone",
+                 "reported_milestones")
+
+    def __init__(self) -> None:
+        self.hours_worked = 0.0
+        self.stuck_worked_steps = 0
+        self.pending_milestone: float | None = None
+        self.reported_milestones: set[float] = set()
 
 
-@dataclass
-class PendingAfEvaluation:
+class PendingAfEvaluation(NamedTuple):
     agent_id: str
     task_id: str
     cause_id: str
@@ -136,6 +140,9 @@ class LlmEvaluator:
         if pending.root_type not in REQUEST_TYPES:
             # Meetings and updates keep their fixed table impact.
             return rule_based_delta(pending.root_type), None
+        from . import prompts
+        from .adapter import AdapterError
+
         node = world.graph.node(pending.task_id)
         old_af = world.alignment.get(pending.agent_id, pending.task_id)
         stats = world.task_stats(pending.agent_id, pending.task_id)
@@ -507,8 +514,7 @@ class World:
         return self._organized[agent_id]
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     scenario: Scenario
     world: World
     trace: TraceSink

@@ -27,7 +27,7 @@ import math
 from sys import intern
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .comms import MessageType
 from .model import Scenario, order_key
@@ -42,16 +42,14 @@ class EventError(ValueError):
     """An event names a root task the scenario does not have."""
 
 
-@dataclass
-class Distributions:
-    type_shares: dict[str, float] = field(default_factory=dict)
-    channel_shares: dict[str, float] = field(default_factory=dict)
-    response_latency_by_type: dict[str, float] = field(default_factory=dict)
-    response_latency_by_channel: dict[str, float] = field(default_factory=dict)
+class Distributions(NamedTuple):
+    type_shares: dict[str, float]
+    channel_shares: dict[str, float]
+    response_latency_by_type: dict[str, float]
+    response_latency_by_channel: dict[str, float]
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     completion_rate: float
     avg_completion_time: float | None
     communication_cost: float

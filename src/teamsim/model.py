@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 DEFAULT_HOURS_PER_STEP = 0.25
 DEFAULT_MAX_STEPS = 160
@@ -76,13 +77,16 @@ def hours_to_steps(hours: float, hours_per_step: float = DEFAULT_HOURS_PER_STEP)
     return math.ceil(hours / hours_per_step)
 
 
-@dataclass
 class SimClock:
     """Discrete simulation clock. `step` counts completed step boundaries."""
 
-    step: int = 0
-    hours_per_step: float = DEFAULT_HOURS_PER_STEP
-    max_steps: int = DEFAULT_MAX_STEPS
+    __slots__ = ("step", "hours_per_step", "max_steps")
+
+    def __init__(self, step: int = 0, hours_per_step: float = DEFAULT_HOURS_PER_STEP,
+                 max_steps: int = DEFAULT_MAX_STEPS) -> None:
+        self.step = step
+        self.hours_per_step = hours_per_step
+        self.max_steps = max_steps
 
     def advance(self) -> None:
         if self.step >= self.max_steps:
@@ -90,8 +94,7 @@ class SimClock:
         self.step += 1
 
 
-@dataclass
-class AgentProfile:
+class AgentProfile(NamedTuple):
     agent_id: str
     name: str
     role: Role
@@ -109,13 +112,13 @@ def skill_match_score(agent: AgentProfile, required: set[str] | frozenset[str]) 
     return len(agent.skills & frozenset(required)) / len(required)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     description: str
     estimated_hours: float
     required_skills: frozenset[str]
 
 
+# The one dataclass: `dataclasses.replace` derives a scenario's variants.
 @dataclass
 class Scenario:
     name: str
@@ -169,7 +172,7 @@ def validate_scenario(raw: Scenario) -> Scenario:
         seen.add(agent.agent_id)
         if not agent.skills:
             raise ScenarioError(f"agent {agent.agent_id} has no skills")
-        team.append(replace(agent, skills=frozenset(s.lower() for s in agent.skills)))
+        team.append(agent._replace(skills=frozenset(s.lower() for s in agent.skills)))
 
     tasks = [
         TaskSpec(

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from .adapter import AdapterError, ChatCompletionAdapter
 from .model import AgentProfile, Scenario, order_key, skill_match_score
 from .taskgraph import SubtaskSpec, TaskGraph, TaskNode
-from . import prompts
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .adapter import ChatCompletionAdapter
 
 HOURS_TOLERANCE = 0.20
 
@@ -24,8 +25,7 @@ class PlannerError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DecompositionPlan:
+class DecompositionPlan(NamedTuple):
     subtasks: tuple[SubtaskSpec, ...]
     warnings: tuple[str, ...] = ()
 
@@ -95,6 +95,8 @@ class LlmPlanner:
         self.adapter = adapter
 
     def decompose(self, node: TaskNode, scenario: Scenario) -> DecompositionPlan:
+        from .adapter import AdapterError
+
         warnings: list[str] = []
         for attempt in range(2):
             try:
@@ -108,6 +110,8 @@ class LlmPlanner:
         return DecompositionPlan(fallback.subtasks, tuple(warnings))
 
     def _request_plan(self, node: TaskNode, scenario: Scenario) -> DecompositionPlan:
+        from . import prompts
+
         messages = prompts.decomposition_messages(
             node.description, node.estimated_hours, sorted(node.required_skills),
             scenario.team, len(scenario.workers),

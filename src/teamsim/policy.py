@@ -17,12 +17,11 @@ from enum import Enum
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .adapter import AdapterError, ChatCompletionAdapter
 from .comms import Channel, MessageType, TYPE_NAMES
 from .model import AgentProfile, Role, order_key
-from . import prompts
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .adapter import ChatCompletionAdapter
     from .engine import World
 
 # Constants of the deterministic policies.
@@ -299,6 +298,8 @@ class LlmPolicy(Policy):
         self.adapter = adapter
 
     def decide(self, context: PolicyContext) -> Intention:
+        from .adapter import AdapterError
+
         try:
             parsed = self.adapter.complete_json(self._messages(context))
             kind = IntentionKind(str(parsed.get("intention", "")).strip().upper())
@@ -310,6 +311,8 @@ class LlmPolicy(Policy):
 
     @staticmethod
     def _messages(context: PolicyContext) -> list[dict]:
+        from . import prompts
+
         lines = []
         for view in context.assigned[:3]:
             lines.append(

@@ -8,8 +8,8 @@ when every subtask is done, regardless of how its weighted progress rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import order_key
 
@@ -45,8 +45,7 @@ class TaskStatus(str, Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
-class SubtaskSpec:
+class SubtaskSpec(NamedTuple):
     """Planner-facing subtask description; dependencies are sibling indices."""
 
     description: str
@@ -56,21 +55,29 @@ class SubtaskSpec:
     dependencies: tuple[int, ...] = ()
 
 
-@dataclass
 class TaskNode:
-    task_id: str
-    parent_id: str | None
-    description: str
-    estimated_hours: float
-    required_skills: frozenset[str]
-    dependencies: frozenset[str] = frozenset()
-    assignee: str | None = None
-    accumulated_effective_hours: float = 0.0
-    status: TaskStatus = TaskStatus.READY
-    # Completion fraction of a leaf, capped at 1; set by `TaskGraph.record_work`.
-    progress: float = 0.0
-    # Whether `status` is DONE; set with it by `TaskGraph._mark_done`.
-    done: bool = False
+    __slots__ = ("task_id", "parent_id", "description", "estimated_hours",
+                 "required_skills", "dependencies", "assignee",
+                 "accumulated_effective_hours", "status", "progress", "done")
+
+    def __init__(self, task_id: str, parent_id: str | None, description: str,
+                 estimated_hours: float, required_skills: frozenset[str],
+                 dependencies: frozenset[str] = frozenset(),
+                 assignee: str | None = None,
+                 status: TaskStatus = TaskStatus.READY) -> None:
+        self.task_id = task_id
+        self.parent_id = parent_id
+        self.description = description
+        self.estimated_hours = estimated_hours
+        self.required_skills = required_skills
+        self.dependencies = dependencies
+        self.assignee = assignee
+        self.accumulated_effective_hours = 0.0
+        self.status = status
+        # Completion fraction of a leaf, capped at 1; set by `TaskGraph.record_work`.
+        self.progress = 0.0
+        # Whether `status` is DONE; set with it by `TaskGraph._mark_done`.
+        self.done = False
 
 
 class TaskGraph:

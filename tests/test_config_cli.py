@@ -112,7 +112,13 @@ class TestParsing:
         "tasks: 5\n",
         "tasks:\n  - {description: x, hours: abc, skills: [a]}\n",
         "tasks:\n  - {description: x, hours: 1.0, skills: 7}\n",
-    ], ids=["tasks-not-a-list", "hours-not-a-number", "skills-not-a-list"])
+        # A string or mapping is refused, not iterated into one-letter skills
+        # or its keys.
+        "tasks:\n  - {description: x, hours: 1.0, skills: abc}\n",
+        "tasks:\n  - {description: x, hours: 1.0, skills: {a: 1}}\n",
+        "skill_pool: backend\ntasks:\n  - {description: x, hours: 1.0, skills: [backend]}\n",
+    ], ids=["tasks-not-a-list", "hours-not-a-number", "skills-not-a-list",
+            "skills-a-string", "skills-a-mapping", "skill-pool-a-string"])
     def test_wrongly_typed_field(self, tasks):
         with pytest.raises(ScenarioError, match="malformed scenario field"):
             parse_scenario_text("team: 1M+2W\n" + tasks)
@@ -320,6 +326,23 @@ class TestCliRun:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field,content", [
+        ("skill_pool", APPENDIX_STYLE + "skill_pool: backend\n"),
+        ("tasks[0].skills", APPENDIX_STYLE.replace(
+            '["backend", "frontend", "database", "api", "testing"]', "backend")),
+        ("team[0].skills", EXPLICIT_TEAM.replace("[planning, coordination]", "planning")),
+    ], ids=["skill_pool", "task-skills", "agent-skills"])
+    def test_scalar_skills_are_a_one_line_error(self, tmp_path, capsys, field,
+                                                content):
+        path = tmp_path / "scalar.yaml"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and err.count("\n") == 1
+        assert f"{field} must be a list" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("hours", [".nan", ".inf"])
     def test_non_finite_hours_are_a_one_line_error(self, tmp_path, capsys, hours):
@@ -684,6 +707,18 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err.startswith("trace error: ") and err.count("\n") == 1
         assert "line 3" in err
+
+    def test_unreadable_trace_is_a_one_line_error(self, scenario_file, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(scenario_file), "--out", str(out)])
+        (out / "trace.jsonl").unlink()
+        (out / "trace.jsonl").mkdir()
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("trace error: unreadable trace file: ")
+        assert err.count("\n") == 1
 
     def test_malformed_scenario_snapshot_is_a_one_line_error(self, scenario_file,
                                                              tmp_path, capsys):
