@@ -27,15 +27,21 @@ Exit codes for `run`: 0 when every task completed, 2 otherwise. `run` and
 adapter configuration. Every command returns 4, after a one-line error, when
 a trace has no step to measure: a run with `--max-steps 0`, or a `report` on
 a trace without action events or with an `af_update` step lower than an
-earlier one. Every command returns 5, after a one-line error, on bad input: a
-scenario file that is missing, unreadable or malformed or whose team has no
-worker, a `report` run directory without `trace.jsonl` or `scenario.yaml` (as
-a run that raised mid-way leaves it), a `trace.jsonl` that cannot be opened
-or read (a directory in its place), a trace line that is not one event, an
-event that lacks a field of its kind or holds one of the wrong type, a root
-task completion that names a task the scenario does not have, or an output
-directory (`--out`, or the `report` run directory) or output file that cannot
-be made, written into or, left by an earlier run, removed.
+earlier one. `report` also returns 4 when a metric cannot be a float: a
+communication cost, alignment score, average completion time, efficiency or
+reply latency beyond the float range (every `cost_h` at 1e308, or the last
+`action` step at 10**400), or a communication cost summing inf and -inf.
+Every command returns 5, after a one-line error, on bad input: a scenario
+file that is missing, unreadable or malformed, whose team has no worker or
+whose team shorthand asks for more than `config.MAX_SHORTHAND_AGENTS` agents,
+a `report` run directory without `trace.jsonl` or `scenario.yaml` (as a run
+that raised mid-way leaves it), a `trace.jsonl` that cannot be opened or read
+(a directory in its place), a trace line that is not one event, an event
+that lacks a field of its kind or holds one of the wrong type, a root task
+completion that names a task the scenario does not have or whose `boundary`
+is too large to become hours (10**400), or an output directory (`--out`, or
+the `report` run directory) or output file that cannot be made, written into
+or, left by an earlier run, removed.
 """
 
 from __future__ import annotations

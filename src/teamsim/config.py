@@ -14,11 +14,16 @@ from typing import NamedTuple
 import yaml
 
 from .model import (AgentProfile, Role, Scenario, ScenarioError, TaskSpec,
-                    validate_scenario)
+                    _new_tuple, validate_scenario)
 
 MANAGER_SKILLS = ("planning", "coordination")
 WORKER_SKILLS_PER_AGENT = 3
 WORKER_SKILL_STRIDE = 2
+# The most agents a team shorthand may expand to, far above the widest team
+# the benchmarks run (1M+256W); a larger count is refused before any agent is
+# built, so a typo such as 1M+99999999999W fails at once instead of filling
+# memory.
+MAX_SHORTHAND_AGENTS = 10_000
 
 _SHORTHAND = re.compile(r"^(\d+)M\+(\d+)W$", re.IGNORECASE)
 
@@ -68,34 +73,36 @@ def expand_team_shorthand(shorthand: str, skill_pool: list[str]) -> list[AgentPr
 
     Worker i takes WORKER_SKILLS_PER_AGENT consecutive pool entries starting
     at offset (i-1)*WORKER_SKILL_STRIDE, wrapping around, so adjacent workers
-    overlap and every pool skill is held by at least one worker.
+    overlap and every pool skill is held by at least one worker. A team of
+    more than MAX_SHORTHAND_AGENTS agents is refused before any is built.
     """
     match = _SHORTHAND.match(shorthand.strip())
     if match is None:
         raise ScenarioError(f"malformed team shorthand: {shorthand!r}")
     managers, workers = int(match.group(1)), int(match.group(2))
+    if managers + workers > MAX_SHORTHAND_AGENTS:
+        raise ScenarioError(
+            f"team shorthand {shorthand.strip()!r} has {managers + workers} agents, "
+            f"more than {MAX_SHORTHAND_AGENTS}")
     if not skill_pool:
         raise ScenarioError("team shorthand needs a non-empty skill pool")
-    team: list[AgentProfile] = []
-    for m in range(managers):
-        team.append(AgentProfile(
-            agent_id=f"M{m + 1}",
-            name=f"Manager {m + 1}",
-            role=Role.MANAGER,
-            skills=frozenset(MANAGER_SKILLS),
-        ))
+    manager_skills = frozenset(MANAGER_SKILLS)
+    team = [_new_tuple(AgentProfile, (f"M{m}", f"Manager {m}", Role.MANAGER,
+                                      manager_skills))
+            for m in range(1, managers + 1)]
     pool = [s.lower() for s in skill_pool]
+    size = len(pool)
+    # A pool of P skills has at most P starting offsets, so at most P
+    # distinct rotations: each is built once and shared.
+    rotations: dict[int, frozenset[str]] = {}
     for w in range(workers):
-        start = (w * WORKER_SKILL_STRIDE) % len(pool)
-        skills = frozenset(
-            pool[(start + j) % len(pool)] for j in range(WORKER_SKILLS_PER_AGENT)
-        )
-        team.append(AgentProfile(
-            agent_id=f"W{w + 1}",
-            name=f"Worker {w + 1}",
-            role=Role.WORKER,
-            skills=skills,
-        ))
+        start = (w * WORKER_SKILL_STRIDE) % size
+        skills = rotations.get(start)
+        if skills is None:
+            skills = rotations[start] = frozenset(
+                [pool[(start + j) % size] for j in range(WORKER_SKILLS_PER_AGENT)])
+        team.append(_new_tuple(AgentProfile, (f"W{w + 1}", f"Worker {w + 1}",
+                                              Role.WORKER, skills)))
     return team
 
 

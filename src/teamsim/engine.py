@@ -22,7 +22,8 @@ from .alignment import (AlignmentState, effective_progress,
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
                     Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
                     communication_cost, word_count)
-from .model import AgentProfile, Scenario, SimClock, hours_to_steps, order_key
+from .model import (AgentProfile, Scenario, SimClock, _new_tuple, hours_to_steps,
+                    order_key)
 from .planner import EvenPlanner, LlmPlanner, assign
 from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext,
                      REPORT_MILESTONES, TaskAssignmentView, TeammateView,
@@ -46,9 +47,6 @@ DECOMPOSITION_PENDING = Intention(IntentionKind.CONTINUE_TASK, "decomposition pe
 
 # A task's status while its holder can work on it.
 WORKABLE = (TaskStatus.READY, TaskStatus.IN_PROGRESS)
-
-# Builds a named tuple at C level, without the Python `__new__` its class has.
-_new_tuple = tuple.__new__
 
 # The message each communicating intention sends.
 INTENTION_MESSAGE_TYPES = {
@@ -196,9 +194,9 @@ class World:
         # Each agent as a teammate sees it, (idle, busy), in agent order; a
         # step picks one of the two by `agent_id in active`.
         self.teammate_views: dict[str, tuple[TeammateView, TeammateView]] = {
-            a.agent_id: (TeammateView(a.agent_id, a.role, a.skills, False),
-                         TeammateView(a.agent_id, a.role, a.skills, True))
-            for a in ordered}
+            agent_id: (_new_tuple(TeammateView, (agent_id, role, skills, False)),
+                       _new_tuple(TeammateView, (agent_id, role, skills, True)))
+            for agent_id, _, role, skills in ordered}
 
         self.graph = TaskGraph()
         for i, task in enumerate(scenario.tasks):

@@ -39,7 +39,8 @@ class MetricsError(ValueError):
 
 
 class EventError(ValueError):
-    """An event names a root task the scenario does not have."""
+    """An event names a root task the scenario does not have, or holds a
+    completion step too large to become hours."""
 
 
 class Distributions(NamedTuple):
@@ -93,10 +94,13 @@ class _Samples:
 
     `fsum` and `mean` give what `math.fsum` and the mean of the same values
     listed one by one give: the exact sum rounded once, divided by the count,
-    and the value itself when all samples are equal.
+    and the value itself when all samples are equal. Where `math.fsum` would
+    raise, as for a sum beyond the float range, they raise `MetricsError`
+    naming the metric, `name`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.counts: dict[float, int] = {}
 
     def add(self, value: float, times: int = 1) -> None:
@@ -109,9 +113,16 @@ class _Samples:
         ratios = [(value.as_integer_ratio(), times)
                   for value, times in self.counts.items() if math.isfinite(value)]
         scale = max((den for (_, den), _ in ratios), default=1)
-        total = sum(num * (scale // den) * times for (num, den), times in ratios) / scale
-        # NaN and infinities decide the sum as they decide math.fsum's.
-        return math.fsum([total, *(v for v in self.counts if not math.isfinite(v))])
+        try:
+            total = sum(num * (scale // den) * times
+                        for (num, den), times in ratios) / scale
+            # NaN and infinities decide the sum as they decide math.fsum's,
+            # which raises ValueError for inf + -inf.
+            return math.fsum([total, *(v for v in self.counts if not math.isfinite(v))])
+        except OverflowError:
+            raise MetricsError(f"{self.name} exceeds the float range") from None
+        except ValueError as exc:
+            raise MetricsError(f"{self.name} is undefined: {exc}") from None
 
     def mean(self) -> float:
         counts = self.counts
@@ -119,11 +130,16 @@ class _Samples:
             return 0.0
         if min(counts) == max(counts):
             return next(iter(counts))
-        return self.fsum() / sum(counts.values())
+        total = self.fsum()
+        try:
+            return total / sum(counts.values())
+        except OverflowError:
+            # More samples than a float can count, as a step of 10**400 gives.
+            raise MetricsError(f"{self.name} exceeds the float range") from None
 
 
-def _mean(values: Iterable[float]) -> float:
-    samples = _Samples()
+def _mean(values: Iterable[float], name: str) -> float:
+    samples = _Samples(name)
     for value in values:
         samples.add(value)
     return samples.mean()
@@ -140,7 +156,7 @@ class _Alignment:
 
     def __init__(self) -> None:
         self.held: dict[tuple[str, str], tuple[float, int]] = {}
-        self.samples = _Samples()
+        self.samples = _Samples("alignment score")
         self.waiting: deque[tuple[int, tuple[str, str], float]] = deque()
         self.final_step = 0
         self.last_step = 0
@@ -237,9 +253,12 @@ class _Distributions:
             if root is None:
                 continue
             kind, channel, root_step = root
-            latency = float((sent_step + 1) - root_step)
-            by_type.setdefault(kind, _Samples()).add(latency)
-            by_channel.setdefault(channel, _Samples()).add(latency)
+            try:
+                latency = float((sent_step + 1) - root_step)
+            except OverflowError:
+                raise MetricsError("reply latency exceeds the float range") from None
+            by_type.setdefault(kind, _Samples("reply latency")).add(latency)
+            by_channel.setdefault(channel, _Samples("reply latency")).add(latency)
         return Distributions(
             type_shares={k: v / total for k, v in sorted(self.type_counts.items())},
             channel_shares={k: v / total
@@ -268,7 +287,7 @@ class MetricsFold:
         self.completion_hours: dict[str, float | None] = dict.fromkeys(root_ids)
         self.event_count = 0
         self.final_step: int | None = None  # one past the latest action step
-        self.comm_cost = _Samples()
+        self.comm_cost = _Samples("communication cost")
         self.alignment = _Alignment()
         self.heatmap = _Heatmap([a.agent_id for a in scenario.team])
         self.distributions = _Distributions()
@@ -289,7 +308,10 @@ class MetricsFold:
         elif kind == "af_update":
             self.alignment.update(record)
         elif kind == "task_done" and record["root"]:
-            hours = record["boundary"] * self.hours_per_step
+            try:
+                hours = record["boundary"] * self.hours_per_step
+            except OverflowError:
+                raise EventError("holds a 'boundary' too large to become hours") from None
             task = record["task"]
             if task not in self.completion_hours:
                 raise EventError(f"names root task {task!r}, which the scenario "
@@ -304,11 +326,15 @@ class MetricsFold:
         completion_hours = self.completion_hours
         completed = [rid for rid, h in completion_hours.items() if h is not None]
         completion_rate = 100.0 * len(completed) / len(self.root_hours)
-        avg_time = _mean(completion_hours[rid] for rid in completed) if completed else None
+        avg_time = (_mean((completion_hours[rid] for rid in completed),
+                          "average completion time") if completed else None)
 
         efficiency = None
         if completed and avg_time:
-            efficiency = math.fsum(self.root_hours[rid] for rid in completed) / avg_time
+            try:
+                efficiency = math.fsum(self.root_hours[rid] for rid in completed) / avg_time
+            except OverflowError:
+                raise MetricsError("efficiency exceeds the float range") from None
 
         speedup = None
         if self.baseline_hours is not None and avg_time:

@@ -12,6 +12,9 @@ from typing import NamedTuple
 DEFAULT_HOURS_PER_STEP = 0.25
 DEFAULT_MAX_STEPS = 160
 
+# Builds a named tuple at C level, without the Python `__new__` its class has.
+_new_tuple = tuple.__new__
+
 POLICY_NAMES = ("no_comm", "fixed_steps", "c2c_heuristic", "c2c_llm")
 EVALUATOR_NAMES = ("rule_based", "llm")
 
@@ -109,7 +112,7 @@ def skill_match_score(agent: AgentProfile, required: set[str] | frozenset[str]) 
     """Fraction of required skills the agent holds; 1.0 when nothing is required."""
     if not required:
         return 1.0
-    return len(agent.skills & frozenset(required)) / len(required)
+    return len(agent.skills & required) / len(required)
 
 
 class TaskSpec(NamedTuple):
@@ -164,23 +167,21 @@ def validate_scenario(raw: Scenario) -> Scenario:
     if raw.evaluator_name not in EVALUATOR_NAMES:
         raise ScenarioError(f"unknown evaluator: {raw.evaluator_name}")
 
+    # Agents and tasks are rebuilt by position through `tuple.__new__`, which
+    # runs no Python-level `__new__` or `_replace`.
     seen: set[str] = set()
     team: list[AgentProfile] = []
-    for agent in raw.team:
-        if agent.agent_id in seen:
-            raise ScenarioError(f"duplicate agent id: {agent.agent_id}")
-        seen.add(agent.agent_id)
-        if not agent.skills:
-            raise ScenarioError(f"agent {agent.agent_id} has no skills")
-        team.append(agent._replace(skills=frozenset(s.lower() for s in agent.skills)))
+    for agent_id, name, role, skills in raw.team:
+        if agent_id in seen:
+            raise ScenarioError(f"duplicate agent id: {agent_id}")
+        seen.add(agent_id)
+        if not skills:
+            raise ScenarioError(f"agent {agent_id} has no skills")
+        team.append(_new_tuple(AgentProfile, (
+            agent_id, name, role, frozenset([s.lower() for s in skills]))))
 
-    tasks = [
-        TaskSpec(
-            description=t.description,
-            estimated_hours=float(t.estimated_hours),
-            required_skills=frozenset(s.lower() for s in t.required_skills),
-        )
-        for t in raw.tasks
-    ]
-    pool = tuple(s.lower() for s in raw.skill_pool)
+    tasks = [_new_tuple(TaskSpec, (description, float(hours),
+                                   frozenset([s.lower() for s in required])))
+             for description, hours, required in raw.tasks]
+    pool = tuple([s.lower() for s in raw.skill_pool])
     return replace(raw, team=team, tasks=tasks, skill_pool=pool)

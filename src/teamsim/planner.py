@@ -1,9 +1,12 @@
 """Manager-side decomposition of root tasks and assignment of subtasks.
 
 Decomposition happens once, in the manager's step-0 action slot. The
-deterministic planner splits effort evenly across workers; the LLM planner
-asks the external model for a plan and falls back to the even split when the
-plan fails validation twice.
+deterministic planner splits effort evenly across workers and suggests no
+assignee; the LLM planner asks the external model for a plan, whose subtasks
+may each suggest one, and falls back to the even split when the plan fails
+validation twice. `assign` then places every subtask: on its suggested worker
+while that worker is under the load cap and holds a required skill, otherwise
+on the best-scoring open worker.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import heapq
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import AgentProfile, Scenario, order_key, skill_match_score
+from .model import (AgentProfile, Scenario, _new_tuple, order_key,
+                    skill_match_score)
 from .taskgraph import SubtaskSpec, TaskGraph, TaskNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,37 +56,36 @@ def validate_plan(plan: DecompositionPlan, estimated_hours: float,
 
 
 class EvenPlanner:
-    """One equally sized, dependency-free subtask per worker."""
+    """One equally sized, dependency-free subtask per worker, with no
+    suggested assignee: `assign` places each one.
+
+    A suggestion would add nothing: the plan's W subtasks over W workers give
+    `assign` a load cap of 1, and under it the natural suggestion, the
+    lowest-id worker of the best score, is taken only while that worker is
+    unloaded and scores above 0, when `assign`'s heap picks the same worker:
+    the best score, then the lowest id, among the unloaded workers.
+    `tests/planner_oracle.py` keeps a planner that makes that suggestion.
+    """
 
     name = "even"
 
     def decompose(self, node: TaskNode, scenario: Scenario) -> DecompositionPlan:
-        workers = sorted(scenario.workers, key=lambda a: order_key(a.agent_id))
-        if not workers:
+        count = len(scenario.workers)
+        if not count:
             raise PlannerError("empty team")
-        count = len(workers)
         hours_each = node.estimated_hours / count
         skills = sorted(node.required_skills)
         specs = []
-        best: dict[frozenset[str], AgentProfile] = {}
         for i in range(count):
             # Round-robin the task's skills; with more workers than skills the
             # slice goes empty, so cycle singletons instead.
             bundle = frozenset(skills[i::count]) if skills else frozenset()
             if skills and not bundle:
                 bundle = frozenset({skills[i % len(skills)]})
-            if bundle not in best:
-                # max() keeps the first of equal scores: the lowest worker id.
-                best[bundle] = max(workers, key=lambda a: skill_match_score(a, bundle))
-            assignee = best[bundle]
             label = ", ".join(sorted(bundle)) or "general"
-            specs.append(SubtaskSpec(
-                description=f"{node.description} (workstream {i + 1}: {label})",
-                estimated_hours=hours_each,
-                required_skills=bundle,
-                suggested_assignee=assignee.agent_id,
-                dependencies=(),
-            ))
+            specs.append(_new_tuple(SubtaskSpec, (
+                f"{node.description} (workstream {i + 1}: {label})",
+                hours_each, bundle, None, ())))
         return DecompositionPlan(subtasks=tuple(specs))
 
 
@@ -147,9 +150,9 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
     if not workers:
         raise PlannerError("empty team")
     cap = math.ceil(len(subtask_ids) / len(workers))
-    load: dict[str, int] = {a.agent_id: 0 for a in workers}
+    profiles = {a.agent_id: a for a in workers}
+    load: dict[str, int] = dict.fromkeys(profiles, 0)
     out: dict[str, list[str]] = {a.agent_id: [] for a in workers}
-    scores: dict[frozenset[str], dict[str, float]] = {}
     # Per skill set, a heap of (-score, load, rank, id): the best open worker
     # is on top once stale entries are dropped or re-keyed. Loads only grow,
     # so a recorded load is never above the current one.
@@ -158,17 +161,14 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
     for task_id in sorted(subtask_ids, key=order_key):
         node = graph.node(task_id)
         required = node.required_skills
-        if required not in scores:
-            scores[required] = {a.agent_id: skill_match_score(a, required)
-                                for a in workers}
-        score = scores[required]
         suggested = node.assignee
-        if suggested in load and load[suggested] < cap and score[suggested] > 0:
+        if (suggested in load and load[suggested] < cap
+                and skill_match_score(profiles[suggested], required) > 0):
             chosen = suggested
         else:
             heap = heaps.get(required)
             if heap is None:
-                heap = [(-score[a.agent_id], load[a.agent_id], i, a.agent_id)
+                heap = [(-skill_match_score(a, required), load[a.agent_id], i, a.agent_id)
                         for i, a in enumerate(workers) if load[a.agent_id] < cap]
                 heapq.heapify(heap)
                 heaps[required] = heap

@@ -51,6 +51,9 @@ class SubtaskSpec(NamedTuple):
     description: str
     estimated_hours: float
     required_skills: frozenset[str]
+    # The worker a model-made plan proposes, which `planner.assign` takes
+    # while that worker is under the load cap and holds a required skill;
+    # None, as in every even-split subtask, leaves the choice to `assign`.
     suggested_assignee: str | None = None
     dependencies: tuple[int, ...] = ()
 

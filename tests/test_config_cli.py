@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -70,6 +71,30 @@ class TestParsing:
         team = expand_team_shorthand("1M+4W", pool)
         union = frozenset().union(*(w.skills for w in team[1:]))
         assert union == frozenset(pool)
+
+    def test_shorthand_follows_the_documented_rotation(self):
+        # Each distinct rotation is built once and shared; every agent must
+        # still be the one the documented formula gives.
+        for size in range(1, 9):
+            pool = [f"S{i}" for i in range(size)]
+            team = expand_team_shorthand("2M+13W", pool)
+            assert team[:2] == [
+                AgentProfile(f"M{m}", f"Manager {m}", Role.MANAGER,
+                             frozenset(config.MANAGER_SKILLS)) for m in (1, 2)]
+            for w, agent in enumerate(team[2:]):
+                start = w * config.WORKER_SKILL_STRIDE
+                skills = frozenset(pool[(start + j) % size].lower()
+                                   for j in range(config.WORKER_SKILLS_PER_AGENT))
+                assert agent == AgentProfile(f"W{w + 1}", f"Worker {w + 1}",
+                                             Role.WORKER, skills)
+                assert type(agent) is AgentProfile
+
+    def test_shorthand_team_size_is_bounded(self):
+        bound = config.MAX_SHORTHAND_AGENTS
+        assert len(expand_team_shorthand(f"1M+{bound - 1}W", ["a"])) == bound
+        with pytest.raises(ScenarioError, match=f"has {bound + 1} agents, more "
+                                                f"than {bound}"):
+            expand_team_shorthand(f"1M+{bound}W", ["a"])
 
     def test_explicit_team(self):
         scenario = parse_scenario_text(EXPLICIT_TEAM)
@@ -373,6 +398,31 @@ class TestCliRun:
         assert capsys.readouterr().err == "scenario error: no worker\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("team,agents", [
+        ("1M+99999999999W", 100_000_000_000),
+        ("99999999999M+1W", 100_000_000_000),
+        (f"1M+{config.MAX_SHORTHAND_AGENTS}W", config.MAX_SHORTHAND_AGENTS + 1),
+    ], ids=["workers", "managers", "one-over"])
+    def test_huge_team_shorthand_is_a_one_line_error(self, tmp_path, capsys,
+                                                     monkeypatch, team, agents):
+        # The parent commit built agents until memory ran out. The bound is
+        # checked before any agent is built: building one here raises.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an agent was built")
+
+        monkeypatch.setattr(config, "AgentProfile", refuse)
+        path = tmp_path / "huge.yaml"
+        path.write_text(APPENDIX_STYLE.replace("team: 1M+4W", f"team: {team}"),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(path), "--out", str(out),
+                     "--max-steps", "0"])
+        assert capsys.readouterr().err == (
+            f"scenario error: team shorthand '{team}' has {agents} agents, more "
+            f"than {config.MAX_SHORTHAND_AGENTS}\n")
+        assert code == 5
+        assert not out.exists()
+
     def test_deeply_nested_field_is_a_one_line_error(self, tmp_path, capsys):
         depth = 20_000
         path = tmp_path / "deep.yaml"
@@ -655,6 +705,40 @@ class TestCliCompare:
             (out2 / "compare.csv").read_text()
 
 
+def _simple_heuristic_run(tmp_path):
+    """A `simple`/`c2c_heuristic` run's directory, trace path and records."""
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(SCENARIOS / "simple.yaml"),
+                 "--policy", "c2c_heuristic", "--out", str(out)]) == 0
+    path = out / "trace.jsonl"
+    return out, path, [json.loads(line) for line in
+                       path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_records(path, records):
+    path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n"
+                            for r in records), encoding="utf-8")
+
+
+def _every_cost_at_1e308(records):
+    for record in records:
+        if record["kind"] == "message_sent":
+            record["cost_h"] = 1e308
+
+
+def _first_costs_infinite_both_ways(records):
+    first, second = [r for r in records if r["kind"] == "message_sent"][:2]
+    first["cost_h"], second["cost_h"] = math.inf, -math.inf
+
+
+def _last_action_at_a_huge_step(records):
+    [r for r in records if r["kind"] == "action"][-1]["step"] = 10 ** 400
+
+
+def _first_reply_sent_at_a_huge_step(records):
+    next(r for r in records if r["kind"] == "message_sent"
+         and r["type"] == "RESPONSE")["sent_step"] = 10 ** 400
+
 class TestCliReport:
     def test_report_recomputes_from_run_dir(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -924,6 +1008,38 @@ class TestCliReport:
         assert main(["report", "--run", str(out)]) == 4
         err = capsys.readouterr().err
         assert err == "metrics error: af_update at step 0 follows one at step 1\n"
+
+
+    @pytest.mark.parametrize("edit,detail", [
+        (_every_cost_at_1e308, "communication cost exceeds the float range"),
+        (_last_action_at_a_huge_step, "alignment score exceeds the float range"),
+        (_first_reply_sent_at_a_huge_step, "reply latency exceeds the float range"),
+        (_first_costs_infinite_both_ways,
+         "communication cost is undefined: -inf + inf in fsum"),
+    ], ids=["cost", "last-step", "latency", "inf-minus-inf"])
+    def test_sum_beyond_the_float_range_is_a_one_line_error(self, tmp_path,
+                                                            capsys, edit, detail):
+        # The parent commit ended each of these in an OverflowError or
+        # ValueError traceback (exit 1).
+        out, path, records = _simple_heuristic_run(tmp_path)
+        edit(records)
+        _write_records(path, records)
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 4
+        assert capsys.readouterr().err == f"metrics error: {detail}\n"
+
+    def test_boundary_too_large_for_hours_is_a_one_line_error(self, tmp_path,
+                                                               capsys):
+        out, path, records = _simple_heuristic_run(tmp_path)
+        number, record = next((i, r) for i, r in enumerate(records)
+                              if r["kind"] == "task_done" and r["root"])
+        record["boundary"] = 10 ** 400
+        _write_records(path, records)
+        capsys.readouterr()
+        assert main(["report", "--run", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"trace error: {path}: event {number} (task_done at step "
+            f"{record['step']}) holds a 'boundary' too large to become hours\n")
 
 
 class TestSharedParser:

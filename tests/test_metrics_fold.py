@@ -298,6 +298,20 @@ def test_af_update_steps_going_back_are_rejected():
         compute_metrics(trace, make_scenario(MEDIUM_TASK))
 
 
+
+def test_efficiency_beyond_the_float_range_is_a_metrics_error():
+    # Two finished roots of 1e308 hours each: their summed hours overflow,
+    # where `math.fsum` raised OverflowError out of `result()` before.
+    trace = TraceLog()
+    add_event(trace, 0, "action", {})
+    for task in ("T1", "T2"):
+        add_event(trace, 0, "task_done", {"task": task, "root": True, "boundary": 4})
+    scenario = make_scenario(MEDIUM_TASK)
+    scenario = dataclasses.replace(
+        scenario, tasks=[MEDIUM_TASK._replace(estimated_hours=1e308)] * 2)
+    with pytest.raises(MetricsError, match="^efficiency exceeds the float range$"):
+        compute_metrics(trace, scenario)
+
 def _report_peak(tmp_path: Path, roots: int) -> tuple[int, int]:
     """Peak bytes allocated by `teamsim report`, and bytes a read trace holds."""
     run_dir = tmp_path / f"{roots}-roots"

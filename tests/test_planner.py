@@ -4,9 +4,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teamsim.adapter import ChatCompletionAdapter
+from teamsim.engine import Simulation
 from teamsim.model import (AgentProfile, Role, Scenario, TaskSpec, order_key,
                            skill_match_score, validate_scenario)
 from teamsim.planner import (DecompositionPlan, EvenPlanner, LlmPlanner,
@@ -14,6 +15,7 @@ from teamsim.planner import (DecompositionPlan, EvenPlanner, LlmPlanner,
 from teamsim.taskgraph import SubtaskSpec, TaskGraph
 
 from conftest import MEDIUM_TASK, SIMPLE_TASK, make_scenario, make_team
+from planner_oracle import SuggestingEvenPlanner
 
 
 def scenario_for(task, label="1M+4W"):
@@ -312,3 +314,74 @@ def test_assign_matches_linear_scan_oracle(inputs):
     assert list(result.items()) == list(expected.items())
     assert ([graph.node(i).assignee for i in ids]
             == [oracle_graph.node(i).assignee for i in ids])
+
+
+# Skills a drawn worker may hold, and two that no worker holds.
+HELD_SKILLS = ["s1", "s2", "s3", "s4", "s5", "s6"]
+UNHELD_SKILLS = ["x1", "x2"]
+
+
+def _even_scenario(worker_skills, roots, policy="c2c_heuristic", order=None):
+    """A validated scenario of one manager and workers W1.. holding
+    `worker_skills`, listed in `order` (by default in reverse), with `roots`
+    as (hours, required skills) pairs."""
+    workers = [AgentProfile(f"W{i + 1}", f"Worker {i + 1}", Role.WORKER, skills)
+               for i, skills in enumerate(worker_skills)]
+    if order is None:
+        order = reversed(range(len(workers)))
+    team = [AgentProfile("M1", "Manager 1", Role.MANAGER,
+                         frozenset({"planning", "coordination"}))]
+    team += [workers[i] for i in order]
+    tasks = [TaskSpec(f"root {i + 1}", hours, frozenset(skills))
+             for i, (hours, skills) in enumerate(roots)]
+    return validate_scenario(Scenario(name="even", team=team, tasks=tasks,
+                                      policy_name=policy))
+
+
+@st.composite
+def even_plan_scenarios(draw):
+    """1 to 64 workers whose skills overlap or are disjoint, and 1 to 8 roots
+    whose skills some, one, or no worker holds."""
+    held = st.frozensets(st.sampled_from(HELD_SKILLS), min_size=1, max_size=3)
+    worker_skills = [draw(held) for _ in range(draw(st.integers(1, 64)))]
+    required = st.frozensets(st.sampled_from(HELD_SKILLS + UNHELD_SKILLS), max_size=6)
+    roots = [(draw(st.sampled_from([2.0, 7.5, 24.0])), draw(required))
+             for _ in range(draw(st.integers(1, 8)))]
+    return _even_scenario(worker_skills, roots,
+                          draw(st.sampled_from(["no_comm", "c2c_heuristic"])),
+                          draw(st.permutations(range(len(worker_skills)))))
+
+
+def _planned(planner, scenario, index):
+    """Root `index` of `scenario` decomposed by `planner` and assigned: the
+    plan without suggestions, `assign`'s result and each subtask's holder."""
+    graph = TaskGraph()
+    task = scenario.tasks[index]
+    node = graph.add_root(f"T{index + 1}", task.description, task.estimated_hours,
+                          task.required_skills)
+    plan = planner.decompose(node, scenario)
+    ids = [n.task_id for n in graph.add_subtasks(node.task_id, list(plan.subtasks))]
+    result = assign(graph, ids, scenario.team)
+    return ([spec._replace(suggested_assignee=None) for spec in plan.subtasks],
+            list(result.items()), [(i, graph.node(i).assignee) for i in ids])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(even_plan_scenarios())
+# Two subtasks share a bundle whose best worker (W1) ties with W2: a cap above
+# one would let the suggestion stack both on W1.
+@example(_even_scenario([frozenset({"s1"}), frozenset({"s1"}), frozenset({"s2"})],
+                        [(6.0, {"s1"})]))
+# Bundles that differ per subtask, one held by no worker, over shuffled ids.
+@example(_even_scenario([frozenset({"s1", "s2"}), frozenset({"s3"}),
+                         frozenset({"s2", "s4"}), frozenset({"s5"})],
+                        [(8.0, {"s1", "s2", "s3", "x1"}), (4.0, set())]))
+def test_even_plan_is_placed_as_the_suggesting_plan_was(scenario):
+    """The even plan no longer suggests assignees; `assign` must place every
+    subtask where the suggestion put it, and a run must write the same trace."""
+    for index in range(len(scenario.tasks)):
+        assert (_planned(EvenPlanner(), scenario, index)
+                == _planned(SuggestingEvenPlanner(), scenario, index))
+    traces = [Simulation(scenario, planner=planner, max_steps=4).run().trace.to_jsonl()
+              for planner in (EvenPlanner(), SuggestingEvenPlanner())]
+    assert traces[0] == traces[1]

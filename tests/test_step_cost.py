@@ -26,21 +26,24 @@ task views and last actions were built as tuples without their Python-level
 `__new__`; 851.2 (229,826) once `World` stopped caching task views and each
 context field built only the views it returns; 835.6 (225,616) once a
 CONTINUE_TASK went straight to the work fallback instead of passing every
-other intention kind's test. The bound is that last figure rounded up to a
-whole instruction, 836, past the in-suite reading of 835.755: the count reads
-38 instructions (0.14 per agent-step) higher once other tests have run in the
-same process, as the files before this one in the suite or the hypothesis
-tests of `tests/test_world_indexes.py` do.
+other intention kind's test. Those counts ran a garbage collection's
+callbacks too, and hypothesis adds one to `gc.callbacks`, so they read 38
+instructions (0.14 per agent-step) higher once other tests had run in the
+same process. `count_opcodes` now turns the collector off, and a count reads
+the same alone and in the suite: 834.1 (225,202) for the code above, and
+831.6 (224,536) once the even plan left every placement to `assign`. The
+bound is the last figure rounded up to a whole instruction: 832.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
 991.6 (307,381 over 310) with every field read up front; 578.2 (234,160) and
 766.2 (237,527) with fields read on demand; 562.9 (227,959) and 748.3
 (231,960) without the view cache; 545.4 (220,871) and 733.0 (227,228) with
-CONTINUE_TASK routed straight to work. Their bounds are those figures rounded
-up to a whole instruction, 546 and 734, past the in-suite readings of 545.454
-and 733.116 to 733.239 (38, and 38 to 76, instructions higher, by which tests
-ran before).
+CONTINUE_TASK routed straight to work; with the collector off while
+counting, 544.9 (220,703) and 731.2 (226,664), then 543.3 (220,037) and
+729.0 (225,998) with every even-split subtask placed by `assign` alone.
+Their bounds are those last figures rounded up to a whole instruction: 544
+and 730.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -54,7 +57,8 @@ with threads and meetings reading their root message, 1,135.8 (1,776,331) and
 1,133.2 (7,243,456), a ratio of 1.00; with fields read on demand, 1,071.7 and
 1,069.2, a ratio of 1.00; without the view cache, 1,011.2 (1,581,533) and
 1,006.7 (6,434,842), a ratio of 1.00; with CONTINUE_TASK routed straight to
-work, 997.9 and 993.3, a ratio of 1.00.
+work, 997.9 and 993.3, a ratio of 1.00; with every even-split subtask placed
+by `assign` alone, 983.3 and 978.9, a ratio of 1.00.
 The ratio bound, 1.10, lets an agent-step grow a little with the tasks an
 agent holds, not in proportion to them.
 
@@ -68,22 +72,39 @@ codec, while each line was checked by itself in Python; 8.8 (4,628) and 70.8
 and checks it column by column in C-level passes, leaving per line only the
 yield and, under the standard library, its Python-level JSON decoder. Under
 `python -X dev -m pytest` as CI runs it, they read 8.989 and 70.916 over the
-whole suite (8.916 and 70.916 for this file alone). The bounds are those
+whole suite (8.916 and 70.916 for this file alone, and everywhere once the
+collector is off while counting). The bounds are those
 readings rounded up to a whole instruction, and one more where that would
 leave fewer than 100 instructions over the trace to spare: 10 and 72.
+
+Team set-up, on a 1M+256W team with one medium root under `no_comm`, parsed
+from YAML through libyaml after one untimed pass, so that no count holds a
+one-time cost such as compiling a pattern: the parse cost 250.7 instructions
+per worker (64,173), `Simulation()` 183.9 per agent (47,250) and step 0, the
+plan, 1,671.0 per subtask (427,764) while the even planner suggested an
+assignee for every subtask, `validate_scenario` rebuilt each agent through
+`_replace` and `World` built each teammate view through its Python-level
+`__new__`; 148.2 (37,935), 164.9 (42,367) and 1,408.9 (360,674) once the
+even plan left every placement to `assign`, which scores a skill set's
+workers only to build its heap, and agents, skill rotations and teammate
+views were each built once, by position. The same figures read in the whole
+suite under `python -X dev -m pytest`. The bounds are those readings rounded
+up to a whole instruction: 149, 165 and 1,409.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
 """
 
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
-from teamsim import trace
-from teamsim.config import expand_team_shorthand, parse_scenario
+from teamsim import config, trace
+from teamsim.config import expand_team_shorthand, parse_scenario, parse_scenario_text
 from teamsim.engine import Simulation
 from teamsim.model import Scenario, order_key, validate_scenario
 from teamsim.trace import TraceLog
@@ -95,15 +116,20 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 546),
-    "fixed_steps": (310, 734),
-    "c2c_heuristic": (270, 836),
+    "no_comm": (405, 544),
+    "fixed_steps": (310, 730),
+    "c2c_heuristic": (270, 832),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 10, "stdlib": 72}
+# Team set-up on a 1M+256W team with one root under `no_comm`: opcodes of the
+# parse per worker, of `Simulation()` per agent and of step 0 (the plan) per
+# subtask.
+SETUP_OPCODES_BOUND = {"parse": 149, "simulation": 165, "plan_step": 1409}
+WIDE_WORKERS = 256
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                 reason="bounds calibrated on CPython 3.11")
@@ -111,9 +137,13 @@ calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
 
 def count_opcodes(call):
     """`call()`'s result and the bytecode instructions it executed, in every
-    frame it ran. `order_key` starts with an empty memo, so the count does not
-    depend on which tests ran before."""
+    frame it ran. `order_key` starts with an empty memo and the cyclic garbage
+    collector is off, so the count does not depend on which tests ran before:
+    a collection runs the Python-level callbacks other tests leave in
+    `gc.callbacks` (hypothesis registers one)."""
     order_key.cache_clear()
+    collecting = gc.isenabled()
+    gc.disable()
     count = 0
 
     def local(frame, event, arg):
@@ -131,6 +161,8 @@ def count_opcodes(call):
         result = call()
     finally:
         sys.settrace(None)
+        if collecting:
+            gc.enable()
     return result, count
 
 
@@ -187,3 +219,38 @@ def test_opcodes_per_trace_line_read_stay_under_the_bound(tmp_path, monkeypatch,
     assert len(records) == 525
     assert opcodes / len(records) <= STREAM_OPCODES_PER_LINE_BOUND[codec], \
         f"{opcodes} opcodes over {len(records)} lines"
+
+
+def wide_team_text() -> str:
+    """A 1M+256W scenario with one medium root under `no_comm`, as YAML."""
+    return "\n".join([
+        "name: wide",
+        f"team: 1M+{WIDE_WORKERS}W",
+        "policy: no_comm",
+        f"skill_pool: [{', '.join(SKILL_POOL)}]",
+        "tasks:",
+        f"  - description: {MEDIUM_TASK.description!r}",
+        f"    hours: {MEDIUM_TASK.estimated_hours}",
+        f"    skills: [{', '.join(sorted(MEDIUM_TASK.required_skills))}]",
+    ]) + "\n"
+
+
+@calibrated
+@pytest.mark.skipif(getattr(yaml, "CSafeLoader", None) is not config._LOADER,
+                    reason="calibrated with libyaml's loader")
+def test_team_setup_opcodes_stay_under_the_bounds():
+    """Parsing, building the `Simulation` and the plan step each cost a
+    bounded number of instructions per agent or subtask: nothing per agent is
+    built twice, and the even plan's subtasks are placed by `assign` alone."""
+    text = wide_team_text()
+    Simulation(parse_scenario_text(text)).step()
+    scenario, parse_opcodes = count_opcodes(lambda: parse_scenario_text(text))
+    simulation, build_opcodes = count_opcodes(lambda: Simulation(scenario))
+    _, plan_opcodes = count_opcodes(simulation.step)
+    subtasks = len(simulation.world.graph.nodes) - 1
+    assert len(scenario.team) == WIDE_WORKERS + 1 and subtasks == WIDE_WORKERS
+    readings = {"parse": parse_opcodes / WIDE_WORKERS,
+                "simulation": build_opcodes / len(scenario.team),
+                "plan_step": plan_opcodes / subtasks}
+    for name, bound in SETUP_OPCODES_BOUND.items():
+        assert readings[name] <= bound, f"{name}: {readings[name]:.2f} opcodes"
