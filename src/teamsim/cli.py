@@ -30,7 +30,7 @@ a trace without action events or with an `af_update` step lower than an
 earlier one. `report` also returns 4 when a metric cannot be a float: a
 communication cost, alignment score, average completion time, efficiency or
 reply latency beyond the float range (every `cost_h` at 1e308, or the last
-`action` step at 10**400), or a communication cost summing inf and -inf.
+`action` step at 10**400).
 Every command returns 5, after a one-line error, on bad input: a scenario
 file that is missing, unreadable or malformed, whose team has no worker or
 whose team shorthand asks for more than `config.MAX_SHORTHAND_AGENTS` agents,
@@ -39,7 +39,8 @@ that raised mid-way leaves it), a `trace.jsonl` that cannot be opened or read
 (a directory in its place), a trace line that is not one event, an event
 that lacks a field of its kind or holds one of the wrong type, a root task
 completion that names a task the scenario does not have or whose `boundary`
-is too large to become hours (10**400), or an output directory (`--out`, or
+is too large to become hours (10**400), a `message_sent` `cost_h` or an
+`af_update` `new` that is NaN or infinite, or an output directory (`--out`, or
 the `report` run directory) or output file that cannot be made, written into
 or, left by an earlier run, removed.
 """

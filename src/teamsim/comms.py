@@ -3,7 +3,8 @@
 A message sent at step t becomes readable at t+1, never sooner; that delivery
 step is always `sent_step + 1` and is not stored. The buffer keeps pending
 messages in a canonical (sent_step, sender, id) order so that delivery order is
-reproducible run to run.
+reproducible run to run. A message's text is composed only where something
+reads it; its word count, which sets its cost, is always known.
 
 A thread is its root message plus reply state, and a meeting is its invite
 plus RSVP state: the id, sender, type, recipients and task of either are read
@@ -98,7 +99,7 @@ class Message:
 
     def __init__(self, message_id: str, thread_id: str, from_agent: str,
                  to_agents: tuple[str, ...], channel: Channel,
-                 message_type: MessageType, content: str, sent_step: int,
+                 message_type: MessageType, content: str | None, sent_step: int,
                  about_task: str | None = None, meeting_id: str | None = None,
                  cost_hours: float = 0.0) -> None:
         if not to_agents:
@@ -172,29 +173,34 @@ class Meeting:
         self.attendees: tuple[str, ...] = ()
 
 
-def _canonical(message: Message) -> tuple[int, str, str]:
-    # Sender ids compare as plain strings here, so W10 sorts before W2.
-    return (message.sent_step, message.from_agent, message.message_id)
-
-
 class CommBuffer:
     """Stages sent messages until their delivery step.
 
-    `pending` is kept in canonical order: each message is inserted in place.
+    `pending` is kept in canonical (sent_step, sender, id) order: each message
+    is inserted in place, at the position its key takes in `_keys`, which
+    holds the keys of `pending` in the same order. Sender ids compare as
+    plain strings here, so W10 sorts before W2.
     """
 
     def __init__(self) -> None:
         self.pending: list[Message] = []
+        self._keys: list[tuple[int, str, str]] = []
 
     def enqueue(self, message: Message, current_step: int) -> None:
         if message.sent_step != current_step:
             raise CommError(
                 f"message sent_step {message.sent_step} != current step {current_step}"
             )
-        bisect.insort(self.pending, message, key=_canonical)
+        key = (current_step, message.from_agent, message.message_id)
+        keys = self._keys
+        at = bisect.bisect(keys, key)
+        keys.insert(at, key)
+        self.pending.insert(at, message)
 
     def pop_due(self, current_step: int) -> list[Message]:
         """Remove and return every message due at `current_step`, in order."""
-        due = [m for m in self.pending if m.sent_step < current_step]
-        self.pending = [m for m in self.pending if m.sent_step >= current_step]
-        return due
+        # In canonical order the messages sent before this step come first.
+        due = bisect.bisect_left(self._keys, (current_step,))
+        messages = self.pending[:due]
+        del self.pending[:due], self._keys[:due]
+        return messages

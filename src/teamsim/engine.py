@@ -21,15 +21,15 @@ from .alignment import (AlignmentState, effective_progress,
                         normalize_reported_alignment, rule_based_delta)
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
                     Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
-                    communication_cost, word_count)
+                    communication_cost)
 from .model import (AgentProfile, Scenario, SimClock, _new_tuple, hours_to_steps,
                     order_key)
 from .planner import EvenPlanner, LlmPlanner, assign
-from .policy import (Intention, IntentionKind, LastAction, Policy, PolicyContext,
-                     REPORT_MILESTONES, TaskAssignmentView, TeammateView,
-                     build_context, build_policy, compose_message,
-                     compose_reply, reply_channel, select_channel,
-                     select_recipients, team_views)
+from .policy import (CONTINUE, MEETING_START, Intention, IntentionKind, LastAction,
+                     Policy, PolicyContext, REPORT_MILESTONES, TaskAssignmentView,
+                     TeammateView, build_context, build_policy, compose_message,
+                     compose_reply, message_words, reply_channel, reply_words,
+                     select_channel, select_recipients, team_views)
 from .taskgraph import TaskGraph, TaskStatus
 from .trace import TraceLog, TraceSink
 
@@ -41,9 +41,6 @@ if TYPE_CHECKING:
 # An invited agent that has not accepted within this many steps of the invite
 # being sent no longer delays the meeting; it convenes or cancels without them.
 RSVP_GRACE_STEPS = 6
-
-# What the manager intends before the plan step; it never reaches a policy.
-DECOMPOSITION_PENDING = Intention(IntentionKind.CONTINUE_TASK, "decomposition pending")
 
 # A task's status while its holder can work on it.
 WORKABLE = (TaskStatus.READY, TaskStatus.IN_PROGRESS)
@@ -76,8 +73,9 @@ class Outgoing(NamedTuple):
     """A message being composed, as its send or reply will stage it."""
 
     message_type: MessageType
-    content: str
-    words: int  # word_count(content)
+    # The text, composed only for an evaluator that reads it; else None.
+    content: str | None
+    words: int  # the composed text's word count
     recipients: tuple[str, ...]
     channel: Channel
     about_task: str | None
@@ -113,7 +111,7 @@ class PendingAfEvaluation(NamedTuple):
     cause_id: str
     root_type: MessageType
     # The delivered reply that resolved a request thread; None for a meeting.
-    reply: Message | None = None
+    reply: Message | None
 
 
 class RuleBasedEvaluator:
@@ -552,6 +550,9 @@ class Simulation:
         else:
             self.planner = EvenPlanner()
         self.evaluator = evaluator or build_evaluator(scenario.evaluator_name, adapter)
+        # Only the LLM evaluator reads message text; every other run carries
+        # each message's word count alone.
+        self.composes_text = isinstance(self.evaluator, LlmEvaluator)
         self.parallel_decide = parallel_decide
         self._pool: ThreadPoolExecutor | None = None
 
@@ -607,7 +608,8 @@ class Simulation:
         }
         intentions = self._decide(needs_policy)
         for agent_id in idle:
-            intention = intentions.get(agent_id) or DECOMPOSITION_PENDING
+            # Before the plan lands the manager has no intention.
+            intention = intentions.get(agent_id) or CONTINUE
             for note in intention.warnings:
                 world.emit({"step": t, "seq": None, "kind": "warning",
                             "source": "policy", "detail": note})
@@ -642,13 +644,8 @@ class Simulation:
         if not world.alignment.initialized(asker, task_id) or world.graph.node(task_id).done:
             thread.close()
             return
-        world.pending_af.append(PendingAfEvaluation(
-            agent_id=asker,
-            task_id=task_id,
-            cause_id=message.message_id,
-            root_type=root.message_type,
-            reply=message,
-        ))
+        world.pending_af.append(_new_tuple(PendingAfEvaluation, (
+            asker, task_id, message.message_id, root.message_type, message)))
 
     def _convene_meetings(self, t: int) -> None:
         world = self.world
@@ -683,6 +680,7 @@ class Simulation:
         meeting.status = MeetingStatus.RUNNING
         meeting.attendees = attendees
 
+        fields = {"meeting": invite.meeting_id}
         start = Message(
             message_id=world.next_message_id(),
             thread_id=world.next_thread_id(),
@@ -690,14 +688,14 @@ class Simulation:
             to_agents=attendees,
             channel=Channel.MEETING,
             message_type=MessageType.MEETING_START,
-            content=f"Meeting {invite.meeting_id} starting now.",
+            content=MEETING_START.compose(fields) if self.composes_text else None,
             sent_step=t - 1,
             about_task=invite.about_task,
             meeting_id=invite.meeting_id,
             cost_hours=cost,
         )
         world.comm_cost_total += cost
-        self._trace_sent(start, word_count(start.content), t)
+        self._trace_sent(start, MEETING_START.words(fields), t)
         for recipient in attendees:
             world.deliver(start, recipient, t)
         for agent_id in attendees:
@@ -772,17 +770,19 @@ class Simulation:
             world.active[agent_id] = ActiveAction(kind, target, 1)
             return True
         root = world.threads[target].root
-        content = compose_reply(root.about_task, root.message_type, world.agents[agent_id])
-        words = word_count(content)
+        replier = world.agents[agent_id]
+        words = reply_words(root.about_task, root.message_type, replier)
         channel = reply_channel(words)
         recipients = tuple(sorted(
             ({root.from_agent} | set(root.to_agents)) - {agent_id}, key=order_key,
         ))
         cost = communication_cost(channel, words, max(1, len(recipients)))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
-        world.active[agent_id] = ActiveAction(kind, target, duration, Outgoing(
-            MessageType.RESPONSE, content, words, recipients, channel,
-            root.about_task, cost))
+        content = (compose_reply(root.about_task, root.message_type, replier)
+                   if self.composes_text else None)
+        world.active[agent_id] = ActiveAction(kind, target, duration, _new_tuple(Outgoing, (
+            MessageType.RESPONSE, content, words, recipients, channel, root.about_task,
+            cost)))
         return True
 
     def _hinted_view(self, agent_id: str,
@@ -799,18 +799,18 @@ class Simulation:
         view = self._hinted_view(agent_id, intention) or context.active_task
         if view is None:
             return False
-        content = compose_message(context, kind, view)
         recipients = select_recipients(context, kind, view)
         if not recipients:
             return False
-        words = word_count(content)
+        words = message_words(context, kind, view)
         channel = select_channel(kind, words)
         cost = communication_cost(channel, words, max(1, len(recipients)))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
         world.active[agent_id] = ActiveAction(
-            ActionKind.COMMUNICATE, view.task_id, duration, Outgoing(
-                INTENTION_MESSAGE_TYPES[kind], content, words, tuple(recipients), channel,
-                view.task_id, cost))
+            ActionKind.COMMUNICATE, view.task_id, duration, _new_tuple(Outgoing, (
+                INTENTION_MESSAGE_TYPES[kind],
+                compose_message(context, kind, view) if self.composes_text else None,
+                words, tuple(recipients), channel, view.task_id, cost)))
         return True
 
     def _start_meeting_scheduling(self, agent_id: str, context: PolicyContext,
@@ -819,14 +819,16 @@ class Simulation:
         view = self._hinted_view(agent_id, intention)
         if view is None:
             return False
-        recipients = select_recipients(context, IntentionKind.SCHEDULE_MEETING, view)
+        kind = IntentionKind.SCHEDULE_MEETING
+        recipients = select_recipients(context, kind, view)
         if not recipients:
             return False
-        content = compose_message(context, IntentionKind.SCHEDULE_MEETING, view)
         world.active[agent_id] = ActiveAction(
-            ActionKind.COMMUNICATE, view.task_id, 1, Outgoing(
-                MessageType.MEETING_INVITE, content, word_count(content),
-                tuple(recipients), Channel.MEETING, view.task_id, 0.0))
+            ActionKind.COMMUNICATE, view.task_id, 1, _new_tuple(Outgoing, (
+                MessageType.MEETING_INVITE,
+                compose_message(context, kind, view) if self.composes_text else None,
+                message_words(context, kind, view), tuple(recipients), Channel.MEETING,
+                view.task_id, 0.0)))
         return True
 
     # -- execution ---------------------------------------------------------------
@@ -1005,12 +1007,9 @@ class Simulation:
         for attendee in meeting.attendees:
             target = self._meeting_gain_task(attendee, meeting)
             if target is not None:
-                world.pending_af.append(PendingAfEvaluation(
-                    agent_id=attendee,
-                    task_id=target,
-                    cause_id=meeting.invite.meeting_id,
-                    root_type=MessageType.MEETING_INVITE,
-                ))
+                world.pending_af.append(_new_tuple(PendingAfEvaluation, (
+                    attendee, target, meeting.invite.meeting_id,
+                    MessageType.MEETING_INVITE, None)))
 
     def _meeting_gain_task(self, agent_id: str, meeting: Meeting) -> str | None:
         """The attendee's task the meeting topic bears on, if any."""

@@ -39,8 +39,19 @@ class MetricsError(ValueError):
 
 
 class EventError(ValueError):
-    """An event names a root task the scenario does not have, or holds a
-    completion step too large to become hours."""
+    """An event names a root task the scenario does not have, holds a
+    completion step too large to become hours, or holds a cost or an
+    alignment that is not a finite number."""
+
+
+def _finite(record: dict, field: str) -> float:
+    """The record's `field`, refused when it is NaN or infinite, which the
+    engine never writes. An integer passes whatever its size: one beyond the
+    float range is the sum's error, as the sum reports it."""
+    value = record[field]
+    if not -math.inf < value < math.inf:
+        raise EventError(f"holds a {field!r} of {value!r}, not a finite number")
+    return value
 
 
 class Distributions(NamedTuple):
@@ -168,6 +179,7 @@ class _Alignment:
             self._set(*waiting.popleft())
 
     def update(self, record: dict) -> None:
+        value = _finite(record, "new")
         step = record["step"]
         if step < 0:
             return
@@ -175,7 +187,7 @@ class _Alignment:
             raise MetricsError(
                 f"af_update at step {step} follows one at step {self.last_step}")
         self.last_step = step
-        change = (step, (record["agent"], record["task"]), record["new"])
+        change = (step, (record["agent"], record["task"]), value)
         if step < self.final_step:
             self._set(*change)
         else:
@@ -301,7 +313,7 @@ class MetricsFold:
                 self.final_step = step + 1
                 self.alignment.advance(step + 1)
         elif kind == "message_sent":
-            self.comm_cost.add(record["cost_h"])
+            self.comm_cost.add(_finite(record, "cost_h"))
             self.distributions.add(record)
         elif kind == "message_delivered":
             self.heatmap.add(record)

@@ -17,8 +17,8 @@ from enum import Enum
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .comms import Channel, MessageType, TYPE_NAMES
-from .model import AgentProfile, Role, order_key
+from .comms import Channel, MessageType, TYPE_NAMES, word_count
+from .model import AgentProfile, Role, _new_tuple, order_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adapter import ChatCompletionAdapter
@@ -43,7 +43,6 @@ class IntentionKind(str, Enum):
 
 class Intention(NamedTuple):
     kind: IntentionKind
-    reasoning: str = ""
     task_hint: str | None = None
     warnings: tuple[str, ...] = ()
 
@@ -169,15 +168,10 @@ def build_context(world: "World", agent_id: str,
 
 # -- policies ---------------------------------------------------------------
 
-# The intentions whose every field is fixed, built once: a policy returns the
-# same immutable value each time.
-NO_COMM = Intention(IntentionKind.CONTINUE_TASK, "no-communication policy")
-NO_TRIGGER = Intention(IntentionKind.CONTINUE_TASK, "no trigger fired")
-MEETING_TRAFFIC = Intention(IntentionKind.CHECK_MESSAGES, "meeting traffic in inbox")
-UNANSWERED_REQUEST = Intention(IntentionKind.CHECK_MESSAGES,
-                               "unanswered request in inbox")
-INBOX_HAS_REQUESTS = Intention(IntentionKind.CHECK_MESSAGES, "inbox has requests")
-BETWEEN_CHECK_INS = Intention(IntentionKind.CONTINUE_TASK, "between scheduled check-ins")
+# The intentions without a task, built once: a policy returns the same
+# immutable value each time.
+CONTINUE = Intention(IntentionKind.CONTINUE_TASK)
+CHECK_INBOX = Intention(IntentionKind.CHECK_MESSAGES)
 
 
 class Policy:
@@ -193,7 +187,7 @@ class NoCommPolicy(Policy):
     name = "no_comm"
 
     def decide(self, context: PolicyContext) -> Intention:
-        return NO_COMM
+        return CONTINUE
 
 
 class FixedStepsPolicy(Policy):
@@ -221,20 +215,14 @@ class FixedStepsPolicy(Policy):
             if follow_up and open_tasks:
                 weakest = min(open_tasks, key=lambda v: (v.af, order_key(v.task_id)))
                 if weakest.task_id not in context.open_outbound_tasks:
-                    return Intention(
-                        IntentionKind.REQUEST_HELP,
-                        reasoning="scheduled follow-up on lowest-alignment task",
-                        task_hint=weakest.task_id,
-                    )
+                    return _new_tuple(Intention, (
+                        IntentionKind.REQUEST_HELP, weakest.task_id, ()))
             if report and open_tasks:
-                return Intention(
-                    IntentionKind.REPORT_PROGRESS,
-                    reasoning="scheduled progress report",
-                    task_hint=open_tasks[0].task_id,
-                )
+                return _new_tuple(Intention, (
+                    IntentionKind.REPORT_PROGRESS, open_tasks[0].task_id, ()))
         if context.unanswered_inbound or context.has_unprocessed_invite:
-            return INBOX_HAS_REQUESTS
-        return BETWEEN_CHECK_INS
+            return CHECK_INBOX
+        return CONTINUE
 
 
 class HeuristicPolicy(Policy):
@@ -243,10 +231,9 @@ class HeuristicPolicy(Policy):
     name = "c2c_heuristic"
 
     def decide(self, context: PolicyContext) -> Intention:
-        if context.has_unprocessed_invite or context.has_meeting_start:
-            return MEETING_TRAFFIC
-        if context.unanswered_inbound:
-            return UNANSWERED_REQUEST
+        if (context.has_unprocessed_invite or context.has_meeting_start
+                or context.unanswered_inbound):
+            return CHECK_INBOX
 
         active = context.active_task
         if active is not None and active.task_id not in context.open_outbound_tasks:
@@ -255,38 +242,22 @@ class HeuristicPolicy(Policy):
                 and active.hours_worked > 0
                 and active.stuck_worked_steps >= STUCK_STEP_THRESHOLD
             ):
-                return Intention(
-                    IntentionKind.REQUEST_HELP,
-                    reasoning=(
-                        f"alignment {active.af:.2f} stalled for "
-                        f"{active.stuck_worked_steps} worked steps"
-                    ),
-                    task_hint=active.task_id,
-                )
+                return _new_tuple(Intention, (
+                    IntentionKind.REQUEST_HELP, active.task_id, ()))
             if active.af < AF_ATTENTION_THRESHOLD and active.hours_worked == 0:
-                return Intention(
-                    IntentionKind.NEED_CLARIFICATION,
-                    reasoning=f"starting at alignment {active.af:.2f}",
-                    task_hint=active.task_id,
-                )
+                return _new_tuple(Intention, (
+                    IntentionKind.NEED_CLARIFICATION, active.task_id, ()))
 
         for task_id, blocked in context.blocked_collaborators.items():
             if len(blocked) >= 2 and task_id not in context.meeting_organized_tasks:
-                return Intention(
-                    IntentionKind.SCHEDULE_MEETING,
-                    reasoning=f"{len(blocked)} collaborators blocked on {task_id}",
-                    task_hint=task_id,
-                )
+                return _new_tuple(Intention, (
+                    IntentionKind.SCHEDULE_MEETING, task_id, ()))
 
         due = context.report_due
         if due is not None:
-            return Intention(
-                IntentionKind.REPORT_PROGRESS,
-                reasoning=f"crossed {due.pending_milestone:.0%} on {due.task_id}",
-                task_hint=due.task_id,
-            )
+            return _new_tuple(Intention, (IntentionKind.REPORT_PROGRESS, due.task_id, ()))
 
-        return NO_TRIGGER
+        return CONTINUE
 
 
 class LlmPolicy(Policy):
@@ -302,8 +273,8 @@ class LlmPolicy(Policy):
 
         try:
             parsed = self.adapter.complete_json(self._messages(context))
-            kind = IntentionKind(str(parsed.get("intention", "")).strip().upper())
-            return Intention(kind, reasoning=str(parsed.get("reasoning", "")))
+            # The model's reasoning, if it gives one, is not kept.
+            return Intention(IntentionKind(str(parsed.get("intention", "")).strip().upper()))
         except (AdapterError, ValueError) as exc:
             fallback = HeuristicPolicy().decide(context)
             warning = f"intention adapter fallback: {exc}"
@@ -403,106 +374,171 @@ def select_channel(kind: IntentionKind, words: int) -> Channel:
     return Channel.CHAT
 
 
+class Template:
+    """Message text whose word count is known without composing it.
+
+    `parts` alternate: the even ones are fixed text, the odd ones single
+    words that hold one text field and the punctuation attached to it. The
+    text is the non-empty parts joined by single spaces, with every field
+    filled by `str.format`. A number field, such as `{af:.2f}`, sits in
+    fixed text: it formats as one word without whitespace, so the fixed
+    text counts the same words filled or not. A text field may fill to any
+    number of words, none included. Split at whitespace, the text is the
+    fixed words and the filled text-field words, so the count of each can
+    be taken apart.
+    """
+
+    __slots__ = ("text", "fixed_words", "text_words")
+
+    def __init__(self, *parts: str) -> None:
+        self.text = " ".join(filter(None, parts))
+        self.fixed_words = word_count(" ".join(parts[0::2]))
+        self.text_words = " ".join(parts[1::2])
+
+    def compose(self, fields: dict) -> str:
+        return self.text.format_map(fields)
+
+    def words(self, fields: dict) -> int:
+        """`word_count(self.compose(fields))`, without the text."""
+        return self.fixed_words + len(self.text_words.format_map(fields).split())
+
+
+_CLARIFICATION = Template(
+    "Clarification needed on", "{task}:", "", "{description}",
+    "I have not started yet and my alignment is {af:.2f}. What are the concrete "
+    "acceptance criteria, the constraints I must respect, and the expected "
+    "interface?")
+_HELP = Template(
+    "Help needed on", "{task}.", "Scope:", "{description}",
+    "I have worked {hours:.2f} hours and progress stands at {progress:.0%} with "
+    "alignment {af:.2f}, which is holding my effective output well below plan. "
+    "The required skills are", "{required};", "my own skills are", "{own},",
+    "so the gap is", "{gap}.",
+    "Could you walk me through the recommended approach step by step, point me "
+    "to any prior art or reference implementation we already have in the team, "
+    "and flag the pitfalls you know about from similar work? Specifically I "
+    "need: (1) how to structure the first concrete deliverable, (2) which "
+    "interfaces or contracts I must not break, and (3) a sanity check on my "
+    "current assumptions before I invest more hours. A short written answer is "
+    "fine; detail matters more than polish here.")
+_PROGRESS = Template(
+    "Progress report for", "{task}:",
+    "{progress:.0%} complete, {hours:.2f} of {estimated:.2f} hours logged, "
+    "alignment {af:.2f}.", "{status}")
+_FINISHED = "Subtask finished; ready for the next assignment."
+_ON_TRACK = "On track; no blockers beyond the noted alignment."
+_MEETING = Template(
+    "Coordination meeting about", "{task}:",
+    "downstream work is blocked on it. Agenda: sequencing, interface contracts, "
+    "handoffs.")
+# A clarification answer is a full scope brief: it pins acceptance criteria,
+# constraints, interfaces, sequencing, and escalation, so it goes out as a
+# long-form message. Help answers are short peer pointers.
+_SCOPE_BRIEF = Template(
+    "Re", "{task}:",
+    "scope brief follows. Objective: deliver exactly what the subtask "
+    "description states, interpreted narrowly; anything the description does "
+    "not name is out of scope until we agree otherwise. Acceptance criteria: "
+    "the deliverable covers the described scope end to end, passes its own "
+    "verification, and leaves neighboring behavior unchanged unless the "
+    "description says otherwise; partial work counts only once it is integrated "
+    "and demonstrable. Constraints: stay within the estimated effort envelope, "
+    "prefer the established patterns of this team over new abstractions, keep "
+    "every interface you expose backward compatible, and take no dependencies "
+    "beyond what the team already uses. Interfaces: consume the inputs named in "
+    "the task description as they stand today; if you must extend one, write "
+    "the extension down and circulate it before building on top of it. "
+    "Sequencing: land the smallest end-to-end slice first, then widen coverage; "
+    "plan review checkpoints at half and at full completion. Quality bar: "
+    "verification accompanies the change, edge cases named in the description "
+    "are exercised, and failure paths degrade loudly rather than silently. "
+    "Risks to watch: hidden coupling to neighboring workstreams, assumptions "
+    "about data shape that nobody has confirmed, and effort sinks in polishing "
+    "before the slice works at all. Escalation: if a blocker costs you more "
+    "than a few hours, raise it to me instead of burning time on it; if you "
+    "need a skill the task lists and you lack, ask the teammate who has it "
+    "directly. Reporting: send progress notes at the usual milestones so the "
+    "roll-up stays accurate. Definition of done: the subtask is complete when "
+    "its estimated effort has produced the described outcome, verification "
+    "passes, and the progress roll-up reflects it without manual correction "
+    "from me. This brief is the authoritative scope statement for the subtask; "
+    "where it conflicts with informal conversation, the brief wins. Proceed on "
+    "this basis and flag anything that still reads ambiguous to you.")
+_APPROACH = Template(
+    "Re", "{task}:",
+    "suggested approach follows. Start from the smallest end-to-end slice, reuse "
+    "our existing patterns for", "{skills},",
+    "and validate against the estimate before expanding. Known pitfalls: hidden "
+    "coupling and unverified assumptions; check both, then iterate.")
+_ACKNOWLEDGED = Template("Re", "{task}:", "acknowledged.")
+# What the engine sends attendees when a meeting convenes.
+MEETING_START = Template("Meeting", "{meeting}", "starting now.")
+
+
+def _message(context: PolicyContext, kind: IntentionKind,
+             view: TaskAssignmentView) -> tuple[Template, dict]:
+    """The template and fields of an outbound communication."""
+    if kind is IntentionKind.NEED_CLARIFICATION:
+        return _CLARIFICATION, {"task": view.task_id, "description": view.description,
+                                "af": view.af}
+    if kind is IntentionKind.REQUEST_HELP:
+        own = context.agent.skills
+        return _HELP, {
+            "task": view.task_id, "description": view.description,
+            "hours": view.hours_worked, "progress": view.progress, "af": view.af,
+            "required": ", ".join(sorted(view.required_skills)) or "unspecified",
+            "own": ", ".join(sorted(own)),
+            "gap": ", ".join(sorted(view.required_skills - own)) or "none",
+        }
+    if kind is IntentionKind.REPORT_PROGRESS:
+        return _PROGRESS, {
+            "task": view.task_id, "progress": view.progress,
+            "hours": view.hours_worked, "estimated": view.estimated_hours,
+            "af": view.af, "status": _FINISHED if view.progress >= 1.0 else _ON_TRACK,
+        }
+    if kind is IntentionKind.SCHEDULE_MEETING:
+        return _MEETING, {"task": view.task_id}
+    raise ValueError(f"{kind.value} has no message content")
+
+
 def compose_message(context: PolicyContext, kind: IntentionKind,
                     view: TaskAssignmentView) -> str:
     """Deterministic content for an outbound communication."""
-    if kind is IntentionKind.NEED_CLARIFICATION:
-        return (
-            f"Clarification needed on {view.task_id}: {view.description} "
-            f"I have not started yet and my alignment is {view.af:.2f}. "
-            "What are the concrete acceptance criteria, the constraints I must "
-            "respect, and the expected interface?"
-        )
-    if kind is IntentionKind.REQUEST_HELP:
-        own = ", ".join(sorted(context.agent.skills))
-        required = ", ".join(sorted(view.required_skills)) or "unspecified"
-        gap = ", ".join(sorted(view.required_skills - context.agent.skills)) or "none"
-        return (
-            f"Help needed on {view.task_id}. Scope: {view.description} "
-            f"I have worked {view.hours_worked:.2f} hours and progress stands at "
-            f"{view.progress:.0%} with alignment {view.af:.2f}, which is holding my "
-            "effective output well below plan. The required skills are "
-            f"{required}; my own skills are {own}, so the gap is {gap}. "
-            "Could you walk me through the recommended approach step by step, "
-            "point me to any prior art or reference implementation we already "
-            "have in the team, and flag the pitfalls you know about from similar "
-            "work? Specifically I need: (1) how to structure the first concrete "
-            "deliverable, (2) which interfaces or contracts I must not break, "
-            "and (3) a sanity check on my current assumptions before I invest "
-            "more hours. A short written answer is fine; detail matters more "
-            "than polish here."
-        )
-    if kind is IntentionKind.REPORT_PROGRESS:
-        status = (
-            "Subtask finished; ready for the next assignment."
-            if view.progress >= 1.0
-            else "On track; no blockers beyond the noted alignment."
-        )
-        return (
-            f"Progress report for {view.task_id}: {view.progress:.0%} complete, "
-            f"{view.hours_worked:.2f} of {view.estimated_hours:.2f} hours logged, "
-            f"alignment {view.af:.2f}. {status}"
-        )
-    if kind is IntentionKind.SCHEDULE_MEETING:
-        return (
-            f"Coordination meeting about {view.task_id}: downstream work is "
-            "blocked on it. Agenda: sequencing, interface contracts, handoffs."
-        )
-    raise ValueError(f"{kind.value} has no message content")
+    template, fields = _message(context, kind, view)
+    return template.compose(fields)
+
+
+def message_words(context: PolicyContext, kind: IntentionKind,
+                  view: TaskAssignmentView) -> int:
+    """`word_count(compose_message(context, kind, view))`, without the text."""
+    template, fields = _message(context, kind, view)
+    return template.words(fields)
+
+
+def _reply(task_id: str | None, root_type: MessageType,
+           replier: AgentProfile) -> tuple[Template, dict]:
+    """The template and fields of a reply, keyed by what the thread asked for."""
+    task = task_id or "your task"
+    if root_type is MessageType.NEED_CLARIFICATION:
+        return _SCOPE_BRIEF, {"task": task}
+    if root_type is MessageType.HELP_REQUEST:
+        return _APPROACH, {"task": task,
+                           "skills": ", ".join(sorted(replier.skills)) or "the relevant area"}
+    return _ACKNOWLEDGED, {"task": task}
 
 
 def compose_reply(task_id: str | None, root_type: MessageType,
                   replier: AgentProfile) -> str:
-    """Deterministic reply content, keyed by what the thread asked for.
+    """Deterministic reply content, keyed by what the thread asked for."""
+    template, fields = _reply(task_id, root_type, replier)
+    return template.compose(fields)
 
-    A clarification answer is a full scope brief: it pins acceptance criteria,
-    constraints, interfaces, sequencing, and escalation, so it goes out as a
-    long-form message. Help answers are short peer pointers.
-    """
-    task_label = task_id or "your task"
-    if root_type is MessageType.NEED_CLARIFICATION:
-        return (
-            f"Re {task_label}: scope brief follows. Objective: deliver exactly what "
-            "the subtask description states, interpreted narrowly; anything the "
-            "description does not name is out of scope until we agree otherwise. "
-            "Acceptance criteria: the deliverable covers the described scope end "
-            "to end, passes its own verification, and leaves neighboring behavior "
-            "unchanged unless the description says otherwise; partial work counts "
-            "only once it is integrated and demonstrable. Constraints: stay within "
-            "the estimated effort envelope, prefer the established patterns of "
-            "this team over new abstractions, keep every interface you expose "
-            "backward compatible, and take no dependencies beyond what the team "
-            "already uses. Interfaces: consume the inputs named in the task "
-            "description as they stand today; if you must extend one, write the "
-            "extension down and circulate it before building on top of it. "
-            "Sequencing: land the smallest end-to-end slice first, then widen "
-            "coverage; plan review checkpoints at half and at full completion. "
-            "Quality bar: verification accompanies the change, edge cases named "
-            "in the description are exercised, and failure paths degrade loudly "
-            "rather than silently. Risks to watch: hidden coupling to neighboring "
-            "workstreams, assumptions about data shape that nobody has confirmed, "
-            "and effort sinks in polishing before the slice works at all. "
-            "Escalation: if a blocker costs you more than a few hours, raise it "
-            "to me instead of burning time on it; if you need a skill the task "
-            "lists and you lack, ask the teammate who has it directly. Reporting: "
-            "send progress notes at the usual milestones so the roll-up stays "
-            "accurate. Definition of done: the subtask is complete when its "
-            "estimated effort has produced the described outcome, verification "
-            "passes, and the progress roll-up reflects it without manual "
-            "correction from me. This brief is the authoritative scope statement "
-            "for the subtask; where it conflicts with informal conversation, the "
-            "brief wins. Proceed on this basis and flag anything that still "
-            "reads ambiguous to you."
-        )
-    if root_type is MessageType.HELP_REQUEST:
-        skills = ", ".join(sorted(replier.skills)) or "the relevant area"
-        return (
-            f"Re {task_label}: suggested approach follows. Start from the smallest "
-            f"end-to-end slice, reuse our existing patterns for {skills}, and "
-            "validate against the estimate before expanding. Known pitfalls: "
-            "hidden coupling and unverified assumptions; check both, then iterate."
-        )
-    return f"Re {task_label}: acknowledged."
+
+def reply_words(task_id: str | None, root_type: MessageType,
+                replier: AgentProfile) -> int:
+    """`word_count(compose_reply(task_id, root_type, replier))`, without the text."""
+    template, fields = _reply(task_id, root_type, replier)
+    return template.words(fields)
 
 
 def reply_channel(words: int) -> Channel:

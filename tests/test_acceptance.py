@@ -112,7 +112,7 @@ class RandomIntentionPolicy(Policy):
     def decide(self, context):
         rng = random.Random(f"{self.seed}:{context.agent.agent_id}:{context.step}")
         kind = rng.choice(list(IntentionKind))
-        return Intention(kind, reasoning="scripted")
+        return Intention(kind)
 
 
 def random_small_scenario(rng: random.Random) -> Scenario:

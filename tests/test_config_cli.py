@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -731,6 +732,10 @@ def _first_costs_infinite_both_ways(records):
     first["cost_h"], second["cost_h"] = math.inf, -math.inf
 
 
+def _first_of_kind_set(kind, field, value, records):
+    next(r for r in records if r["kind"] == kind)[field] = value
+
+
 def _last_action_at_a_huge_step(records):
     [r for r in records if r["kind"] == "action"][-1]["step"] = 10 ** 400
 
@@ -1014,9 +1019,7 @@ class TestCliReport:
         (_every_cost_at_1e308, "communication cost exceeds the float range"),
         (_last_action_at_a_huge_step, "alignment score exceeds the float range"),
         (_first_reply_sent_at_a_huge_step, "reply latency exceeds the float range"),
-        (_first_costs_infinite_both_ways,
-         "communication cost is undefined: -inf + inf in fsum"),
-    ], ids=["cost", "last-step", "latency", "inf-minus-inf"])
+    ], ids=["cost", "last-step", "latency"])
     def test_sum_beyond_the_float_range_is_a_one_line_error(self, tmp_path,
                                                             capsys, edit, detail):
         # The parent commit ended each of these in an OverflowError or
@@ -1027,6 +1030,36 @@ class TestCliReport:
         capsys.readouterr()
         assert main(["report", "--run", str(out)]) == 4
         assert capsys.readouterr().err == f"metrics error: {detail}\n"
+
+    @pytest.mark.parametrize("edit,field,shown", [
+        (functools.partial(_first_of_kind_set, "message_sent", "cost_h", math.nan),
+         "cost_h", "nan"),
+        (functools.partial(_first_of_kind_set, "message_sent", "cost_h", math.inf),
+         "cost_h", "inf"),
+        # The first infinite cost ends the read: the sum with the second,
+        # -inf, is never taken.
+        (_first_costs_infinite_both_ways, "cost_h", "inf"),
+        (functools.partial(_first_of_kind_set, "af_update", "new", math.nan),
+         "new", "nan"),
+        (functools.partial(_first_of_kind_set, "af_update", "new", -math.inf),
+         "new", "-inf"),
+    ], ids=["cost-nan", "cost-inf", "inf-minus-inf", "af-nan", "af-minus-inf"])
+    def test_non_finite_number_is_a_one_line_error(self, tmp_path, capsys,
+                                                   each_codec, edit, field, shown):
+        # The parent commit printed `communication_cost_h: nan` or `inf`, or
+        # an alignment of nan, and exited 0; for inf and -inf costs it
+        # exited 4 with `metrics error: communication cost is undefined`.
+        out, path, records = _simple_heuristic_run(tmp_path)
+        edit(records)
+        number, record = next((i, r) for i, r in enumerate(records)
+                              if not -math.inf < r.get(field, 0) < math.inf)
+        _write_records(path, records)
+        capsys.readouterr()
+        for _ in each_codec():
+            assert main(["report", "--run", str(out)]) == 5
+            assert capsys.readouterr().err == (
+                f"trace error: {path}: event {number} ({record['kind']} at step "
+                f"{record['step']}) holds a {field!r} of {shown}, not a finite number\n")
 
     def test_boundary_too_large_for_hours_is_a_one_line_error(self, tmp_path,
                                                                capsys):

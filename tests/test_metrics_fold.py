@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teamsim import cli
 from teamsim.cli import main
@@ -258,6 +258,45 @@ def _outcome(compute):
         return str(exc)
 
 
+def _log(*events) -> TraceLog:
+    log = TraceLog()
+    for step, kind, payload in events:
+        add_event(log, step, kind, payload)
+    return log
+
+
+def _sent(step, thread_id, kind, channel, sent_step):
+    return (step, "message_sent", {"thread_id": thread_id, "type": kind,
+                                   "channel": channel, "cost_h": 0.05,
+                                   "sent_step": sent_step})
+
+
+def _update(step, agent, value):
+    return (step, "af_update", {"agent": agent, "task": "T1.1", "new": value})
+
+
+# Traces that fail each of these mutations of the fold, whatever examples are
+# drawn. The first: a reply dropped when it comes before the message that
+# starts its thread, a thread started twice timed from its first start, a
+# reply timed from its sent step instead of its delivery, a sender outside
+# the team in the heatmap, a subtask's completion taken for a root's, a
+# MEETING_START counted in the shares, and an action at the final step not
+# moving it. The second: an update at a negative step sampled, an update at
+# or past the final step known so far sampled (on arrival or when a later
+# action lands), and equal samples summed instead of taken as the mean.
+@example(_log((0, "action", {}),
+              (0, "message_delivered", {"from": "X9", "to": "W1"}),
+              (0, "message_delivered", {"from": "M1", "to": "W1"}),
+              _sent(2, "th1", "RESPONSE", "chat", 2),
+              _sent(1, "th1", "HELP_REQUEST", "chat", 0),
+              _sent(1, "th1", "NEED_CLARIFICATION", "email", 1),
+              _sent(1, "th2", "MEETING_START", "meeting", 1),
+              (3, "task_done", {"task": "T1", "root": False, "boundary": 4}),
+              (3, "task_done", {"task": "T2", "root": True, "boundary": 4}),
+              (3, "action", {}), (4, "action", {})))
+@example(_log(_update(-1, "W1", 0.9), (0, "action", {}), _update(0, "W1", 0.1),
+              (1, "action", {}), _update(3, "W2", 0.5), (2, "action", {}),
+              _update(3, "W2", 0.45)))
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_traces())
 def test_fold_equals_the_oracle_on_synthetic_traces(trace):

@@ -347,7 +347,7 @@ class TestValueTypes:
             view(),
             mate("W2", {"api"}),
             LastAction("work", None, 4),
-            Intention(IntentionKind.REQUEST_HELP, "why", "T1.1", ("note",)),
+            Intention(IntentionKind.REQUEST_HELP, "T1.1", ("note",)),
         ]
 
     def test_every_field_is_read_only(self):
@@ -408,7 +408,7 @@ class TestValueTypes:
         world = CountingWorld(agent, 3, (view(),), (), frozenset(), False, False,
                               {}, frozenset(), None)
         ctx = build_context(world, "W1", ())
-        assert NoCommPolicy().decide(ctx) is policy_module.NO_COMM
+        assert NoCommPolicy().decide(ctx) is policy_module.CONTINUE
         assert asked == []
         assert ctx.unanswered_inbound == ()
         assert asked == ["unanswered_inbound"]
@@ -430,24 +430,19 @@ class TestValueTypes:
             for default in value_type._field_defaults.values():
                 assert isinstance(default, (str, tuple, type(None)))
 
-    @pytest.mark.parametrize("name,kind,reasoning", [
-        ("NO_COMM", IntentionKind.CONTINUE_TASK, "no-communication policy"),
-        ("NO_TRIGGER", IntentionKind.CONTINUE_TASK, "no trigger fired"),
-        ("MEETING_TRAFFIC", IntentionKind.CHECK_MESSAGES, "meeting traffic in inbox"),
-        ("UNANSWERED_REQUEST", IntentionKind.CHECK_MESSAGES,
-         "unanswered request in inbox"),
-        ("INBOX_HAS_REQUESTS", IntentionKind.CHECK_MESSAGES, "inbox has requests"),
-        ("BETWEEN_CHECK_INS", IntentionKind.CONTINUE_TASK,
-         "between scheduled check-ins"),
+    @pytest.mark.parametrize("name,kind", [
+        ("CONTINUE", IntentionKind.CONTINUE_TASK),
+        ("CHECK_INBOX", IntentionKind.CHECK_MESSAGES),
     ])
-    def test_constant_intentions_keep_kind_and_reasoning(self, name, kind, reasoning):
-        assert getattr(policy_module, name) == Intention(kind, reasoning)
+    def test_constant_intentions_hold_only_their_kind(self, name, kind):
+        assert getattr(policy_module, name) == Intention(kind)
+        assert getattr(policy_module, name) == (kind, None, ())
 
     def test_policies_return_the_constants(self):
-        assert NoCommPolicy().decide(context()) is policy_module.NO_COMM
+        assert NoCommPolicy().decide(context()) is policy_module.CONTINUE
         aligned = context(assigned=[view(af=0.55, hours=1.0)])
-        assert HeuristicPolicy().decide(aligned) is policy_module.NO_TRIGGER
+        assert HeuristicPolicy().decide(aligned) is policy_module.CONTINUE
         assert HeuristicPolicy().decide(context(invite=True)) is \
-            policy_module.MEETING_TRAFFIC
+            policy_module.CHECK_INBOX
         assert FixedStepsPolicy().decide(context(step=9)) is \
-            policy_module.BETWEEN_CHECK_INS
+            policy_module.CONTINUE
