@@ -438,6 +438,33 @@ class TestValueTypes:
         assert getattr(policy_module, name) == Intention(kind)
         assert getattr(policy_module, name) == (kind, None, ())
 
+    # Each situation that a constant intention once named in its reasoning,
+    # with the policy that meets it: the reason now lies in the situation
+    # alone, and the policy answers it with the shared constant of its kind.
+    @pytest.mark.parametrize("name,kind,policy,situation", [
+        ("NO_COMM", IntentionKind.CONTINUE_TASK, NoCommPolicy,
+         dict(unanswered=("th1",), invite=True)),
+        ("NO_TRIGGER", IntentionKind.CONTINUE_TASK, HeuristicPolicy,
+         dict(assigned=[view(af=0.55, hours=1.0)])),
+        ("MEETING_TRAFFIC", IntentionKind.CHECK_MESSAGES, HeuristicPolicy,
+         dict(meeting_start=True)),
+        ("UNANSWERED_REQUEST", IntentionKind.CHECK_MESSAGES, HeuristicPolicy,
+         dict(unanswered=("th1",), assigned=[view(af=0.30, hours=0.0)])),
+        ("INBOX_HAS_REQUESTS", IntentionKind.CHECK_MESSAGES, FixedStepsPolicy,
+         dict(step=9, unanswered=("th1",))),
+        ("BETWEEN_CHECK_INS", IntentionKind.CONTINUE_TASK, FixedStepsPolicy,
+         dict(step=9, assigned=[view(hours=3.0)])),
+    ])
+    def test_constant_intentions_keep_kind_and_reasoning(self, name, kind, policy,
+                                                         situation):
+        constant = (policy_module.CONTINUE if kind is IntentionKind.CONTINUE_TASK
+                    else policy_module.CHECK_INBOX)
+        intention = policy().decide(context(**situation))
+        assert intention is constant
+        assert intention == (kind, None, ())
+        assert not hasattr(policy_module, name)
+        assert "reasoning" not in Intention._fields
+
     def test_policies_return_the_constants(self):
         assert NoCommPolicy().decide(context()) is policy_module.CONTINUE
         aligned = context(assigned=[view(af=0.55, hours=1.0)])
