@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import insort
 from enum import Enum
+from itertools import count
 from typing import TYPE_CHECKING, NamedTuple
 
 from .alignment import (AlignmentState, effective_progress,
@@ -30,7 +31,7 @@ from .policy import (CONTINUE, MEETING_START, Intention, IntentionKind, LastActi
                      TeammateView, build_context, build_policy, compose_message,
                      compose_reply, message_words, reply_channel, reply_words,
                      select_channel, select_recipients, team_views)
-from .taskgraph import TaskGraph, TaskStatus
+from .taskgraph import TaskGraph, TaskNode, TaskStatus
 from .trace import TraceLog, TraceSink
 
 if TYPE_CHECKING:
@@ -44,6 +45,9 @@ RSVP_GRACE_STEPS = 6
 
 # A task's status while its holder can work on it.
 WORKABLE = (TaskStatus.READY, TaskStatus.IN_PROGRESS)
+
+# The lowest progress at which a task has a milestone to report.
+FIRST_MILESTONE = min(REPORT_MILESTONES)
 
 # The message each communicating intention sends.
 INTENTION_MESSAGE_TYPES = {
@@ -186,15 +190,41 @@ class World:
         self.scenario = scenario
         self.clock = SimClock()
         ordered = sorted(scenario.team, key=lambda a: order_key(a.agent_id))
-        self.agents: dict[str, AgentProfile] = {a.agent_id: a for a in ordered}
-        self.agent_order: list[str] = [a.agent_id for a in ordered]
+        self.agents: dict[str, AgentProfile] = {}
         self.manager_id = scenario.manager.agent_id
         # Each agent as a teammate sees it, (idle, busy), in agent order; a
         # step picks one of the two by `agent_id in active`.
-        self.teammate_views: dict[str, tuple[TeammateView, TeammateView]] = {
-            agent_id: (_new_tuple(TeammateView, (agent_id, role, skills, False)),
-                       _new_tuple(TeammateView, (agent_id, role, skills, True)))
-            for agent_id, _, role, skills in ordered}
+        self.teammate_views: dict[str, tuple[TeammateView, TeammateView]] = {}
+        # Each agent's subtasks in id order, sorted once when the plan lands.
+        self.assignments: dict[str, list[str]] = {}
+        # Inbox indexes, filled on delivery. Entries are (delivery step,
+        # message id, thread or meeting id) kept in that sort order, because
+        # delivery order within a step is not message-id order. An entry whose
+        # thread closed or was answered, or whose invite was answered, never
+        # becomes actionable again and is dropped when next read.
+        self._inbound_requests: dict[str, list[tuple[int, str, str]]] = {}
+        self._invites: dict[str, list[tuple[int, str, str]]] = {}
+        # Request threads opened, by root sender; closed ones are dropped when
+        # the sender's open-request set is next rebuilt.
+        self._open_by_sender: dict[str, list[Thread]] = {}
+        # Each agent's tasks with a milestone to report: those whose stats
+        # hold a `pending_milestone`.
+        self._due: dict[str, set[str]] = {}
+        # The per-agent tables above, filled in one pass over the agents.
+        agents, views, assignments, inbound, invites, by_sender, due = (
+            self.agents, self.teammate_views, self.assignments,
+            self._inbound_requests, self._invites, self._open_by_sender, self._due)
+        for profile in ordered:
+            agent_id, _, role, skills = profile
+            agents[agent_id] = profile
+            views[agent_id] = (_new_tuple(TeammateView, (agent_id, role, skills, False)),
+                               _new_tuple(TeammateView, (agent_id, role, skills, True)))
+            assignments[agent_id] = []
+            inbound[agent_id] = []
+            invites[agent_id] = []
+            by_sender[agent_id] = []
+            due[agent_id] = set()
+        self.agent_order: list[str] = list(agents)
 
         self.graph = TaskGraph()
         for i, task in enumerate(scenario.tasks):
@@ -211,14 +241,12 @@ class World:
         self.meetings: dict[str, Meeting] = {}
         # Meetings still waiting to convene, in id order.
         self.pending_meetings: dict[str, Meeting] = {}
-        # Each agent's subtasks in id order, sorted once when the plan lands.
-        self.assignments: dict[str, list[str]] = {a: [] for a in self.agent_order}
         self.active: dict[str, ActiveAction] = {}
         self.stats: dict[tuple[str, str], AgentTaskStats] = {}
         self.last_actions: dict[str, LastAction] = {}
         self.pending_af: list[PendingAfEvaluation] = []
         self.trace: TraceSink = TraceLog() if trace is None else trace
-        self._seq = 0
+        self._seq = count()
         self.comm_cost_total = 0.0
         self.completion_steps: dict[str, int] = {}
         self.planned = False
@@ -226,28 +254,20 @@ class World:
         # mutated, so a context can share it.
         self._organized: dict[str, frozenset[str | None]] = dict.fromkeys(
             self.agent_order, frozenset())
-        # Inbox indexes, filled on delivery. Entries are (delivery step,
-        # message id, thread or meeting id) kept in that sort order, because
-        # delivery order within a step is not message-id order. An entry whose
-        # thread closed or was answered, or whose invite was answered, never
-        # becomes actionable again and is dropped when next read.
-        self._inbound_requests: dict[str, list[tuple[int, str, str]]] = {
-            a: [] for a in self.agent_order}
-        self._invites: dict[str, list[tuple[int, str, str]]] = {
-            a: [] for a in self.agent_order}
         self._meeting_started: set[str] = set()
-        # Request threads opened, by root sender and by task; closed ones are
-        # dropped when next read.
-        self._open_by_sender: dict[str, list[Thread]] = {a: [] for a in self.agent_order}
+        # The tasks of each agent's open request threads; None until the next
+        # read rebuilds it, after a thread the agent opened opens or closes.
+        # One entry per agent, so that a read inside the parallel decide
+        # touches only the deciding agent's entry.
+        self._outbound: dict[str, frozenset[str] | None] = dict.fromkeys(
+            self.agent_order, frozenset())
+        # Open request threads by task, closed when the task finishes.
         self._open_by_task: dict[str, list[Thread]] = {}
         # Each agent's active task: the first ready one it holds, which
         # CONTINUE_TASK works on. Re-picked only when readiness can change:
         # when the plan lands, a held task finishes or a dependent of a
         # finished task becomes ready.
         self.active_task_id: dict[str, str | None] = dict.fromkeys(self.agent_order)
-        # Each agent's tasks with a milestone to report: those whose stats
-        # hold a `pending_milestone`.
-        self._due: dict[str, set[str]] = {a: set() for a in self.agent_order}
         # Each agent's blocked-collaborator map; None until the next read
         # recomputes it. One entry per agent, so that a read inside the
         # parallel decide touches only the deciding agent's entry.
@@ -278,8 +298,7 @@ class World:
         `step`, `seq` (None until stamped here) and `kind`, then the fields
         `trace.SCHEMAS` lists for the kind, in that order.
         """
-        record["seq"] = self._seq
-        self._seq += 1
+        record["seq"] = next(self._seq)
         self.trace.append(record)
 
     # -- state changes that keep the indexes current --------------------------
@@ -311,6 +330,7 @@ class World:
         self.threads[root.thread_id] = thread
         if thread.open:
             self._open_by_sender[root.from_agent].append(thread)
+            self._outbound[root.from_agent] = None
             if root.about_task:
                 self._open_by_task.setdefault(root.about_task, []).append(thread)
 
@@ -321,9 +341,15 @@ class World:
         organizer = invite.from_agent
         self._organized[organizer] = self._organized[organizer] | {invite.about_task}
 
+    def close_thread(self, thread: Thread) -> None:
+        """Close a thread, or account for one its depth cap closed: every
+        close passes here, so the sender's open-request set is rebuilt."""
+        thread.close()
+        self._outbound[thread.root.from_agent] = None
+
     def close_threads_about(self, task_id: str) -> None:
         for thread in self._open_by_task.pop(task_id, []):
-            thread.close()
+            self.close_thread(thread)
 
     def finish_plan(self) -> None:
         """Sort each agent's assignments once and pick its active task."""
@@ -343,27 +369,30 @@ class World:
             (task_id for task_id in self.assignments[agent_id]
              if node(task_id).status in WORKABLE), None)
 
-    def record_work(self, agent_id: str, task_id: str,
+    def record_work(self, agent_id: str, node: TaskNode,
                     hours: float) -> tuple[float, float, bool]:
-        """Credit the agent's hours on a task at its current alignment.
+        """Credit the agent's hours on the task `node`, one it holds, at its
+        current alignment.
 
         Returns the alignment, the effective hours credited, and whether the
         task finished. A finished task readies dependents, which changes what
         the holders of their dependencies see as blocked.
         """
-        node = self.graph.node(task_id)
+        task_id = node.task_id
         af = self.alignment.get(agent_id, task_id)
         effective = effective_progress(hours, af)
         before = node.progress
         became_done = self.graph.record_work(task_id, effective)
-        stats = self.task_stats(agent_id, task_id)
+        # Made for every held task when the plan landed.
+        stats = self.stats[agent_id, task_id]
         stats.hours_worked += hours
         stats.stuck_worked_steps += 1
         after = node.progress
-        for milestone in REPORT_MILESTONES:
-            if before < milestone <= after and milestone not in stats.reported_milestones:
-                stats.pending_milestone = milestone
-                self._due[agent_id].add(task_id)
+        if after >= FIRST_MILESTONE:
+            for milestone in REPORT_MILESTONES:
+                if before < milestone <= after and milestone not in stats.reported_milestones:
+                    stats.pending_milestone = milestone
+                    self._due[agent_id].add(task_id)
         if became_done:
             self._pick_active(node.assignee)
             for dependent in self.graph.dependents(task_id):
@@ -456,11 +485,14 @@ class World:
         return tuple([thread_id for _, _, thread_id in entries])
 
     def open_outbound_tasks(self, agent_id: str) -> frozenset[str]:
-        threads = self._open_by_sender[agent_id]
-        if not threads:
-            return frozenset()
-        threads[:] = [t for t in threads if t.open]
-        return frozenset({t.root.about_task for t in threads if t.root.about_task})
+        """The tasks of the agent's open request threads."""
+        tasks = self._outbound[agent_id]
+        if tasks is None:
+            threads = self._open_by_sender[agent_id]
+            threads[:] = [t for t in threads if t.open]
+            tasks = self._outbound[agent_id] = frozenset(
+                {t.root.about_task for t in threads if t.root.about_task})
+        return tasks
 
     def pending_invites(self, agent_id: str) -> list[tuple[int, str, str]]:
         """Delivered, unanswered meeting invites: (delivery, message_id, meeting)."""
@@ -638,11 +670,10 @@ class Simulation:
         root = thread.root
         asker = root.from_agent
         task_id = root.about_task
-        if task_id is None or asker not in message.to_agents:
-            thread.close()
-            return
-        if not world.alignment.initialized(asker, task_id) or world.graph.node(task_id).done:
-            thread.close()
+        if (task_id is None or asker not in message.to_agents
+                or not world.alignment.initialized(asker, task_id)
+                or world.graph.node(task_id).done):
+            world.close_thread(thread)
             return
         world.pending_af.append(_new_tuple(PendingAfEvaluation, (
             asker, task_id, message.message_id, root.message_type, message)))
@@ -835,6 +866,9 @@ class Simulation:
 
     def _execute_actions(self, t: int) -> None:
         world = self.world
+        # One value per kind serves every agent that finishes such a step.
+        worked = _new_tuple(LastAction, ("work", None, t))
+        idled = _new_tuple(LastAction, ("idle", None, t))
         finished: list[str] = []
         for agent_id in world.agent_order:
             action = world.active.get(agent_id)
@@ -853,12 +887,12 @@ class Simulation:
             kind = action.kind
             if kind is ActionKind.WORK:
                 self._execute_work(agent_id, action.target, t)
-                world.last_actions[agent_id] = _new_tuple(LastAction, ("work", None, t))
+                world.last_actions[agent_id] = worked
             elif kind is ActionKind.PLAN:
                 self._execute_plan(t)
-                world.last_actions[agent_id] = _new_tuple(LastAction, ("work", None, t))
+                world.last_actions[agent_id] = worked
             elif kind is ActionKind.IDLE:
-                world.last_actions[agent_id] = _new_tuple(LastAction, ("idle", None, t))
+                world.last_actions[agent_id] = idled
             elif action.remaining > 0:
                 continue
             elif kind is ActionKind.COMMUNICATE:
@@ -906,7 +940,7 @@ class Simulation:
         if node.done:
             return
         hours = world.clock.hours_per_step
-        af, effective, became_done = world.record_work(agent_id, task_id, hours)
+        af, effective, became_done = world.record_work(agent_id, node, hours)
         world.emit({
             "step": t, "seq": None, "kind": "progress",
             "agent": agent_id,
@@ -989,6 +1023,8 @@ class Simulation:
             })
             return
         thread.register_reply(self._post(agent_id, outgoing, thread_id, None, t))
+        if not thread.open:  # the depth cap closed it
+            world.close_thread(thread)
 
     def _complete_rsvp(self, agent_id: str, meeting_id: str, t: int) -> None:
         self.world.meetings[meeting_id].attending.add(agent_id)
@@ -1033,7 +1069,7 @@ class Simulation:
         world.pending_af = []
         for item in pending:
             if item.reply is not None:
-                world.threads[item.reply.thread_id].close()
+                world.close_thread(world.threads[item.reply.thread_id])
             if world.graph.node(item.task_id).done:
                 continue
             delta, warning = self.evaluator.evaluate(world, item)

@@ -307,6 +307,8 @@ class MetricsFold:
     def append(self, record: dict) -> None:
         self.event_count += 1
         kind = record["kind"]
+        if kind == "progress":  # counted, never read: a third of a long run's records
+            return
         if kind == "action":
             step = record["step"]
             if self.final_step is None or step >= self.final_step:

@@ -236,15 +236,14 @@ class HeuristicPolicy(Policy):
             return CHECK_INBOX
 
         active = context.active_task
-        if active is not None and active.task_id not in context.open_outbound_tasks:
-            if (
-                active.af < AF_ATTENTION_THRESHOLD
-                and active.hours_worked > 0
-                and active.stuck_worked_steps >= STUCK_STEP_THRESHOLD
-            ):
+        # Both requests need a low alignment, tested before the open-request
+        # set is read.
+        if (active is not None and active.af < AF_ATTENTION_THRESHOLD
+                and active.task_id not in context.open_outbound_tasks):
+            if active.hours_worked > 0 and active.stuck_worked_steps >= STUCK_STEP_THRESHOLD:
                 return _new_tuple(Intention, (
                     IntentionKind.REQUEST_HELP, active.task_id, ()))
-            if active.af < AF_ATTENTION_THRESHOLD and active.hours_worked == 0:
+            if active.hours_worked == 0:
                 return _new_tuple(Intention, (
                     IntentionKind.NEED_CLARIFICATION, active.task_id, ()))
 

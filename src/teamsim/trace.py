@@ -78,6 +78,10 @@ SCHEMAS = _Schemas({
     "warning": _schema({"source": _STR, "detail": _STR}),
 })
 
+# Each kind's float fields, read by the encoder for every record written;
+# a plain dict, so a lookup runs no Python code.
+_FLOATS = {kind: schema.floats for kind, schema in SCHEMAS.items()}
+
 
 # Records are flat dicts of scalars and short lists built by the engine, so
 # there is no cycle for the encoder to check.
@@ -374,7 +378,11 @@ class TraceWriter:
         self._encode: Callable[[dict, tuple[str, ...]], bytes] | None = None
 
     def append(self, record: dict) -> None:
-        floats = SCHEMAS[record["kind"]].floats
+        kind = record["kind"]
+        try:
+            floats = _FLOATS[kind]
+        except KeyError:
+            raise ValueError(f"unknown event kind: {kind}") from None
         if self._out is None:
             self._open()
         self._out.write(self._encode(record, floats))

@@ -14,9 +14,10 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from teamsim.comms import Message, MessageType, MeetingStatus, REQUEST_TYPES
+from teamsim.comms import (MAX_REPLY_ROUNDS, Channel, Message, MessageType,
+                           MeetingStatus, REQUEST_TYPES)
 from teamsim.config import expand_team_shorthand
-from teamsim.engine import Simulation, World
+from teamsim.engine import Outgoing, Simulation, World
 from teamsim.model import Scenario, TaskSpec, order_key, validate_scenario
 from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
                             IntentionKind, TaskAssignmentView, TeammateView,
@@ -311,6 +312,29 @@ def test_indexes_hold_through_the_meeting_run():
     assert any(m.status is MeetingStatus.HELD for m in sim.world.meetings.values())
     assert any(stats.pending_milestone is not None
                for stats in sim.world.stats.values())
+
+
+def test_a_thread_its_depth_cap_closes_leaves_the_open_request_set():
+    """No run closes a thread at the depth cap: every request has one
+    recipient, and each recipient replies once. A reply that reaches the cap
+    must still take its thread out of the asker's kept open-request set."""
+    sim = Simulation(dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic"),
+                     planner=ChainPlanner())
+    world = sim.world
+    while not any(world.open_outbound_tasks(a) for a in world.agent_order):
+        assert world.clock.step < 20, "no request thread opened"
+        sim.step()
+    asker = next(a for a in world.agent_order if world.open_outbound_tasks(a))
+    thread = next(t for t in world.threads.values()
+                  if t.open and t.root.from_agent == asker)
+    root = thread.root
+    thread.repliers = ("M1",) * (MAX_REPLY_ROUNDS - 1)
+    sim._complete_reply(root.to_agents[0], root.thread_id, Outgoing(
+        MessageType.RESPONSE, None, 10, (asker,), Channel.CHAT, root.about_task, 0.05),
+        world.clock.step)
+    assert not thread.open
+    assert root.about_task not in oracle_open_outbound_tasks(world, asker)
+    assert world.open_outbound_tasks(asker) == oracle_open_outbound_tasks(world, asker)
 
 
 @pytest.mark.parametrize("policy", ["no_comm", "c2c_heuristic"])
