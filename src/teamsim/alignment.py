@@ -62,9 +62,6 @@ class AlignmentState:
     def __init__(self) -> None:
         self.values: dict[tuple[str, str], float] = {}
 
-    def initialized(self, agent_id: str, task_id: str) -> bool:
-        return (agent_id, task_id) in self.values
-
     def init(self, agent_id: str, task_id: str) -> float:
         key = (agent_id, task_id)
         if key in self.values:

@@ -31,18 +31,19 @@ earlier one. `report` also returns 4 when a metric cannot be a float: a
 communication cost, alignment score, average completion time, efficiency or
 reply latency beyond the float range (every `cost_h` at 1e308, or the last
 `action` step at 10**400).
-Every command returns 5, after a one-line error, on bad input: a scenario
-file that is missing, unreadable or malformed, whose team has no worker or
-whose team shorthand asks for more than `config.MAX_SHORTHAND_AGENTS` agents,
-a `report` run directory without `trace.jsonl` or `scenario.yaml` (as a run
-that raised mid-way leaves it), a `trace.jsonl` that cannot be opened or read
-(a directory in its place), a trace line that is not one event, an event
-that lacks a field of its kind or holds one of the wrong type, a root task
-completion that names a task the scenario does not have or whose `boundary`
-is too large to become hours (10**400), a `message_sent` `cost_h` or an
-`af_update` `new` that is NaN or infinite, or an output directory (`--out`, or
-the `report` run directory) or output file that cannot be made, written into
-or, left by an earlier run, removed.
+Every command returns 5, after a one-line error, on bad input: a scenario file
+that is missing, unreadable or malformed, whose team has no worker or whose
+team shorthand asks for more than `config.MAX_SHORTHAND_AGENTS` agents, a
+`report` run directory without `trace.jsonl` or `scenario.yaml` (as a run that
+raised mid-way leaves it), a `trace.jsonl` that cannot be opened or read (a
+directory in its place), a trace line that is not one event, an event that
+lacks a field of its kind or holds one of the wrong type, an event whose `seq`
+is not its place in the trace (a line duplicated, dropped or moved), a root
+task completion that names a task the scenario does not have or whose
+`boundary` is too large to become hours (10**400), a `message_sent` `cost_h`
+or an `af_update` `new` that is NaN or infinite, or an output directory
+(`--out`, or the `report` run directory) or output file that cannot be made,
+written into or, left by an earlier run, removed.
 """
 
 from __future__ import annotations

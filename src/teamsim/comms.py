@@ -6,9 +6,10 @@ messages in a canonical (sent_step, sender, id) order so that delivery order is
 reproducible run to run. A message's text is composed only where something
 reads it; its word count, which sets its cost, is always known.
 
-A thread is its root message plus reply state, and a meeting is its invite
-plus RSVP state: the id, sender, type, recipients and task of either are read
-from that one message.
+A thread is a help or clarification request: its root message, sent to one
+recipient, who answers it at most once, to the asker alone. A meeting is its
+invite plus RSVP state. The id, sender, type, recipients and task of either
+are read from that one message.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import bisect
 import math
 from enum import Enum
-
-MAX_REPLY_ROUNDS = 3
 
 CHAT_BASE_MIN = 3
 CHAT_WORDS_PER_MINUTE_BLOCK = 100
@@ -29,14 +28,6 @@ MEETING_PER_PARTICIPANT_MIN = 2
 
 
 class CommError(ValueError):
-    pass
-
-
-class ThreadClosedError(CommError):
-    pass
-
-
-class ThreadDepthError(CommError):
     pass
 
 
@@ -121,38 +112,17 @@ class Message:
 
 
 class Thread:
-    __slots__ = ("root", "open", "resolver_id", "repliers")
+    """A request thread. It stays open after its one reply is sent, until
+    that reply lands and its alignment effect is applied, or until the task
+    it is about finishes: closing at send time would let the asker re-request
+    in the one-step delivery gap."""
 
-    def __init__(self, root: Message, open: bool = True) -> None:
+    __slots__ = ("root", "open", "answered")
+
+    def __init__(self, root: Message) -> None:
         self.root = root
-        self.open = open
-        # The first reply from anyone but the asker to a request; it resolves it.
-        self.resolver_id: str | None = None
-        # Who has replied, in reply order; at most MAX_REPLY_ROUNDS entries.
-        self.repliers: tuple[str, ...] = ()
-
-    def register_reply(self, reply: Message) -> None:
-        """Account for one reply round and record who sent it.
-
-        A reply from anyone but the asker resolves a request thread, but the
-        thread stays open until that reply lands and its alignment effect is
-        applied; closing at send time would let the asker re-request in the
-        one-step delivery gap. The depth cap closes immediately.
-        """
-        if not self.open:
-            raise ThreadClosedError("thread closed")
-        if len(self.repliers) >= MAX_REPLY_ROUNDS:
-            raise ThreadDepthError("thread depth exceeded")
-        self.repliers += (reply.from_agent,)
-        root = self.root
-        if (self.resolver_id is None and reply.from_agent != root.from_agent
-                and root.message_type in REQUEST_TYPES):
-            self.resolver_id = reply.message_id
-        if len(self.repliers) >= MAX_REPLY_ROUNDS:
-            self.open = False
-
-    def close(self) -> None:
-        self.open = False
+        self.open = True
+        self.answered = False
 
 
 class MeetingStatus(str, Enum):

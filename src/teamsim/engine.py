@@ -99,14 +99,12 @@ class ActiveAction:
 
 
 class AgentTaskStats:
-    __slots__ = ("hours_worked", "stuck_worked_steps", "pending_milestone",
-                 "reported_milestones")
+    __slots__ = ("hours_worked", "stuck_worked_steps", "pending_milestone")
 
     def __init__(self) -> None:
         self.hours_worked = 0.0
         self.stuck_worked_steps = 0
         self.pending_milestone: float | None = None
-        self.reported_milestones: set[float] = set()
 
 
 class PendingAfEvaluation(NamedTuple):
@@ -145,7 +143,7 @@ class LlmEvaluator:
 
         node = world.graph.node(pending.task_id)
         old_af = world.alignment.get(pending.agent_id, pending.task_id)
-        stats = world.task_stats(pending.agent_id, pending.task_id)
+        stats = world.stats[pending.agent_id, pending.task_id]
         reply = pending.reply
         messages = prompts.evaluation_messages(
             task_id=pending.task_id,
@@ -237,6 +235,7 @@ class World:
         # mutated, so a context can share it.
         self.delivered_by_type: dict[str, dict[str, int]] = dict.fromkeys(
             self.agent_order, {})
+        # Request threads by id; an invite is reachable through its meeting.
         self.threads: dict[str, Thread] = {}
         self.meetings: dict[str, Meeting] = {}
         # Meetings still waiting to convene, in id order.
@@ -328,11 +327,9 @@ class World:
     def open_thread(self, thread: Thread) -> None:
         root = thread.root
         self.threads[root.thread_id] = thread
-        if thread.open:
-            self._open_by_sender[root.from_agent].append(thread)
-            self._outbound[root.from_agent] = None
-            if root.about_task:
-                self._open_by_task.setdefault(root.about_task, []).append(thread)
+        self._open_by_sender[root.from_agent].append(thread)
+        self._outbound[root.from_agent] = None
+        self._open_by_task.setdefault(root.about_task, []).append(thread)
 
     def open_meeting(self, meeting: Meeting) -> None:
         invite = meeting.invite
@@ -342,9 +339,9 @@ class World:
         self._organized[organizer] = self._organized[organizer] | {invite.about_task}
 
     def close_thread(self, thread: Thread) -> None:
-        """Close a thread, or account for one its depth cap closed: every
-        close passes here, so the sender's open-request set is rebuilt."""
-        thread.close()
+        """Close a thread: every close passes here, so the sender's
+        open-request set is rebuilt."""
+        thread.open = False
         self._outbound[thread.root.from_agent] = None
 
     def close_threads_about(self, task_id: str) -> None:
@@ -358,7 +355,7 @@ class World:
             # Made here, not on first read: a read may run in the parallel
             # decide, which must not add to the shared table.
             for task_id in task_ids:
-                self.task_stats(agent_id, task_id)
+                self.stats[agent_id, task_id] = AgentTaskStats()
             self._pick_active(agent_id)
         self._blocked = dict.fromkeys(self.agent_order)
         self.planned = True
@@ -388,9 +385,11 @@ class World:
         stats.hours_worked += hours
         stats.stuck_worked_steps += 1
         after = node.progress
+        # A report covers only milestones at or below the progress of its
+        # day, and progress only grows, so one crossed here is unreported.
         if after >= FIRST_MILESTONE:
             for milestone in REPORT_MILESTONES:
-                if before < milestone <= after and milestone not in stats.reported_milestones:
+                if before < milestone <= after:
                     stats.pending_milestone = milestone
                     self._due[agent_id].add(task_id)
         if became_done:
@@ -404,12 +403,7 @@ class World:
 
     def record_report(self, agent_id: str, task_id: str) -> None:
         """A sent progress update covers every milestone the task has reached."""
-        stats = self.task_stats(agent_id, task_id)
-        node = self.graph.node(task_id)
-        for milestone in REPORT_MILESTONES:
-            if milestone <= node.progress:
-                stats.reported_milestones.add(milestone)
-        stats.pending_milestone = None
+        self.stats[agent_id, task_id].pending_milestone = None
         self._due[agent_id].discard(task_id)
 
     def apply_af(self, agent_id: str, task_id: str,
@@ -421,7 +415,7 @@ class World:
         old = self.alignment.get(agent_id, task_id)
         new = self.alignment.apply_delta(agent_id, task_id, delta)
         if delta > 0:
-            self.task_stats(agent_id, task_id).stuck_worked_steps = 0
+            self.stats[agent_id, task_id].stuck_worked_steps = 0
         return old, new
 
     # -- views used by policy context ---------------------------------------
@@ -465,12 +459,6 @@ class World:
         due = self._due[agent_id]
         return self.task_view(agent_id, min(due, key=order_key)) if due else None
 
-    def task_stats(self, agent_id: str, task_id: str) -> AgentTaskStats:
-        stats = self.stats.get((agent_id, task_id))
-        if stats is None:
-            stats = self.stats[agent_id, task_id] = AgentTaskStats()
-        return stats
-
     def is_busy(self, agent_id: str) -> bool:
         return agent_id in self.active
 
@@ -481,7 +469,7 @@ class World:
             return ()
         threads = self.threads
         entries[:] = [e for e in entries if threads[e[2]].open
-                      and agent_id not in threads[e[2]].repliers]
+                      and not threads[e[2]].answered]
         return tuple([thread_id for _, _, thread_id in entries])
 
     def open_outbound_tasks(self, agent_id: str) -> frozenset[str]:
@@ -491,7 +479,7 @@ class World:
             threads = self._open_by_sender[agent_id]
             threads[:] = [t for t in threads if t.open]
             tasks = self._outbound[agent_id] = frozenset(
-                {t.root.about_task for t in threads if t.root.about_task})
+                {t.root.about_task for t in threads})
         return tasks
 
     def pending_invites(self, agent_id: str) -> list[tuple[int, str, str]]:
@@ -582,8 +570,8 @@ class Simulation:
         else:
             self.planner = EvenPlanner()
         self.evaluator = evaluator or build_evaluator(scenario.evaluator_name, adapter)
-        # Only the LLM evaluator reads message text; every other run carries
-        # each message's word count alone.
+        # Only the LLM evaluator reads message text, a request's and its
+        # reply's; every other message carries its word count alone.
         self.composes_text = isinstance(self.evaluator, LlmEvaluator)
         self.parallel_decide = parallel_decide
         self._pool: ThreadPoolExecutor | None = None
@@ -662,21 +650,17 @@ class Simulation:
                 self._on_reply_delivered(message)
 
     def _on_reply_delivered(self, message: Message) -> None:
-        """A delivered resolving reply queues an alignment evaluation."""
+        """A delivered reply queues an alignment evaluation for the asker,
+        unless the task it asked about has finished."""
         world = self.world
         thread = world.threads[message.thread_id]
-        if message.message_id != thread.resolver_id:
-            return
         root = thread.root
-        asker = root.from_agent
-        task_id = root.about_task
-        if (task_id is None or asker not in message.to_agents
-                or not world.alignment.initialized(asker, task_id)
-                or world.graph.node(task_id).done):
+        if world.graph.node(root.about_task).done:
             world.close_thread(thread)
             return
         world.pending_af.append(_new_tuple(PendingAfEvaluation, (
-            asker, task_id, message.message_id, root.message_type, message)))
+            root.from_agent, root.about_task, message.message_id, root.message_type,
+            message)))
 
     def _convene_meetings(self, t: int) -> None:
         world = self.world
@@ -719,7 +703,7 @@ class Simulation:
             to_agents=attendees,
             channel=Channel.MEETING,
             message_type=MessageType.MEETING_START,
-            content=MEETING_START.compose(fields) if self.composes_text else None,
+            content=None,
             sent_step=t - 1,
             about_task=invite.about_task,
             meeting_id=invite.meeting_id,
@@ -804,16 +788,14 @@ class Simulation:
         replier = world.agents[agent_id]
         words = reply_words(root.about_task, root.message_type, replier)
         channel = reply_channel(words)
-        recipients = tuple(sorted(
-            ({root.from_agent} | set(root.to_agents)) - {agent_id}, key=order_key,
-        ))
-        cost = communication_cost(channel, words, max(1, len(recipients)))
+        cost = communication_cost(channel, words)
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
         content = (compose_reply(root.about_task, root.message_type, replier)
                    if self.composes_text else None)
+        # The one recipient answers the asker alone.
         world.active[agent_id] = ActiveAction(kind, target, duration, _new_tuple(Outgoing, (
-            MessageType.RESPONSE, content, words, recipients, channel, root.about_task,
-            cost)))
+            MessageType.RESPONSE, content, words, (root.from_agent,), channel,
+            root.about_task, cost)))
         return True
 
     def _hinted_view(self, agent_id: str,
@@ -837,11 +819,14 @@ class Simulation:
         channel = select_channel(kind, words)
         cost = communication_cost(channel, words, max(1, len(recipients)))
         duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
+        message_type = INTENTION_MESSAGE_TYPES[kind]
+        # The evaluator reads only a request's text.
+        content = (compose_message(context, kind, view)
+                   if self.composes_text and message_type in REQUEST_TYPES else None)
         world.active[agent_id] = ActiveAction(
             ActionKind.COMMUNICATE, view.task_id, duration, _new_tuple(Outgoing, (
-                INTENTION_MESSAGE_TYPES[kind],
-                compose_message(context, kind, view) if self.composes_text else None,
-                words, tuple(recipients), channel, view.task_id, cost)))
+                message_type, content, words, tuple(recipients), channel, view.task_id,
+                cost)))
         return True
 
     def _start_meeting_scheduling(self, agent_id: str, context: PolicyContext,
@@ -856,10 +841,8 @@ class Simulation:
             return False
         world.active[agent_id] = ActiveAction(
             ActionKind.COMMUNICATE, view.task_id, 1, _new_tuple(Outgoing, (
-                MessageType.MEETING_INVITE,
-                compose_message(context, kind, view) if self.composes_text else None,
-                message_words(context, kind, view), tuple(recipients), Channel.MEETING,
-                view.task_id, 0.0)))
+                MessageType.MEETING_INVITE, None, message_words(context, kind, view),
+                tuple(recipients), Channel.MEETING, view.task_id, 0.0)))
         return True
 
     # -- execution ---------------------------------------------------------------
@@ -996,17 +979,18 @@ class Simulation:
         return message
 
     def _complete_send(self, agent_id: str, outgoing: Outgoing, t: int) -> None:
-        """Open a thread, and for an invite a meeting, with this message."""
+        """Open a request thread, a meeting for an invite, or record a report."""
         world = self.world
         message_type = outgoing.message_type
         meeting_id = None
         if message_type is MessageType.MEETING_INVITE:
             meeting_id = world.next_meeting_id()
         message = self._post(agent_id, outgoing, world.next_thread_id(), meeting_id, t)
-        world.open_thread(Thread(message, open=message_type in REQUEST_TYPES))
-        if meeting_id is not None:
+        if message_type in REQUEST_TYPES:
+            world.open_thread(Thread(message))
+        elif meeting_id is not None:
             world.open_meeting(Meeting(message))
-        if message_type is MessageType.PROGRESS_UPDATE and outgoing.about_task:
+        else:  # a progress update
             world.record_report(agent_id, outgoing.about_task)
 
     def _complete_reply(self, agent_id: str, thread_id: str, outgoing: Outgoing,
@@ -1022,9 +1006,8 @@ class Simulation:
                 "detail": f"reply dropped, thread closed: {thread_id}",
             })
             return
-        thread.register_reply(self._post(agent_id, outgoing, thread_id, None, t))
-        if not thread.open:  # the depth cap closed it
-            world.close_thread(thread)
+        self._post(agent_id, outgoing, thread_id, None, t)
+        thread.answered = True
 
     def _complete_rsvp(self, agent_id: str, meeting_id: str, t: int) -> None:
         self.world.meetings[meeting_id].attending.add(agent_id)
@@ -1058,8 +1041,7 @@ class Simulation:
             if node.done:
                 continue
             if task_id == about or about in node.dependencies:
-                if world.alignment.initialized(agent_id, task_id):
-                    return task_id
+                return task_id
         return None
 
     def _apply_pending_af(self, t: int) -> None:

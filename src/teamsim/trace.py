@@ -9,7 +9,7 @@ once and hands it to a sink as it happens: `TraceLog` keeps the records,
 Reading a file yields the decoded records, checked against their kinds'
 schemas a chunk of lines at a time, so what reads them reads their fields
 unchecked: an event that lacks a field of its kind or holds one of the wrong
-type is a `TraceError`.
+type, or whose `seq` is not its place in the file, is a `TraceError`.
 
 Lines are encoded and decoded with orjson when it is installed (the `fast`
 extra) and with the standard `json` module otherwise; the bytes written and
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import chain, count, repeat
-from operator import itemgetter, setitem
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import (BinaryIO, Callable, Generator, Iterable, Iterator, NamedTuple,
                     Protocol)
@@ -108,10 +108,11 @@ class TraceError(ValueError):
                    f"{record['step']}) {detail}")
 
 
-def _fault(value: object) -> tuple[str, bool] | None:
-    """Why `value`, a decoded line, is not one event whose fields' `type()`s
-    its kind accepts, and whether that names the event (a field missing or of
-    a wrong type) or only its line; None when it is one."""
+def _fault(value: object, seq: int) -> tuple[str, bool] | None:
+    """Why `value`, a decoded line, is not the event numbered `seq` whose
+    fields' `type()`s its kind accepts, and whether that names the event (a
+    field missing or of a wrong type, or another `seq`) or only its line; None
+    when it is one."""
     if type(value) is not dict:
         return "not a JSON object", False
     for name in ("step", "kind", "seq"):
@@ -136,10 +137,13 @@ def _fault(value: object) -> tuple[str, bool] | None:
                 if type(item) is not str:
                     return (f"has field {name!r} holding {type(item).__name__}, "
                             "not str"), True
+    if type(value["seq"]) is not int or value["seq"] != seq:
+        # A line duplicated, dropped or moved.
+        return f"has seq {value['seq']!r}, not {seq}", True
     return None
 
 
-_KIND = itemgetter("kind")
+_KIND, _SEQ = itemgetter("kind"), itemgetter("seq")
 _ONLY_INT, _ONLY_STR = frozenset({int}), frozenset({str})
 # Each kind as `_conforms` checks it: its records' key count, a getter of
 # (step, seq, *fields) that raises KeyError when a record lacks one, and per
@@ -154,8 +158,9 @@ _COLUMNS = {kind: (3 + len(schema.fields), itemgetter("step", "seq", *schema.fie
 
 def _conforms(records: list) -> bool:
     """Whether every value in `records`, a chunk of decoded lines, is an event
-    `_fault` passes, read as the standard library reads it: the one test that
-    accepts a chunk as the codec read it.
+    `_fault` passes, read as the standard library reads it, with an integer
+    `seq` that `TraceLog.stream` then counts: the one test that accepts a
+    chunk as the codec read it.
 
     The records are grouped by kind in one C-level pass, and each column of
     a group is checked in a few more, so no Python code runs per record; the
@@ -171,8 +176,8 @@ def _conforms(records: list) -> bool:
             size, row, fields = _COLUMNS[kind]
             if set(map(len, group)) != {size}:
                 return False
-            steps, _, *columns = zip(*map(row, group))
-            if set(map(type, steps)) != _ONLY_INT:
+            steps, seqs, *columns = zip(*map(row, group))
+            if set(map(type, chain(steps, seqs))) != _ONLY_INT:
                 return False
             for (types, items, number), column in zip(fields, columns):
                 if not set(map(type, column)) <= types:
@@ -260,9 +265,9 @@ _CHUNK_BYTES = 1 << 15
 def _line_by_line(path: str | Path, lines: list[bytes], read: int,
                   seq: int) -> Generator[dict, None, int]:
     """Yield the records of `lines`, the lines after the first `read` of the
-    file at `path`, decoding each with the standard library, checking it by
-    itself and numbering them from `seq`; raise `TraceError` at the first bad
-    one. Returns the next seq."""
+    file at `path`, decoding each with the standard library and checking it by
+    itself and for the `seq` counted from `seq`; raise `TraceError` at the
+    first bad one. Returns the next seq."""
     for number, line in enumerate(lines, start=read + 1):
         if not line.strip():
             continue
@@ -270,12 +275,11 @@ def _line_by_line(path: str | Path, lines: list[bytes], read: int,
             record = _std_loads(line)
         except ValueError as exc:
             raise TraceError(f"{path}: line {number}: {exc}") from None
-        if fault := _fault(record):
+        if fault := _fault(record, seq):
             detail, names_the_event = fault
             if names_the_event:
                 raise TraceError.at(path, {**record, "seq": seq}, detail)
             raise TraceError(f"{path}: line {number}: {detail}")
-        record["seq"] = seq
         yield record
         seq += 1
     return seq
@@ -317,12 +321,13 @@ class TraceLog:
         of whole newline-terminated lines at a time.
 
         Only a newline ends an event: strings may hold U+2028 and other
-        characters that `str.splitlines` breaks on. Each record's `seq` is set
-        to the count of events yielded before it. Every line is checked
+        characters that `str.splitlines` breaks on. Every line is checked
         against its kind's schema: one that is not a JSON object with an
         integer `step`, a `seq` and a known `kind` raises `TraceError` naming
         its line, and an event that lacks a field of its kind or holds one of
-        the wrong type raises one naming the event.
+        the wrong type raises one naming the event. So does an event whose
+        `seq` is not the count of events before it, as the engine wrote it:
+        a line duplicated, dropped or moved.
 
         A chunk holds about `_CHUNK_BYTES` of lines, so memory stays bounded
         by one chunk (or one longer line). Its lines are decoded and checked
@@ -331,7 +336,8 @@ class TraceLog:
         codec, which yields the records before its first bad line and then
         raises that line's error (`_fault`), or accepts what the column check
         passed up (blank lines, fields a kind lacks, numbers the codec may
-        have misread).
+        have misread). A chunk that passes also has its `seq`s compared with
+        the count, and is read again the same way when they differ.
         """
         codec = _active_codec()
         seq = read = 0
@@ -341,9 +347,8 @@ class TraceLog:
                     records = list(map(codec.loads, lines))
                 except ValueError:  # a line that holds no JSON value
                     records = None
-                if records is not None and _conforms(records):
-                    # Set each record's seq in one C-level pass.
-                    deque(map(setitem, records, repeat("seq"), count(seq)), maxlen=0)
+                if (records is not None and _conforms(records)
+                        and list(map(_SEQ, records)) == list(range(seq, seq + len(records)))):
                     seq += len(records)
                     yield from records
                 else:

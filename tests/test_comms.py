@@ -1,12 +1,11 @@
-"""Channel cost models, buffered forward-only delivery, and thread limits."""
+"""Channel cost models, buffered forward-only delivery, and message invariants."""
 
 import random
 
 import pytest
 
-from teamsim.comms import (Channel, CommBuffer, CommError, MAX_REPLY_ROUNDS,
-                           Message, MessageType, Thread, ThreadClosedError,
-                           ThreadDepthError, communication_cost)
+from teamsim.comms import (Channel, CommBuffer, CommError, Message, MessageType,
+                           communication_cost)
 
 
 class TestCommunicationCost:
@@ -123,64 +122,6 @@ class TestBuffer:
         for mid, sender in [("m1", "W2"), ("m2", "W10"), ("m3", "W1")]:
             buffer.enqueue(message(mid, sender=sender, step=0), 0)
         assert [m.from_agent for m in buffer.pop_due(1)] == ["W1", "W10", "W2"]
-
-
-class TestThread:
-    def thread(self, mtype=MessageType.HELP_REQUEST):
-        return Thread(message("m1", sender="W1", to=("W2",), mtype=mtype))
-
-    def reply(self, mid, sender):
-        return message(mid, sender=sender, mtype=MessageType.RESPONSE)
-
-    def test_resolving_reply_marks_resolved_but_stays_open(self):
-        thread = self.thread()
-        thread.register_reply(self.reply("r1", "W1"))
-        assert thread.resolver_id is None
-        thread.register_reply(self.reply("r2", "W2"))
-        assert thread.resolver_id == "r2"
-        assert thread.open
-        thread.close()
-        assert not thread.open
-
-    def test_first_resolving_reply_stays_the_resolver(self):
-        thread = self.thread()
-        thread.register_reply(self.reply("r1", "W2"))
-        thread.register_reply(self.reply("r2", "W3"))
-        assert thread.resolver_id == "r1"
-        assert thread.repliers == ("W2", "W3")
-
-    def test_a_reply_to_an_update_resolves_nothing(self):
-        thread = self.thread(MessageType.PROGRESS_UPDATE)
-        thread.register_reply(self.reply("r1", "W2"))
-        assert thread.resolver_id is None
-
-    def test_depth_cap_closes(self):
-        thread = self.thread()
-        thread.register_reply(self.reply("r1", "W1"))
-        thread.register_reply(self.reply("r2", "W1"))
-        assert thread.open
-        thread.register_reply(self.reply("r3", "W1"))
-        assert len(thread.repliers) == MAX_REPLY_ROUNDS
-        assert not thread.open
-
-    def test_reply_past_depth_rejected(self):
-        thread = self.thread()
-        for i in range(3):
-            thread.register_reply(self.reply(f"r{i}", "W1"))
-        with pytest.raises(ThreadClosedError, match="thread closed"):
-            thread.register_reply(self.reply("r9", "W2"))
-
-    def test_reply_to_closed_thread_rejected(self):
-        thread = self.thread()
-        thread.close()
-        with pytest.raises(ThreadClosedError, match="thread closed"):
-            thread.register_reply(self.reply("r1", "W2"))
-
-    def test_depth_error_when_forced(self):
-        thread = self.thread()
-        thread.repliers = ("W1",) * MAX_REPLY_ROUNDS
-        with pytest.raises(ThreadDepthError, match="thread depth exceeded"):
-            thread.register_reply(self.reply("r1", "W2"))
 
 
 class TestMessageInvariants:

@@ -981,6 +981,47 @@ class TestCliReport:
             assert main(["report", "--run", str(out)]) == 5
             assert capsys.readouterr().err == f"trace error: {path}: {detail}\n"
 
+    @pytest.mark.parametrize("where", ["step-30", "past-the-first-chunk"])
+    @pytest.mark.parametrize("edit", ["duplicated", "dropped", "swapped"])
+    def test_line_duplicated_dropped_or_moved_is_a_one_line_error(
+            self, tmp_path, capsys, each_codec, edit, where):
+        # Every field of every line is still well formed: only the `seq`s,
+        # which count the lines, show the edit. The parent commit renumbered
+        # the events as it read them and wrote the same report (exit 0).
+        out = tmp_path / "out"
+        main(["run", "--scenario", str(SCENARIOS / "medium.yaml"),
+              "--policy", "c2c_heuristic", "--out", str(out)])
+        path = out / "trace.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        start = 0
+        for number, record in enumerate(records):
+            if record["kind"] == "action" and (
+                    record["step"] == 30 if where == "step-30"
+                    else start > trace._CHUNK_BYTES):
+                break
+            start += len(lines[number])
+        else:
+            pytest.fail(f"no action line {where}")
+        if edit == "duplicated":
+            lines.insert(number, lines[number])
+            number += 1
+            found = number - 1
+        elif edit == "dropped":
+            del lines[number]
+            found = number + 1
+        else:
+            lines[number:number + 2] = lines[number + 1], lines[number]
+            found = number + 1
+        record = records[found]
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        for _ in each_codec():
+            assert main(["report", "--run", str(out)]) == 5
+            assert capsys.readouterr().err == (
+                f"trace error: {path}: event {number} ({record['kind']} at step "
+                f"{record['step']}) has seq {found}, not {number}\n")
+
     @pytest.mark.parametrize("trace_text", [
         "",
         '{"step":0,"seq":0,"kind":"warning","source":"delivery","detail":"x"}\n',

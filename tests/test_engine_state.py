@@ -23,8 +23,8 @@ from teamsim.model import Scenario, validate_scenario
 from teamsim.policy import LlmPolicy
 from teamsim import prompts
 
-from conftest import (MEDIUM_TASK, SHIPPED_RUNS, SKILL_POOL, log_deliveries, of_kind,
-                      shipped_scenario)
+from conftest import (MEDIUM_TASK, SHIPPED_RUNS, SKILL_POOL, ChainPlanner,
+                      chain_scenario, log_deliveries, of_kind, shipped_scenario)
 
 
 def inbox_messages(context, inbox: list[Message]) -> list[dict]:
@@ -103,23 +103,31 @@ def test_evaluator_requests_are_unchanged():
 
 
 def test_delivered_messages_are_freed_unless_thread_roots():
-    """After a 16-root run, the only `Message` objects alive are thread roots
-    and messages still undelivered: a delivered reply or meeting start is
-    freed once it has been read."""
+    """After a 16-root run, and after a run that holds a meeting, the only
+    `Message` objects alive are request-thread roots, meeting invites and
+    messages still undelivered: a delivered progress update, reply or meeting
+    start is freed once it has been read."""
     scenario = validate_scenario(Scenario(
         name="16_roots", team=expand_team_shorthand("1M+16W", SKILL_POOL),
         tasks=[MEDIUM_TASK] * 16, policy_name="c2c_heuristic",
         skill_pool=tuple(SKILL_POOL), team_label="1M+16W",
     ))
-    gc.collect()
-    # Held, so that no id of an earlier message can be reused by this run's.
-    earlier = [o for o in gc.get_objects() if type(o) is Message]
-    result = Simulation(scenario, max_steps=3000).run()
-    gc.collect()
-    seen = {id(o) for o in earlier}
-    live = {id(o) for o in gc.get_objects() if type(o) is Message} - seen
-    world = result.world
-    assert result.completed
-    assert live == {id(t.root) for t in world.threads.values()} | \
-        {id(m) for m in world.buffer.pending}
-    assert len(live) < len(of_kind(result.trace, "message_sent"))
+    meeting = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic")
+    for sim in (Simulation(scenario, max_steps=3000),
+                Simulation(meeting, planner=ChainPlanner())):
+        gc.collect()
+        # Held, so that no id of an earlier message can be reused by this run's.
+        earlier = [o for o in gc.get_objects() if type(o) is Message]
+        result = sim.run()
+        gc.collect()
+        seen = {id(o) for o in earlier}
+        live = {id(o) for o in gc.get_objects() if type(o) is Message} - seen
+        world = result.world
+        sent = {r["type"] for r in of_kind(result.trace, "message_sent")}
+        assert result.completed
+        assert "PROGRESS_UPDATE" in sent
+        assert live == {id(t.root) for t in world.threads.values()} | \
+            {id(m.invite) for m in world.meetings.values()} | \
+            {id(m) for m in world.buffer.pending}
+        assert len(live) < len(of_kind(result.trace, "message_sent"))
+    assert "MEETING_START" in sent  # the second run held a meeting

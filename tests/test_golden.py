@@ -72,7 +72,7 @@ def _check_schema(records: list[dict]) -> None:
         schema = SCHEMAS[record["kind"]]
         assert list(record) == ["step", "seq", "kind", *schema.fields], record
         assert record["seq"] == seq
-        assert trace._fault(record) is None, record
+        assert trace._fault(record, seq) is None, record
     assert trace._conforms(records)
 
 

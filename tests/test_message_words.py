@@ -3,7 +3,8 @@
 Each composer's word-count twin must give the count of the text the composer
 writes, for any description, skill set, task label or number; the `llm`
 evaluator, the one reader of message text, must get the text it always got;
-and a rule-based run must compose no text at all.
+an `llm`-evaluated run must compose only the text of requests and replies; and
+a rule-based run must compose no text at all.
 """
 
 import dataclasses
@@ -150,18 +151,33 @@ def test_a_rule_based_run_composes_no_text(monkeypatch, run):
     assert all(thread.root.content is None for thread in result.world.threads.values())
 
 
-def test_an_llm_evaluated_run_composes_every_message(monkeypatch):
+def test_an_llm_evaluated_run_composes_only_requests_and_replies(monkeypatch):
+    """The evaluator reads a request's text and its reply's; no other
+    message's text is composed. The run holds a meeting and sends progress
+    updates, so every kind of message but a help request is sent."""
     calls = _counting_composers(monkeypatch)
+    made: list[engine.Message] = []
+
+    class RecordedMessage(engine.Message):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "Message", RecordedMessage)
     scenario = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic",
                                    evaluator_name="llm")
     result = Simulation(scenario, planner=ChainPlanner(),
                         adapter=_stub_adapter([])).run()
-    sent = of_kind(result.trace, "message_sent")
-    # One template fill per message; the composer kinds on top of it.
-    assert calls.count("template") == len(sent)
-    assert calls.count("compose_message") + calls.count("compose_reply") == \
-        sum(1 for r in sent if r["type"] != "MEETING_START")
-    for thread in result.world.threads.values():
-        root = thread.root
-        words = next(r["words"] for r in sent if r["message_id"] == root.message_id)
-        assert word_count(root.content) == words
+    sent = {r["message_id"]: r for r in of_kind(result.trace, "message_sent")}
+    read = {"HELP_REQUEST", "NEED_CLARIFICATION", "RESPONSE"}
+    assert {"NEED_CLARIFICATION", "RESPONSE", "PROGRESS_UPDATE", "MEETING_INVITE",
+            "MEETING_START"} <= {r["type"] for r in sent.values()}
+    assert [m.message_id for m in made] == list(sent)
+    composed = [m for m in made if m.content is not None]
+    assert [m.message_id for m in composed] == [
+        m for m, r in sent.items() if r["type"] in read]
+    # One template fill per composed message; the composer kinds on top of it.
+    assert calls.count("template") == len(composed)
+    assert calls.count("compose_message") + calls.count("compose_reply") == len(composed)
+    for message in composed:
+        assert word_count(message.content) == sent[message.message_id]["words"]

@@ -189,16 +189,17 @@ _json_values = st.recursive(
 )
 
 
-def _valid_records(kind: str):
+def _valid_records(kind: str, seq):
+    """A record of `kind` whose `seq` is drawn from `seq`."""
     return st.fixed_dictionaries({
-        "step": st.integers(0, 10 ** 6), "seq": st.integers(0, 10 ** 6),
-        "kind": st.just(kind),
+        "step": st.integers(0, 10 ** 6), "seq": seq, "kind": st.just(kind),
         **{name: _field_values(kind, name) for name in SCHEMAS[kind].fields}})
 
 
 @st.composite
-def _mutated_lines(draw) -> str:
-    """One line: a valid record of some kind with one mutation applied."""
+def _mutated_lines(draw, seq=st.just(0)) -> str:
+    """One line: a valid record of some kind, its `seq` drawn from `seq`,
+    with one mutation applied."""
     mutation = draw(st.sampled_from(["swap", "remove", "rename", "extra", "to-item",
                                      "big-int-float", "not-object"]))
     if mutation == "not-object":
@@ -207,7 +208,7 @@ def _mutated_lines(draw) -> str:
     kinds = {"to-item": ["message_sent"],
              "big-int-float": sorted(k for k in SCHEMAS if SCHEMAS[k].floats)}
     kind = draw(st.sampled_from(kinds.get(mutation, sorted(SCHEMAS))))
-    record = draw(_valid_records(kind))
+    record = draw(_valid_records(kind, seq))
     # `step`, `seq` and `kind` as often as all of the kind's fields together.
     name = draw(st.one_of(st.sampled_from(["step", "seq", "kind"]),
                           st.sampled_from(list(record))))
@@ -259,23 +260,27 @@ _DEEP = "[" * 3000 + "]" * 3000
 
 
 @st.composite
-def _bad_lines(draw) -> str:
-    """One line the column check of a chunk cannot pass as it is: a mutated
-    event, a bool or a wide integer in an integer field, an unknown kind, a
-    NaN, a blank or a deeply nested line."""
-    mutation = draw(st.sampled_from(["mutated", "int", "kind", "nan", "blank",
+def _bad_lines(draw, seq: int) -> str:
+    """One line, the `seq`-th event, that the check of a chunk cannot pass as
+    it is: a mutated event, a bool or a wide integer in an integer field, an
+    unknown kind, a NaN, another event's `seq` (a line duplicated, dropped or
+    moved), a blank or a deeply nested line."""
+    mutation = draw(st.sampled_from(["mutated", "int", "kind", "nan", "seq", "blank",
                                      "deep", "deep-field"]))
     if mutation == "mutated":
-        return draw(_mutated_lines())
+        return draw(_mutated_lines(st.just(seq)))
     if mutation == "blank":
         return draw(st.sampled_from(["", " ", "\t", "\r"]))
     if mutation == "deep":
         return _DEEP
     if mutation == "deep-field":
         return '{"step":0,"seq":0,"kind":"warning","source":%s,"detail":"x"}' % _DEEP
-    kind = {"int": "action", "kind": "warning", "nan": "progress"}[mutation]
-    record = draw(_valid_records(kind))
-    if mutation == "int":
+    kind = {"int": "action", "kind": "warning", "nan": "progress",
+            "seq": "action"}[mutation]
+    record = draw(_valid_records(kind, st.just(seq)))
+    if mutation == "seq":
+        record["seq"] = draw(st.sampled_from([seq - 1, seq + 1, seq + 2]))
+    elif mutation == "int":
         record[draw(st.sampled_from(["step", "remaining"]))] = draw(st.one_of(
             st.booleans(), st.sampled_from([2 ** 64, 2 ** 64 + 1, 10 ** 30 + 1])))
     elif mutation == "kind":
@@ -285,11 +290,25 @@ def _bad_lines(draw) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-_good_lines = st.sampled_from(sorted(SCHEMAS)).flatmap(_valid_records).map(
-    lambda record: json.dumps(record, ensure_ascii=False))
-# Mostly good lines, so that whole chunks pass the column check too.
-_trace_lines = st.lists(st.one_of(_good_lines, _good_lines, _good_lines, _bad_lines()),
-                        max_size=12)
+def _good_lines(seq: int):
+    """A valid record of any kind, the `seq`-th event, as its line."""
+    return st.sampled_from(sorted(SCHEMAS)).flatmap(
+        lambda kind: _valid_records(kind, st.just(seq))).map(
+        lambda record: json.dumps(record, ensure_ascii=False))
+
+
+@st.composite
+def _trace_lines(draw) -> list[str]:
+    """Mostly good lines, so that whole chunks pass the check too: each one's
+    `seq` counts the events before it, as the engine writes it."""
+    lines: list[str] = []
+    seq = 0
+    for _ in range(draw(st.integers(0, 12))):
+        good = _good_lines(seq)
+        line = draw(st.one_of(good, good, good, _bad_lines(seq)))
+        lines.append(line)
+        seq += bool(line.strip())
+    return lines
 
 
 def _read(records: Iterator[dict]) -> tuple[str, str | None]:
@@ -304,19 +323,21 @@ def _read(records: Iterator[dict]) -> tuple[str, str | None]:
     return repr([_typed(r) for r in read]), None
 
 
-_ACTION = {"step": 0, "seq": 0, "kind": "action", "agent": "W1", "action": "idle",
+_ACTION = {"step": 0, "seq": 1, "kind": "action", "agent": "W1", "action": "idle",
            "target": None, "remaining": 0}
-_SENT = {"step": 0, "seq": 1, "kind": "message_sent", "message_id": "m1",
+_SENT = {"step": 0, "seq": 0, "kind": "message_sent", "message_id": "m1",
          "thread_id": "th1", "from": "W1", "to": ["M1"], "channel": "chat",
          "type": "HELP_REQUEST", "about_task": None, "words": 3, "cost_h": 0.5,
          "sent_step": 0}
-# After a good line, one that a single check of the column test turns down,
-# for each check, so that each is exercised whatever examples are drawn: the
-# key count (an extra field orjson reads as a float), an integer `step`, a
-# field's types, a list's items and the float bound (under orjson).
+# After a good line, one that a single check of the chunk's turns down, for
+# each check, so that each is exercised whatever examples are drawn: the key
+# count (an extra field orjson reads as a float), an integer `step` and `seq`,
+# a field's types, a list's items, the float bound (under orjson) and the
+# `seq` count.
 _ONE_CHECK_EACH = [{**_ACTION, "extra": 2 ** 64}, {**_ACTION, "step": True},
-                   {**_ACTION, "remaining": "0"}, {**_SENT, "to": ["M1", 1]},
-                   {**_SENT, "cost_h": 2 ** 64}]
+                   {**_ACTION, "seq": 1.0}, {**_ACTION, "remaining": "0"},
+                   {**_SENT, "seq": 1, "to": ["M1", 1]},
+                   {**_SENT, "seq": 1, "cost_h": 2 ** 64}, {**_ACTION, "seq": 0}]
 
 
 def _with_one_check_each(test):
@@ -331,7 +352,7 @@ def _with_one_check_each(test):
 @_with_one_check_each
 @settings(max_examples=300, deadline=None, derandomize=True,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(_trace_lines, st.sampled_from([1, 64, 256, 1024]))
+@given(_trace_lines(), st.sampled_from([1, 64, 256, 1024]))
 def test_stream_reads_as_the_per_line_path_reads(tmp_path_factory, lines, chunk):
     # With chunks a few lines long, a bad line falls in a later chunk than
     # the first, after chunks that pass the column check as a whole. The
@@ -428,7 +449,8 @@ def test_wrongly_typed_field_names_its_event(tmp_path, each_codec, fields, detai
     record = {"step": 3, "seq": 9, "kind": "action", "agent": "W1", "action": "idle",
               "target": None, "remaining": 0, **fields}
     path = tmp_path / "trace.jsonl"
-    path.write_text(json.dumps(_log("x").events[1]) + "\n\n" + json.dumps(record)
+    # The record's seq is not its place either: a field's error comes first.
+    path.write_text(json.dumps(_log("x").events[0]) + "\n\n" + json.dumps(record)
                     + "\n", encoding="utf-8")
     for _ in each_codec():
         with pytest.raises(TraceError) as error:

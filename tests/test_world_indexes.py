@@ -4,7 +4,8 @@ Each oracle below is the scan a query used before the index replaced it. The
 property drives `Simulation.step` by hand over generated scenarios and, after
 every step, compares each indexed query with its oracle for every agent. The
 inbox scans read a delivery log that the harness records by wrapping
-`World.deliver`, since `World` keeps no inbox.
+`World.deliver`, since `World` keeps no inbox, and the replies sent, read off
+the trace.
 """
 
 import dataclasses
@@ -14,10 +15,9 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from teamsim.comms import (MAX_REPLY_ROUNDS, Channel, Message, MessageType,
-                           MeetingStatus, REQUEST_TYPES)
+from teamsim.comms import Message, MessageType, MeetingStatus, REQUEST_TYPES
 from teamsim.config import expand_team_shorthand
-from teamsim.engine import Outgoing, Simulation, World
+from teamsim.engine import Simulation, World
 from teamsim.model import Scenario, TaskSpec, order_key, validate_scenario
 from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
                             IntentionKind, TaskAssignmentView, TeammateView,
@@ -57,8 +57,9 @@ def oracle_assigned_tasks(world: World, agent_id: str) -> list[str]:
                   key=order_key)
 
 
-def oracle_unanswered_inbound(world: World, agent_id: str,
-                              inbox: list[Message]) -> tuple[str, ...]:
+def oracle_unanswered_inbound(world: World, agent_id: str, inbox: list[Message],
+                              replied: set[tuple[str, str]]) -> tuple[str, ...]:
+    """`replied` holds (sender, thread id) of every reply sent so far."""
     found = []
     for msg in inbox:
         if msg.message_type not in REQUEST_TYPES:
@@ -68,7 +69,7 @@ def oracle_unanswered_inbound(world: World, agent_id: str,
             continue
         if msg.from_agent == agent_id:
             continue
-        if agent_id in thread.repliers:
+        if (agent_id, msg.thread_id) in replied:
             continue
         found.append((msg.sent_step + 1, msg.message_id, msg.thread_id))
     found.sort()
@@ -131,7 +132,7 @@ def oracle_assigned(world: World, agent_id: str) -> tuple[TaskAssignmentView, ..
     views = []
     for task_id in oracle_assigned_tasks(world, agent_id):
         node = world.graph.node(task_id)
-        stats = world.task_stats(agent_id, task_id)
+        stats = world.stats[agent_id, task_id]
         views.append(TaskAssignmentView(
             task_id=task_id,
             description=node.description,
@@ -183,13 +184,14 @@ def oracle_organized_meeting_tasks(world: World, agent_id: str) -> set:
 
 def check_indexes(world: World, done_at: dict[str, int],
                   inbox_read: dict[str, int],
-                  delivered: dict[str, list[Message]]) -> None:
+                  delivered: dict[str, list[Message]],
+                  replied: set[tuple[str, str]]) -> None:
     team = team_views(world)
     for agent_id in world.agent_order:
         inbox = delivered[agent_id]
         assert world.assigned_tasks(agent_id) == oracle_assigned_tasks(world, agent_id)
         assert world.unanswered_inbound(agent_id) == \
-            oracle_unanswered_inbound(world, agent_id, inbox)
+            oracle_unanswered_inbound(world, agent_id, inbox, replied)
         assert world.open_outbound_tasks(agent_id) == \
             oracle_open_outbound_tasks(world, agent_id)
         invites = oracle_pending_invites(world, agent_id, inbox)
@@ -273,18 +275,48 @@ def run_checking_indexes(sim: Simulation) -> None:
 
     sim._start_check_messages = recording
     delivered = log_deliveries(world)
-    check_indexes(world, done_at, inbox_read, delivered)
+    # (sender, thread id) of every reply sent, read off the trace.
+    replied: set[tuple[str, str]] = set()
+    read = 0
+    check_indexes(world, done_at, inbox_read, delivered, replied)
     while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
         t = world.clock.step
         sim.step()
         for node in world.graph.nodes.values():
             if node.done:
                 done_at.setdefault(node.task_id, t)
-        check_indexes(world, done_at, inbox_read, delivered)
+        events = world.trace.events
+        replied.update((r["from"], r["thread_id"]) for r in events[read:]
+                       if r["kind"] == "message_sent" and r["type"] == "RESPONSE")
+        read = len(events)
+        check_indexes(world, done_at, inbox_read, delivered, replied)
+    # Only request threads are kept.
+    assert all(t.root.message_type in REQUEST_TYPES for t in world.threads.values())
+
+
+def check_one_reply_per_request(events: list[dict]) -> None:
+    """Every request goes to one recipient, about a task, and gets at most one
+    reply: from that recipient, to the asker alone."""
+    requests: dict[str, dict] = {}
+    replied: set[str] = set()
+    for record in events:
+        if record["kind"] != "message_sent":
+            continue
+        if record["type"] in ("HELP_REQUEST", "NEED_CLARIFICATION"):
+            assert len(record["to"]) == 1, record
+            assert record["about_task"] is not None, record
+            requests[record["thread_id"]] = record
+        elif record["type"] == "RESPONSE":
+            thread_id = record["thread_id"]
+            assert thread_id not in replied, record
+            replied.add(thread_id)
+            request = requests[thread_id]
+            assert [record["from"]] == request["to"], record
+            assert record["to"] == [request["from"]], record
 
 
 # Runs that fail each of these index mutations, whatever examples are drawn:
-# a replier left in `unanswered_inbound`, a closed thread left in
+# an answered thread left in `unanswered_inbound`, a closed thread left in
 # `open_outbound_tasks`, an accepted invite or one to a meeting no longer
 # pending left in `pending_invites`, a meeting start never cleared, a blocked
 # map not recomputed when a dependency finishes, a called meeting not recorded
@@ -300,7 +332,9 @@ def run_checking_indexes(sim: Simulation) -> None:
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(specs)
 def test_indexes_equal_full_scans(spec):
-    run_checking_indexes(build_simulation(spec))
+    sim = build_simulation(spec)
+    run_checking_indexes(sim)
+    check_one_reply_per_request(sim.world.trace.events)
 
 
 def test_indexes_hold_through_the_meeting_run():
@@ -309,32 +343,10 @@ def test_indexes_hold_through_the_meeting_run():
     scenario = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic")
     sim = Simulation(scenario, planner=ChainPlanner())
     run_checking_indexes(sim)
+    check_one_reply_per_request(sim.world.trace.events)
     assert any(m.status is MeetingStatus.HELD for m in sim.world.meetings.values())
     assert any(stats.pending_milestone is not None
                for stats in sim.world.stats.values())
-
-
-def test_a_thread_its_depth_cap_closes_leaves_the_open_request_set():
-    """No run closes a thread at the depth cap: every request has one
-    recipient, and each recipient replies once. A reply that reaches the cap
-    must still take its thread out of the asker's kept open-request set."""
-    sim = Simulation(dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic"),
-                     planner=ChainPlanner())
-    world = sim.world
-    while not any(world.open_outbound_tasks(a) for a in world.agent_order):
-        assert world.clock.step < 20, "no request thread opened"
-        sim.step()
-    asker = next(a for a in world.agent_order if world.open_outbound_tasks(a))
-    thread = next(t for t in world.threads.values()
-                  if t.open and t.root.from_agent == asker)
-    root = thread.root
-    thread.repliers = ("M1",) * (MAX_REPLY_ROUNDS - 1)
-    sim._complete_reply(root.to_agents[0], root.thread_id, Outgoing(
-        MessageType.RESPONSE, None, 10, (asker,), Channel.CHAT, root.about_task, 0.05),
-        world.clock.step)
-    assert not thread.open
-    assert root.about_task not in oracle_open_outbound_tasks(world, asker)
-    assert world.open_outbound_tasks(asker) == oracle_open_outbound_tasks(world, asker)
 
 
 @pytest.mark.parametrize("policy", ["no_comm", "c2c_heuristic"])

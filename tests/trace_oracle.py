@@ -90,8 +90,9 @@ DECODERS = {name: decode for name, decode in
 def line_by_line(path: str | Path, lines: list[bytes], read: int, seq: int,
                  decode: Callable[[bytes], dict]) -> Generator[dict, None, int]:
     """Yield the records of `lines`, the lines after the first `read` of the
-    file at `path`, decoding and checking each by itself and numbering them
-    from `seq`; raise `TraceError` at the first bad one. Returns the next seq."""
+    file at `path`, decoding and checking each by itself and for the `seq`
+    counted from `seq`; raise `TraceError` at the first bad one. Returns the
+    next seq."""
     for number, line in enumerate(lines, start=read + 1):
         if not line.strip():
             continue
@@ -103,7 +104,9 @@ def line_by_line(path: str | Path, lines: list[bytes], read: int, seq: int,
             raise TraceError.at(path, record, detail) from None
         except ValueError as exc:
             raise TraceError(f"{path}: line {number}: {exc}") from None
-        record["seq"] = seq
+        if type(record["seq"]) is not int or record["seq"] != seq:
+            raise TraceError.at(path, {**record, "seq": seq},
+                                f"has seq {record['seq']!r}, not {seq}")
         yield record
         seq += 1
     return seq
