@@ -1,14 +1,16 @@
 """Command-line entry point: run one scenario, compare policies, re-report.
 
-`run` writes `trace.jsonl` and folds the metrics as it simulates, one event
-at a time, and holds no list of events; `compare` only folds. `run` makes the
-output directory and the trace file at the first event, so a run without
-events (`--max-steps 0`) creates or changes nothing, and an output directory
-or trace file that cannot be made or written into fails there, not after the
-run. At that first event `run` also removes an earlier run's `scenario.yaml`,
-`report.txt` and `metrics.csv` from the directory; it writes its own once the
-run ends. A run that raises mid-way thus leaves a partial `trace.jsonl` and
-no `scenario.yaml`, also in a directory an earlier run wrote, so `report`
+`run` writes `trace.jsonl` and folds the metrics as it simulates, one batch
+of events at a time (a step's, or about `engine.TRACE_BATCH` of them), and
+holds no list of events; `compare` only folds. `run` makes the output
+directory and the trace file at the first batch, at the end of step 0, so a
+run without events (`--max-steps 0`) creates or changes nothing, and an
+output directory or trace file that cannot be made or written into fails
+there, not after the run. At that first batch `run` also removes an earlier
+run's `scenario.yaml`, `report.txt` and `metrics.csv` from the directory; it
+writes its own once the run ends. A run that raises mid-way thus leaves a
+partial `trace.jsonl`, every event emitted before the raise, and no
+`scenario.yaml`, also in a directory an earlier run wrote, so `report`
 refuses that directory.
 
 `main(argv)` parses `argv` and returns the exit code. It may be called any
@@ -102,7 +104,7 @@ def _adapter(config: RunConfig, scenarios: list[Scenario]) -> ChatCompletionAdap
                                  temperature=config.temperature)
 
 
-# What `run` writes once the run ends; the next run's first event removes them.
+# What `run` writes once the run ends; the next run's first batch removes them.
 _RUN_OUTPUTS = ("scenario.yaml", "report.txt", "metrics.csv")
 
 
@@ -119,10 +121,10 @@ def cmd_run(config: RunConfig) -> int:
     scenario = _apply_overrides(parse_scenario(config.scenario_path), config)
     adapter = _adapter(config, [scenario])
 
-    # Each event is written and folded as the engine emits it. The trace file
-    # and the output directory are made, and an earlier run's other outputs
-    # removed, at the first event, so a run without events changes nothing;
-    # its empty fold then raises MetricsError.
+    # Each batch of events is written and folded as the engine hands it on.
+    # The trace file and the output directory are made, and an earlier run's
+    # other outputs removed, at the first batch, so a run without events
+    # changes nothing; its empty fold then raises MetricsError.
     out_dir = Path(config.out_dir)
     fold = MetricsFold(scenario, baseline_hours=config.baseline_hours)
     stale = [out_dir / name for name in _RUN_OUTPUTS]
@@ -206,14 +208,13 @@ def cmd_report(run_dir: str, baseline_hours: float | None = None) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     scenario = parse_scenario(scenario_path)
-    # Folded line by line: the trace is never held in memory.
+    # Folded a checked chunk at a time: the trace is never held in memory.
     fold = MetricsFold(scenario, baseline_hours=baseline_hours)
     try:
-        for record in TraceLog.stream(trace_path):
-            try:
-                fold.append(record)
-            except EventError as exc:
-                raise TraceError.at(trace_path, record, exc) from None
+        for records in TraceLog.chunks(trace_path):
+            fold.extend(records)
+    except EventError as exc:
+        raise TraceError.at(trace_path, exc.record, exc) from None
     except OSError as exc:
         raise TraceError(f"unreadable trace file: {exc}") from exc
     try:

@@ -2,10 +2,11 @@
 
 Each step runs a fixed phase order: deliver due messages, convene due
 meetings, collect one intention per idle agent, resolve intentions into
-actions, execute one step of every active action, then apply queued alignment
-deltas. A message sent while actions execute goes straight into the buffer,
-which delivers it next step. Reordering any phase breaks the reproducibility
-guarantees, so all mutation happens here.
+actions, execute one step of every active action, apply queued alignment
+deltas, then hand the step's events to the trace sink as one batch. A message
+sent while actions execute goes straight into the buffer, which delivers it
+next step. Reordering any phase breaks the reproducibility guarantees, so all
+mutation happens here.
 
 Every agent contributes exactly one action-step per step: work, communication
 progress, meeting attendance, or an explicit idle transition.
@@ -42,6 +43,11 @@ if TYPE_CHECKING:
 # An invited agent that has not accepted within this many steps of the invite
 # being sent no longer delays the meeting; it convenes or cancels without them.
 RSVP_GRACE_STEPS = 6
+
+# About how many event records the engine hands its trace sink at once: a
+# step's records go in one batch, and a step that has queued this many hands
+# them on before the next agent's action runs.
+TRACE_BATCH = 64
 
 # A task's status while its holder can work on it.
 WORKABLE = (TaskStatus.READY, TaskStatus.IN_PROGRESS)
@@ -246,6 +252,8 @@ class World:
         self.pending_af: list[PendingAfEvaluation] = []
         self.trace: TraceSink = TraceLog() if trace is None else trace
         self._seq = count()
+        # The event records emitted since the last `flush`, in trace order.
+        self.pending_events: list[dict] = []
         self.comm_cost_total = 0.0
         self.completion_steps: dict[str, int] = {}
         self.planned = False
@@ -291,14 +299,22 @@ class World:
         return f"mt{self._meeting_counter:03d}"
 
     def emit(self, record: dict) -> None:
-        """Stamp an event record with its `seq` and hand it to the trace.
+        """Stamp an event record with its `seq` and queue it for the trace.
 
         `record` is the event's one representation, its trace line's object:
         `step`, `seq` (None until stamped here) and `kind`, then the fields
         `trace.SCHEMAS` lists for the kind, in that order.
         """
         record["seq"] = next(self._seq)
-        self.trace.append(record)
+        self.pending_events.append(record)
+
+    def flush(self) -> None:
+        """Hand the records emitted since the last flush to the trace as one
+        batch."""
+        records = self.pending_events
+        if records:
+            self.pending_events = []
+            self.trace.extend(records)
 
     # -- state changes that keep the indexes current --------------------------
 
@@ -579,20 +595,24 @@ class Simulation:
     # -- public API ----------------------------------------------------------
 
     def run(self) -> SimResult:
+        """Step to completion or the step cap. Every event emitted reaches the
+        trace, also when a step raises: the last batch is handed on as the
+        run ends."""
         world = self.world
         try:
             while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
                 self.step()
+            for message in world.buffer.pending:
+                world.emit({
+                    "step": world.clock.step, "seq": None, "kind": "warning",
+                    "source": "delivery",
+                    "detail": f"undelivered at run end: {message.message_id}",
+                })
         finally:
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
-        for message in world.buffer.pending:
-            world.emit({
-                "step": world.clock.step, "seq": None, "kind": "warning",
-                "source": "delivery",
-                "detail": f"undelivered at run end: {message.message_id}",
-            })
+            world.flush()
         completion: dict[str, int | None] = {
             root: world.completion_steps.get(root) for root in world.graph.roots
         }
@@ -637,6 +657,7 @@ class Simulation:
 
         self._execute_actions(t)
         self._apply_pending_af(t)
+        world.flush()
         world.clock.advance()
 
     # -- phases ---------------------------------------------------------------
@@ -857,6 +878,8 @@ class Simulation:
             action = world.active.get(agent_id)
             if action is None:
                 continue
+            if len(world.pending_events) >= TRACE_BATCH:
+                world.flush()
             action.remaining -= 1
             world.emit({
                 "step": t, "seq": None, "kind": "action",

@@ -6,17 +6,18 @@ over wall-clock completion time), optional speedup against a baseline time,
 plus the sender/recipient heatmap and message type/channel distributions.
 
 `compute_metrics` is a fold, `MetricsFold`, that takes each event record once
-in trace order. The fold is itself a trace sink, so `teamsim run` folds each
-event as the engine emits it and `teamsim report` reads a trace line by line,
-and neither holds the trace. Sums are exact: samples are kept as value ->
-count and summed as one integer over a common power-of-two denominator, then
-rounded once, which is what `math.fsum` gives over the samples listed one by
-one. The alignment score, the mean of every (agent, task) value at the end of
-every step, is thus Σ value × steps held / samples, in O(af_update events)
-instead of one sample per pair per step. Its `af_update` steps must not go
-back in the trace, as the engine writes them; `MetricsError` names one that
-does. The fold reads each field unchecked, as `trace.SCHEMAS` types it: the
-reader checks each line against it.
+in trace order, a batch of records at a time. The fold is itself a trace
+sink, so `teamsim run` folds each batch of events as the engine hands it on
+and `teamsim report` folds each chunk of a trace as `TraceLog.chunks` reads
+and checks it, and neither holds the trace. Sums are exact: samples are kept
+as value -> count and summed as one integer over a common power-of-two
+denominator, then rounded once, which is what `math.fsum` gives over the
+samples listed one by one. The alignment score, the mean of every (agent,
+task) value at the end of every step, is thus Σ value × steps held /
+samples, in O(af_update events) instead of one sample per pair per step. Its
+`af_update` steps must not go back in the trace, as the engine writes them;
+`MetricsError` names one that does. The fold reads each field unchecked, as
+`trace.SCHEMAS` types it: the reader checks each line against it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ class MetricsError(ValueError):
 class EventError(ValueError):
     """An event names a root task the scenario does not have, holds a
     completion step too large to become hours, or holds a cost or an
-    alignment that is not a finite number."""
+    alignment that is not a finite number. `record` is the event's."""
+
+    def __init__(self, record: dict, detail: str) -> None:
+        super().__init__(detail)
+        self.record = record
 
 
 def _finite(record: dict, field: str) -> float:
@@ -50,7 +55,7 @@ def _finite(record: dict, field: str) -> float:
     float range is the sum's error, as the sum reports it."""
     value = record[field]
     if not -math.inf < value < math.inf:
-        raise EventError(f"holds a {field!r} of {value!r}, not a finite number")
+        raise EventError(record, f"holds a {field!r} of {value!r}, not a finite number")
     return value
 
 
@@ -283,11 +288,12 @@ class _Distributions:
 
 
 class MetricsFold:
-    """`compute_metrics` one event at a time: `append` each event record in
-    trace order, as a `Simulation` trace sink does, then take `result()` once, which
-    hands the fold's state to the report. The state grows with the roots, the
-    team, the (agent, task) pairs, the (sender, recipient) pairs that messages
-    reach and the message threads, not with the events."""
+    """`compute_metrics` a batch of events at a time: `extend` it with the
+    event records in trace order, as a `Simulation` trace sink is, then take
+    `result()` once, which hands the fold's state to the report. The state
+    grows with the roots, the team, the (agent, task) pairs, the (sender,
+    recipient) pairs that messages reach and the message threads, not with the
+    events."""
 
     def __init__(self, scenario: Scenario, baseline_hours: float | None = None,
                  hours_per_step: float = 0.25) -> None:
@@ -304,33 +310,41 @@ class MetricsFold:
         self.heatmap = _Heatmap([a.agent_id for a in scenario.team])
         self.distributions = _Distributions()
 
-    def append(self, record: dict) -> None:
-        self.event_count += 1
-        kind = record["kind"]
-        if kind == "progress":  # counted, never read: a third of a long run's records
-            return
-        if kind == "action":
-            step = record["step"]
-            if self.final_step is None or step >= self.final_step:
-                self.final_step = step + 1
-                self.alignment.advance(step + 1)
-        elif kind == "message_sent":
-            self.comm_cost.add(_finite(record, "cost_h"))
-            self.distributions.add(record)
-        elif kind == "message_delivered":
-            self.heatmap.add(record)
-        elif kind == "af_update":
-            self.alignment.update(record)
-        elif kind == "task_done" and record["root"]:
-            try:
-                hours = record["boundary"] * self.hours_per_step
-            except OverflowError:
-                raise EventError("holds a 'boundary' too large to become hours") from None
-            task = record["task"]
-            if task not in self.completion_hours:
-                raise EventError(f"names root task {task!r}, which the scenario "
-                                 "does not have")
-            self.completion_hours[task] = hours
+    def extend(self, records: list[dict]) -> None:
+        """Fold `records` in order, in one loop that holds the final step in a
+        local. An `EventError` names the record it was raised for."""
+        self.event_count += len(records)
+        final_step = self.final_step
+        try:
+            for record in records:
+                kind = record["kind"]
+                if kind == "progress":  # counted, never read: a third of a long run's records
+                    continue
+                if kind == "action":
+                    step = record["step"]
+                    if final_step is None or step >= final_step:
+                        final_step = step + 1
+                        self.alignment.advance(final_step)
+                elif kind == "message_sent":
+                    self.comm_cost.add(_finite(record, "cost_h"))
+                    self.distributions.add(record)
+                elif kind == "message_delivered":
+                    self.heatmap.add(record)
+                elif kind == "af_update":
+                    self.alignment.update(record)
+                elif kind == "task_done" and record["root"]:
+                    try:
+                        hours = record["boundary"] * self.hours_per_step
+                    except OverflowError:
+                        raise EventError(record, "holds a 'boundary' too large to "
+                                         "become hours") from None
+                    task = record["task"]
+                    if task not in self.completion_hours:
+                        raise EventError(record, f"names root task {task!r}, which "
+                                         "the scenario does not have")
+                    self.completion_hours[task] = hours
+        finally:
+            self.final_step = final_step
 
     def result(self) -> MetricsReport:
         if not self.event_count:
@@ -373,9 +387,7 @@ def compute_metrics(trace: TraceLog | Iterable[dict], scenario: Scenario,
                     baseline_hours: float | None = None,
                     hours_per_step: float = 0.25) -> MetricsReport:
     fold = MetricsFold(scenario, baseline_hours, hours_per_step)
-    append = fold.append
-    for record in _events(trace):
-        append(record)
+    fold.extend(list(_events(trace)))
     return fold.result()
 
 

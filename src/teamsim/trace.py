@@ -4,12 +4,13 @@ One event per line, no wall-clock timestamps: two runs that behave
 identically produce byte-identical files. An event is one record, the dict
 that is its line's JSON object: `step`, `seq` and `kind`, then the fields
 `SCHEMAS` lists for the kind, in that order. The engine builds each record
-once and hands it to a sink as it happens: `TraceLog` keeps the records,
-`TraceWriter` writes each one's line to the file and passes the record on.
-Reading a file yields the decoded records, checked against their kinds'
-schemas a chunk of lines at a time, so what reads them reads their fields
-unchecked: an event that lacks a field of its kind or holds one of the wrong
-type, or whose `seq` is not its place in the file, is a `TraceError`.
+once and hands its records to a sink in batches, in trace order: `TraceLog`
+keeps them, `TraceWriter` writes each batch's lines to the file in one call
+and passes the batch on. Reading a file yields the decoded records, checked
+against their kinds' schemas a chunk of lines at a time (`TraceLog.chunks`,
+which `teamsim report` folds chunk by chunk), so what reads them reads their
+fields unchecked: an event that lacks a field of its kind or holds one of the
+wrong type, or whose `seq` is not its place in the file, is a `TraceError`.
 
 Lines are encoded and decoded with orjson when it is installed (the `fast`
 extra) and with the standard `json` module otherwise; the bytes written and
@@ -30,8 +31,7 @@ from collections import deque
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import (BinaryIO, Callable, Generator, Iterable, Iterator, NamedTuple,
-                    Protocol)
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Protocol
 
 
 class Schema(NamedTuple):
@@ -83,11 +83,21 @@ SCHEMAS = _Schemas({
 _FLOATS = {kind: schema.floats for kind, schema in SCHEMAS.items()}
 
 
+def _floats_of(records: list[dict]) -> list[tuple[str, ...]]:
+    """Each record's float fields, looked up by its kind; ValueError for an
+    unknown kind."""
+    try:
+        return [_FLOATS[record["kind"]] for record in records]
+    except KeyError as exc:
+        raise ValueError(f"unknown event kind: {exc.args[0]}") from None
+
+
 # Records are flat dicts of scalars and short lists built by the engine, so
 # there is no cycle for the encoder to check.
 _std_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
                                check_circular=False).encode
-_std_decode = json.JSONDecoder().decode
+_std_decoder = json.JSONDecoder()
+_std_decode, _std_scan = _std_decoder.decode, _std_decoder.scan_once
 
 # orjson writes a float as `repr` does only when it is zero or its magnitude
 # lies in [_FLOAT_LOW, _FLOAT_HIGH).
@@ -159,7 +169,7 @@ _COLUMNS = {kind: (3 + len(schema.fields), itemgetter("step", "seq", *schema.fie
 def _conforms(records: list) -> bool:
     """Whether every value in `records`, a chunk of decoded lines, is an event
     `_fault` passes, read as the standard library reads it, with an integer
-    `seq` that `TraceLog.stream` then counts: the one test that accepts a
+    `seq` that `TraceLog.chunks` then counts: the one test that accepts a
     chunk as the codec read it.
 
     The records are grouped by kind in one C-level pass, and each column of
@@ -195,27 +205,59 @@ def _conforms(records: list) -> bool:
 
 
 class Codec(NamedTuple):
-    """How one event record becomes one line of bytes, and a line a JSON value."""
+    """How event records become lines of bytes, and a line a JSON value."""
 
-    # (record, its kind's float fields) -> its line, "\n" included
-    encode: Callable[[dict, tuple[str, ...]], bytes]
+    # (records, each one's float fields) -> their lines, each ending in "\n"
+    encode: Callable[[list[dict], list[tuple[str, ...]]], bytes]
     # one line of bytes -> the JSON value it holds, unchecked; ValueError when
     # it holds none
     loads: Callable[[bytes], object]
 
 
-def _std_line(record: dict, floats: tuple[str, ...] = ()) -> bytes:
+def _std_line(record: dict) -> bytes:
     return (_std_encode(record) + "\n").encode("utf-8")
 
 
+def _std_lines(records: list[dict], floats: object = None) -> bytes:
+    """The records' lines as the standard library writes them, which needs no
+    look at their float fields."""
+    return "\n".join([*map(_std_encode, records), ""]).encode("utf-8")
+
+
 def _std_loads(line: bytes) -> object:
+    text = line.decode("utf-8")
+    # The C scanner reads a line that is one JSON value and its newline;
+    # anything else is read, or refused, by the whole decoder, which words
+    # the error.
     try:
-        return _std_decode(line.decode("utf-8"))
+        value, end = _std_scan(text, 0)
+        if text[end:] == "\n" or end == len(text):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    try:
+        return _std_decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
 
-STDLIB_CODEC = Codec(_std_line, _std_loads)
+STDLIB_CODEC = Codec(_std_lines, _std_loads)
+
+
+def _floats_in_range(records: list[dict], floats: list[tuple[str, ...]]) -> bool:
+    """Whether every float field of `records` holds a number in [_FLOAT_LOW,
+    _FLOAT_HIGH), which orjson writes as `repr` does, after one comparison
+    each. False for anything else: a None, a zero, a negative, non-finite or
+    out-of-range number, another type or a missing field, which the orjson
+    codec then checks record by record."""
+    try:
+        for record, names in zip(records, floats):
+            for name in names:
+                if not _FLOAT_LOW <= record[name] < _FLOAT_HIGH:
+                    return False
+    except (KeyError, TypeError):
+        return False
+    return True
 
 
 def orjson_codec() -> Codec | None:
@@ -228,7 +270,7 @@ def orjson_codec() -> Codec | None:
     newline = orjson.OPT_APPEND_NEWLINE
     encode_error = orjson.JSONEncodeError
 
-    def encode(record: dict, floats: tuple[str, ...]) -> bytes:
+    def encode_one(record: dict, floats: tuple[str, ...]) -> bytes:
         for name in floats:
             value = record.get(name)
             if type(value) is float and not (
@@ -239,6 +281,17 @@ def orjson_codec() -> Codec | None:
             return dumps(record, option=newline)
         except encode_error:  # an integer beyond 64 bits
             return _std_line(record)
+
+    def encode(records: list[dict], floats: list[tuple[str, ...]]) -> bytes:
+        if _floats_in_range(records, floats):
+            try:
+                # `map` calls `dumps` with no keyword argument, which a
+                # `partial` would pass on every call; the join and its empty
+                # last item end each line.
+                return b"\n".join([*map(dumps, records), b""])
+            except encode_error:  # an integer beyond 64 bits
+                pass
+        return b"".join(map(encode_one, records, floats))
 
     return Codec(encode, loads)
 
@@ -255,40 +308,44 @@ def _active_codec() -> Codec:
     return _codec
 
 
-# About how many bytes of whole lines `TraceLog.stream` reads and checks at
+# About how many bytes of whole lines `TraceLog.chunks` reads and checks at
 # once: some 260 records of a run's trace. Twice as many read about as fast
 # but raised a `run` + `report`'s peak memory by some 0.4 MB; half as many
 # read about 5% slower.
 _CHUNK_BYTES = 1 << 15
+# How many records `TraceLog.write` encodes and writes at once.
+_WRITE_RECORDS = 256
 
 
 def _line_by_line(path: str | Path, lines: list[bytes], read: int,
-                  seq: int) -> Generator[dict, None, int]:
-    """Yield the records of `lines`, the lines after the first `read` of the
-    file at `path`, decoding each with the standard library and checking it by
-    itself and for the `seq` counted from `seq`; raise `TraceError` at the
-    first bad one. Returns the next seq."""
+                  seq: int) -> tuple[list[dict], TraceError | None]:
+    """The records of `lines`, the lines after the first `read` of the file at
+    `path`, decoding each with the standard library and checking it by itself
+    and for the `seq` counted from `seq`, up to the first bad one, and the
+    `TraceError` of that line, or None when there is none."""
+    records: list[dict] = []
     for number, line in enumerate(lines, start=read + 1):
         if not line.strip():
             continue
         try:
             record = _std_loads(line)
         except ValueError as exc:
-            raise TraceError(f"{path}: line {number}: {exc}") from None
+            return records, TraceError(f"{path}: line {number}: {exc}")
         if fault := _fault(record, seq):
             detail, names_the_event = fault
             if names_the_event:
-                raise TraceError.at(path, {**record, "seq": seq}, detail)
-            raise TraceError(f"{path}: line {number}: {detail}")
-        yield record
+                return records, TraceError.at(path, {**record, "seq": seq}, detail)
+            return records, TraceError(f"{path}: line {number}: {detail}")
+        records.append(record)
         seq += 1
-    return seq
+    return records, None
 
 
 class TraceSink(Protocol):
-    """Where the engine puts each event record as it happens, in trace order."""
+    """Where the engine puts the event records as they happen: a batch at a
+    time, in trace order. The sink owns each list it is given."""
 
-    def append(self, record: dict) -> object: ...
+    def extend(self, records: list[dict]) -> object: ...
 
 
 class TraceLog:
@@ -297,28 +354,28 @@ class TraceLog:
     def __init__(self) -> None:
         self.events: list[dict] = []
 
-    def append(self, record: dict) -> None:
-        self.events.append(record)
-
-    def _lines(self) -> Iterator[bytes]:
-        encode = _active_codec().encode
-        return (encode(record, SCHEMAS[record["kind"]].floats) for record in self.events)
+    def extend(self, records: list[dict]) -> None:
+        self.events.extend(records)
 
     def to_jsonl(self) -> str:
-        return b"".join(self._lines()).decode("utf-8")
+        events = self.events
+        return _active_codec().encode(events, _floats_of(events)).decode("utf-8")
 
     def write(self, path: str | Path) -> Path:
-        # One line at a time: a list of encoded lines would hold the whole
-        # file, and more.
+        # A few hundred lines at a time: the encoded lines of all the events
+        # would hold the whole file, and more.
+        encode, events = _active_codec().encode, self.events
         path = Path(path)
         with path.open("wb") as out:
-            out.writelines(self._lines())
+            for start in range(0, len(events), _WRITE_RECORDS):
+                batch = events[start:start + _WRITE_RECORDS]
+                out.write(encode(batch, _floats_of(batch)))
         return path
 
     @staticmethod
-    def stream(path: str | Path) -> Iterator[dict]:
-        """Yield the event records of a trace file, read and checked one chunk
-        of whole newline-terminated lines at a time.
+    def chunks(path: str | Path) -> Iterator[list[dict]]:
+        """Yield the event records of a trace file, a list per chunk of whole
+        newline-terminated lines, each chunk read and checked as a whole.
 
         Only a newline ends an event: strings may hold U+2028 and other
         characters that `str.splitlines` breaks on. Every line is checked
@@ -333,11 +390,12 @@ class TraceLog:
         by one chunk (or one longer line). Its lines are decoded and checked
         column by column (`_conforms`); a chunk that does not pass as a whole
         is read again line by line by the standard library, whatever the
-        codec, which yields the records before its first bad line and then
-        raises that line's error (`_fault`), or accepts what the column check
-        passed up (blank lines, fields a kind lacks, numbers the codec may
-        have misread). A chunk that passes also has its `seq`s compared with
-        the count, and is read again the same way when they differ.
+        codec, which yields the records before its first bad line (when there
+        are any) and then raises that line's error (`_fault`), or accepts what
+        the column check passed up (blank lines, fields a kind lacks, numbers
+        the codec may have misread). A chunk that passes also has its `seq`s
+        compared with the count, and is read again the same way when they
+        differ.
         """
         codec = _active_codec()
         seq = read = 0
@@ -347,13 +405,23 @@ class TraceLog:
                     records = list(map(codec.loads, lines))
                 except ValueError:  # a line that holds no JSON value
                     records = None
-                if (records is not None and _conforms(records)
+                if not (records is not None and _conforms(records)
                         and list(map(_SEQ, records)) == list(range(seq, seq + len(records)))):
+                    records, error = _line_by_line(path, lines, read, seq)
+                    if error is not None:
+                        if records:
+                            yield records
+                        raise error
+                if records:
                     seq += len(records)
-                    yield from records
-                else:
-                    seq = yield from _line_by_line(path, lines, read, seq)
+                    yield records
                 read += len(lines)
+
+    @staticmethod
+    def stream(path: str | Path) -> Iterator[dict]:
+        """Yield the event records of a trace file one at a time, as
+        `chunks` reads and checks them."""
+        return chain.from_iterable(TraceLog.chunks(path))
 
     @classmethod
     def read(cls, path: str | Path) -> "TraceLog":
@@ -363,10 +431,10 @@ class TraceLog:
 
 
 class TraceWriter:
-    """The sink that writes each event record's line to a trace file as it
-    comes and passes the record on to `then`, holding no record.
+    """The sink that writes each batch of event records to a trace file as it
+    comes, in one write, and passes the batch on to `then`, holding no record.
 
-    The file, and any missing directory above it, is made at the first event,
+    The file, and any missing directory above it, is made at the first batch,
     so a run without events creates nothing, and a path that cannot be written
     raises `OSError` there. The `stale` files are removed before it is opened:
     an earlier run's outputs, which must not sit beside the new trace. Use it
@@ -380,18 +448,14 @@ class TraceWriter:
         self.then = then
         self.stale = tuple(stale)
         self._out: BinaryIO | None = None
-        self._encode: Callable[[dict, tuple[str, ...]], bytes] | None = None
+        self._encode: Callable[[list[dict], list[tuple[str, ...]]], bytes] | None = None
 
-    def append(self, record: dict) -> None:
-        kind = record["kind"]
-        try:
-            floats = _FLOATS[kind]
-        except KeyError:
-            raise ValueError(f"unknown event kind: {kind}") from None
+    def extend(self, records: list[dict]) -> None:
+        floats = _floats_of(records)  # every kind is checked before writing
         if self._out is None:
             self._open()
-        self._out.write(self._encode(record, floats))
-        self.then.append(record)
+        self._out.write(self._encode(records, floats))
+        self.then.extend(records)
 
     def _open(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)

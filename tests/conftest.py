@@ -218,7 +218,7 @@ def of_kind(log: trace.TraceLog, kind: str) -> list[dict]:
 def add_event(log: trace.TraceLog, step: int, kind: str, fields: dict) -> None:
     """Append the record of one event to `log`, numbered as the engine numbers
     it: `seq` counts the events before it."""
-    log.append({"step": step, "seq": len(log.events), "kind": kind, **fields})
+    log.extend([{"step": step, "seq": len(log.events), "kind": kind, **fields}])
 
 
 def trace_codecs() -> list[tuple[str, trace.Codec]]:

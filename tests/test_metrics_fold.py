@@ -19,7 +19,7 @@ from teamsim.cli import main
 from teamsim.comms import MessageType
 from teamsim.config import emit_scenario, expand_team_shorthand, parse_scenario
 from teamsim.engine import Simulation
-from teamsim.metrics import (MetricsError, MetricsFold, compute_metrics,
+from teamsim.metrics import (EventError, MetricsError, MetricsFold, compute_metrics,
                              render_report, write_csv)
 from teamsim.model import Scenario, validate_scenario
 from teamsim.trace import TraceLog
@@ -307,6 +307,65 @@ def test_fold_equals_the_oracle_on_synthetic_traces(trace):
     assert report == oracle
     if not isinstance(oracle, str):
         assert render_report(report, "c", "s") == render_report(oracle, "c", "s")
+
+
+# Root completions the fold refuses, each an `EventError` naming the event.
+_BAD_COMPLETIONS = st.sampled_from([
+    {"task": "T9", "root": True, "boundary": 3},  # a root the scenario lacks
+    {"task": "T1", "root": True, "boundary": 10 ** 400},  # too large for hours
+])
+
+
+@st.composite
+def _split_traces(draw) -> tuple[list[dict], list[int], int | None]:
+    """A synthetic trace, maybe with one bad root completion put anywhere in
+    it, the points it is split into batches at (empty batches included), and
+    the `seq` of the bad completion, if there is one."""
+    events = draw(_traces()).events
+    bad_seq = None
+    if draw(st.booleans()):
+        bad_seq = draw(st.integers(0, len(events)))
+        bad = {"step": draw(_steps), "seq": None, "kind": "task_done",
+               **draw(_BAD_COMPLETIONS)}
+        events = [*events[:bad_seq], bad, *events[bad_seq:]]
+    log = TraceLog()
+    for record in events:
+        add_event(log, record["step"], record["kind"],
+                  {k: v for k, v in record.items() if k not in ("step", "seq", "kind")})
+    cuts = sorted(draw(st.lists(st.integers(0, len(events)), max_size=6)))
+    return log.events, cuts, bad_seq
+
+
+def _fold_batches(batches: list[list[dict]], scenario: Scenario):
+    """The report of a fold extended with `batches` in order, or the error
+    that ended it: an `EventError` as the seq and kind of the event it names
+    and its text."""
+    fold = MetricsFold(scenario, baseline_hours=9.0)
+    try:
+        for batch in batches:
+            fold.extend(batch)
+        return fold.result()
+    except EventError as exc:
+        return exc.record["seq"], exc.record["kind"], str(exc)
+    except MetricsError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_split_traces())
+def test_fold_is_the_same_however_the_trace_is_batched(drawn):
+    events, cuts, bad_seq = drawn
+    scenario = make_scenario(MEDIUM_TASK, "1M+2W")
+    scenario = dataclasses.replace(scenario, tasks=[MEDIUM_TASK, SIMPLE_TASK])
+    split = _fold_batches([events[start:end] for start, end
+                           in zip([0, *cuts], [*cuts, len(events)])], scenario)
+    one_by_one = _fold_batches([[record] for record in events], scenario)
+    assert split == one_by_one
+    if bad_seq is None:
+        assert split == _outcome(lambda: oracle_metrics(events, scenario,
+                                                        baseline_hours=9.0))
+    else:
+        assert split[:2] == (bad_seq, "task_done")
 
 
 @pytest.mark.parametrize("events", [

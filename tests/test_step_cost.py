@@ -37,8 +37,10 @@ the same alone and in the suite: 834.1 (225,202) for the code above, and
 rebuilding it at every read, the heuristic policy read it only for an active
 task with a low alignment, a work step looked its task up once and shared
 one last action per kind, `seq` came from an `itertools.count` and the trace
-writer found a kind's float fields in a plain dict. The bound is the last
-figure rounded up to a whole instruction: 776.
+writer found a kind's float fields in a plain dict; 764.2 (206,337) once the
+engine queued each step's events and handed them to its sink in one batch
+instead of calling the sink once per event. The bound is the last figure
+rounded up to a whole instruction: 765.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -50,8 +52,9 @@ counting, 544.9 (220,703) and 731.2 (226,664), then 543.3 (220,037) and
 729.0 (225,998) with every even-split subtask placed by `assign` alone;
 543.1 (219,956) and 726.3 (225,156) without composing message text; 507.0
 (205,351) and 694.7 (215,350) with the kept open-request set, the one-lookup
-work step, the shared last actions and the counted `seq`. Their bounds are
-those last figures rounded up to a whole instruction: 508 and 695.
+work step, the shared last actions and the counted `seq`; 504.6 (204,361)
+and 681.2 (211,165) with the events handed on in batches. Their bounds are
+those last figures rounded up to a whole instruction: 505 and 682.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -70,10 +73,26 @@ by `assign` alone, 983.3 and 978.9, a ratio of 1.00; without composing
 message text, 978.3 (1,530,114) and 974.5 (6,229,030), a ratio of 1.00; with
 the kept open-request set, the one-lookup work step, the shared last actions
 and the counted `seq`, 916.3 (1,433,022) and 913.0 (5,835,741), a ratio of
-1.00. The ratio bound, 1.10, lets an agent-step grow a little with the tasks
-an agent holds, not in proportion to them. The 16-root run is also the shape
-of the benchmark's `many_roots` workload, so its own reading is bounded
-too, rounded up to a whole instruction: 913.
+1.00; 899.3 and 896.4 (5,729,970), a ratio of 1.00, once a request thread
+held only its root and its open and answered flags (read before the next
+change, not recorded with it); with the events handed on in batches, 889.2
+(1,390,723) and 886.5 (5,666,815), a ratio of 1.00. The ratio bound, 1.10,
+lets an agent-step grow a little with the tasks an agent holds, not in
+proportion to them. The 16-root run is also the shape of the benchmark's
+`many_roots` workload, so its own reading is bounded too, rounded up to a
+whole instruction: 887.
+
+The same 16-root run as `teamsim run` drives it, every event written by a
+`TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
+over 6,392 agent-steps) under the orjson codec and 1,252.4 (8,005,071) under
+the standard library's while each event went on its own through `World.emit`,
+`TraceWriter.append` (with the codec's float guard looping over the kind's
+float fields) and `MetricsFold.append`; 1,054.1 (6,737,614) and 1,172.3
+(7,493,559) once the engine handed each step's events on in one batch, the
+writer checked the batch's kinds and float fields and wrote its lines in one
+call and the fold took the batch in one loop with its final step in a local.
+The bounds are those last readings rounded up to a whole instruction: 1,055
+and 1,173.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -86,9 +105,13 @@ and checks it column by column in C-level passes, leaving per line only the
 yield and, under the standard library, its Python-level JSON decoder. Under
 `python -X dev -m pytest` as CI runs it, they read 8.989 and 70.916 over the
 whole suite (8.916 and 70.916 for this file alone, and everywhere once the
-collector is off while counting). The bounds are those
-readings rounded up to a whole instruction, and one more where that would
-leave fewer than 100 instructions over the trace to spare: 10 and 72.
+collector is off while counting). Then 6.0 (3,166) and 31.0 (16,291), read
+the same way, once `stream` became the flattening of the chunk reader, which
+yields each checked chunk as a list, and the standard-library codec read
+each line through `json`'s C scanner instead of the Python-level
+`JSONDecoder.decode` and `raw_decode`. The bounds are those readings rounded
+up to a whole instruction, and one more where that would leave fewer than
+100 instructions over the trace to spare: 7 and 32.
 
 Team set-up, on a 1M+256W team with one medium root under `no_comm`, parsed
 from YAML through libyaml after one untimed pass, so that no count holds a
@@ -104,9 +127,10 @@ views were each built once, by position; 148.2, 148.8 (38,231) and 1,393.9
 (356,840) once `World` filled its per-agent tables in one pass over the
 agents, with `agent_order` read off the profile table, instead of a
 comprehension per table, and the event `seq` came from an
-`itertools.count`. The same figures read in the whole suite under
-`python -X dev -m pytest`. The bounds are those readings rounded up to a
-whole instruction: 149, 149 and 1,394.
+`itertools.count`; 148.2, 148.8 (38,234) and 1,357.5 (347,522) once the
+plan's alignment events were handed to the sink in one batch. The same
+figures read in the whole suite under `python -X dev -m pytest`. The bounds
+are those readings rounded up to a whole instruction: 149, 149 and 1,358.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -123,8 +147,9 @@ import yaml
 from teamsim import config, trace
 from teamsim.config import expand_team_shorthand, parse_scenario, parse_scenario_text
 from teamsim.engine import Simulation
+from teamsim.metrics import MetricsFold
 from teamsim.model import Scenario, order_key, validate_scenario
-from teamsim.trace import TraceLog
+from teamsim.trace import TraceLog, TraceWriter
 
 from conftest import (COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, SKILL_POOL, of_kind,
                       trace_codecs)
@@ -133,21 +158,24 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 508),
-    "fixed_steps": (310, 695),
-    "c2c_heuristic": (270, 776),
+    "no_comm": (405, 505),
+    "fixed_steps": (310, 682),
+    "c2c_heuristic": (270, 765),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 913
+ROOTS_16_BOUND = 887
+# Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
+# run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
+SINK_CHAIN_BOUND = {"orjson": 1055, "stdlib": 1173}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
-STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 10, "stdlib": 72}
+STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
 # Team set-up on a 1M+256W team with one root under `no_comm`: opcodes of the
 # parse per worker, of `Simulation()` per agent and of step 0 (the plan) per
 # subtask.
-SETUP_OPCODES_BOUND = {"parse": 149, "simulation": 149, "plan_step": 1394}
+SETUP_OPCODES_BOUND = {"parse": 149, "simulation": 149, "plan_step": 1358}
 WIDE_WORKERS = 256
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -225,6 +253,25 @@ def test_agent_step_cost_is_flat_in_tasks_held():
     assert many / few <= ROOTS_RATIO_BOUND, \
         f"{many:.1f} opcodes per agent-step at 16 roots, {few:.1f} at 4"
     assert many <= ROOTS_16_BOUND, f"{many:.1f} opcodes per agent-step at 16 roots"
+
+
+@calibrated
+@pytest.mark.parametrize("codec", [name for name, _ in trace_codecs()])
+def test_sink_chain_opcodes_per_agent_step_stay_under_the_bound(tmp_path, monkeypatch,
+                                                                codec):
+    """The 16-root run as `teamsim run` drives it: every event is encoded and
+    written by a `TraceWriter` and folded by the `MetricsFold` behind it."""
+    monkeypatch.setattr(trace, "_codec", dict(trace_codecs())[codec])
+    scenario = roots_scenario(16)
+    path = tmp_path / "trace.jsonl"
+    with TraceWriter(path, MetricsFold(scenario)) as writer:
+        simulation = Simulation(scenario, max_steps=2000, trace=writer)
+        result, opcodes = count_opcodes(simulation.run)
+    assert result.completed
+    agent_steps = len(of_kind(TraceLog.read(path), "action"))
+    assert agent_steps == 6392
+    assert opcodes / agent_steps <= SINK_CHAIN_BOUND[codec], \
+        f"{opcodes} opcodes over {agent_steps} agent-steps"
 
 
 @calibrated

@@ -1,5 +1,6 @@
 """The JSONL trace file: byte-stable writes, line-exact reads, typed errors."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,10 +12,14 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from teamsim import trace
+from teamsim.config import parse_scenario
+from teamsim.engine import Simulation
 from teamsim.trace import SCHEMAS, TraceError, TraceLog, TraceWriter
 
 from conftest import add_event, trace_codecs
-from trace_oracle import DECODERS, line_by_line
+from trace_oracle import DECODERS, line_by_line, std_loads
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _log(detail: str) -> TraceLog:
@@ -46,12 +51,46 @@ def test_writer_writes_what_the_log_writes_and_passes_each_event_on(tmp_path,
         seen = TraceLog()
         path = tmp_path / codec / "trace.jsonl"
         with TraceWriter(path, seen) as writer:
-            for record in log.events:
-                writer.append(record)
+            writer.extend(log.events[:1])
+            writer.extend(log.events[1:])
         assert path.read_bytes() == log.write(tmp_path / f"{codec}.jsonl").read_bytes()
         # The same record objects, not copies.
         assert len(seen.events) == len(log.events)
         assert all(a is b for a, b in zip(seen.events, log.events))
+
+
+def test_run_that_raises_mid_step_writes_every_event_before_the_raise(
+        tmp_path, monkeypatch, each_codec):
+    """The engine hands its sink a batch at a time; the events of the batch
+    a step was filling when it raised still reach the file, as the run ends."""
+    scenario = dataclasses.replace(parse_scenario(SCENARIOS / "medium.yaml"),
+                                   policy_name="c2c_heuristic")
+    full = Simulation(scenario).run().trace.events
+    # The last agent to work at step 10: the step's earlier events, and its
+    # own action, come before the raise.
+    cut = max(index for index, record in enumerate(full)
+              if record["step"] == 10 and record["kind"] == "action"
+              and record["action"] == "work")
+    agent = full[cut]["agent"]
+    execute_work = Simulation._execute_work
+
+    def failing(sim, agent_id, task_id, t):
+        if (t, agent_id) == (10, agent):
+            raise RuntimeError("work failed")
+        execute_work(sim, agent_id, task_id, t)
+
+    monkeypatch.setattr(Simulation, "_execute_work", failing)
+    expected = TraceLog()
+    expected.extend(full[:cut + 1])
+    for codec in each_codec():
+        seen = TraceLog()
+        path = tmp_path / codec / "trace.jsonl"
+        with TraceWriter(path, seen) as writer:
+            with pytest.raises(RuntimeError, match="work failed"):
+                Simulation(scenario, trace=writer).run()
+        assert path.read_bytes() == \
+            expected.write(tmp_path / f"{codec}.jsonl").read_bytes()
+        assert seen.events == expected.events
 
 
 def test_writer_without_events_creates_nothing(tmp_path):
@@ -61,10 +100,11 @@ def test_writer_without_events_creates_nothing(tmp_path):
 
 
 def test_writer_rejects_an_unknown_kind_before_writing(tmp_path):
+    # Every kind of a batch is checked before any of its lines is written.
     seen = TraceLog()
     with TraceWriter(tmp_path / "trace.jsonl", seen) as writer:
         with pytest.raises(ValueError, match="unknown event kind: bogus"):
-            writer.append({"step": 0, "seq": 0, "kind": "bogus"})
+            writer.extend([*_log("x").events, {"step": 1, "seq": 3, "kind": "bogus"}])
     assert not (tmp_path / "trace.jsonl").exists()
     assert not seen.events
 
@@ -368,6 +408,45 @@ def test_stream_reads_as_the_per_line_path_reads(tmp_path_factory, lines, chunk)
             patch.setattr(trace, "_CHUNK_BYTES", chunk)
             per_line = _read(line_by_line(path, every_line, 0, 0, DECODERS[name]))
             assert _read(TraceLog.stream(path)) == per_line
+
+
+def _decoded(loads, line: bytes):
+    """What `loads` reads from `line`: its value, every scalar typed, or the
+    type and text of its error."""
+    try:
+        return repr(_typed(loads(line)))
+    except ValueError as error:
+        return type(error).__name__, str(error)
+
+
+# A line around a JSON value: whitespace before and after it, either of
+# which `json` skips or refuses, and text after it or a cut into it.
+_AROUND = st.sampled_from(["", "", " ", "\t", "\r", "\n", "\r\n", " \n", "\x85",
+                           "\u2028", "\n\n"])
+
+
+@st.composite
+def _decoder_lines(draw) -> bytes:
+    text = draw(st.one_of(_json_values.map(json.dumps),
+                          _json_values.map(lambda v: json.dumps(v, ensure_ascii=False)),
+                          st.sampled_from([_DEEP, "NaN", "-Infinity", "", "{}{}",
+                                           '{"a":1},{"b":2}', '"\\ud800"'])))
+    ending = draw(st.sampled_from(["", "", "x", ",1", "}", " 1"]))
+    if ending and draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    else:
+        text += ending
+    line = (draw(_AROUND) + text + draw(_AROUND)).encode("utf-8", "surrogatepass")
+    return line + draw(st.sampled_from([b"", b"", b"\xff"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_decoder_lines())
+def test_standard_library_line_reads_match_the_whole_decoder(line):
+    # `_std_loads` reads a line that is one JSON value and its newline through
+    # `json`'s C scanner and leaves every other line to the whole decoder: the
+    # same value or the same error, worded alike, for any line.
+    assert _decoded(trace._std_loads, line) == _decoded(std_loads, line)
 
 
 def test_non_finite_and_exponent_floats_are_written_as_json_writes_them(

@@ -5,11 +5,23 @@ codec may have read it otherwise."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Callable, Generator
 
-from teamsim.trace import (_BIG_FLOAT, SCHEMAS, TraceError, _std_loads,
-                           orjson_codec)
+from teamsim.trace import _BIG_FLOAT, SCHEMAS, TraceError, orjson_codec
+
+_decode = json.JSONDecoder().decode
+
+
+def std_loads(line: bytes) -> object:
+    """The value of one line as `json`'s whole decoder reads it, or its
+    ValueError: the standard-library decode the trace codec's reads of a line
+    through the C scanner must match."""
+    try:
+        return _decode(line.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 class _FieldError(ValueError):
@@ -52,7 +64,7 @@ def _as_event(value: object) -> dict:
 
 
 def _std_event(line: bytes) -> dict:
-    return _as_event(_std_loads(line))
+    return _as_event(std_loads(line))
 
 
 def _orjson_decode() -> Callable[[bytes], dict] | None:
