@@ -27,6 +27,13 @@ MAX_SHORTHAND_AGENTS = 10_000
 
 _SHORTHAND = re.compile(r"^(\d+)M\+(\d+)W$", re.IGNORECASE)
 
+# The keys `emit_scenario` writes at each level of a scenario file, and a
+# top-level `seed`, which is accepted and ignored; any other is an error.
+_TOP_KEYS = frozenset({"name", "team", "team_label", "policy", "evaluator",
+                       "skill_pool", "tasks", "seed"})
+_TASK_KEYS = frozenset({"description", "hours", "skills"})
+_AGENT_KEYS = frozenset({"id", "name", "role", "skills"})
+
 
 def _represent_str(dumper: yaml.SafeDumper, data: str) -> yaml.ScalarNode:
     # The pure-Python emitter writes U+0085 raw in plain and single-quoted
@@ -126,6 +133,13 @@ def _skill_list(value: object, field: str) -> list:
     return value
 
 
+def _known_keys(raw: dict, keys: frozenset, where: str) -> None:
+    """Refuse the first key of `raw`, the mapping at `where`, not in `keys`."""
+    for key in raw:
+        if key not in keys:
+            raise ScenarioError(f"unknown field: {where}{key}")
+
+
 def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
     try:
         data = yaml.load(text, Loader=_LOADER)
@@ -135,6 +149,7 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
         raise ScenarioError(f"malformed scenario syntax: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("malformed scenario: expected a mapping at top level")
+    _known_keys(data, _TOP_KEYS, "")
 
     if "tasks" not in data:
         raise ScenarioError("missing field: tasks")
@@ -145,6 +160,7 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
     for i, raw in enumerate(data["tasks"]):
         if not isinstance(raw, dict):
             raise ScenarioError(f"malformed task entry {i}")
+        _known_keys(raw, _TASK_KEYS, f"tasks[{i}].")
         for required in ("description", "hours"):
             if required not in raw:
                 raise ScenarioError(f"missing field: tasks[{i}].{required}")
@@ -179,6 +195,7 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
         for i, raw in enumerate(team_raw):
             if not isinstance(raw, dict):
                 raise ScenarioError(f"malformed team entry {i}")
+            _known_keys(raw, _AGENT_KEYS, f"team[{i}].")
             for required in ("id", "role", "skills"):
                 if required not in raw:
                     raise ScenarioError(f"missing field: team[{i}].{required}")

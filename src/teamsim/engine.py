@@ -24,14 +24,14 @@ from .alignment import (AlignmentState, effective_progress,
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
                     Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
                     communication_cost)
-from .model import (AgentProfile, Scenario, SimClock, _new_tuple, hours_to_steps,
-                    order_key)
+from .model import (HOURS_PER_STEP, AgentProfile, Scenario, SimClock, _new_tuple,
+                    hours_to_steps, order_key)
 from .planner import EvenPlanner, LlmPlanner, assign
 from .policy import (CONTINUE, MEETING_START, Intention, IntentionKind, LastAction,
                      Policy, PolicyContext, REPORT_MILESTONES, TaskAssignmentView,
-                     TeammateView, build_context, build_policy, compose_message,
-                     compose_reply, message_words, reply_channel, reply_words,
-                     select_channel, select_recipients, team_views)
+                     build_context, build_policy, compose_message, compose_reply,
+                     message_words, reply_channel, reply_words, select_channel,
+                     select_recipients)
 from .taskgraph import TaskGraph, TaskNode, TaskStatus
 from .trace import TraceLog, TraceSink
 
@@ -196,9 +196,6 @@ class World:
         ordered = sorted(scenario.team, key=lambda a: order_key(a.agent_id))
         self.agents: dict[str, AgentProfile] = {}
         self.manager_id = scenario.manager.agent_id
-        # Each agent as a teammate sees it, (idle, busy), in agent order; a
-        # step picks one of the two by `agent_id in active`.
-        self.teammate_views: dict[str, tuple[TeammateView, TeammateView]] = {}
         # Each agent's subtasks in id order, sorted once when the plan lands.
         self.assignments: dict[str, list[str]] = {}
         # Inbox indexes, filled on delivery. Entries are (delivery step,
@@ -215,14 +212,12 @@ class World:
         # hold a `pending_milestone`.
         self._due: dict[str, set[str]] = {}
         # The per-agent tables above, filled in one pass over the agents.
-        agents, views, assignments, inbound, invites, by_sender, due = (
-            self.agents, self.teammate_views, self.assignments,
-            self._inbound_requests, self._invites, self._open_by_sender, self._due)
+        agents, assignments, inbound, invites, by_sender, due = (
+            self.agents, self.assignments, self._inbound_requests, self._invites,
+            self._open_by_sender, self._due)
         for profile in ordered:
-            agent_id, _, role, skills = profile
+            agent_id = profile.agent_id
             agents[agent_id] = profile
-            views[agent_id] = (_new_tuple(TeammateView, (agent_id, role, skills, False)),
-                               _new_tuple(TeammateView, (agent_id, role, skills, True)))
             assignments[agent_id] = []
             inbound[agent_id] = []
             invites[agent_id] = []
@@ -559,7 +554,7 @@ class SimResult(NamedTuple):
         boundary = self.completion_steps.get(root_id)
         if boundary is None:
             return None
-        return boundary * self.world.clock.hours_per_step
+        return boundary * HOURS_PER_STEP
 
 
 class Simulation:
@@ -634,13 +629,13 @@ class Simulation:
         self._convene_meetings(t)
 
         idle = [a for a in world.agent_order if a not in world.active]
-        # One team view serves every idle agent this step. It is built before
-        # any intention is resolved, so its busy flags are the ones from
-        # before this step's actions start, whenever a context is read. The
-        # other fields read `World` state that resolving one agent's
-        # intention does not change for another.
-        team = team_views(world)
-        contexts = {a: build_context(world, a, team) for a in idle}
+        # One busy set serves every idle agent this step. It is taken before
+        # any intention is resolved, so it holds the agents busy before this
+        # step's actions start, whenever a context is read. The other fields
+        # read `World` state that resolving one agent's intention does not
+        # change for another.
+        busy = frozenset(world.active)
+        contexts = {a: build_context(world, a, busy) for a in idle}
         # Before the plan lands the manager's slot is the plan step, not a
         # policy decision.
         needs_policy = contexts if world.planned else {
@@ -712,7 +707,7 @@ class Simulation:
         invite = meeting.invite
         attendees = tuple(sorted({invite.from_agent} | meeting.attending, key=order_key))
         cost = communication_cost(Channel.MEETING, 0, len(attendees))
-        duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
+        duration = max(1, hours_to_steps(cost))
         meeting.status = MeetingStatus.RUNNING
         meeting.attendees = attendees
 
@@ -810,7 +805,7 @@ class Simulation:
         words = reply_words(root.about_task, root.message_type, replier)
         channel = reply_channel(words)
         cost = communication_cost(channel, words)
-        duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
+        duration = max(1, hours_to_steps(cost))
         content = (compose_reply(root.about_task, root.message_type, replier)
                    if self.composes_text else None)
         # The one recipient answers the asker alone.
@@ -839,7 +834,7 @@ class Simulation:
         words = message_words(context, kind, view)
         channel = select_channel(kind, words)
         cost = communication_cost(channel, words, max(1, len(recipients)))
-        duration = max(1, hours_to_steps(cost, world.clock.hours_per_step))
+        duration = max(1, hours_to_steps(cost))
         message_type = INTENTION_MESSAGE_TYPES[kind]
         # The evaluator reads only a request's text.
         content = (compose_message(context, kind, view)
@@ -875,9 +870,8 @@ class Simulation:
         idled = _new_tuple(LastAction, ("idle", None, t))
         finished: list[str] = []
         for agent_id in world.agent_order:
-            action = world.active.get(agent_id)
-            if action is None:
-                continue
+            # Every agent holds one once the step's intentions are resolved.
+            action = world.active[agent_id]
             if len(world.pending_events) >= TRACE_BATCH:
                 world.flush()
             action.remaining -= 1
@@ -942,10 +936,9 @@ class Simulation:
 
     def _execute_work(self, agent_id: str, task_id: str, t: int) -> None:
         world = self.world
+        # The holder's active task, which nothing else finishes this step.
         node = world.graph.node(task_id)
-        if node.done:
-            return
-        hours = world.clock.hours_per_step
+        hours = HOURS_PER_STEP
         af, effective, became_done = world.record_work(agent_id, node, hours)
         world.emit({
             "step": t, "seq": None, "kind": "progress",
@@ -1057,8 +1050,6 @@ class Simulation:
         """The attendee's task the meeting topic bears on, if any."""
         world = self.world
         about = meeting.invite.about_task
-        if about is None:
-            return None
         for task_id in world.assigned_tasks(agent_id):
             node = world.graph.node(task_id)
             if node.done:

@@ -31,7 +31,7 @@ from collections.abc import Iterable
 from typing import NamedTuple
 
 from .comms import MessageType
-from .model import Scenario, order_key
+from .model import HOURS_PER_STEP, Scenario, order_key
 from .trace import TraceLog
 
 
@@ -295,10 +295,8 @@ class MetricsFold:
     recipient) pairs that messages reach and the message threads, not with the
     events."""
 
-    def __init__(self, scenario: Scenario, baseline_hours: float | None = None,
-                 hours_per_step: float = 0.25) -> None:
+    def __init__(self, scenario: Scenario, baseline_hours: float | None = None) -> None:
         self.baseline_hours = baseline_hours
-        self.hours_per_step = hours_per_step
         root_ids = [f"T{i + 1}" for i in range(len(scenario.tasks))]
         self.root_hours = {rid: spec.estimated_hours
                            for rid, spec in zip(root_ids, scenario.tasks)}
@@ -334,7 +332,7 @@ class MetricsFold:
                     self.alignment.update(record)
                 elif kind == "task_done" and record["root"]:
                     try:
-                        hours = record["boundary"] * self.hours_per_step
+                        hours = record["boundary"] * HOURS_PER_STEP
                     except OverflowError:
                         raise EventError(record, "holds a 'boundary' too large to "
                                          "become hours") from None
@@ -384,9 +382,8 @@ class MetricsFold:
 
 
 def compute_metrics(trace: TraceLog | Iterable[dict], scenario: Scenario,
-                    baseline_hours: float | None = None,
-                    hours_per_step: float = 0.25) -> MetricsReport:
-    fold = MetricsFold(scenario, baseline_hours, hours_per_step)
+                    baseline_hours: float | None = None) -> MetricsReport:
+    fold = MetricsFold(scenario, baseline_hours)
     fold.extend(list(_events(trace)))
     return fold.result()
 

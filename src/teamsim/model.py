@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
-DEFAULT_HOURS_PER_STEP = 0.25
+HOURS_PER_STEP = 0.25  # the step grid of every run
 DEFAULT_MAX_STEPS = 160
 
 # Builds a named tuple at C level, without the Python `__new__` its class has.
@@ -65,7 +65,7 @@ def order_key(identifier: str) -> tuple:
     )
 
 
-def hours_to_steps(hours: float, hours_per_step: float = DEFAULT_HOURS_PER_STEP) -> int:
+def hours_to_steps(hours: float, hours_per_step: float = HOURS_PER_STEP) -> int:
     """Number of whole steps needed to cover `hours`, rounding up to the grid.
 
     Exact on grid multiples for binary grids (0.25, 0.5, ...) because the
@@ -83,12 +83,10 @@ def hours_to_steps(hours: float, hours_per_step: float = DEFAULT_HOURS_PER_STEP)
 class SimClock:
     """Discrete simulation clock. `step` counts completed step boundaries."""
 
-    __slots__ = ("step", "hours_per_step", "max_steps")
+    __slots__ = ("step", "max_steps")
 
-    def __init__(self, step: int = 0, hours_per_step: float = DEFAULT_HOURS_PER_STEP,
-                 max_steps: int = DEFAULT_MAX_STEPS) -> None:
+    def __init__(self, step: int = 0, max_steps: int = DEFAULT_MAX_STEPS) -> None:
         self.step = step
-        self.hours_per_step = hours_per_step
         self.max_steps = max_steps
 
     def advance(self) -> None:

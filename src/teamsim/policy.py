@@ -2,13 +2,14 @@
 
 Every policy is a pure function of its context: identical contexts yield
 identical intentions, which is what makes non-LLM runs reproducible. A context
-is read-only; it holds its O(1) fields, and every other field is read from
-`World` when a policy reads it, so an agent-step pays for what its policy
-reads. Task and teammate views, last actions and intentions are immutable
-named tuples that compare by field; an intention whose fields never vary is
-one module-level value. The deterministic heuristic policy approximates
-adaptive behavior with fixed thresholds; the LLM policy delegates the same
-decision to an external model and falls back to the heuristic on any failure.
+is read-only; it holds its O(1) fields, the step's one busy set among them,
+and every other field is read from `World` when a policy reads it, so an
+agent-step pays for what its policy reads. Task views, last actions and
+intentions are immutable named tuples that compare by field; an intention
+whose fields never vary is one module-level value. The deterministic
+heuristic policy approximates adaptive behavior with fixed thresholds; the
+LLM policy delegates the same decision to an external model and falls back to
+the heuristic on any failure.
 """
 
 from __future__ import annotations
@@ -61,13 +62,6 @@ class TaskAssignmentView(NamedTuple):
     done: bool
 
 
-class TeammateView(NamedTuple):
-    agent_id: str
-    role: Role
-    skills: frozenset[str]
-    busy: bool
-
-
 class LastAction(NamedTuple):
     kind: str
     message_type: str | None
@@ -86,13 +80,18 @@ class PolicyContext(tuple):
 
     __slots__ = ()
 
-    # The tuple is (agent, step, team_view, manager_id, world, agent id).
+    # The tuple is (agent, step, busy, manager_id, world, agent id).
     agent = property(itemgetter(0))
     step = property(itemgetter(1))
-    # Every agent in natural id order, this one included: the step's one
-    # `team_views` tuple, shared by every context of the step.
-    team_view = property(itemgetter(2))
+    # The agents with an action in flight before the step's intentions are
+    # resolved: the step's one set, shared by every context of the step.
+    busy = property(itemgetter(2))
     manager_id = property(itemgetter(3))
+
+    @property
+    def team(self) -> dict[str, AgentProfile]:
+        """Every agent's profile by id, in natural id order; shared."""
+        return self[4].agents
 
     @property
     def assigned(self) -> tuple[TaskAssignmentView, ...]:
@@ -148,21 +147,14 @@ class PolicyContext(tuple):
         return self[4].organized_meeting_tasks(self[5])
 
 
-def team_views(world: "World") -> tuple[TeammateView, ...]:
-    """Every agent as a teammate sees it this step, in agent order."""
-    active = world.active
-    return tuple(pair[agent_id in active]
-                 for agent_id, pair in world.teammate_views.items())
-
-
 def build_context(world: "World", agent_id: str,
-                  team: tuple[TeammateView, ...]) -> PolicyContext:
+                  busy: frozenset[str]) -> PolicyContext:
     """The agent's context at the current step, on `world`.
 
-    `team` is `team_views(world)` for this step, shared as it is: the agent's
-    own entry stays in it. Only the O(1) fields are read here.
+    `busy` is the step's one set of agents with an action in flight, shared
+    as it is. Only the O(1) fields are read here.
     """
-    return PolicyContext((world.agents[agent_id], world.clock.step, team,
+    return PolicyContext((world.agents[agent_id], world.clock.step, busy,
                           world.manager_id, world, agent_id))
 
 
@@ -336,12 +328,12 @@ def select_recipients(context: PolicyContext, kind: IntentionKind,
         return [context.manager_id]
     if kind is IntentionKind.REQUEST_HELP:
         required = view.required_skills
-        # One pass over the others, scored as `skill_match_score` scores; the
-        # best positive score wins and a tie goes to the lower id.
-        me = context.agent.agent_id
+        # One pass over the other free workers, scored as `skill_match_score`
+        # scores; the best positive score wins and a tie goes to the lower id.
+        me, busy = context.agent.agent_id, context.busy
         best, tied = 0.0, []
-        for mate in context.team_view:
-            if mate.role is not Role.WORKER or mate.busy or mate.agent_id == me:
+        for mate in context.team.values():
+            if mate.role is not Role.WORKER or mate.agent_id in busy or mate.agent_id == me:
                 continue
             score = len(mate.skills & required) / len(required) if required else 1.0
             if score > best:

@@ -1,17 +1,15 @@
-"""Task DAG with dependency readiness, progress accounting, and weighted roll-up.
+"""Task DAG with dependency readiness and progress accounting.
 
 Progress is stored as accumulated effective hours. A node's completion
 fraction and done flag are stored beside them and set where hours accumulate
-and where the node finishes, so a read costs nothing. A parent is done only
-when every subtask is done, regardless of how its weighted progress rounds.
+and where the node finishes, so a read costs nothing. A parent is done
+exactly when every subtask is done.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple
-
-from .model import order_key
 
 # Slack against float drift when effective hours accumulate in many small
 # increments; one part in 1e9 of an hour is far below one step of work.
@@ -191,31 +189,6 @@ class TaskGraph:
 
     def is_leaf(self, task_id: str) -> bool:
         return not self._children.get(task_id)
-
-    def ready_tasks(self) -> list[str]:
-        """Non-done leaves whose dependencies are all done, in id order."""
-        out = []
-        for task_id in self.nodes:
-            node = self.nodes[task_id]
-            if node.done or not self.is_leaf(task_id):
-                continue
-            if all(self.nodes[d].done for d in node.dependencies):
-                out.append(task_id)
-        return sorted(out, key=order_key)
-
-    def node_progress(self, task_id: str) -> float:
-        node = self.node(task_id)
-        if self.is_leaf(task_id):
-            return node.progress
-        return self.parent_progress(task_id)
-
-    def parent_progress(self, parent_id: str) -> float:
-        """Weighted mean of subtask completion, weights = effort estimates."""
-        kids = self.children(parent_id)
-        if not kids:
-            raise NoSubtasksError("no subtasks")
-        total = sum(k.estimated_hours for k in kids)
-        return sum(k.estimated_hours * self.node_progress(k.task_id) for k in kids) / total
 
     def all_roots_done(self) -> bool:
         return all(self.nodes[r].done for r in self.roots)

@@ -17,7 +17,8 @@ extra) and with the standard `json` module otherwise; the bytes written and
 the values read back are the same under either. orjson writes some floats
 differently (`1e16` for `1e+16`, `0.00001` for `1e-05`, `null` for `NaN`) and
 cannot write integers wider than 64 bits, so the standard library writes a
-line that holds one; only a kind's float fields are looked at before writing.
+whole batch that holds one; only a kind's float fields are looked at before
+writing.
 orjson reads integers outside [-2**63, 2**64) as floats. The standard library
 alone reads again, line by line, a chunk the column check does not pass as
 the codec read it: one with a bad or blank line, a field its kind lacks, or a
@@ -52,14 +53,7 @@ _STR, _INT, _BOOL, _LIST, _NUMBER = (str,), (int,), (bool,), (list,), (float, in
 _STR_OR_NULL, _NUMBER_OR_NULL = (str, type(None)), (float, int, type(None))
 
 
-class _Schemas(dict):
-    """Each kind's schema; looking up an unknown kind raises."""
-
-    def __missing__(self, kind: str) -> Schema:
-        raise ValueError(f"unknown event kind: {kind}")
-
-
-SCHEMAS = _Schemas({
+SCHEMAS = {
     "action": _schema({"agent": _STR, "action": _STR, "target": _STR_OR_NULL,
                        "remaining": _INT}),
     "message_sent": _schema({
@@ -76,10 +70,9 @@ SCHEMAS = _Schemas({
                          "progress": _NUMBER}),
     "task_done": _schema({"task": _STR, "root": _BOOL, "boundary": _INT}),
     "warning": _schema({"source": _STR, "detail": _STR}),
-})
+}
 
-# Each kind's float fields, read by the encoder for every record written;
-# a plain dict, so a lookup runs no Python code.
+# Each kind's float fields, read by the encoder for every record written.
 _FLOATS = {kind: schema.floats for kind, schema in SCHEMAS.items()}
 
 
@@ -214,10 +207,6 @@ class Codec(NamedTuple):
     loads: Callable[[bytes], object]
 
 
-def _std_line(record: dict) -> bytes:
-    return (_std_encode(record) + "\n").encode("utf-8")
-
-
 def _std_lines(records: list[dict], floats: object = None) -> bytes:
     """The records' lines as the standard library writes them, which needs no
     look at their float fields."""
@@ -248,8 +237,7 @@ def _floats_in_range(records: list[dict], floats: list[tuple[str, ...]]) -> bool
     """Whether every float field of `records` holds a number in [_FLOAT_LOW,
     _FLOAT_HIGH), which orjson writes as `repr` does, after one comparison
     each. False for anything else: a None, a zero, a negative, non-finite or
-    out-of-range number, another type or a missing field, which the orjson
-    codec then checks record by record."""
+    out-of-range number, another type or a missing field."""
     try:
         for record, names in zip(records, floats):
             for name in names:
@@ -261,26 +249,15 @@ def _floats_in_range(records: list[dict], floats: list[tuple[str, ...]]) -> bool
 
 
 def orjson_codec() -> Codec | None:
-    """The orjson codec, its encode guarded by the standard library, or None."""
+    """The orjson codec, or None. A batch that orjson might write otherwise
+    than the standard library, one with a float outside `_floats_in_range` or
+    an integer beyond 64 bits, is written wholly by the standard library."""
     try:
         import orjson
     except ImportError:
         return None
     dumps, loads = orjson.dumps, orjson.loads
-    newline = orjson.OPT_APPEND_NEWLINE
     encode_error = orjson.JSONEncodeError
-
-    def encode_one(record: dict, floats: tuple[str, ...]) -> bytes:
-        for name in floats:
-            value = record.get(name)
-            if type(value) is float and not (
-                    _FLOAT_LOW <= value < _FLOAT_HIGH or value == 0.0
-                    or -_FLOAT_HIGH < value <= -_FLOAT_LOW):
-                return _std_line(record)
-        try:
-            return dumps(record, option=newline)
-        except encode_error:  # an integer beyond 64 bits
-            return _std_line(record)
 
     def encode(records: list[dict], floats: list[tuple[str, ...]]) -> bytes:
         if _floats_in_range(records, floats):
@@ -291,7 +268,7 @@ def orjson_codec() -> Codec | None:
                 return b"\n".join([*map(dumps, records), b""])
             except encode_error:  # an integer beyond 64 bits
                 pass
-        return b"".join(map(encode_one, records, floats))
+        return _std_lines(records)
 
     return Codec(encode, loads)
 

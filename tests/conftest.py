@@ -12,9 +12,10 @@ import pytest
 from teamsim import trace
 from teamsim.comms import Message
 from teamsim.config import expand_team_shorthand, parse_scenario
-from teamsim.model import AgentProfile, Role, Scenario, TaskSpec, validate_scenario
+from teamsim.model import (AgentProfile, Role, Scenario, TaskSpec, order_key,
+                           validate_scenario)
 from teamsim.planner import DecompositionPlan
-from teamsim.taskgraph import SubtaskSpec
+from teamsim.taskgraph import NoSubtasksError, SubtaskSpec, TaskGraph
 
 SKILL_POOL = ["backend", "api", "authentication", "oauth", "testing", "documentation"]
 
@@ -201,6 +202,30 @@ def replay_af_updates(records) -> dict[tuple[str, str], float]:
             values[key] = min(1.00, max(0.01, record["old"] + record["delta"]))
         assert record["new"] == values[key], record
     return values
+
+
+def ready_tasks(graph: TaskGraph) -> list[str]:
+    """Non-done leaves of `graph` whose dependencies are all done, in id order."""
+    return sorted((task_id for task_id, node in graph.nodes.items()
+                   if not node.done and graph.is_leaf(task_id)
+                   and all(graph.nodes[d].done for d in node.dependencies)),
+                  key=order_key)
+
+
+def node_progress(graph: TaskGraph, task_id: str) -> float:
+    """A leaf's completion fraction, or a parent's weighted roll-up."""
+    if graph.is_leaf(task_id):
+        return graph.node(task_id).progress
+    return parent_progress(graph, task_id)
+
+
+def parent_progress(graph: TaskGraph, parent_id: str) -> float:
+    """Weighted mean of subtask completion, weights = effort estimates."""
+    kids = graph.children(parent_id)
+    if not kids:
+        raise NoSubtasksError("no subtasks")
+    total = sum(k.estimated_hours for k in kids)
+    return sum(k.estimated_hours * node_progress(graph, k.task_id) for k in kids) / total
 
 
 def refused_port() -> int:

@@ -21,8 +21,8 @@ from teamsim.taskgraph import SubtaskSpec
 from teamsim.trace import TraceLog
 
 from conftest import (COMPLEX_TASK, MEDIUM_TASK, SIMPLE_TASK, RandomDagPlanner,
-                      add_event, make_scenario, of_kind, replay_af_updates,
-                      replay_runs)
+                      add_event, make_scenario, of_kind, parent_progress,
+                      replay_af_updates, replay_runs)
 
 TIME_TOLERANCE_H = 0.25
 EFFICIENCY_TOLERANCE = 0.02
@@ -258,7 +258,7 @@ class TestCriterion7WeightedRollup:
                 for i in range(count):
                     if worked[i] > 0 and not graph.node(f"T1.{i + 1}").done:
                         graph.record_work(f"T1.{i + 1}", worked[i] * scale)
-                return graph.parent_progress("T1")
+                return parent_progress(graph, "T1")
 
             fractions = [min(1.0, worked[i] / weights[i]) for i in range(count)]
             oracle = (math.fsum(w * p for w, p in zip(weights, fractions))

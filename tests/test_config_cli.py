@@ -370,6 +370,23 @@ class TestCliRun:
         assert f"{field} must be a list" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,content", [
+        ("polcy", APPENDIX_STYLE.replace("policy: no_comm", "polcy: no_comm")),
+        ("tasks[0].hour", APPENDIX_STYLE.replace("    hours: 8.0\n",
+                                                 "    hours: 8.0\n    hour: 99\n")),
+        ("team[1].nmae", EXPLICIT_TEAM.replace("name: Kai", "nmae: Kai")),
+    ], ids=["top-level", "task", "team-entry"])
+    def test_unknown_field_is_a_one_line_error(self, tmp_path, capsys, field,
+                                               content):
+        # Before it was rejected, a misspelt key was dropped and the run
+        # exited 0 with the key's default.
+        path = tmp_path / "typo.yaml"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"scenario error: unknown field: {field}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("hours", [".nan", ".inf"])
     def test_non_finite_hours_are_a_one_line_error(self, tmp_path, capsys, hours):
         # Before they were rejected, such hours ran to the step cap (exit 2).

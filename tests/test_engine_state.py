@@ -67,8 +67,8 @@ def test_intention_prompts_count_the_delivered_messages(monkeypatch, name, polic
     build_context = engine.build_context
     checked = []
 
-    def checking(world, agent_id, team):
-        context = build_context(world, agent_id, team)
+    def checking(world, agent_id, busy):
+        context = build_context(world, agent_id, busy)
         assert LlmPolicy._messages(context) == \
             inbox_messages(context, delivered[agent_id])
         checked.append(sum(context.delivered_by_type.values()))

@@ -10,9 +10,9 @@ from teamsim.model import AgentProfile, Role
 from teamsim import policy as policy_module
 from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
                             IntentionKind, LastAction, NoCommPolicy,
-                            PolicyContext, TaskAssignmentView, TeammateView,
-                            build_context, compose_message, compose_reply,
-                            reply_channel, select_channel, select_recipients)
+                            PolicyContext, TaskAssignmentView, build_context,
+                            compose_message, compose_reply, reply_channel,
+                            select_channel, select_recipients)
 
 
 def view(task_id="T1.1", af=0.30, hours=0.0, stuck=0, progress=0.0,
@@ -42,10 +42,12 @@ class StandInWorld:
     organized: frozenset[str]
     last_action: LastAction | None
     manager_id: str = "M1"
+    team: tuple[AgentProfile, ...] = ()
 
     @property
     def agents(self):
-        return {self.agent.agent_id: self.agent}
+        """Every profile by id, this agent's included, as in `World.agents`."""
+        return {a.agent_id: a for a in (self.agent, *self.team)}
 
     @property
     def clock(self):
@@ -88,7 +90,7 @@ class StandInWorld:
         return self.organized
 
 
-def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(),
+def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(), busy=(),
             unanswered=(), open_outbound=frozenset(), invite=False,
             meeting_start=False, blocked=None, organized=frozenset(),
             last_action=None):
@@ -99,13 +101,13 @@ def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(),
                              frozenset({"planning", "coordination"}))
     world = StandInWorld(agent, step, tuple(assigned), tuple(unanswered),
                          frozenset(open_outbound), invite, meeting_start,
-                         blocked or {}, frozenset(organized), last_action)
-    return build_context(world, agent.agent_id, tuple(teammates))
+                         blocked or {}, frozenset(organized), last_action,
+                         team=tuple(teammates))
+    return build_context(world, agent.agent_id, frozenset(busy))
 
 
-def mate(agent_id, skills, busy=False, role=Role.WORKER):
-    return TeammateView(agent_id=agent_id, role=role,
-                        skills=frozenset(skills), busy=busy)
+def mate(agent_id, skills, role=Role.WORKER):
+    return AgentProfile(agent_id, f"Teammate {agent_id}", role, frozenset(skills))
 
 
 class TestNoComm:
@@ -223,20 +225,20 @@ class TestSelectRecipients:
     def test_busy_candidates_skipped(self):
         ctx = context(
             assigned=[view(skills=frozenset({"oauth"}))],
-            teammates=[mate("W2", {"oauth"}, busy=True), mate("W3", {"oauth"})],
+            teammates=[mate("W2", {"oauth"}), mate("W3", {"oauth"})], busy={"W2"},
         )
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W3"]
 
     def test_no_match_degrades_to_manager(self):
         ctx = context(
             assigned=[view(skills=frozenset({"oauth"}))],
-            teammates=[mate("W2", {"frontend"}, busy=True)],
+            teammates=[mate("W2", {"frontend"})], busy={"W2"},
         )
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["M1"]
 
     def test_help_never_goes_to_the_asker(self):
-        """The team view holds the deciding worker too, idle and the best
-        match of all; the request goes to the best other worker."""
+        """The team holds the deciding worker too, idle and the best match of
+        all; the request goes to the best other free worker."""
         required = frozenset({"backend", "api"})
         me = mate("W1", {"backend", "api"})
         ctx = context(
@@ -248,7 +250,8 @@ class TestSelectRecipients:
         ctx = context(
             assigned=[view(skills=required)],
             teammates=[mate("M1", {"planning"}, role=Role.MANAGER), me,
-                       mate("W2", {"frontend"}), mate("W3", {"api"}, busy=True)],
+                       mate("W2", {"frontend"}), mate("W3", {"api"})],
+            busy={"W3"},
         )
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["M1"]
 
@@ -330,7 +333,7 @@ class TestComposition:
 # Every field a policy can read from a context.
 CONTEXT_FIELDS = {
     "agent", "step", "assigned", "active_task", "report_due", "delivered_by_type",
-    "team_view", "manager_id", "last_action", "unanswered_inbound",
+    "busy", "team", "manager_id", "last_action", "unanswered_inbound",
     "open_outbound_tasks", "has_unprocessed_invite", "has_meeting_start",
     "blocked_collaborators", "meeting_organized_tasks",
 }
@@ -345,7 +348,6 @@ class TestValueTypes:
             context(assigned=[view()], teammates=[mate("W2", {"api"})],
                     last_action=LastAction("work", None, 4)),
             view(),
-            mate("W2", {"api"}),
             LastAction("work", None, 4),
             Intention(IntentionKind.REQUEST_HELP, "T1.1", ("note",)),
         ]
@@ -353,7 +355,7 @@ class TestValueTypes:
     def test_every_field_is_read_only(self):
         values = self.values()
         assert {type(v) for v in values} == {PolicyContext, TaskAssignmentView,
-                                             TeammateView, LastAction, Intention}
+                                             LastAction, Intention}
         for value in values:
             fields = (CONTEXT_FIELDS if type(value) is PolicyContext
                       else type(value)._fields)
@@ -372,12 +374,13 @@ class TestValueTypes:
         tasks = [view(task_id="T1.1", done=True),
                  view(task_id="T1.2", milestone=0.5), view(task_id="T1.3")]
         teammates = (mate("W2", {"api"}),)
-        ctx = context(step=7, assigned=tasks, teammates=teammates,
+        ctx = context(step=7, assigned=tasks, teammates=teammates, busy={"W2"},
                       unanswered=("th1",), open_outbound={"T1.3"}, invite=True,
                       meeting_start=True, blocked={"T1.2": ("W2",)},
                       organized={"T1.2"}, last_action=last)
         assert (ctx.agent.agent_id, ctx.step, ctx.manager_id) == ("W1", 7, "M1")
-        assert ctx.team_view == teammates
+        assert ctx.busy == {"W2"}
+        assert ctx.team == {"W1": ctx.agent, "W2": teammates[0]}
         assert ctx.assigned == tuple(tasks)
         assert ctx.active_task == tasks[1]
         assert ctx.report_due == tasks[1]
@@ -407,7 +410,7 @@ class TestValueTypes:
         agent = AgentProfile("W1", "Worker 1", Role.WORKER, frozenset({"api"}))
         world = CountingWorld(agent, 3, (view(),), (), frozenset(), False, False,
                               {}, frozenset(), None)
-        ctx = build_context(world, "W1", ())
+        ctx = build_context(world, "W1", frozenset())
         assert NoCommPolicy().decide(ctx) is policy_module.CONTINUE
         assert asked == []
         assert ctx.unanswered_inbound == ()
@@ -426,7 +429,7 @@ class TestValueTypes:
                        for name, value in vars(PolicyContext).items()
                        if not name.startswith("__"))
         # A named-tuple default is one object shared by every instance.
-        for value_type in (TaskAssignmentView, TeammateView, LastAction, Intention):
+        for value_type in (TaskAssignmentView, LastAction, Intention):
             for default in value_type._field_defaults.values():
                 assert isinstance(default, (str, tuple, type(None)))
 

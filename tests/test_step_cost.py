@@ -39,8 +39,11 @@ task with a low alignment, a work step looked its task up once and shared
 one last action per kind, `seq` came from an `itertools.count` and the trace
 writer found a kind's float fields in a plain dict; 764.2 (206,337) once the
 engine queued each step's events and handed them to its sink in one batch
-instead of calling the sink once per event. The bound is the last figure
-rounded up to a whole instruction: 765.
+instead of calling the sink once per event; 740.3 (199,869) once each step's
+contexts shared one set of busy agents instead of a tuple of teammate views,
+the step grid became one module constant instead of a clock field, and the
+action loop and the work step lost checks no run reaches. The bound is the
+last figure rounded up to a whole instruction: 741.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -53,8 +56,10 @@ counting, 544.9 (220,703) and 731.2 (226,664), then 543.3 (220,037) and
 543.1 (219,956) and 726.3 (225,156) without composing message text; 507.0
 (205,351) and 694.7 (215,350) with the kept open-request set, the one-lookup
 work step, the shared last actions and the counted `seq`; 504.6 (204,361)
-and 681.2 (211,165) with the events handed on in batches. Their bounds are
-those last figures rounded up to a whole instruction: 505 and 682.
+and 681.2 (211,165) with the events handed on in batches; 480.2 (194,499)
+and 657.9 (203,961) with the busy set, the one step grid and the dead checks
+gone. Their bounds are those last figures rounded up to a whole instruction:
+481 and 658.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -76,11 +81,13 @@ and the counted `seq`, 916.3 (1,433,022) and 913.0 (5,835,741), a ratio of
 1.00; 899.3 and 896.4 (5,729,970), a ratio of 1.00, once a request thread
 held only its root and its open and answered flags (read before the next
 change, not recorded with it); with the events handed on in batches, 889.2
-(1,390,723) and 886.5 (5,666,815), a ratio of 1.00. The ratio bound, 1.10,
+(1,390,723) and 886.5 (5,666,815), a ratio of 1.00; with the busy set, the
+one step grid and the dead checks gone, 868.4 (1,358,202) and 865.8
+(5,534,215), a ratio of 1.00. The ratio bound, 1.10,
 lets an agent-step grow a little with the tasks an agent holds, not in
 proportion to them. The 16-root run is also the shape of the benchmark's
 `many_roots` workload, so its own reading is bounded too, rounded up to a
-whole instruction: 887.
+whole instruction: 866.
 
 The same 16-root run as `teamsim run` drives it, every event written by a
 `TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
@@ -90,9 +97,13 @@ the standard library's while each event went on its own through `World.emit`,
 float fields) and `MetricsFold.append`; 1,054.1 (6,737,614) and 1,172.3
 (7,493,559) once the engine handed each step's events on in one batch, the
 writer checked the batch's kinds and float fields and wrote its lines in one
-call and the fold took the batch in one loop with its final step in a local.
-The bounds are those last readings rounded up to a whole instruction: 1,055
-and 1,173.
+call and the fold took the batch in one loop with its final step in a local;
+1,033.9 (6,608,922) and 1,151.6 (7,360,943) with the busy set, the one step
+grid and the dead checks gone, and the orjson codec's per-record fallback
+replaced by the standard library writing a whole batch that orjson might
+write otherwise (here only step 0's, whose `init` alignment events hold
+None). The bounds are those last readings rounded up to a whole instruction:
+1,034 and 1,152.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -128,9 +139,12 @@ views were each built once, by position; 148.2, 148.8 (38,231) and 1,393.9
 agents, with `agent_order` read off the profile table, instead of a
 comprehension per table, and the event `seq` came from an
 `itertools.count`; 148.2, 148.8 (38,234) and 1,357.5 (347,522) once the
-plan's alignment events were handed to the sink in one batch. The same
-figures read in the whole suite under `python -X dev -m pytest`. The bounds
-are those readings rounded up to a whole instruction: 149, 149 and 1,358.
+plan's alignment events were handed to the sink in one batch; 148.5
+(38,019), 123.7 (31,800) and 1,341.4 (343,388) once the parse refused a key
+a scenario level does not hold, `World` stopped building two teammate views
+per agent and the step grid became one constant. The same figures read in
+the whole suite under `python -X dev -m pytest`. The bounds are those
+readings rounded up to a whole instruction: 149, 124 and 1,342.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -158,24 +172,24 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 505),
-    "fixed_steps": (310, 682),
-    "c2c_heuristic": (270, 765),
+    "no_comm": (405, 481),
+    "fixed_steps": (310, 658),
+    "c2c_heuristic": (270, 741),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 887
+ROOTS_16_BOUND = 866
 # Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
 # run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
-SINK_CHAIN_BOUND = {"orjson": 1055, "stdlib": 1173}
+SINK_CHAIN_BOUND = {"orjson": 1034, "stdlib": 1152}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
 # Team set-up on a 1M+256W team with one root under `no_comm`: opcodes of the
 # parse per worker, of `Simulation()` per agent and of step 0 (the plan) per
 # subtask.
-SETUP_OPCODES_BOUND = {"parse": 149, "simulation": 149, "plan_step": 1358}
+SETUP_OPCODES_BOUND = {"parse": 149, "simulation": 124, "plan_step": 1342}
 WIDE_WORKERS = 256
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),

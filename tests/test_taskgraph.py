@@ -1,5 +1,5 @@
 """Task DAG behavior, including the independent oracles for readiness and
-weighted parent progress."""
+weighted parent progress, queries that only tests ask (kept in conftest)."""
 
 import math
 import random
@@ -9,6 +9,8 @@ import pytest
 from teamsim.taskgraph import (BadDependencyError, CycleError, NoSubtasksError,
                                SubtaskSpec, TaskAlreadyDoneError, TaskGraph,
                                TaskStatus)
+
+from conftest import parent_progress, ready_tasks
 
 
 def spec(hours=2.0, deps=(), skills=frozenset({"backend"})):
@@ -27,7 +29,7 @@ def build_graph(specs):
 class TestAddSubtasks:
     def test_independent_specs_all_ready(self):
         graph = build_graph([spec() for _ in range(5)])
-        assert len(graph.ready_tasks()) == 5
+        assert len(ready_tasks(graph)) == 5
 
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleError, match="cycle detected"):
@@ -35,7 +37,7 @@ class TestAddSubtasks:
 
     def test_chain_only_head_ready(self):
         graph = build_graph([spec(), spec(deps=(0,)), spec(deps=(1,))])
-        assert graph.ready_tasks() == ["T1.1"]
+        assert ready_tasks(graph) == ["T1.1"]
 
     def test_bad_dependency_index(self):
         with pytest.raises(BadDependencyError, match="bad dependency"):
@@ -63,7 +65,7 @@ class TestReadyTasks:
             graph = build_graph(specs)
             # advance a random subset of tasks to done via recorded work
             for _ in range(rng.randint(0, 2 * n)):
-                ready = graph.ready_tasks()
+                ready = ready_tasks(graph)
                 if not ready:
                     break
                 task = rng.choice(ready)
@@ -76,12 +78,12 @@ class TestReadyTasks:
                     continue
                 if all(graph.node(d).done for d in node.dependencies):
                     expected.add(task_id)
-            assert set(graph.ready_tasks()) == expected
+            assert set(ready_tasks(graph)) == expected
 
     def test_done_never_ready_again(self):
         graph = build_graph([spec(), spec()])
         graph.record_work("T1.1", 2.0)
-        assert "T1.1" not in graph.ready_tasks()
+        assert "T1.1" not in ready_tasks(graph)
 
 
 class TestParentProgress:
@@ -89,13 +91,13 @@ class TestParentProgress:
         graph = build_graph([spec(hours=2.0), spec(hours=6.0)])
         graph.record_work("T1.1", 2.0)   # P = 1.0
         graph.record_work("T1.2", 3.0)   # P = 0.5
-        assert graph.parent_progress("T1") == pytest.approx(0.625, abs=1e-12)
+        assert parent_progress(graph, "T1") == pytest.approx(0.625, abs=1e-12)
 
     def test_completion_case(self):
         graph = build_graph([spec(hours=1.0), spec(hours=3.0)])
         graph.record_work("T1.1", 1.0)
         graph.record_work("T1.2", 3.0)
-        assert graph.parent_progress("T1") == pytest.approx(1.0, abs=1e-12)
+        assert parent_progress(graph, "T1") == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_scalar_recomputation(self):
         rng = random.Random(7)
@@ -106,7 +108,7 @@ class TestParentProgress:
             fractions = []
             for i, subtask in enumerate(specs):
                 worked = rng.uniform(0, subtask.estimated_hours * 1.2)
-                task_id = graph.ready_tasks()[0] if False else f"T1.{i + 1}"
+                task_id = ready_tasks(graph)[0] if False else f"T1.{i + 1}"
                 if worked > 0 and not graph.node(task_id).done:
                     graph.record_work(task_id, worked)
                 fractions.append(min(1.0, worked / subtask.estimated_hours))
@@ -115,13 +117,13 @@ class TestParentProgress:
                 math.fsum(w * p for w, p in zip(weights, fractions))
                 / math.fsum(weights)
             )
-            assert graph.parent_progress("T1") == pytest.approx(expected, rel=1e-12)
+            assert parent_progress(graph, "T1") == pytest.approx(expected, rel=1e-12)
 
     def test_no_subtasks_error(self):
         graph = TaskGraph()
         graph.add_root("T1", "root", 2.0, frozenset())
         with pytest.raises(NoSubtasksError, match="no subtasks"):
-            graph.parent_progress("T1")
+            parent_progress(graph, "T1")
 
     def test_invariant_under_weight_scaling(self):
         rng = random.Random(13)
@@ -138,7 +140,7 @@ class TestParentProgress:
                     if w > 0:
                         graph.record_work(f"T1.{i + 1}",
                                           w * (scale if scaled else 1.0))
-                return graph.parent_progress("T1")
+                return parent_progress(graph, "T1")
 
             assert build(False) == pytest.approx(build(True), rel=1e-9)
 
@@ -178,7 +180,7 @@ class TestRecordWork:
         node = graph.node("T1.1")
         assert node.accumulated_effective_hours == 5.0
         assert node.progress == 1.0
-        assert graph.parent_progress("T1") == pytest.approx(0.5)
+        assert parent_progress(graph, "T1") == pytest.approx(0.5)
 
     def test_parents_done_exactly_when_last_child_finishes(self):
         rng = random.Random(7)
@@ -201,7 +203,7 @@ class TestRecordWork:
                     decompose(task_id)
 
             while not graph.all_roots_done():
-                task = rng.choice(graph.ready_tasks())
+                task = rng.choice(ready_tasks(graph))
                 node = graph.node(task)
                 graph.record_work(task, rng.choice(
                     [node.estimated_hours, node.estimated_hours / 2]))

@@ -6,7 +6,7 @@ bound is deterministic on one interpreter version. An O(W^2) path in the plan
 step, the message buffer or the task roll-up pushes the 256W/64W ratio well
 past 4; with all of them linear it is about 3. A call count does not see data
 movement, a slice or a dict display, so two more guards look at the data: the
-contexts of a step share one team tuple, and a `MetricsFold` holds memory
+contexts of a step share one busy set, and a `MetricsFold` holds memory
 linear in the team (a dense sender x recipient grid holds about 16x from 64W
 to 256W).
 """
@@ -61,22 +61,22 @@ def test_calls_grow_about_linearly_with_team_width():
         f"256W run makes {wide} calls, {wide / narrow:.2f}x the 64W run's {narrow}")
 
 
-def test_every_context_of_a_step_holds_the_steps_team_tuple(monkeypatch):
+def test_every_context_of_a_step_holds_the_steps_busy_set(monkeypatch):
     built = []
     build_context = engine.build_context
 
-    def recording(world, agent_id, team):
-        context = build_context(world, agent_id, team)
-        built.append((world.clock.step, team, context))
+    def recording(world, agent_id, busy):
+        context = build_context(world, agent_id, busy)
+        built.append((world.clock.step, busy, context))
         return context
 
     monkeypatch.setattr(engine, "build_context", recording)
     Simulation(_scenario("1M+64W")).run()
     assert built
-    team_of_step = {}
-    for step, team, context in built:
-        assert context.team_view is team
-        assert team_of_step.setdefault(step, team) is team
+    busy_of_step = {}
+    for step, busy, context in built:
+        assert context.busy is busy
+        assert busy_of_step.setdefault(step, busy) is busy
 
 
 def _fold_bytes(team: str) -> int:

@@ -5,7 +5,8 @@ property drives `Simulation.step` by hand over generated scenarios and, after
 every step, compares each indexed query with its oracle for every agent. The
 inbox scans read a delivery log that the harness records by wrapping
 `World.deliver`, since `World` keeps no inbox, and the replies sent, read off
-the trace.
+the trace. The busy set the engine gives a step's contexts is compared with
+the agents the trace shows busy as the step starts.
 """
 
 import dataclasses
@@ -15,13 +16,13 @@ from typing import NamedTuple
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from teamsim import engine
 from teamsim.comms import Message, MessageType, MeetingStatus, REQUEST_TYPES
 from teamsim.config import expand_team_shorthand
 from teamsim.engine import Simulation, World
 from teamsim.model import Scenario, TaskSpec, order_key, validate_scenario
 from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
-                            IntentionKind, TaskAssignmentView, TeammateView,
-                            build_context, team_views)
+                            IntentionKind, TaskAssignmentView, build_context)
 from teamsim.taskgraph import TaskStatus
 
 from conftest import (SKILL_POOL, ChainPlanner, RandomDagPlanner,
@@ -163,13 +164,14 @@ def oracle_report_due(views: tuple[TaskAssignmentView, ...]):
     return None
 
 
-def oracle_team_view(world: World, agent_id: str) -> tuple[TeammateView, ...]:
-    return tuple(
-        TeammateView(agent_id=other.agent_id, role=other.role,
-                     skills=other.skills, busy=world.is_busy(other.agent_id))
-        for other in (world.agents[a] for a in world.agent_order)
-        if other.agent_id != agent_id
-    )
+def oracle_busy(in_flight: set[str], step_events: list[dict]) -> frozenset[str]:
+    """The agents with an action in flight before a step's intentions are
+    resolved: those whose `action` event of the step before left steps to run
+    (`in_flight`), and the attendees of a meeting that convened at the step's
+    start, read off the step's events."""
+    return frozenset(in_flight).union(*(
+        record["to"] for record in step_events
+        if record["kind"] == "message_sent" and record["type"] == "MEETING_START"))
 
 
 def oracle_pending_meetings(world: World) -> list[str]:
@@ -182,11 +184,10 @@ def oracle_organized_meeting_tasks(world: World, agent_id: str) -> set:
             if m.invite.from_agent == agent_id}
 
 
-def check_indexes(world: World, done_at: dict[str, int],
+def check_indexes(world: World, busy: frozenset[str], done_at: dict[str, int],
                   inbox_read: dict[str, int],
                   delivered: dict[str, list[Message]],
                   replied: set[tuple[str, str]]) -> None:
-    team = team_views(world)
     for agent_id in world.agent_order:
         inbox = delivered[agent_id]
         assert world.assigned_tasks(agent_id) == oracle_assigned_tasks(world, agent_id)
@@ -201,11 +202,9 @@ def check_indexes(world: World, done_at: dict[str, int],
             oracle_has_meeting_start(agent_id, inbox, inbox_read)
         assert world.blocked_collaborators(agent_id) == \
             oracle_blocked_collaborators(world, agent_id)
-        context = build_context(world, agent_id, team)
-        # The step's one tuple, not a copy; the others are what the scan sees.
-        assert context.team_view is team
-        assert tuple(mate for mate in context.team_view
-                     if mate.agent_id != agent_id) == oracle_team_view(world, agent_id)
+        context = build_context(world, agent_id, busy)
+        # The step's one set, not a copy.
+        assert context.busy is busy
         assigned = oracle_assigned(world, agent_id)
         assert context.assigned == assigned
         assert context.active_task == oracle_active_task(assigned)
@@ -260,7 +259,8 @@ specs = st.builds(Spec, st.integers(1, 16), st.lists(_roots, min_size=1, max_siz
 
 
 def run_checking_indexes(sim: Simulation) -> None:
-    """Step the simulation to its end, checking every index after each step."""
+    """Step the simulation to its end, checking every index after each step,
+    and the busy set the engine gave each step's contexts."""
     world = sim.world
     done_at: dict[str, int] = {}
     # The step of each agent's last CHECK_MESSAGES that found nothing to act on.
@@ -274,22 +274,42 @@ def run_checking_indexes(sim: Simulation) -> None:
         return found
 
     sim._start_check_messages = recording
+    # The one busy set the engine gave every context of a step, by step.
+    busy_of_step: dict[int, frozenset[str]] = {}
+    build = engine.build_context
+
+    def recording_busy(stepped, agent_id, busy):
+        assert busy_of_step.setdefault(stepped.clock.step, busy) is busy
+        return build(stepped, agent_id, busy)
+
     delivered = log_deliveries(world)
     # (sender, thread id) of every reply sent, read off the trace.
     replied: set[tuple[str, str]] = set()
+    # The agents whose last `action` event left steps to run.
+    in_flight: set[str] = set()
     read = 0
-    check_indexes(world, done_at, inbox_read, delivered, replied)
-    while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
-        t = world.clock.step
-        sim.step()
-        for node in world.graph.nodes.values():
-            if node.done:
-                done_at.setdefault(node.task_id, t)
-        events = world.trace.events
-        replied.update((r["from"], r["thread_id"]) for r in events[read:]
-                       if r["kind"] == "message_sent" and r["type"] == "RESPONSE")
-        read = len(events)
-        check_indexes(world, done_at, inbox_read, delivered, replied)
+    check_indexes(world, frozenset(), done_at, inbox_read, delivered, replied)
+    engine.build_context = recording_busy
+    try:
+        while world.clock.step < world.clock.max_steps and not world.graph.all_roots_done():
+            t = world.clock.step
+            sim.step()
+            for node in world.graph.nodes.values():
+                if node.done:
+                    done_at.setdefault(node.task_id, t)
+            step_events = world.trace.events[read:]
+            read += len(step_events)
+            replied.update((r["from"], r["thread_id"]) for r in step_events
+                           if r["kind"] == "message_sent" and r["type"] == "RESPONSE")
+            busy = oracle_busy(in_flight, step_events)
+            # No context is built at a step where every agent is busy.
+            assert busy_of_step.get(t, busy) == busy
+            in_flight = {r["agent"] for r in step_events
+                         if r["kind"] == "action" and r["remaining"] > 0}
+            check_indexes(world, busy_of_step.get(t, busy), done_at, inbox_read,
+                          delivered, replied)
+    finally:
+        engine.build_context = build
     # Only request threads are kept.
     assert all(t.root.message_type in REQUEST_TYPES for t in world.threads.values())
 
