@@ -34,7 +34,8 @@ communication cost, alignment score, average completion time, efficiency or
 reply latency beyond the float range (every `cost_h` at 1e308, or the last
 `action` step at 10**400).
 Every command returns 5, after a one-line error, on bad input: a scenario file
-that is missing, unreadable or malformed, whose team has no worker or whose
+that is missing, unreadable or malformed, that gives a key twice at one
+level, whose team has no worker or whose
 team shorthand asks for more than `config.MAX_SHORTHAND_AGENTS` agents, a
 `report` run directory without `trace.jsonl` or `scenario.yaml` (as a run that
 raised mid-way leaves it), a `trace.jsonl` that cannot be opened or read (a
@@ -108,10 +109,18 @@ def _adapter(config: RunConfig, scenarios: list[Scenario]) -> ChatCompletionAdap
 _RUN_OUTPUTS = ("scenario.yaml", "report.txt", "metrics.csv")
 
 
+def _unlink(*paths: Path) -> None:
+    """Remove earlier outputs, so that each is written as a new file: a link
+    is replaced, not written through."""
+    for path in paths:
+        path.unlink(missing_ok=True)
+
+
 def _write_report(directory: Path, scenario: Scenario, report: MetricsReport) -> None:
     """Write `report.txt` and `metrics.csv` into `directory`, then print the report."""
     label = scenario.team_label or "custom"
     text = render_report(report, label, scenario.name)
+    _unlink(directory / "report.txt", directory / "metrics.csv")
     (directory / "report.txt").write_text(text, encoding="utf-8")
     write_csv([report.csv_row(label, scenario.name)], directory / "metrics.csv")
     print(text, end="")
@@ -169,6 +178,7 @@ def cmd_compare(config: RunConfig, policies: list[str]) -> int:
     rows = [reports[p].csv_row(config_label, f"{scenario.name}/{p}") for p in policies]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        _unlink(out_dir / "compare.txt", out_dir / "compare.csv")
         (out_dir / "compare.txt").write_text(grid, encoding="utf-8")
         write_csv(rows, out_dir / "compare.csv")
     except OSError as exc:

@@ -8,6 +8,7 @@ Round trip holds: parse(emit(scenario)) == scenario.
 from __future__ import annotations
 
 import re
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,10 +51,59 @@ def _dumper(base: type) -> type:
     return dumper
 
 
+_MERGE = "tag:yaml.org,2002:merge"
+_KEY_OF = attrgetter("tag", "value")
+
+
+def _field_path(root: yaml.Node, target: yaml.Node) -> str:
+    """Where `target`, a node under `root`, sits, as field errors name it:
+    "" at the top level, "tasks[0]." in the first task."""
+    stack, seen = [(root, "")], set()
+    while stack:
+        node, where = stack.pop()
+        if node is target:
+            return where
+        if id(node) not in seen:  # an alias may close a cycle
+            seen.add(id(node))
+            if isinstance(node, yaml.MappingNode):
+                stack += [(value, f"{where}{key.value}.") for key, value in node.value]
+            elif isinstance(node, yaml.SequenceNode):
+                stack += [(item, f"{where[:-1]}[{i}].") for i, item in enumerate(node.value)]
+    return ""
+
+
+def _loader(base: type) -> type:
+    """A subclass of the PyYAML loader `base` that refuses a mapping key given
+    twice at one level, where `base` keeps the last value. A key that a merge
+    (`<<`) brings in may be given again beside it."""
+
+    def construct_document(self, node):
+        self.root = node
+        return base.construct_document(self, node)
+
+    def construct_mapping(self, node, deep=False):
+        # C-level passes tell the keys apart; only a repeat is looked into.
+        keys = list(map(_KEY_OF, map(itemgetter(0), node.value)))
+        try:
+            repeated = len(set(keys)) < len(keys)
+        except TypeError:  # a key that is not a scalar, which `base` refuses
+            repeated = False
+        if repeated:
+            twice = [value for i, (tag, value) in enumerate(keys)
+                     if tag != _MERGE and (tag, value) in keys[:i]]
+            if twice:
+                raise ScenarioError(
+                    f"duplicate field: {_field_path(self.root, node)}{twice[0]}")
+        return base.construct_mapping(self, node, deep)
+
+    return type(base.__name__, (base,), {"construct_document": construct_document,
+                                         "construct_mapping": construct_mapping})
+
+
 # libyaml's safe loader and dumper where PyYAML was built with libyaml, the
 # pure-Python ones elsewhere. The C emitter also escapes non-BMP characters,
 # which both loaders read back unchanged.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 _DUMPER = _dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper))
 
 

@@ -185,9 +185,15 @@ class World:
     """All mutable run state; mutated only by the step driver.
 
     It keeps indexes, updated by the methods that change the state, so that
-    no query rescans history. It keeps no task view: `task_view` builds one
-    from the task's node, alignment and work stats at each call, and a read
-    in the parallel decide writes only the reader's own index entries.
+    no query rescans history. The per-agent tables the deterministic
+    policies read are public, and read-only outside this module: `invites`,
+    `inbound_requests`, `meeting_started`, `active_task_id`,
+    `alignment.values`, `stats`, `organized`, `due`, `outbound` and
+    `blocked`. An inbox list may hold stale entries, and a stale `outbound`
+    or `blocked` entry is None: a reader calls the query that filters or
+    rebuilds it (`pending_invites`, `unanswered_inbound`,
+    `open_outbound_tasks`, `blocked_collaborators`), which writes only the
+    reader's own entries. `task_view` builds a view at each call.
     """
 
     def __init__(self, scenario: Scenario, trace: TraceSink | None = None) -> None:
@@ -203,18 +209,18 @@ class World:
         # delivery order within a step is not message-id order. An entry whose
         # thread closed or was answered, or whose invite was answered, never
         # becomes actionable again and is dropped when next read.
-        self._inbound_requests: dict[str, list[tuple[int, str, str]]] = {}
-        self._invites: dict[str, list[tuple[int, str, str]]] = {}
+        self.inbound_requests: dict[str, list[tuple[int, str, str]]] = {}
+        self.invites: dict[str, list[tuple[int, str, str]]] = {}
         # Request threads opened, by root sender; closed ones are dropped when
         # the sender's open-request set is next rebuilt.
         self._open_by_sender: dict[str, list[Thread]] = {}
         # Each agent's tasks with a milestone to report: those whose stats
         # hold a `pending_milestone`.
-        self._due: dict[str, set[str]] = {}
+        self.due: dict[str, set[str]] = {}
         # The per-agent tables above, filled in one pass over the agents.
         agents, assignments, inbound, invites, by_sender, due = (
-            self.agents, self.assignments, self._inbound_requests, self._invites,
-            self._open_by_sender, self._due)
+            self.agents, self.assignments, self.inbound_requests, self.invites,
+            self._open_by_sender, self.due)
         for profile in ordered:
             agent_id = profile.agent_id
             agents[agent_id] = profile
@@ -253,15 +259,17 @@ class World:
         self.completion_steps: dict[str, int] = {}
         self.planned = False
         # The tasks each agent has called a meeting about; replaced, not
-        # mutated, so a context can share it.
-        self._organized: dict[str, frozenset[str | None]] = dict.fromkeys(
+        # mutated, so a reader can share it.
+        self.organized: dict[str, frozenset[str | None]] = dict.fromkeys(
             self.agent_order, frozenset())
-        self._meeting_started: set[str] = set()
+        # The agents a `MEETING_START` reached since they last checked their
+        # inbox and found nothing to act on.
+        self.meeting_started: set[str] = set()
         # The tasks of each agent's open request threads; None until the next
         # read rebuilds it, after a thread the agent opened opens or closes.
         # One entry per agent, so that a read inside the parallel decide
         # touches only the deciding agent's entry.
-        self._outbound: dict[str, frozenset[str] | None] = dict.fromkeys(
+        self.outbound: dict[str, frozenset[str] | None] = dict.fromkeys(
             self.agent_order, frozenset())
         # Open request threads by task, closed when the task finishes.
         self._open_by_task: dict[str, list[Thread]] = {}
@@ -273,25 +281,12 @@ class World:
         # Each agent's blocked-collaborator map; None until the next read
         # recomputes it. One entry per agent, so that a read inside the
         # parallel decide touches only the deciding agent's entry.
-        self._blocked: dict[str, dict[str, tuple[str, ...]] | None] = dict.fromkeys(
+        self.blocked: dict[str, dict[str, tuple[str, ...]] | None] = dict.fromkeys(
             self.agent_order, {})
-        self._message_counter = 0
-        self._thread_counter = 0
-        self._meeting_counter = 0
-
-    # -- id factories ------------------------------------------------------
-
-    def next_message_id(self) -> str:
-        self._message_counter += 1
-        return f"m{self._message_counter:05d}"
-
-    def next_thread_id(self) -> str:
-        self._thread_counter += 1
-        return f"th{self._thread_counter:04d}"
-
-    def next_meeting_id(self) -> str:
-        self._meeting_counter += 1
-        return f"mt{self._meeting_counter:03d}"
+        # Id factories: `next()` gives m00001, m00002, ...
+        self.message_ids = map("m{:05d}".format, count(1))
+        self.thread_ids = map("th{:04d}".format, count(1))
+        self.meeting_ids = map("mt{:03d}".format, count(1))
 
     def emit(self, record: dict) -> None:
         """Stamp an event record with its `seq` and queue it for the trace.
@@ -320,12 +315,12 @@ class World:
         counts = self.delivered_by_type[recipient]
         self.delivered_by_type[recipient] = {**counts, name: counts.get(name, 0) + 1}
         if kind in REQUEST_TYPES and message.from_agent != recipient:
-            insort(self._inbound_requests[recipient],
+            insort(self.inbound_requests[recipient],
                    (t, message.message_id, message.thread_id))
         elif kind is MessageType.MEETING_INVITE:
-            insort(self._invites[recipient], (t, message.message_id, message.meeting_id))
+            insort(self.invites[recipient], (t, message.message_id, message.meeting_id))
         elif kind is MessageType.MEETING_START:
-            self._meeting_started.add(recipient)
+            self.meeting_started.add(recipient)
         self.emit({
             "step": t, "seq": None, "kind": "message_delivered",
             "message_id": message.message_id,
@@ -339,7 +334,7 @@ class World:
         root = thread.root
         self.threads[root.thread_id] = thread
         self._open_by_sender[root.from_agent].append(thread)
-        self._outbound[root.from_agent] = None
+        self.outbound[root.from_agent] = None
         self._open_by_task.setdefault(root.about_task, []).append(thread)
 
     def open_meeting(self, meeting: Meeting) -> None:
@@ -347,13 +342,13 @@ class World:
         self.meetings[invite.meeting_id] = meeting
         self.pending_meetings[invite.meeting_id] = meeting
         organizer = invite.from_agent
-        self._organized[organizer] = self._organized[organizer] | {invite.about_task}
+        self.organized[organizer] = self.organized[organizer] | {invite.about_task}
 
     def close_thread(self, thread: Thread) -> None:
         """Close a thread: every close passes here, so the sender's
         open-request set is rebuilt."""
         thread.open = False
-        self._outbound[thread.root.from_agent] = None
+        self.outbound[thread.root.from_agent] = None
 
     def close_threads_about(self, task_id: str) -> None:
         for thread in self._open_by_task.pop(task_id, []):
@@ -368,7 +363,7 @@ class World:
             for task_id in task_ids:
                 self.stats[agent_id, task_id] = AgentTaskStats()
             self._pick_active(agent_id)
-        self._blocked = dict.fromkeys(self.agent_order)
+        self.blocked = dict.fromkeys(self.agent_order)
         self.planned = True
 
     def _pick_active(self, agent_id: str) -> None:
@@ -402,20 +397,20 @@ class World:
             for milestone in REPORT_MILESTONES:
                 if before < milestone <= after:
                     stats.pending_milestone = milestone
-                    self._due[agent_id].add(task_id)
+                    self.due[agent_id].add(task_id)
         if became_done:
             self._pick_active(node.assignee)
             for dependent in self.graph.dependents(task_id):
                 if dependent.status is TaskStatus.READY:
                     self._pick_active(dependent.assignee)
                 for d in dependent.dependencies:
-                    self._blocked[self.graph.node(d).assignee] = None
+                    self.blocked[self.graph.node(d).assignee] = None
         return af, effective, became_done
 
     def record_report(self, agent_id: str, task_id: str) -> None:
         """A sent progress update covers every milestone the task has reached."""
         self.stats[agent_id, task_id].pending_milestone = None
-        self._due[agent_id].discard(task_id)
+        self.due[agent_id].discard(task_id)
 
     def apply_af(self, agent_id: str, task_id: str,
                  delta: float) -> tuple[float, float]:
@@ -429,7 +424,7 @@ class World:
             self.stats[agent_id, task_id].stuck_worked_steps = 0
         return old, new
 
-    # -- views used by policy context ---------------------------------------
+    # -- queries and views ----------------------------------------------------
 
     def assigned_tasks(self, agent_id: str) -> list[str]:
         return self.assignments[agent_id]
@@ -447,35 +442,18 @@ class World:
             node.required_skills,
             self.alignment.get(agent_id, task_id),
             stats.hours_worked,
-            stats.stuck_worked_steps,
             node.progress,
-            stats.pending_milestone,
-            node.status in WORKABLE,
             node.done,
         ))
-
-    def task_views(self, agent_id: str) -> tuple[TaskAssignmentView, ...]:
-        """The agent's view of every task it holds, in id order."""
-        return tuple([self.task_view(agent_id, task_id)
-                      for task_id in self.assignments[agent_id]])
 
     def active_view(self, agent_id: str) -> TaskAssignmentView | None:
         """The view of the agent's active task."""
         task_id = self.active_task_id[agent_id]
         return None if task_id is None else self.task_view(agent_id, task_id)
 
-    def report_due_view(self, agent_id: str) -> TaskAssignmentView | None:
-        """The view of the agent's first task, in id order, with a milestone
-        to report."""
-        due = self._due[agent_id]
-        return self.task_view(agent_id, min(due, key=order_key)) if due else None
-
-    def is_busy(self, agent_id: str) -> bool:
-        return agent_id in self.active
-
     def unanswered_inbound(self, agent_id: str) -> tuple[str, ...]:
         """Open request threads whose root reached this agent, oldest first."""
-        entries = self._inbound_requests[agent_id]
+        entries = self.inbound_requests[agent_id]
         if not entries:
             return ()
         threads = self.threads
@@ -485,17 +463,17 @@ class World:
 
     def open_outbound_tasks(self, agent_id: str) -> frozenset[str]:
         """The tasks of the agent's open request threads."""
-        tasks = self._outbound[agent_id]
+        tasks = self.outbound[agent_id]
         if tasks is None:
             threads = self._open_by_sender[agent_id]
             threads[:] = [t for t in threads if t.open]
-            tasks = self._outbound[agent_id] = frozenset(
+            tasks = self.outbound[agent_id] = frozenset(
                 {t.root.about_task for t in threads})
         return tasks
 
     def pending_invites(self, agent_id: str) -> list[tuple[int, str, str]]:
         """Delivered, unanswered meeting invites: (delivery, message_id, meeting)."""
-        entries = self._invites[agent_id]
+        entries = self.invites[agent_id]
         if not entries:
             return []
         entries[:] = [e for e in entries
@@ -505,21 +483,16 @@ class World:
 
     def has_unprocessed_invite(self, agent_id: str) -> bool:
         # An empty index, the common case, needs no call.
-        return bool(self._invites[agent_id] and self.pending_invites(agent_id))
-
-    def has_meeting_start(self, agent_id: str) -> bool:
-        """A `MEETING_START` arrived since the agent last checked its inbox
-        and found nothing to act on."""
-        return agent_id in self._meeting_started
+        return bool(self.invites[agent_id] and self.pending_invites(agent_id))
 
     def clear_meeting_start(self, agent_id: str) -> None:
-        self._meeting_started.discard(agent_id)
+        self.meeting_started.discard(agent_id)
 
     def blocked_collaborators(self, agent_id: str) -> dict[str, tuple[str, ...]]:
         """Per own task: assignees of pending sibling tasks that depend on it."""
-        blocked = self._blocked[agent_id]
+        blocked = self.blocked[agent_id]
         if blocked is None:
-            blocked = self._blocked[agent_id] = self._scan_blocked(agent_id)
+            blocked = self.blocked[agent_id] = self._scan_blocked(agent_id)
         return blocked
 
     def _scan_blocked(self, agent_id: str) -> dict[str, tuple[str, ...]]:
@@ -536,9 +509,6 @@ class World:
             if blocked:
                 result[task_id] = tuple(sorted(blocked, key=order_key))
         return result
-
-    def organized_meeting_tasks(self, agent_id: str) -> frozenset[str | None]:
-        return self._organized[agent_id]
 
 
 class SimResult(NamedTuple):
@@ -687,7 +657,7 @@ class Simulation:
             expected = {invite.from_agent} | meeting.attending
             everyone_answered = meeting.attending >= set(invite.to_agents)
             grace_over = t >= invite.sent_step + RSVP_GRACE_STEPS
-            if any(world.is_busy(a) for a in expected):
+            if any(a in world.active for a in expected):
                 continue
             if not (everyone_answered or grace_over):
                 continue
@@ -711,22 +681,12 @@ class Simulation:
         meeting.status = MeetingStatus.RUNNING
         meeting.attendees = attendees
 
-        fields = {"meeting": invite.meeting_id}
-        start = Message(
-            message_id=world.next_message_id(),
-            thread_id=world.next_thread_id(),
-            from_agent=invite.from_agent,
-            to_agents=attendees,
-            channel=Channel.MEETING,
-            message_type=MessageType.MEETING_START,
-            content=None,
-            sent_step=t - 1,
-            about_task=invite.about_task,
-            meeting_id=invite.meeting_id,
-            cost_hours=cost,
-        )
+        # Fields by position, in `Message` order; sent the step before.
+        start = Message(next(world.message_ids), next(world.thread_ids), invite.from_agent,
+                        attendees, Channel.MEETING, MessageType.MEETING_START, None, t - 1,
+                        invite.about_task, invite.meeting_id, cost)
         world.comm_cost_total += cost
-        self._trace_sent(start, MEETING_START.words(fields), t)
+        self._trace_sent(start, MEETING_START.words({"meeting": invite.meeting_id}), t)
         for recipient in attendees:
             world.deliver(start, recipient, t)
         for agent_id in attendees:
@@ -825,7 +785,7 @@ class Simulation:
     def _start_communication(self, agent_id: str, context: PolicyContext,
                              intention: Intention, kind: IntentionKind) -> bool:
         world = self.world
-        view = self._hinted_view(agent_id, intention) or context.active_task
+        view = self._hinted_view(agent_id, intention) or world.active_view(agent_id)
         if view is None:
             return False
         recipients = select_recipients(context, kind, view)
@@ -974,19 +934,10 @@ class Simulation:
               meeting_id: str | None, t: int) -> Message:
         """Queue a composed message for next-step delivery and trace it."""
         world = self.world
-        message = Message(
-            message_id=world.next_message_id(),
-            thread_id=thread_id,
-            from_agent=agent_id,
-            to_agents=outgoing.recipients,
-            channel=outgoing.channel,
-            message_type=outgoing.message_type,
-            content=outgoing.content,
-            sent_step=t,
-            about_task=outgoing.about_task,
-            meeting_id=meeting_id,
-            cost_hours=outgoing.cost,
-        )
+        # Fields by position, in `Message` order.
+        message = Message(next(world.message_ids), thread_id, agent_id, outgoing.recipients,
+                          outgoing.channel, outgoing.message_type, outgoing.content, t,
+                          outgoing.about_task, meeting_id, outgoing.cost)
         world.comm_cost_total += outgoing.cost
         self._trace_sent(message, outgoing.words, t)
         world.buffer.enqueue(message, t)
@@ -1000,8 +951,8 @@ class Simulation:
         message_type = outgoing.message_type
         meeting_id = None
         if message_type is MessageType.MEETING_INVITE:
-            meeting_id = world.next_meeting_id()
-        message = self._post(agent_id, outgoing, world.next_thread_id(), meeting_id, t)
+            meeting_id = next(world.meeting_ids)
+        message = self._post(agent_id, outgoing, next(world.thread_ids), meeting_id, t)
         if message_type in REQUEST_TYPES:
             world.open_thread(Thread(message))
         elif meeting_id is not None:

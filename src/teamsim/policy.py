@@ -2,9 +2,11 @@
 
 Every policy is a pure function of its context: identical contexts yield
 identical intentions, which is what makes non-LLM runs reproducible. A context
-is read-only; it holds its O(1) fields, the step's one busy set among them,
-and every other field is read from `World` when a policy reads it, so an
-agent-step pays for what its policy reads. Task views, last actions and
+is a read-only tuple of O(1) fields, the step's one busy set and the `World`
+among them. The deterministic policies read the agent's facts from `World`'s
+per-agent tables in their own frame, so a decide builds no task view; a
+context's properties serve what an intention needs once chosen (recipients
+and message content) and the LLM prompt. Task views, last actions and
 intentions are immutable named tuples that compare by field; an intention
 whose fields never vary is one module-level value. The deterministic
 heuristic policy approximates adaptive behavior with fixed thresholds; the
@@ -49,16 +51,15 @@ class Intention(NamedTuple):
 
 
 class TaskAssignmentView(NamedTuple):
+    """What a message about a held task and the LLM prompt read of it."""
+
     task_id: str
     description: str
     estimated_hours: float
     required_skills: frozenset[str]
     af: float
     hours_worked: float
-    stuck_worked_steps: int
     progress: float
-    pending_milestone: float | None
-    ready: bool
     done: bool
 
 
@@ -69,18 +70,19 @@ class LastAction(NamedTuple):
 
 
 class PolicyContext(tuple):
-    """What one agent may know at the current step, read when a policy reads it.
+    """What one agent may know at the current step.
 
-    The tuple holds the O(1) fields. Every other field asks the `World` the
-    context was built on, each time it is read: a task view is built from
-    the task's node, alignment and work stats at every read, and only for
-    the tasks the field names. Nothing a field reads changes while the
-    step's contexts are read. No field can be set.
+    The tuple is (agent, step, busy, manager_id, world, agent id). The
+    deterministic decides unpack it and read the agent's facts straight from
+    `World`'s per-agent tables, in their own frame. The properties serve
+    recipient selection, the message an intention sends and the LLM prompt:
+    each asks the `World` the context was built on, each time it is read, so
+    `assigned` builds its task views at every read. Nothing a field reads
+    changes while the step's contexts are read. No field can be set.
     """
 
     __slots__ = ()
 
-    # The tuple is (agent, step, busy, manager_id, world, agent id).
     agent = property(itemgetter(0))
     step = property(itemgetter(1))
     # The agents with an action in flight before the step's intentions are
@@ -96,17 +98,8 @@ class PolicyContext(tuple):
     @property
     def assigned(self) -> tuple[TaskAssignmentView, ...]:
         """Held task views in id order, done ones included."""
-        return self[4].task_views(self[5])
-
-    @property
-    def active_task(self) -> TaskAssignmentView | None:
-        """The first ready view: what CONTINUE_TASK works on."""
-        return self[4].active_view(self[5])
-
-    @property
-    def report_due(self) -> TaskAssignmentView | None:
-        """The first view with a pending milestone."""
-        return self[4].report_due_view(self[5])
+        world, agent_id = self[4], self[5]
+        return tuple([world.task_view(agent_id, t) for t in world.assignments[agent_id]])
 
     @property
     def delivered_by_type(self) -> dict[str, int]:
@@ -124,27 +117,10 @@ class PolicyContext(tuple):
         return self[4].unanswered_inbound(self[5])
 
     @property
-    def open_outbound_tasks(self) -> frozenset[str]:
-        """This agent's unresolved requests, by task."""
-        return self[4].open_outbound_tasks(self[5])
-
-    @property
-    def has_unprocessed_invite(self) -> bool:
-        return self[4].has_unprocessed_invite(self[5])
-
-    @property
-    def has_meeting_start(self) -> bool:
-        return self[4].has_meeting_start(self[5])
-
-    @property
     def blocked_collaborators(self) -> dict[str, tuple[str, ...]]:
         """Undone own tasks with blocked dependents, in id order; shared,
         never mutated."""
         return self[4].blocked_collaborators(self[5])
-
-    @property
-    def meeting_organized_tasks(self) -> frozenset[str | None]:
-        return self[4].organized_meeting_tasks(self[5])
 
 
 def build_context(world: "World", agent_id: str,
@@ -191,28 +167,32 @@ class FixedStepsPolicy(Policy):
         self.interval = interval
 
     def decide(self, context: PolicyContext) -> Intention:
-        if context.agent.role is Role.WORKER:
-            last = context.last_action
+        agent, step, _, _, world, agent_id = context
+        if agent.role is Role.WORKER:
+            last = world.last_actions.get(agent_id)
+            # Only a sent message's last action holds a message type.
             follow_up = (
                 last is not None
-                and last.kind == "message_sent"
                 and last.message_type == TYPE_NAMES[MessageType.PROGRESS_UPDATE]
                 and last.step > 0
                 and last.step % self.interval == 0
             )
-            report = context.step > 0 and context.step % self.interval == 0
+            report = step > 0 and step % self.interval == 0
             # The open tasks matter only on a follow-up or a report step.
-            open_tasks = ([v for v in context.assigned if not v.done]
-                          if follow_up or report else None)
-            if follow_up and open_tasks:
-                weakest = min(open_tasks, key=lambda v: (v.af, order_key(v.task_id)))
-                if weakest.task_id not in context.open_outbound_tasks:
+            if follow_up or report:
+                open_tasks = [v for v in context.assigned if not v.done]
+                if follow_up and open_tasks:
+                    weakest = min(open_tasks, key=lambda v: (v.af, order_key(v.task_id)))
+                    if weakest.task_id not in world.open_outbound_tasks(agent_id):
+                        return _new_tuple(Intention, (
+                            IntentionKind.REQUEST_HELP, weakest.task_id, ()))
+                if report and open_tasks:
                     return _new_tuple(Intention, (
-                        IntentionKind.REQUEST_HELP, weakest.task_id, ()))
-            if report and open_tasks:
-                return _new_tuple(Intention, (
-                    IntentionKind.REPORT_PROGRESS, open_tasks[0].task_id, ()))
-        if context.unanswered_inbound or context.has_unprocessed_invite:
+                        IntentionKind.REPORT_PROGRESS, open_tasks[0].task_id, ()))
+        # An inbox list may hold entries no longer actionable: filtered only
+        # when non-empty.
+        if ((world.inbound_requests[agent_id] and world.unanswered_inbound(agent_id))
+                or (world.invites[agent_id] and world.pending_invites(agent_id))):
             return CHECK_INBOX
         return CONTINUE
 
@@ -223,30 +203,41 @@ class HeuristicPolicy(Policy):
     name = "c2c_heuristic"
 
     def decide(self, context: PolicyContext) -> Intention:
-        if (context.has_unprocessed_invite or context.has_meeting_start
-                or context.unanswered_inbound):
+        # Every fact is read in this frame from `World`'s per-agent tables; a
+        # query method runs only when its table is non-empty or stale.
+        _, _, _, _, world, agent_id = context
+        if ((world.invites[agent_id] and world.pending_invites(agent_id))
+                or agent_id in world.meeting_started
+                or (world.inbound_requests[agent_id]
+                    and world.unanswered_inbound(agent_id))):
             return CHECK_INBOX
 
-        active = context.active_task
+        task_id = world.active_task_id[agent_id]
         # Both requests need a low alignment, tested before the open-request
         # set is read.
-        if (active is not None and active.af < AF_ATTENTION_THRESHOLD
-                and active.task_id not in context.open_outbound_tasks):
-            if active.hours_worked > 0 and active.stuck_worked_steps >= STUCK_STEP_THRESHOLD:
-                return _new_tuple(Intention, (
-                    IntentionKind.REQUEST_HELP, active.task_id, ()))
-            if active.hours_worked == 0:
-                return _new_tuple(Intention, (
-                    IntentionKind.NEED_CLARIFICATION, active.task_id, ()))
+        if (task_id is not None
+                and world.alignment.values[agent_id, task_id] < AF_ATTENTION_THRESHOLD):
+            outbound = world.outbound[agent_id]
+            if outbound is None:
+                outbound = world.open_outbound_tasks(agent_id)
+            if task_id not in outbound:
+                stats = world.stats[agent_id, task_id]
+                if stats.hours_worked > 0 and stats.stuck_worked_steps >= STUCK_STEP_THRESHOLD:
+                    return _new_tuple(Intention, (IntentionKind.REQUEST_HELP, task_id, ()))
+                if stats.hours_worked == 0:
+                    return _new_tuple(Intention, (IntentionKind.NEED_CLARIFICATION, task_id, ()))
 
-        for task_id, blocked in context.blocked_collaborators.items():
-            if len(blocked) >= 2 and task_id not in context.meeting_organized_tasks:
-                return _new_tuple(Intention, (
-                    IntentionKind.SCHEDULE_MEETING, task_id, ()))
+        blocked = world.blocked[agent_id]
+        if blocked is None:
+            blocked = world.blocked_collaborators(agent_id)
+        for task_id, agents in blocked.items():
+            if len(agents) >= 2 and task_id not in world.organized[agent_id]:
+                return _new_tuple(Intention, (IntentionKind.SCHEDULE_MEETING, task_id, ()))
 
-        due = context.report_due
-        if due is not None:
-            return _new_tuple(Intention, (IntentionKind.REPORT_PROGRESS, due.task_id, ()))
+        due = world.due[agent_id]
+        if due:
+            return _new_tuple(Intention, (
+                IntentionKind.REPORT_PROGRESS, min(due, key=order_key), ()))
 
         return CONTINUE
 
@@ -275,14 +266,11 @@ class LlmPolicy(Policy):
     def _messages(context: PolicyContext) -> list[dict]:
         from . import prompts
 
-        lines = []
-        for view in context.assigned[:3]:
-            lines.append(
-                f"- {view.task_id}: {view.description} | progress "
-                f"{view.progress:.0%} | alignment {view.af:.2f} | "
-                f"{view.hours_worked:.2f}/{view.estimated_hours:.2f} hours"
-            )
-        tasks_block = "\n".join(lines) if lines else "- (no assigned tasks)"
+        tasks_block = "\n".join(
+            f"- {view.task_id}: {view.description} | progress "
+            f"{view.progress:.0%} | alignment {view.af:.2f} | "
+            f"{view.hours_worked:.2f}/{view.estimated_hours:.2f} hours"
+            for view in context.assigned[:3]) or "- (no assigned tasks)"
         inbox_desc = ", ".join(f"{k}: {v}" for k, v in
                                sorted(context.delivered_by_type.items())) or "empty"
         message_info = (
@@ -343,14 +331,9 @@ def select_recipients(context: PolicyContext, kind: IntentionKind,
         return [min(tied, key=order_key)] if tied else [context.manager_id]
     if kind is IntentionKind.SCHEDULE_MEETING:
         blocked = context.blocked_collaborators.get(view.task_id, ())
-        recipients = [context.manager_id] + [a for a in blocked]
-        seen: set[str] = set()
-        ordered = []
-        for agent_id in recipients:
-            if agent_id not in seen and agent_id != context.agent.agent_id:
-                seen.add(agent_id)
-                ordered.append(agent_id)
-        return ordered
+        # The manager, then the blocked, each once and the organizer never.
+        return [agent_id for agent_id in dict.fromkeys([context.manager_id, *blocked])
+                if agent_id != context.agent.agent_id]
     raise ValueError(f"{kind.value} is not a communicating intention")
 
 

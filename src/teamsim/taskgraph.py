@@ -90,6 +90,8 @@ class TaskGraph:
         self._dependents: dict[str, list[str]] = {}
         # Parent -> number of its subtasks not yet done.
         self._open_children: dict[str, int] = {}
+        # How many roots `_mark_done` has marked done.
+        self._roots_done = 0
 
     # -- construction -----------------------------------------------------
 
@@ -191,7 +193,7 @@ class TaskGraph:
         return not self._children.get(task_id)
 
     def all_roots_done(self) -> bool:
-        return all(self.nodes[r].done for r in self.roots)
+        return self._roots_done == len(self.roots)
 
     # -- mutation ----------------------------------------------------------
 
@@ -218,7 +220,9 @@ class TaskGraph:
         node.done = True
         for dependent_id in self._dependents.get(node.task_id, []):
             self._refresh_readiness(dependent_id)
-        if node.parent_id is not None:
+        if node.parent_id is None:
+            self._roots_done += 1
+        else:
             self._open_children[node.parent_id] -= 1
             if not self._open_children[node.parent_id]:
                 self._mark_done(self.nodes[node.parent_id])

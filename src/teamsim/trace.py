@@ -413,8 +413,10 @@ class TraceWriter:
 
     The file, and any missing directory above it, is made at the first batch,
     so a run without events creates nothing, and a path that cannot be written
-    raises `OSError` there. The `stale` files are removed before it is opened:
-    an earlier run's outputs, which must not sit beside the new trace. Use it
+    raises `OSError` there. An earlier file at the path, and the `stale` files,
+    are removed before it is opened: the trace is a new file (a link there is
+    replaced, not written through), and an earlier run's other outputs must
+    not sit beside it. Use it
     as a context manager: leaving the block closes the file, also when the run
     raises, which leaves the lines written so far.
     """
@@ -436,7 +438,7 @@ class TraceWriter:
 
     def _open(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        for path in self.stale:
+        for path in (self.path, *self.stale):
             path.unlink(missing_ok=True)
         self._out = self.path.open("wb")
         self._encode = _active_codec().encode

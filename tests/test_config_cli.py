@@ -158,6 +158,24 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="not found"):
             parse_scenario(tmp_path / "nope.yaml")
 
+    def test_merge_key_is_not_a_duplicate(self):
+        """A key a YAML merge (`<<`) brings in may be given again beside it:
+        the later value wins, as in any YAML reader."""
+        scenario = parse_scenario_text(textwrap.dedent("""\
+            name: merged
+            team: 1M+2W
+            tasks:
+              - &base
+                description: "Ship the integration"
+                hours: 4.0
+                skills: [backend, api]
+              - <<: *base
+                hours: 2.0
+            """))
+        assert [(t.description, t.estimated_hours) for t in scenario.tasks] == [
+            ("Ship the integration", 4.0), ("Ship the integration", 2.0)]
+        assert scenario.tasks[1].required_skills == {"backend", "api"}
+
     def test_round_trip(self):
         scenario = parse_scenario_text(APPENDIX_STYLE)
         assert parse_scenario_text(emit_scenario(scenario)) == scenario
@@ -195,10 +213,10 @@ tasks:
 class TestLibyaml:
     def test_libyaml_is_used_when_available(self):
         if yaml.__with_libyaml__:
-            assert config._LOADER is yaml.CSafeLoader
+            assert config._LOADER.__bases__ == (yaml.CSafeLoader,)
             assert config._DUMPER.__bases__ == (yaml.CSafeDumper,)
         else:
-            assert config._LOADER is yaml.SafeLoader
+            assert config._LOADER.__bases__ == (yaml.SafeLoader,)
             assert config._DUMPER.__bases__ == (yaml.SafeDumper,)
 
     @pytest.mark.parametrize("text", [
@@ -211,7 +229,7 @@ class TestLibyaml:
         scenario = parse_scenario_text(text)
         emitted = emit_scenario(scenario)
         reparsed = parse_scenario_text(emitted)
-        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(config, "_LOADER", config._loader(yaml.SafeLoader))
         monkeypatch.setattr(config, "_DUMPER", config._dumper(yaml.SafeDumper))
         assert parse_scenario_text(text) == scenario
         assert emit_scenario(scenario) == emitted
@@ -387,6 +405,24 @@ class TestCliRun:
         assert capsys.readouterr().err == f"scenario error: unknown field: {field}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,content", [
+        ("policy", APPENDIX_STYLE.replace("policy: no_comm",
+                                          "policy: c2c_heuristic\npolicy: no_comm")),
+        ("tasks[0].hours", APPENDIX_STYLE.replace("    hours: 8.0\n",
+                                                  "    hours: 8.0\n    hours: 99\n")),
+        ("team[1].name", EXPLICIT_TEAM.replace("name: Kai", "name: Kai, name: Kay")),
+    ], ids=["top-level", "task", "team-entry"])
+    def test_duplicate_field_is_a_one_line_error(self, tmp_path, capsys, field,
+                                                 content):
+        # Before it was rejected, the last of the two values was run, with
+        # exit 0.
+        path = tmp_path / "twice.yaml"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"scenario error: duplicate field: {field}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("hours", [".nan", ".inf"])
     def test_non_finite_hours_are_a_one_line_error(self, tmp_path, capsys, hours):
         # Before they were rejected, such hours ran to the step cap (exit 2).
@@ -554,6 +590,40 @@ class TestCliRun:
               "--out", str(fresh)])
         for name in names:
             assert (out / name).read_bytes() == (fresh / name).read_bytes() != old[name]
+
+    def test_outputs_replace_links_instead_of_writing_through(self, scenario_file,
+                                                             tmp_path, capsys):
+        """`run`, `report` and `compare` write every output as a new file: an
+        output that is a symbolic link is replaced, and the file it named is
+        left as it was. Before, each was truncated and written through."""
+        out, grid = tmp_path / "out", tmp_path / "grid"
+
+        def link(directory, *names):
+            directory.mkdir(exist_ok=True)
+            for name in names:
+                target = tmp_path / f"{directory.name}-{name}"
+                target.write_text("kept\n", encoding="utf-8")
+                (directory / name).unlink(missing_ok=True)
+                (directory / name).symlink_to(target)
+
+        def replaced(directory, *names):
+            for name in names:
+                assert not (directory / name).is_symlink()
+                assert (directory / name).read_text(encoding="utf-8") != "kept\n"
+                assert (tmp_path / f"{directory.name}-{name}").read_text(
+                    encoding="utf-8") == "kept\n"
+
+        outputs = ("trace.jsonl", "report.txt", "metrics.csv")
+        link(out, *outputs)
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        replaced(out, *outputs)
+        link(out, "report.txt", "metrics.csv")
+        assert main(["report", "--run", str(out)]) == 0
+        replaced(out, "report.txt", "metrics.csv")
+        link(grid, "compare.txt", "compare.csv")
+        assert main(["compare", "--scenario", str(scenario_file), "--policies",
+                     "no_comm,c2c_heuristic", "--out", str(grid)]) == 0
+        replaced(grid, "compare.txt", "compare.csv")
 
     def test_negative_step_cap_is_a_usage_error(self, scenario_file, tmp_path,
                                                 capsys):

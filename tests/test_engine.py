@@ -275,7 +275,7 @@ class TestMeetings:
             def decide(self, context):
                 intention = super().decide(context)
                 actionable = bool(context.unanswered_inbound
-                                  or context.has_unprocessed_invite)
+                                  or context[4].has_unprocessed_invite(context.agent.agent_id))
                 decisions.append((context.step, context.agent.agent_id,
                                   intention.kind, actionable))
                 return intention
@@ -304,7 +304,7 @@ class TestMeetings:
             def decide(self, context):
                 intention = super().decide(context)
                 if intention.kind.value == "CHECK_MESSAGES" and \
-                        context.has_unprocessed_invite and \
+                        context[4].has_unprocessed_invite(context.agent.agent_id) and \
                         not context.unanswered_inbound:
                     from teamsim.policy import Intention, IntentionKind
                     return Intention(IntentionKind.CONTINUE_TASK)

@@ -45,8 +45,8 @@ def _views(draw) -> TaskAssignmentView:
     return TaskAssignmentView(
         task_id=draw(_texts), description=draw(_texts),
         estimated_hours=draw(_numbers), required_skills=draw(_skills),
-        af=draw(_numbers), hours_worked=draw(_numbers), stuck_worked_steps=0,
-        progress=progress, pending_milestone=None, ready=True, done=False)
+        af=draw(_numbers), hours_worked=draw(_numbers), progress=progress,
+        done=False)
 
 
 def _agent(skills: frozenset[str]) -> AgentProfile:
@@ -60,8 +60,8 @@ def _context(skills: frozenset[str]) -> PolicyContext:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @example(IntentionKind.REQUEST_HELP, frozenset({" ", ""}), TaskAssignmentView(
-    "", "\u3000", float("nan"), frozenset({"", "b\x85c"}), float("inf"), 1e308, 0,
-    -float("inf"), None, True, False))
+    "", "\u3000", float("nan"), frozenset({"", "b\x85c"}), float("inf"), 1e308,
+    -float("inf"), False))
 @given(st.sampled_from(_COMPOSING), _skills, _views())
 def test_message_words_count_the_composed_text(kind, skills, view):
     context = _context(skills)

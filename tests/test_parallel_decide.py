@@ -27,11 +27,10 @@ from conftest import (ChainPlanner, chain_scenario, eight_roots_scenario,
 # there are at least two; a miscount here breaks a barrier, never hangs.
 POOL_THREADS = 8
 BARRIER_TIMEOUT_S = 10.0
-# The context fields that query `World`, each read by every gated decide.
-WORLD_FIELDS = ("assigned", "active_task", "report_due", "delivered_by_type",
-                "last_action", "unanswered_inbound", "open_outbound_tasks",
-                "has_unprocessed_invite", "has_meeting_start",
-                "blocked_collaborators", "meeting_organized_tasks")
+# The context fields that query `World`, each read by every gated decide
+# before the heuristic reads `World`'s per-agent tables itself.
+WORLD_FIELDS = ("assigned", "delivered_by_type", "last_action",
+                "unanswered_inbound", "blocked_collaborators")
 
 
 class GatedPolicy(HeuristicPolicy):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import types
+from typing import NamedTuple
 
 import pytest
 
@@ -15,31 +16,41 @@ from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
                             select_channel, select_recipients)
 
 
-def view(task_id="T1.1", af=0.30, hours=0.0, stuck=0, progress=0.0,
+class Held(NamedTuple):
+    """A task the agent holds, as a test states it: its view, and the facts
+    `World` keeps beside it that the decides read."""
+
+    view: TaskAssignmentView
+    ready: bool
+    stuck: int
+    milestone: float | None
+
+
+def held(task_id="T1.1", af=0.30, hours=0.0, stuck=0, progress=0.0,
          milestone=None, ready=True, done=False,
          skills=frozenset({"oauth"})):
-    return TaskAssignmentView(
+    return Held(TaskAssignmentView(
         task_id=task_id, description="integrate the external api",
         estimated_hours=6.0, required_skills=skills, af=af,
-        hours_worked=hours, stuck_worked_steps=stuck, progress=progress,
-        pending_milestone=milestone, ready=ready, done=done,
-    )
+        hours_worked=hours, progress=progress, done=done,
+    ), ready, stuck, milestone)
 
 
 @dataclasses.dataclass
 class StandInWorld:
-    """The `World` a context reads, answering explicit values for one agent:
-    what `build_context` and each context field ask of `World`."""
+    """The `World` a context and a deterministic decide read, answering
+    explicit values for one agent: what `build_context`, each context field
+    and each per-agent table a policy reads ask of `World`."""
 
     agent: AgentProfile
     step: int
-    assigned: tuple[TaskAssignmentView, ...]
+    assigned: tuple[Held, ...]
     unanswered: tuple[str, ...]
     open_outbound: frozenset[str]
     invite: bool
     meeting_start: bool
-    blocked: dict[str, tuple[str, ...]]
-    organized: frozenset[str]
+    blocked_map: dict[str, tuple[str, ...]]
+    organized_tasks: frozenset[str]
     last_action: LastAction | None
     manager_id: str = "M1"
     team: tuple[AgentProfile, ...] = ()
@@ -61,33 +72,76 @@ class StandInWorld:
     def last_actions(self):
         return {} if self.last_action is None else {self.agent.agent_id: self.last_action}
 
-    def task_views(self, agent_id):
-        return self.assigned
+    @property
+    def assignments(self):
+        return self._table([h.view.task_id for h in self.assigned])
 
-    # The active and report-due views, derived by their rules.
-    def active_view(self, agent_id):
-        return next((v for v in self.assigned if v.ready and not v.done), None)
+    def task_view(self, agent_id, task_id):
+        return next(h.view for h in self.assigned if h.view.task_id == task_id)
 
-    def report_due_view(self, agent_id):
-        return next((v for v in self.assigned if v.pending_milestone is not None), None)
+    # The per-agent tables, each holding this agent's entry alone.
+    def _table(self, value):
+        return {self.agent.agent_id: value}
+
+    @property
+    def invites(self):
+        return self._table([(self.step, "m1", "mt1")] if self.invite else [])
+
+    def pending_invites(self, agent_id):
+        return self.invites[agent_id]
+
+    @property
+    def inbound_requests(self):
+        return self._table([(self.step, f"m{i}", thread_id)
+                            for i, thread_id in enumerate(self.unanswered)])
 
     def unanswered_inbound(self, agent_id):
         return self.unanswered
 
+    @property
+    def meeting_started(self):
+        return {self.agent.agent_id} if self.meeting_start else set()
+
+    # The active task by its rule: the first ready view not done.
+    @property
+    def active_task_id(self):
+        return self._table(next((h.view.task_id for h in self.assigned
+                                 if h.ready and not h.view.done), None))
+
+    @property
+    def alignment(self):
+        return types.SimpleNamespace(values={
+            (self.agent.agent_id, h.view.task_id): h.view.af for h in self.assigned})
+
+    @property
+    def stats(self):
+        return {(self.agent.agent_id, h.view.task_id): types.SimpleNamespace(
+                    hours_worked=h.view.hours_worked, stuck_worked_steps=h.stuck,
+                    pending_milestone=h.milestone)
+                for h in self.assigned}
+
+    @property
+    def outbound(self):
+        return self._table(self.open_outbound)
+
     def open_outbound_tasks(self, agent_id):
         return self.open_outbound
 
-    def has_unprocessed_invite(self, agent_id):
-        return self.invite
-
-    def has_meeting_start(self, agent_id):
-        return self.meeting_start
+    @property
+    def blocked(self):
+        return self._table(self.blocked_map)
 
     def blocked_collaborators(self, agent_id):
-        return self.blocked
+        return self.blocked_map
 
-    def organized_meeting_tasks(self, agent_id):
-        return self.organized
+    @property
+    def organized(self):
+        return self._table(self.organized_tasks)
+
+    @property
+    def due(self):
+        return self._table({h.view.task_id for h in self.assigned
+                            if h.milestone is not None})
 
 
 def context(agent_role=Role.WORKER, step=5, assigned=(), teammates=(), busy=(),
@@ -113,7 +167,7 @@ def mate(agent_id, skills, role=Role.WORKER):
 class TestNoComm:
     def test_always_continue(self):
         policy = NoCommPolicy()
-        for ctx in (context(), context(assigned=[view()]),
+        for ctx in (context(), context(assigned=[held()]),
                     context(unanswered=("th1",))):
             assert policy.decide(ctx).kind is IntentionKind.CONTINUE_TASK
 
@@ -121,16 +175,16 @@ class TestNoComm:
 class TestFixedSteps:
     def test_report_on_the_interval(self):
         policy = FixedStepsPolicy()
-        ctx = context(step=16, assigned=[view(hours=3.0)])
+        ctx = context(step=16, assigned=[held(hours=3.0)])
         assert policy.decide(ctx).kind is IntentionKind.REPORT_PROGRESS
 
     def test_step_zero_not_a_report_step(self):
-        ctx = context(step=0, assigned=[view()])
+        ctx = context(step=0, assigned=[held()])
         assert FixedStepsPolicy().decide(ctx).kind is IntentionKind.CONTINUE_TASK
 
     def test_help_follows_the_report(self):
         last = LastAction("message_sent", MessageType.PROGRESS_UPDATE.value, 16)
-        tasks = [view(task_id="T1.1", af=0.45), view(task_id="T1.2", af=0.30)]
+        tasks = [held(task_id="T1.1", af=0.45), held(task_id="T1.2", af=0.30)]
         ctx = context(step=17, assigned=tasks, last_action=last)
         intention = FixedStepsPolicy().decide(ctx)
         assert intention.kind is IntentionKind.REQUEST_HELP
@@ -138,9 +192,9 @@ class TestFixedSteps:
 
     def test_between_intervals_continue_or_check(self):
         policy = FixedStepsPolicy()
-        assert policy.decide(context(step=9, assigned=[view()])).kind \
+        assert policy.decide(context(step=9, assigned=[held()])).kind \
             is IntentionKind.CONTINUE_TASK
-        checked = policy.decide(context(step=9, assigned=[view()],
+        checked = policy.decide(context(step=9, assigned=[held()],
                                         unanswered=("th1",)))
         assert checked.kind is IntentionKind.CHECK_MESSAGES
 
@@ -152,50 +206,50 @@ class TestFixedSteps:
 
 class TestHeuristic:
     def test_invite_wins(self):
-        ctx = context(invite=True, assigned=[view(af=0.2, hours=1.0, stuck=9)])
+        ctx = context(invite=True, assigned=[held(af=0.2, hours=1.0, stuck=9)])
         assert HeuristicPolicy().decide(ctx).kind is IntentionKind.CHECK_MESSAGES
 
     def test_unanswered_inbound_wins_over_help(self):
         ctx = context(unanswered=("th1",),
-                      assigned=[view(af=0.2, hours=1.0, stuck=9)])
+                      assigned=[held(af=0.2, hours=1.0, stuck=9)])
         assert HeuristicPolicy().decide(ctx).kind is IntentionKind.CHECK_MESSAGES
 
     def test_stuck_low_alignment_asks_for_help(self):
-        ctx = context(assigned=[view(af=0.30, hours=1.0, stuck=4)])
+        ctx = context(assigned=[held(af=0.30, hours=1.0, stuck=4)])
         intention = HeuristicPolicy().decide(ctx)
         assert intention.kind is IntentionKind.REQUEST_HELP
         assert intention.task_hint == "T1.1"
 
     def test_zero_hours_asks_for_clarification(self):
-        ctx = context(assigned=[view(af=0.30, hours=0.0)])
+        ctx = context(assigned=[held(af=0.30, hours=0.0)])
         assert HeuristicPolicy().decide(ctx).kind is IntentionKind.NEED_CLARIFICATION
 
     def test_open_thread_guard_blocks_requests(self):
-        ctx = context(assigned=[view(af=0.30, hours=1.0, stuck=8)],
+        ctx = context(assigned=[held(af=0.30, hours=1.0, stuck=8)],
                       open_outbound={"T1.1"})
         assert HeuristicPolicy().decide(ctx).kind is IntentionKind.CONTINUE_TASK
 
     def test_aligned_agent_just_works(self):
-        ctx = context(assigned=[view(af=0.55, hours=1.0, stuck=9)])
+        ctx = context(assigned=[held(af=0.55, hours=1.0, stuck=9)])
         assert HeuristicPolicy().decide(ctx).kind is IntentionKind.CONTINUE_TASK
 
     def test_blocked_collaborators_trigger_meeting(self):
-        ctx = context(assigned=[view(af=0.55)],
+        ctx = context(assigned=[held(af=0.55)],
                       blocked={"T1.1": ("W2", "W3")})
         assert HeuristicPolicy().decide(ctx).kind is IntentionKind.SCHEDULE_MEETING
 
     def test_meeting_not_rescheduled(self):
-        ctx = context(assigned=[view(af=0.55)],
+        ctx = context(assigned=[held(af=0.55)],
                       blocked={"T1.1": ("W2", "W3")}, organized={"T1.1"})
         assert HeuristicPolicy().decide(ctx).kind is IntentionKind.CONTINUE_TASK
 
     def test_milestone_reported(self):
-        ctx = context(assigned=[view(af=0.55, progress=0.5, milestone=0.5)])
+        ctx = context(assigned=[held(af=0.55, progress=0.5, milestone=0.5)])
         intention = HeuristicPolicy().decide(ctx)
         assert intention.kind is IntentionKind.REPORT_PROGRESS
 
     def test_purity(self):
-        ctx = context(assigned=[view(af=0.30, hours=1.0, stuck=4)])
+        ctx = context(assigned=[held(af=0.30, hours=1.0, stuck=4)])
         first = HeuristicPolicy().decide(ctx)
         second = HeuristicPolicy().decide(ctx)
         assert first == second
@@ -209,7 +263,7 @@ def recipients(ctx, kind):
 class TestSelectRecipients:
     def test_help_goes_to_best_skilled_free_worker(self):
         ctx = context(
-            assigned=[view(skills=frozenset({"oauth"}))],
+            assigned=[held(skills=frozenset({"oauth"}))],
             teammates=[mate("W2", {"backend"}), mate("W3", {"oauth"}),
                        mate("M1", {"planning"}, role=Role.MANAGER)],
         )
@@ -217,21 +271,21 @@ class TestSelectRecipients:
 
     def test_skill_tie_breaks_to_lower_id(self):
         ctx = context(
-            assigned=[view(skills=frozenset({"oauth"}))],
+            assigned=[held(skills=frozenset({"oauth"}))],
             teammates=[mate("W5", {"oauth"}), mate("W2", {"oauth"})],
         )
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W2"]
 
     def test_busy_candidates_skipped(self):
         ctx = context(
-            assigned=[view(skills=frozenset({"oauth"}))],
+            assigned=[held(skills=frozenset({"oauth"}))],
             teammates=[mate("W2", {"oauth"}), mate("W3", {"oauth"})], busy={"W2"},
         )
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W3"]
 
     def test_no_match_degrades_to_manager(self):
         ctx = context(
-            assigned=[view(skills=frozenset({"oauth"}))],
+            assigned=[held(skills=frozenset({"oauth"}))],
             teammates=[mate("W2", {"frontend"})], busy={"W2"},
         )
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["M1"]
@@ -242,13 +296,13 @@ class TestSelectRecipients:
         required = frozenset({"backend", "api"})
         me = mate("W1", {"backend", "api"})
         ctx = context(
-            assigned=[view(skills=required)],
+            assigned=[held(skills=required)],
             teammates=[mate("M1", {"planning"}, role=Role.MANAGER), me,
                        mate("W2", {"frontend"}), mate("W3", {"api"})],
         )
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["W3"]
         ctx = context(
-            assigned=[view(skills=required)],
+            assigned=[held(skills=required)],
             teammates=[mate("M1", {"planning"}, role=Role.MANAGER), me,
                        mate("W2", {"frontend"}), mate("W3", {"api"})],
             busy={"W3"},
@@ -256,12 +310,12 @@ class TestSelectRecipients:
         assert recipients(ctx, IntentionKind.REQUEST_HELP) == ["M1"]
 
     def test_clarification_and_report_go_to_manager(self):
-        ctx = context(assigned=[view()])
+        ctx = context(assigned=[held()])
         assert recipients(ctx, IntentionKind.NEED_CLARIFICATION) == ["M1"]
         assert recipients(ctx, IntentionKind.REPORT_PROGRESS) == ["M1"]
 
     def test_meeting_invites_manager_plus_blocked(self):
-        ctx = context(assigned=[view()], blocked={"T1.1": ("W3", "W2")})
+        ctx = context(assigned=[held()], blocked={"T1.1": ("W3", "W2")})
         assert recipients(ctx, IntentionKind.SCHEDULE_MEETING) == ["M1", "W3", "W2"]
 
     def test_non_communicating_intention_rejected(self):
@@ -294,7 +348,7 @@ class TestSelectChannel:
 
 class TestComposition:
     def test_help_template_mentions_task_alignment_and_gap(self):
-        ctx = context(assigned=[view(af=0.30, hours=1.0,
+        ctx = context(assigned=[held(af=0.30, hours=1.0,
                                      skills=frozenset({"oauth"}))])
         text = compose_message(ctx, IntentionKind.REQUEST_HELP, ctx.assigned[0])
         assert "T1.1" in text
@@ -303,13 +357,13 @@ class TestComposition:
         assert word_count(text) >= 120  # detailed request rides email
 
     def test_report_template_contains_progress(self):
-        ctx = context(assigned=[view(progress=0.5, hours=3.0)])
+        ctx = context(assigned=[held(progress=0.5, hours=3.0)])
         text = compose_message(ctx, IntentionKind.REPORT_PROGRESS, ctx.assigned[0])
         assert "50%" in text
         assert "T1.1" in text
 
     def test_templates_deterministic(self):
-        ctx = context(assigned=[view()])
+        ctx = context(assigned=[held()])
         for kind in (IntentionKind.REQUEST_HELP, IntentionKind.NEED_CLARIFICATION,
                      IntentionKind.REPORT_PROGRESS):
             assert compose_message(ctx, kind, ctx.assigned[0]) == \
@@ -332,10 +386,8 @@ class TestComposition:
 
 # Every field a policy can read from a context.
 CONTEXT_FIELDS = {
-    "agent", "step", "assigned", "active_task", "report_due", "delivered_by_type",
-    "busy", "team", "manager_id", "last_action", "unanswered_inbound",
-    "open_outbound_tasks", "has_unprocessed_invite", "has_meeting_start",
-    "blocked_collaborators", "meeting_organized_tasks",
+    "agent", "step", "assigned", "delivered_by_type", "busy", "team",
+    "manager_id", "last_action", "unanswered_inbound", "blocked_collaborators",
 }
 
 
@@ -345,9 +397,9 @@ class TestValueTypes:
 
     def values(self):
         return [
-            context(assigned=[view()], teammates=[mate("W2", {"api"})],
+            context(assigned=[held()], teammates=[mate("W2", {"api"})],
                     last_action=LastAction("work", None, 4)),
-            view(),
+            held().view,
             LastAction("work", None, 4),
             Intention(IntentionKind.REQUEST_HELP, "T1.1", ("note",)),
         ]
@@ -371,8 +423,8 @@ class TestValueTypes:
 
     def test_context_fields_read_what_world_answers(self):
         last = LastAction("work", None, 4)
-        tasks = [view(task_id="T1.1", done=True),
-                 view(task_id="T1.2", milestone=0.5), view(task_id="T1.3")]
+        tasks = [held(task_id="T1.1", done=True),
+                 held(task_id="T1.2", milestone=0.5), held(task_id="T1.3")]
         teammates = (mate("W2", {"api"}),)
         ctx = context(step=7, assigned=tasks, teammates=teammates, busy={"W2"},
                       unanswered=("th1",), open_outbound={"T1.3"}, invite=True,
@@ -381,16 +433,11 @@ class TestValueTypes:
         assert (ctx.agent.agent_id, ctx.step, ctx.manager_id) == ("W1", 7, "M1")
         assert ctx.busy == {"W2"}
         assert ctx.team == {"W1": ctx.agent, "W2": teammates[0]}
-        assert ctx.assigned == tuple(tasks)
-        assert ctx.active_task == tasks[1]
-        assert ctx.report_due == tasks[1]
+        assert ctx.assigned == tuple(task.view for task in tasks)
         assert ctx.delivered_by_type == {}
         assert ctx.last_action == last
         assert ctx.unanswered_inbound == ("th1",)
-        assert ctx.open_outbound_tasks == {"T1.3"}
-        assert ctx.has_unprocessed_invite and ctx.has_meeting_start
         assert ctx.blocked_collaborators == {"T1.2": ("W2",)}
-        assert ctx.meeting_organized_tasks == {"T1.2"}
 
     def test_a_context_asks_world_only_for_what_is_read(self):
         """Building a context reads only its O(1) fields; `NoCommPolicy` reads
@@ -399,16 +446,17 @@ class TestValueTypes:
 
         class CountingWorld(StandInWorld):
             def __getattribute__(self, name):
-                if name in {"task_views", "active_view", "report_due_view",
-                            "unanswered_inbound", "open_outbound_tasks",
-                            "has_unprocessed_invite", "has_meeting_start",
-                            "blocked_collaborators", "organized_meeting_tasks",
-                            "delivered_by_type", "last_actions"}:
+                if name in {"task_view", "assignments", "unanswered_inbound",
+                            "open_outbound_tasks", "pending_invites", "blocked_collaborators",
+                            "delivered_by_type", "last_actions", "invites",
+                            "inbound_requests", "meeting_started", "active_task_id",
+                            "alignment", "stats", "outbound", "blocked",
+                            "organized", "due"}:
                     asked.append(name)
                 return super().__getattribute__(name)
 
         agent = AgentProfile("W1", "Worker 1", Role.WORKER, frozenset({"api"}))
-        world = CountingWorld(agent, 3, (view(),), (), frozenset(), False, False,
+        world = CountingWorld(agent, 3, (held(),), (), frozenset(), False, False,
                               {}, frozenset(), None)
         ctx = build_context(world, "W1", frozenset())
         assert NoCommPolicy().decide(ctx) is policy_module.CONTINUE
@@ -417,8 +465,8 @@ class TestValueTypes:
         assert asked == ["unanswered_inbound"]
 
     def test_values_compare_by_field(self):
-        assert view() == view()
-        assert view(af=0.31) != view()
+        assert held().view == held().view
+        assert held(af=0.31).view != held().view
 
     def test_policy_context_has_no_default(self):
         # A context holds only what `build_context` gives it: no instance
@@ -448,15 +496,15 @@ class TestValueTypes:
         ("NO_COMM", IntentionKind.CONTINUE_TASK, NoCommPolicy,
          dict(unanswered=("th1",), invite=True)),
         ("NO_TRIGGER", IntentionKind.CONTINUE_TASK, HeuristicPolicy,
-         dict(assigned=[view(af=0.55, hours=1.0)])),
+         dict(assigned=[held(af=0.55, hours=1.0)])),
         ("MEETING_TRAFFIC", IntentionKind.CHECK_MESSAGES, HeuristicPolicy,
          dict(meeting_start=True)),
         ("UNANSWERED_REQUEST", IntentionKind.CHECK_MESSAGES, HeuristicPolicy,
-         dict(unanswered=("th1",), assigned=[view(af=0.30, hours=0.0)])),
+         dict(unanswered=("th1",), assigned=[held(af=0.30, hours=0.0)])),
         ("INBOX_HAS_REQUESTS", IntentionKind.CHECK_MESSAGES, FixedStepsPolicy,
          dict(step=9, unanswered=("th1",))),
         ("BETWEEN_CHECK_INS", IntentionKind.CONTINUE_TASK, FixedStepsPolicy,
-         dict(step=9, assigned=[view(hours=3.0)])),
+         dict(step=9, assigned=[held(hours=3.0)])),
     ])
     def test_constant_intentions_keep_kind_and_reasoning(self, name, kind, policy,
                                                          situation):
@@ -470,7 +518,7 @@ class TestValueTypes:
 
     def test_policies_return_the_constants(self):
         assert NoCommPolicy().decide(context()) is policy_module.CONTINUE
-        aligned = context(assigned=[view(af=0.55, hours=1.0)])
+        aligned = context(assigned=[held(af=0.55, hours=1.0)])
         assert HeuristicPolicy().decide(aligned) is policy_module.CONTINUE
         assert HeuristicPolicy().decide(context(invite=True)) is \
             policy_module.CHECK_INBOX

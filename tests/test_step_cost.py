@@ -42,8 +42,15 @@ engine queued each step's events and handed them to its sink in one batch
 instead of calling the sink once per event; 740.3 (199,869) once each step's
 contexts shared one set of busy agents instead of a tuple of teammate views,
 the step grid became one module constant instead of a clock field, and the
-action loop and the work step lost checks no run reaches. The bound is the
-last figure rounded up to a whole instruction: 741.
+action loop and the work step lost checks no run reaches; 603.5 (162,936)
+once the heuristic policy read the agent's facts in its own frame from
+`World`'s per-agent tables (inbox lists, meeting starts, the active task's
+id, alignment and stats, the open-request, organized and due sets and the
+blocked map) instead of through context properties that built task views,
+the run loop's all-roots-done test compared a count of finished roots with
+the root count instead of scanning every root, and message, thread and
+meeting ids came from `itertools.count` maps. The bound is the last figure
+rounded up to a whole instruction: 604.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -58,8 +65,10 @@ counting, 544.9 (220,703) and 731.2 (226,664), then 543.3 (220,037) and
 work step, the shared last actions and the counted `seq`; 504.6 (204,361)
 and 681.2 (211,165) with the events handed on in batches; 480.2 (194,499)
 and 657.9 (203,961) with the busy set, the one step grid and the dead checks
-gone. Their bounds are those last figures rounded up to a whole instruction:
-481 and 658.
+gone; 477.6 (193,417) and 618.3 (191,658) with `fixed_steps` reading its
+inbox lists and last action from `World`'s tables in its own frame, the
+counted finished roots and the counted ids. Their bounds are those last
+figures rounded up to a whole instruction: 478 and 619.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -83,11 +92,13 @@ held only its root and its open and answered flags (read before the next
 change, not recorded with it); with the events handed on in batches, 889.2
 (1,390,723) and 886.5 (5,666,815), a ratio of 1.00; with the busy set, the
 one step grid and the dead checks gone, 868.4 (1,358,202) and 865.8
-(5,534,215), a ratio of 1.00. The ratio bound, 1.10,
+(5,534,215), a ratio of 1.00; with the heuristic reading `World`'s tables
+in its own frame, the counted finished roots and the counted ids, 714.5
+(1,117,475) and 708.9 (4,531,488), a ratio of 0.99. The ratio bound, 1.10,
 lets an agent-step grow a little with the tasks an agent holds, not in
 proportion to them. The 16-root run is also the shape of the benchmark's
 `many_roots` workload, so its own reading is bounded too, rounded up to a
-whole instruction: 866.
+whole instruction: 709.
 
 The same 16-root run as `teamsim run` drives it, every event written by a
 `TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
@@ -102,8 +113,10 @@ call and the fold took the batch in one loop with its final step in a local;
 grid and the dead checks gone, and the orjson codec's per-record fallback
 replaced by the standard library writing a whole batch that orjson might
 write otherwise (here only step 0's, whose `init` alignment events hold
-None). The bounds are those last readings rounded up to a whole instruction:
-1,034 and 1,152.
+None); 877.1 (5,606,235) and 994.7 (6,358,256) with the heuristic reading
+`World`'s tables in its own frame, the counted finished roots and ids, and
+the trace file removed before the writer opens it. The bounds are those last
+readings rounded up to a whole instruction: 878 and 995.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -142,9 +155,12 @@ comprehension per table, and the event `seq` came from an
 plan's alignment events were handed to the sink in one batch; 148.5
 (38,019), 123.7 (31,800) and 1,341.4 (343,388) once the parse refused a key
 a scenario level does not hold, `World` stopped building two teammate views
-per agent and the step grid became one constant. The same figures read in
-the whole suite under `python -X dev -m pytest`. The bounds are those
-readings rounded up to a whole instruction: 149, 124 and 1,342.
+per agent and the step grid became one constant; 148.9 (38,113), 123.8
+(31,827) and 1,341.4 (343,388) once the loader also refused a key given
+twice at one level, one C-level pass per mapping in the common case, and
+`World` made its three id factories as `itertools.count` maps. The same
+figures read in the whole suite under `python -X dev -m pytest`. The bounds
+are those readings rounded up to a whole instruction: 149, 124 and 1,342.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -172,17 +188,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 481),
-    "fixed_steps": (310, 658),
-    "c2c_heuristic": (270, 741),
+    "no_comm": (405, 478),
+    "fixed_steps": (310, 619),
+    "c2c_heuristic": (270, 604),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 866
+ROOTS_16_BOUND = 709
 # Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
 # run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
-SINK_CHAIN_BOUND = {"orjson": 1034, "stdlib": 1152}
+SINK_CHAIN_BOUND = {"orjson": 878, "stdlib": 995}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
@@ -317,7 +333,7 @@ def wide_team_text() -> str:
 
 
 @calibrated
-@pytest.mark.skipif(getattr(yaml, "CSafeLoader", None) is not config._LOADER,
+@pytest.mark.skipif(config._LOADER.__bases__ != (getattr(yaml, "CSafeLoader", None),),
                     reason="calibrated with libyaml's loader")
 def test_team_setup_opcodes_stay_under_the_bounds():
     """Parsing, building the `Simulation` and the plan step each cost a

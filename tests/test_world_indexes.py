@@ -133,35 +133,30 @@ def oracle_assigned(world: World, agent_id: str) -> tuple[TaskAssignmentView, ..
     views = []
     for task_id in oracle_assigned_tasks(world, agent_id):
         node = world.graph.node(task_id)
-        stats = world.stats[agent_id, task_id]
         views.append(TaskAssignmentView(
             task_id=task_id,
             description=node.description,
             estimated_hours=node.estimated_hours,
             required_skills=node.required_skills,
             af=world.alignment.get(agent_id, task_id),
-            hours_worked=stats.hours_worked,
-            stuck_worked_steps=stats.stuck_worked_steps,
+            hours_worked=world.stats[agent_id, task_id].hours_worked,
             progress=min(1.0, node.accumulated_effective_hours / node.estimated_hours),
-            pending_milestone=stats.pending_milestone,
-            ready=node.status in (TaskStatus.READY, TaskStatus.IN_PROGRESS),
             done=node.status is TaskStatus.DONE,
         ))
     return tuple(views)
 
 
-def oracle_active_task(views: tuple[TaskAssignmentView, ...]):
-    for view in views:
-        if view.ready and not view.done:
-            return view
+def oracle_active_task(world: World, agent_id: str) -> str | None:
+    for task_id in oracle_assigned_tasks(world, agent_id):
+        if world.graph.node(task_id).status in (TaskStatus.READY, TaskStatus.IN_PROGRESS):
+            return task_id
     return None
 
 
-def oracle_report_due(views: tuple[TaskAssignmentView, ...]):
-    for view in views:
-        if view.pending_milestone is not None:
-            return view
-    return None
+def oracle_due(world: World, agent_id: str) -> list[str]:
+    """The agent's tasks with a milestone to report, in id order."""
+    return [task_id for task_id in oracle_assigned_tasks(world, agent_id)
+            if world.stats[agent_id, task_id].pending_milestone is not None]
 
 
 def oracle_busy(in_flight: set[str], step_events: list[dict]) -> frozenset[str]:
@@ -188,31 +183,47 @@ def check_indexes(world: World, busy: frozenset[str], done_at: dict[str, int],
                   inbox_read: dict[str, int],
                   delivered: dict[str, list[Message]],
                   replied: set[tuple[str, str]]) -> None:
+    """Every per-agent table the deterministic policies read, and every
+    `World` query, against its full scan."""
     for agent_id in world.agent_order:
         inbox = delivered[agent_id]
         assert world.assigned_tasks(agent_id) == oracle_assigned_tasks(world, agent_id)
-        assert world.unanswered_inbound(agent_id) == \
-            oracle_unanswered_inbound(world, agent_id, inbox, replied)
-        assert world.open_outbound_tasks(agent_id) == \
-            oracle_open_outbound_tasks(world, agent_id)
+        # An inbox list may hold stale entries, never miss a live one: a
+        # policy filters it only when it is non-empty.
+        unanswered = oracle_unanswered_inbound(world, agent_id, inbox, replied)
+        assert set(unanswered) <= {e[2] for e in world.inbound_requests[agent_id]}
+        assert world.unanswered_inbound(agent_id) == unanswered
         invites = oracle_pending_invites(world, agent_id, inbox)
+        assert set(invites) <= set(world.invites[agent_id])
         assert world.pending_invites(agent_id) == invites
         assert world.has_unprocessed_invite(agent_id) == bool(invites)
-        assert world.has_meeting_start(agent_id) == \
+        assert (agent_id in world.meeting_started) == \
             oracle_has_meeting_start(agent_id, inbox, inbox_read)
-        assert world.blocked_collaborators(agent_id) == \
-            oracle_blocked_collaborators(world, agent_id)
+        # A stale entry is None until the query rebuilds it.
+        outbound = oracle_open_outbound_tasks(world, agent_id)
+        assert world.outbound[agent_id] in (None, outbound)
+        assert world.open_outbound_tasks(agent_id) == outbound
+        assert world.outbound[agent_id] == outbound
+        blocked = oracle_blocked_collaborators(world, agent_id)
+        assert world.blocked[agent_id] in (None, blocked)
+        assert world.blocked_collaborators(agent_id) == blocked
+        assert world.blocked[agent_id] == blocked
         context = build_context(world, agent_id, busy)
         # The step's one set, not a copy.
         assert context.busy is busy
         assigned = oracle_assigned(world, agent_id)
         assert context.assigned == assigned
-        assert context.active_task == oracle_active_task(assigned)
-        assert context.report_due == oracle_report_due(assigned)
-        organized = world.organized_meeting_tasks(agent_id)
-        assert organized == oracle_organized_meeting_tasks(world, agent_id)
-        # Shared with the context, not copied into it.
-        assert context.meeting_organized_tasks is organized
+        # The active task, whose alignment the view of it shows.
+        active = oracle_active_task(world, agent_id)
+        assert world.active_task_id[agent_id] == active
+        if active is not None:
+            view = next(v for v in assigned if v.task_id == active)
+            assert world.alignment.values[agent_id, active] == view.af
+        due = oracle_due(world, agent_id)
+        assert world.due[agent_id] == set(due)
+        assert (min(world.due[agent_id], key=order_key) if due else None) == \
+            (due[0] if due else None)
+        assert world.organized[agent_id] == oracle_organized_meeting_tasks(world, agent_id)
     assert list(world.pending_meetings) == oracle_pending_meetings(world)
     # A task that finishes closes every request thread about it sent before
     # that step; a request sent later about the finished task may stay open.
@@ -372,9 +383,8 @@ def test_indexes_hold_through_the_meeting_run():
 @pytest.mark.parametrize("policy", ["no_comm", "c2c_heuristic"])
 def test_task_views_are_built_only_when_read(monkeypatch, policy):
     """A view is built when a context field or the engine reads it, never on
-    a state change. `no_comm` reads none; the heuristic reads at most the
-    active and the report-due view per decision, and the engine the hinted
-    view per message it composes."""
+    a state change. Neither policy's decide builds one; the engine builds at
+    most the hinted and the active view per message it composes."""
     built = []
     task_view = World.task_view
 
@@ -398,4 +408,4 @@ def test_task_views_are_built_only_when_read(monkeypatch, policy):
         assert built == []
     else:
         assert built
-        assert len(built) <= 2 * len(decides) + len(of_kind(trace, "message_sent"))
+        assert len(built) <= 2 * len(of_kind(trace, "message_sent"))
