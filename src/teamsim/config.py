@@ -169,8 +169,8 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     except ScenarioError:
         raise
     except (TypeError, ValueError, RecursionError) as exc:
-        # A field of the wrong type, such as `hours: abc` or `tasks: 5`, or
-        # one nested too deeply to turn into text.
+        # A field of the wrong type, such as `tasks: 5`, or one nested too
+        # deeply to turn into text.
         raise ScenarioError(f"malformed scenario field: {exc}") from exc
 
 
@@ -214,9 +214,14 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
         for required in ("description", "hours"):
             if required not in raw:
                 raise ScenarioError(f"missing field: tasks[{i}].{required}")
+        # A string such as "8" or a bool is refused, not run as 8 or 1 hours.
+        hours = raw["hours"]
+        if not isinstance(hours, (int, float)) or isinstance(hours, bool):
+            raise ScenarioError(f"malformed scenario field: tasks[{i}].hours must be "
+                                f"a number, not {type(hours).__name__}")
         tasks.append(TaskSpec(
             description=str(raw["description"]),
-            estimated_hours=float(raw["hours"]),
+            estimated_hours=float(hours),
             required_skills=frozenset(
                 str(s).lower() for s in _skill_list(raw.get("skills", []),
                                                     f"tasks[{i}].skills")

@@ -1,12 +1,12 @@
 """The synchronized timestep engine.
 
 Each step runs a fixed phase order: deliver due messages, convene due
-meetings, collect one intention per idle agent, resolve intentions into
-actions, execute one step of every active action, apply queued alignment
-deltas, then hand the step's events to the trace sink as one batch. A message
-sent while actions execute goes straight into the buffer, which delivers it
-next step. Reordering any phase breaks the reproducibility guarantees, so all
-mutation happens here.
+meetings, decide each idle agent's intention and resolve it into an action,
+in agent order, execute one step of every active action, apply queued
+alignment deltas, then hand the step's events to the trace sink as one
+batch. A message sent while actions execute goes straight into the buffer,
+which delivers it next step. Reordering any phase breaks the
+reproducibility guarantees, so all mutation happens here.
 
 Every agent contributes exactly one action-step per step: work, communication
 progress, meeting attendance, or an explicit idle transition.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import insort
 from enum import Enum
 from itertools import count
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .alignment import (AlignmentState, effective_progress,
                         normalize_reported_alignment, rule_based_delta)
@@ -92,16 +92,20 @@ class Outgoing(NamedTuple):
     cost: float
 
 
-class ActiveAction:
-    __slots__ = ("kind", "target", "remaining", "outgoing")
+class ActiveAction(NamedTuple):
+    """An agent's action in flight. Immutable and built by position: the
+    idle and plan actions are each one shared value, and a multi-step
+    action's countdown replaces its entry."""
 
-    def __init__(self, kind: ActionKind, target: str | None, remaining: int,
-                 outgoing: Outgoing | None = None) -> None:
-        self.kind = kind
-        self.target = target
-        self.remaining = remaining
-        # What a COMMUNICATE or REPLY action sends when it completes.
-        self.outgoing = outgoing
+    kind: ActionKind
+    target: str | None
+    remaining: int  # steps left, this one included
+    # What a COMMUNICATE or REPLY action sends when it completes.
+    outgoing: Outgoing | None
+
+
+IDLE_ACTION = ActiveAction(ActionKind.IDLE, None, 1, None)
+PLAN_ACTION = ActiveAction(ActionKind.PLAN, "plan", 1, None)
 
 
 class AgentTaskStats:
@@ -185,7 +189,10 @@ class World:
     """All mutable run state; mutated only by the step driver.
 
     It keeps indexes, updated by the methods that change the state, so that
-    no query rescans history. The per-agent tables the deterministic
+    no query rescans history. The one exception is the work step, which the
+    step driver runs in its own frame: it credits the task through
+    `TaskGraph.record_work` and updates `stats` and `due` itself, then calls
+    `finish_task` when the task finished. The per-agent tables the deterministic
     policies read are public, and read-only outside this module: `invites`,
     `inbound_requests`, `meeting_started`, `active_task_id`,
     `alignment.values`, `stats`, `organized`, `due`, `outbound` and
@@ -372,40 +379,16 @@ class World:
             (task_id for task_id in self.assignments[agent_id]
              if node(task_id).status in WORKABLE), None)
 
-    def record_work(self, agent_id: str, node: TaskNode,
-                    hours: float) -> tuple[float, float, bool]:
-        """Credit the agent's hours on the task `node`, one it holds, at its
-        current alignment.
-
-        Returns the alignment, the effective hours credited, and whether the
-        task finished. A finished task readies dependents, which changes what
-        the holders of their dependencies see as blocked.
-        """
-        task_id = node.task_id
-        af = self.alignment.get(agent_id, task_id)
-        effective = effective_progress(hours, af)
-        before = node.progress
-        became_done = self.graph.record_work(task_id, effective)
-        # Made for every held task when the plan landed.
-        stats = self.stats[agent_id, task_id]
-        stats.hours_worked += hours
-        stats.stuck_worked_steps += 1
-        after = node.progress
-        # A report covers only milestones at or below the progress of its
-        # day, and progress only grows, so one crossed here is unreported.
-        if after >= FIRST_MILESTONE:
-            for milestone in REPORT_MILESTONES:
-                if before < milestone <= after:
-                    stats.pending_milestone = milestone
-                    self.due[agent_id].add(task_id)
-        if became_done:
-            self._pick_active(node.assignee)
-            for dependent in self.graph.dependents(task_id):
-                if dependent.status is TaskStatus.READY:
-                    self._pick_active(dependent.assignee)
-                for d in dependent.dependencies:
-                    self.blocked[self.graph.node(d).assignee] = None
-        return af, effective, became_done
+    def finish_task(self, node: TaskNode) -> None:
+        """Re-pick what a finished task changes: its holder's active task, and
+        the active task of each dependent's holder it readied. The holders of
+        each dependent's dependencies see a changed blocked map."""
+        self._pick_active(node.assignee)
+        for dependent in self.graph.dependents(node.task_id):
+            if dependent.status is TaskStatus.READY:
+                self._pick_active(dependent.assignee)
+            for d in dependent.dependencies:
+                self.blocked[self.graph.node(d).assignee] = None
 
     def record_report(self, agent_id: str, task_id: str) -> None:
         """A sent progress update covers every milestone the task has reached."""
@@ -598,27 +581,34 @@ class Simulation:
         self._deliver_due(t)
         self._convene_meetings(t)
 
-        idle = [a for a in world.agent_order if a not in world.active]
+        active, active_task_id = world.active, world.active_task_id
+        idle = [a for a in world.agent_order if a not in active]
         # One busy set serves every idle agent this step. It is taken before
         # any intention is resolved, so it holds the agents busy before this
-        # step's actions start, whenever a context is read. The other fields
-        # read `World` state that resolving one agent's intention does not
-        # change for another.
-        busy = frozenset(world.active)
-        contexts = {a: build_context(world, a, busy) for a in idle}
-        # Before the plan lands the manager's slot is the plan step, not a
-        # policy decision.
-        needs_policy = contexts if world.planned else {
-            a: ctx for a, ctx in contexts.items() if a != world.manager_id
-        }
-        intentions = self._decide(needs_policy)
-        for agent_id in idle:
-            # Before the plan lands the manager has no intention.
-            intention = intentions.get(agent_id) or CONTINUE
-            for note in intention.warnings:
-                world.emit({"step": t, "seq": None, "kind": "warning",
-                            "source": "policy", "detail": note})
-            self._resolve_intention(agent_id, contexts[agent_id], intention)
+        # step's actions start, whenever a context is read.
+        busy = frozenset(active)
+        if not world.planned:
+            # Before the plan lands the manager's slot is the plan step, not a
+            # policy decision.
+            idle.remove(world.manager_id)
+            active[world.manager_id] = PLAN_ACTION
+        contexts = [build_context(world, a, busy) for a in idle]
+        # A serial decide runs right before its own agent's resolve. That is
+        # safe: a resolve writes only its own agent's entries (`active`, its
+        # inbox lists' filters, its blocked map, `meeting_started`), and a
+        # decide reads the busy set taken above, not `active`. So each agent
+        # decides as it would had every agent decided first.
+        for agent_id, context, intention in zip(idle, contexts, self._decide(contexts)):
+            if intention is not CONTINUE:
+                for note in intention.warnings:
+                    world.emit({"step": t, "seq": None, "kind": "warning",
+                                "source": "policy", "detail": note})
+                if self._start_action(agent_id, context, intention):
+                    continue
+            # CONTINUE_TASK and every degraded intention end up here.
+            task_id = active_task_id[agent_id]
+            active[agent_id] = IDLE_ACTION if task_id is None else _new_tuple(
+                ActiveAction, (ActionKind.WORK, task_id, 1, None))
 
         self._execute_actions(t)
         self._apply_pending_af(t)
@@ -690,12 +680,13 @@ class Simulation:
         for recipient in attendees:
             world.deliver(start, recipient, t)
         for agent_id in attendees:
-            world.active[agent_id] = ActiveAction(ActionKind.MEETING,
-                                                  invite.meeting_id, duration)
+            world.active[agent_id] = _new_tuple(ActiveAction, (
+                ActionKind.MEETING, invite.meeting_id, duration, None))
 
-    def _decide(self, contexts: dict[str, PolicyContext]) -> dict[str, Intention]:
-        if not contexts:
-            return {}
+    def _decide(self, contexts: list[PolicyContext]) -> Iterable[Intention]:
+        """Each context's intention, in context order. A serial decide runs
+        when the step's loop reaches its agent; a parallel step runs all its
+        decides on the pool first."""
         if self.parallel_decide and len(contexts) > 1:
             if self._pool is None:
                 # Imported here: only a parallel decide needs the thread pool,
@@ -704,42 +695,25 @@ class Simulation:
 
                 self._pool = ThreadPoolExecutor(
                     max_workers=min(8, len(self.world.agent_order)))
-            order = list(contexts)
-            results = list(self._pool.map(self.policy.decide,
-                                          [contexts[a] for a in order]))
-            return dict(zip(order, results))
-        return {a: self.policy.decide(ctx) for a, ctx in contexts.items()}
+            return list(self._pool.map(self.policy.decide, contexts))
+        return map(self.policy.decide, contexts)
 
     # -- intention resolution --------------------------------------------------
 
-    def _resolve_intention(self, agent_id: str, context: PolicyContext,
-                           intention: Intention) -> None:
-        """Start the agent's action. A context field is read only where the
-        intention needs it, so a plain CONTINUE_TASK reads none and goes
-        straight to work."""
-        world = self.world
+    def _start_action(self, agent_id: str, context: PolicyContext,
+                      intention: Intention) -> bool:
+        """Start the action the intention asks for, unless it is work or
+        degrades to it: then return False. A context field is read only where
+        the intention needs it."""
         kind = intention.kind
-
-        if not world.planned and agent_id == world.manager_id:
-            world.active[agent_id] = ActiveAction(ActionKind.PLAN, "plan", 1)
-            return
-
-        if kind is not IntentionKind.CONTINUE_TASK:
-            if kind is IntentionKind.CHECK_MESSAGES:
-                started = self._start_check_messages(agent_id)
-            elif kind is IntentionKind.SCHEDULE_MEETING:
-                started = self._start_meeting_scheduling(agent_id, context, intention)
-            else:  # REQUEST_HELP, NEED_CLARIFICATION or REPORT_PROGRESS
-                started = self._start_communication(agent_id, context, intention, kind)
-            if started:
-                return
-
-        # CONTINUE_TASK and every degraded intention end up here.
-        task_id = world.active_task_id[agent_id]
-        if task_id is not None:
-            world.active[agent_id] = ActiveAction(ActionKind.WORK, task_id, 1)
-        else:
-            world.active[agent_id] = ActiveAction(ActionKind.IDLE, None, 1)
+        if kind is IntentionKind.CONTINUE_TASK:
+            return False
+        if kind is IntentionKind.CHECK_MESSAGES:
+            return self._start_check_messages(agent_id)
+        if kind is IntentionKind.SCHEDULE_MEETING:
+            return self._start_meeting_scheduling(agent_id, context, intention)
+        # REQUEST_HELP, NEED_CLARIFICATION or REPORT_PROGRESS
+        return self._start_communication(agent_id, context, intention, kind)
 
     def _start_check_messages(self, agent_id: str) -> bool:
         """Oldest actionable inbox item: an invite to accept or a thread to answer."""
@@ -758,7 +732,7 @@ class Simulation:
         items.sort()
         _, _, kind, target = items[0]
         if kind is ActionKind.RSVP:
-            world.active[agent_id] = ActiveAction(kind, target, 1)
+            world.active[agent_id] = _new_tuple(ActiveAction, (kind, target, 1, None))
             return True
         root = world.threads[target].root
         replier = world.agents[agent_id]
@@ -769,9 +743,10 @@ class Simulation:
         content = (compose_reply(root.about_task, root.message_type, replier)
                    if self.composes_text else None)
         # The one recipient answers the asker alone.
-        world.active[agent_id] = ActiveAction(kind, target, duration, _new_tuple(Outgoing, (
-            MessageType.RESPONSE, content, words, (root.from_agent,), channel,
-            root.about_task, cost)))
+        world.active[agent_id] = _new_tuple(ActiveAction, (
+            kind, target, duration, _new_tuple(Outgoing, (
+                MessageType.RESPONSE, content, words, (root.from_agent,), channel,
+                root.about_task, cost))))
         return True
 
     def _hinted_view(self, agent_id: str,
@@ -799,10 +774,10 @@ class Simulation:
         # The evaluator reads only a request's text.
         content = (compose_message(context, kind, view)
                    if self.composes_text and message_type in REQUEST_TYPES else None)
-        world.active[agent_id] = ActiveAction(
+        world.active[agent_id] = _new_tuple(ActiveAction, (
             ActionKind.COMMUNICATE, view.task_id, duration, _new_tuple(Outgoing, (
                 message_type, content, words, tuple(recipients), channel, view.task_id,
-                cost)))
+                cost))))
         return True
 
     def _start_meeting_scheduling(self, agent_id: str, context: PolicyContext,
@@ -815,57 +790,87 @@ class Simulation:
         recipients = select_recipients(context, kind, view)
         if not recipients:
             return False
-        world.active[agent_id] = ActiveAction(
+        world.active[agent_id] = _new_tuple(ActiveAction, (
             ActionKind.COMMUNICATE, view.task_id, 1, _new_tuple(Outgoing, (
                 MessageType.MEETING_INVITE, None, message_words(context, kind, view),
-                tuple(recipients), Channel.MEETING, view.task_id, 0.0)))
+                tuple(recipients), Channel.MEETING, view.task_id, 0.0))))
         return True
 
     # -- execution ---------------------------------------------------------------
 
     def _execute_actions(self, t: int) -> None:
+        """One step of every agent's action, in agent order. A work step runs
+        in this frame: `effective_progress` and `TaskGraph.record_work` are
+        its only calls. Each `action` and `progress` record goes straight
+        onto the step's batch; every other record goes through `emit`."""
         world = self.world
+        active, last_actions, seq = world.active, world.last_actions, world._seq
+        nodes, record_work = world.graph.nodes, world.graph.record_work
+        alignment, stats_of, due = world.alignment.values, world.stats, world.due
+        work, plan, idle = ActionKind.WORK, ActionKind.PLAN, ActionKind.IDLE
+        events = world.pending_events
+        append = events.append
         # One value per kind serves every agent that finishes such a step.
         worked = _new_tuple(LastAction, ("work", None, t))
         idled = _new_tuple(LastAction, ("idle", None, t))
-        finished: list[str] = []
         for agent_id in world.agent_order:
             # Every agent holds one once the step's intentions are resolved.
-            action = world.active[agent_id]
-            if len(world.pending_events) >= TRACE_BATCH:
+            kind, target, remaining, outgoing = active[agent_id]
+            if len(events) >= TRACE_BATCH:
                 world.flush()
-            action.remaining -= 1
-            world.emit({
-                "step": t, "seq": None, "kind": "action",
-                "agent": agent_id,
-                "action": ACTION_NAMES[action.kind],
-                "target": action.target,
-                "remaining": action.remaining,
-            })
+                events = world.pending_events
+                append = events.append
+            remaining -= 1
+            append({"step": t, "seq": next(seq), "kind": "action", "agent": agent_id,
+                    "action": ACTION_NAMES[kind], "target": target,
+                    "remaining": remaining})
             # Work, plan and idle actions last one step; the others act on
             # their last.
-            kind = action.kind
-            if kind is ActionKind.WORK:
-                self._execute_work(agent_id, action.target, t)
-                world.last_actions[agent_id] = worked
-            elif kind is ActionKind.PLAN:
+            if kind is work:
+                # The holder's active task, which nothing else finishes this
+                # step; its stats were made when the plan landed.
+                node = nodes[target]
+                af = alignment[agent_id, target]
+                effective = effective_progress(HOURS_PER_STEP, af)
+                before = node.progress
+                became_done = record_work(target, effective)
+                stats = stats_of[agent_id, target]
+                stats.hours_worked += HOURS_PER_STEP
+                stats.stuck_worked_steps += 1
+                after = node.progress
+                # A report covers only milestones at or below the progress of
+                # its day, and progress only grows, so one crossed here is
+                # unreported.
+                if after >= FIRST_MILESTONE:
+                    for milestone in REPORT_MILESTONES:
+                        if before < milestone <= after:
+                            stats.pending_milestone = milestone
+                            due[agent_id].add(target)
+                append({"step": t, "seq": next(seq), "kind": "progress",
+                        "agent": agent_id, "task": target, "hours": HOURS_PER_STEP,
+                        "effective": effective, "af": af, "progress": after})
+                if became_done:
+                    self._on_task_done(node, t)
+                last_actions[agent_id] = worked
+            elif kind is idle:
+                last_actions[agent_id] = idled
+            elif kind is plan:
                 self._execute_plan(t)
-                world.last_actions[agent_id] = worked
-            elif kind is ActionKind.IDLE:
-                world.last_actions[agent_id] = idled
-            elif action.remaining > 0:
+                last_actions[agent_id] = worked
+            elif remaining:
+                active[agent_id] = _new_tuple(ActiveAction,
+                                              (kind, target, remaining, outgoing))
                 continue
             elif kind is ActionKind.COMMUNICATE:
-                self._complete_send(agent_id, action.outgoing, t)
+                self._complete_send(agent_id, outgoing, t)
             elif kind is ActionKind.REPLY:
-                self._complete_reply(agent_id, action.target, action.outgoing, t)
+                self._complete_reply(agent_id, target, outgoing, t)
             elif kind is ActionKind.RSVP:
-                self._complete_rsvp(agent_id, action.target, t)
+                self._complete_rsvp(agent_id, target, t)
             else:
-                self._complete_meeting_attendance(agent_id, action.target, t)
-            finished.append(agent_id)
-        for agent_id in finished:
-            del world.active[agent_id]
+                self._complete_meeting_attendance(agent_id, target, t)
+            # No later action of the step reads another agent's entry.
+            del active[agent_id]
 
     def _execute_plan(self, t: int) -> None:
         """The manager's step-0 slot: decompose every root and hand out work."""
@@ -894,33 +899,18 @@ class Simulation:
                     })
         world.finish_plan()
 
-    def _execute_work(self, agent_id: str, task_id: str, t: int) -> None:
+    def _on_task_done(self, node: TaskNode, t: int) -> None:
+        """Trace a finished task, and its root if that finished with it."""
         world = self.world
-        # The holder's active task, which nothing else finishes this step.
-        node = world.graph.node(task_id)
-        hours = HOURS_PER_STEP
-        af, effective, became_done = world.record_work(agent_id, node, hours)
-        world.emit({
-            "step": t, "seq": None, "kind": "progress",
-            "agent": agent_id,
-            "task": task_id,
-            "hours": hours,
-            "effective": effective,
-            "af": af,
-            "progress": node.progress,
-        })
-        if became_done:
-            self._on_task_done(task_id, t)
-
-    def _on_task_done(self, task_id: str, t: int) -> None:
-        world = self.world
+        task_id = node.task_id
+        world.finish_task(node)
         world.emit({
             "step": t, "seq": None, "kind": "task_done",
             "task": task_id, "root": False, "boundary": t + 1,
         })
         world.close_threads_about(task_id)
         # Only the finished task's own root can have finished with it.
-        root = world.graph.node(task_id)
+        root = node
         while root.parent_id is not None:
             root = world.graph.node(root.parent_id)
         if root.done and root.task_id not in world.completion_steps:

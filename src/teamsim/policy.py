@@ -78,7 +78,8 @@ class PolicyContext(tuple):
     recipient selection, the message an intention sends and the LLM prompt:
     each asks the `World` the context was built on, each time it is read, so
     `assigned` builds its task views at every read. Nothing a field reads
-    changes while the step's contexts are read. No field can be set.
+    changes while the step's contexts are read: the resolve of an earlier
+    agent's intention writes only that agent's entries. No field can be set.
     """
 
     __slots__ = ()

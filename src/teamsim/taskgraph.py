@@ -201,16 +201,20 @@ class TaskGraph:
         """Credit effective hours to a leaf; returns True when it became done."""
         if effective_hours < 0:
             raise GraphError(f"negative effective hours: {effective_hours}")
-        node = self.node(task_id)
+        try:
+            node = self.nodes[task_id]
+        except KeyError:
+            raise GraphError(f"unknown task: {task_id}") from None
         if node.done:
             raise TaskAlreadyDoneError("task already done")
-        if not self.is_leaf(task_id):
+        if self._children[task_id]:
             raise GraphError(f"{task_id} is not a leaf")
-        node.accumulated_effective_hours += effective_hours
-        node.progress = min(1.0, node.accumulated_effective_hours / node.estimated_hours)
+        hours = node.accumulated_effective_hours = (node.accumulated_effective_hours
+                                                    + effective_hours)
+        node.progress = min(1.0, hours / node.estimated_hours)
         if node.status is TaskStatus.READY:
             node.status = TaskStatus.IN_PROGRESS
-        if node.accumulated_effective_hours >= node.estimated_hours - DONE_EPS:
+        if hours >= node.estimated_hours - DONE_EPS:
             self._mark_done(node)
             return True
         return False

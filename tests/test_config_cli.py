@@ -437,6 +437,28 @@ class TestCliRun:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("hours,kind", [
+        ('"8"', "str"), ("true", "bool"), ("[8]", "list"), ("null", "NoneType"),
+    ], ids=["string", "bool", "list", "null"])
+    def test_hours_not_a_number_are_a_one_line_error(self, tmp_path, capsys, hours,
+                                                     kind):
+        # Before they were refused, `"8"` ran as 8 h and `true` as 1 h.
+        path = tmp_path / "typed.yaml"
+        path.write_text(APPENDIX_STYLE.replace("hours: 8.0", f"hours: {hours}"),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            "scenario error: malformed scenario field: "
+            f"tasks[0].hours must be a number, not {kind}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hours", ["8", "8.0", "8.0e+0"])
+    def test_integer_and_float_hours_run(self, hours):
+        scenario = parse_scenario_text(APPENDIX_STYLE.replace("hours: 8.0",
+                                                              f"hours: {hours}"))
+        assert scenario.tasks[0].estimated_hours == 8.0
+
     @pytest.mark.parametrize("team", [
         APPENDIX_STYLE.replace("team: 1M+4W", "team: 1M+0W"),
         re.sub(r"  - \{id: W.*\n", "", EXPLICIT_TEAM)], ids=["shorthand", "list"])

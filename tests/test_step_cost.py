@@ -49,8 +49,13 @@ id, alignment and stats, the open-request, organized and due sets and the
 blocked map) instead of through context properties that built task views,
 the run loop's all-roots-done test compared a count of finished roots with
 the root count instead of scanning every root, and message, thread and
-meeting ids came from `itertools.count` maps. The bound is the last figure
-rounded up to a whole instruction: 604.
+meeting ids came from `itertools.count` maps; 455.04 (122,862) once a step
+decided and resolved each idle agent in one loop over a list of contexts,
+without its three per-agent dicts, a work step ran in the action loop's own
+frame, calling only `effective_progress` and `TaskGraph.record_work`, the
+`action` and `progress` records went onto the step's batch without `emit`,
+and actions became named tuples built by position. The bound is the last
+figure rounded up to a whole instruction: 456.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -67,8 +72,11 @@ and 681.2 (211,165) with the events handed on in batches; 480.2 (194,499)
 and 657.9 (203,961) with the busy set, the one step grid and the dead checks
 gone; 477.6 (193,417) and 618.3 (191,658) with `fixed_steps` reading its
 inbox lists and last action from `World`'s tables in its own frame, the
-counted finished roots and the counted ids. Their bounds are those last
-figures rounded up to a whole instruction: 478 and 619.
+counted finished roots and the counted ids; 320.4 (129,779) and 474.9
+(147,232) with decide and resolve in one loop, the work step in the action
+loop's frame, the `action` and `progress` records batched without `emit` and
+actions as tuples. Their bounds are those last figures rounded up to a whole
+instruction: 321 and 475.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -94,11 +102,14 @@ change, not recorded with it); with the events handed on in batches, 889.2
 one step grid and the dead checks gone, 868.4 (1,358,202) and 865.8
 (5,534,215), a ratio of 1.00; with the heuristic reading `World`'s tables
 in its own frame, the counted finished roots and the counted ids, 714.5
-(1,117,475) and 708.9 (4,531,488), a ratio of 0.99. The ratio bound, 1.10,
+(1,117,475) and 708.9 (4,531,488), a ratio of 0.99; with decide and resolve
+in one loop, the work step in the action loop's frame, the hot records
+batched without `emit` and actions as tuples, 563.2 (880,817) and 558.5
+(3,569,683), a ratio of 0.99. The ratio bound, 1.10,
 lets an agent-step grow a little with the tasks an agent holds, not in
 proportion to them. The 16-root run is also the shape of the benchmark's
 `many_roots` workload, so its own reading is bounded too, rounded up to a
-whole instruction: 709.
+whole instruction: 559.
 
 The same 16-root run as `teamsim run` drives it, every event written by a
 `TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
@@ -115,8 +126,11 @@ replaced by the standard library writing a whole batch that orjson might
 write otherwise (here only step 0's, whose `init` alignment events hold
 None); 877.1 (5,606,235) and 994.7 (6,358,256) with the heuristic reading
 `World`'s tables in its own frame, the counted finished roots and ids, and
-the trace file removed before the writer opens it. The bounds are those last
-readings rounded up to a whole instruction: 878 and 995.
+the trace file removed before the writer opens it; 726.6 (4,644,430) and
+844.3 (5,396,451) with decide and resolve in one loop, the work step in the
+action loop's frame, the hot records batched without `emit` and actions as
+tuples. The bounds are those last readings rounded up to a whole
+instruction: 727 and 845.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -188,17 +202,17 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 478),
-    "fixed_steps": (310, 619),
-    "c2c_heuristic": (270, 604),
+    "no_comm": (405, 321),
+    "fixed_steps": (310, 475),
+    "c2c_heuristic": (270, 456),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 709
+ROOTS_16_BOUND = 559
 # Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
 # run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
-SINK_CHAIN_BOUND = {"orjson": 878, "stdlib": 995}
+SINK_CHAIN_BOUND = {"orjson": 727, "stdlib": 845}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}

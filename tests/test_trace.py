@@ -14,6 +14,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from teamsim import trace
 from teamsim.config import parse_scenario
 from teamsim.engine import Simulation
+from teamsim.taskgraph import TaskGraph
 from teamsim.trace import SCHEMAS, TraceError, TraceLog, TraceWriter
 
 from conftest import add_event, trace_codecs
@@ -71,23 +72,30 @@ def test_run_that_raises_mid_step_writes_every_event_before_the_raise(
     cut = max(index for index, record in enumerate(full)
               if record["step"] == 10 and record["kind"] == "action"
               and record["action"] == "work")
-    agent = full[cut]["agent"]
-    execute_work = Simulation._execute_work
+    # Each work step credits its task through `TaskGraph.record_work` once,
+    # so that agent's work step makes the call after one per earlier
+    # `progress` record; the raise comes from there.
+    work_steps_before = sum(record["kind"] == "progress" for record in full[:cut])
+    calls = []
+    record_work = TaskGraph.record_work
 
-    def failing(sim, agent_id, task_id, t):
-        if (t, agent_id) == (10, agent):
+    def failing(graph, task_id, effective_hours):
+        calls.append(task_id)
+        if len(calls) > work_steps_before:
             raise RuntimeError("work failed")
-        execute_work(sim, agent_id, task_id, t)
+        return record_work(graph, task_id, effective_hours)
 
-    monkeypatch.setattr(Simulation, "_execute_work", failing)
+    monkeypatch.setattr(TaskGraph, "record_work", failing)
     expected = TraceLog()
     expected.extend(full[:cut + 1])
     for codec in each_codec():
+        calls.clear()
         seen = TraceLog()
         path = tmp_path / codec / "trace.jsonl"
         with TraceWriter(path, seen) as writer:
             with pytest.raises(RuntimeError, match="work failed"):
                 Simulation(scenario, trace=writer).run()
+        assert calls[-1] == full[cut]["target"]
         assert path.read_bytes() == \
             expected.write(tmp_path / f"{codec}.jsonl").read_bytes()
         assert seen.events == expected.events
