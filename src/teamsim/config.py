@@ -28,12 +28,22 @@ MAX_SHORTHAND_AGENTS = 10_000
 
 _SHORTHAND = re.compile(r"^(\d+)M\+(\d+)W$", re.IGNORECASE)
 
-# The keys `emit_scenario` writes at each level of a scenario file, and a
-# top-level `seed`, which is accepted and ignored; any other is an error.
-_TOP_KEYS = frozenset({"name", "team", "team_label", "policy", "evaluator",
-                       "skill_pool", "tasks", "seed"})
-_TASK_KEYS = frozenset({"description", "hours", "skills"})
-_AGENT_KEYS = frozenset({"id", "name", "role", "skills"})
+# The scenario format, one table per level: each key a level may hold, the
+# YAML types its value may take and whether it must be given. `type(value)`
+# must be one of the types, so a bool is not a number. `emit_scenario` writes
+# every key but `seed`, which is accepted with any value and ignored.
+_TEXT = ((str,), "a string")
+_NUMBER = ((int, float), "a number")
+_SKILLS = ((list,), "a list of skills")  # of strings, lowercased when read
+_TOP_FIELDS = {"name": (_TEXT, False),
+               "team": (((str, list), "a team shorthand or a list of agents"), True),
+               "team_label": (_TEXT, False), "policy": (_TEXT, False),
+               "evaluator": (_TEXT, False), "skill_pool": (_SKILLS, False),
+               "tasks": (((list,), "a list of tasks"), True), "seed": (None, False)}
+_TASK_FIELDS = {"description": (_TEXT, True), "hours": (_NUMBER, True),
+                "skills": (_SKILLS, False)}
+_AGENT_FIELDS = {"id": (_TEXT, True), "name": (_TEXT, False), "role": (_TEXT, True),
+                 "skills": (_SKILLS, True)}
 
 
 def _represent_str(dumper: yaml.SafeDumper, data: str) -> yaml.ScalarNode:
@@ -168,26 +178,35 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
         return _parse_scenario_text(text, name_hint)
     except ScenarioError:
         raise
-    except (TypeError, ValueError, RecursionError) as exc:
-        # A field of the wrong type, such as `tasks: 5`, or one nested too
-        # deeply to turn into text.
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # Hours too large for a float, or a value nested too deeply to read.
         raise ScenarioError(f"malformed scenario field: {exc}") from exc
 
 
-def _skill_list(value: object, field: str) -> list:
-    """`value`, the YAML list that `field` must hold. A scalar or mapping is
-    refused, not iterated: `skills: planning` is not seven one-letter skills."""
-    if not isinstance(value, list):
-        raise ScenarioError(f"malformed scenario field: {field} must be a list "
-                            f"of skills, not {type(value).__name__}")
-    return value
+def _wrong_type(field: str, kind: tuple, value: object) -> ScenarioError:
+    return ScenarioError(f"malformed scenario field: {field} must be {kind[1]}, "
+                         f"not {type(value).__name__}")
 
 
-def _known_keys(raw: dict, keys: frozenset, where: str) -> None:
-    """Refuse the first key of `raw`, the mapping at `where`, not in `keys`."""
-    for key in raw:
-        if key not in keys:
+def _read(raw: object, fields: dict, where: str) -> None:
+    """`raw`, the mapping at `where` ("tasks[0]." in the first task), checked
+    against its level's table: a key the table lacks, a required key not
+    given and a value of a type its key does not take are refused."""
+    if type(raw) is not dict:
+        raise _wrong_type(where[:-1], ((dict,), "a mapping"), raw)
+    for key, value in raw.items():
+        if key not in fields:
             raise ScenarioError(f"unknown field: {where}{key}")
+        kind = fields[key][0]
+        if kind is not None and type(value) not in kind[0]:
+            raise _wrong_type(f"{where}{key}", kind, value)
+        if kind is _SKILLS:
+            for j, skill in enumerate(value):
+                if type(skill) is not str:
+                    raise _wrong_type(f"{where}{key}[{j}]", _TEXT, skill)
+    for key, (_, required) in fields.items():
+        if required and key not in raw:
+            raise ScenarioError(f"missing field: {where}{key}")
 
 
 def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
@@ -199,85 +218,46 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
         raise ScenarioError(f"malformed scenario syntax: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("malformed scenario: expected a mapping at top level")
-    _known_keys(data, _TOP_KEYS, "")
+    _read(data, _TOP_FIELDS, "")
 
-    if "tasks" not in data:
-        raise ScenarioError("missing field: tasks")
-    if "team" not in data:
-        raise ScenarioError("missing field: team")
-
+    declared_pool = [s.lower() for s in data.get("skill_pool", ())]
     tasks: list[TaskSpec] = []
     for i, raw in enumerate(data["tasks"]):
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"malformed task entry {i}")
-        _known_keys(raw, _TASK_KEYS, f"tasks[{i}].")
-        for required in ("description", "hours"):
-            if required not in raw:
-                raise ScenarioError(f"missing field: tasks[{i}].{required}")
-        # A string such as "8" or a bool is refused, not run as 8 or 1 hours.
-        hours = raw["hours"]
-        if not isinstance(hours, (int, float)) or isinstance(hours, bool):
-            raise ScenarioError(f"malformed scenario field: tasks[{i}].hours must be "
-                                f"a number, not {type(hours).__name__}")
-        tasks.append(TaskSpec(
-            description=str(raw["description"]),
-            estimated_hours=float(hours),
-            required_skills=frozenset(
-                str(s).lower() for s in _skill_list(raw.get("skills", []),
-                                                    f"tasks[{i}].skills")
-            ),
-        ))
-
-    declared_pool = [str(s).lower()
-                     for s in _skill_list(data.get("skill_pool", []), "skill_pool")]
-    task_skills = sorted({s for t in tasks for s in t.required_skills})
-    pool = declared_pool or task_skills
-    if declared_pool:
-        for i, task in enumerate(tasks):
-            unknown = task.required_skills - set(declared_pool)
-            if unknown:
-                raise ScenarioError(
-                    f"unknown skill reference in tasks[{i}]: {sorted(unknown)}"
-                )
+        _read(raw, _TASK_FIELDS, f"tasks[{i}].")
+        skills = frozenset([s.lower() for s in raw.get("skills", ())])
+        unknown = skills.difference(declared_pool) if declared_pool else ()
+        if unknown:
+            raise ScenarioError(f"unknown skill reference in tasks[{i}]: {sorted(unknown)}")
+        tasks.append(TaskSpec(raw["description"], float(raw["hours"]), skills))
+    if not tasks:  # refused before a shorthand asks for a skill pool
+        raise ScenarioError("no tasks")
+    pool = declared_pool or sorted({s for t in tasks for s in t.required_skills})
 
     team_raw = data["team"]
-    team_label = ""
-    if isinstance(team_raw, str):
-        team_label = team_raw.strip()
-        team = expand_team_shorthand(team_label, pool)
-    elif isinstance(team_raw, list):
+    if type(team_raw) is str:
+        team = expand_team_shorthand(team_raw, pool)
+        derived_label = team_raw.strip()
+    else:
         team = []
         for i, raw in enumerate(team_raw):
-            if not isinstance(raw, dict):
-                raise ScenarioError(f"malformed team entry {i}")
-            _known_keys(raw, _AGENT_KEYS, f"team[{i}].")
-            for required in ("id", "role", "skills"):
-                if required not in raw:
-                    raise ScenarioError(f"missing field: team[{i}].{required}")
-            role_text = str(raw["role"]).lower()
-            if role_text not in (Role.MANAGER.value, Role.WORKER.value):
+            _read(raw, _AGENT_FIELDS, f"team[{i}].")
+            role = raw["role"].lower()
+            if role not in (Role.MANAGER.value, Role.WORKER.value):
                 raise ScenarioError(f"malformed role in team[{i}]: {raw['role']!r}")
-            team.append(AgentProfile(
-                agent_id=str(raw["id"]),
-                name=str(raw.get("name", raw["id"])),
-                role=Role(role_text),
-                skills=frozenset(str(s).lower()
-                                 for s in _skill_list(raw["skills"], f"team[{i}].skills")),
-            ))
-        team_label = str(data.get("team_label", "")) or _derive_label(team)
-    else:
-        raise ScenarioError("malformed team block")
+            team.append(AgentProfile(raw["id"], raw.get("name", raw["id"]), Role(role),
+                                     frozenset([s.lower() for s in raw["skills"]])))
+        # `validate_scenario` refuses any team without exactly one manager.
+        derived_label = f"1M+{len(team) - 1}W"
 
-    scenario = Scenario(
-        name=str(data.get("name", name_hint)),
+    return validate_scenario(Scenario(
+        name=data.get("name", name_hint),
         team=team,
         tasks=tasks,
-        policy_name=str(data.get("policy", "no_comm")),
-        evaluator_name=str(data.get("evaluator", "rule_based")),
+        policy_name=data.get("policy", "no_comm"),
+        evaluator_name=data.get("evaluator", "rule_based"),
         skill_pool=tuple(pool),
-        team_label=team_label,
-    )
-    return validate_scenario(scenario)
+        team_label=data.get("team_label") or derived_label,
+    ))
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -289,12 +269,6 @@ def parse_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"unreadable scenario file: {exc}") from exc
     return parse_scenario_text(text, name_hint=path.stem)
-
-
-def _derive_label(team: list[AgentProfile]) -> str:
-    managers = sum(1 for a in team if a.role is Role.MANAGER)
-    workers = len(team) - managers
-    return f"{managers}M+{workers}W"
 
 
 def emit_scenario(scenario: Scenario) -> str:

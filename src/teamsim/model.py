@@ -5,8 +5,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
 HOURS_PER_STEP = 0.25  # the step grid of every run
@@ -65,19 +66,15 @@ def order_key(identifier: str) -> tuple:
     )
 
 
-def hours_to_steps(hours: float, hours_per_step: float = HOURS_PER_STEP) -> int:
+def hours_to_steps(hours: float) -> int:
     """Number of whole steps needed to cover `hours`, rounding up to the grid.
 
-    Exact on grid multiples for binary grids (0.25, 0.5, ...) because the
-    division is then exact in floating point.
+    Exact on grid multiples because HOURS_PER_STEP is a power of two, so the
+    division is exact in floating point.
     """
     if hours < 0:
         raise ValueError(f"negative hours: {hours}")
-    if hours_per_step <= 0:
-        raise ValueError(f"non-positive hours_per_step: {hours_per_step}")
-    if hours == 0:
-        return 0
-    return math.ceil(hours / hours_per_step)
+    return math.ceil(hours / HOURS_PER_STEP)
 
 
 class SimClock:
@@ -139,20 +136,22 @@ class Scenario:
         return [a for a in self.team if not a.is_manager]
 
 
-def validate_scenario(raw: Scenario) -> Scenario:
-    """Enforce scenario invariants and normalize skill tags to lower case."""
-    if not raw.team:
+def validate_scenario(scenario: Scenario) -> Scenario:
+    """Enforce scenario invariants and return `scenario` as given."""
+    team = scenario.team
+    if not scenario.tasks:
+        raise ScenarioError("no tasks")
+    if not team:
         raise EmptyTeamError("empty team")
-    managers = [a for a in raw.team if a.role is Role.MANAGER]
+    # C-level passes over the agents: a wide team adds no Python frame here.
+    managers = list(map(attrgetter("role"), team)).count(Role.MANAGER)
     if not managers:
         raise NoManagerError("no manager")
-    if len(managers) > 1:
-        raise MultipleManagersError(f"{len(managers)} managers, expected exactly one")
-    if len(managers) == len(raw.team):
+    if managers > 1:
+        raise MultipleManagersError(f"{managers} managers, expected exactly one")
+    if managers == len(team):
         raise NoWorkerError("no worker")
-    if not raw.tasks:
-        raise ScenarioError("no tasks")
-    for spec in raw.tasks:
+    for spec in scenario.tasks:
         if spec.estimated_hours <= 0:
             raise NonPositiveEffortError(
                 f"non-positive effort: {spec.estimated_hours}"
@@ -160,26 +159,15 @@ def validate_scenario(raw: Scenario) -> Scenario:
         if not math.isfinite(spec.estimated_hours):
             # NaN passes the test above, and neither NaN nor inf hours ever end.
             raise NonFiniteEffortError(f"non-finite effort: {spec.estimated_hours}")
-    if raw.policy_name not in POLICY_NAMES:
-        raise ScenarioError(f"unknown policy: {raw.policy_name}")
-    if raw.evaluator_name not in EVALUATOR_NAMES:
-        raise ScenarioError(f"unknown evaluator: {raw.evaluator_name}")
-
-    # Agents and tasks are rebuilt by position through `tuple.__new__`, which
-    # runs no Python-level `__new__` or `_replace`.
-    seen: set[str] = set()
-    team: list[AgentProfile] = []
-    for agent_id, name, role, skills in raw.team:
-        if agent_id in seen:
-            raise ScenarioError(f"duplicate agent id: {agent_id}")
-        seen.add(agent_id)
-        if not skills:
-            raise ScenarioError(f"agent {agent_id} has no skills")
-        team.append(_new_tuple(AgentProfile, (
-            agent_id, name, role, frozenset([s.lower() for s in skills]))))
-
-    tasks = [_new_tuple(TaskSpec, (description, float(hours),
-                                   frozenset([s.lower() for s in required])))
-             for description, hours, required in raw.tasks]
-    pool = tuple([s.lower() for s in raw.skill_pool])
-    return replace(raw, team=team, tasks=tasks, skill_pool=pool)
+    if scenario.policy_name not in POLICY_NAMES:
+        raise ScenarioError(f"unknown policy: {scenario.policy_name}")
+    if scenario.evaluator_name not in EVALUATOR_NAMES:
+        raise ScenarioError(f"unknown evaluator: {scenario.evaluator_name}")
+    ids = list(map(attrgetter("agent_id"), team))
+    if len(set(ids)) < len(ids):
+        raise ScenarioError(
+            f"duplicate agent id: {next(a for i, a in enumerate(ids) if a in ids[:i])}")
+    if not all(map(attrgetter("skills"), team)):
+        raise ScenarioError(
+            f"agent {next(a.agent_id for a in team if not a.skills)} has no skills")
+    return scenario

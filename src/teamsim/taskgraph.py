@@ -189,9 +189,6 @@ class TaskGraph:
         """Siblings whose dependencies include `task_id`, in id order."""
         return [self.nodes[d] for d in self._dependents.get(task_id, [])]
 
-    def is_leaf(self, task_id: str) -> bool:
-        return not self._children.get(task_id)
-
     def all_roots_done(self) -> bool:
         return self._roots_done == len(self.roots)
 

@@ -207,14 +207,14 @@ def replay_af_updates(records) -> dict[tuple[str, str], float]:
 def ready_tasks(graph: TaskGraph) -> list[str]:
     """Non-done leaves of `graph` whose dependencies are all done, in id order."""
     return sorted((task_id for task_id, node in graph.nodes.items()
-                   if not node.done and graph.is_leaf(task_id)
+                   if not node.done and not graph.children(task_id)
                    and all(graph.nodes[d].done for d in node.dependencies)),
                   key=order_key)
 
 
 def node_progress(graph: TaskGraph, task_id: str) -> float:
     """A leaf's completion fraction, or a parent's weighted roll-up."""
-    if graph.is_leaf(task_id):
+    if not graph.children(task_id):
         return graph.node(task_id).progress
     return parent_progress(graph, task_id)
 

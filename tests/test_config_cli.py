@@ -6,10 +6,12 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
@@ -51,6 +53,11 @@ tasks:
     hours: 4.0
     skills: [backend, api, testing]
 """
+
+
+SIMPLE = (SCENARIOS / "simple.yaml").read_text(encoding="utf-8")
+SIMPLE_POOL = "skill_pool: [backend, frontend, database, api, testing]"
+SIMPLE_SKILLS = "    skills: [backend, frontend, database, api, testing]"
 
 
 class TestParsing:
@@ -101,6 +108,15 @@ class TestParsing:
         scenario = parse_scenario_text(EXPLICIT_TEAM)
         assert [a.agent_id for a in scenario.team] == ["M1", "W1", "W2"]
         assert scenario.team_label == "1M+2W"
+
+    def test_normalizes_skill_case(self):
+        scenario = parse_scenario_text(
+            EXPLICIT_TEAM.replace("skills: [backend, api]}", "skills: [Backend, API]}")
+            .replace("skills: [backend, api, testing]", "skills: [Backend, TESTING]")
+            + "skill_pool: [BACKEND, Api, testing]\n")
+        assert scenario.team[1].skills == frozenset({"backend", "api"})
+        assert scenario.tasks[0].required_skills == frozenset({"backend", "testing"})
+        assert scenario.skill_pool == ("backend", "api", "testing")
 
     def test_multi_task_scenario(self):
         text = EXPLICIT_TEAM + (
@@ -319,6 +335,46 @@ def test_emitted_scenario_parses_back(scenario):
             assert parse_scenario_text(emit_scenario(scenario)) == scenario
 
 
+def _node_paths(data, path=()):
+    """The path of every node of a loaded YAML document, the root's first."""
+    yield path
+    if isinstance(data, (dict, list)):
+        for key, value in (data.items() if isinstance(data, dict) else enumerate(data)):
+            yield from _node_paths(value, path + (key,))
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=8))
+_nodes = st.one_of(_scalars, st.lists(_scalars, max_size=3),
+                   st.dictionaries(st.text(max_size=6), _scalars, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["simple", "medium", "complex", "multi_task"]),
+       data=st.data())
+def test_one_node_replaced_runs_or_is_one_scenario_error(name, data):
+    """A shipped scenario with any one node replaced by a scalar, list or
+    mapping runs, or is refused in one line: never a traceback."""
+    document = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8"))
+    path = data.draw(st.sampled_from(list(_node_paths(document))))
+    value = data.draw(_nodes)
+    if path:
+        functools.reduce(operator.getitem, path[:-1], document)[path[-1]] = value
+    else:
+        document = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "edited.yaml"
+        scenario.write_text(yaml.safe_dump(document, allow_unicode=True), encoding="utf-8")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--scenario", str(scenario), "--out",
+                         str(Path(tmp) / "out"), "--max-steps", "4"])
+    assert code in (0, 2, 5)
+    if code == 5:
+        assert err.getvalue().startswith("scenario error: ")
+        assert err.getvalue().count("\n") == 1
+
+
 @pytest.fixture
 def scenario_file(tmp_path) -> Path:
     path = tmp_path / "simple.yaml"
@@ -422,6 +478,51 @@ class TestCliRun:
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 5
         assert capsys.readouterr().err == f"scenario error: duplicate field: {field}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("content,error", [
+        (SIMPLE.replace("name: simple", "name: [1, 2]"),
+         "malformed scenario field: name must be a string, not list"),
+        (SIMPLE.replace("name: simple", "name: null"),
+         "malformed scenario field: name must be a string, not NoneType"),
+        (re.sub(r"description: .*", "description: 5", SIMPLE),
+         "malformed scenario field: tasks[0].description must be a string, not int"),
+        (SIMPLE.replace(SIMPLE_POOL + "\n", "").replace(SIMPLE_SKILLS, "    skills: [null]"),
+         "malformed scenario field: tasks[0].skills[0] must be a string, not NoneType"),
+        (SIMPLE.replace(SIMPLE_POOL, "skill_pool: [backend, null]")
+         .replace(SIMPLE_SKILLS, "    skills: [backend]"),
+         "malformed scenario field: skill_pool[1] must be a string, not NoneType"),
+        (SIMPLE.replace(SIMPLE_POOL + "\n", "").replace(SIMPLE_SKILLS, "    skills: [true]"),
+         "malformed scenario field: tasks[0].skills[0] must be a string, not bool"),
+        (SIMPLE.replace(SIMPLE_POOL + "\n", "").replace(SIMPLE_SKILLS, "    skills: [[a, b]]"),
+         "malformed scenario field: tasks[0].skills[0] must be a string, not list"),
+        (EXPLICIT_TEAM.replace("id: W1", "id: 1"),
+         "malformed scenario field: team[1].id must be a string, not int"),
+        (SIMPLE.replace("hours: 8.0", "hours: 1" + "0" * 400),
+         "malformed scenario field: int too large to convert to float"),
+        ("team: 1M+4W\ntasks: []\n", "no tasks"),
+    ], ids=["name-list", "name-null", "description-int", "skill-null", "pool-null",
+            "skill-bool", "skill-list", "agent-id-int", "hours-past-float", "no-tasks"])
+    def test_value_not_of_its_fields_type_is_a_one_line_error(self, tmp_path, capsys,
+                                                               content, error):
+        # Before they were refused, the first eight ran with the value turned
+        # into text, such as the name "[1, 2]" or a skill named "none"; the
+        # ninth ended in a traceback, and the last named the skill pool.
+        path = tmp_path / "typed.yaml"
+        path.write_text(content, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == f"scenario error: {error}\n"
+        assert not out.exists()
+
+    def test_team_label_beside_a_shorthand_reaches_the_report(self, tmp_path):
+        # It was dropped, and the report named the shorthand.
+        path = tmp_path / "labelled.yaml"
+        path.write_text(SIMPLE.replace("team: 1M+4W\n", "team: 1M+4W\nteam_label: foo\n"),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_text(encoding="utf-8").startswith("config: foo\n")
+        assert parse_scenario(out / "scenario.yaml").team_label == "foo"
 
     @pytest.mark.parametrize("hours", [".nan", ".inf"])
     def test_non_finite_hours_are_a_one_line_error(self, tmp_path, capsys, hours):

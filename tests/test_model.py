@@ -5,8 +5,9 @@ import random
 import pytest
 
 from teamsim.config import expand_team_shorthand
-from teamsim.model import (AgentProfile, EmptyTeamError, MultipleManagersError,
-                           NoManagerError, NonFiniteEffortError, NoWorkerError,
+from teamsim.model import (HOURS_PER_STEP, AgentProfile, EmptyTeamError,
+                           MultipleManagersError, NoManagerError,
+                           NonFiniteEffortError, NoWorkerError,
                            NonPositiveEffortError, Role,
                            Scenario, TaskSpec, hours_to_steps, order_key,
                            skill_match_score, validate_scenario)
@@ -16,35 +17,32 @@ from conftest import SIMPLE_TASK, make_team
 
 class TestHoursToSteps:
     def test_exact_multiple(self):
-        assert hours_to_steps(1.0, 0.25) == 4
+        assert hours_to_steps(1.0) == 4
 
     def test_zero(self):
-        assert hours_to_steps(0.0, 0.25) == 0
+        assert hours_to_steps(0.0) == 0
 
     def test_rounds_up(self):
-        assert hours_to_steps(6.667, 0.25) == 27
+        assert hours_to_steps(6.667) == 27
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative hours"):
-            hours_to_steps(-0.1, 0.25)
+            hours_to_steps(-0.1)
 
     def test_monotone_and_never_under_allocates(self):
         rng = random.Random(11)
-        for grid in (0.25, 0.5, 0.125):
-            previous = 0
-            for i in range(500):
-                hours = rng.uniform(0, 50)
-                steps = hours_to_steps(hours, grid)
-                assert steps * grid >= hours
-            # monotone over a sorted sweep
-            sweep = sorted(rng.uniform(0, 50) for _ in range(200))
-            steps = [hours_to_steps(h, grid) for h in sweep]
-            assert steps == sorted(steps)
+        for i in range(500):
+            hours = rng.uniform(0, 50)
+            assert hours_to_steps(hours) * HOURS_PER_STEP >= hours
+        # monotone over a sorted sweep
+        sweep = sorted(rng.uniform(0, 50) for _ in range(200))
+        steps = [hours_to_steps(h) for h in sweep]
+        assert steps == sorted(steps)
 
     def test_exact_on_grid_multiples(self):
-        for grid in (0.25, 0.5, 0.125):
-            for k in range(0, 400):
-                assert hours_to_steps(k * grid, grid) == k
+        assert HOURS_PER_STEP == 0.25
+        for k in range(0, 400):
+            assert hours_to_steps(k * HOURS_PER_STEP) == k
 
 
 class TestSkillMatch:
@@ -117,11 +115,14 @@ class TestValidateScenario:
         with pytest.raises(NonFiniteEffortError, match="non-finite effort"):
             validate_scenario(self.scenario(make_team(2), tasks=[bad]))
 
-    def test_normalizes_skill_case(self):
+    def test_returns_its_argument_unchanged(self):
+        # Skill tags are lowercased where a scenario file is read; a
+        # hand-built scenario keeps its tags and its hours as given.
         team = make_team(1, worker_skills=[frozenset({"Backend", "API"})])
-        scenario = validate_scenario(self.scenario(team))
-        worker = scenario.workers[0]
-        assert worker.skills == frozenset({"backend", "api"})
+        scenario = self.scenario(team, tasks=[TaskSpec("t", 2, frozenset({"API"}))])
+        assert validate_scenario(scenario) is scenario
+        assert scenario.workers[0].skills == frozenset({"Backend", "API"})
+        assert type(scenario.tasks[0].estimated_hours) is int
 
     def test_duplicate_agent_ids_rejected(self):
         team = make_team(1) + [AgentProfile("W1", "dup", Role.WORKER,

@@ -172,9 +172,12 @@ a scenario level does not hold, `World` stopped building two teammate views
 per agent and the step grid became one constant; 148.9 (38,113), 123.8
 (31,827) and 1,341.4 (343,388) once the loader also refused a key given
 twice at one level, one C-level pass per mapping in the common case, and
-`World` made its three id factories as `itertools.count` maps. The same
-figures read in the whole suite under `python -X dev -m pytest`. The bounds
-are those readings rounded up to a whole instruction: 149, 124 and 1,342.
+`World` made its three id factories as `itertools.count` maps; the parse
+cost 71.4 (18,285) once it read each level against its table of fields and
+`validate_scenario` checked the team in C-level passes instead of
+rebuilding every agent to lowercase its skills again. The same figures read
+in the whole suite under `python -X dev -m pytest`. The bounds are those
+readings rounded up to a whole instruction: 72, 124 and 1,342.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -219,7 +222,7 @@ STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
 # Team set-up on a 1M+256W team with one root under `no_comm`: opcodes of the
 # parse per worker, of `Simulation()` per agent and of step 0 (the plan) per
 # subtask.
-SETUP_OPCODES_BOUND = {"parse": 149, "simulation": 124, "plan_step": 1342}
+SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 124, "plan_step": 1342}
 WIDE_WORKERS = 256
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),

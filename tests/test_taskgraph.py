@@ -74,7 +74,7 @@ class TestReadyTasks:
             # oracle: exhaustive dependency scan over leaves
             expected = set()
             for task_id, node in graph.nodes.items():
-                if not graph.is_leaf(task_id) or node.done:
+                if graph.children(task_id) or node.done:
                     continue
                 if all(graph.node(d).done for d in node.dependencies):
                     expected.add(task_id)
