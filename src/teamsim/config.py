@@ -179,7 +179,7 @@ def parse_scenario_text(text: str, name_hint: str = "scenario") -> Scenario:
     except ScenarioError:
         raise
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-        # Hours too large for a float, or a value nested too deeply to read.
+        # A value nested too deeply to read, or one no check above names.
         raise ScenarioError(f"malformed scenario field: {exc}") from exc
 
 
@@ -228,7 +228,12 @@ def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
         unknown = skills.difference(declared_pool) if declared_pool else ()
         if unknown:
             raise ScenarioError(f"unknown skill reference in tasks[{i}]: {sorted(unknown)}")
-        tasks.append(TaskSpec(raw["description"], float(raw["hours"]), skills))
+        try:
+            hours = float(raw["hours"])
+        except OverflowError:
+            raise _wrong_type(f"tasks[{i}].hours", (None, "a number a float can hold"),
+                              raw["hours"]) from None
+        tasks.append(TaskSpec(raw["description"], hours, skills))
     if not tasks:  # refused before a shorthand asks for a skill pool
         raise ScenarioError("no tasks")
     pool = declared_pool or sorted({s for t in tasks for s in t.required_skills})

@@ -19,8 +19,8 @@ from enum import Enum
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .alignment import (AlignmentState, effective_progress,
-                        normalize_reported_alignment, rule_based_delta)
+from .alignment import (AlignmentState, normalize_reported_alignment,
+                        rule_based_delta)
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
                     Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
                     communication_cost)
@@ -28,11 +28,11 @@ from .model import (HOURS_PER_STEP, AgentProfile, Scenario, SimClock, _new_tuple
                     hours_to_steps, order_key)
 from .planner import EvenPlanner, LlmPlanner, assign
 from .policy import (CONTINUE, MEETING_START, Intention, IntentionKind, LastAction,
-                     Policy, PolicyContext, REPORT_MILESTONES, TaskAssignmentView,
+                     Policy, PolicyContext, TaskAssignmentView,
                      build_context, build_policy, compose_message, compose_reply,
                      message_words, reply_channel, reply_words, select_channel,
                      select_recipients)
-from .taskgraph import TaskGraph, TaskNode, TaskStatus
+from .taskgraph import REPORT_MILESTONES, TaskGraph, TaskNode, TaskStatus
 from .trace import TraceLog, TraceSink
 
 if TYPE_CHECKING:
@@ -51,9 +51,6 @@ TRACE_BATCH = 64
 
 # A task's status while its holder can work on it.
 WORKABLE = (TaskStatus.READY, TaskStatus.IN_PROGRESS)
-
-# The lowest progress at which a task has a milestone to report.
-FIRST_MILESTONE = min(REPORT_MILESTONES)
 
 # The message each communicating intention sends.
 INTENTION_MESSAGE_TYPES = {
@@ -190,9 +187,9 @@ class World:
 
     It keeps indexes, updated by the methods that change the state, so that
     no query rescans history. The one exception is the work step, which the
-    step driver runs in its own frame: it credits the task through
-    `TaskGraph.record_work` and updates `stats` and `due` itself, then calls
-    `finish_task` when the task finished. The per-agent tables the deterministic
+    step driver runs in its own frame: it credits the task itself, through
+    `TaskGraph.reach` only at the node's mark, and updates `stats` and `due`
+    itself, then calls `finish_task` when the task finished. The per-agent tables the deterministic
     policies read are public, and read-only outside this module: `invites`,
     `inbound_requests`, `meeting_started`, `active_task_id`,
     `alignment.values`, `stats`, `organized`, `due`, `outbound` and
@@ -281,10 +278,12 @@ class World:
         # Open request threads by task, closed when the task finishes.
         self._open_by_task: dict[str, list[Thread]] = {}
         # Each agent's active task: the first ready one it holds, which
-        # CONTINUE_TASK works on. Re-picked only when readiness can change:
-        # when the plan lands, a held task finishes or a dependent of a
-        # finished task becomes ready.
+        # CONTINUE_TASK works on, and its work action (IDLE_ACTION without one).
+        # Re-picked only when readiness can change: when the plan lands, a held
+        # task finishes or a dependent of a finished task becomes ready.
         self.active_task_id: dict[str, str | None] = dict.fromkeys(self.agent_order)
+        self.work_action: dict[str, ActiveAction] = dict.fromkeys(
+            self.agent_order, IDLE_ACTION)
         # Each agent's blocked-collaborator map; None until the next read
         # recomputes it. One entry per agent, so that a read inside the
         # parallel decide touches only the deciding agent's entry.
@@ -375,9 +374,11 @@ class World:
 
     def _pick_active(self, agent_id: str) -> None:
         node = self.graph.node
-        self.active_task_id[agent_id] = next(
+        task_id = self.active_task_id[agent_id] = next(
             (task_id for task_id in self.assignments[agent_id]
              if node(task_id).status in WORKABLE), None)
+        self.work_action[agent_id] = IDLE_ACTION if task_id is None else _new_tuple(
+            ActiveAction, (ActionKind.WORK, task_id, 1, None))
 
     def finish_task(self, node: TaskNode) -> None:
         """Re-pick what a finished task changes: its holder's active task, and
@@ -581,7 +582,7 @@ class Simulation:
         self._deliver_due(t)
         self._convene_meetings(t)
 
-        active, active_task_id = world.active, world.active_task_id
+        active, work_action = world.active, world.work_action
         idle = [a for a in world.agent_order if a not in active]
         # One busy set serves every idle agent this step. It is taken before
         # any intention is resolved, so it holds the agents busy before this
@@ -606,9 +607,7 @@ class Simulation:
                 if self._start_action(agent_id, context, intention):
                     continue
             # CONTINUE_TASK and every degraded intention end up here.
-            task_id = active_task_id[agent_id]
-            active[agent_id] = IDLE_ACTION if task_id is None else _new_tuple(
-                ActiveAction, (ActionKind.WORK, task_id, 1, None))
+            active[agent_id] = work_action[agent_id]
 
         self._execute_actions(t)
         self._apply_pending_af(t)
@@ -800,12 +799,13 @@ class Simulation:
 
     def _execute_actions(self, t: int) -> None:
         """One step of every agent's action, in agent order. A work step runs
-        in this frame: `effective_progress` and `TaskGraph.record_work` are
-        its only calls. Each `action` and `progress` record goes straight
-        onto the step's batch; every other record goes through `emit`."""
+        in this frame: below its task's mark it adds the hours and compares,
+        and only a step that reaches the mark calls `TaskGraph.reach`. Each
+        `action` and `progress` record goes straight onto the step's batch;
+        every other record goes through `emit`."""
         world = self.world
         active, last_actions, seq = world.active, world.last_actions, world._seq
-        nodes, record_work = world.graph.nodes, world.graph.record_work
+        nodes, reach = world.graph.nodes, world.graph.reach
         alignment, stats_of, due = world.alignment.values, world.stats, world.due
         work, plan, idle = ActionKind.WORK, ActionKind.PLAN, ActionKind.IDLE
         events = world.pending_events
@@ -827,21 +827,25 @@ class Simulation:
             # Work, plan and idle actions last one step; the others act on
             # their last.
             if kind is work:
-                # The holder's active task, which nothing else finishes this
-                # step; its stats were made when the plan landed.
+                # The holder's active task, which nothing else finishes this step;
+                # its stats exist, and every alignment write keeps it in range.
                 node = nodes[target]
                 af = alignment[agent_id, target]
-                effective = effective_progress(HOURS_PER_STEP, af)
-                before = node.progress
-                became_done = record_work(target, effective)
+                effective = HOURS_PER_STEP * af
+                hours = node.accumulated_effective_hours + effective
+                after = min(1.0, hours / node.estimated_hours)
                 stats = stats_of[agent_id, target]
                 stats.hours_worked += HOURS_PER_STEP
                 stats.stuck_worked_steps += 1
-                after = node.progress
-                # A report covers only milestones at or below the progress of
-                # its day, and progress only grows, so one crossed here is
-                # unreported.
-                if after >= FIRST_MILESTONE:
+                if after < node.mark:
+                    node.accumulated_effective_hours = hours
+                    node.progress = after
+                    became_done = False
+                else:
+                    before = node.progress
+                    became_done = reach(node, hours, after)
+                    # A report covers the milestones its day's progress reached,
+                    # and progress only grows: one crossed here is unreported.
                     for milestone in REPORT_MILESTONES:
                         if before < milestone <= after:
                             stats.pending_milestone = milestone

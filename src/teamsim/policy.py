@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # Constants of the deterministic policies.
 AF_ATTENTION_THRESHOLD = 0.45
 STUCK_STEP_THRESHOLD = 4
-REPORT_MILESTONES = (0.5, 1.0)
 FIXED_COMM_INTERVAL = 16
 LONG_CONTENT_WORDS = 120
 

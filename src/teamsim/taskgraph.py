@@ -3,7 +3,9 @@
 Progress is stored as accumulated effective hours. A node's completion
 fraction and done flag are stored beside them and set where hours accumulate
 and where the node finishes, so a read costs nothing. A parent is done
-exactly when every subtask is done.
+exactly when every subtask is done. Below a node's mark, a completion
+fraction, a step crosses no report milestone and cannot finish the node: the
+engine credits such a step itself, and `TaskGraph.reach` every other.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from typing import NamedTuple
 # Slack against float drift when effective hours accumulate in many small
 # increments; one part in 1e9 of an hour is far below one step of work.
 DONE_EPS = 1e-9
+
+# The completion fractions at which a task has a milestone to report.
+REPORT_MILESTONES = (0.5, 1.0)
 
 
 class GraphError(ValueError):
@@ -59,7 +64,7 @@ class SubtaskSpec(NamedTuple):
 class TaskNode:
     __slots__ = ("task_id", "parent_id", "description", "estimated_hours",
                  "required_skills", "dependencies", "assignee",
-                 "accumulated_effective_hours", "status", "progress", "done")
+                 "accumulated_effective_hours", "status", "progress", "done", "mark")
 
     def __init__(self, task_id: str, parent_id: str | None, description: str,
                  estimated_hours: float, required_skills: frozenset[str],
@@ -75,10 +80,12 @@ class TaskNode:
         self.assignee = assignee
         self.accumulated_effective_hours = 0.0
         self.status = status
-        # Completion fraction of a leaf, capped at 1; set by `TaskGraph.record_work`.
+        # Completion fraction of a leaf, capped at 1; set with its hours.
         self.progress = 0.0
         # Whether `status` is DONE; set with it by `TaskGraph._mark_done`.
         self.done = False
+        # Armed by `reach`; until then and once done, 0.0: every step reaches it.
+        self.mark = 0.0
 
 
 class TaskGraph:
@@ -198,22 +205,30 @@ class TaskGraph:
         """Credit effective hours to a leaf; returns True when it became done."""
         if effective_hours < 0:
             raise GraphError(f"negative effective hours: {effective_hours}")
-        try:
-            node = self.nodes[task_id]
-        except KeyError:
-            raise GraphError(f"unknown task: {task_id}") from None
+        node = self.node(task_id)
+        hours = node.accumulated_effective_hours + effective_hours
+        return self.reach(node, hours, min(1.0, hours / node.estimated_hours))
+
+    def reach(self, node: TaskNode, hours: float, progress: float) -> bool:
+        """Store a leaf's hours and progress and re-arm its mark; True when done."""
         if node.done:
             raise TaskAlreadyDoneError("task already done")
-        if self._children[task_id]:
-            raise GraphError(f"{task_id} is not a leaf")
-        hours = node.accumulated_effective_hours = (node.accumulated_effective_hours
-                                                    + effective_hours)
-        node.progress = min(1.0, hours / node.estimated_hours)
+        if self._children[node.task_id]:
+            raise GraphError(f"{node.task_id} is not a leaf")
+        node.accumulated_effective_hours = hours
+        node.progress = progress
         if node.status is TaskStatus.READY:
             node.status = TaskStatus.IN_PROGRESS
         if hours >= node.estimated_hours - DONE_EPS:
+            node.mark = 0.0
             self._mark_done(node)
             return True
+        for milestone in REPORT_MILESTONES:  # the last is 1.0
+            if milestone > progress:
+                break
+        # Any hours at or past the done threshold divide to at least its fraction.
+        estimated = node.estimated_hours
+        node.mark = min(milestone, (estimated - DONE_EPS) / estimated)
         return False
 
     def _mark_done(self, node: TaskNode) -> None:

@@ -498,7 +498,8 @@ class TestCliRun:
         (EXPLICIT_TEAM.replace("id: W1", "id: 1"),
          "malformed scenario field: team[1].id must be a string, not int"),
         (SIMPLE.replace("hours: 8.0", "hours: 1" + "0" * 400),
-         "malformed scenario field: int too large to convert to float"),
+         "malformed scenario field: "
+         "tasks[0].hours must be a number a float can hold, not int"),
         ("team: 1M+4W\ntasks: []\n", "no tasks"),
     ], ids=["name-list", "name-null", "description-int", "skill-null", "pool-null",
             "skill-bool", "skill-list", "agent-id-int", "hours-past-float", "no-tasks"])

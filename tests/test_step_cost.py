@@ -54,8 +54,12 @@ decided and resolved each idle agent in one loop over a list of contexts,
 without its three per-agent dicts, a work step ran in the action loop's own
 frame, calling only `effective_progress` and `TaskGraph.record_work`, the
 `action` and `progress` records went onto the step's batch without `emit`,
-and actions became named tuples built by position. The bound is the last
-figure rounded up to a whole instruction: 456.
+and actions became named tuples built by position; 396.4 (107,037) once a
+work step below its task's mark added the hours and compared the progress
+with the mark, leaving `TaskGraph.reach` to the steps that cross a milestone
+or may finish the task, and `World` built each agent's work action where it
+picks the active task. The bound is the last figure rounded up to a whole
+instruction: 397.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -75,8 +79,10 @@ inbox lists and last action from `World`'s tables in its own frame, the
 counted finished roots and the counted ids; 320.4 (129,779) and 474.9
 (147,232) with decide and resolve in one loop, the work step in the action
 loop's frame, the `action` and `progress` records batched without `emit` and
-actions as tuples. Their bounds are those last figures rounded up to a whole
-instruction: 321 and 475.
+actions as tuples; 254.2 (102,957) and 423.0 (131,137) with a work step
+below its task's mark one add and one compare, and each agent's work action
+built once per active task. Their bounds are those last figures rounded up to
+a whole instruction: 255 and 424.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -105,11 +111,13 @@ in its own frame, the counted finished roots and the counted ids, 714.5
 (1,117,475) and 708.9 (4,531,488), a ratio of 0.99; with decide and resolve
 in one loop, the work step in the action loop's frame, the hot records
 batched without `emit` and actions as tuples, 563.2 (880,817) and 558.5
-(3,569,683), a ratio of 0.99. The ratio bound, 1.10,
+(3,569,683), a ratio of 0.99; with the work step one add and one compare
+below the mark and the work actions built once per active task, 508.3
+(794,900) and 504.2 (3,223,121), a ratio of 0.99. The ratio bound, 1.10,
 lets an agent-step grow a little with the tasks an agent holds, not in
 proportion to them. The 16-root run is also the shape of the benchmark's
 `many_roots` workload, so its own reading is bounded too, rounded up to a
-whole instruction: 559.
+whole instruction: 505.
 
 The same 16-root run as `teamsim run` drives it, every event written by a
 `TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
@@ -129,8 +137,11 @@ None); 877.1 (5,606,235) and 994.7 (6,358,256) with the heuristic reading
 the trace file removed before the writer opens it; 726.6 (4,644,430) and
 844.3 (5,396,451) with decide and resolve in one loop, the work step in the
 action loop's frame, the hot records batched without `emit` and actions as
-tuples. The bounds are those last readings rounded up to a whole
-instruction: 727 and 845.
+tuples; 672.4 (4,297,868) and 790.0 (5,049,889), where the same code had
+read 725.2 (4,635,686) and 842.9 (5,387,707) the step before, once a work
+step below its task's mark was one add and one compare and each agent's
+work action was built once per active task. The bounds are those last
+readings rounded up to a whole instruction: 673 and 791.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -175,9 +186,12 @@ twice at one level, one C-level pass per mapping in the common case, and
 `World` made its three id factories as `itertools.count` maps; the parse
 cost 71.4 (18,285) once it read each level against its table of fields and
 `validate_scenario` checked the team in C-level passes instead of
-rebuilding every agent to lowercase its skills again. The same figures read
+rebuilding every agent to lowercase its skills again, when `Simulation()`
+read 123.8 (31,827) and the plan step 1,218.1 (311,822), not the 1,341.4 of
+its bound; 123.9 (31,839) and 1,234.1 (315,928) once `World` built each
+agent's work action where it picks the active task. The same figures read
 in the whole suite under `python -X dev -m pytest`. The bounds are those
-readings rounded up to a whole instruction: 72, 124 and 1,342.
+readings rounded up to a whole instruction: 72, 124 and 1,235.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -205,24 +219,24 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 321),
-    "fixed_steps": (310, 475),
-    "c2c_heuristic": (270, 456),
+    "no_comm": (405, 255),
+    "fixed_steps": (310, 424),
+    "c2c_heuristic": (270, 397),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 559
+ROOTS_16_BOUND = 505
 # Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
 # run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
-SINK_CHAIN_BOUND = {"orjson": 727, "stdlib": 845}
+SINK_CHAIN_BOUND = {"orjson": 673, "stdlib": 791}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
 # Team set-up on a 1M+256W team with one root under `no_comm`: opcodes of the
 # parse per worker, of `Simulation()` per agent and of step 0 (the plan) per
 # subtask.
-SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 124, "plan_step": 1342}
+SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 124, "plan_step": 1235}
 WIDE_WORKERS = 256
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),

@@ -14,7 +14,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from teamsim import trace
 from teamsim.config import parse_scenario
 from teamsim.engine import Simulation
-from teamsim.taskgraph import TaskGraph
+from teamsim.taskgraph import TaskNode
 from teamsim.trace import SCHEMAS, TraceError, TraceLog, TraceWriter
 
 from conftest import add_event, trace_codecs
@@ -72,20 +72,21 @@ def test_run_that_raises_mid_step_writes_every_event_before_the_raise(
     cut = max(index for index, record in enumerate(full)
               if record["step"] == 10 and record["kind"] == "action"
               and record["action"] == "work")
-    # Each work step credits its task through `TaskGraph.record_work` once,
-    # so that agent's work step makes the call after one per earlier
-    # `progress` record; the raise comes from there.
+    # Each work step reads its task's accumulated hours once, and nothing
+    # else in a run reads them, so that agent's work step makes the read after
+    # one per earlier `progress` record; the raise comes from there.
     work_steps_before = sum(record["kind"] == "progress" for record in full[:cut])
     calls = []
-    record_work = TaskGraph.record_work
+    hours = TaskNode.accumulated_effective_hours  # the slot's descriptor
 
-    def failing(graph, task_id, effective_hours):
-        calls.append(task_id)
+    def failing(node):
+        calls.append(node.task_id)
         if len(calls) > work_steps_before:
             raise RuntimeError("work failed")
-        return record_work(graph, task_id, effective_hours)
+        return hours.__get__(node)
 
-    monkeypatch.setattr(TaskGraph, "record_work", failing)
+    monkeypatch.setattr(TaskNode, "accumulated_effective_hours",
+                        property(failing, hours.__set__))
     expected = TraceLog()
     expected.extend(full[:cut + 1])
     for codec in each_codec():
