@@ -206,7 +206,7 @@ class World:
         ordered = sorted(scenario.team, key=lambda a: order_key(a.agent_id))
         self.agents: dict[str, AgentProfile] = {}
         self.manager_id = scenario.manager.agent_id
-        # Each agent's subtasks in id order, sorted once when the plan lands.
+        # Each agent's subtasks in id order, as `place` hands them out.
         self.assignments: dict[str, list[str]] = {}
         # Inbox indexes, filled on delivery. Entries are (delivery step,
         # message id, thread or meeting id) kept in that sort order, because
@@ -360,25 +360,38 @@ class World:
         for thread in self._open_by_task.pop(task_id, []):
             self.close_thread(thread)
 
-    def finish_plan(self) -> None:
-        """Sort each agent's assignments once and pick its active task."""
-        for agent_id, task_ids in self.assignments.items():
-            task_ids.sort(key=order_key)
-            # Made here, not on first read: a read may run in the parallel
-            # decide, which must not add to the shared table.
+    def place(self, assignment: dict[str, list[str]], t: int) -> None:
+        """Hand each worker the subtasks `assign` placed on it, in id order:
+        an initial alignment, stats and an `init` alignment event each. A
+        worker without an active task takes its first ready one. The plan
+        places its roots in id order, so each agent's assignments stay in id
+        order, and no task becomes ready or done while it lands."""
+        assignments, init, stats = self.assignments, self.alignment.init, self.stats
+        seq, append = self._seq, self.pending_events.append
+        active = self.active_task_id
+        for worker_id, task_ids in assignment.items():
+            assignments[worker_id].extend(task_ids)
             for task_id in task_ids:
-                self.stats[agent_id, task_id] = AgentTaskStats()
-            self._pick_active(agent_id)
-        self.blocked = dict.fromkeys(self.agent_order)
-        self.planned = True
+                # Made here, not on first read: a read may run in the parallel
+                # decide, which must not add to the shared table.
+                stats[worker_id, task_id] = AgentTaskStats()
+                append({"step": t, "seq": next(seq), "kind": "af_update",
+                        "agent": worker_id, "task": task_id, "old": None,
+                        "delta": None, "new": init(worker_id, task_id),
+                        "cause": "init"})
+            if active[worker_id] is None:
+                self._pick_active(worker_id)
 
     def _pick_active(self, agent_id: str) -> None:
-        node = self.graph.node
-        task_id = self.active_task_id[agent_id] = next(
-            (task_id for task_id in self.assignments[agent_id]
-             if node(task_id).status in WORKABLE), None)
-        self.work_action[agent_id] = IDLE_ACTION if task_id is None else _new_tuple(
-            ActiveAction, (ActionKind.WORK, task_id, 1, None))
+        nodes = self.graph.nodes
+        for task_id in self.assignments[agent_id]:
+            if nodes[task_id].status in WORKABLE:
+                self.active_task_id[agent_id] = task_id
+                self.work_action[agent_id] = _new_tuple(
+                    ActiveAction, (ActionKind.WORK, task_id, 1, None))
+                return
+        self.active_task_id[agent_id] = None
+        self.work_action[agent_id] = IDLE_ACTION
 
     def finish_task(self, node: TaskNode) -> None:
         """Re-pick what a finished task changes: its holder's active task, and
@@ -879,29 +892,16 @@ class Simulation:
     def _execute_plan(self, t: int) -> None:
         """The manager's step-0 slot: decompose every root and hand out work."""
         world = self.world
-        for root_id in list(world.graph.roots):
-            node = world.graph.node(root_id)
-            plan = self.planner.decompose(node, world.scenario)
+        graph, scenario = world.graph, world.scenario
+        for root_id in list(graph.roots):
+            plan = self.planner.decompose(graph.node(root_id), scenario)
             for note in plan.warnings:
                 world.emit({"step": t, "seq": None, "kind": "warning",
                             "source": "planner", "detail": note})
-            created = world.graph.add_subtasks(root_id, list(plan.subtasks))
-            assignment = assign(world.graph, [n.task_id for n in created],
-                                world.scenario.team)
-            for worker_id, task_ids in assignment.items():
-                for task_id in task_ids:
-                    world.assignments[worker_id].append(task_id)
-                    af = world.alignment.init(worker_id, task_id)
-                    world.emit({
-                        "step": t, "seq": None, "kind": "af_update",
-                        "agent": worker_id,
-                        "task": task_id,
-                        "old": None,
-                        "delta": None,
-                        "new": af,
-                        "cause": "init",
-                    })
-        world.finish_plan()
+            created = graph.add_subtasks(root_id, list(plan.subtasks))
+            world.place(assign(graph, [n.task_id for n in created], scenario.team), t)
+        world.blocked = dict.fromkeys(world.agent_order)
+        world.planned = True
 
     def _on_task_done(self, node: TaskNode, t: int) -> None:
         """Trace a finished task, and its root if that finished with it."""

@@ -54,16 +54,26 @@ class NonFiniteEffortError(ScenarioError):
 
 
 @functools.cache
+def _digit_runs_split():
+    """The split of an id at its runs of decimal digits, keeping the runs.
+    Compiled at the first call, not at import."""
+    return re.compile(r"(\d+)").split
+
+
+@functools.cache
 def order_key(identifier: str) -> tuple:
     """Natural-order sort key so W2 < W10 and T1.2 < T1.10.
+
+    The split puts each run of decimal digits at an odd index, and only those
+    runs become ints. The text between them stays text, also where it holds
+    a digit that is not decimal, such as the `²` of `W1²`.
 
     Memoized: a run sorts the same bounded set of agent, task and meeting ids
     over and over.
     """
-    return tuple(
-        int(part) if part.isdigit() else part
-        for part in re.split(r"(\d+)", identifier)
-    )
+    parts = _digit_runs_split()(identifier)
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 def hours_to_steps(hours: float) -> int:

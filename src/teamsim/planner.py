@@ -11,13 +11,15 @@ on the best-scoring open worker.
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heapify, heappop, heapreplace
+from itertools import cycle
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import (AgentProfile, Scenario, _new_tuple, order_key,
                     skill_match_score)
-from .taskgraph import SubtaskSpec, TaskGraph, TaskNode
+from .taskgraph import (CycleError, SubtaskSpec, TaskGraph, TaskNode,
+                        assert_acyclic)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adapter import ChatCompletionAdapter
@@ -36,7 +38,8 @@ class DecompositionPlan(NamedTuple):
 
 def validate_plan(plan: DecompositionPlan, estimated_hours: float,
                   team: list[AgentProfile]) -> None:
-    """Reject plans with bad hours totals, dependency indices, or assignees."""
+    """Reject plans with bad hours totals, dependency indices or cycles, or
+    assignees."""
     if not plan.subtasks:
         raise PlannerError("plan has no subtasks")
     total = sum(s.estimated_hours for s in plan.subtasks)
@@ -53,6 +56,10 @@ def validate_plan(plan: DecompositionPlan, estimated_hours: float,
                 raise PlannerError(f"bad dependency: subtask {i} -> index {dep}")
         if spec.suggested_assignee is not None and spec.suggested_assignee not in known:
             raise PlannerError(f"unknown assignee: {spec.suggested_assignee}")
+    try:
+        assert_acyclic([spec.dependencies for spec in plan.subtasks])
+    except CycleError:
+        raise PlannerError("dependency cycle") from None
 
 
 class EvenPlanner:
@@ -75,18 +82,18 @@ class EvenPlanner:
             raise PlannerError("empty team")
         hours_each = node.estimated_hours / count
         skills = sorted(node.required_skills)
-        specs = []
-        for i in range(count):
-            # Round-robin the task's skills; with more workers than skills the
-            # slice goes empty, so cycle singletons instead.
-            bundle = frozenset(skills[i::count]) if skills else frozenset()
-            if skills and not bundle:
-                bundle = frozenset({skills[i % len(skills)]})
-            label = ", ".join(sorted(bundle)) or "general"
-            specs.append(_new_tuple(SubtaskSpec, (
-                f"{node.description} (workstream {i + 1}: {label})",
-                hours_each, bundle, None, ())))
-        return DecompositionPlan(subtasks=tuple(specs))
+        # Round-robin the task's skills: the subtask at position p takes every
+        # count-th skill from the p-th on. With more workers than skills those
+        # slices are singletons and the later subtasks cycle through them, so
+        # position p takes bundle p % len(bundles). A slice of the sorted
+        # skills is sorted, so it spells its bundle's label as it is.
+        parts = [skills[i::count] for i in range(min(count, len(skills)) or 1)]
+        bundles = [(frozenset(part), ", ".join(part) or "general") for part in parts]
+        description = node.description
+        return DecompositionPlan(tuple([
+            _new_tuple(SubtaskSpec, (f"{description} (workstream {i}: {label})",
+                                     hours_each, bundle, None, ()))
+            for i, (bundle, label) in zip(range(1, count + 1), cycle(bundles))]))
 
 
 class LlmPlanner:
@@ -143,23 +150,35 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
     """Map subtasks to workers, honoring suggestions under a load cap.
 
     The cap ceil(n_subtasks / n_workers) keeps the spread minimal: no worker
-    exceeds it, so max and min loads differ by at most one.
+    exceeds it, so max and min loads differ by at most one. A subtask whose
+    suggestion is not taken goes to the open worker with the best skill match,
+    then the least load, then the lowest id.
     """
     workers = sorted((a for a in team if not a.is_manager),
                      key=lambda a: order_key(a.agent_id))
     if not workers:
         raise PlannerError("empty team")
     cap = math.ceil(len(subtask_ids) / len(workers))
-    profiles = {a.agent_id: a for a in workers}
+    profiles: dict[str, AgentProfile] = {}
+    out: dict[str, list[str]] = {}
+    # Workers who hold the same skills score alike on every subtask. Per such
+    # group, a heap of (load, rank, id) entries over its open workers; listed
+    # in rank order before any load, each is a heap already.
+    groups: dict[frozenset[str], list[tuple[int, int, str]]] = {}
+    for rank, a in enumerate(workers):
+        profiles[a.agent_id] = a
+        out[a.agent_id] = []
+        groups.setdefault(a.skills, []).append((0, rank, a.agent_id))
     load: dict[str, int] = dict.fromkeys(profiles, 0)
-    out: dict[str, list[str]] = {a.agent_id: [] for a in workers}
-    # Per skill set, a heap of (-score, load, rank, id): the best open worker
-    # is on top once stale entries are dropped or re-keyed. Loads only grow,
-    # so a recorded load is never above the current one.
-    heaps: dict[frozenset[str], list[tuple[float, int, int, str]]] = {}
-
+    # Per required skill set, a heap of (-score, entry, group), one per group,
+    # holding the group's top entry as it was when recorded; no two entries
+    # tie before the group, since every rank is one worker's. Loads only grow
+    # and capped workers only leave, so no recorded entry sorts above the
+    # current one: a stale top is dropped or re-keyed until it is current.
+    heaps: dict[frozenset[str], list[tuple[float, tuple[int, int, str], list]]] = {}
+    nodes = graph.nodes
     for task_id in sorted(subtask_ids, key=order_key):
-        node = graph.node(task_id)
+        node = nodes[task_id]
         required = node.required_skills
         suggested = node.assignee
         if (suggested in load and load[suggested] < cap
@@ -168,18 +187,30 @@ def assign(graph: TaskGraph, subtask_ids: list[str],
         else:
             heap = heaps.get(required)
             if heap is None:
-                heap = [(-skill_match_score(a, required), load[a.agent_id], i, a.agent_id)
-                        for i, a in enumerate(workers) if load[a.agent_id] < cap]
-                heapq.heapify(heap)
-                heaps[required] = heap
+                heap = heaps[required] = [
+                    (-skill_match_score(profiles[group[0][2]], required), group[0], group)
+                    for group in groups.values() if group]
+                heapify(heap)
             while True:
-                neg_score, recorded, rank, chosen = heap[0]
-                if load[chosen] >= cap:
-                    heapq.heappop(heap)
-                elif recorded != load[chosen]:
-                    heapq.heapreplace(heap, (neg_score, load[chosen], rank, chosen))
+                neg_score, recorded, group = heap[0]
+                # Bring the group's top up to date. A recorded load is below
+                # the cap, so a current one is too.
+                while group:
+                    top = group[0]
+                    current = load[top[2]]
+                    if current == top[0]:
+                        break
+                    if current >= cap:
+                        heappop(group)
+                    else:
+                        heapreplace(group, (current, top[1], top[2]))
+                if not group:
+                    heappop(heap)
+                elif top is not recorded:
+                    heapreplace(heap, (neg_score, top, group))
                 else:
                     break
+            chosen = top[2]
         node.assignee = chosen
         load[chosen] += 1
         out[chosen].append(task_id)

@@ -41,6 +41,28 @@ class TaskAlreadyDoneError(GraphError):
     pass
 
 
+def assert_acyclic(dependencies: list[tuple[int, ...]]) -> None:
+    """Kahn's algorithm over one sibling group, given each sibling's
+    dependencies as indices in range and none its own; raises CycleError on
+    any cycle. Only the siblings on an edge are visited."""
+    incoming: dict[int, int] = {}
+    dependents: dict[int, list[int]] = {}
+    for i, deps in enumerate(dependencies):
+        if deps:
+            deps = set(deps)
+            incoming[i] = len(deps)
+            for dep in deps:
+                dependents.setdefault(dep, []).append(i)
+    queue = [i for i in dependents if i not in incoming]
+    while queue:
+        for other in dependents.get(queue.pop(), ()):
+            incoming[other] -= 1
+            if not incoming[other]:
+                queue.append(other)
+    if any(incoming.values()):
+        raise CycleError("cycle detected")
+
+
 class TaskStatus(str, Enum):
     PENDING = "pending"
     READY = "ready"
@@ -59,6 +81,9 @@ class SubtaskSpec(NamedTuple):
     # None, as in every even-split subtask, leaves the choice to `assign`.
     suggested_assignee: str | None = None
     dependencies: tuple[int, ...] = ()
+
+
+_NO_DEPENDENCIES: frozenset[str] = frozenset()
 
 
 class TaskNode:
@@ -92,6 +117,7 @@ class TaskGraph:
     def __init__(self) -> None:
         self.nodes: dict[str, TaskNode] = {}
         self.roots: list[str] = []
+        # Each node with subtasks -> their ids; a leaf has no entry.
         self._children: dict[str, list[str]] = {}
         # Reverse dependency edges: task -> siblings that depend on it.
         self._dependents: dict[str, list[str]] = {}
@@ -117,69 +143,55 @@ class TaskGraph:
         )
         self.nodes[task_id] = node
         self.roots.append(task_id)
-        self._children[task_id] = []
         return node
 
     def add_subtasks(self, parent_id: str, specs: list[SubtaskSpec]) -> list[TaskNode]:
-        """Materialize sibling subtasks under `parent_id`.
+        """Materialize sibling subtasks under `parent_id`, all or none.
 
         Dependency indices refer to positions in `specs`; edges are restricted
-        to siblings and re-checked for cycles.
+        to siblings and checked for cycles. A new subtask is READY when it
+        depends on nothing and PENDING otherwise: no sibling is done yet.
         """
         parent = self.node(parent_id)
-        if self._children[parent_id]:
+        if parent_id in self._children:
             raise GraphError(f"{parent_id} already has subtasks")
         if not specs:
             raise NoSubtasksError("no subtasks")
 
-        width = len(str(len(specs)))
-        ids = [f"{parent_id}.{i + 1:0{width}d}" for i in range(len(specs))]
-        for spec, task_id in zip(specs, ids):
-            deps = set()
-            for idx in spec.dependencies:
-                if not 0 <= idx < len(specs):
+        count = len(specs)
+        # Ids numbered from 1, zero-padded to one width so that they sort alike
+        # as text and in natural order.
+        ids = list(map(f"{parent_id}.{{:0{len(str(count))}d}}".format,
+                       range(1, count + 1)))
+        created: list[TaskNode] = []
+        # The positions of the subtasks that depend on a sibling.
+        linked: list[int] = []
+        for i, task_id, (description, hours, skills, assignee, deps) in zip(
+                range(count), ids, specs):
+            if not deps:
+                created.append(TaskNode(task_id, parent_id, description, hours, skills,
+                                        _NO_DEPENDENCIES, assignee, TaskStatus.READY))
+                continue
+            for idx in deps:
+                if not 0 <= idx < count:
                     raise BadDependencyError(f"bad dependency: index {idx}")
-                if ids[idx] == task_id:
+                if idx == i:
                     raise CycleError("cycle detected")
-                deps.add(ids[idx])
-            node = TaskNode(
-                task_id=task_id,
-                parent_id=parent_id,
-                description=spec.description,
-                estimated_hours=spec.estimated_hours,
-                required_skills=spec.required_skills,
-                assignee=spec.suggested_assignee,
-                dependencies=frozenset(deps),
-                status=TaskStatus.PENDING,
-            )
-            self.nodes[task_id] = node
-            self._children[task_id] = []
-            self._children[parent_id].append(task_id)
-
-        for task_id in ids:
-            for dep in self.nodes[task_id].dependencies:
-                self._dependents.setdefault(dep, []).append(task_id)
-        self._assert_acyclic(ids)
-        self._open_children[parent_id] = len(ids)
+            linked.append(i)
+            created.append(TaskNode(task_id, parent_id, description, hours, skills,
+                                    frozenset([ids[idx] for idx in deps]), assignee,
+                                    TaskStatus.PENDING))
+        if linked:
+            assert_acyclic([spec.dependencies for spec in specs])
+            for i in linked:
+                task_id = ids[i]
+                for dep in created[i].dependencies:
+                    self._dependents.setdefault(dep, []).append(task_id)
+        self.nodes.update(zip(ids, created))
+        self._children[parent_id] = ids
+        self._open_children[parent_id] = count
         parent.status = TaskStatus.IN_PROGRESS
-        for task_id in ids:
-            self._refresh_readiness(task_id)
-        return [self.nodes[i] for i in ids]
-
-    def _assert_acyclic(self, sibling_ids: list[str]) -> None:
-        """Kahn's algorithm over the sibling group; raises on any cycle."""
-        incoming = {i: len(self.nodes[i].dependencies) for i in sibling_ids}
-        queue = [i for i in sibling_ids if not incoming[i]]
-        seen = 0
-        while queue:
-            current = queue.pop()
-            seen += 1
-            for other in self._dependents.get(current, []):
-                incoming[other] -= 1
-                if not incoming[other]:
-                    queue.append(other)
-        if seen != len(sibling_ids):
-            raise CycleError("cycle detected")
+        return created
 
     # -- queries ----------------------------------------------------------
 
@@ -213,7 +225,7 @@ class TaskGraph:
         """Store a leaf's hours and progress and re-arm its mark; True when done."""
         if node.done:
             raise TaskAlreadyDoneError("task already done")
-        if self._children[node.task_id]:
+        if node.task_id in self._children:
             raise GraphError(f"{node.task_id} is not a leaf")
         node.accumulated_effective_hours = hours
         node.progress = progress

@@ -234,14 +234,32 @@ STDLIB_CODEC = Codec(_std_lines, _std_loads)
 
 
 def _floats_in_range(records: list[dict], floats: list[tuple[str, ...]]) -> bool:
-    """Whether every float field of `records` holds a number in [_FLOAT_LOW,
-    _FLOAT_HIGH), which orjson writes as `repr` does, after one comparison
-    each. False for anything else: a None, a zero, a negative, non-finite or
-    out-of-range number, another type or a missing field."""
+    """Whether every float field of `records` holds None or a number in
+    [_FLOAT_LOW, _FLOAT_HIGH): orjson writes `null` and such a number as the
+    standard library does. A number costs one comparison; only a batch in
+    which a comparison raised, as one with a None does, is looked at again,
+    value by value. False for anything else: a zero, a negative, non-finite
+    or out-of-range number, another type or a missing field."""
     try:
         for record, names in zip(records, floats):
             for name in names:
                 if not _FLOAT_LOW <= record[name] < _FLOAT_HIGH:
+                    return False
+    except KeyError:
+        return False
+    except TypeError:
+        return _floats_in_range_or_null(records, floats)
+    return True
+
+
+def _floats_in_range_or_null(records: list[dict],
+                             floats: list[tuple[str, ...]]) -> bool:
+    """`_floats_in_range` for a batch that may hold a None."""
+    try:
+        for record, names in zip(records, floats):
+            for name in names:
+                value = record[name]
+                if value is not None and not _FLOAT_LOW <= value < _FLOAT_HIGH:
                     return False
     except (KeyError, TypeError):
         return False

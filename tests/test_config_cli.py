@@ -26,6 +26,7 @@ from teamsim.config import (RunConfig, emit_scenario, expand_team_shorthand,
 from teamsim.engine import Simulation
 from teamsim.model import (EVALUATOR_NAMES, POLICY_NAMES, AgentProfile, Role,
                            Scenario, ScenarioError, TaskSpec)
+from teamsim.trace import TraceLog
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -524,6 +525,20 @@ class TestCliRun:
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         assert (out / "report.txt").read_text(encoding="utf-8").startswith("config: foo\n")
         assert parse_scenario(out / "scenario.yaml").team_label == "foo"
+
+    def test_team_id_with_a_non_decimal_digit_runs(self, tmp_path, capsys):
+        # `²` is a digit to `str.isdigit` but not to the id sort's pattern; the
+        # sort made an int of it, and `run` ended in a traceback (exit 1).
+        path = tmp_path / "superscript.yaml"
+        path.write_text(EXPLICIT_TEAM.replace("{id: W1,", "{id: W1\u00b2,"),
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        workers = {event["agent"] for event in TraceLog.read(out / "trace.jsonl").events
+                   if event["kind"] == "af_update"}
+        assert workers == {"W1\u00b2", "W2"}
+        assert main(["report", "--run", str(out)]) == 0
 
     @pytest.mark.parametrize("hours", [".nan", ".inf"])
     def test_non_finite_hours_are_a_one_line_error(self, tmp_path, capsys, hours):

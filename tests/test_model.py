@@ -1,8 +1,10 @@
 """Core types: time quantization, skill matching, scenario validation."""
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from teamsim.config import expand_team_shorthand
 from teamsim.model import (HOURS_PER_STEP, AgentProfile, EmptyTeamError,
@@ -135,3 +137,37 @@ def test_order_key_natural_ordering():
     ids = ["W10", "W2", "W1", "M1", "T1.10", "T1.2"]
     assert sorted(["W10", "W2", "W1"], key=order_key) == ["W1", "W2", "W10"]
     assert sorted(["T1.10", "T1.2"], key=order_key) == ["T1.2", "T1.10"]
+
+
+def _old_order_key(identifier):
+    """`order_key` as it was: each split part that `str.isdigit` accepts made
+    an int, which raises for a digit `\\d` does not match, such as `²`."""
+    return tuple(int(part) if part.isdigit() else part
+                 for part in re.split(r"(\d+)", identifier))
+
+
+# Ids from ASCII and from digits of every kind: ASCII, other decimal digits
+# (Arabic-Indic, fullwidth), superscripts and other non-decimal digits.
+_ID_CHARS = st.sampled_from(list("WMT.x-_09") + ["\u0663", "\uff17", "\u00b2",
+                                                 "\u2460", "\u00bd", "\u2077"])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.text(_ID_CHARS, max_size=8), st.text(max_size=8)))
+@example("W1\u00b2")
+@example("\u0663W10")
+def test_order_key_is_the_old_key_wherever_that_did_not_raise(identifier):
+    key = order_key(identifier)
+    assert all(type(part) is str for part in key[::2])
+    assert all(type(part) is int for part in key[1::2])
+    try:
+        expected = _old_order_key(identifier)
+    except ValueError:
+        return
+    assert key == expected
+    assert list(map(type, key)) == list(map(type, expected))
+
+
+def test_order_key_keeps_a_non_decimal_digit_as_text():
+    assert order_key("W1\u00b2") == ("W", 1, "\u00b2")
+    assert sorted(["W2", "W1\u00b2", "W1"], key=order_key) == ["W1", "W1\u00b2", "W2"]

@@ -101,6 +101,20 @@ class TestValidatePlan:
         with pytest.raises(PlannerError, match="bad dependency"):
             validate_plan(self.plan(deps=(9,)), 8.0, make_team(2))
 
+    @pytest.mark.parametrize("deps", [[(1,), (0,)], [(2,), (0,), (1,)],
+                                      [(), (2,), (3,), (1,)]],
+                             ids=["two", "three", "three-behind-a-root"])
+    def test_dependency_cycle(self, deps):
+        subtasks = tuple(SubtaskSpec(f"part {i}", 8.0 / len(deps), frozenset({"backend"}),
+                                     None, d) for i, d in enumerate(deps))
+        with pytest.raises(PlannerError, match="dependency cycle"):
+            validate_plan(DecompositionPlan(subtasks), 8.0, make_team(2))
+
+    def test_dependency_chain_accepted(self):
+        subtasks = tuple(SubtaskSpec(f"part {i}", 2.0, frozenset({"backend"}), None, d)
+                         for i, d in enumerate([(), (0,), (0, 1), (2,)]))
+        validate_plan(DecompositionPlan(subtasks), 8.0, make_team(2))
+
     def test_unknown_assignee(self):
         with pytest.raises(PlannerError, match="unknown assignee"):
             validate_plan(self.plan(assignee="W9"), 8.0, make_team(2))
@@ -167,6 +181,27 @@ class TestLlmPlanner:
         assert len(plan.subtasks) == 4
         assert any("falling back" in w for w in plan.warnings)
         assert all(s.estimated_hours == pytest.approx(2.0) for s in plan.subtasks)
+
+    def test_cyclic_plan_is_retried_then_falls_back_in_a_run(self):
+        # Such a plan passed validation, and `add_subtasks` then raised
+        # `CycleError` out of `Simulation.run`.
+        cyclic = json.dumps({"subtasks": [
+            {"description": "a", "estimated_hours": 4.0, "required_skills": ["backend"],
+             "dependencies": [1]},
+            {"description": "b", "estimated_hours": 4.0, "required_skills": ["backend"],
+             "dependencies": [0]},
+        ]})
+        scenario = scenario_for(SIMPLE_TASK)
+        planner = LlmPlanner(stub_adapter([cyclic, cyclic]))
+        result = Simulation(scenario, planner=planner).run()
+        assert result.completed
+        assert [(e["source"], e["detail"]) for e in result.trace.events
+                if e["kind"] == "warning"] == [
+            ("planner", "decomposition attempt 1 failed: dependency cycle"),
+            ("planner", "decomposition attempt 2 failed: dependency cycle"),
+            ("planner", "falling back to even decomposition")]
+        subtasks = [n for n in result.world.graph.nodes.values() if n.parent_id]
+        assert len(subtasks) == 4 and not any(n.dependencies for n in subtasks)
 
     def test_transport_failure_falls_back(self):
         scenario = scenario_for(SIMPLE_TASK)

@@ -58,8 +58,11 @@ and actions became named tuples built by position; 396.4 (107,037) once a
 work step below its task's mark added the hours and compared the progress
 with the mark, leaving `TaskGraph.reach` to the steps that cross a milestone
 or may finish the task, and `World` built each agent's work action where it
-picks the active task. The bound is the last figure rounded up to a whole
-instruction: 397.
+picks the active task; 391.7 (105,768) once the plan step built, placed
+and armed each root's subtasks in one pass each and `order_key` made a key
+with one split and one slice assignment instead of a generator and a regex
+looked up at each call. The bound is the last figure rounded up to a whole
+instruction: 392.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -81,8 +84,9 @@ counted finished roots and the counted ids; 320.4 (129,779) and 474.9
 loop's frame, the `action` and `progress` records batched without `emit` and
 actions as tuples; 254.2 (102,957) and 423.0 (131,137) with a work step
 below its task's mark one add and one compare, and each agent's work action
-built once per active task. Their bounds are those last figures rounded up to
-a whole instruction: 255 and 424.
+built once per active task; 251.1 (101,688) and 418.9 (129,868) with the
+one-pass plan step and the one-split `order_key`. Their bounds are those last
+figures rounded up to a whole instruction: 252 and 419.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -113,11 +117,13 @@ in one loop, the work step in the action loop's frame, the hot records
 batched without `emit` and actions as tuples, 563.2 (880,817) and 558.5
 (3,569,683), a ratio of 0.99; with the work step one add and one compare
 below the mark and the work actions built once per active task, 508.3
-(794,900) and 504.2 (3,223,121), a ratio of 0.99. The ratio bound, 1.10,
+(794,900) and 504.2 (3,223,121), a ratio of 0.99; with the one-pass plan
+step and the one-split `order_key`, 489.6 (765,789) and 485.0 (3,100,308), a
+ratio of 0.99. The ratio bound, 1.10,
 lets an agent-step grow a little with the tasks an agent holds, not in
 proportion to them. The 16-root run is also the shape of the benchmark's
 `many_roots` workload, so its own reading is bounded too, rounded up to a
-whole instruction: 505.
+whole instruction: 486.
 
 The same 16-root run as `teamsim run` drives it, every event written by a
 `TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
@@ -140,8 +146,11 @@ action loop's frame, the hot records batched without `emit` and actions as
 tuples; 672.4 (4,297,868) and 790.0 (5,049,889), where the same code had
 read 725.2 (4,635,686) and 842.9 (5,387,707) the step before, once a work
 step below its task's mark was one add and one compare and each agent's
-work action was built once per active task. The bounds are those last
-readings rounded up to a whole instruction: 673 and 791.
+work action was built once per active task; 651.6 (4,164,748) and 770.8
+(4,927,076) with the one-pass plan step and the one-split `order_key`, when
+the orjson codec also wrote step 0's batch itself, since a null float field
+no longer sends a batch to the standard library. The bounds are those last
+readings rounded up to a whole instruction: 652 and 771.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -189,9 +198,16 @@ cost 71.4 (18,285) once it read each level against its table of fields and
 rebuilding every agent to lowercase its skills again, when `Simulation()`
 read 123.8 (31,827) and the plan step 1,218.1 (311,822), not the 1,341.4 of
 its bound; 123.9 (31,839) and 1,234.1 (315,928) once `World` built each
-agent's work action where it picks the active task. The same figures read
-in the whole suite under `python -X dev -m pytest`. The bounds are those
-readings rounded up to a whole instruction: 72, 124 and 1,235.
+agent's work action where it picks the active task; `Simulation()` 68.9
+(17,699) and the plan step 647.3 (165,714) once `order_key` made a key with
+one split and one slice assignment, the even planner built each distinct
+skill bundle and label once per root, `add_subtasks` built each node READY
+or PENDING in one pass and checked only the edges there are, `assign`
+grouped the workers by skill set so that one capped through one skill set
+left every heap at once, and `World.place` gave each placement its
+alignment, stats and event in one walk. The same figures read in the whole
+suite under `python -X dev -m pytest`. The bounds are those readings
+rounded up to a whole instruction: 72, 69 and 648.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -219,24 +235,24 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
-    "no_comm": (405, 255),
-    "fixed_steps": (310, 424),
-    "c2c_heuristic": (270, 397),
+    "no_comm": (405, 252),
+    "fixed_steps": (310, 419),
+    "c2c_heuristic": (270, 392),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 505
+ROOTS_16_BOUND = 486
 # Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
 # run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
-SINK_CHAIN_BOUND = {"orjson": 673, "stdlib": 791}
+SINK_CHAIN_BOUND = {"orjson": 652, "stdlib": 771}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
 # Team set-up on a 1M+256W team with one root under `no_comm`: opcodes of the
 # parse per worker, of `Simulation()` per agent and of step 0 (the plan) per
 # subtask.
-SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 124, "plan_step": 1235}
+SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 69, "plan_step": 648}
 WIDE_WORKERS = 256
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),

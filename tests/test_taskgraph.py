@@ -5,12 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from teamsim.taskgraph import (BadDependencyError, CycleError, NoSubtasksError,
                                SubtaskSpec, TaskAlreadyDoneError, TaskGraph,
                                TaskStatus)
 
 from conftest import parent_progress, ready_tasks
+from planner_oracle import StagedTaskGraph
 
 
 def spec(hours=2.0, deps=(), skills=frozenset({"backend"})):
@@ -51,6 +53,75 @@ class TestAddSubtasks:
         graph = build_graph([spec()])
         with pytest.raises(ValueError, match="already has subtasks"):
             graph.add_subtasks("T1", [spec()])
+
+
+@st.composite
+def sibling_specs(draw):
+    """1 to 12 specs with no edges, with edges to earlier siblings only, or
+    with any edges: later siblings, self-edges, repeats and indices out of
+    range, so also cycles of any length."""
+    count = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["none", "earlier", "any"]))
+    specs = []
+    for i in range(count):
+        if shape == "none":
+            deps = []
+        elif shape == "earlier":
+            deps = draw(st.lists(st.integers(0, i - 1), max_size=3)) if i else []
+        else:
+            deps = draw(st.lists(st.integers(-2, count + 1), max_size=3))
+        specs.append(SubtaskSpec(f"part {i}", draw(st.sampled_from([0.5, 2.0])),
+                                 frozenset({"backend"}),
+                                 draw(st.sampled_from([None, "W1", "W2"])),
+                                 tuple(deps)))
+    return specs
+
+
+def _outcome(graph, specs):
+    """What `add_subtasks` under T1 gives: the subtask ids it returns, or the
+    type and text of the error it raises."""
+    try:
+        return [n.task_id for n in graph.add_subtasks("T1", specs)]
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+
+
+def _graph_with_root(cls):
+    graph = cls()
+    graph.add_root("T1", "root", 8.0, frozenset({"backend"}))
+    return graph
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(sibling_specs())
+# A chain, a diamond and a three-cycle.
+@example([spec(), spec(deps=(0,)), spec(deps=(1,))])
+@example([spec(), spec(deps=(0,)), spec(deps=(0,)), spec(deps=(1, 2))])
+@example([spec(deps=(2,)), spec(deps=(0,)), spec(deps=(1,))])
+def test_add_subtasks_matches_the_staged_oracle(specs):
+    """Built in one pass, the subtasks hold the statuses, dependencies and
+    assignees, and the graph the reverse edges and open-child counts, that
+    the staged build gave; a bad plan raises the same error, and leaves the
+    graph as it was."""
+    graph, oracle = _graph_with_root(TaskGraph), _graph_with_root(StagedTaskGraph)
+    outcome = _outcome(graph, specs)
+    assert outcome == _outcome(oracle, specs)
+    if isinstance(outcome, tuple):
+        assert list(graph.nodes) == ["T1"]
+        assert graph.nodes["T1"].status is TaskStatus.READY
+        assert (graph._children, graph._dependents, graph._open_children) == ({}, {}, {})
+        return
+    assert list(graph.nodes) == list(oracle.nodes)
+    for task_id, node in graph.nodes.items():
+        expected = oracle.nodes[task_id]
+        assert (node.status, node.dependencies, node.assignee, node.parent_id,
+                node.description, node.estimated_hours, node.required_skills) == (
+            expected.status, expected.dependencies, expected.assignee,
+            expected.parent_id, expected.description, expected.estimated_hours,
+            expected.required_skills)
+    assert graph._dependents == oracle._dependents
+    assert graph._open_children == oracle._open_children
+    assert graph._children == {k: v for k, v in oracle._children.items() if v}
 
 
 class TestReadyTasks:

@@ -483,6 +483,32 @@ def test_non_finite_and_exponent_floats_are_written_as_json_writes_them(
         assert _same_records(TraceLog.read(path).events, log.events)
 
 
+@pytest.mark.skipif(trace.orjson_codec() is None, reason="orjson is not installed")
+@pytest.mark.parametrize("beside", [None, 1e-05, math.nan, "x"],
+                         ids=["none", "1e-05", "nan", "str"])
+def test_null_floats_alone_keep_a_batch_with_orjson(monkeypatch, beside):
+    # Step 0's batch holds every `init` alignment event, whose `old` and
+    # `delta` are null, and the standard library wrote it on every run. orjson
+    # writes `null` alike; a float it writes otherwise still sends the batch
+    # to the standard library.
+    events = Simulation(parse_scenario(SCENARIOS / "medium.yaml")).run().trace.events
+    batch = [event for event in events if event["step"] == 0]
+    assert sum(event["kind"] == "af_update" and event["old"] is None
+               for event in batch) == 4
+    if beside is not None:
+        batch.append({"step": 0, "seq": len(batch), "kind": "af_update",
+                      "agent": "W1", "task": "T1.1", "old": 0.3, "delta": beside,
+                      "new": 0.3, "cause": "m1"})
+    floats = trace._floats_of(batch)
+    expected = trace.STDLIB_CODEC.encode(batch, floats)
+    std_batches = []
+    std_lines = trace._std_lines
+    monkeypatch.setattr(trace, "_std_lines",
+                        lambda records: std_batches.append(records) or std_lines(records))
+    assert trace.orjson_codec().encode(batch, floats) == expected
+    assert len(std_batches) == (beside is not None)
+
+
 @pytest.mark.parametrize("value", [
     math.nan, math.inf, -math.inf, 1e16, 1e-05, 2 ** 64, -2 ** 63 - 1, 10 ** 30 + 1,
 ], ids=["nan", "inf", "-inf", "1e16", "1e-05", "2**64", "-2**63-1", "10**30+1"])
