@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from enum import Enum
+from functools import cache
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -58,6 +59,20 @@ INTENTION_MESSAGE_TYPES = {
     IntentionKind.NEED_CLARIFICATION: MessageType.NEED_CLARIFICATION,
     IntentionKind.REPORT_PROGRESS: MessageType.PROGRESS_UPDATE,
 }
+
+
+@cache
+def message_price(kind: IntentionKind | None, words: int,
+                  recipients: int) -> tuple[Channel, float, int]:
+    """A message's channel, cost in hours and duration in whole steps (at
+    least one): of the message an intention of `kind` sends to `recipients`
+    agents, or, with `kind` None, of a reply. A pure function of its
+    arguments, so each one is priced once; the cost model stays in
+    `select_channel`, `reply_channel`, `communication_cost` and
+    `hours_to_steps`."""
+    channel = reply_channel(words) if kind is None else select_channel(kind, words)
+    cost = communication_cost(channel, words, recipients)
+    return channel, cost, max(1, hours_to_steps(cost))
 
 
 class ActionKind(str, Enum):
@@ -195,9 +210,9 @@ class World:
     `alignment.values`, `stats`, `organized`, `due`, `outbound` and
     `blocked`. An inbox list may hold stale entries, and a stale `outbound`
     or `blocked` entry is None: a reader calls the query that filters or
-    rebuilds it (`pending_invites`, `unanswered_inbound`,
-    `open_outbound_tasks`, `blocked_collaborators`), which writes only the
-    reader's own entries. `task_view` builds a view at each call.
+    rebuilds it (`pending_invites`, `unanswered_inbound` or
+    `oldest_unanswered`, `open_outbound_tasks`, `blocked_collaborators`),
+    which writes only the reader's own entries. `task_view` builds a view at each call.
     """
 
     def __init__(self, scenario: Scenario, trace: TraceSink | None = None) -> None:
@@ -299,7 +314,11 @@ class World:
 
         `record` is the event's one representation, its trace line's object:
         `step`, `seq` (None until stamped here) and `kind`, then the fields
-        `trace.SCHEMAS` lists for the kind, in that order.
+        `trace.SCHEMAS` lists for the kind, in that order. The records of
+        the hot paths skip this call: the action loop's `action` and
+        `progress`, a send's `message_sent` and `deliver`'s
+        `message_delivered` take their `seq` from `_seq` and go straight
+        onto `pending_events`, in the same form.
         """
         record["seq"] = next(self._seq)
         self.pending_events.append(record)
@@ -315,7 +334,8 @@ class World:
     # -- state changes that keep the indexes current --------------------------
 
     def deliver(self, message: Message, recipient: str, t: int) -> None:
-        """Count a message delivered to one agent, index it, and trace it."""
+        """Count a message delivered to one agent and index it, then append
+        its `message_delivered` record, `seq` stamped, to the step's batch."""
         kind = message.message_type
         name = TYPE_NAMES[kind]
         counts = self.delivered_by_type[recipient]
@@ -327,8 +347,8 @@ class World:
             insort(self.invites[recipient], (t, message.message_id, message.meeting_id))
         elif kind is MessageType.MEETING_START:
             self.meeting_started.add(recipient)
-        self.emit({
-            "step": t, "seq": None, "kind": "message_delivered",
+        self.pending_events.append({
+            "step": t, "seq": next(self._seq), "kind": "message_delivered",
             "message_id": message.message_id,
             "to": recipient,
             "from": message.from_agent,
@@ -443,11 +463,6 @@ class World:
             node.done,
         ))
 
-    def active_view(self, agent_id: str) -> TaskAssignmentView | None:
-        """The view of the agent's active task."""
-        task_id = self.active_task_id[agent_id]
-        return None if task_id is None else self.task_view(agent_id, task_id)
-
     def unanswered_inbound(self, agent_id: str) -> tuple[str, ...]:
         """Open request threads whose root reached this agent, oldest first."""
         entries = self.inbound_requests[agent_id]
@@ -457,6 +472,18 @@ class World:
         entries[:] = [e for e in entries if threads[e[2]].open
                       and not threads[e[2]].answered]
         return tuple([thread_id for _, _, thread_id in entries])
+
+    def oldest_unanswered(self, agent_id: str) -> tuple[int, str, str] | None:
+        """The inbox entry of the first thread `unanswered_inbound` gives, or
+        None; only the stale entries ahead of it are dropped."""
+        entries = self.inbound_requests[agent_id]
+        threads = self.threads
+        while entries:
+            thread = threads[entries[0][2]]
+            if thread.open and not thread.answered:
+                return entries[0]
+            del entries[0]
+        return None
 
     def open_outbound_tasks(self, agent_id: str) -> frozenset[str]:
         """The tasks of the agent's open request threads."""
@@ -678,17 +705,29 @@ class Simulation:
         world = self.world
         invite = meeting.invite
         attendees = tuple(sorted({invite.from_agent} | meeting.attending, key=order_key))
-        cost = communication_cost(Channel.MEETING, 0, len(attendees))
-        duration = max(1, hours_to_steps(cost))
+        channel, cost, duration = message_price(IntentionKind.SCHEDULE_MEETING, 0,
+                                                len(attendees))
         meeting.status = MeetingStatus.RUNNING
         meeting.attendees = attendees
 
         # Fields by position, in `Message` order; sent the step before.
         start = Message(next(world.message_ids), next(world.thread_ids), invite.from_agent,
-                        attendees, Channel.MEETING, MessageType.MEETING_START, None, t - 1,
+                        attendees, channel, MessageType.MEETING_START, None, t - 1,
                         invite.about_task, invite.meeting_id, cost)
         world.comm_cost_total += cost
-        self._trace_sent(start, MEETING_START.words({"meeting": invite.meeting_id}), t)
+        world.pending_events.append({
+            "step": t, "seq": next(world._seq), "kind": "message_sent",
+            "message_id": start.message_id,
+            "thread_id": start.thread_id,
+            "from": invite.from_agent,
+            "to": list(attendees),
+            "channel": CHANNEL_NAMES[channel],
+            "type": TYPE_NAMES[MessageType.MEETING_START],
+            "about_task": invite.about_task,
+            "words": MEETING_START.words({"meeting": invite.meeting_id}),
+            "cost_h": cost,
+            "sent_step": t - 1,
+        })
         for recipient in attendees:
             world.deliver(start, recipient, t)
         for agent_id in attendees:
@@ -728,30 +767,33 @@ class Simulation:
         return self._start_communication(agent_id, context, intention, kind)
 
     def _start_check_messages(self, agent_id: str) -> bool:
-        """Oldest actionable inbox item: an invite to accept or a thread to answer."""
+        """Oldest actionable inbox item: an invite to accept or a thread to
+        answer. Each inbox index is in (delivery step, message id) order, so
+        the oldest item is the lower of their first live entries. Message ids
+        are unique: no two tie before their kinds."""
         world = self.world
         items: list[tuple[int, str, ActionKind, str]] = []
-        for delivery, message_id, meeting_id in world.pending_invites(agent_id):
+        invites = world.pending_invites(agent_id)
+        if invites:
+            delivery, message_id, meeting_id = invites[0]
             items.append((delivery, message_id, ActionKind.RSVP, meeting_id))
-        for thread_id in world.unanswered_inbound(agent_id):
-            root = world.threads[thread_id].root
-            items.append((root.sent_step + 1, root.message_id, ActionKind.REPLY, thread_id))
+        oldest = world.oldest_unanswered(agent_id)
+        if oldest is not None:
+            delivery, message_id, thread_id = oldest
+            items.append((delivery, message_id, ActionKind.REPLY, thread_id))
         if not items:
             # The meeting start has been read: it no longer sends the agent
             # back to its inbox.
             world.clear_meeting_start(agent_id)
             return False
-        items.sort()
-        _, _, kind, target = items[0]
+        _, _, kind, target = min(items)
         if kind is ActionKind.RSVP:
             world.active[agent_id] = _new_tuple(ActiveAction, (kind, target, 1, None))
             return True
         root = world.threads[target].root
         replier = world.agents[agent_id]
         words = reply_words(root.about_task, root.message_type, replier)
-        channel = reply_channel(words)
-        cost = communication_cost(channel, words)
-        duration = max(1, hours_to_steps(cost))
+        channel, cost, duration = message_price(None, words, 1)
         content = (compose_reply(root.about_task, root.message_type, replier)
                    if self.composes_text else None)
         # The one recipient answers the asker alone.
@@ -771,24 +813,37 @@ class Simulation:
 
     def _start_communication(self, agent_id: str, context: PolicyContext,
                              intention: Intention, kind: IntentionKind) -> bool:
+        """Start a request or a report about the task the intention names, if
+        the agent holds it, else about its active task. The one view of that
+        task that recipients and words read is built here, from the task's
+        node, the agent's alignment on it and its work on it."""
         world = self.world
-        view = self._hinted_view(agent_id, intention) or world.active_view(agent_id)
-        if view is None:
-            return False
+        nodes = world.graph.nodes
+        node = nodes.get(intention.task_hint)
+        if node is None or node.assignee != agent_id:
+            task_id = world.active_task_id[agent_id]
+            if task_id is None:
+                return False
+            node = nodes[task_id]
+        else:
+            task_id = node.task_id
+        # Fields by position, in TaskAssignmentView order.
+        view = _new_tuple(TaskAssignmentView, (
+            task_id, node.description, node.estimated_hours, node.required_skills,
+            world.alignment.values[agent_id, task_id],
+            world.stats[agent_id, task_id].hours_worked, node.progress, node.done))
         recipients = select_recipients(context, kind, view)
         if not recipients:
             return False
         words = message_words(context, kind, view)
-        channel = select_channel(kind, words)
-        cost = communication_cost(channel, words, max(1, len(recipients)))
-        duration = max(1, hours_to_steps(cost))
+        channel, cost, duration = message_price(kind, words, len(recipients))
         message_type = INTENTION_MESSAGE_TYPES[kind]
         # The evaluator reads only a request's text.
         content = (compose_message(context, kind, view)
                    if self.composes_text and message_type in REQUEST_TYPES else None)
         world.active[agent_id] = _new_tuple(ActiveAction, (
-            ActionKind.COMMUNICATE, view.task_id, duration, _new_tuple(Outgoing, (
-                message_type, content, words, tuple(recipients), channel, view.task_id,
+            ActionKind.COMMUNICATE, task_id, duration, _new_tuple(Outgoing, (
+                message_type, content, words, tuple(recipients), channel, task_id,
                 cost))))
         return True
 
@@ -924,38 +979,46 @@ class Simulation:
                 "task": root.task_id, "root": True, "boundary": t + 1,
             })
 
-    def _post(self, agent_id: str, outgoing: Outgoing, thread_id: str,
-              meeting_id: str | None, t: int) -> Message:
-        """Queue a composed message for next-step delivery and trace it."""
-        world = self.world
-        # Fields by position, in `Message` order.
-        message = Message(next(world.message_ids), thread_id, agent_id, outgoing.recipients,
-                          outgoing.channel, outgoing.message_type, outgoing.content, t,
-                          outgoing.about_task, meeting_id, outgoing.cost)
-        world.comm_cost_total += outgoing.cost
-        self._trace_sent(message, outgoing.words, t)
-        world.buffer.enqueue(message, t)
-        world.last_actions[agent_id] = _new_tuple(LastAction, (
-            "message_sent", TYPE_NAMES[outgoing.message_type], t))
-        return message
-
     def _complete_send(self, agent_id: str, outgoing: Outgoing, t: int) -> None:
-        """Open a request thread, a meeting for an invite, or record a report."""
+        """Send a composed message: build it, append its `message_sent`
+        record to the step's batch and queue it for next-step delivery. Then
+        open a request thread, a meeting for an invite, or record a report."""
         world = self.world
-        message_type = outgoing.message_type
-        meeting_id = None
-        if message_type is MessageType.MEETING_INVITE:
-            meeting_id = next(world.meeting_ids)
-        message = self._post(agent_id, outgoing, next(world.thread_ids), meeting_id, t)
+        message_type, content, words, recipients, channel, about_task, cost = outgoing
+        meeting_id = (next(world.meeting_ids)
+                      if message_type is MessageType.MEETING_INVITE else None)
+        # Fields by position, in `Message` order.
+        message = Message(next(world.message_ids), next(world.thread_ids), agent_id,
+                          recipients, channel, message_type, content, t, about_task,
+                          meeting_id, cost)
+        world.comm_cost_total += cost
+        type_name = TYPE_NAMES[message_type]
+        world.pending_events.append({
+            "step": t, "seq": next(world._seq), "kind": "message_sent",
+            "message_id": message.message_id,
+            "thread_id": message.thread_id,
+            "from": agent_id,
+            "to": list(recipients),
+            "channel": CHANNEL_NAMES[channel],
+            "type": type_name,
+            "about_task": about_task,
+            "words": words,
+            "cost_h": cost,
+            "sent_step": t,
+        })
+        world.buffer.enqueue(message, t)
+        world.last_actions[agent_id] = _new_tuple(LastAction, ("message_sent", type_name, t))
         if message_type in REQUEST_TYPES:
             world.open_thread(Thread(message))
         elif meeting_id is not None:
             world.open_meeting(Meeting(message))
         else:  # a progress update
-            world.record_report(agent_id, outgoing.about_task)
+            world.record_report(agent_id, about_task)
 
     def _complete_reply(self, agent_id: str, thread_id: str, outgoing: Outgoing,
                         t: int) -> None:
+        """Send a composed reply as `_complete_send` sends a message, unless
+        its thread closed while it was composed, and mark the thread answered."""
         world = self.world
         thread = world.threads[thread_id]
         if not thread.open:
@@ -967,7 +1030,27 @@ class Simulation:
                 "detail": f"reply dropped, thread closed: {thread_id}",
             })
             return
-        self._post(agent_id, outgoing, thread_id, None, t)
+        message_type, content, words, recipients, channel, about_task, cost = outgoing
+        # Fields by position, in `Message` order.
+        message = Message(next(world.message_ids), thread_id, agent_id, recipients,
+                          channel, message_type, content, t, about_task, None, cost)
+        world.comm_cost_total += cost
+        type_name = TYPE_NAMES[message_type]
+        world.pending_events.append({
+            "step": t, "seq": next(world._seq), "kind": "message_sent",
+            "message_id": message.message_id,
+            "thread_id": thread_id,
+            "from": agent_id,
+            "to": list(recipients),
+            "channel": CHANNEL_NAMES[channel],
+            "type": type_name,
+            "about_task": about_task,
+            "words": words,
+            "cost_h": cost,
+            "sent_step": t,
+        })
+        world.buffer.enqueue(message, t)
+        world.last_actions[agent_id] = _new_tuple(LastAction, ("message_sent", type_name, t))
         thread.answered = True
 
     def _complete_rsvp(self, agent_id: str, meeting_id: str, t: int) -> None:
@@ -1029,22 +1112,6 @@ class Simulation:
                 "new": new,
                 "cause": item.cause_id,
             })
-
-    def _trace_sent(self, message: Message, words: int, t: int) -> None:
-        """`words` is the word count of the message's content."""
-        self.world.emit({
-            "step": t, "seq": None, "kind": "message_sent",
-            "message_id": message.message_id,
-            "thread_id": message.thread_id,
-            "from": message.from_agent,
-            "to": list(message.to_agents),
-            "channel": CHANNEL_NAMES[message.channel],
-            "type": TYPE_NAMES[message.message_type],
-            "about_task": message.about_task,
-            "words": words,
-            "cost_h": message.cost_hours,
-            "sent_step": message.sent_step,
-        })
 
 
 def run_scenario(scenario: Scenario, adapter: ChatCompletionAdapter | None = None,

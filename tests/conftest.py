@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from teamsim import trace
+from teamsim import engine, trace
 from teamsim.comms import Message
 from teamsim.config import expand_team_shorthand, parse_scenario
 from teamsim.model import (AgentProfile, Role, Scenario, TaskSpec, order_key,
                            validate_scenario)
 from teamsim.planner import DecompositionPlan
+from teamsim.policy import TaskAssignmentView
 from teamsim.taskgraph import NoSubtasksError, SubtaskSpec, TaskGraph
 
 SKILL_POOL = ["backend", "api", "authentication", "oauth", "testing", "documentation"]
@@ -183,6 +184,22 @@ def log_deliveries(world) -> dict[str, list[Message]]:
 
     world.deliver = logging
     return delivered
+
+
+def watch_task_views(monkeypatch, on_build) -> None:
+    """Call `on_build()` at each task view built. `teamsim.engine` builds
+    every view: `World.task_view`, which a context's `assigned` reads, and a
+    message's start, which builds the view of the task it is about in its
+    own frame. Both build it by position through the module's `_new_tuple`,
+    so that is the one place watched."""
+    new_tuple = engine._new_tuple
+
+    def watched(cls, fields):
+        if cls is TaskAssignmentView:
+            on_build()
+        return new_tuple(cls, fields)
+
+    monkeypatch.setattr(engine, "_new_tuple", watched)
 
 
 def replay_af_updates(records) -> dict[tuple[str, str], float]:

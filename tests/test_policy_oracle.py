@@ -22,11 +22,11 @@ from hypothesis import given, settings
 
 import policy_oracle
 from teamsim.comms import MeetingStatus
-from teamsim.engine import Simulation, World
+from teamsim.engine import Simulation
 from teamsim.model import Role
 from teamsim.policy import FixedStepsPolicy, HeuristicPolicy
 
-from conftest import ChainPlanner, chain_scenario, shipped_scenario
+from conftest import ChainPlanner, chain_scenario, shipped_scenario, watch_task_views
 from test_step_cost import roots_scenario
 from test_world_indexes import build_simulation, specs
 
@@ -112,18 +112,18 @@ def fixed_steps_needs_views(context) -> bool:
 @pytest.mark.parametrize("name", SHIPPED)
 @pytest.mark.parametrize("policy", ["no_comm", "c2c_heuristic", "fixed_steps"])
 def test_deterministic_decides_build_no_task_view(monkeypatch, name, policy):
-    """No decide of `no_comm` or `c2c_heuristic` calls `World.task_view`;
-    a `fixed_steps` decide calls it only on a report or follow-up step."""
+    """No decide of `no_comm` or `c2c_heuristic` builds a task view; a
+    `fixed_steps` decide builds them, through `World.task_view`, only on a
+    report or follow-up step. Every builder is watched, the engine's own
+    included, though a decide reaches only `World.task_view`."""
     built: list[tuple[int, str]] = []
     deciding: list = []
-    task_view = World.task_view
 
-    def counting(self, agent_id, task_id):
+    def counting():
         if deciding:
-            built.append((deciding[-1].step, agent_id))
-        return task_view(self, agent_id, task_id)
+            built.append((deciding[-1].step, deciding[-1].agent.agent_id))
 
-    monkeypatch.setattr(World, "task_view", counting)
+    watch_task_views(monkeypatch, counting)
     simulation = Simulation(shipped_scenario(name, policy))
     decide = simulation.policy.decide
     allowed: set[tuple[int, str]] = set()

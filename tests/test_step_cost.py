@@ -61,8 +61,13 @@ or may finish the task, and `World` built each agent's work action where it
 picks the active task; 391.7 (105,768) once the plan step built, placed
 and armed each root's subtasks in one pass each and `order_key` made a key
 with one split and one slice assignment instead of a generator and a regex
-looked up at each call. The bound is the last figure rounded up to a whole
-instruction: 392.
+looked up at each call; 379.3 (102,405), with `message_price`'s memo
+emptied before counting, once a message's start built its one task view in
+its own frame and took its price from that memo, a send and a delivery
+appended their records to the step's batch without helper frames or
+`emit`, and an inbox check read the first live entry of each inbox list
+instead of sorting every actionable item. The bound is the last figure
+rounded up to a whole instruction: 380.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -85,8 +90,9 @@ loop's frame, the `action` and `progress` records batched without `emit` and
 actions as tuples; 254.2 (102,957) and 423.0 (131,137) with a work step
 below its task's mark one add and one compare, and each agent's work action
 built once per active task; 251.1 (101,688) and 418.9 (129,868) with the
-one-pass plan step and the one-split `order_key`. Their bounds are those last
-figures rounded up to a whole instruction: 252 and 419.
+one-pass plan step and the one-split `order_key`; 251.1 and 399.7 (123,914)
+with the one-frame message path. Their bounds are those last figures
+rounded up to a whole instruction: 252 and 400.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -119,11 +125,12 @@ batched without `emit` and actions as tuples, 563.2 (880,817) and 558.5
 below the mark and the work actions built once per active task, 508.3
 (794,900) and 504.2 (3,223,121), a ratio of 0.99; with the one-pass plan
 step and the one-split `order_key`, 489.6 (765,789) and 485.0 (3,100,308), a
-ratio of 0.99. The ratio bound, 1.10,
+ratio of 0.99; with the one-frame message path, 446.0 (697,582) and 441.7
+(2,823,331), a ratio of 0.99. The ratio bound, 1.10,
 lets an agent-step grow a little with the tasks an agent holds, not in
 proportion to them. The 16-root run is also the shape of the benchmark's
 `many_roots` workload, so its own reading is bounded too, rounded up to a
-whole instruction: 486.
+whole instruction: 442.
 
 The same 16-root run as `teamsim run` drives it, every event written by a
 `TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
@@ -149,8 +156,9 @@ step below its task's mark was one add and one compare and each agent's
 work action was built once per active task; 651.6 (4,164,748) and 770.8
 (4,927,076) with the one-pass plan step and the one-split `order_key`, when
 the orjson codec also wrote step 0's batch itself, since a null float field
-no longer sends a batch to the standard library. The bounds are those last
-readings rounded up to a whole instruction: 652 and 771.
+no longer sends a batch to the standard library; 608.2 (3,887,771) and
+727.5 (4,650,099) with the one-frame message path. The bounds are those
+last readings rounded up to a whole instruction: 609 and 728.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -209,6 +217,18 @@ alignment, stats and event in one walk. The same figures read in the whole
 suite under `python -X dev -m pytest`. The bounds are those readings
 rounded up to a whole instruction: 72, 69 and 648.
 
+A message's own cost, on the same 1M+256W team under `c2c_heuristic`, run to
+completion: 256 requests for clarification, 256 progress reports and one
+reply, 513 messages. Counting only the instructions run in and below a
+message's start (`_start_communication`, `_start_check_messages`), its send
+(`_complete_send`, `_complete_reply`) and its deliveries (`World.deliver`),
+a message cost 726.6 (372,748) while a start built its views through
+`World.task_view` and priced the message at each call, a send and a
+delivery traced through helper frames and `emit`, and the manager's one
+inbox check gathered and sorted all 256 requests it held; 505.8 (259,456)
+once each end was one frame. The bound is that reading rounded up to a
+whole instruction: 506.
+
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
 """
@@ -223,7 +243,7 @@ import yaml
 
 from teamsim import config, trace
 from teamsim.config import expand_team_shorthand, parse_scenario, parse_scenario_text
-from teamsim.engine import Simulation
+from teamsim.engine import Simulation, World, message_price
 from teamsim.metrics import MetricsFold
 from teamsim.model import Scenario, order_key, validate_scenario
 from teamsim.trace import TraceLog, TraceWriter
@@ -236,16 +256,16 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
     "no_comm": (405, 252),
-    "fixed_steps": (310, 419),
-    "c2c_heuristic": (270, 392),
+    "fixed_steps": (310, 400),
+    "c2c_heuristic": (270, 380),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 486
+ROOTS_16_BOUND = 442
 # Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
 # run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
-SINK_CHAIN_BOUND = {"orjson": 652, "stdlib": 771}
+SINK_CHAIN_BOUND = {"orjson": 609, "stdlib": 728}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
@@ -254,29 +274,45 @@ STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
 # subtask.
 SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 69, "plan_step": 648}
 WIDE_WORKERS = 256
+# Opcodes per message sent on the same team under `c2c_heuristic`, counted in
+# the message path's frames and below them.
+OPCODES_PER_MESSAGE_BOUND = 506
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                 reason="bounds calibrated on CPython 3.11")
 
 
-def count_opcodes(call):
+def count_opcodes(call, within=()):
     """`call()`'s result and the bytecode instructions it executed, in every
-    frame it ran. `order_key` starts with an empty memo and the cyclic garbage
-    collector is off, so the count does not depend on which tests ran before:
-    a collection runs the Python-level callbacks other tests leave in
-    `gc.callbacks` (hypothesis registers one)."""
+    frame it ran, or, given functions `within`, only while one of them runs:
+    in its frame and every frame below it. `order_key` and `message_price`
+    start with empty memos and the cyclic garbage collector is off, so the
+    count does not depend on which tests ran before: a collection runs the
+    Python-level callbacks other tests leave in `gc.callbacks` (hypothesis
+    registers one)."""
     order_key.cache_clear()
+    message_price.cache_clear()
     collecting = gc.isenabled()
     gc.disable()
+    codes = {function.__code__ for function in within}
     count = 0
+    # How many frames of `within` are running.
+    inside = 0
 
     def local(frame, event, arg):
-        nonlocal count
+        nonlocal count, inside
         if event == "opcode":
             count += 1
+        elif event == "return" and frame.f_code in codes:
+            inside -= 1
         return local
 
     def on_call(frame, event, arg):
+        nonlocal inside
+        if frame.f_code in codes:
+            inside += 1
+        elif codes and not inside:
+            return None
         frame.f_trace_opcodes = True
         return local
 
@@ -398,3 +434,21 @@ def test_team_setup_opcodes_stay_under_the_bounds():
                 "plan_step": plan_opcodes / subtasks}
     for name, bound in SETUP_OPCODES_BOUND.items():
         assert readings[name] <= bound, f"{name}: {readings[name]:.2f} opcodes"
+
+
+@calibrated
+def test_message_path_opcodes_per_message_stay_under_the_bound():
+    """On the wide team under `c2c_heuristic` every worker asks the manager
+    for clarification and reports progress once: a message's start, its send
+    and its deliveries cost a bounded number of instructions, whatever the
+    team's width."""
+    text = wide_team_text().replace("policy: no_comm", "policy: c2c_heuristic")
+    simulation = Simulation(parse_scenario_text(text))
+    result, opcodes = count_opcodes(simulation.run, within=(
+        Simulation._start_communication, Simulation._start_check_messages,
+        Simulation._complete_send, Simulation._complete_reply, World.deliver))
+    assert result.completed
+    sent = len(of_kind(result.trace, "message_sent"))
+    assert sent == 2 * WIDE_WORKERS + 1
+    assert opcodes / sent <= OPCODES_PER_MESSAGE_BOUND, \
+        f"{opcodes} opcodes over {sent} messages"

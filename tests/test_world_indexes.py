@@ -11,6 +11,7 @@ the agents the trace shows busy as the step starts.
 
 import dataclasses
 import random
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -26,7 +27,8 @@ from teamsim.policy import (FixedStepsPolicy, HeuristicPolicy, Intention,
 from teamsim.taskgraph import TaskStatus
 
 from conftest import (SKILL_POOL, ChainPlanner, RandomDagPlanner,
-                      chain_scenario, eight_roots_scenario, log_deliveries, of_kind)
+                      chain_scenario, eight_roots_scenario, log_deliveries, of_kind,
+                      watch_task_views)
 
 
 class NoisyHeuristicPolicy(HeuristicPolicy):
@@ -249,7 +251,8 @@ class Spec(NamedTuple):
     policy: str  # "heuristic", "fixed" or "noisy"
 
 
-def build_simulation(spec: Spec, parallel_decide: bool = False) -> Simulation:
+def build_simulation(spec: Spec, parallel_decide: bool = False,
+                     simulation: type[Simulation] = Simulation) -> Simulation:
     tasks = [TaskSpec(f"generated root {i + 1}", hours, skills)
              for i, (skills, hours) in enumerate(spec.roots)]
     scenario = validate_scenario(Scenario(
@@ -259,7 +262,7 @@ def build_simulation(spec: Spec, parallel_decide: bool = False) -> Simulation:
     planner = ChainPlanner() if spec.planner == "chain" else RandomDagPlanner(spec.seed)
     policy = {"heuristic": HeuristicPolicy, "fixed": lambda: FixedStepsPolicy(interval=4),
               "noisy": lambda: NoisyHeuristicPolicy(spec.seed)}[spec.policy]()
-    return Simulation(scenario, policy=policy, planner=planner, max_steps=60,
+    return simulation(scenario, policy=policy, planner=planner, max_steps=60,
                       parallel_decide=parallel_decide)
 
 
@@ -398,30 +401,30 @@ def test_indexes_hold_through_the_meeting_run():
 
 @pytest.mark.parametrize("policy", ["no_comm", "c2c_heuristic"])
 def test_task_views_are_built_only_when_read(monkeypatch, policy):
-    """A view is built when a context field or the engine reads it, never on
-    a state change. Neither policy's decide builds one; the engine builds at
-    most the hinted and the active view per message it composes."""
-    built = []
-    task_view = World.task_view
-
-    def counting(self, agent_id, task_id):
-        built.append((agent_id, task_id))
-        return task_view(self, agent_id, task_id)
-
-    monkeypatch.setattr(World, "task_view", counting)
+    """A view is built only where something reads it, never on a state
+    change: neither policy's decide builds one, and the engine builds at
+    most one, of the task a message is about, for each message it starts."""
+    phases = ["other"]
+    built, calls = Counter(), Counter()
+    watch_task_views(monkeypatch, lambda: built.update([phases[-1]]))
     sim = Simulation(dataclasses.replace(eight_roots_scenario(), policy_name=policy))
-    decides = []
-    decide = sim.policy.decide
 
-    def counting_decide(context):
-        decides.append(context.agent.agent_id)
-        return decide(context)
+    def within(phase, call):
+        def watched(*args):
+            calls[phase] += 1
+            phases.append(phase)
+            try:
+                return call(*args)
+            finally:
+                phases.pop()
+        return watched
 
-    sim.policy.decide = counting_decide
+    sim.policy.decide = within("decide", sim.policy.decide)
+    sim._start_action = within("start", sim._start_action)
     trace = sim.run().trace
-    assert decides
+    assert calls["decide"]
+    assert set(built) <= {"start"}
     if policy == "no_comm":
-        assert built == []
+        assert not built
     else:
-        assert built
-        assert len(built) <= 2 * len(of_kind(trace, "message_sent"))
+        assert 0 < built["start"] <= len(of_kind(trace, "message_sent"))
