@@ -12,9 +12,9 @@ from .engine import SimResult, Simulation, run_scenario
 from .metrics import MetricsReport, compute_metrics, distributions, heatmap
 from .model import (AgentProfile, Role, Scenario, SimClock, TaskSpec,
                     hours_to_steps, skill_match_score, validate_scenario)
-from .planner import DecompositionPlan, EvenPlanner, LlmPlanner, assign
+from .planner import DecompositionPlan, EvenPlanner, assign
 from .policy import (HeuristicPolicy, FixedStepsPolicy, Intention, IntentionKind,
-                     LlmPolicy, NoCommPolicy, PolicyContext, build_policy)
+                     NoCommPolicy, PolicyContext, build_policy)
 from .taskgraph import SubtaskSpec, TaskGraph, TaskNode, TaskStatus
 
 __version__ = "0.1.0"
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentProfile", "AlignmentState", "Channel", "CommBuffer",
     "DecompositionPlan", "EvenPlanner", "FixedStepsPolicy",
-    "HeuristicPolicy", "Intention", "IntentionKind", "LlmPlanner", "LlmPolicy",
+    "HeuristicPolicy", "Intention", "IntentionKind",
     "Message", "MessageType", "MetricsReport", "NoCommPolicy", "PolicyContext",
     "Role", "Scenario", "SimClock", "SimResult", "Simulation", "SubtaskSpec",
     "TaskGraph", "TaskNode", "TaskSpec", "TaskStatus", "Thread",

@@ -5,9 +5,9 @@ role-tagged messages; the response body's first choice text is returned. The
 auth token is read from the environment, never from config files.
 
 This module is imported only where an LLM-backed mode first uses it: by
-`LlmPolicy`, `LlmPlanner` and `LlmEvaluator` for `AdapterError`, and by the
-CLI when it builds an adapter. `urllib` (and with it `http.client`, `email`,
-`ssl` and `socket`) is imported later still, on the first request.
+`teamsim.llm`, and by the CLI when it builds an adapter. `urllib` (and with
+it `http.client`, `email`, `ssl` and `socket`) is imported later still, on
+the first request.
 """
 
 from __future__ import annotations
@@ -131,10 +131,13 @@ class ChatCompletionAdapter:
     @staticmethod
     def _parse_completion(raw: bytes) -> str:
         try:
-            data = json.loads(raw.decode("utf-8"))
-            return data["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+            content = json.loads(raw.decode("utf-8"))["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            # A body that is not UTF-8 or not JSON raises a `ValueError`.
             raise AdapterError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, str):
+            raise AdapterError("malformed completion response: content is not text")
+        return content
 
     def complete_json(self, messages: list[dict]) -> dict:
         return extract_json_object(self.complete(messages))

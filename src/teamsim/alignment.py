@@ -14,12 +14,6 @@ AF_MIN = 0.01
 AF_MAX = 1.00
 AF_INIT = 0.30
 
-# Signed evaluator deltas are accepted but normalized into this band: the cap
-# matches the largest single-reply gain, the floor keeps one bad reply from
-# undershooting the 0.01 minimum from the 0.30 start.
-DELTA_MIN = -0.29
-DELTA_MAX = 0.50
-
 HELP_GAIN = 0.15
 CLARIFICATION_GAIN = 0.10
 MEETING_GAIN = 0.27
@@ -40,10 +34,6 @@ class AlignmentError(ValueError):
 
 def clamp_af(value: float) -> float:
     return min(AF_MAX, max(AF_MIN, value))
-
-
-def clamp_delta(delta: float) -> float:
-    return min(DELTA_MAX, max(DELTA_MIN, delta))
 
 
 def effective_progress(hours: float, af: float) -> float:
@@ -84,12 +74,3 @@ class AlignmentState:
 def rule_based_delta(message_type: MessageType) -> float:
     """Fixed per-type alignment impact of a resolved interaction."""
     return _RULE_TABLE.get(message_type, PROGRESS_GAIN)
-
-
-def normalize_reported_alignment(old_af: float, reported_new_af: float) -> float:
-    """Turn an evaluator's reported new alignment into a bounded delta.
-
-    The reported new value is authoritative; any separately reported change
-    amount is ignored. The derived delta is clamped into the allowed band.
-    """
-    return clamp_delta(clamp_af(reported_new_af) - old_af)

@@ -20,14 +20,13 @@ from functools import cache
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .alignment import (AlignmentState, normalize_reported_alignment,
-                        rule_based_delta)
+from .alignment import AlignmentState, rule_based_delta
 from .comms import (CHANNEL_NAMES, Channel, CommBuffer, Meeting, MeetingStatus,
                     Message, MessageType, REQUEST_TYPES, TYPE_NAMES, Thread,
                     communication_cost)
 from .model import (HOURS_PER_STEP, AgentProfile, Scenario, SimClock, _new_tuple,
                     hours_to_steps, order_key)
-from .planner import EvenPlanner, LlmPlanner, assign
+from .planner import EvenPlanner, assign
 from .policy import (CONTINUE, MEETING_START, Intention, IntentionKind, LastAction,
                      Policy, PolicyContext, TaskAssignmentView,
                      build_context, build_policy, compose_message, compose_reply,
@@ -140,51 +139,13 @@ class PendingAfEvaluation(NamedTuple):
 
 class RuleBasedEvaluator:
     name = "rule_based"
+    # Whether `evaluate` reads message text, which is composed only then.
+    reads_text = False
 
     def evaluate(self, world: "World", pending: PendingAfEvaluation
                  ) -> tuple[float, str | None]:
         """The alignment delta, and a warning if there is one."""
         return rule_based_delta(pending.root_type), None
-
-
-class LlmEvaluator:
-    """Asks the external model how much a reply improved task understanding."""
-
-    name = "llm"
-
-    def __init__(self, adapter: ChatCompletionAdapter) -> None:
-        self.adapter = adapter
-
-    def evaluate(self, world: "World", pending: PendingAfEvaluation
-                 ) -> tuple[float, str | None]:
-        if pending.root_type not in REQUEST_TYPES:
-            # Meetings and updates keep their fixed table impact.
-            return rule_based_delta(pending.root_type), None
-        from . import prompts
-        from .adapter import AdapterError
-
-        node = world.graph.node(pending.task_id)
-        old_af = world.alignment.get(pending.agent_id, pending.task_id)
-        stats = world.stats[pending.agent_id, pending.task_id]
-        reply = pending.reply
-        messages = prompts.evaluation_messages(
-            task_id=pending.task_id,
-            task_description=node.description,
-            required_skills=sorted(node.required_skills),
-            actual_hours=stats.hours_worked,
-            estimated_hours=node.estimated_hours,
-            current_alignment=old_af,
-            message_type=MessageType.RESPONSE.value,
-            from_agent=reply.from_agent,
-            original_request=world.threads[reply.thread_id].root.content,
-            reply_content=reply.content,
-        )
-        try:
-            parsed = self.adapter.complete_json(messages)
-            reported = float(parsed["new_alignment_factor"])
-            return normalize_reported_alignment(old_af, reported), None
-        except (AdapterError, KeyError, TypeError, ValueError) as exc:
-            return rule_based_delta(pending.root_type), f"evaluator fallback: {exc}"
 
 
 def build_evaluator(name: str, adapter: ChatCompletionAdapter | None = None):
@@ -193,6 +154,8 @@ def build_evaluator(name: str, adapter: ChatCompletionAdapter | None = None):
     if name == "llm":
         if adapter is None:
             raise ValueError("llm evaluator requires an adapter")
+        from .llm import LlmEvaluator
+
         return LlmEvaluator(adapter)
     raise ValueError(f"unknown evaluator: {name}")
 
@@ -257,10 +220,9 @@ class World:
 
         self.alignment = AlignmentState()
         self.buffer = CommBuffer()
-        # Messages delivered to each agent so far, by type name; replaced, not
-        # mutated, so a context can share it.
-        self.delivered_by_type: dict[str, dict[str, int]] = dict.fromkeys(
-            self.agent_order, {})
+        # Messages delivered to each agent so far, by type name; kept only
+        # for a policy that `reads_deliveries`, else None.
+        self.delivered: dict[str, dict[str, int]] | None = None
         # Request threads by id; an invite is reachable through its meeting.
         self.threads: dict[str, Thread] = {}
         self.meetings: dict[str, Meeting] = {}
@@ -334,12 +296,14 @@ class World:
     # -- state changes that keep the indexes current --------------------------
 
     def deliver(self, message: Message, recipient: str, t: int) -> None:
-        """Count a message delivered to one agent and index it, then append
-        its `message_delivered` record, `seq` stamped, to the step's batch."""
+        """Index a message delivered to one agent, and count it if deliveries
+        are kept, then append its `message_delivered` record, `seq` stamped,
+        to the step's batch."""
         kind = message.message_type
         name = TYPE_NAMES[kind]
-        counts = self.delivered_by_type[recipient]
-        self.delivered_by_type[recipient] = {**counts, name: counts.get(name, 0) + 1}
+        if self.delivered is not None:
+            counts = self.delivered[recipient]
+            counts[name] = counts.get(name, 0) + 1
         if kind in REQUEST_TYPES and message.from_agent != recipient:
             insort(self.inbound_requests[recipient],
                    (t, message.message_id, message.thread_id))
@@ -568,16 +532,20 @@ class Simulation:
         if max_steps is not None:
             self.world.clock.max_steps = max_steps
         self.policy = policy or build_policy(scenario.policy_name, adapter)
+        if self.policy.reads_deliveries:
+            self.world.delivered = {agent_id: {} for agent_id in self.world.agent_order}
         if planner is not None:
             self.planner = planner
         elif scenario.policy_name == "c2c_llm" and adapter is not None:
+            from .llm import LlmPlanner
+
             self.planner = LlmPlanner(adapter)
         else:
             self.planner = EvenPlanner()
         self.evaluator = evaluator or build_evaluator(scenario.evaluator_name, adapter)
-        # Only the LLM evaluator reads message text, a request's and its
-        # reply's; every other message carries its word count alone.
-        self.composes_text = isinstance(self.evaluator, LlmEvaluator)
+        # A request's text and its reply's are composed only for an evaluator
+        # that reads them; every other message carries its word count alone.
+        self.composes_text = self.evaluator.reads_text
         self.parallel_decide = parallel_decide
         self._pool: ThreadPoolExecutor | None = None
 

@@ -1,12 +1,11 @@
 """Manager-side decomposition of root tasks and assignment of subtasks.
 
-Decomposition happens once, in the manager's step-0 action slot. The
-deterministic planner splits effort evenly across workers and suggests no
-assignee; the LLM planner asks the external model for a plan, whose subtasks
-may each suggest one, and falls back to the even split when the plan fails
-validation twice. `assign` then places every subtask: on its suggested worker
-while that worker is under the load cap and holds a required skill, otherwise
-on the best-scoring open worker.
+Decomposition happens once, in the manager's step-0 action slot. The even
+planner splits effort evenly across workers and suggests no assignee; a plan
+from `teamsim.llm.LlmPlanner` may suggest one per subtask. `assign` then
+places every subtask: on its suggested worker while that worker is under the
+load cap and holds a required skill, otherwise on the best-scoring open
+worker.
 """
 
 from __future__ import annotations
@@ -96,55 +95,6 @@ class EvenPlanner:
             for i, (bundle, label) in zip(range(1, count + 1), cycle(bundles))]))
 
 
-class LlmPlanner:
-    """Asks the external model for a plan; one retry, then even-split fallback."""
-
-    name = "llm"
-
-    def __init__(self, adapter: ChatCompletionAdapter) -> None:
-        self.adapter = adapter
-
-    def decompose(self, node: TaskNode, scenario: Scenario) -> DecompositionPlan:
-        from .adapter import AdapterError
-
-        warnings: list[str] = []
-        for attempt in range(2):
-            try:
-                plan = self._request_plan(node, scenario)
-                validate_plan(plan, node.estimated_hours, scenario.team)
-                return DecompositionPlan(plan.subtasks, tuple(warnings))
-            except (AdapterError, PlannerError, KeyError, TypeError, ValueError) as exc:
-                warnings.append(f"decomposition attempt {attempt + 1} failed: {exc}")
-        fallback = EvenPlanner().decompose(node, scenario)
-        warnings.append("falling back to even decomposition")
-        return DecompositionPlan(fallback.subtasks, tuple(warnings))
-
-    def _request_plan(self, node: TaskNode, scenario: Scenario) -> DecompositionPlan:
-        from . import prompts
-
-        messages = prompts.decomposition_messages(
-            node.description, node.estimated_hours, sorted(node.required_skills),
-            scenario.team, len(scenario.workers),
-        )
-        parsed = self.adapter.complete_json(messages)
-        by_name = {a.name: a.agent_id for a in scenario.team}
-        specs = []
-        for raw in parsed["subtasks"]:
-            assignee = raw.get("suggested_assignee")
-            if assignee in by_name:
-                assignee = by_name[assignee]
-            specs.append(SubtaskSpec(
-                description=str(raw["description"]),
-                estimated_hours=float(raw["estimated_hours"]),
-                required_skills=frozenset(
-                    str(s).lower() for s in raw.get("required_skills", [])
-                ),
-                suggested_assignee=assignee,
-                dependencies=tuple(int(d) for d in raw.get("dependencies", [])),
-            ))
-        return DecompositionPlan(subtasks=tuple(specs))
-
-
 def assign(graph: TaskGraph, subtask_ids: list[str],
            team: list[AgentProfile]) -> dict[str, list[str]]:
     """Map subtasks to workers, honoring suggestions under a load cap.
@@ -223,5 +173,7 @@ def build_planner(name: str, adapter: ChatCompletionAdapter | None = None):
     if name == "llm":
         if adapter is None:
             raise ValueError("llm planner requires an adapter")
+        from .llm import LlmPlanner
+
         return LlmPlanner(adapter)
     raise ValueError(f"unknown planner: {name}")

@@ -6,12 +6,10 @@ is a read-only tuple of O(1) fields, the step's one busy set and the `World`
 among them. The deterministic policies read the agent's facts from `World`'s
 per-agent tables in their own frame, so a decide builds no task view; a
 context's properties serve what an intention needs once chosen (recipients
-and message content) and the LLM prompt. Task views, last actions and
-intentions are immutable named tuples that compare by field; an intention
-whose fields never vary is one module-level value. The deterministic
-heuristic policy approximates adaptive behavior with fixed thresholds; the
-LLM policy delegates the same decision to an external model and falls back to
-the heuristic on any failure.
+and message content) and the model-backed policy of `teamsim.llm`. Task
+views, last actions and intentions are immutable named tuples that compare by
+field; an intention whose fields never vary is one module-level value. The
+heuristic policy approximates adaptive behavior with fixed thresholds.
 """
 
 from __future__ import annotations
@@ -72,13 +70,14 @@ class PolicyContext(tuple):
     """What one agent may know at the current step.
 
     The tuple is (agent, step, busy, manager_id, world, agent id). The
-    deterministic decides unpack it and read the agent's facts straight from
-    `World`'s per-agent tables, in their own frame. The properties serve
-    recipient selection, the message an intention sends and the LLM prompt:
-    each asks the `World` the context was built on, each time it is read, so
-    `assigned` builds its task views at every read. Nothing a field reads
-    changes while the step's contexts are read: the resolve of an earlier
-    agent's intention writes only that agent's entries. No field can be set.
+    decides unpack it and read the agent's facts straight from `World`'s
+    per-agent tables, in their own frame. The properties serve recipient
+    selection, the message an intention sends and the prompt of
+    `teamsim.llm.LlmPolicy`: each asks the `World` the context was built on,
+    each time it is read, so `assigned` builds its task views at every read.
+    Nothing a field reads changes while the step's contexts are read: the
+    resolve of an earlier agent's intention writes only that agent's entries.
+    No field can be set.
     """
 
     __slots__ = ()
@@ -100,16 +99,6 @@ class PolicyContext(tuple):
         """Held task views in id order, done ones included."""
         world, agent_id = self[4], self[5]
         return tuple([world.task_view(agent_id, t) for t in world.assignments[agent_id]])
-
-    @property
-    def delivered_by_type(self) -> dict[str, int]:
-        """Messages delivered to this agent so far, by type name; shared,
-        never mutated."""
-        return self[4].delivered_by_type[self[5]]
-
-    @property
-    def last_action(self) -> LastAction | None:
-        return self[4].last_actions.get(self[5])
 
     @property
     def unanswered_inbound(self) -> tuple[str, ...]:
@@ -144,6 +133,8 @@ CHECK_INBOX = Intention(IntentionKind.CHECK_MESSAGES)
 
 class Policy:
     name = "base"
+    # Whether `decide` reads `World.delivered`, which `World` keeps only then.
+    reads_deliveries = False
 
     def decide(self, context: PolicyContext) -> Intention:
         raise NotImplementedError
@@ -189,9 +180,10 @@ class FixedStepsPolicy(Policy):
                 if report and open_tasks:
                     return _new_tuple(Intention, (
                         IntentionKind.REPORT_PROGRESS, open_tasks[0].task_id, ()))
-        # An inbox list may hold entries no longer actionable: filtered only
+        # An inbox list may hold entries no longer actionable: read only
         # when non-empty.
-        if ((world.inbound_requests[agent_id] and world.unanswered_inbound(agent_id))
+        if ((world.inbound_requests[agent_id]
+                and world.oldest_unanswered(agent_id) is not None)
                 or (world.invites[agent_id] and world.pending_invites(agent_id))):
             return CHECK_INBOX
         return CONTINUE
@@ -209,7 +201,7 @@ class HeuristicPolicy(Policy):
         if ((world.invites[agent_id] and world.pending_invites(agent_id))
                 or agent_id in world.meeting_started
                 or (world.inbound_requests[agent_id]
-                    and world.unanswered_inbound(agent_id))):
+                    and world.oldest_unanswered(agent_id) is not None)):
             return CHECK_INBOX
 
         task_id = world.active_task_id[agent_id]
@@ -242,55 +234,6 @@ class HeuristicPolicy(Policy):
         return CONTINUE
 
 
-class LlmPolicy(Policy):
-    """Delegates the intention choice to an external model; heuristic fallback."""
-
-    name = "c2c_llm"
-
-    def __init__(self, adapter: ChatCompletionAdapter) -> None:
-        self.adapter = adapter
-
-    def decide(self, context: PolicyContext) -> Intention:
-        from .adapter import AdapterError
-
-        try:
-            parsed = self.adapter.complete_json(self._messages(context))
-            # The model's reasoning, if it gives one, is not kept.
-            return Intention(IntentionKind(str(parsed.get("intention", "")).strip().upper()))
-        except (AdapterError, ValueError) as exc:
-            fallback = HeuristicPolicy().decide(context)
-            warning = f"intention adapter fallback: {exc}"
-            return fallback._replace(warnings=fallback.warnings + (warning,))
-
-    @staticmethod
-    def _messages(context: PolicyContext) -> list[dict]:
-        from . import prompts
-
-        tasks_block = "\n".join(
-            f"- {view.task_id}: {view.description} | progress "
-            f"{view.progress:.0%} | alignment {view.af:.2f} | "
-            f"{view.hours_worked:.2f}/{view.estimated_hours:.2f} hours"
-            for view in context.assigned[:3]) or "- (no assigned tasks)"
-        inbox_desc = ", ".join(f"{k}: {v}" for k, v in
-                               sorted(context.delivered_by_type.items())) or "empty"
-        message_info = (
-            f"Inbox: {inbox_desc}. Unanswered requests awaiting you: "
-            f"{len(context.unanswered_inbound)}."
-        )
-        last = context.last_action
-        last_info = (
-            f"Last action: {last.kind}"
-            + (f" ({last.message_type})" if last and last.message_type else "")
-            + f" at step {last.step}."
-            if last
-            else "Last action: none."
-        )
-        return prompts.intention_messages(
-            context.agent.name, context.agent.role.value, tasks_block,
-            message_info, last_info,
-        )
-
-
 def build_policy(name: str, adapter: ChatCompletionAdapter | None = None) -> Policy:
     if name == "no_comm":
         return NoCommPolicy()
@@ -301,6 +244,8 @@ def build_policy(name: str, adapter: ChatCompletionAdapter | None = None) -> Pol
     if name == "c2c_llm":
         if adapter is None:
             raise ValueError("c2c_llm policy requires an adapter")
+        from .llm import LlmPolicy
+
         return LlmPolicy(adapter)
     raise ValueError(f"unknown policy: {name}")
 

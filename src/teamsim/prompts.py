@@ -2,7 +2,7 @@
 
 Each builder returns the role-tagged message list for one request. Responses
 must come back as a single JSON object; parsing and fallback live with the
-callers (planner, policy, alignment evaluator).
+callers, the policy, planner and alignment evaluator of `teamsim.llm`.
 """
 
 from __future__ import annotations

@@ -207,8 +207,9 @@ def deliver(world: World, message: Message, recipient: str, t: int) -> None:
     """`World.deliver`, its record traced through `World.emit`."""
     kind = message.message_type
     name = TYPE_NAMES[kind]
-    counts = world.delivered_by_type[recipient]
-    world.delivered_by_type[recipient] = {**counts, name: counts.get(name, 0) + 1}
+    if world.delivered is not None:
+        counts = world.delivered[recipient]
+        counts[name] = counts.get(name, 0) + 1
     if kind in REQUEST_TYPES and message.from_agent != recipient:
         insort(world.inbound_requests[recipient],
                (t, message.message_id, message.thread_id))

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from teamsim.alignment import (AF_INIT, AF_MAX, AF_MIN, AlignmentError,
-                               AlignmentState, DELTA_MAX, DELTA_MIN,
-                               clamp_af, effective_progress,
-                               normalize_reported_alignment, rule_based_delta)
+                               AlignmentState, clamp_af, effective_progress,
+                               rule_based_delta)
 from teamsim.comms import MessageType
 from teamsim.engine import Simulation
+from teamsim.llm import DELTA_MAX, DELTA_MIN, normalize_reported_alignment
 
 from conftest import replay_af_updates, replay_runs
 

@@ -3,8 +3,9 @@ generates no code per class.
 
 `run`, `report` and `compare` under `no_comm`, `fixed_steps` and
 `c2c_heuristic` send no adapter request and decide in one thread, so the
-adapter and its prompts, the HTTP stack, the thread pool and OpenSSL hashing
-stay unloaded; all but hashing load on first use. Each case runs in a fresh
+model-backed components of `teamsim.llm`, the adapter and its prompts, the
+HTTP stack, the thread pool and OpenSSL hashing stay unloaded; all but
+hashing load on first use. Each case runs in a fresh
 interpreter and compares `sys.modules` with a snapshot taken before `teamsim`
 is imported, so whatever `site` loads on a given machine does not count.
 
@@ -15,8 +16,10 @@ install mode. On CPython 3.11.7 it executed 227,706 while `dataclasses`
 generated the methods of 16 of teamsim's classes, and 123,505 once those
 became named tuples and `__slots__` classes with written-out `__init__`s
 (the same with and without cached bytecode, under `-X dev` and under hash
-seeds 0, 1 and 12345). The bound is that reading rounded up to the next
-thousand; one class built by `dataclasses` again costs several thousand.
+seeds 0, 1 and 12345); 123,109 once the model-backed policy, planner and
+evaluator left `policy`, `planner` and `engine` for `teamsim.llm`. The bound
+is that reading rounded up to the next hundred; one class built by
+`dataclasses` again costs several thousand.
 """
 
 import json
@@ -35,9 +38,10 @@ SIMPLE = str(ROOT / "scenarios" / "simple.yaml")
 DETERMINISTIC = ("no_comm", "fixed_steps", "c2c_heuristic")
 
 # Modules a deterministic call never executes.
-UNUSED = ("teamsim.adapter", "teamsim.prompts", "urllib.request", "http.client",
-          "email.parser", "ssl", "socket", "concurrent.futures", "hashlib")
-IMPORT_INSTRUCTIONS_BOUND = 124_000
+UNUSED = ("teamsim.llm", "teamsim.adapter", "teamsim.prompts", "urllib.request",
+          "http.client", "email.parser", "ssl", "socket", "concurrent.futures",
+          "hashlib")
+IMPORT_INSTRUCTIONS_BOUND = 123_200
 
 PRELUDE = f"""
 import contextlib, io, json, sys
@@ -120,9 +124,11 @@ assert run_scenario(scenario, adapter=StubAdapter()).completed
     except AdapterError:
         pass
     """, "urllib.request"),
+    (LLM_RUN, "teamsim.llm"),
     (LLM_RUN, "teamsim.adapter"),
     (LLM_RUN, "teamsim.prompts"),
-], ids=["parallel_decide", "adapter_request", "llm_run_adapter", "llm_run_prompts"])
+], ids=["parallel_decide", "adapter_request", "llm_run_llm", "llm_run_adapter",
+        "llm_run_prompts"])
 def test_first_use_loads_the_module(first_use, module):
     assert module in _loaded_after(first_use, scenario=SIMPLE, port=refused_port())
 

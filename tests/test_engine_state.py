@@ -1,10 +1,11 @@
 """Engine state has one source per fact.
 
-`World` keeps per-type delivery counts instead of inboxes, the trace's
-`af_update` events are the only alignment history, and an alignment
-evaluation carries the delivered reply instead of copies of its fields. These
-tests check that the prompts built from that state are the ones the copies
-gave, and that no delivered message outlives its last reader.
+`World` keeps per-type delivery counts instead of inboxes, and only for a
+policy that reads them, the trace's `af_update` events are the only alignment
+history, and an alignment evaluation carries the delivered reply instead of
+copies of its fields. These tests check that the prompts built from that
+state are the ones the copies gave, and that no delivered message outlives
+its last reader.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from teamsim.comms import Message
 from teamsim.config import expand_team_shorthand
 from teamsim.engine import Simulation
 from teamsim.model import Scenario, validate_scenario
-from teamsim.policy import LlmPolicy
+from teamsim.policy import build_policy
 from teamsim import prompts
 
 from conftest import (MEDIUM_TASK, SHIPPED_RUNS, SKILL_POOL, ChainPlanner,
@@ -46,7 +47,7 @@ def inbox_messages(context, inbox: list[Message]) -> list[dict]:
         f"Inbox: {inbox_desc}. Unanswered requests awaiting you: "
         f"{len(context.unanswered_inbound)}."
     )
-    last = context.last_action
+    last = context[4].last_actions.get(context.agent.agent_id)
     last_info = (
         f"Last action: {last.kind}"
         + (f" ({last.message_type})" if last and last.message_type else "")
@@ -62,23 +63,39 @@ def inbox_messages(context, inbox: list[Message]) -> list[dict]:
 
 @pytest.mark.parametrize("name,policy", SHIPPED_RUNS)
 def test_intention_prompts_count_the_delivered_messages(monkeypatch, name, policy):
-    sim = Simulation(shipped_scenario(name, policy))
+    """Each intention request of a `c2c_llm` run asks with the prompt the
+    delivered messages give, in decide order. The model answers each with the
+    intention kind `policy` decides for the same context, and the plan
+    request with `{}`, so the even plan lands."""
+    decide = build_policy(policy).decide
+    expected, answers, counted, sent = [], [], [], []
+
+    def transport(url, body, headers):
+        messages = json.loads(body)["messages"]
+        content = "{}"
+        if "primary intention" in messages[0]["content"]:
+            content = json.dumps({"intention": answers[len(sent)]})
+            sent.append(messages)
+        return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+
+    adapter = ChatCompletionAdapter(endpoint="http://localhost:0", model="stub",
+                                    max_retries=0, transport=transport)
+    sim = Simulation(shipped_scenario(name, "c2c_llm"), adapter=adapter)
     delivered = log_deliveries(sim.world)
     build_context = engine.build_context
-    checked = []
 
-    def checking(world, agent_id, busy):
+    def building(world, agent_id, busy):
         context = build_context(world, agent_id, busy)
-        assert LlmPolicy._messages(context) == \
-            inbox_messages(context, delivered[agent_id])
-        checked.append(sum(context.delivered_by_type.values()))
+        expected.append(inbox_messages(context, delivered[agent_id]))
+        answers.append(decide(context).kind.value)
+        counted.append(len(delivered[agent_id]))
         return context
 
-    monkeypatch.setattr(engine, "build_context", checking)
+    monkeypatch.setattr(engine, "build_context", building)
     sim.run()
-    assert checked
+    assert sent == expected
     if policy != "no_comm":
-        assert max(checked) > 0
+        assert max(counted) > 0
 
 
 def test_evaluator_requests_are_unchanged():

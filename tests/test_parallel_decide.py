@@ -29,8 +29,7 @@ POOL_THREADS = 8
 BARRIER_TIMEOUT_S = 10.0
 # The context fields that query `World`, each read by every gated decide
 # before the heuristic reads `World`'s per-agent tables itself.
-WORLD_FIELDS = ("assigned", "delivered_by_type", "last_action",
-                "unanswered_inbound", "blocked_collaborators")
+WORLD_FIELDS = ("assigned", "unanswered_inbound", "blocked_collaborators")
 
 
 class GatedPolicy(HeuristicPolicy):

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from teamsim.adapter import ChatCompletionAdapter
 from teamsim.engine import Simulation
+from teamsim.llm import LlmPlanner
 from teamsim.model import (AgentProfile, Role, Scenario, TaskSpec, order_key,
                            skill_match_score, validate_scenario)
-from teamsim.planner import (DecompositionPlan, EvenPlanner, LlmPlanner,
-                             PlannerError, assign, validate_plan)
+from teamsim.planner import (DecompositionPlan, EvenPlanner, PlannerError, assign,
+                             validate_plan)
 from teamsim.taskgraph import SubtaskSpec, TaskGraph
 
 from conftest import MEDIUM_TASK, SIMPLE_TASK, make_scenario, make_team
@@ -202,6 +203,18 @@ class TestLlmPlanner:
             ("planner", "falling back to even decomposition")]
         subtasks = [n for n in result.world.graph.nodes.values() if n.parent_id]
         assert len(subtasks) == 4 and not any(n.dependencies for n in subtasks)
+
+    def test_subtask_that_is_not_an_object_is_retried_then_falls_back(self):
+        # Such a subtask raised `AttributeError` out of `decompose`.
+        scenario = scenario_for(SIMPLE_TASK)
+        _, node = root_node(scenario)
+        bad = json.dumps({"subtasks": ["x"]})
+        plan = LlmPlanner(stub_adapter([bad, bad])).decompose(node, scenario)
+        assert plan.warnings == (
+            "decomposition attempt 1 failed: subtask is not a JSON object",
+            "decomposition attempt 2 failed: subtask is not a JSON object",
+            "falling back to even decomposition")
+        assert len(plan.subtasks) == 4
 
     def test_transport_failure_falls_back(self):
         scenario = scenario_for(SIMPLE_TASK)

@@ -65,10 +65,6 @@ class StandInWorld:
         return types.SimpleNamespace(step=self.step)
 
     @property
-    def delivered_by_type(self):
-        return {self.agent.agent_id: {}}
-
-    @property
     def last_actions(self):
         return {} if self.last_action is None else {self.agent.agent_id: self.last_action}
 
@@ -97,6 +93,10 @@ class StandInWorld:
 
     def unanswered_inbound(self, agent_id):
         return self.unanswered
+
+    def oldest_unanswered(self, agent_id):
+        entries = self.inbound_requests[agent_id]
+        return entries[0] if entries else None
 
     @property
     def meeting_started(self):
@@ -386,8 +386,8 @@ class TestComposition:
 
 # Every field a policy can read from a context.
 CONTEXT_FIELDS = {
-    "agent", "step", "assigned", "delivered_by_type", "busy", "team",
-    "manager_id", "last_action", "unanswered_inbound", "blocked_collaborators",
+    "agent", "step", "assigned", "busy", "team", "manager_id",
+    "unanswered_inbound", "blocked_collaborators",
 }
 
 
@@ -434,8 +434,6 @@ class TestValueTypes:
         assert ctx.busy == {"W2"}
         assert ctx.team == {"W1": ctx.agent, "W2": teammates[0]}
         assert ctx.assigned == tuple(task.view for task in tasks)
-        assert ctx.delivered_by_type == {}
-        assert ctx.last_action == last
         assert ctx.unanswered_inbound == ("th1",)
         assert ctx.blocked_collaborators == {"T1.2": ("W2",)}
 
@@ -448,7 +446,7 @@ class TestValueTypes:
             def __getattribute__(self, name):
                 if name in {"task_view", "assignments", "unanswered_inbound",
                             "open_outbound_tasks", "pending_invites", "blocked_collaborators",
-                            "delivered_by_type", "last_actions", "invites",
+                            "last_actions", "invites",
                             "inbound_requests", "meeting_started", "active_task_id",
                             "alignment", "stats", "outbound", "blocked",
                             "organized", "due"}:

@@ -103,7 +103,7 @@ def fixed_steps_needs_views(context) -> bool:
     interval = FixedStepsPolicy().interval
     if context.agent.role is not Role.WORKER:
         return False
-    last = context.last_action
+    last = context[4].last_actions.get(context.agent.agent_id)
     follow_up = (last is not None and last.message_type == "PROGRESS_UPDATE"
                  and last.step > 0 and last.step % interval == 0)
     return follow_up or (context.step > 0 and context.step % interval == 0)

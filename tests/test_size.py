@@ -1,0 +1,78 @@
+"""Guards on the size of `teamsim`'s source.
+
+Each module's raw line count is bounded, and so is the total over the
+modules a deterministic `run` plus `report` loads, which every such call
+compiles when no bytecode is cached. Like the bounds of
+`tests/test_step_cost.py`, these are a ratchet: each is the reading of the
+tree that set it, a change that shrinks a module lowers its bound, and a
+change that grows one past its bound raises it and says why.
+
+History: the bounds were set at 4,491 lines in all, 4,069 of them loaded by
+a deterministic call, once the model-backed policy, planner and evaluator
+left `policy`, `planner` and `engine` for `teamsim.llm`, which only an LLM
+run loads (4,223 loaded before).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "teamsim"
+
+# Raw lines per module of `src/teamsim`, by file name.
+MODULE_LINES_BOUND = {
+    "__init__.py": 33, "adapter.py": 143, "alignment.py": 76, "cli.py": 358,
+    "comms.py": 176, "config.py": 305, "engine.py": 1092, "llm.py": 151,
+    "metrics.py": 460, "model.py": 183, "planner.py": 179, "policy.py": 472,
+    "prompts.py": 128, "taskgraph.py": 263, "trace.py": 472,
+}
+# Raw lines of the `teamsim` modules a deterministic `run` plus `report` loads.
+DETERMINISTIC_LINES_BOUND = 4069
+
+# Runs and reports each deterministic policy on each shipped scenario in a
+# fresh interpreter, writing under argv[2], then prints the files of the
+# `teamsim` modules loaded.
+LOADED = """
+import contextlib, io, json, sys
+from teamsim.cli import main
+
+root, out = sys.argv[1:3]
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in ("simple", "medium", "complex", "multi_task"):
+        for policy in ("no_comm", "fixed_steps", "c2c_heuristic"):
+            run = f"{out}/{name}_{policy}"
+            assert main(["run", "--scenario", f"{root}/scenarios/{name}.yaml",
+                         "--policy", policy, "--out", run]) == 0
+            assert main(["report", "--run", run]) == 0
+print(json.dumps(sorted(module.__file__ for name, module in sys.modules.items()
+                        if name.partition(".")[0] == "teamsim")))
+"""
+
+
+def lines(path: Path) -> int:
+    return len(path.read_text(encoding="utf-8").splitlines())
+
+
+def test_each_module_stays_under_its_bound():
+    readings = {path.name: lines(path) for path in PACKAGE.glob("*.py")}
+    # A new module needs a bound, and a deleted one leaves the table.
+    assert set(readings) == set(MODULE_LINES_BOUND)
+    assert {name: count for name, count in readings.items()
+            if count > MODULE_LINES_BOUND[name]} == {}
+
+
+def test_deterministic_calls_load_at_most_the_bound(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", LOADED, str(ROOT), str(tmp_path)],
+                            env=env, capture_output=True, text=True, timeout=120,
+                            check=False)
+    assert result.returncode == 0, result.stderr
+    files = [Path(f) for f in json.loads(result.stdout.splitlines()[-1])]
+    assert all(f.parent == PACKAGE for f in files)
+    assert "llm.py" not in {f.name for f in files}
+    total = sum(lines(f) for f in files)
+    assert total <= DETERMINISTIC_LINES_BOUND, \
+        f"{total} lines in {sorted(f.name for f in files)}"

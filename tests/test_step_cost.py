@@ -66,8 +66,11 @@ emptied before counting, once a message's start built its one task view in
 its own frame and took its price from that memo, a send and a delivery
 appended their records to the step's batch without helper frames or
 `emit`, and an inbox check read the first live entry of each inbox list
-instead of sorting every actionable item. The bound is the last figure
-rounded up to a whole instruction: 380.
+instead of sorting every actionable item; 375.7 (101,431) once `World`
+counted deliveries by type only for a policy that reads them and the
+decides asked `World.oldest_unanswered` whether a request waits instead of
+filtering and copying the inbox list. The bound is the last figure rounded
+up to a whole instruction: 376.
 
 The same shipped `medium` run under the two baselines, which read few context
 fields: `no_comm` 875.5 (354,585 over 405 agent-steps) and `fixed_steps`
@@ -91,8 +94,10 @@ actions as tuples; 254.2 (102,957) and 423.0 (131,137) with a work step
 below its task's mark one add and one compare, and each agent's work action
 built once per active task; 251.1 (101,688) and 418.9 (129,868) with the
 one-pass plan step and the one-split `order_key`; 251.1 and 399.7 (123,914)
-with the one-frame message path. Their bounds are those last figures
-rounded up to a whole instruction: 252 and 400.
+with the one-frame message path; 251.1 and 394.9 (122,408) with deliveries
+counted only for a policy that reads them and the inbox asked for its
+oldest open request. Their bounds are those last figures rounded up to a
+whole instruction: 252 and 395.
 
 1M+16W teams under `c2c_heuristic`, run to completion, 4 and 16 roots: before
 `World` kept those two tasks, 1,414.3 (2,211,997 over 1,564) and 1,750.5
@@ -126,11 +131,13 @@ below the mark and the work actions built once per active task, 508.3
 (794,900) and 504.2 (3,223,121), a ratio of 0.99; with the one-pass plan
 step and the one-split `order_key`, 489.6 (765,789) and 485.0 (3,100,308), a
 ratio of 0.99; with the one-frame message path, 446.0 (697,582) and 441.7
-(2,823,331), a ratio of 0.99. The ratio bound, 1.10,
+(2,823,331), a ratio of 0.99; with deliveries counted only for a policy
+that reads them and the inbox asked for its oldest open request, 433.1 and
+428.9 (2,741,233), a ratio of 0.99. The ratio bound, 1.10,
 lets an agent-step grow a little with the tasks an agent holds, not in
 proportion to them. The 16-root run is also the shape of the benchmark's
 `many_roots` workload, so its own reading is bounded too, rounded up to a
-whole instruction: 442.
+whole instruction: 429.
 
 The same 16-root run as `teamsim run` drives it, every event written by a
 `TraceWriter` and folded by the `MetricsFold` behind it: 1,153.1 (7,370,346
@@ -157,8 +164,10 @@ work action was built once per active task; 651.6 (4,164,748) and 770.8
 (4,927,076) with the one-pass plan step and the one-split `order_key`, when
 the orjson codec also wrote step 0's batch itself, since a null float field
 no longer sends a batch to the standard library; 608.2 (3,887,771) and
-727.5 (4,650,099) with the one-frame message path. The bounds are those
-last readings rounded up to a whole instruction: 609 and 728.
+727.5 (4,650,099) with the one-frame message path; 595.4 (3,805,673) and
+714.6 (4,568,001) with deliveries counted only for a policy that reads them
+and the inbox asked for its oldest open request. The bounds are those last
+readings rounded up to a whole instruction: 596 and 715.
 
 `teamsim report` reads a trace through `TraceLog.stream`, which checks each
 event against its kind's schema. Over the trace of the shipped `medium` run
@@ -213,9 +222,11 @@ skill bundle and label once per root, `add_subtasks` built each node READY
 or PENDING in one pass and checked only the edges there are, `assign`
 grouped the workers by skill set so that one capped through one skill set
 left every heap at once, and `World.place` gave each placement its
-alignment, stats and event in one walk. The same figures read in the whole
-suite under `python -X dev -m pytest`. The bounds are those readings
-rounded up to a whole instruction: 72, 69 and 648.
+alignment, stats and event in one walk; `Simulation()` 68.8 (17,694) once
+`World` kept no per-type delivery counts for a policy that does not read
+them. The same figures read in the whole suite under `python -X dev -m
+pytest`. The bounds are those readings rounded up to a whole instruction:
+72, 69 and 648.
 
 A message's own cost, on the same 1M+256W team under `c2c_heuristic`, run to
 completion: 256 requests for clarification, 256 progress reports and one
@@ -226,8 +237,10 @@ a message cost 726.6 (372,748) while a start built its views through
 `World.task_view` and priced the message at each call, a send and a
 delivery traced through helper frames and `emit`, and the manager's one
 inbox check gathered and sorted all 256 requests it held; 505.8 (259,456)
-once each end was one frame. The bound is that reading rounded up to a
-whole instruction: 506.
+once each end was one frame; 485.8 (249,196) once `World` counted
+deliveries by type only for a policy that reads the counts, and then in
+place, instead of copying the recipient's counts at every delivery. The bound is that reading rounded up to a
+whole instruction: 486.
 
 Other interpreters execute other instruction sequences, so the guards run
 only on the calibrating minor version.
@@ -256,16 +269,16 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Per policy on shipped `medium`: (agent-steps, opcodes per agent-step bound).
 OPCODES_PER_AGENT_STEP_BOUND = {
     "no_comm": (405, 252),
-    "fixed_steps": (310, 400),
-    "c2c_heuristic": (270, 380),
+    "fixed_steps": (310, 395),
+    "c2c_heuristic": (270, 376),
 }
 # Opcodes per agent-step at 16 roots over the same at 4 roots.
 ROOTS_RATIO_BOUND = 1.10
 # Opcodes per agent-step at 16 roots.
-ROOTS_16_BOUND = 442
+ROOTS_16_BOUND = 429
 # Per trace codec: opcodes per agent-step of the 16-root run through `teamsim
 # run`'s sink chain, a `TraceWriter` that hands each batch to a `MetricsFold`.
-SINK_CHAIN_BOUND = {"orjson": 609, "stdlib": 728}
+SINK_CHAIN_BOUND = {"orjson": 596, "stdlib": 715}
 # Per trace codec: opcodes per line of `TraceLog.stream` over the shipped
 # `medium` trace under `c2c_heuristic`.
 STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
@@ -276,7 +289,7 @@ SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 69, "plan_step": 648}
 WIDE_WORKERS = 256
 # Opcodes per message sent on the same team under `c2c_heuristic`, counted in
 # the message path's frames and below them.
-OPCODES_PER_MESSAGE_BOUND = 506
+OPCODES_PER_MESSAGE_BOUND = 486
 
 calibrated = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                                 reason="bounds calibrated on CPython 3.11")
