@@ -2,11 +2,12 @@
 
 Scenario files are YAML with a team block (either the "1M+4W" shorthand or an
 explicit agent list) and a tasks block of description/hours/skills entries.
-Round trip holds: parse(emit(scenario)) == scenario.
+Round trip holds for a parsed scenario: parse(emit(scenario)) == scenario.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -116,6 +117,131 @@ def _loader(base: type) -> type:
 _LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 _DUMPER = _dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper))
 
+# `emit_scenario`'s layout is written and read below in one pass, without
+# PyYAML's Python calls per node, when every string is printable ASCII with no
+# leading, trailing or doubled space, no leading indicator and no `...` start,
+# and every hours value is a finite float. The bytes are `yaml.dump`'s: a
+# string is plain unless it holds ": " or " #", ends in ":" or would read back
+# as another type, and single-quoted then; it folds at a space once its line
+# passes `_WIDTH` columns, onto a line indented past its key.
+_WIDTH = 80
+_WRITABLE = None  # the pattern of those strings, compiled on first use
+
+
+def _scalar(value: str, column: int, indent: int) -> str:
+    """`value` as the dumper writes it after a key or dash that ends `column`
+    characters into its line, with its leading space; ValueError for a value
+    this layout does not write."""
+    global _WRITABLE
+    if _WRITABLE is None:
+        _WRITABLE = re.compile(r"(?![-?:,\[\]{}#&*!|>'\"%@`]|\.\.\.)[!-~](?: ?[!-~])*")
+    if type(value) is not str or _WRITABLE.fullmatch(value) is None:
+        raise ValueError(value)
+    if (": " in value or " #" in value or value[-1] == ":"
+            or any(pattern.match(value) for _, pattern in
+                   _DUMPER.yaml_implicit_resolvers.get(value[0], ()))):
+        value = "'" + value.replace("'", "''") + "'"
+    if column + len(value) > _WIDTH:
+        words = value.split(" ")
+        value, column = words[0], column + 1 + len(words[0])
+        for word in words[1:]:
+            if column > _WIDTH:
+                value, column = f"{value}\n{' ' * indent}{word}", indent + len(word)
+            else:
+                value, column = f"{value} {word}", column + 1 + len(word)
+    return " " + value
+
+
+def _items(key: str, values: list, pad: str) -> str:
+    """The list `values` under `key`, one dashed item a line."""
+    if not values:
+        return f"{pad}{key}: []\n"
+    return f"{pad}{key}:\n" + "".join([f"{pad}-{_scalar(value, len(pad) + 1, len(pad) + 2)}\n"
+                                       for value in values])
+
+
+def _write_layout(data: dict) -> str | None:
+    """`emit_scenario`'s `data` as `yaml.dump` writes it, or None if a value
+    is one this layout does not write."""
+    try:
+        text = [f"{key}:{_scalar(data[key], len(key) + 1, 2)}\n"
+                for key in ("name", "policy", "evaluator")]
+        text += [_items("skill_pool", data["skill_pool"], ""),
+                 f"team_label:{_scalar(data['team_label'], 11, 2)}\n",
+                 "team:\n" if data["team"] else "team: []\n"]
+        for agent in data["team"]:
+            text += [f"- id:{_scalar(agent['id'], 5, 4)}\n",
+                     f"  name:{_scalar(agent['name'], 7, 4)}\n",
+                     f"  role:{_scalar(agent['role'], 7, 4)}\n",
+                     _items("skills", agent["skills"], "  ")]
+        text.append("tasks:\n" if data["tasks"] else "tasks: []\n")
+        for task in data["tasks"]:
+            hours = task["hours"]
+            if type(hours) is not float or not math.isfinite(hours):
+                return None
+            hours = repr(hours)  # as `represent_float` writes it
+            if "." not in hours and "e" in hours:
+                hours = hours.replace("e", ".0e", 1)
+            text += [f"- description:{_scalar(task['description'], 14, 4)}\n",
+                     f"  hours: {hours}\n", _items("skills", task["skills"], "  ")]
+    except ValueError:
+        return None
+    return "".join(text)
+
+
+def _read_layout(text: str) -> dict | None:
+    """The data `_write_layout` wrote `text` from, read line by line, or None
+    for any text that writing the data read would not give back."""
+    # A written text's name is folded or followed by its policy; a
+    # hand-written file's seldom is, and is refused here after two calls.
+    if not (text.startswith("name: ")
+            and text.startswith(("policy: ", "  "), text.find("\n") + 1)):
+        return None
+    lines, at = text.split("\n"), 0
+
+    def scalar(prefix: str, fold: str) -> str:
+        nonlocal at
+        if not lines[at].startswith(prefix):
+            raise ValueError(prefix)
+        parts = [lines[at][len(prefix):]]
+        at += 1
+        while lines[at].startswith(fold):
+            parts.append(lines[at][len(fold):])
+            at += 1
+        value = " ".join(parts)
+        return value[1:-1].replace("''", "'") if value[:1] == "'" else value
+
+    def items(key: str, pad: str, item) -> list:
+        nonlocal at
+        at += 1
+        if lines[at - 1] == f"{pad}{key}: []":
+            return []
+        if lines[at - 1] != f"{pad}{key}:":
+            raise ValueError(key)
+        values = []
+        while lines[at].startswith(f"{pad}- "):
+            values.append(item())
+        return values
+
+    try:
+        data = {
+            "name": scalar("name: ", "  "), "policy": scalar("policy: ", "  "),
+            "evaluator": scalar("evaluator: ", "  "),
+            "skill_pool": items("skill_pool", "", lambda: scalar("- ", "  ")),
+            "team_label": scalar("team_label: ", "  "),
+            "team": items("team", "", lambda: {
+                "id": scalar("- id: ", "    "), "name": scalar("  name: ", "    "),
+                "role": scalar("  role: ", "    "),
+                "skills": items("skills", "  ", lambda: scalar("  - ", "    "))}),
+            "tasks": items("tasks", "", lambda: {
+                "description": scalar("- description: ", "    "),
+                "hours": float(scalar("  hours: ", "    ")),
+                "skills": items("skills", "  ", lambda: scalar("  - ", "    "))}),
+        }
+    except (ValueError, IndexError):
+        return None
+    return data if _write_layout(data) == text else None
+
 
 class RunConfig(NamedTuple):
     scenario_path: str
@@ -210,12 +336,14 @@ def _read(raw: object, fields: dict, where: str) -> None:
 
 
 def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
-    try:
-        data = yaml.load(text, Loader=_LOADER)
-    except (yaml.YAMLError, UnicodeEncodeError) as exc:
-        # libyaml encodes the text to UTF-8 first, and a lone surrogate fails
-        # there; the pure-Python reader rejects it as a YAMLError.
-        raise ScenarioError(f"malformed scenario syntax: {exc}") from exc
+    data = _read_layout(text)
+    if data is None:
+        try:
+            data = yaml.load(text, Loader=_LOADER)
+        except (yaml.YAMLError, UnicodeEncodeError) as exc:
+            # libyaml encodes the text to UTF-8 first, and a lone surrogate
+            # fails there; the pure-Python reader rejects it as a YAMLError.
+            raise ScenarioError(f"malformed scenario syntax: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("malformed scenario: expected a mapping at top level")
     _read(data, _TOP_FIELDS, "")
@@ -277,29 +405,15 @@ def parse_scenario(path: str | Path) -> Scenario:
 
 
 def emit_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario with an explicit team so the file is self-contained."""
-    data = {
-        "name": scenario.name,
-        "policy": scenario.policy_name,
-        "evaluator": scenario.evaluator_name,
-        "skill_pool": list(scenario.skill_pool),
-        "team_label": scenario.team_label,
-        "team": [
-            {
-                "id": agent.agent_id,
-                "name": agent.name,
-                "role": agent.role.value,
-                "skills": sorted(agent.skills),
-            }
-            for agent in scenario.team
-        ],
-        "tasks": [
-            {
-                "description": task.description,
-                "hours": task.estimated_hours,
-                "skills": sorted(task.required_skills),
-            }
-            for task in scenario.tasks
-        ],
-    }
-    return yaml.dump(data, Dumper=_DUMPER, sort_keys=False, allow_unicode=True)
+    """Serialize a scenario with an explicit team so the file is self-contained:
+    in the fixed layout where `_write_layout` writes it, by `yaml.dump`
+    otherwise, in the same bytes either way."""
+    data = {"name": scenario.name, "policy": scenario.policy_name,
+            "evaluator": scenario.evaluator_name, "skill_pool": list(scenario.skill_pool),
+            "team_label": scenario.team_label,
+            "team": [{"id": agent.agent_id, "name": agent.name, "role": agent.role.value,
+                      "skills": sorted(agent.skills)} for agent in scenario.team],
+            "tasks": [{"description": task.description, "hours": task.estimated_hours,
+                       "skills": sorted(task.required_skills)} for task in scenario.tasks]}
+    return _write_layout(data) or yaml.dump(data, Dumper=_DUMPER, sort_keys=False,
+                                            allow_unicode=True)

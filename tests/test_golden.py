@@ -62,6 +62,35 @@ SHIPPED = {
         "85c35ba521743eb56001ee8dc6c8175a147c9f080f6d3745df5fa55dd7faf764",
 }
 
+# The sha256 of the `scenario.yaml` that `teamsim run` writes for each of
+# the runs above, taken while PyYAML's dumper wrote every one of them.
+SHIPPED_SCENARIO_YAML = {
+    ("complex", "c2c_heuristic"):
+        "2dba7e6862adb7e8b47221e821847080f46e18d8fcd9559470bee105fde7ced5",
+    ("complex", "fixed_steps"):
+        "7c774322bcd1ddcf01adf127e2e374b6608f099b84133f911709a3aa2c7f5388",
+    ("complex", "no_comm"):
+        "fb690edae83ee7598a5bf88e3c75745bcf1c11735d76c2738cfb2f0cdd3392a8",
+    ("medium", "c2c_heuristic"):
+        "499626f1620468d0e7828c8314987a78d9c914d494bcbecb4265402848425b55",
+    ("medium", "fixed_steps"):
+        "2bed988a04e280088c0e24ec3e8e25f298673b339bdcf550b5c47f8e994f53d2",
+    ("medium", "no_comm"):
+        "c177be48f5c3b8548346eaecf2b929ced5e2a72b146470c1d87eeb0fa38869c4",
+    ("multi_task", "c2c_heuristic"):
+        "c5aa91df0f48a94dea725cc371c02f16aa3786ac5df72a90a6a81d095c2d36ef",
+    ("multi_task", "fixed_steps"):
+        "fe762a976b4958c2474037770fde1b97e11fc65fa3b71fcbe6e0af42798ccd5b",
+    ("multi_task", "no_comm"):
+        "10c38909fb00fb296de4f4d39bd7664c6be1b86e77803b3876b79c10f5524e0a",
+    ("simple", "c2c_heuristic"):
+        "d7a211758f07ae7f6a5b44700029cda9d2fb53531648fa399473116aad8360b3",
+    ("simple", "fixed_steps"):
+        "579a4db21da998140c957993d04ba522652aea68b4f9ad79787d3925f34f956b",
+    ("simple", "no_comm"):
+        "193f24f3dcbbbe1e7f47d141ab8e6f72fd6e54a09c0e56b2c5a9483e74d056b9",
+}
+
 
 def _check_schema(records: list[dict]) -> None:
     """Each record has `step`, `seq`, `kind` and its kind's fields in order,
@@ -110,7 +139,8 @@ def test_shipped_scenarios(each_codec, name, policy, parallel_decide):
 
 @pytest.mark.parametrize("name,policy", sorted(SHIPPED))
 def test_cli_run_writes_the_shipped_digests(each_codec, tmp_path, name, policy):
-    """`teamsim run` writes each line through `TraceWriter`, not `TraceLog`."""
+    """`teamsim run` writes each line through `TraceWriter`, not `TraceLog`,
+    and `scenario.yaml` in the bytes pinned while PyYAML wrote it."""
     for codec in each_codec():
         out = tmp_path / codec
         with contextlib.redirect_stdout(io.StringIO()):
@@ -118,6 +148,8 @@ def test_cli_run_writes_the_shipped_digests(each_codec, tmp_path, name, policy):
                   "--policy", policy, "--out", str(out)])
         digest = hashlib.sha256((out / "trace.jsonl").read_bytes()).hexdigest()
         assert digest == SHIPPED[name, policy]
+        digest = hashlib.sha256((out / "scenario.yaml").read_bytes()).hexdigest()
+        assert digest == SHIPPED_SCENARIO_YAML[name, policy]
 
 
 def test_shipped_digests_match_benchmark_pins():

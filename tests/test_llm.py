@@ -7,10 +7,12 @@ import json
 
 import pytest
 
+from teamsim import engine
 from teamsim.adapter import ChatCompletionAdapter
 from teamsim.engine import Simulation
+from teamsim.policy import HeuristicPolicy
 
-from conftest import shipped_scenario
+from conftest import ChainPlanner, chain_scenario, shipped_scenario
 
 
 def completion(content) -> bytes:
@@ -96,3 +98,58 @@ def test_malformed_completion_falls_back_in_the_evaluator(body):
     details = warnings_of(result, "evaluator")
     assert details and all(d.startswith("evaluator fallback: malformed completion "
                                         "response") for d in details)
+
+
+def heuristic_model(monkeypatch) -> ChatCompletionAdapter:
+    """An adapter whose model answers each intention prompt with the kind
+    `HeuristicPolicy` decides for the same context, and every other request
+    (the plan) with `{}`, so the even plan lands."""
+    decide = HeuristicPolicy().decide
+    answers: list[str] = []
+    build_context = engine.build_context
+
+    def building(world, agent_id, busy):
+        context = build_context(world, agent_id, busy)
+        answers.append(decide(context).kind.value)
+        return context
+
+    def transport(url, body, headers):
+        content = "{}"
+        if "primary intention" in json.loads(body)["messages"][0]["content"]:
+            content = json.dumps({"intention": answers.pop(0)})
+        return completion(content)
+
+    monkeypatch.setattr(engine, "build_context", building)
+    return ChatCompletionAdapter(endpoint="http://localhost:0", model="stub",
+                                 max_retries=0, transport=transport)
+
+
+def events_but_warnings(result) -> list[dict]:
+    return [{key: value for key, value in event.items() if key != "seq"}
+            for event in result.trace.events if event["kind"] != "warning"]
+
+
+@pytest.mark.parametrize("name", ["simple", "medium", "complex", "multi_task", "meeting"])
+def test_a_model_choosing_the_heuristics_kinds_runs_the_heuristics_run(monkeypatch, name):
+    """Given only the kind, the policy names the task `c2c_heuristic` names
+    with it, so the run writes `c2c_heuristic`'s events, but for the plan's
+    fallback warnings. A report names the agent's oldest due task: when it
+    named the active task, the due milestone stayed due, and `multi_task`
+    stopped at the 160-step cap with 1,005 progress updates and T2
+    unfinished. A meeting names a task with two blocked collaborators: none
+    started when it named none."""
+    if name == "meeting":
+        scenario = dataclasses.replace(chain_scenario(), policy_name="c2c_heuristic")
+        planner = ChainPlanner()
+    else:
+        scenario, planner = shipped_scenario(name, "c2c_heuristic"), None
+    expected = Simulation(scenario, planner=planner).run()
+    result = Simulation(dataclasses.replace(scenario, policy_name="c2c_llm"),
+                        adapter=heuristic_model(monkeypatch), planner=planner).run()
+    assert result.completed and result.final_step == expected.final_step
+    assert events_but_warnings(result) == events_but_warnings(expected)
+    sent = [e["type"] for e in result.trace.events if e["kind"] == "message_sent"]
+    if name == "meeting":
+        assert "MEETING_INVITE" in sent
+    elif name == "multi_task":
+        assert result.final_step == 69 and sent.count("PROGRESS_UPDATE") == 31
