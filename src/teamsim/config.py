@@ -3,17 +3,18 @@
 Scenario files are YAML with a team block (either the "1M+4W" shorthand or an
 explicit agent list) and a tasks block of description/hours/skills entries.
 Round trip holds for a parsed scenario: parse(emit(scenario)) == scenario.
+The emitted layout and the shipped files' hand-written style are read line by
+line; PyYAML is imported only to read any other text or write another layout.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import cache
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
-
-import yaml
 
 from .model import (AgentProfile, Role, Scenario, ScenarioError, TaskSpec,
                     _new_tuple, validate_scenario)
@@ -26,8 +27,6 @@ WORKER_SKILL_STRIDE = 2
 # built, so a typo such as 1M+99999999999W fails at once instead of filling
 # memory.
 MAX_SHORTHAND_AGENTS = 10_000
-
-_SHORTHAND = re.compile(r"^(\d+)M\+(\d+)W$", re.IGNORECASE)
 
 # The scenario format, one table per level: each key a level may hold, the
 # YAML types its value may take and whether it must be given. `type(value)`
@@ -47,7 +46,7 @@ _AGENT_FIELDS = {"id": (_TEXT, True), "name": (_TEXT, False), "role": (_TEXT, Tr
                  "skills": (_SKILLS, True)}
 
 
-def _represent_str(dumper: yaml.SafeDumper, data: str) -> yaml.ScalarNode:
+def _represent_str(dumper, data: str):
     # The pure-Python emitter writes U+0085 raw in plain and single-quoted
     # scalars, where every reader takes it for a line break; in double quotes
     # both emitters escape it as "\N".
@@ -66,9 +65,9 @@ _MERGE = "tag:yaml.org,2002:merge"
 _KEY_OF = attrgetter("tag", "value")
 
 
-def _field_path(root: yaml.Node, target: yaml.Node) -> str:
-    """Where `target`, a node under `root`, sits, as field errors name it:
-    "" at the top level, "tasks[0]." in the first task."""
+def _field_path(root, target) -> str:
+    """Where `target`, a PyYAML node under `root`, sits, as field errors name
+    it: "" at the top level, "tasks[0]." in the first task."""
     stack, seen = [(root, "")], set()
     while stack:
         node, where = stack.pop()
@@ -76,9 +75,9 @@ def _field_path(root: yaml.Node, target: yaml.Node) -> str:
             return where
         if id(node) not in seen:  # an alias may close a cycle
             seen.add(id(node))
-            if isinstance(node, yaml.MappingNode):
+            if node.id == "mapping":
                 stack += [(value, f"{where}{key.value}.") for key, value in node.value]
-            elif isinstance(node, yaml.SequenceNode):
+            elif node.id == "sequence":
                 stack += [(item, f"{where[:-1]}[{i}].") for i, item in enumerate(node.value)]
     return ""
 
@@ -111,11 +110,54 @@ def _loader(base: type) -> type:
                                          "construct_mapping": construct_mapping})
 
 
-# libyaml's safe loader and dumper where PyYAML was built with libyaml, the
-# pure-Python ones elsewhere. The C emitter also escapes non-BMP characters,
-# which both loaders read back unchanged.
-_LOADER = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-_DUMPER = _dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+@cache
+def _pyyaml() -> tuple[type, type]:
+    """PyYAML's loader and dumper, imported on the first call: libyaml's where PyYAML
+    has it, else pure-Python (the C emitter escapes non-BMP text; both read it back)."""
+    import yaml
+    return (_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)),
+            _dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)))
+
+
+# `yaml.resolver.Resolver`'s implicit resolvers, verbatim, for `_resolved`.
+_IMPLICIT = (
+    ('tag:yaml.org,2002:bool', r'''^(?:yes|Yes|YES|no|No|NO
+                    |true|True|TRUE|false|False|FALSE
+                    |on|On|ON|off|Off|OFF)$''', re.X, list('yYnNtTfFoO')),
+    ('tag:yaml.org,2002:float', r'''^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
+                    |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+                    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+                    |[-+]?\.(?:inf|Inf|INF)
+                    |\.(?:nan|NaN|NAN))$''', re.X, list('-+0123456789.')),
+    ('tag:yaml.org,2002:int', r'''^(?:[-+]?0b[0-1_]+
+                    |[-+]?0[0-7_]+
+                    |[-+]?(?:0|[1-9][0-9_]*)
+                    |[-+]?0x[0-9a-fA-F_]+
+                    |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+)$''', re.X, list('-+0123456789')),
+    ('tag:yaml.org,2002:merge', r'^(?:<<)$', 0, ['<']),
+    ('tag:yaml.org,2002:null', r'''^(?: ~
+                    |null|Null|NULL
+                    | )$''', re.X, ['~', 'n', 'N', '']),
+    ('tag:yaml.org,2002:timestamp', r'''^(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+                    |[0-9][0-9][0-9][0-9] -[0-9][0-9]? -[0-9][0-9]?
+                     (?:[Tt]|[ \t]+)[0-9][0-9]?
+                     :[0-9][0-9] :[0-9][0-9] (?:\.[0-9]*)?
+                     (?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)$''', re.X,
+     list('0123456789')),
+    ('tag:yaml.org,2002:value', r'^(?:=)$', 0, ['=']),
+    ('tag:yaml.org,2002:yaml', r'^(?:!|&|\*)$', 0, list('!&*')),
+)
+_RESOLVERS = {}  # first character -> compiled patterns, filled on first use
+
+
+def _resolved(word: str) -> bool:
+    """Whether PyYAML reads the plain scalar `word` as another type than a string."""
+    if not _RESOLVERS:
+        for _, pattern, flags, first in _IMPLICIT:
+            for char in first:
+                _RESOLVERS.setdefault(char, []).append(re.compile(pattern, flags))
+    return any(pattern.match(word) for pattern in _RESOLVERS.get(word[:1], ()))
+
 
 # `emit_scenario`'s layout is written and read below in one pass, without
 # PyYAML's Python calls per node, when every string is printable ASCII with no
@@ -125,21 +167,16 @@ _DUMPER = _dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper))
 # as another type, and single-quoted then; it folds at a space once its line
 # passes `_WIDTH` columns, onto a line indented past its key.
 _WIDTH = 80
-_WRITABLE = None  # the pattern of those strings, compiled on first use
+_WRITABLE = r"(?![-?:,\[\]{}#&*!|>'\"%@`]|\.\.\.)[!-~](?: ?[!-~])*"
 
 
 def _scalar(value: str, column: int, indent: int) -> str:
     """`value` as the dumper writes it after a key or dash that ends `column`
     characters into its line, with its leading space; ValueError for a value
     this layout does not write."""
-    global _WRITABLE
-    if _WRITABLE is None:
-        _WRITABLE = re.compile(r"(?![-?:,\[\]{}#&*!|>'\"%@`]|\.\.\.)[!-~](?: ?[!-~])*")
-    if type(value) is not str or _WRITABLE.fullmatch(value) is None:
+    if type(value) is not str or re.fullmatch(_WRITABLE, value) is None:
         raise ValueError(value)
-    if (": " in value or " #" in value or value[-1] == ":"
-            or any(pattern.match(value) for _, pattern in
-                   _DUMPER.yaml_implicit_resolvers.get(value[0], ()))):
+    if ": " in value or " #" in value or value[-1] == ":" or _resolved(value):
         value = "'" + value.replace("'", "''") + "'"
     if column + len(value) > _WIDTH:
         words = value.split(" ")
@@ -192,11 +229,6 @@ def _write_layout(data: dict) -> str | None:
 def _read_layout(text: str) -> dict | None:
     """The data `_write_layout` wrote `text` from, read line by line, or None
     for any text that writing the data read would not give back."""
-    # A written text's name is folded or followed by its policy; a
-    # hand-written file's seldom is, and is refused here after two calls.
-    if not (text.startswith("name: ")
-            and text.startswith(("policy: ", "  "), text.find("\n") + 1)):
-        return None
     lines, at = text.split("\n"), 0
 
     def scalar(prefix: str, fold: str) -> str:
@@ -243,6 +275,49 @@ def _read_layout(text: str) -> dict | None:
     return data if _write_layout(data) == text else None
 
 
+# A hand-written line: a top-level key, one opening a block of items, an item's
+# first key (`  - `) or a further one (`    `), each but the second with a value.
+_WORD = r"[A-Za-z0-9_][A-Za-z0-9_.+-]*"
+_LINE = (rf"^(|  - |    )([A-Za-z_][A-Za-z0-9_]{{0,63}}):(?: (\"[ !#-\[\]-~]*\""
+         rf"|'(?:[ -&(-~]|'')*'|\[\]|\[{_WORD}(?:, {_WORD})*\]|{_WORD}))?$")
+
+
+def _read_hand_written(text: str) -> dict | None:
+    """The data of a text in the hand-written style, or None for any other:
+    one with a comment, a blank or folded line, a tab, a repeated key, etc."""
+    def word(plain: str):  # as PyYAML reads it: a string, `0|[1-9][0-9]*` or `d+.d+`
+        if not _resolved(plain):
+            return plain
+        if re.fullmatch(r"0|[1-9][0-9]*|[0-9]+\.[0-9]+", plain) is None:
+            raise ValueError(plain)
+        return float(plain) if "." in plain else int(plain)
+
+    lines = re.findall(_LINE, text, re.M)  # a line outside the style is skipped
+    if len(lines) != text.count("\n") or not text.endswith("\n"):
+        return None
+    data, items = {}, None  # `items`: the open block's, each a mapping
+    for lead, key, value in lines:
+        if not lead and items != []:
+            mapping, items = data, None
+        elif lead == "  - " and items is not None:
+            items.append(mapping := {})
+        elif lead != "    " or not items:
+            return None
+        if key in mapping or _resolved(key) or (not value and lead):
+            return None
+        try:
+            mapping[key] = (
+                [] if value in ("", "[]") else value[1:-1] if value[0] == '"'
+                else value[1:-1].replace("''", "'") if value[0] == "'"
+                else list(map(word, value[1:-1].split(", "))) if value[0] == "["
+                else word(value))
+        except ValueError:
+            return None
+        if not value:
+            items = mapping[key]
+    return data if items != [] else None
+
+
 class RunConfig(NamedTuple):
     scenario_path: str
     policy: str | None = None
@@ -269,7 +344,7 @@ def expand_team_shorthand(shorthand: str, skill_pool: list[str]) -> list[AgentPr
     overlap and every pool skill is held by at least one worker. A team of
     more than MAX_SHORTHAND_AGENTS agents is refused before any is built.
     """
-    match = _SHORTHAND.match(shorthand.strip())
+    match = re.match(r"^(\d+)M\+(\d+)W$", shorthand.strip(), re.IGNORECASE)
     if match is None:
         raise ScenarioError(f"malformed team shorthand: {shorthand!r}")
     managers, workers = int(match.group(1)), int(match.group(2))
@@ -336,10 +411,11 @@ def _read(raw: object, fields: dict, where: str) -> None:
 
 
 def _parse_scenario_text(text: str, name_hint: str) -> Scenario:
-    data = _read_layout(text)
+    data = _read_layout(text) or _read_hand_written(text)
     if data is None:
+        import yaml
         try:
-            data = yaml.load(text, Loader=_LOADER)
+            data = yaml.load(text, Loader=_pyyaml()[0])
         except (yaml.YAMLError, UnicodeEncodeError) as exc:
             # libyaml encodes the text to UTF-8 first, and a lone surrogate
             # fails there; the pure-Python reader rejects it as a YAMLError.
@@ -415,5 +491,7 @@ def emit_scenario(scenario: Scenario) -> str:
                       "skills": sorted(agent.skills)} for agent in scenario.team],
             "tasks": [{"description": task.description, "hours": task.estimated_hours,
                        "skills": sorted(task.required_skills)} for task in scenario.tasks]}
-    return _write_layout(data) or yaml.dump(data, Dumper=_DUMPER, sort_keys=False,
-                                            allow_unicode=True)
+    if (text := _write_layout(data)) is not None:
+        return text
+    import yaml
+    return yaml.dump(data, Dumper=_pyyaml()[1], sort_keys=False, allow_unicode=True)

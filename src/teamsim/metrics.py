@@ -428,11 +428,13 @@ def render_report(report: MetricsReport, config: str, complexity: str) -> str:
 
     lines.append("")
     lines.append("message heatmap (rows send, columns receive):")
-    agents, cells = report.agents, report.heatmap
+    agents, zero = report.agents, ["    0"] * len(report.agents)
+    column, rows = {agent: i for i, agent in enumerate(agents)}, {}
+    for (sender, recipient), count in report.heatmap.items():
+        rows.setdefault(sender, zero[:])[column[recipient]] = f"{count:>5}"
+    silent = " ".join(zero)
     lines.append("        " + " ".join(f"{a:>5}" for a in agents))
-    for sender in agents:
-        row = " ".join(f"{cells.get((sender, b), 0):>5}" for b in agents)
-        lines.append(f"  {sender:>5} {row}")
+    lines += [f"  {a:>5} {' '.join(rows[a]) if a in rows else silent}" for a in agents]
 
     dist = report.distributions
     lines.append("")

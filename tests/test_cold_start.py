@@ -5,21 +5,26 @@ generates no code per class.
 `c2c_heuristic` send no adapter request and decide in one thread, so the
 model-backed components of `teamsim.llm`, the adapter and its prompts, the
 HTTP stack, the thread pool and OpenSSL hashing stay unloaded; all but
-hashing load on first use. Each case runs in a fresh
+hashing load on first use. So does PyYAML: `config` reads the shipped,
+hand-written scenarios and the `scenario.yaml` a run writes itself, and
+imports PyYAML for the first text in neither style. Each case runs in a fresh
 interpreter and compares `sys.modules` with a snapshot taken before `teamsim`
 is imported, so whatever `site` loads on a given machine does not count.
 
 `import teamsim.cli` is counted in bytecode instructions, with the
-standard-library and PyYAML modules it loads imported first and the import
+standard-library modules it loads imported first and the import
 system's own frames left out, since those vary with `sys.path` and the
 install mode. On CPython 3.11.7 it executed 227,706 while `dataclasses`
 generated the methods of 16 of teamsim's classes, and 123,505 once those
 became named tuples and `__slots__` classes with written-out `__init__`s
 (the same with and without cached bytecode, under `-X dev` and under hash
 seeds 0, 1 and 12345); 123,109 once the model-backed policy, planner and
-evaluator left `policy`, `planner` and `engine` for `teamsim.llm`. The bound
-is that reading rounded up to the next hundred; one class built by
-`dataclasses` again costs several thousand.
+evaluator left `policy`, `planner` and `engine` for `teamsim.llm`; 123,133
+once `config` wrote and read a run's `scenario.yaml` itself; 118,226 once
+`config` no longer imported PyYAML nor built its loader and dumper classes
+at import (PyYAML's own import, loaded before the count began, was never
+counted). The bound is that reading rounded up to the next hundred; one
+class built by `dataclasses` again costs several thousand.
 """
 
 import json
@@ -40,8 +45,8 @@ DETERMINISTIC = ("no_comm", "fixed_steps", "c2c_heuristic")
 # Modules a deterministic call never executes.
 UNUSED = ("teamsim.llm", "teamsim.adapter", "teamsim.prompts", "urllib.request",
           "http.client", "email.parser", "ssl", "socket", "concurrent.futures",
-          "hashlib")
-IMPORT_INSTRUCTIONS_BOUND = 123_200
+          "hashlib", "yaml")
+IMPORT_INSTRUCTIONS_BOUND = 118_300
 
 PRELUDE = f"""
 import contextlib, io, json, sys
@@ -75,16 +80,18 @@ def test_deterministic_cli_calls_load_no_unused_module(tmp_path):
     from teamsim.cli import main
 
     with contextlib.redirect_stdout(io.StringIO()):
-        for policy in args["policies"]:
-            out = f"{args['out']}/{policy}"
-            assert main(["run", "--scenario", args["scenario"],
-                         "--policy", policy, "--out", out]) == 0
-            assert main(["report", "--run", out]) == 0
-        assert main(["compare", "--scenario", args["scenario"],
-                     "--policies", ",".join(args["policies"]),
-                     "--out", f"{args['out']}/compare"]) == 0
+        for scenario in args["scenarios"]:
+            for policy in args["policies"]:
+                out = f"{args['out']}/{policy}"
+                assert main(["run", "--scenario", scenario,
+                             "--policy", policy, "--out", out]) == 0
+                assert main(["report", "--run", out]) == 0
+            assert main(["compare", "--scenario", scenario,
+                         "--policies", ",".join(args["policies"]),
+                         "--out", f"{args['out']}/compare"]) == 0
     """
-    assert _loaded_after(body, scenario=SIMPLE, policies=DETERMINISTIC,
+    shipped = sorted(str(path) for path in (ROOT / "scenarios").glob("*.yaml"))
+    assert _loaded_after(body, scenarios=shipped, policies=DETERMINISTIC,
                          out=str(tmp_path)) == []
 
 
@@ -127,8 +134,17 @@ assert run_scenario(scenario, adapter=StubAdapter()).completed
     (LLM_RUN, "teamsim.llm"),
     (LLM_RUN, "teamsim.adapter"),
     (LLM_RUN, "teamsim.prompts"),
+    ("""
+    from pathlib import Path
+    from teamsim.config import parse_scenario_text
+
+    text = Path(args["scenario"]).read_text(encoding="utf-8")
+    parse_scenario_text(text)
+    assert not loaded(), loaded()
+    parse_scenario_text("# a comment, which only PyYAML reads\\n" + text)
+    """, "yaml"),
 ], ids=["parallel_decide", "adapter_request", "llm_run_llm", "llm_run_adapter",
-        "llm_run_prompts"])
+        "llm_run_prompts", "commented_scenario"])
 def test_first_use_loads_the_module(first_use, module):
     assert module in _loaded_after(first_use, scenario=SIMPLE, port=refused_port())
 

@@ -229,12 +229,13 @@ tasks:
 
 class TestLibyaml:
     def test_libyaml_is_used_when_available(self):
+        loader, dumper = config._pyyaml()
         if yaml.__with_libyaml__:
-            assert config._LOADER.__bases__ == (yaml.CSafeLoader,)
-            assert config._DUMPER.__bases__ == (yaml.CSafeDumper,)
+            assert loader.__bases__ == (yaml.CSafeLoader,)
+            assert dumper.__bases__ == (yaml.CSafeDumper,)
         else:
-            assert config._LOADER.__bases__ == (yaml.SafeLoader,)
-            assert config._DUMPER.__bases__ == (yaml.SafeDumper,)
+            assert loader.__bases__ == (yaml.SafeLoader,)
+            assert dumper.__bases__ == (yaml.SafeDumper,)
 
     @pytest.mark.parametrize("text", [
         *(pytest.param((SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8"),
@@ -246,8 +247,9 @@ class TestLibyaml:
         scenario = parse_scenario_text(text)
         emitted = emit_scenario(scenario)
         reparsed = parse_scenario_text(emitted)
-        monkeypatch.setattr(config, "_LOADER", config._loader(yaml.SafeLoader))
-        monkeypatch.setattr(config, "_DUMPER", config._dumper(yaml.SafeDumper))
+        pure = (config._loader(yaml.SafeLoader), config._dumper(yaml.SafeDumper))
+        monkeypatch.setattr(config, "_pyyaml", lambda: pure)
+        monkeypatch.setattr(config, "_read_hand_written", lambda text: None)
         assert parse_scenario_text(text) == scenario
         assert emit_scenario(scenario) == emitted
         assert parse_scenario_text(emitted) == reparsed == scenario
@@ -330,9 +332,10 @@ _DUMPERS = [config._dumper(yaml.SafeDumper)] + (
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(scenarios())
 def test_emitted_scenario_parses_back(scenario):
+    loader = config._pyyaml()[0]
     for dumper in _DUMPERS:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(config, "_DUMPER", dumper)
+            patch.setattr(config, "_pyyaml", lambda: (loader, dumper))
             assert parse_scenario_text(emit_scenario(scenario)) == scenario
 
 

@@ -4,6 +4,7 @@ and independent recounts."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teamsim.engine import run_scenario
 from teamsim.metrics import (MetricsError, compute_metrics, distributions,
@@ -158,3 +159,41 @@ def test_render_report_mentions_all_metrics(medium_scenario):
     for token in ("completion_rate", "avg_completion_time_h", "alignment_score",
                   "efficiency", "heatmap", "channel shares"):
         assert token in text
+
+
+def cell_by_cell_heatmap(agents: tuple[str, ...], cells: dict) -> list[str]:
+    """The heatmap's lines as rendered one cell lookup at a time."""
+    lines = ["        " + " ".join(f"{a:>5}" for a in agents)]
+    for sender in agents:
+        row = " ".join(f"{cells.get((sender, b), 0):>5}" for b in agents)
+        lines.append(f"  {sender:>5} {row}")
+    return lines
+
+
+@st.composite
+def heatmaps(draw):
+    """Agents in natural id order, up to a 1M+256W team, and the cells of
+    some (sender, recipient) pairs among them, counts up to six digits."""
+    workers = draw(st.one_of(st.integers(0, 12), st.just(256)))
+    agents = ("M1", *(f"W{i}" for i in range(1, workers + 1)))
+    pairs = st.tuples(st.sampled_from(agents), st.sampled_from(agents))
+    return agents, draw(st.dictionaries(pairs, st.integers(1, 999_999), max_size=300))
+
+
+@pytest.fixture(scope="module")
+def medium_report():
+    scenario = make_scenario(MEDIUM_TASK, policy="c2c_heuristic")
+    return compute_metrics(run_scenario(scenario).trace, scenario)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(heatmaps())
+def test_heatmap_rows_are_the_cell_by_cell_rendering(medium_report, heatmap):
+    """The heatmap's lines are what one cell lookup at a time renders, on
+    drawn cells of teams up to 1M+256W, most of whose senders send nothing."""
+    agents, cells = heatmap
+    text = render_report(medium_report._replace(agents=agents, heatmap=cells), "c", "s")
+    lines = text.split("\n")
+    start = lines.index("message heatmap (rows send, columns receive):") + 1
+    assert lines[start:start + len(agents) + 1] == cell_by_cell_heatmap(agents, cells)
+    assert lines[start + len(agents) + 1] == ""

@@ -189,7 +189,7 @@ up to a whole instruction, and one more where that would leave fewer than
 100 instructions over the trace to spare: 7 and 32.
 
 Team set-up, on a 1M+256W team with one medium root under `no_comm`, parsed
-from YAML through libyaml after one untimed pass, so that no count holds a
+from YAML text after one untimed pass, so that no count holds a
 one-time cost such as compiling a pattern: the parse cost 250.7 instructions
 per worker (64,173), `Simulation()` 183.9 per agent (47,250) and step 0, the
 plan, 1,671.0 per subtask (427,764) while the even planner suggested an
@@ -224,9 +224,12 @@ grouped the workers by skill set so that one capped through one skill set
 left every heap at once, and `World.place` gave each placement its
 alignment, stats and event in one walk; `Simulation()` 68.8 (17,694) once
 `World` kept no per-type delivery counts for a policy that does not read
-them. The same figures read in the whole suite under `python -X dev -m
-pytest`. The bounds are those readings rounded up to a whole instruction:
-72, 69 and 648.
+them; the parse 53.7 (13,758) once `config` read the text, written in the
+hand-written style with a single-quoted description, line by line itself
+instead of through libyaml and PyYAML's Python constructor (71.5 before).
+The same figures read in the whole suite under `python -X dev -m pytest`.
+The bounds are those readings rounded up to a whole instruction: 54, 69 and
+648.
 
 A message's own cost, on the same 1M+256W team under `c2c_heuristic`, run to
 completion: 256 requests for clarification, 256 progress reports and one
@@ -285,7 +288,7 @@ STREAM_OPCODES_PER_LINE_BOUND = {"orjson": 7, "stdlib": 32}
 # Team set-up on a 1M+256W team with one root under `no_comm`: opcodes of the
 # parse per worker, of `Simulation()` per agent and of step 0 (the plan) per
 # subtask.
-SETUP_OPCODES_BOUND = {"parse": 72, "simulation": 69, "plan_step": 648}
+SETUP_OPCODES_BOUND = {"parse": 54, "simulation": 69, "plan_step": 648}
 WIDE_WORKERS = 256
 # Opcodes per message sent on the same team under `c2c_heuristic`, counted in
 # the message path's frames and below them.
@@ -429,7 +432,7 @@ def wide_team_text() -> str:
 
 
 @calibrated
-@pytest.mark.skipif(config._LOADER.__bases__ != (getattr(yaml, "CSafeLoader", None),),
+@pytest.mark.skipif(config._pyyaml()[0].__bases__ != (getattr(yaml, "CSafeLoader", None),),
                     reason="calibrated with libyaml's loader")
 def test_team_setup_opcodes_stay_under_the_bounds():
     """Parsing, building the `Simulation` and the plan step each cost a
